@@ -149,9 +149,7 @@ def cmd_invariants(args) -> int:
         sys.stderr.write("\n")
         return EXIT_VALIDATION
     s = inv.s if inv is not None else None
-    report = invariants.extract_all(
-        field, s=s, seed=seed, depth=args.depth, jobs=args.jobs
-    )
+    report = invariants.extract_all(field, s=s, seed=seed, depth=args.depth)
     _dump_json(invariants.report_to_dict(report, phat, poly_source=source), args.out)
     return EXIT_OK if report.verdicts.all_ok else EXIT_SUMRULE
 
@@ -170,7 +168,7 @@ def cmd_synthesize(args) -> int:
     sampled = fields.sample_field(field, args.depth)
     fields.save_field(sampled, args.out, depth=args.depth, poly_source=source)
     report = invariants.extract_all(
-        sampled, s=inv.s, seed=seed, depth=max(args.depth, 5), jobs=args.jobs
+        sampled, s=inv.s, seed=seed, depth=max(args.depth, 5)
     )
     report_path = args.report or (str(args.out) + ".report.json")
     _dump_json(invariants.report_to_dict(report, phat, poly_source=source),
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--inv", help="invariant-set file, extracted from its representative")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_invariants)
 
@@ -244,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--depth", type=int, default=5,
                    help="sampling depth of the exported field")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output field file")
     p.add_argument("--report", default=None,
                    help="report path (default: <out>.report.json)")

@@ -4,9 +4,7 @@ A field evaluates to unit vectors in face-chart coordinates.  Two
 representations are provided: analytic (a callable evaluator) and
 sampled (structured per-face grids with geodesic interpolation, which
 keeps values on the sphere and keeps in-plane values in their plane).
-Fields are immutable and evaluators must be re-entrant; per-face work
-can therefore run concurrently as long as results are reduced in a
-deterministic order.
+Fields are immutable.
 
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate

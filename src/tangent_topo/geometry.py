@@ -547,29 +547,35 @@ class PolarChart:
                 return k
         raise GeometryError(f"face has no boundary segment {kind} {key}")
 
-    def locate(self, point) -> Tuple[float, float]:
-        """Invert the chart at a single in-plane point."""
-        p = np.asarray(point, dtype=float)
+    def locate(self, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Invert the chart at ``(N, 3)`` in-plane points: ``(rho, phi,
+        inside)``, with ``rho = phi = 0`` where ``inside`` is False.
+
+        The first side the ray from the base point leaves through gives
+        ``phi`` and ``rho``; every side is solved in closed form.
+        """
+        rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.base
         w1, w2 = self.frame
-        x = np.array([(p - self.base) @ w1, (p - self.base) @ w2])
-        r = float(np.hypot(*x))
-        scale = float(np.max(np.linalg.norm(self._corners2d, axis=1)))
-        if r < 1e-14 * scale:
-            return 0.0, 0.0
-        m = self.n_segments
+        x0 = (rel @ w1)[:, None]
+        x1 = (rel @ w2)[:, None]
         c2 = self._corners2d
-        for k in range(m):
-            q0, q1 = c2[k], c2[(k + 1) % m]
-            mat = np.array([[q1[0] - q0[0], -x[0]], [q1[1] - q0[1], -x[1]]])
-            det = float(np.linalg.det(mat))
-            if abs(det) < 1e-18:
-                continue
-            u, tau = np.linalg.solve(mat, -q0)
-            if -1e-9 <= u <= 1.0 + 1e-9 and tau >= 1.0 - 1e-9:
-                span = 2.0 * np.pi / m
-                phi = (k + float(np.clip(u, 0.0, 1.0))) * span
-                return float(min(1.0, 1.0 / tau)), phi
-        raise BasePointOutside("point does not project into the face")
+        scale = float(np.max(np.linalg.norm(c2, axis=1)))
+        at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * scale
+        # Side k solves q0 + u (q1 - q0) = tau x by Cramer's rule.
+        d = np.roll(c2, -1, axis=0) - c2
+        det = x0 * d[:, 1] - x1 * d[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = (x1 * c2[:, 0] - x0 * c2[:, 1]) / det
+            tau = (d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1]) / det
+            hit = ((np.abs(det) >= 1e-18) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
+                   & (tau >= 1.0 - 1e-9) & ~at_base[:, None])
+            k = np.argmax(hit, axis=1)
+            rows = np.arange(k.size)
+            inside = hit[rows, k]
+            span = 2.0 * np.pi / self.n_segments
+            rho = np.where(inside, np.minimum(1.0, 1.0 / tau[rows, k]), 0.0)
+            phi = np.where(inside, (k + np.clip(u[rows, k], 0.0, 1.0)) * span, 0.0)
+        return rho, phi, inside | at_base
 
 
 def _face_segments(phat: TruncatedPolyhedron, key: FaceKey):

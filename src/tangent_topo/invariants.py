@@ -21,7 +21,6 @@ mutually consistent; all chart-based sums below are computed in chart
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -44,7 +43,7 @@ from .errors import (
     SOnTriangleBoundary,
 )
 from .fields import CLEAVED, TangentField, boundary_trace
-from .geometry import BasePointOutside, TruncatedPolyhedron
+from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
     normalized,
@@ -58,6 +57,7 @@ MARGIN_S = 0.05
 KINK_RESIDUAL_TOL = 1e-6
 TOL_REGULAR = 1e-6
 PREIMAGE_MERGE_TOL = 1e-7
+POLISH_ITERS = 20
 
 INVARIANTS_FORMAT = "invariants/1"
 REPORT_FORMAT = "invariant-report/1"
@@ -256,7 +256,7 @@ def _grid_resolved(grid: np.ndarray) -> bool:
     return float(min(radial.min(), around.min())) > 0.0
 
 
-def _chart_sums(grid: np.ndarray, s: np.ndarray):
+def _chart_sums(grid: np.ndarray, s: np.ndarray, cache: dict, key):
     """Signed image-area sum and cap-closure sum, both in chart order.
 
     The cap term integrates the reference one-form along the boundary
@@ -264,13 +264,15 @@ def _chart_sums(grid: np.ndarray, s: np.ndarray):
     area of the triangle (u, v, -s), which makes the combination
     area-sum minus cap-sum an exact multiple of 4*pi for any resolved
     grid (the face sheet plus the cone over its boundary is a closed
-    surface cycle).
+    surface cycle).  The area sum does not depend on ``s``; it is kept
+    in ``cache`` under ``key``, so another direction sums only the cap.
     """
-    Rp1, K, _ = grid.shape
-    flat = grid.reshape(-1, 3)
-    tris = fields_mod._grid_triangles(Rp1 - 1, K)
-    areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]], flat[tris[:, 2]])
-    if not valid.all():
+    if key not in cache:
+        flat = grid.reshape(-1, 3)
+        tris = fields_mod._grid_triangles(grid.shape[0] - 1, grid.shape[1])
+        areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]], flat[tris[:, 2]])
+        cache[key] = float(np.sum(areas)) if valid.all() else None
+    if cache[key] is None:
         return None, None
     boundary = grid[-1]
     nxt = np.roll(boundary, -1, axis=0)
@@ -278,11 +280,12 @@ def _chart_sums(grid: np.ndarray, s: np.ndarray):
     gamma, gvalid = triangle_areas(boundary, nxt, minus_s)
     if not gvalid.all():
         return None, None
-    return float(np.sum(areas)), float(np.sum(gamma))
+    return cache[key], float(np.sum(gamma))
 
 
 def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
     s = normalized(s)
+    cache = {} if cache is None else cache
     for d in range(depth, max_depth + 1):
         grid, _, _ = _face_image_grid(field, a, d, cache)
         if np.max(grid[-1] @ s) >= 1.0 - 1e-12:
@@ -291,7 +294,7 @@ def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
             )
         if not _grid_resolved(grid):
             continue
-        sums = _chart_sums(grid, s)
+        sums = _chart_sums(grid, s, cache, ("area", a, d))
         if sums[0] is None:
             continue
         area_sum, gamma_sum = sums
@@ -365,21 +368,23 @@ def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
     grown[:-1] |= cand[1:]
     idx = np.argwhere(grown)
     if idx.shape[0] > limit:
-        best = np.maximum.reduce([c00 @ s, c10 @ s, c01 @ s, c11 @ s])
-        order = np.argsort(-best[grown])
+        order = np.argsort(-corner_best[grown])
         idx = idx[order[:limit]]
     return idx
 
 
-def _preimage_points(field, a, s, grid_depth, polish_iters, merge_tol, cache=None):
-    """Polished preimages of ``s`` on corner face ``a``.
+def _preimage_points(field, a, s, grid_depth, cache=None):
+    """Signs and normalized Jacobians of the polished preimages of ``s``
+    on corner face ``a``, as two arrays.
 
-    Returns a list of (point, local_winding, normalized_det).  The local
-    winding of the image around ``s`` on a small circle is the local
-    degree: +-1 at a regular preimage, 0 or larger magnitude at critical
-    points (for example the center of a covering patch hit head-on).
+    The local winding of the image around ``s`` on a small circle is the
+    local degree: +-1 at a regular preimage, 0 or larger magnitude at
+    critical points (for example the center of a covering patch hit
+    head-on), which raise NotRegularValue.  All seeds are polished
+    together: every step locates and evaluates its points in one call.
     """
-    chart = field.charts[(CLEAVED, a)]
+    key = (CLEAVED, a)
+    chart = field.charts[key]
     s = normalized(s)
     q1, q2 = _tangent_frame(s)
     grid, R, K = _face_image_grid(field, a, grid_depth, cache)
@@ -388,122 +393,114 @@ def _preimage_points(field, a, s, grid_depth, polish_iters, merge_tol, cache=Non
 
     h = 1e-6 * diam
     w1, w2 = chart.frame
-
-    def values_at(points):
-        """Field values at in-plane points, one batched evaluation."""
-        rhos = np.empty(len(points))
-        phis = np.empty(len(points))
-        for i, p in enumerate(points):
-            rhos[i], phis[i] = chart.locate(p)
-        return field.evaluate((CLEAVED, a), rhos, phis)
+    stencil = np.stack([np.zeros(3), h * w1, -(h * w1), h * w2, -(h * w2)])
 
     def residuals(points):
-        n = values_at(points)
-        g = np.stack([(n - s) @ q1, (n - s) @ q2], axis=1)
-        return g, n @ s
+        """Tangential residual, hemisphere and ``inside`` mask at
+        ``(..., 3)`` in-plane points; only points inside are evaluated."""
+        rho, phi, inside = chart.locate(points.reshape(-1, 3))
+        g = np.zeros((rho.size, 2))
+        hemi = np.full(rho.size, -1.0)
+        if inside.any():
+            vals = field.evaluate(key, rho[inside], phi[inside])
+            g[inside] = np.stack([(vals - s) @ q1, (vals - s) @ q2], axis=1)
+            hemi[inside] = vals @ s
+        shape = points.shape[:-1]
+        return g.reshape(shape + (2,)), hemi.reshape(shape), inside.reshape(shape)
 
-    def fd_jacobian_and_residual(p):
-        pts = [p, p + h * w1, p - h * w1, p + h * w2, p - h * w2]
-        g, hemi = residuals(pts)
-        jac = np.stack([(g[1] - g[2]) / (2 * h), (g[3] - g[4]) / (2 * h)], axis=1)
-        return g[0], float(hemi[0]), jac
+    def jacobians(g):
+        """Central differences from the stencil residuals ``(n, 5, 2)``."""
+        return np.stack([g[:, 1] - g[:, 2], g[:, 3] - g[:, 4]], axis=2) / (2 * h)
 
-    def local_winding(p, radius):
-        t = np.linspace(0.0, 2.0 * np.pi, 17)
-        circle = [p + radius * (np.cos(tk) * w1 + np.sin(tk) * w2) for tk in t]
-        g, _ = residuals(circle)
-        angles = np.unwrap(np.arctan2(g[:, 1], g[:, 0]))
-        return int(round(float(angles[-1] - angles[0]) / (2.0 * np.pi)))
-
-    seeds = []
     # Nodes that already land on s seed first: a covering patch hit
     # head-on has its (critical) preimage exactly on the center node,
     # and starting there surfaces the non-regularity immediately.
     hits = np.argwhere(grid @ s >= 1.0 - 1e-12)
-    for i, j in hits:
-        rho0 = i / R
-        phi0 = j * (2.0 * np.pi / K)
-        seeds.append(chart.point(np.array([rho0]), np.array([phi0]))[0])
-    # Interior sub-points only: a shared corner node (the apex of a
-    # covering patch) would otherwise win the proximity contest in every
-    # adjacent cell and collapse all their polishes into one basin.
+    # Each candidate cell starts from the best interior point of a
+    # sub-grid, so the polish begins inside the right basin even when
+    # several preimages crowd a coarse cell.  Interior sub-points only:
+    # a shared corner node (the apex of a covering patch) would
+    # otherwise win the proximity contest in every adjacent cell and
+    # collapse all their polishes into one basin.
     sub = np.linspace(0.1, 0.9, 5)
     sub_r, sub_p = (g.ravel() for g in np.meshgrid(sub, sub, indexing="ij"))
-    for i, j in cand:
-        # Start from the best interior point of a sub-grid of the cell,
-        # so the polish begins inside the right basin even when several
-        # preimages crowd a coarse cell.
-        rho_s = (i + sub_r) / R
-        phi_s = (j + sub_p) * (2.0 * np.pi / K)
-        vals = field.evaluate((CLEAVED, a), rho_s, phi_s)
-        best = int(np.argmax(vals @ s))
-        seeds.append(chart.point(rho_s[best:best + 1], phi_s[best:best + 1])[0])
+    rho_s = (cand[:, :1] + sub_r) / R
+    phi_s = (cand[:, 1:] + sub_p) * (2.0 * np.pi / K)
+    best = np.zeros(len(cand), dtype=int)
+    if len(cand):
+        vals = field.evaluate(key, rho_s.ravel(), phi_s.ravel())
+        best = np.argmax((vals @ s).reshape(rho_s.shape), axis=1)
+    rows = np.arange(len(cand))
+    seeds = chart.point(
+        np.concatenate([hits[:, 0] / R, rho_s[rows, best]]),
+        np.concatenate([hits[:, 1] * (2.0 * np.pi / K), phi_s[rows, best]]),
+    )
+    # Identical seeds polish identically; every rho = 0 node is the base.
+    p = seeds[np.sort(np.unique(seeds, axis=0, return_index=True)[1])]
 
-    found = []
-    for seed in seeds:
-        p = seed
-        ok = False
-        g = None
-        hemi = -1.0
-        for _ in range(polish_iters):
-            try:
-                g, hemi, jac = fd_jacobian_and_residual(p)
-            except BasePointOutside:
-                g = None
+    g = np.zeros((len(p), 2))
+    hemi = np.full(len(p), -1.0)
+    have_g = np.zeros(len(p), dtype=bool)   # False once a stencil left the face
+    ok = np.zeros(len(p), dtype=bool)
+    active = np.ones(len(p), dtype=bool)
+    for _ in range(POLISH_ITERS):
+        idx = np.flatnonzero(active)
+        gs, hs, inside = residuals(p[idx, None, :] + stencil)
+        valid = inside.all(axis=1)
+        have_g[idx] = valid
+        active[idx] = valid
+        idx, gs = idx[valid], gs[valid]
+        g[idx], hemi[idx] = gs[:, 0], hs[valid, 0]
+        base = np.hypot(g[idx, 0], g[idx, 1])
+        done = base < 1e-11
+        ok[idx[done]] = hemi[idx[done]] > 0.0  # the antipode solves the residual too
+        jac = jacobians(gs)
+        done |= np.abs(np.linalg.det(jac)) < 1e-18
+        active[idx[done]] = False
+        idx, jac, base = idx[~done], jac[~done], base[~done]
+        if idx.size == 0:
+            break
+        step = np.linalg.solve(jac, -g[idx, :, None])[:, :, 0]
+        norm = np.hypot(step[:, 0], step[:, 1])
+        big = norm > 0.25 * diam
+        step[big] *= (0.25 * diam / norm[big])[:, None]
+        # Backtracking keeps the iteration inside its basin.
+        trial = p[idx]
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(8):
+            j = np.flatnonzero(pending)
+            trial[j] = p[idx[j]] + step[j, :1] * w1 + step[j, 1:] * w2
+            gt, _, inside = residuals(trial[j])
+            accept = inside & (np.hypot(gt[:, 0], gt[:, 1]) < base[j])
+            pending[j[accept]] = False
+            step[j[~accept]] *= 0.5
+            if not pending.any():
                 break
-            if float(np.hypot(*g)) < 1e-11:
-                ok = hemi > 0.0  # the antipode solves the residual too
-                break
-            det = float(np.linalg.det(jac))
-            if abs(det) < 1e-18:
-                break
-            step = np.linalg.solve(jac, -g)
-            norm = float(np.hypot(*step))
-            limit = 0.25 * diam
-            if norm > limit:
-                step *= limit / norm
-            # Backtracking keeps the iteration inside its basin.
-            base = float(np.hypot(*g))
-            trial = p + step[0] * w1 + step[1] * w2
-            for _ in range(8):
-                trial = p + step[0] * w1 + step[1] * w2
-                try:
-                    gt, _ = residuals([trial])
-                    if float(np.hypot(*gt[0])) < base:
-                        break
-                except BasePointOutside:
-                    pass
-                step = 0.5 * step
-            p = trial
-        if not ok:
-            if g is not None and hemi > 0.0 and float(np.hypot(*g)) < 1e-7:
-                raise NotRegularValue(
-                    f"polishing stalled near a critical preimage on face {a}"
-                )
-            continue
-        try:
-            rho, _ = chart.locate(p)
-        except BasePointOutside:
-            continue
-        if rho > 1.0 - 1e-9:
-            continue
-        if any(np.linalg.norm(p - q) < merge_tol * diam for q, _, _ in found):
-            continue
-        try:
-            winding = local_winding(p, 1e-5 * diam)
-            _, _, jac = fd_jacobian_and_residual(p)
-            det_norm = float(np.linalg.det(jac)) * diam * diam
-        except BasePointOutside:
-            winding, det_norm = 0, 0.0
-        if abs(winding) != 1:
-            raise NotRegularValue(
-                f"preimage on face {a} has local degree {winding}"
-            )
-        # The winding is taken in the chart frame (counterclockwise
-        # about the outward cut normal); the invariant convention runs
-        # the face the other way, so the preimage sign flips.
-        found.append((p, -winding, det_norm))
-    return found
+        p[idx] = trial
+
+    if np.any(~ok & have_g & (hemi > 0.0) & (np.hypot(g[:, 0], g[:, 1]) < 1e-7)):
+        raise NotRegularValue(
+            f"polishing stalled near a critical preimage on face {a}"
+        )
+    rho, _, inside = chart.locate(p)
+    kept = []
+    for i in np.flatnonzero(ok & inside & (rho <= 1.0 - 1e-9)):
+        if not any(np.linalg.norm(p[i] - p[j]) < PREIMAGE_MERGE_TOL * diam for j in kept):
+            kept.append(i)
+    t = np.linspace(0.0, 2.0 * np.pi, 17)
+    circle = 1e-5 * diam * (np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2)
+    gs, _, inside = residuals(p[kept, None, :] + np.concatenate([circle, stencil]))
+    angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
+    winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
+    winding[~inside.all(axis=1)] = 0
+    if np.any(np.abs(winding) != 1):
+        raise NotRegularValue(
+            f"preimage on face {a} has local degree {winding[np.abs(winding) != 1][0]}"
+        )
+    # The winding is taken in the chart frame (counterclockwise about
+    # the outward cut normal); the invariant convention runs the face
+    # the other way, so the preimage sign flips.
+    return -winding, np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
 
 
 def extract_wrapping_preimage(
@@ -511,9 +508,6 @@ def extract_wrapping_preimage(
     a: int,
     s,
     grid_depth: int = 6,
-    polish_iters: int = 20,
-    tol_regular: float = TOL_REGULAR,
-    merge_tol: float = PREIMAGE_MERGE_TOL,
     cache=None,
 ) -> int:
     """Wrapping number of corner face ``a`` as a signed preimage count.
@@ -523,18 +517,11 @@ def extract_wrapping_preimage(
     Raises NotRegularValue when a preimage is (near-)critical; callers
     fall back to a slightly rotated ``s`` or to the integral route.
     """
-    found = _preimage_points(field, a, s, grid_depth, polish_iters, merge_tol,
-                             cache=cache)
-    for _, winding, det_norm in found:
-        if abs(det_norm) < tol_regular:
-            raise NotRegularValue(
-                f"near-critical preimage on face {a} (|det|={abs(det_norm):.3g})"
-            )
-        if abs(winding) != 1:
-            raise NotRegularValue(
-                f"preimage on face {a} has local degree {winding}"
-            )
-    return int(sum(sign for _, sign, _ in found))
+    signs, det_norm = _preimage_points(field, a, s, grid_depth, cache=cache)
+    if np.any(np.abs(det_norm) < TOL_REGULAR):
+        raise NotRegularValue(f"near-critical preimage on face {a} "
+                              f"(|det|={np.min(np.abs(det_norm)):.3g})")
+    return int(signs.sum())
 
 
 def trapped_area_direct(
@@ -724,16 +711,14 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
 
 
 def _preimage_with_retries(field, a, s, attempts, grid_depth, cache=None):
-    try:
-        return extract_wrapping_preimage(field, a, s, grid_depth=grid_depth,
-                                         cache=cache)
-    except NotRegularValue:
-        pass
-    for k in range(1, attempts + 1):
-        s_k = _rotated(s, k, 1e-3 * k)
+    """``(count, direction)``: the preimage count at ``s`` or, where ``s``
+    is not a regular value, at the first of ``attempts`` slightly rotated
+    directions that is; None when every direction fails."""
+    for k in range(attempts + 1):
+        s_k = s if k == 0 else _rotated(s, k, 1e-3 * k)
         try:
             return extract_wrapping_preimage(field, a, s_k, grid_depth=grid_depth,
-                                             cache=cache)
+                                             cache=cache), s_k
         except NotRegularValue:
             continue
     return None
@@ -746,15 +731,16 @@ def extract_all(
     depth: int = 6,
     max_depth: int = 9,
     trapped_depth: int = 7,
-    jobs: int = 1,
     preimage_attempts: int = 3,
     with_preimage: bool = True,
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
 
     Wrapping numbers come from the integral route, cross-checked against
-    the preimage route wherever the latter finds a regular value; a
-    disagreement raises DualRouteMismatch.  Trapped areas are computed
+    the preimage route wherever the latter finds a regular value: at
+    ``s``, or at the slightly rotated direction its retry used, where
+    the integral route is taken again.  A disagreement raises
+    DualRouteMismatch.  Trapped areas are computed
     by both the closed form and direct quadrature.  If ``s`` is omitted
     it is chosen deterministically from ``seed`` and re-chosen when it
     happens to sit on a fan-triangle boundary.  ``with_preimage=False``
@@ -780,34 +766,30 @@ def extract_all(
             phat, seed + 1000 * attempt
         )
 
-        def face_job(a):
+        results = []
+        for a in range(n_corners):
             w, res, used = _wrapping_integral_detail(field, a, s_try, depth,
                                                      max_depth, cache=grid_cache)
             pre = None
             if with_preimage:
-                pre = _preimage_with_retries(field, a, s_try, preimage_attempts,
-                                             depth, cache=grid_cache)
+                found = _preimage_with_retries(field, a, s_try, preimage_attempts,
+                                               depth, cache=grid_cache)
+                if found is not None:
+                    pre, s_used = found
+                    ref = w if s_used is s_try else _wrapping_integral_detail(
+                        field, a, s_used, depth, max_depth, cache=grid_cache)[0]
+                    if pre != ref:
+                        raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
+                                                f"preimage {pre} at s = {s_used}")
             direct = trapped_area_direct(field, a, trapped_depth, max_depth,
                                          cache=grid_cache)
-            return w, res, used, pre, direct
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(face_job, range(n_corners)))
-        else:
-            results = [face_job(a) for a in range(n_corners)]
+            results.append((w, res, used, pre, direct))
 
         omegas = np.array([r[0] for r in results], dtype=int)
         residuals = np.array([r[1] for r in results])
         depths = tuple(r[2] for r in results)
         preimages = tuple(r[3] for r in results)
         directs = np.array([r[4] for r in results])
-
-        for a, pre in enumerate(preimages):
-            if pre is not None and pre != int(omegas[a]):
-                raise DualRouteMismatch(
-                    f"face {a}: integral route {int(omegas[a])} vs preimage {pre}"
-                )
 
         inv = InvariantSet(
             s=s_try,
@@ -926,22 +908,28 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
 def parse_invariants_document(data: dict):
     """Read an invariant-set file or a report file (re-ingestible).
 
-    Returns ``(poly, spec, phat, InvariantSet, poly_source_dict)``.
+    Returns ``(poly, spec, phat, InvariantSet, poly_source_dict)``.  A
+    missing or mistyped entry raises InvariantError.
     """
-    if data.get("format") == REPORT_FORMAT:
-        data = data["invariants"]
-    elif data.get("format") not in (None, INVARIANTS_FORMAT):
-        raise InvariantError(f"unsupported invariants format {data.get('format')!r}")
-    poly_data = data["polyhedron"]
-    if "builtin" in poly_data:
-        poly = geometry.builtin_polyhedron(poly_data["builtin"])
-        poly_source = {"builtin": poly_data["builtin"]}
-    else:
-        poly = geometry.polyhedron_from_dict(poly_data)
-        poly_source = poly.to_dict()
-    spec = fields_mod.truncation_from_dict(poly, data.get("truncation", {"lambda": 0.2}))
-    phat = geometry.truncate(poly, spec)
-    inv = invariant_set_from_dict(phat, data)
+    try:
+        if data.get("format") == REPORT_FORMAT:
+            data = data["invariants"]
+        elif data.get("format") not in (None, INVARIANTS_FORMAT):
+            raise InvariantError(f"unsupported invariants format {data.get('format')!r}")
+        poly_data = data["polyhedron"]
+        if "builtin" in poly_data:
+            poly = geometry.builtin_polyhedron(poly_data["builtin"])
+            poly_source = {"builtin": poly_data["builtin"]}
+        else:
+            poly = geometry.polyhedron_from_dict(poly_data)
+            poly_source = poly.to_dict()
+        spec = fields_mod.truncation_from_dict(
+            poly, data.get("truncation", {"lambda": 0.2}))
+        phat = geometry.truncate(poly, spec)
+        inv = invariant_set_from_dict(phat, data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InvariantError(f"malformed invariant document: {what}") from exc
     return poly, spec, phat, inv, poly_source
 
 

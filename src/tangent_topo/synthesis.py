@@ -285,6 +285,15 @@ def random_admissible_invariants(
             if abs(last) <= max_kink or override is not None:
                 vals.append(last)
                 break
+        else:
+            # No draw fits max_kink: set the entries from the last one
+            # back, each as near the requirement as the bound allows.
+            vals.append(0)
+            for i in reversed(range(len(vals))):
+                vals[i] = int(np.clip(vals[i] + required - sum(vals), -max_kink, max_kink))
+            if sum(vals) != required:
+                raise SumRuleViolation(f"kink rule of face {c} needs {required} "
+                                       f"within max_kink={max_kink}")
         for a, k in zip(corners, vals):
             kinks[(a, c)] = int(k)
 

@@ -59,7 +59,7 @@ def corpus():
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
         report = tt.extract_all(field, s=inv.s, depth=DEPTH,
-                                trapped_depth=TRAPPED_DEPTH, jobs=2)
+                                trapped_depth=TRAPPED_DEPTH)
         cases.append(Case(label, phat, inv, field, report))
     kink_max = max(abs(k) for c in cases for k in c.invariants.kink_numbers.values())
     wrap_max = max(int(np.max(np.abs(c.invariants.wrapping_numbers))) for c in cases)

@@ -150,6 +150,20 @@ class TestErrorPaths:
         assert main(["export-mesh", "--inv", str(inv_file), "--fmt", "stl",
                      "--out", str(tmp_path / "m.stl")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("edit", ["zero_reference", "missing_wrapping", "list"])
+    def test_bad_invariant_contents_are_validation_errors(self, inv_file,
+                                                          tmp_path, edit):
+        doc = json.loads(inv_file.read_text())
+        if edit == "zero_reference":
+            doc["reference_direction"] = [0.0, 0.0, 0.0]
+        elif edit == "missing_wrapping":
+            del doc["wrapping_numbers"]["2"]
+        else:
+            doc = [doc]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["check", "--inv", str(bad)]) == EXIT_VALIDATION
+
     def test_corrupt_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -157,10 +157,10 @@ class TestPolarChart:
         phis = np.linspace(0.0, 2.0 * np.pi, 37)
         pts = chart.point(np.full_like(phis, 0.5), phis)
         normal = tetra_phat.cut_normal(0)
-        for p in pts:
-            rho, _ = chart.locate(p)
-            assert rho < 1.0 - 1e-6
-            assert abs((p - chart.base) @ normal) < 1e-12
+        rho, _, inside = chart.locate(pts)
+        assert inside.all()
+        assert np.all(rho < 1.0 - 1e-6)
+        assert np.all(np.abs((pts - chart.base) @ normal) < 1e-12)
 
     def test_base_point_outside_rejected(self, cube_phat):
         corner = cube_phat.points[cube_phat.trunc_faces[0].polygon[0]]
@@ -170,14 +170,42 @@ class TestPolarChart:
     def test_locate_inverts_point(self, cube_phat):
         chart = polar_chart(cube_phat, ("cleaved", 3))
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            rho = rng.uniform(0.05, 0.999)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
-            p = chart.point(np.array([rho]), np.array([phi]))[0]
-            rho2, phi2 = chart.locate(p)
-            assert rho2 == pytest.approx(rho, abs=1e-9)
-            p2 = chart.point(np.array([rho2]), np.array([phi2]))[0]
-            assert np.allclose(p2, p, atol=1e-10)
+        rho = rng.uniform(0.05, 0.999, 50)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 50)
+        p = chart.point(rho, phi)
+        rho2, phi2, inside = chart.locate(p)
+        assert inside.all()
+        assert np.allclose(rho2, rho, atol=1e-9)
+        assert np.allclose(chart.point(rho2, phi2), p, atol=1e-10)
+
+    @pytest.mark.parametrize("key", [("cleaved", 0), ("truncated", 2)])
+    def test_locate_round_trip_base_corners_and_rim(self, cube_phat, key):
+        chart = polar_chart(cube_phat, key)
+        m = chart.n_segments
+        corners = np.arange(m) * (2.0 * np.pi / m)
+        mids = corners + np.pi / m
+        rho = np.concatenate([[0.0, 0.0], np.ones(m), np.full(m, 1.0 - 1e-12),
+                              np.full(m, 0.5)])
+        phi = np.concatenate([[0.0, 1.0], corners, mids, mids])
+        p = chart.point(rho, phi)
+        rho2, phi2, inside = chart.locate(p)
+        assert inside.all()
+        assert rho2[:2].tolist() == [0.0, 0.0]
+        assert np.allclose(rho2, rho, atol=1e-9)
+        assert np.allclose(chart.point(rho2, phi2), p, atol=1e-12)
+        # corners land on their side's start or the previous side's end
+        gap = np.abs(np.angle(np.exp(1j * (phi2[2:2 + m] - corners))))
+        assert np.all(gap < 1e-9)
+
+    def test_locate_flags_points_outside(self, cube_phat):
+        chart = polar_chart(cube_phat, ("cleaved", 1))
+        phi = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        z = chart.boundary_point(phi)
+        inner = chart.base + 0.5 * (z - chart.base)
+        outer = chart.base + 1.5 * (z - chart.base)
+        rho, phi2, inside = chart.locate(np.concatenate([inner, outer]))
+        assert inside[:12].all() and not inside[12:].any()
+        assert np.all(rho[12:] == 0.0) and np.all(phi2[12:] == 0.0)
 
     def test_fan_cycle_anchored_and_cyclic(self, cube_phat):
         cycle = cube_phat.fan_edge_cycle(0)

@@ -3,6 +3,7 @@ import pytest
 
 import tangent_topo as tt
 from tangent_topo import errors
+from tangent_topo import invariants as inv_mod
 from tangent_topo.fields import AnalyticField, charts_for
 from tangent_topo.invariants import (
     InvariantSet,
@@ -143,6 +144,29 @@ class TestWrapping:
             cube_phat, seed=3, wrap_override=(1, -1, 0, 0, 0, 0, 0, 0))
         assert tt.extract_wrapping_preimage(field, 0, inv.s) == 1
 
+    def test_retry_compares_routes_at_the_rotated_direction(self, cube_phat,
+                                                            monkeypatch):
+        # The center of an |w| = 2 covering patch is a critical preimage of s.
+        inv, field = make_representative(
+            cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
+        with pytest.raises(errors.NotRegularValue):
+            tt.extract_wrapping_preimage(field, 0, inv.s)
+        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 3, 6)
+        assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
+        assert inv_mod._wrapping_integral_detail(field, 0, s_k)[0] == 2
+        assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
+
+        # An integral route that is off only away from s must be caught.
+        integral = inv_mod._wrapping_integral_detail
+
+        def off_at_retries(field, a, s, *args, **kwargs):
+            w, res, depth = integral(field, a, s, *args, **kwargs)
+            return w + (not np.allclose(s, inv.s, atol=1e-12)), res, depth
+
+        monkeypatch.setattr(inv_mod, "_wrapping_integral_detail", off_at_retries)
+        with pytest.raises(errors.DualRouteMismatch):
+            tt.extract_all(field, s=inv.s)
+
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
             inv, field = make_representative(tetra_phat, seed=seed)
@@ -167,11 +191,7 @@ class TestWrapping:
         def evaluator2(face_key, rho, phi):
             if face_key != key:
                 return field.evaluate(face_key, rho, phi)
-            pts = charts2[key].point(rho, phi)
-            rr = np.empty_like(rho)
-            pp = np.empty_like(phi)
-            for i, p in enumerate(pts):
-                rr[i], pp[i] = chart.locate(p)
+            rr, pp, _ = chart.locate(charts2[key].point(rho, phi))
             return field.evaluate(key, rr, pp)
 
         field2 = AnalyticField(host=cube_phat, charts=charts2, evaluator=evaluator2)

@@ -150,6 +150,24 @@ class TestRandomAdmissible:
             assert max(abs(k) for k in inv.kink_numbers.values()) <= 3
             assert int(np.max(np.abs(inv.wrapping_numbers))) <= 3
 
+    @pytest.mark.parametrize("seed", [0, 4, 5])
+    def test_unreachable_kink_rule_raises(self, cube_phat, seed):
+        # With max_kink=0 a face whose rule needs +-1 has no admissible set.
+        with pytest.raises(errors.SumRuleViolation, match="face"):
+            random_admissible_invariants(cube_phat, seed=seed, max_kink=0)
+
+    def test_failed_draws_are_repaired_exactly(self, cube_phat, monkeypatch):
+        # Every draw at the top of its range: no random repair succeeds.
+        class Extreme:
+            def integers(self, low, high, size):
+                return np.full(size, high - 1)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Extreme())
+        inv = random_admissible_invariants(cube_phat, seed=0, max_kink=1)
+        assert set(inv.kink_numbers) == set(cube_phat.cleaved_edges)
+        assert max(abs(k) for k in inv.kink_numbers.values()) <= 1
+        assert tt.check_sum_rules(inv, cube_phat).all_ok
+
     def test_deterministic(self, cube_phat):
         a = random_admissible_invariants(cube_phat, seed=17)
         b = random_admissible_invariants(cube_phat, seed=17)
