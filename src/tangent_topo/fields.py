@@ -463,37 +463,45 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     """Rebuild a sampled field; returns it with its tangency diagnostics.
 
     Vectors are renormalized on load.  Raises FieldError for structural
-    problems; tangency violations are reported, not raised.
+    problems, including a missing or mistyped entry; tangency violations
+    are reported, not raised.
     """
-    if data.get("format") != FIELD_FORMAT:
-        raise FieldError(f"unsupported field format {data.get('format')!r}")
-    poly_data = data["polyhedron"]
-    if "builtin" in poly_data:
-        poly = geometry.builtin_polyhedron(poly_data["builtin"])
-    else:
-        poly = geometry.polyhedron_from_dict(poly_data)
-    spec = truncation_from_dict(poly, data["truncation"])
-    phat = geometry.truncate(poly, spec)
-    charts = charts_for(phat)
-    values = {}
-    scale = float(np.linalg.norm(poly.vertices.max(0) - poly.vertices.min(0)))
-    for entry in data["faces"]:
-        key = (entry["kind"], int(entry["index"]))
-        if key not in charts:
-            raise FieldError(f"unknown face {key} in field file")
-        R = int(entry["rho_steps"])
-        K = int(entry["phi_steps"])
-        vecs = np.asarray(entry["vectors"], dtype=float)
-        if vecs.shape != ((R + 1) * K, 3):
-            raise FieldError(f"vector block shape mismatch on face {key}")
-        pos = np.asarray(entry["positions"], dtype=float)
-        rho = np.linspace(0.0, 1.0, R + 1)
-        phi = np.arange(K) * (2.0 * np.pi / K)
-        rr, pp = np.meshgrid(rho, phi, indexing="ij")
-        expected = charts[key].point(rr.ravel(), pp.ravel())
-        if pos.shape != expected.shape or np.max(np.linalg.norm(pos - expected, axis=1)) > 1e-6 * scale:
-            raise FieldError(f"node positions disagree with the chart on face {key}")
-        values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
+    try:
+        if data.get("format") != FIELD_FORMAT:
+            raise FieldError(f"unsupported field format {data.get('format')!r}")
+        poly_data = data["polyhedron"]
+        if "builtin" in poly_data:
+            poly = geometry.builtin_polyhedron(poly_data["builtin"])
+        else:
+            poly = geometry.polyhedron_from_dict(poly_data)
+        spec = truncation_from_dict(poly, data["truncation"])
+        phat = geometry.truncate(poly, spec)
+        charts = charts_for(phat)
+        values = {}
+        scale = float(np.linalg.norm(poly.vertices.max(0) - poly.vertices.min(0)))
+        for entry in data["faces"]:
+            key = (entry["kind"], int(entry["index"]))
+            if key not in charts:
+                raise FieldError(f"unknown face {key} in field file")
+            R = int(entry["rho_steps"])
+            K = int(entry["phi_steps"])
+            if R < 1 or K < 1:
+                raise FieldError(f"face {key} needs at least one rho and one phi step")
+            vecs = np.asarray(entry["vectors"], dtype=float)
+            if vecs.shape != ((R + 1) * K, 3):
+                raise FieldError(f"vector block shape mismatch on face {key}")
+            pos = np.asarray(entry["positions"], dtype=float)
+            rho = np.linspace(0.0, 1.0, R + 1)
+            phi = np.arange(K) * (2.0 * np.pi / K)
+            rr, pp = np.meshgrid(rho, phi, indexing="ij")
+            expected = charts[key].point(rr.ravel(), pp.ravel())
+            if (pos.shape != expected.shape
+                    or np.max(np.linalg.norm(pos - expected, axis=1)) > 1e-6 * scale):
+                raise FieldError(f"node positions disagree with the chart on face {key}")
+            values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise FieldError(f"malformed field document: {what}") from exc
     missing = set(phat.face_keys()) - set(values)
     if missing:
         raise FieldError(f"field file misses faces {sorted(missing)}")

@@ -248,39 +248,23 @@ def _face_image_grid(field: TangentField, a: int, depth: int, cache=None):
     return out
 
 
-def _grid_resolved(grid: np.ndarray) -> bool:
-    # Neighboring image samples must stay within a quarter turn, both
-    # radially and around the rings (periodic).
-    radial = np.einsum("ijk,ijk->ij", grid[:-1], grid[1:])
-    around = np.einsum("ijk,ijk->ij", grid, np.roll(grid, -1, axis=1))
-    return float(min(radial.min(), around.min())) > 0.0
-
-
-def _chart_sums(grid: np.ndarray, s: np.ndarray, cache: dict, key):
-    """Signed image-area sum and cap-closure sum, both in chart order.
-
-    The cap term integrates the reference one-form along the boundary
-    image by exact geodesic steps: each step contributes the signed
-    area of the triangle (u, v, -s), which makes the combination
-    area-sum minus cap-sum an exact multiple of 4*pi for any resolved
-    grid (the face sheet plus the cone over its boundary is a closed
-    surface cycle).  The area sum does not depend on ``s``; it is kept
-    in ``cache`` under ``key``, so another direction sums only the cap.
-    """
+def _area_sum(field, a, depth, cache):
+    """Signed image-area sum of corner face ``a`` at ``depth``, in chart
+    order, or None when the grid is not resolved or a triangle is
+    invalid.  It does not depend on ``s``, so it is kept in ``cache``
+    for every other direction and for the direct trapped area."""
+    key = ("area", a, depth)
     if key not in cache:
-        flat = grid.reshape(-1, 3)
-        tris = fields_mod._grid_triangles(grid.shape[0] - 1, grid.shape[1])
-        areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]], flat[tris[:, 2]])
-        cache[key] = float(np.sum(areas)) if valid.all() else None
-    if cache[key] is None:
-        return None, None
-    boundary = grid[-1]
-    nxt = np.roll(boundary, -1, axis=0)
-    minus_s = np.broadcast_to(-s, boundary.shape)
-    gamma, gvalid = triangle_areas(boundary, nxt, minus_s)
-    if not gvalid.all():
-        return None, None
-    return cache[key], float(np.sum(gamma))
+        grid, _, _ = _face_image_grid(field, a, depth, cache)
+        cache[key] = None
+        if fields_mod._grid_step_bound_ok(grid):
+            flat = grid.reshape(-1, 3)
+            tris = fields_mod._grid_triangles(grid.shape[0] - 1, grid.shape[1])
+            areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]],
+                                          flat[tris[:, 2]])
+            if valid.all():
+                cache[key] = float(np.sum(areas))
+    return cache[key]
 
 
 def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
@@ -288,17 +272,25 @@ def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
     cache = {} if cache is None else cache
     for d in range(depth, max_depth + 1):
         grid, _, _ = _face_image_grid(field, a, d, cache)
-        if np.max(grid[-1] @ s) >= 1.0 - 1e-12:
+        boundary = grid[-1]
+        if np.max(boundary @ s) >= 1.0 - 1e-12:
             raise SOnBoundaryImage(
                 f"reference direction on the boundary image of face {a}"
             )
-        if not _grid_resolved(grid):
+        area_sum = _area_sum(field, a, d, cache)
+        if area_sum is None:
             continue
-        sums = _chart_sums(grid, s, cache, ("area", a, d))
-        if sums[0] is None:
+        # The cap term integrates the reference one-form along the
+        # boundary image by exact geodesic steps: each step contributes
+        # the signed area of the triangle (u, v, -s), which makes area
+        # sum minus cap sum an exact multiple of 4*pi for any resolved
+        # grid (the face sheet plus the cone over its boundary is a
+        # closed surface cycle).  Both sums run in chart order.
+        minus_s = np.broadcast_to(-s, boundary.shape)
+        gamma, gvalid = triangle_areas(boundary, np.roll(boundary, -1, axis=0), minus_s)
+        if not gvalid.all():
             continue
-        area_sum, gamma_sum = sums
-        raw = (gamma_sum - area_sum) / (4.0 * np.pi)
+        raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
         nearest = round(raw)
         residual = abs(raw - nearest)
         if residual < DEGREE_RESIDUAL_TOL:
@@ -374,14 +366,17 @@ def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
 
 
 def _preimage_points(field, a, s, grid_depth, cache=None):
-    """Signs and normalized Jacobians of the polished preimages of ``s``
-    on corner face ``a``, as two arrays.
+    """Signs of the polished preimages of ``s`` on corner face ``a``.
 
     The local winding of the image around ``s`` on a small circle is the
     local degree: +-1 at a regular preimage, 0 or larger magnitude at
     critical points (for example the center of a covering patch hit
-    head-on), which raise NotRegularValue.  All seeds are polished
-    together: every step locates and evaluates its points in one call.
+    head-on).  A preimage of another local degree, or with a normalized
+    Jacobian below TOL_REGULAR, raises NotRegularValue.  A first seed
+    that starts converged is never moved, so it is checked before the
+    candidate scan and the polish, and a critical one raises at once.
+    All seeds are polished together: every step locates and evaluates
+    its points in one call.
     """
     key = (CLEAVED, a)
     chart = field.charts[key]
@@ -389,11 +384,12 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     q1, q2 = _tangent_frame(s)
     grid, R, K = _face_image_grid(field, a, grid_depth, cache)
     diam = 2.0 * float(np.max(np.linalg.norm(chart.corners - chart.base, axis=1)))
-    cand = _candidate_cells(grid, s)
 
     h = 1e-6 * diam
     w1, w2 = chart.frame
     stencil = np.stack([np.zeros(3), h * w1, -(h * w1), h * w2, -(h * w2)])
+    t = np.linspace(0.0, 2.0 * np.pi, 17)
+    circle = 1e-5 * diam * (np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2)
 
     def residuals(points):
         """Tangential residual, hemisphere and ``inside`` mask at
@@ -412,16 +408,46 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         """Central differences from the stencil residuals ``(n, 5, 2)``."""
         return np.stack([g[:, 1] - g[:, 2], g[:, 3] - g[:, 4]], axis=2) / (2 * h)
 
-    # Nodes that already land on s seed first: a covering patch hit
-    # head-on has its (critical) preimage exactly on the center node,
-    # and starting there surfaces the non-regularity immediately.
+    def local_degree(points):
+        """Windings about ``(n, 3)`` points (0 where the circle or the
+        stencil leaves the face), normalized Jacobian determinants, and
+        the residual, hemisphere and stencil ``inside`` mask at each
+        point."""
+        gs, hs, inside = residuals(points[:, None, :] + np.concatenate([circle, stencil]))
+        angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
+        winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
+        winding[~inside.all(axis=1)] = 0
+        det_norm = np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
+        return winding, det_norm, gs[:, 17], hs[:, 17], inside[:, 17:].all(axis=1)
+
+    def require_regular(winding, det_norm):
+        bad = np.abs(winding) != 1
+        if bad.any():
+            raise NotRegularValue(f"preimage on face {a} has local degree {winding[bad][0]}")
+        if np.any(np.abs(det_norm) < TOL_REGULAR):
+            raise NotRegularValue(f"near-critical preimage on face {a} "
+                                  f"(|det|={np.min(np.abs(det_norm)):.3g})")
+
+    # Nodes that already land on s seed first.  A covering patch hit
+    # head-on has its critical preimage exactly on such a node; a first
+    # seed that starts converged is kept unmoved by the polish, so its
+    # local degree decides a failing attempt here, before any other
+    # seed is built.
     hits = np.argwhere(grid @ s >= 1.0 - 1e-12)
+    hit_rho, hit_phi = hits[:, 0] / R, hits[:, 1] * (2.0 * np.pi / K)
+    if len(hits):
+        first = chart.point(hit_rho[:1], hit_phi[:1])
+        winding, det_norm, g0, hemi0, stencil_in = local_degree(first)
+        if (stencil_in[0] and np.hypot(g0[0, 0], g0[0, 1]) < 1e-11 and hemi0[0] > 0.0
+                and chart.locate(first)[0][0] <= 1.0 - 1e-9):
+            require_regular(winding, det_norm)
     # Each candidate cell starts from the best interior point of a
     # sub-grid, so the polish begins inside the right basin even when
     # several preimages crowd a coarse cell.  Interior sub-points only:
     # a shared corner node (the apex of a covering patch) would
     # otherwise win the proximity contest in every adjacent cell and
     # collapse all their polishes into one basin.
+    cand = _candidate_cells(grid, s)
     sub = np.linspace(0.1, 0.9, 5)
     sub_r, sub_p = (g.ravel() for g in np.meshgrid(sub, sub, indexing="ij"))
     rho_s = (cand[:, :1] + sub_r) / R
@@ -431,10 +457,8 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         vals = field.evaluate(key, rho_s.ravel(), phi_s.ravel())
         best = np.argmax((vals @ s).reshape(rho_s.shape), axis=1)
     rows = np.arange(len(cand))
-    seeds = chart.point(
-        np.concatenate([hits[:, 0] / R, rho_s[rows, best]]),
-        np.concatenate([hits[:, 1] * (2.0 * np.pi / K), phi_s[rows, best]]),
-    )
+    seeds = chart.point(np.concatenate([hit_rho, rho_s[rows, best]]),
+                        np.concatenate([hit_phi, phi_s[rows, best]]))
     # Identical seeds polish identically; every rho = 0 node is the base.
     p = seeds[np.sort(np.unique(seeds, axis=0, return_index=True)[1])]
 
@@ -487,20 +511,12 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     for i in np.flatnonzero(ok & inside & (rho <= 1.0 - 1e-9)):
         if not any(np.linalg.norm(p[i] - p[j]) < PREIMAGE_MERGE_TOL * diam for j in kept):
             kept.append(i)
-    t = np.linspace(0.0, 2.0 * np.pi, 17)
-    circle = 1e-5 * diam * (np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2)
-    gs, _, inside = residuals(p[kept, None, :] + np.concatenate([circle, stencil]))
-    angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
-    winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
-    winding[~inside.all(axis=1)] = 0
-    if np.any(np.abs(winding) != 1):
-        raise NotRegularValue(
-            f"preimage on face {a} has local degree {winding[np.abs(winding) != 1][0]}"
-        )
+    winding, det_norm, _, _, _ = local_degree(p[kept])
+    require_regular(winding, det_norm)
     # The winding is taken in the chart frame (counterclockwise about
     # the outward cut normal); the invariant convention runs the face
     # the other way, so the preimage sign flips.
-    return -winding, np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
+    return -winding
 
 
 def extract_wrapping_preimage(
@@ -517,11 +533,7 @@ def extract_wrapping_preimage(
     Raises NotRegularValue when a preimage is (near-)critical; callers
     fall back to a slightly rotated ``s`` or to the integral route.
     """
-    signs, det_norm = _preimage_points(field, a, s, grid_depth, cache=cache)
-    if np.any(np.abs(det_norm) < TOL_REGULAR):
-        raise NotRegularValue(f"near-critical preimage on face {a} "
-                              f"(|det|={np.min(np.abs(det_norm)):.3g})")
-    return int(signs.sum())
+    return int(_preimage_points(field, a, s, grid_depth, cache=cache).sum())
 
 
 def trapped_area_direct(
@@ -534,19 +546,14 @@ def trapped_area_direct(
     """Signed spherical area swept over corner face ``a``, by quadrature.
 
     Same image-area sum as the integral wrapping route (first term
-    only), taken with the invariant orientation convention.
+    only, read from ``cache`` where that route already took it), with
+    the invariant orientation convention.
     """
+    cache = {} if cache is None else cache
     for d in range(depth, max_depth + 1):
-        grid, _, _ = _face_image_grid(field, a, d, cache)
-        if not _grid_resolved(grid):
-            continue
-        flat = grid.reshape(-1, 3)
-        tris = fields_mod._grid_triangles(grid.shape[0] - 1, grid.shape[1])
-        areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]],
-                                      flat[tris[:, 2]])
-        if not valid.all():
-            continue
-        return -float(np.sum(areas))
+        area_sum = _area_sum(field, a, d, cache)
+        if area_sum is not None:
+            return -area_sum
     raise ResolutionTooCoarse(
         f"trapped-area quadrature on face {a} did not resolve by depth {max_depth}"
     )

@@ -142,6 +142,24 @@ class TestErrorPaths:
         assert main(["invariants", "--field", str(broken),
                      "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("edit", ["zero_rho_steps", "vectors_not_numbers"])
+    def test_bad_field_contents_are_validation_errors(self, inv_file, tmp_path, edit):
+        field_path = tmp_path / "field.json"
+        assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",
+                     "--seed", "1", "--out", str(field_path)]) == EXIT_OK
+        doc = json.loads(field_path.read_text())
+        face = doc["faces"][0]
+        if edit == "zero_rho_steps":  # a single ring, consistent in size
+            face["rho_steps"] = 0
+            face["vectors"] = face["vectors"][:face["phi_steps"]]
+            face["positions"] = face["positions"][:face["phi_steps"]]
+        else:
+            face["vectors"] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["invariants", "--field", str(bad),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+
     def test_missing_file(self, tmp_path):
         assert main(["invariants", "--field", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "r.json")]) == EXIT_IO

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,27 @@ class TestWrapping:
         with pytest.raises(errors.DualRouteMismatch):
             tt.extract_all(field, s=inv.s)
 
+    def test_critical_first_seed_fails_before_the_polish(self, cube_phat):
+        # Every face's base point maps to s; at w = 2 (face 0) and w = 0
+        # (face 2) it is a critical preimage that the first seed exposes.
+        inv, field = make_representative(
+            cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
+        calls = []
+
+        def evaluator(key, rho, phi):
+            calls.append(rho.size)
+            return field.evaluator(key, rho, phi)
+
+        counted = AnalyticField(host=cube_phat, charts=field.charts,
+                                evaluator=evaluator)
+        for a in (0, 2):
+            calls.clear()
+            with pytest.raises(errors.NotRegularValue):
+                tt.extract_wrapping_preimage(counted, a, inv.s)
+            assert len(calls) <= 3
+        count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 3, 6)
+        assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
+
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
             inv, field = make_representative(tetra_phat, seed=seed)
@@ -227,6 +250,29 @@ class TestTrappedAreas:
         inv, field = make_representative(tetra_phat, seed=2)
         report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
         assert report.trapped_max_disagreement < 2e-2
+
+    def test_direct_route_reuses_the_area_sums(self, cube_phat, monkeypatch):
+        inv, field = make_representative(
+            cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
+        areas = inv_mod.triangle_areas
+        rows = []
+
+        def counting(a, b, c):
+            digest = hashlib.sha1(b"".join(np.ascontiguousarray(x).tobytes()
+                                           for x in (a, b, c))).hexdigest()
+            rows.append((digest, len(a)))
+            return areas(a, b, c)
+
+        monkeypatch.setattr(inv_mod, "triangle_areas", counting)
+        # Both routes start at depth 5, so every direct area is a reuse.
+        report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=5)
+        assert len({digest for digest, _ in rows}) == len(rows)
+        # Every face summed its depth-5 grid, or a finer one, through the patch.
+        grid_rows = 2 * 2 ** 5 * 3 * 2 ** 5
+        assert sum(n for _, n in rows if n >= grid_rows) >= 8 * grid_rows
+        monkeypatch.undo()
+        for a in range(8):
+            assert report.trapped_direct[a] == tt.trapped_area_direct(field, a, depth=5)
 
     def test_invariant_across_reference_choices(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=7)
