@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from . import errors
 from .fields import (
     AnalyticField,
-    QuadratureConfig,
     SampledField,
     antipodal,
     boundary_trace,
@@ -56,22 +55,19 @@ from .invariants import (
     trapped_area_from_invariants,
 )
 from .sphere import (
-    GeodesicPolygon,
     ImageMesh,
     SphericalPath,
     geodesic_point,
     mesh_degree,
+    reference_frame,
     spherical_triangle_area,
     triangle_sigma,
     unwrap_rotation_angle,
 )
 from .synthesis import (
     AdmissibleInvariants,
-    LoopContraction,
     covering_patch,
-    face_loop_contraction,
     random_admissible_invariants,
-    reference_frame,
     representative_boundary,
 )
 
@@ -80,13 +76,10 @@ __all__ = [
     "AnalyticField",
     "BUILTIN_NAMES",
     "ConvexPolyhedron",
-    "GeodesicPolygon",
     "ImageMesh",
     "InvariantReport",
     "InvariantSet",
-    "LoopContraction",
     "PolarChart",
-    "QuadratureConfig",
     "SampledField",
     "SphericalPath",
     "TruncatedPolyhedron",
@@ -106,7 +99,6 @@ __all__ = [
     "extract_kink",
     "extract_wrapping_integral",
     "extract_wrapping_preimage",
-    "face_loop_contraction",
     "field_from_dict",
     "field_to_dict",
     "frank_energy_surface",

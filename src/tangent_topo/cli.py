@@ -7,9 +7,10 @@ in every output; identical configuration and seed produce byte-equal
 files.
 
 Exit codes: 0 success / all verdicts pass; 2 usage or configuration
-error; 3 validation failure (geometry, tangency, schema contents);
-4 sum-rule violation; 5 resolution or refinement failure; 6 I/O
-failure.
+error (including |wrapping| above MAX_WRAPPING and a negative depth);
+3 validation failure (geometry, tangency, schema contents, non-finite
+numbers); 4 sum-rule violation; 5 resolution or refinement failure;
+6 I/O failure.
 """
 from __future__ import annotations
 
@@ -62,6 +63,13 @@ def _lambda_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"truncation fraction must be in (0, 0.5), got {value}"
         )
+    return value
+
+
+def _depth_arg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"depth must be nonnegative, got {value}")
     return value
 
 
@@ -123,7 +131,7 @@ def cmd_truncate(args) -> int:
     return EXIT_OK
 
 
-def _field_from_args(args, seed):
+def _field_from_args(args):
     """Field plus serialization context from --field or --inv input."""
     if getattr(args, "field", None):
         field, diagnostics = fields.load_field(args.field)
@@ -132,8 +140,8 @@ def _field_from_args(args, seed):
     data = _load_json(args.inv)
     poly, spec, phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
-        raise SumRuleViolation(
-            f"wrapping numbers beyond the supported bound {MAX_WRAPPING}"
+        raise argparse.ArgumentTypeError(
+            f"|wrapping| is limited to {MAX_WRAPPING} per face"
         )
     adm = synthesis.AdmissibleInvariants.from_invariants(inv, phat)
     field = synthesis.representative_boundary(adm, phat)
@@ -142,7 +150,7 @@ def _field_from_args(args, seed):
 
 def cmd_invariants(args) -> int:
     seed = _resolve_seed(args)
-    field, phat, source, inv, diagnostics = _field_from_args(args, seed)
+    field, phat, source, inv, diagnostics = _field_from_args(args)
     if diagnostics is not None and not diagnostics.ok:
         sys.stderr.write("tangency validation failed:\n")
         sys.stderr.write(json.dumps(diagnostics.to_dict(), indent=2, sort_keys=True))
@@ -156,15 +164,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_synthesize(args) -> int:
     seed = _resolve_seed(args)
-    data = _load_json(args.inv)
-    poly, spec, phat, inv, source = invariants.parse_invariants_document(data)
-    if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
-        sys.stderr.write(
-            f"error: |wrapping| is limited to {MAX_WRAPPING} per face\n"
-        )
-        return EXIT_USAGE
-    adm = synthesis.AdmissibleInvariants.from_invariants(inv, phat)
-    field = synthesis.representative_boundary(adm, phat)
+    field, phat, source, inv, _ = _field_from_args(args)
     sampled = fields.sample_field(field, args.depth)
     fields.save_field(sampled, args.out, depth=args.depth, poly_source=source)
     report = invariants.extract_all(
@@ -197,10 +197,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_export_mesh(args) -> int:
-    seed = _resolve_seed(args)
     if args.fmt != "obj":
         raise argparse.ArgumentTypeError(f"unknown mesh format {args.fmt!r}")
-    field, _, _, _, diagnostics = _field_from_args(args, seed)
+    field, _, _, _, diagnostics = _field_from_args(args)
     if diagnostics is not None and not diagnostics.ok:
         return EXIT_VALIDATION
     fields.save_mesh_obj(field, args.out, depth=args.depth)
@@ -231,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--field", help="sampled-field JSON file")
     src.add_argument("--inv", help="invariant-set file, extracted from its representative")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_depth_arg, default=6)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_invariants)
 
@@ -239,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build the representative field of an invariant set")
     p.add_argument("--inv", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=int, default=5,
+    p.add_argument("--depth", type=_depth_arg, default=5,
                    help="sampling depth of the exported field")
     p.add_argument("--out", required=True, help="output field file")
     p.add_argument("--report", default=None,
@@ -256,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--field")
     src.add_argument("--inv")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=_depth_arg, default=4)
     p.add_argument("--fmt", default="obj", help="mesh format (obj)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_mesh)

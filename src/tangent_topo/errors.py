@@ -67,10 +67,6 @@ class CoarseSampling(FieldError):
     """Sampled data violates the step bound and cannot be refined."""
 
 
-class TangencyViolation(FieldError):
-    """Field is not tangent where tangency is required."""
-
-
 # --- invariants -------------------------------------------------------------
 
 class InvariantError(TangentTopoError):

@@ -36,23 +36,34 @@ TOL_CONTINUITY = 1e-6
 FIELD_FORMAT = "tangentfield/1"
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Knobs for quadrature and refinement budgets."""
-
-    depth: int = 6
-    tol_tangency: float = TOL_TANGENCY
-    tol_continuity: float = TOL_CONTINUITY
-    max_refinement: int = 24
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("quadrature depth must be at least 1")
-
-
 def charts_for(phat: TruncatedPolyhedron) -> Dict[FaceKey, PolarChart]:
     """Deterministic centroid-based charts for every face."""
     return {key: polar_chart(phat, key) for key in phat.face_keys()}
+
+
+def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Chart coordinates ``(rho, phi)`` of the nodes of a face grid with
+    ``R`` rings and ``K`` samples per ring, flattened row-major from
+    shape (R + 1, K).
+
+    Ring i sits at rho = linspace(0, 1, R + 1)[i], exactly 0 and 1 at
+    the ends (i / R differs from it in the last bit for most R that are
+    not powers of two, and a field file may have any R); sample j sits
+    at phi = 2 pi j / K.
+    """
+    rho = np.linspace(0.0, 1.0, R + 1)
+    phi = np.arange(K) * (2.0 * np.pi / K)
+    rr, pp = np.meshgrid(rho, phi, indexing="ij")
+    return rr.ravel(), pp.ravel()
+
+
+def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
+    """Field values on the depth-``depth`` grid of a face, shape (R + 1,
+    K, 3) with R = 2**depth rings and K = m 2**depth samples per ring on
+    a face of m sides, so every corner lands on a node."""
+    R = 2 ** depth
+    K = field.charts[key].n_segments * R
+    return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
 
 
 def _grid_step_bound_ok(grid: np.ndarray) -> bool:
@@ -175,7 +186,6 @@ def boundary_trace(
     curve,
     samples: int = 65,
     reverse: bool = False,
-    max_rounds: int = 24,
 ) -> SphericalPath:
     """Sample the field along an oriented curve on the boundary.
 
@@ -210,7 +220,7 @@ def boundary_trace(
         raise FieldError("need at least two samples")
     t = np.linspace(0.0, 1.0, samples)
     path = SphericalPath(samples=evaluate(t), params=t, refine=evaluate)
-    path.ensure_step_bound(max_rounds=max_rounds)
+    path.ensure_step_bound()
     return path
 
 
@@ -223,15 +233,13 @@ class TangencyReport:
     edge_misalignment: Dict[int, float]
     worst_edge_misalignment: float
     worst_continuity: float
-    tol_tangency: float
-    tol_continuity: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.worst_normal_dot <= self.tol_tangency
-            and self.worst_edge_misalignment <= self.tol_tangency
-            and self.worst_continuity <= self.tol_continuity
+            self.worst_normal_dot <= TOL_TANGENCY
+            and self.worst_edge_misalignment <= TOL_TANGENCY
+            and self.worst_continuity <= TOL_CONTINUITY
         )
 
     def to_dict(self) -> dict:
@@ -245,33 +253,16 @@ class TangencyReport:
         }
 
 
-def _face_grid(chart: PolarChart, depth: int):
-    m = chart.n_segments
-    R = 2 ** depth
-    K = m * 2 ** depth
-    rho = np.linspace(0.0, 1.0, R + 1)
-    phi = np.arange(K) * (2.0 * np.pi / K)
-    return rho, phi
-
-
-def validate_tangency(
-    field: TangentField,
-    depth: int = 4,
-    cfg: Optional[QuadratureConfig] = None,
-) -> TangencyReport:
+def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
     """Diagnostic scan of the tangency and continuity invariants.
 
     Never raises on a violation; callers inspect the report and decide.
     """
-    cfg = cfg or QuadratureConfig(depth=depth)
     phat = field.host
     face_dots = {}
     worst_face = 0.0
     for c in range(len(phat.trunc_faces)):
-        key = (TRUNCATED, c)
-        rho, phi = _face_grid(field.charts[key], depth)
-        rr, pp = np.meshgrid(rho, phi, indexing="ij")
-        vals = field.evaluate(key, rr.ravel(), pp.ravel())
+        vals = face_grid(field, (TRUNCATED, c), depth)
         dot = float(np.max(np.abs(vals @ phat.face_normal(c))))
         face_dots[c] = dot
         worst_face = max(worst_face, dot)
@@ -310,8 +301,6 @@ def validate_tangency(
         edge_misalignment=edge_mis,
         worst_edge_misalignment=worst_edge,
         worst_continuity=worst_cont,
-        tol_tangency=cfg.tol_tangency,
-        tol_continuity=cfg.tol_continuity,
     )
 
 
@@ -331,14 +320,15 @@ def _grid_triangles(R: int, K: int):
     return np.concatenate([t1, t2], axis=0)
 
 
-def face_quadrature_nodes(chart: PolarChart, depth: int):
-    """Grid nodes and their chart coordinates for one face."""
-    rho, phi = _face_grid(chart, depth)
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    return rr.ravel(), pp.ravel(), rho.size, phi.size
+def _mesh(field: TangentField, key: FaceKey, depth: int):
+    """Node positions, field values and triangles of a face's depth grid."""
+    grid = face_grid(field, key, depth)
+    R, K = grid.shape[0] - 1, grid.shape[1]
+    pos = field.charts[key].point(*grid_nodes(R, K))
+    return pos, grid.reshape(-1, 3), _grid_triangles(R, K)
 
 
-def frank_energy_surface(field: TangentField, cfg: Optional[QuadratureConfig] = None) -> float:
+def frank_energy_surface(field: TangentField, depth: int = 6) -> float:
     """Surface Dirichlet energy of the field over all boundary faces.
 
     This is the two-dimensional restriction of the one-constant director
@@ -349,14 +339,9 @@ def frank_energy_surface(field: TangentField, cfg: Optional[QuadratureConfig] = 
     fields.  Face contributions are accumulated in face order, so the
     reduction is deterministic.
     """
-    cfg = cfg or QuadratureConfig()
     total = 0.0
     for key in field.host.face_keys():
-        chart = field.charts[key]
-        rr, pp, nr, nph = face_quadrature_nodes(chart, cfg.depth)
-        vals = field.evaluate(key, rr, pp)
-        pos = chart.point(rr, pp)
-        tris = _grid_triangles(nr - 1, nph)
+        pos, vals, tris = _mesh(field, key, depth)
         p0, p1, p2 = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
         n0, n1, n2 = vals[tris[:, 0]], vals[tris[:, 1]], vals[tris[:, 2]]
         e1 = p1 - p0
@@ -391,12 +376,8 @@ def sample_field(field: TangentField, depth: int,
     """
     values = {}
     for key in field.host.face_keys():
-        chart = field.charts[key]
         for d in range(depth, depth + max_extra_depth + 1):
-            rho, phi = _face_grid(chart, d)
-            rr, pp = np.meshgrid(rho, phi, indexing="ij")
-            vals = field.evaluate(key, rr.ravel(), pp.ravel())
-            grid = vals.reshape(rho.size, phi.size, 3)
+            grid = face_grid(field, key, d)
             if _grid_step_bound_ok(grid):
                 values[key] = grid
                 break
@@ -439,10 +420,7 @@ def field_to_dict(field: TangentField, depth: int = 4,
         chart = sampled.charts[key]
         R = grid.shape[0] - 1
         K = grid.shape[1]
-        rho = np.linspace(0.0, 1.0, R + 1)
-        phi = np.arange(K) * (2.0 * np.pi / K)
-        rr, pp = np.meshgrid(rho, phi, indexing="ij")
-        pos = chart.point(rr.ravel(), pp.ravel())
+        pos = chart.point(*grid_nodes(R, K))
         faces.append({
             "kind": key[0],
             "index": int(key[1]),
@@ -491,15 +469,12 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
             if vecs.shape != ((R + 1) * K, 3):
                 raise FieldError(f"vector block shape mismatch on face {key}")
             pos = np.asarray(entry["positions"], dtype=float)
-            rho = np.linspace(0.0, 1.0, R + 1)
-            phi = np.arange(K) * (2.0 * np.pi / K)
-            rr, pp = np.meshgrid(rho, phi, indexing="ij")
-            expected = charts[key].point(rr.ravel(), pp.ravel())
+            expected = charts[key].point(*grid_nodes(R, K))
             if (pos.shape != expected.shape
                     or np.max(np.linalg.norm(pos - expected, axis=1)) > 1e-6 * scale):
                 raise FieldError(f"node positions disagree with the chart on face {key}")
             values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
         raise FieldError(f"malformed field document: {what}") from exc
     missing = set(phat.face_keys()) - set(values)
@@ -527,14 +502,11 @@ def save_mesh_obj(field: TangentField, path, depth: int = 4) -> None:
     offset = 1
     face_lines = []
     for key in field.host.face_keys():
-        chart = field.charts[key]
-        rr, pp, nr, nph = face_quadrature_nodes(chart, depth)
-        pos = chart.point(rr, pp)
-        vals = field.evaluate(key, rr, pp)
+        pos, vals, tris = _mesh(field, key, depth)
         for p, n in zip(pos, vals):
             lines.append("v {:.17g} {:.17g} {:.17g}".format(*p))
             lines.append("vn {:.17g} {:.17g} {:.17g}".format(*n))
-        for tri in _grid_triangles(nr - 1, nph):
+        for tri in tris:
             i, j, k = (int(x) + offset for x in tri)
             face_lines.append(f"f {i}//{i} {j}//{j} {k}//{k}")
         offset += pos.shape[0]

@@ -318,12 +318,6 @@ class TruncatedPolyhedron:
         keys += [(CLEAVED, a) for a in range(len(self.cleaved_faces))]
         return tuple(keys)
 
-    def face_polygon(self, key: FaceKey) -> Tuple[int, ...]:
-        kind, idx = key
-        if kind == TRUNCATED:
-            return self.trunc_faces[idx].polygon
-        return self.cleaved_faces[idx].polygon
-
     def face_outward_normal(self, key: FaceKey) -> np.ndarray:
         kind, idx = key
         return self.face_normal(idx) if kind == TRUNCATED else self.cut_normal(idx)

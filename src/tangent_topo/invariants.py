@@ -47,7 +47,8 @@ from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
     normalized,
-    triangle_area,
+    reference_frame,
+    spherical_triangle_area,
     triangle_areas,
     triangle_sigma,
     unwrap_rotation_angle,
@@ -55,9 +56,11 @@ from .sphere import (
 
 MARGIN_S = 0.05
 KINK_RESIDUAL_TOL = 1e-6
+MAX_DEPTH = 9
 TOL_REGULAR = 1e-6
 PREIMAGE_MERGE_TOL = 1e-7
 POLISH_ITERS = 20
+PREIMAGE_ATTEMPTS = 3
 
 INVARIANTS_FORMAT = "invariants/1"
 REPORT_FORMAT = "invariant-report/1"
@@ -166,7 +169,7 @@ def choose_reference_s(phat: TruncatedPolyhedron, seed: int = 0) -> np.ndarray:
     )
 
 
-def extract_edge_orientations(field: TangentField, samples: int = 9) -> np.ndarray:
+def extract_edge_orientations(field: TangentField) -> np.ndarray:
     """Constant field value on each truncated edge, snapped to the edge line.
 
     Checks constancy along the edge and agreement between the two
@@ -174,7 +177,7 @@ def extract_edge_orientations(field: TangentField, samples: int = 9) -> np.ndarr
     exactly edge-parallel unit vector with the observed sign.
     """
     phat = field.host
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, 9)
     eps = np.empty((phat.parent.n_edges, 3))
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
@@ -194,25 +197,18 @@ def extract_edge_orientations(field: TangentField, samples: int = 9) -> np.ndarr
     return eps
 
 
-def extract_kink(
-    field: TangentField,
-    a: int,
-    c: int,
-    samples: int = 129,
-    max_rounds: int = 24,
-) -> int:
+def extract_kink(field: TangentField, a: int, c: int) -> int:
     """Integer winding of the field along cleaved edge ``(a, c)`` in
     excess of the minimal rotation between its endpoint values."""
-    k, _ = _kink_detail(field, a, c, samples, max_rounds)
+    k, _ = _kink_detail(field, a, c)
     return k
 
 
-def _kink_detail(field, a, c, samples=129, max_rounds=24):
+def _kink_detail(field, a, c):
     phat = field.host
     axis = phat.face_normal(c)
-    path = boundary_trace(field, ("cleaved", (a, c)), samples=samples,
-                          max_rounds=max_rounds)
-    xi1 = unwrap_rotation_angle(path, axis, max_rounds=max_rounds)
+    path = boundary_trace(field, ("cleaved", (a, c)), samples=129)
+    xi1 = unwrap_rotation_angle(path, axis)
     n0, n1 = path.samples[0], path.samples[-1]
     sin_eta = float(np.cross(n0, n1) @ axis)
     cos_eta = float(n0 @ n1)
@@ -234,18 +230,10 @@ def _kink_detail(field, a, c, samples=129, max_rounds=24):
 def _face_image_grid(field: TangentField, a: int, depth: int, cache=None):
     if cache is not None and (a, depth) in cache:
         return cache[(a, depth)]
-    chart = field.charts[(CLEAVED, a)]
-    m = chart.n_segments
-    R = 2 ** depth
-    K = m * 2 ** depth
-    rho = np.linspace(0.0, 1.0, R + 1)
-    phi = np.arange(K) * (2.0 * np.pi / K)
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
-    vals = field.evaluate((CLEAVED, a), rr.ravel(), pp.ravel())
-    out = (vals.reshape(R + 1, K, 3), R, K)
+    grid = fields_mod.face_grid(field, (CLEAVED, a), depth)
     if cache is not None:
-        cache[(a, depth)] = out
-    return out
+        cache[(a, depth)] = grid
+    return grid
 
 
 def _area_sum(field, a, depth, cache):
@@ -255,7 +243,7 @@ def _area_sum(field, a, depth, cache):
     for every other direction and for the direct trapped area."""
     key = ("area", a, depth)
     if key not in cache:
-        grid, _, _ = _face_image_grid(field, a, depth, cache)
+        grid = _face_image_grid(field, a, depth, cache)
         cache[key] = None
         if fields_mod._grid_step_bound_ok(grid):
             flat = grid.reshape(-1, 3)
@@ -267,11 +255,11 @@ def _area_sum(field, a, depth, cache):
     return cache[key]
 
 
-def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
+def _wrapping_integral_detail(field, a, s, depth=6, cache=None):
     s = normalized(s)
     cache = {} if cache is None else cache
-    for d in range(depth, max_depth + 1):
-        grid, _, _ = _face_image_grid(field, a, d, cache)
+    for d in range(depth, MAX_DEPTH + 1):
+        grid = _face_image_grid(field, a, d, cache)
         boundary = grid[-1]
         if np.max(boundary @ s) >= 1.0 - 1e-12:
             raise SOnBoundaryImage(
@@ -296,28 +284,14 @@ def _wrapping_integral_detail(field, a, s, depth=6, max_depth=9, cache=None):
         if residual < DEGREE_RESIDUAL_TOL:
             return int(nearest), residual, d
     raise ResolutionTooCoarse(
-        f"wrapping quadrature on face {a} did not resolve by depth {max_depth}"
+        f"wrapping quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
     )
 
 
-def extract_wrapping_integral(
-    field: TangentField,
-    a: int,
-    s,
-    depth: int = 6,
-    max_depth: int = 9,
-) -> int:
+def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) -> int:
     """Wrapping number of corner face ``a`` by the area/cap integral."""
-    w, _, _ = _wrapping_integral_detail(field, a, s, depth, max_depth)
+    w, _, _ = _wrapping_integral_detail(field, a, s, depth)
     return w
-
-
-def _tangent_frame(s: np.ndarray):
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(s)))] = 1.0
-    q1 = normalized(np.cross(s, axis))
-    q2 = np.cross(s, q1)  # q1 x q2 = s
-    return q1, np.asarray(q2)
 
 
 def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
@@ -380,9 +354,10 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     """
     key = (CLEAVED, a)
     chart = field.charts[key]
+    xi, eta = reference_frame(s)  # of the s given: it normalizes s itself
     s = normalized(s)
-    q1, q2 = _tangent_frame(s)
-    grid, R, K = _face_image_grid(field, a, grid_depth, cache)
+    grid = _face_image_grid(field, a, grid_depth, cache)
+    R, K = grid.shape[0] - 1, grid.shape[1]
     diam = 2.0 * float(np.max(np.linalg.norm(chart.corners - chart.base, axis=1)))
 
     h = 1e-6 * diam
@@ -399,7 +374,7 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         hemi = np.full(rho.size, -1.0)
         if inside.any():
             vals = field.evaluate(key, rho[inside], phi[inside])
-            g[inside] = np.stack([(vals - s) @ q1, (vals - s) @ q2], axis=1)
+            g[inside] = np.stack([(vals - s) @ xi, (vals - s) @ eta], axis=1)
             hemi[inside] = vals @ s
         shape = points.shape[:-1]
         return g.reshape(shape + (2,)), hemi.reshape(shape), inside.reshape(shape)
@@ -433,8 +408,8 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     # seed that starts converged is kept unmoved by the polish, so its
     # local degree decides a failing attempt here, before any other
     # seed is built.
-    hits = np.argwhere(grid @ s >= 1.0 - 1e-12)
-    hit_rho, hit_phi = hits[:, 0] / R, hits[:, 1] * (2.0 * np.pi / K)
+    hits = np.flatnonzero((grid @ s).ravel() >= 1.0 - 1e-12)
+    hit_rho, hit_phi = (x[hits] for x in fields_mod.grid_nodes(R, K))
     if len(hits):
         first = chart.point(hit_rho[:1], hit_phi[:1])
         winding, det_norm, g0, hemi0, stencil_in = local_degree(first)
@@ -513,10 +488,10 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
             kept.append(i)
     winding, det_norm, _, _, _ = local_degree(p[kept])
     require_regular(winding, det_norm)
-    # The winding is taken in the chart frame (counterclockwise about
-    # the outward cut normal); the invariant convention runs the face
-    # the other way, so the preimage sign flips.
-    return -winding
+    # The winding runs counterclockwise about the outward cut normal, in
+    # the frame (xi, eta) with xi x eta = -s: that frame reverses the
+    # face as the invariant convention does, so it is the preimage sign.
+    return winding
 
 
 def extract_wrapping_preimage(
@@ -540,7 +515,6 @@ def trapped_area_direct(
     field: TangentField,
     a: int,
     depth: int = 7,
-    max_depth: int = 9,
     cache=None,
 ) -> float:
     """Signed spherical area swept over corner face ``a``, by quadrature.
@@ -550,12 +524,12 @@ def trapped_area_direct(
     the invariant orientation convention.
     """
     cache = {} if cache is None else cache
-    for d in range(depth, max_depth + 1):
+    for d in range(depth, MAX_DEPTH + 1):
         area_sum = _area_sum(field, a, d, cache)
         if area_sum is not None:
             return -area_sum
     raise ResolutionTooCoarse(
-        f"trapped-area quadrature on face {a} did not resolve by depth {max_depth}"
+        f"trapped-area quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
     )
 
 
@@ -586,7 +560,7 @@ def trapped_area_from_invariants(
             sigma = triangle_sigma(*tri, s)
         except OnBoundary as exc:
             raise SOnTriangleBoundary(str(exc)) from exc
-        fan += triangle_area(*tri) - 4.0 * np.pi * sigma
+        fan += spherical_triangle_area(*tri) - 4.0 * np.pi * sigma
 
     kink_term = 0.0
     for c in phat.cleaved_faces[a].face_chain:
@@ -717,11 +691,11 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
     )
 
 
-def _preimage_with_retries(field, a, s, attempts, grid_depth, cache=None):
+def _preimage_with_retries(field, a, s, grid_depth, cache=None):
     """``(count, direction)``: the preimage count at ``s`` or, where ``s``
-    is not a regular value, at the first of ``attempts`` slightly rotated
-    directions that is; None when every direction fails."""
-    for k in range(attempts + 1):
+    is not a regular value, at the first of PREIMAGE_ATTEMPTS slightly
+    rotated directions that is; None when every direction fails."""
+    for k in range(PREIMAGE_ATTEMPTS + 1):
         s_k = s if k == 0 else _rotated(s, k, 1e-3 * k)
         try:
             return extract_wrapping_preimage(field, a, s_k, grid_depth=grid_depth,
@@ -736,9 +710,7 @@ def extract_all(
     s=None,
     seed: int = 0,
     depth: int = 6,
-    max_depth: int = 9,
     trapped_depth: int = 7,
-    preimage_attempts: int = 3,
     with_preimage: bool = True,
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
@@ -776,20 +748,18 @@ def extract_all(
         results = []
         for a in range(n_corners):
             w, res, used = _wrapping_integral_detail(field, a, s_try, depth,
-                                                     max_depth, cache=grid_cache)
+                                                     cache=grid_cache)
             pre = None
             if with_preimage:
-                found = _preimage_with_retries(field, a, s_try, preimage_attempts,
-                                               depth, cache=grid_cache)
+                found = _preimage_with_retries(field, a, s_try, depth, cache=grid_cache)
                 if found is not None:
                     pre, s_used = found
                     ref = w if s_used is s_try else _wrapping_integral_detail(
-                        field, a, s_used, depth, max_depth, cache=grid_cache)[0]
+                        field, a, s_used, depth, cache=grid_cache)[0]
                     if pre != ref:
                         raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
                                                 f"preimage {pre} at s = {s_used}")
-            direct = trapped_area_direct(field, a, trapped_depth, max_depth,
-                                         cache=grid_cache)
+            direct = trapped_area_direct(field, a, trapped_depth, cache=grid_cache)
             results.append((w, res, used, pre, direct))
 
         omegas = np.array([r[0] for r in results], dtype=int)
@@ -934,7 +904,7 @@ def parse_invariants_document(data: dict):
             poly, data.get("truncation", {"lambda": 0.2}))
         phat = geometry.truncate(poly, spec)
         inv = invariant_set_from_dict(phat, data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
         raise InvariantError(f"malformed invariant document: {what}") from exc
     return poly, spec, phat, inv, poly_source

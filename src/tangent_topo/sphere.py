@@ -1,15 +1,16 @@
 """Primitives on the unit sphere.
 
-Signed geodesic triangle areas, an oriented point-in-triangle test,
-geodesic interpolation, continuous unwrapping of rotation angles for
-paths confined to a great circle, and the degree of a discretized sphere
-map.  Everything here is a pure function of immutable numpy data and is
-safe to call concurrently.
+Signed geodesic triangle areas, an oriented point-in-triangle test, the
+tangent frame of a reference direction, geodesic interpolation,
+continuous unwrapping of rotation angles for paths confined to a great
+circle, and the degree of a discretized sphere map.  Everything here is
+a pure function of immutable numpy data and is safe to call
+concurrently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,30 +25,41 @@ from .errors import (
     ResolutionTooCoarse,
 )
 
-TOL_UNIT = 1e-12
 TOL_ANTIPODAL = 1e-9
 NYQUIST_STEP = 0.5 * np.pi
+MAX_REFINE_ROUNDS = 24
 DEGREE_RESIDUAL_TOL = 0.1
 
 
 def normalized(vec) -> np.ndarray:
     """Return ``vec`` scaled to unit length.
 
-    Raises ValueError for a near-zero input instead of returning NaNs.
+    Raises ValueError for a near-zero or non-finite input instead of
+    returning NaNs.
     """
     v = np.asarray(vec, dtype=float)
     n = float(np.linalg.norm(v))
-    if n < 1e-15:
-        raise ValueError("cannot normalize a near-zero vector")
+    if not 1e-15 <= n < np.inf:
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
     return v / n
 
 
 def normalized_rows(arr) -> np.ndarray:
     a = np.asarray(arr, dtype=float)
     n = np.linalg.norm(a, axis=-1, keepdims=True)
-    if np.any(n < 1e-15):
-        raise ValueError("cannot normalize a near-zero vector")
+    if not np.all((n >= 1e-15) & (n < np.inf)):
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
     return a / n
+
+
+def reference_frame(s) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair (xi, eta) with xi x eta = -s."""
+    s = normalized(s)
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(s)))] = 1.0
+    xi = normalized(np.cross(s, axis))
+    eta = np.cross(xi, s)
+    return xi, eta
 
 
 def _rows(x) -> np.ndarray:
@@ -73,7 +85,7 @@ def triangle_areas(a, b, c):
     return areas, valid
 
 
-def triangle_area(a, b, c) -> float:
+def spherical_triangle_area(a, b, c) -> float:
     """Signed area of the geodesic triangle (a, b, c).
 
     The area is ``2 arg((1 + a.b + b.c + c.a) + i (a x b).c)`` with the
@@ -87,12 +99,7 @@ def triangle_area(a, b, c) -> float:
     return float(areas[0])
 
 
-# Canonical public name; `triangle_area` stays as the short module-local form.
-def spherical_triangle_area(a, b, c) -> float:
-    return triangle_area(a, b, c)
-
-
-def triangle_sigma(a, b, c, s, tol: float = TOL_ANTIPODAL) -> int:
+def triangle_sigma(a, b, c, s) -> int:
     """Oriented membership indicator of ``s`` in the triangle (a, b, c).
 
     Returns 0 when ``s`` is outside the triangle interior (the region
@@ -110,7 +117,7 @@ def triangle_sigma(a, b, c, s, tol: float = TOL_ANTIPODAL) -> int:
     ])
     orient = float(np.cross(a, b) @ c)
     o = 0 if abs(orient) < 1e-13 else (1 if orient > 0 else -1)
-    tiny = np.abs(z) < tol
+    tiny = np.abs(z) < TOL_ANTIPODAL
     if tiny.any():
         big = z[~tiny]
         if o != 0 and (big.size == 0 or np.all(np.sign(big) == o)):
@@ -190,10 +197,10 @@ class SphericalPath:
         if np.any(np.diff(self.params) <= 0):
             raise ValueError("params must be strictly increasing")
 
-    def ensure_step_bound(self, bound: float = NYQUIST_STEP, max_rounds: int = 24) -> None:
-        """Refine until consecutive samples subtend less than ``bound``."""
-        for _ in range(max_rounds):
-            bad = _step_angles(self.samples) >= bound
+    def ensure_step_bound(self) -> None:
+        """Refine until consecutive samples subtend less than a quarter turn."""
+        for _ in range(MAX_REFINE_ROUNDS):
+            bad = _step_angles(self.samples) >= NYQUIST_STEP
             if not bad.any():
                 return
             if self.refine is None:
@@ -209,12 +216,7 @@ class SphericalPath:
         raise MaxRefinement("path refinement budget exhausted")
 
 
-def unwrap_rotation_angle(
-    path: SphericalPath,
-    axis,
-    tol_tangency: float = 1e-8,
-    max_rounds: int = 24,
-) -> float:
+def unwrap_rotation_angle(path: SphericalPath, axis) -> float:
     """Accumulated rotation angle of ``path`` about ``axis``.
 
     The path must lie in the great circle orthogonal to ``axis``.  The
@@ -222,30 +224,12 @@ def unwrap_rotation_angle(
     contributes its signed angle in (-pi/2, pi/2).
     """
     axis = normalized(axis)
-    if np.max(np.abs(path.samples @ axis)) > tol_tangency:
+    if np.max(np.abs(path.samples @ axis)) > 1e-8:
         raise NotInPlane("path samples are not orthogonal to the axis")
-    path.ensure_step_bound(max_rounds=max_rounds)
+    path.ensure_step_bound()
     u, v = path.samples[:-1], path.samples[1:]
     steps = np.arctan2(np.cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))
     return float(np.sum(steps))
-
-
-@dataclass(frozen=True)
-class GeodesicPolygon:
-    """Closed geodesic polygon given by its ordered vertices."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        verts = normalized_rows(self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        nxt = np.roll(verts, -1, axis=0)
-        dots = np.einsum("ij,ij->i", verts, nxt)
-        if np.any(dots >= 1.0 - TOL_UNIT) or np.any(dots <= -1.0 + TOL_UNIT):
-            raise AntipodalPair("consecutive polygon vertices equal or antipodal")
-
-    def __len__(self) -> int:
-        return self.vertices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -280,12 +264,12 @@ def _check_closed_oriented(triangles: np.ndarray) -> None:
             raise NotClosed("every edge must appear once per direction")
 
 
-def mesh_degree(mesh: ImageMesh, residual_tol: float = DEGREE_RESIDUAL_TOL) -> int:
+def mesh_degree(mesh: ImageMesh) -> int:
     """Degree of the piecewise-geodesic sphere map carried by ``mesh``.
 
     Sums signed triangle areas of the images (a pairwise numpy reduction,
     deterministic for a fixed mesh) and rounds the total divided by 4*pi.
-    A pre-rounding residual at or above ``residual_tol`` raises, flagging
+    A pre-rounding residual at or above DEGREE_RESIDUAL_TOL raises, flagging
     an under-resolved or degenerate mesh rather than mis-rounding.
     """
     _check_closed_oriented(mesh.triangles)
@@ -296,8 +280,8 @@ def mesh_degree(mesh: ImageMesh, residual_tol: float = DEGREE_RESIDUAL_TOL) -> i
         raise ResolutionTooCoarse("degenerate image triangle; refine the mesh")
     total = float(np.sum(areas)) / (4.0 * np.pi)
     nearest = round(total)
-    if abs(total - nearest) >= residual_tol:
+    if abs(total - nearest) >= DEGREE_RESIDUAL_TOL:
         raise ResolutionTooCoarse(
-            f"degree residual {abs(total - nearest):.3g} exceeds {residual_tol}"
+            f"degree residual {abs(total - nearest):.3g} exceeds {DEGREE_RESIDUAL_TOL}"
         )
     return int(nearest)

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     GeodesicAntipodal,
     NonzeroWinding,
-    NotInPlane,
     ParallelEndpoints,
     SumRuleViolation,
 )
@@ -37,17 +36,7 @@ from .invariants import (
     face_opposition_count,
     s_margin,
 )
-from .sphere import SphericalPath, geodesic_interpolate, normalized
-
-
-def reference_frame(s) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair (xi, eta) with xi x eta = -s."""
-    s = normalized(s)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(s)))] = 1.0
-    xi = normalized(np.cross(s, axis))
-    eta = np.cross(xi, s)
-    return xi, eta
+from .sphere import geodesic_interpolate, normalized, reference_frame
 
 
 def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
@@ -66,47 +55,6 @@ def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
         + (sr * np.sin(omega * phi))[:, None] * np.asarray(eta)
         + np.cos(2.0 * np.pi * rho)[:, None] * np.asarray(s)
     )
-
-
-@dataclass(frozen=True)
-class LoopContraction:
-    """Family ``h_rho(t)`` contracting a winding-zero in-plane loop.
-
-    ``h_1`` is the loop, ``h_0`` the constant direction at the loop's
-    start angle; intermediate members scale the lifted angle function.
-    """
-
-    params: np.ndarray
-    thetas: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-
-    def __call__(self, rho, t) -> np.ndarray:
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rho, t = np.broadcast_arrays(rho, t)
-        theta = np.interp(t, self.params, self.thetas)
-        full = rho * theta + (1.0 - rho) * self.thetas[0]
-        return np.cos(full)[:, None] * self.u1 + np.sin(full)[:, None] * self.u2
-
-
-def face_loop_contraction(loop: SphericalPath, normal) -> LoopContraction:
-    """Explicit contraction of a closed loop in the plane normal to
-    ``normal``; raises NonzeroWinding if the loop is not contractible."""
-    normal = normalized(normal)
-    if float(np.max(np.abs(loop.samples @ normal))) > 1e-8:
-        raise NotInPlane("loop does not lie in the plane of the axis")
-    loop.ensure_step_bound()
-    u1 = normalized(loop.samples[0])
-    u2 = np.cross(normal, u1)
-    u, v = loop.samples[:-1], loop.samples[1:]
-    steps = np.arctan2(np.cross(u, v) @ normal, np.einsum("ij,ij->i", u, v))
-    thetas = np.concatenate([[0.0], np.cumsum(steps)])
-    if abs(thetas[-1] - thetas[0]) > 1e-6:
-        raise NonzeroWinding(
-            f"loop winds {thetas[-1] / (2 * np.pi):.3f} turns; cannot contract"
-        )
-    return LoopContraction(params=loop.params.copy(), thetas=thetas, u1=u1, u2=u2)
 
 
 @dataclass(frozen=True)

@@ -127,8 +127,18 @@ class TestErrorPaths:
         doc["wrapping_numbers"]["1"] = -9
         bad = tmp_path / "big.json"
         bad.write_text(json.dumps(doc))
-        assert main(["synthesize", "--inv", str(bad),
-                     "--out", str(tmp_path / "f.json")]) == EXIT_USAGE
+        # The set meets the sum rules; the bound is a usage limit.
+        assert main(["check", "--inv", str(bad)]) == EXIT_OK
+        for command in ("synthesize", "invariants", "export-mesh"):
+            assert main([command, "--inv", str(bad),
+                         "--out", str(tmp_path / "f.json")]) == EXIT_USAGE, command
+
+    @pytest.mark.parametrize("command", ["invariants", "synthesize", "export-mesh"])
+    def test_negative_depth_is_usage_error(self, inv_file, tmp_path, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--inv", str(inv_file), "--depth", "-1",
+                  "--out", str(tmp_path / "x.json")])
+        assert err.value.code == EXIT_USAGE
 
     def test_non_tangent_field_rejected(self, inv_file, tmp_path):
         field_path = tmp_path / "field.json"
@@ -142,7 +152,9 @@ class TestErrorPaths:
         assert main(["invariants", "--field", str(broken),
                      "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("edit", ["zero_rho_steps", "vectors_not_numbers"])
+    @pytest.mark.parametrize("edit", ["zero_rho_steps", "vectors_not_numbers",
+                                      "huge_rho_steps", "infinite_rho_steps",
+                                      "nan_vector"])
     def test_bad_field_contents_are_validation_errors(self, inv_file, tmp_path, edit):
         field_path = tmp_path / "field.json"
         assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",
@@ -153,8 +165,14 @@ class TestErrorPaths:
             face["rho_steps"] = 0
             face["vectors"] = face["vectors"][:face["phi_steps"]]
             face["positions"] = face["positions"][:face["phi_steps"]]
-        else:
+        elif edit == "vectors_not_numbers":
             face["vectors"] = "x"
+        elif edit == "huge_rho_steps":  # refused before any grid is built
+            face["rho_steps"] = 10 ** 12
+        elif edit == "infinite_rho_steps":
+            face["rho_steps"] = float("inf")
+        else:
+            face["vectors"][3] = [float("nan")] * 3
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["invariants", "--field", str(bad),
@@ -168,19 +186,36 @@ class TestErrorPaths:
         assert main(["export-mesh", "--inv", str(inv_file), "--fmt", "stl",
                      "--out", str(tmp_path / "m.stl")]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("edit", ["zero_reference", "missing_wrapping", "list"])
+    @pytest.mark.parametrize("edit", ["zero_reference", "missing_wrapping", "list",
+                                      "infinite_wrapping", "infinite_kink",
+                                      "infinite_edge_sign", "infinite_reference",
+                                      "nan_reference"])
     def test_bad_invariant_contents_are_validation_errors(self, inv_file,
                                                           tmp_path, edit):
         doc = json.loads(inv_file.read_text())
+        inf, nan = float("inf"), float("nan")
         if edit == "zero_reference":
             doc["reference_direction"] = [0.0, 0.0, 0.0]
         elif edit == "missing_wrapping":
             del doc["wrapping_numbers"]["2"]
-        else:
+        elif edit == "list":
             doc = [doc]
+        elif edit == "infinite_wrapping":
+            doc["wrapping_numbers"]["2"] = inf
+        elif edit == "infinite_kink":
+            doc["kink_numbers"][next(iter(doc["kink_numbers"]))] = inf
+        elif edit == "infinite_edge_sign":
+            doc["edge_orientations"]["0"] = inf
+        elif edit == "infinite_reference":
+            doc["reference_direction"] = [inf, 0.0, 0.0]
+        else:
+            doc["reference_direction"][1] = nan
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["check", "--inv", str(bad)]) == EXIT_VALIDATION
+        if edit.endswith("reference"):
+            assert main(["invariants", "--inv", str(bad),
+                         "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
 
     def test_corrupt_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,6 @@ import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo.fields import (
     AnalyticField,
-    QuadratureConfig,
     antipodal,
     boundary_trace,
     charts_for,
@@ -81,9 +80,8 @@ class TestAntipodal:
 
     def test_energy_invariant(self, cube_case):
         _, field = cube_case
-        cfg = QuadratureConfig(depth=4)
-        assert frank_energy_surface(antipodal(field), cfg) == pytest.approx(
-            frank_energy_surface(field, cfg)
+        assert frank_energy_surface(antipodal(field), depth=4) == pytest.approx(
+            frank_energy_surface(field, depth=4)
         )
 
 
@@ -128,10 +126,9 @@ class TestBoundaryTrace:
 class TestEnergy:
     def test_constant_field_zero(self, cube_phat):
         field = constant_field(cube_phat, [0.0, 0.0, 1.0])
-        assert frank_energy_surface(field, QuadratureConfig(depth=3)) == pytest.approx(0.0, abs=1e-20)
+        assert frank_energy_surface(field, depth=3) == pytest.approx(0.0, abs=1e-20)
 
     def test_higher_wrapping_costs_more(self, cube_phat):
-        cfg = QuadratureConfig(depth=6)
         energies = []
         for w in (1, 2):
             inv = tt.random_admissible_invariants(
@@ -140,13 +137,13 @@ class TestEnergy:
             )
             adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
             energies.append(frank_energy_surface(
-                tt.representative_boundary(adm, cube_phat), cfg))
+                tt.representative_boundary(adm, cube_phat), depth=6))
         assert energies[1] > energies[0]
 
     def test_self_convergence(self, cube_case):
         _, field = cube_case
-        e6 = frank_energy_surface(field, QuadratureConfig(depth=6))
-        e7 = frank_energy_surface(field, QuadratureConfig(depth=7))
+        e6 = frank_energy_surface(field, depth=6)
+        e7 = frank_energy_surface(field, depth=7)
         assert abs(e7 - e6) / e7 < 0.01
 
 

@@ -153,7 +153,7 @@ class TestWrapping:
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
         with pytest.raises(errors.NotRegularValue):
             tt.extract_wrapping_preimage(field, 0, inv.s)
-        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 3, 6)
+        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 6)
         assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
         assert inv_mod._wrapping_integral_detail(field, 0, s_k)[0] == 2
         assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
@@ -187,7 +187,7 @@ class TestWrapping:
             with pytest.raises(errors.NotRegularValue):
                 tt.extract_wrapping_preimage(counted, a, inv.s)
             assert len(calls) <= 3
-        count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 3, 6)
+        count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 6)
         assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
 
     def test_dual_routes_agree(self, tetra_phat):

@@ -1,0 +1,61 @@
+"""Guards on the public surface and on the names the benchmark traces."""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import tangent_topo as tt
+
+PUBLIC = {
+    "AdmissibleInvariants", "AnalyticField", "BUILTIN_NAMES", "ConvexPolyhedron",
+    "ImageMesh", "InvariantReport", "InvariantSet", "PolarChart", "SampledField",
+    "SphericalPath", "TruncatedPolyhedron", "TruncationSpec", "antipodal",
+    "antipodal_invariants", "boundary_trace", "builtin_polyhedron", "charts_for",
+    "check_sum_rules", "choose_reference_s", "covering_patch", "director_class",
+    "errors", "extract_all", "extract_edge_orientations", "extract_kink",
+    "extract_wrapping_integral", "extract_wrapping_preimage", "field_from_dict",
+    "field_to_dict", "frank_energy_surface", "geodesic_point", "invariants_equal",
+    "load_field", "load_polyhedron", "mesh_degree", "polar_chart",
+    "random_admissible_invariants", "reference_frame", "representative_boundary",
+    "sample_field", "save_field", "save_mesh_obj", "save_polyhedron",
+    "spherical_triangle_area", "trapped_area_direct", "trapped_area_from_invariants",
+    "triangle_sigma", "truncate", "unwrap_rotation_angle", "validate_tangency",
+}
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def test_all_is_the_public_surface():
+    assert set(tt.__all__) == PUBLIC
+    assert len(tt.__all__) == len(PUBLIC)
+    for name in tt.__all__:
+        assert getattr(tt, name, None) is not None, name
+
+
+def _bench_targets():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_bench_trace_targets_resolve():
+    # The tracer skips a missing name silently and reports its metrics as 0.
+    for module, attr, _ in _bench_targets():
+        obj = importlib.import_module(f"tangent_topo.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+            assert obj is not None, f"{module}.{attr}"
+        assert callable(obj), f"{module}.{attr}"
+
+
+def test_integer_routes_return_int(tetra_phat):
+    # The benchmark compares these results with the input set by `!=`.
+    inv = tt.random_admissible_invariants(tetra_phat, seed=1,
+                                          wrap_override=(1, -1, 0, 0))
+    adm = tt.AdmissibleInvariants.from_invariants(inv, tetra_phat)
+    field = tt.representative_boundary(adm, tetra_phat)
+    a, c = sorted(tetra_phat.cleaved_edges)[0]
+    kink = tt.extract_kink(field, a, c)
+    wrap = tt.extract_wrapping_integral(field, 0, inv.s, depth=5)
+    assert type(kink) is int and kink == inv.kink_numbers[(a, c)]
+    assert type(wrap) is int and wrap == 1

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from tangent_topo import errors
 from tangent_topo.sphere import (
-    GeodesicPolygon,
     ImageMesh,
     SphericalPath,
     geodesic_point,
@@ -185,15 +184,6 @@ class TestUnwrap:
         path = SphericalPath(samples=at(t), params=t, refine=None)
         with pytest.raises(errors.CoarseSampling):
             unwrap_rotation_angle(path, EZ)
-
-
-class TestGeodesicPolygon:
-    def test_valid(self):
-        assert len(GeodesicPolygon(np.stack([EX, EY, EZ]))) == 3
-
-    def test_consecutive_antipodal_rejected(self):
-        with pytest.raises(errors.AntipodalPair):
-            GeodesicPolygon(np.stack([EX, -EX, EY]))
 
 
 class TestMeshDegree:

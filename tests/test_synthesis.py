@@ -3,18 +3,14 @@ import pytest
 
 import tangent_topo as tt
 from tangent_topo import errors
-from tangent_topo.sphere import SphericalPath, mesh_degree
+from tangent_topo.sphere import mesh_degree, reference_frame
 from tangent_topo.synthesis import (
     AdmissibleInvariants,
     covering_patch,
-    face_loop_contraction,
     random_admissible_invariants,
-    reference_frame,
 )
 
 from helpers import polar_sphere_mesh
-
-EZ = np.array([0.0, 0.0, 1.0])
 
 
 @pytest.fixture(scope="module")
@@ -64,45 +60,62 @@ class TestCoveringPatch:
         assert mesh_degree(mesh) == omega
 
 
-class TestLoopContraction:
-    def _loop(self, theta_fn, n=128):
-        t = np.linspace(0.0, 1.0, n)
+class TestTrimmedFaceContraction:
+    """The angle-lift contraction of every trimmed face."""
 
-        def at(tk):
-            tk = np.atleast_1d(np.asarray(tk, dtype=float))
-            ang = theta_fn(2.0 * np.pi * tk)
-            return np.stack([np.cos(ang), np.sin(ang), np.zeros_like(ang)], axis=1)
+    @pytest.fixture(scope="class")
+    def case(self, cube_phat):
+        inv = random_admissible_invariants(cube_phat, seed=9)
+        adm = AdmissibleInvariants.from_invariants(inv, cube_phat)
+        return inv, tt.representative_boundary(adm, cube_phat)
 
-        return SphericalPath(samples=at(t), params=t, refine=at)
+    def test_center_is_constant(self, cube_phat, case):
+        _, field = case
+        phi = np.linspace(0.0, 2.0 * np.pi, 17)
+        for c in range(len(cube_phat.trunc_faces)):
+            key = ("truncated", c)
+            center = field.evaluate(key, np.zeros_like(phi), phi)
+            assert np.array_equal(center, np.tile(center[0], (phi.size, 1)))
+            # the value the boundary loop starts from, at phi = 0
+            start = field.evaluate(key, np.ones(1), np.zeros(1))
+            assert np.array_equal(center[:1], start)
 
-    def test_constant_loop(self):
-        loop = self._loop(lambda phi: np.zeros_like(phi))
-        h = face_loop_contraction(loop, EZ)
-        for rho in (0.0, 0.5, 1.0):
-            vals = h(np.full(5, rho), np.linspace(0, 1, 5))
-            assert np.allclose(vals, [1.0, 0.0, 0.0], atol=1e-12)
+    def test_rim_reproduces_the_boundary_loop(self, cube_phat, case):
+        inv, field = case
+        for c in range(len(cube_phat.trunc_faces)):
+            key = ("truncated", c)
+            chart = field.charts[key]
+            for k, seg in enumerate(chart.segments):
+                if seg.kind != "edge":
+                    continue
+                phi = np.linspace(*chart.segment_span(k), 5)
+                rim = field.evaluate(key, np.ones_like(phi), phi)
+                assert np.allclose(rim, inv.edge_orientations[seg.key], atol=1e-12)
+            loop = tt.boundary_trace(field, ("boundary", key), samples=257)
+            assert tt.unwrap_rotation_angle(loop, cube_phat.face_normal(c)) == (
+                pytest.approx(0.0, abs=1e-9))
 
-    def test_wobble_contracts_to_start(self):
-        loop = self._loop(lambda phi: 0.8 * np.sin(phi))
-        h = face_loop_contraction(loop, EZ)
-        ends = h(np.zeros(9), np.linspace(0, 1, 9))
-        assert np.allclose(ends, ends[0], atol=1e-12)
-        # the rho = 1 member reproduces the loop at its sample knots
-        edge = h(np.ones_like(loop.params), loop.params)
-        assert np.allclose(edge, loop.samples, atol=1e-12)
+    def test_values_stay_in_the_face_plane(self, cube_phat, case):
+        _, field = case
+        rng = np.random.default_rng(3)
+        rho = rng.uniform(0.0, 1.0, 200)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 200)
+        for c in range(len(cube_phat.trunc_faces)):
+            vals = field.evaluate(("truncated", c), rho, phi)
+            assert np.max(np.abs(vals @ cube_phat.face_normal(c))) < 1e-12
 
-    def test_winding_loop_rejected(self):
-        loop = self._loop(lambda phi: phi)
+    def test_broken_kink_rule_raises_nonzero_winding(self, cube_phat):
+        inv = random_admissible_invariants(cube_phat, seed=0)
+        kinks = dict(inv.kink_numbers)
+        kinks[next(iter(kinks))] += 1
+        broken = tt.InvariantSet(
+            s=inv.s, edge_orientations=inv.edge_orientations,
+            kink_numbers=kinks, wrapping_numbers=inv.wrapping_numbers,
+        )
+        # Past the sum-rule check, the face loop itself must refuse.
+        adm = AdmissibleInvariants(broken, *reference_frame(broken.s))
         with pytest.raises(errors.NonzeroWinding):
-            face_loop_contraction(loop, EZ)
-
-    def test_out_of_plane_rejected(self):
-        t = np.linspace(0.0, 1.0, 16)
-        tilted = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t),
-                           np.full_like(t, 0.3)], axis=1)
-        loop = SphericalPath(samples=tilted, params=t)
-        with pytest.raises(errors.NotInPlane):
-            face_loop_contraction(loop, EZ)
+            tt.representative_boundary(adm, cube_phat)
 
 
 class TestAdmissibility:
