@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``truncate``, ``invariants``, ``synthesize``, ``check``,
-``export-mesh``.  All randomness flows from one seed (flag, then the
-``TANGENT_TOPO_SEED`` environment variable, then 0) which is recorded
-in every output; identical configuration and seed produce byte-equal
-files.
+``export-mesh``.  The randomness of ``invariants`` and ``synthesize``
+flows from one seed (flag, then the ``TANGENT_TOPO_SEED`` environment
+variable, then 0), which is recorded in their reports; identical
+configuration and seed produce byte-equal files.  The other commands
+draw nothing at random and take no seed.
 
 Exit codes: 0 success / all verdicts pass; 2 usage or configuration
 error (including |wrapping| above MAX_WRAPPING and a negative depth);
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--field")
     src.add_argument("--inv")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--depth", type=_depth_arg, default=4)
     p.add_argument("--fmt", default="obj", help="mesh format (obj)")
     p.add_argument("--out", required=True)

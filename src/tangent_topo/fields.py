@@ -28,10 +28,12 @@ from .geometry import (
     TruncatedPolyhedron,
     polar_chart,
 )
-from .sphere import SphericalPath, geodesic_interpolate, normalized_rows
+from .sphere import SphericalPath, _signed_areas, geodesic_interpolate, normalized_rows
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
+# Deepest face grid that sampling and the extraction routes refine to.
+MAX_DEPTH = 9
 
 FIELD_FORMAT = "tangentfield/1"
 
@@ -66,12 +68,23 @@ def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
     return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
 
 
-def _grid_step_bound_ok(grid: np.ndarray) -> bool:
-    # Neighboring samples within a quarter turn, radially and around
-    # the (periodic) rings; geodesic interpolation is then unambiguous.
+def _neighbor_dots(grid: np.ndarray, rolled: np.ndarray):
+    """Dot products of radial neighbors, shape (R, K), and of neighbors
+    around the (periodic) rings, shape (R + 1, K); ``rolled`` is
+    ``np.roll(grid, -1, axis=1)``."""
     radial = np.einsum("ijk,ijk->ij", grid[:-1], grid[1:])
-    around = np.einsum("ijk,ijk->ij", grid, np.roll(grid, -1, axis=1))
+    around = np.einsum("ijk,ijk->ij", grid, rolled)
+    return radial, around
+
+
+def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
+    # Neighboring samples within a quarter turn; geodesic interpolation
+    # is then unambiguous.
     return min(float(radial.min()), float(around.min())) > 0.0
+
+
+def _grid_step_bound_ok(grid: np.ndarray) -> bool:
+    return _within_quarter_turn(*_neighbor_dots(grid, np.roll(grid, -1, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -320,6 +333,33 @@ def _grid_triangles(R: int, K: int):
     return np.concatenate([t1, t2], axis=0)
 
 
+def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
+    """Signed image-area sum of the triangles of ``_grid_triangles``,
+    read from the (R + 1, K, 3) grid through slices; None when the grid
+    breaks the quarter-turn bound or a triangle is invalid.
+
+    Bit for bit the ``np.sum`` of ``triangle_areas`` over the gathered
+    triangles: each dot and triple product has the same operands in the
+    same order (a product of two floats does not depend on their order),
+    and the areas are summed in the same order, every first triangle
+    and then every second one, cells row-major.
+    """
+    rolled = np.roll(grid, -1, axis=1)
+    radial, around = _neighbor_dots(grid, rolled)
+    if not _within_quarter_turn(radial, around):
+        return None
+    c00, c10 = grid[:-1], grid[1:]
+    c01, c11 = rolled[:-1], rolled[1:]
+    diag = np.einsum("ijk,ijk->ij", c11, c00)
+    # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11, c01).
+    re = np.stack([1.0 + radial + around[1:] + diag,
+                   1.0 + diag + np.roll(radial, -1, axis=1) + around[:-1]])
+    im = np.stack([np.einsum("ijk,ijk->ij", np.cross(c00, c10), c11),
+                   np.einsum("ijk,ijk->ij", np.cross(c00, c11), c01)])
+    areas, valid = _signed_areas(re, im)
+    return float(np.sum(areas)) if valid.all() else None
+
+
 def _mesh(field: TangentField, key: FaceKey, depth: int):
     """Node positions, field values and triangles of a face's depth grid."""
     grid = face_grid(field, key, depth)
@@ -366,25 +406,25 @@ def frank_energy_surface(field: TangentField, depth: int = 6) -> float:
     return total
 
 
-def sample_field(field: TangentField, depth: int,
-                 max_extra_depth: int = 3) -> SampledField:
+def sample_field(field: TangentField, depth: int) -> SampledField:
     """Freeze a field onto per-face grids at the given depth.
 
     Faces whose values turn faster than a quarter turn per cell at the
-    requested depth are refined individually, up to ``max_extra_depth``
-    extra levels; beyond that CoarseSampling is raised.
+    requested depth are refined individually, up to ``MAX_DEPTH``, the
+    depth cap of the extraction routes, so a field they resolve is
+    never refused here; beyond that CoarseSampling is raised.
     """
+    deepest = max(depth, MAX_DEPTH)
     values = {}
     for key in field.host.face_keys():
-        for d in range(depth, depth + max_extra_depth + 1):
+        for d in range(depth, deepest + 1):
             grid = face_grid(field, key, d)
             if _grid_step_bound_ok(grid):
                 values[key] = grid
                 break
         else:
             raise CoarseSampling(
-                f"face {key} still under-sampled {max_extra_depth} levels "
-                f"above depth {depth}"
+                f"face {key} still under-sampled at depth {deepest}"
             )
     return SampledField(host=field.host, charts=field.charts, values=values)
 

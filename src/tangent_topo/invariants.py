@@ -42,7 +42,7 @@ from .errors import (
     SOnBoundaryImage,
     SOnTriangleBoundary,
 )
-from .fields import CLEAVED, TangentField, boundary_trace
+from .fields import CLEAVED, MAX_DEPTH, TangentField, boundary_trace
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
@@ -56,7 +56,6 @@ from .sphere import (
 
 MARGIN_S = 0.05
 KINK_RESIDUAL_TOL = 1e-6
-MAX_DEPTH = 9
 TOL_REGULAR = 1e-6
 PREIMAGE_MERGE_TOL = 1e-7
 POLISH_ITERS = 20
@@ -243,15 +242,7 @@ def _area_sum(field, a, depth, cache):
     for every other direction and for the direct trapped area."""
     key = ("area", a, depth)
     if key not in cache:
-        grid = _face_image_grid(field, a, depth, cache)
-        cache[key] = None
-        if fields_mod._grid_step_bound_ok(grid):
-            flat = grid.reshape(-1, 3)
-            tris = fields_mod._grid_triangles(grid.shape[0] - 1, grid.shape[1])
-            areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]],
-                                          flat[tris[:, 2]])
-            if valid.all():
-                cache[key] = float(np.sum(areas))
+        cache[key] = fields_mod._grid_area_sum(_face_image_grid(field, a, depth, cache))
     return cache[key]
 
 

@@ -79,6 +79,13 @@ def triangle_areas(a, b, c):
     ca = np.einsum("ij,ij->i", c, a)
     re = 1.0 + ab + bc + ca
     im = np.einsum("ij,ij->i", np.cross(a, b), c)
+    return _signed_areas(re, im)
+
+
+def _signed_areas(re, im):
+    """Areas ``2 arg(re + i im)`` of triangles with ``re = 1 + a.b + b.c
+    + c.a`` and ``im = (a x b).c``, and the validity mask of
+    ``triangle_areas``."""
     areas = 2.0 * np.arctan2(im, re)
     valid = np.hypot(re, im) > 1e-13
     valid &= ~((np.abs(im) <= 1e-13) & (re < 0.0))

@@ -173,17 +173,19 @@ def representative_boundary(
             full = rho * theta + (1.0 - rho) * knots[0]
             return np.cos(full)[:, None] * u1 + np.sin(full)[:, None] * u2
         e0s, axcs, totals, omega = cleaved_data[idx]
-        ang = totals[k] * (1.0 - u)
-        bval = np.cos(ang)[:, None] * e0s[k] + np.sin(ang)[:, None] * axcs[k]
-        out = np.empty_like(bval)
+        out = np.empty(rho.shape + (3,))
         inner = rho < 0.5
         if inner.any():
             out[inner] = covering_patch(rho[inner], phi[inner], omega, xi, eta, s)
         outer = ~inner
         if outer.any():
+            # The boundary spiral, needed only where rho >= 1/2.
+            ko = k[outer]
+            ang = totals[ko] * (1.0 - u[outer])
+            bval = np.cos(ang)[:, None] * e0s[ko] + np.sin(ang)[:, None] * axcs[ko]
             tau = 2.0 * rho[outer] - 1.0
-            base = np.broadcast_to(minus_s, bval[outer].shape)
-            out[outer] = geodesic_interpolate(base, bval[outer], tau)
+            base = np.broadcast_to(minus_s, bval.shape)
+            out[outer] = geodesic_interpolate(base, bval, tau)
         return out
 
     return AnalyticField(host=phat, charts=charts, evaluator=evaluator)

@@ -140,6 +140,12 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "x.json")])
         assert err.value.code == EXIT_USAGE
 
+    def test_export_mesh_takes_no_seed(self, inv_file, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["export-mesh", "--inv", str(inv_file), "--seed", "0",
+                  "--out", str(tmp_path / "x.obj")])
+        assert err.value.code == EXIT_USAGE
+
     def test_non_tangent_field_rejected(self, inv_file, tmp_path):
         field_path = tmp_path / "field.json"
         assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",

@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo.fields import (
+    CLEAVED,
+    MAX_DEPTH,
     AnalyticField,
+    SampledField,
+    _grid_area_sum,
+    _grid_step_bound_ok,
+    _grid_triangles,
     antipodal,
     boundary_trace,
     charts_for,
+    face_grid,
     field_from_dict,
     field_to_dict,
     frank_energy_surface,
     sample_field,
     validate_tangency,
 )
-from tangent_topo.sphere import unwrap_rotation_angle
+from tangent_topo.invariants import s_margin
+from tangent_topo.sphere import triangle_areas, unwrap_rotation_angle
 
 
 @pytest.fixture(scope="module")
@@ -206,11 +216,26 @@ class TestSampledFields:
         assert max(abs(k) for k in inv.kink_numbers.values()) >= 3
         adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
         field = tt.representative_boundary(adm, cube_phat)
+        coarse = {key: face_grid(field, key, 3) for key in cube_phat.face_keys()}
         with pytest.raises(errors.CoarseSampling):
-            sample_field(field, 3, max_extra_depth=0)
+            SampledField(host=cube_phat, charts=field.charts, values=coarse)
         # per-face refinement rescues the same request
         sampled = sample_field(field, 4)
         assert all(g.shape[0] >= 17 for g in sampled.values.values())
+
+    def test_refines_up_to_the_extraction_depth_cap(self):
+        # A reference direction at the margin floor of choose_reference_s
+        # (cube, fraction 0.15): corner faces need depth 8 to resolve,
+        # four levels past the requested 4.
+        poly = tt.builtin_polyhedron("cube")
+        phat = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.15))
+        s = tt.choose_reference_s(phat, seed=1457523178)
+        assert s_margin(phat, s) < 0.051
+        inv = tt.random_admissible_invariants(phat, seed=0, s=s)
+        adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
+        sampled = sample_field(tt.representative_boundary(adm, phat), 4)
+        rings = max(g.shape[0] - 1 for g in sampled.values.values())
+        assert 2 ** (4 + 3) < rings <= 2 ** MAX_DEPTH
 
     def test_mesh_export(self, cube_case, tmp_path):
         _, field = cube_case
@@ -226,3 +251,71 @@ class TestSampledFields:
             if ln.startswith("f "):
                 refs = [int(part.split("//")[0]) for part in ln.split()[1:]]
                 assert all(1 <= r <= n_v for r in refs)
+
+
+def _reference_area_sum(grid):
+    """The image-area sum through gathered triangles, as the kernel's
+    reference."""
+    if not _grid_step_bound_ok(grid):
+        return None
+    flat = grid.reshape(-1, 3)
+    tris = _grid_triangles(grid.shape[0] - 1, grid.shape[1])
+    areas, valid = triangle_areas(flat[tris[:, 0]], flat[tris[:, 1]], flat[tris[:, 2]])
+    return float(np.sum(areas)) if valid.all() else None
+
+
+@st.composite
+def unit_grids(draw):
+    R = draw(st.integers(1, 3))
+    K = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    base = draw(arrays(float, 3, elements=unit))
+    noise = draw(arrays(float, (R + 1, K, 3), elements=unit))
+    grid = base + draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])) * noise
+    norms = np.linalg.norm(grid, axis=-1, keepdims=True)
+    assume(np.all(norms > 1e-6))
+    return grid / norms
+
+
+# Cell (0, 0) of this grid has c00 and c11 antipodal, while every
+# radial and around-the-ring neighbor pair is less than a quarter turn
+# apart: the quarter-turn check passes and a triangle is invalid.
+_TILT = np.array([5e-15, 1.0, 0.0]) / np.linalg.norm([5e-15, 1.0, 0.0])
+ANTIPODAL_TRIANGLE = np.array([
+    [[1.0, 0.0, 0.0], _TILT],
+    [_TILT, [-1.0, 1e-14, 0.0]],
+])
+# Neighbors a quarter turn apart, and the first triangle straddles a
+# hemisphere: three points of one great circle that wrap it.
+STRADDLING = np.array([
+    [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+    [[1.0, 0.0, 0.0], [-np.sqrt(0.5), -np.sqrt(0.5), 0.0]],
+])
+
+
+class TestGridAreaSum:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_grids())
+    @example(ANTIPODAL_TRIANGLE)
+    @example(STRADDLING)
+    @example(-ANTIPODAL_TRIANGLE[:, ::-1])
+    def test_equals_the_gathered_triangle_sum(self, grid):
+        expected = _reference_area_sum(grid)
+        got = _grid_area_sum(grid)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    def test_refuses_an_antipodal_triangle_of_a_resolved_grid(self):
+        assert _grid_step_bound_ok(ANTIPODAL_TRIANGLE)
+        assert _grid_area_sum(ANTIPODAL_TRIANGLE) is None
+
+    def test_equals_the_gathered_sum_on_representative_grids(self, cube_case):
+        # Larger than the drawn grids, so np.sum splits the areas into
+        # pairwise blocks; the order of the areas must match there too.
+        _, field = cube_case
+        for a in range(8):
+            for depth in (2, 5):
+                grid = face_grid(field, (CLEAVED, a), depth)
+                assert _grid_area_sum(grid) == _reference_area_sum(grid)

@@ -5,6 +5,7 @@ import pytest
 
 import tangent_topo as tt
 from tangent_topo import errors
+from tangent_topo import fields as fields_mod
 from tangent_topo import invariants as inv_mod
 from tangent_topo.fields import AnalyticField, charts_for
 from tangent_topo.invariants import (
@@ -254,22 +255,20 @@ class TestTrappedAreas:
     def test_direct_route_reuses_the_area_sums(self, cube_phat, monkeypatch):
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
-        areas = inv_mod.triangle_areas
-        rows = []
+        area_sum = fields_mod._grid_area_sum
+        sums = []
 
-        def counting(a, b, c):
-            digest = hashlib.sha1(b"".join(np.ascontiguousarray(x).tobytes()
-                                           for x in (a, b, c))).hexdigest()
-            rows.append((digest, len(a)))
-            return areas(a, b, c)
+        def counting(grid):
+            digest = hashlib.sha1(np.ascontiguousarray(grid).tobytes()).hexdigest()
+            sums.append((digest, grid.shape[0] - 1))
+            return area_sum(grid)
 
-        monkeypatch.setattr(inv_mod, "triangle_areas", counting)
+        monkeypatch.setattr(fields_mod, "_grid_area_sum", counting)
         # Both routes start at depth 5, so every direct area is a reuse.
         report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=5)
-        assert len({digest for digest, _ in rows}) == len(rows)
+        assert len({digest for digest, _ in sums}) == len(sums)
         # Every face summed its depth-5 grid, or a finer one, through the patch.
-        grid_rows = 2 * 2 ** 5 * 3 * 2 ** 5
-        assert sum(n for _, n in rows if n >= grid_rows) >= 8 * grid_rows
+        assert sum(1 for _, rings in sums if rings >= 2 ** 5) >= 8
         monkeypatch.undo()
         for a in range(8):
             assert report.trapped_direct[a] == tt.trapped_area_direct(field, a, depth=5)

@@ -3,6 +3,7 @@ import pytest
 
 import tangent_topo as tt
 from tangent_topo import errors
+from tangent_topo.fields import CLEAVED
 from tangent_topo.sphere import mesh_degree, reference_frame
 from tangent_topo.synthesis import (
     AdmissibleInvariants,
@@ -211,3 +212,22 @@ class TestRepresentative:
         field = tt.representative_boundary(adm, tetra_phat)
         report = tt.extract_all(field, s=anti_inv.s, depth=5, trapped_depth=6)
         assert tt.invariants_equal(report.invariants, anti_inv, eps_tol=0.0)
+
+    def test_corner_face_evaluates_point_by_point(self, cube_phat):
+        inv = random_admissible_invariants(
+            cube_phat, seed=3, wrap_override=(2, -2, 1, -1, 0, 0, 0, 0))
+        adm = AdmissibleInvariants.from_invariants(inv, cube_phat)
+        field = tt.representative_boundary(adm, cube_phat)
+        rng = np.random.default_rng(5)
+        rho = np.concatenate([[0.0, 0.5 - 1e-12, 0.5, 1.0], rng.uniform(0.0, 1.0, 60)])
+        phi = rng.uniform(0.0, 2.0 * np.pi, rho.size)
+        inner = rho < 0.5
+        for a in range(4):
+            key = (CLEAVED, a)
+            mixed = field.evaluate(key, rho, phi)
+            for part in (inner, ~inner):
+                alone = field.evaluate(key, rho[part], phi[part])
+                assert mixed[part].tobytes() == alone.tobytes()
+            for i in range(0, rho.size, 7):
+                single = field.evaluate(key, rho[i], phi[i])
+                assert mixed[i].tobytes() == single[0].tobytes()
