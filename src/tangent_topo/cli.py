@@ -8,7 +8,8 @@ configuration and seed produce byte-equal files.  The other commands
 draw nothing at random and take no seed.
 
 Exit codes: 0 success / all verdicts pass; 2 usage or configuration
-error (including |wrapping| above MAX_WRAPPING and a negative depth);
+error (including |wrapping| above MAX_WRAPPING, a negative depth and a
+non-integer TANGENT_TOPO_SEED);
 3 validation failure (geometry, tangency, schema contents, non-finite
 numbers); 4 sum-rule violation; 5 resolution or refinement failure;
 6 I/O failure.
@@ -78,7 +79,11 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("TANGENT_TOPO_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"TANGENT_TOPO_SEED must be an integer, got {env!r}") from None
 
 
 def _load_json(path) -> dict:
@@ -281,7 +286,7 @@ def main(argv=None) -> int:
     except (GeometryError, FieldError, InvariantError, TangentTopoError) as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"i/o failure: {exc}\n")
         return EXIT_IO
 

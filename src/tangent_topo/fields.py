@@ -65,6 +65,8 @@ def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
     a face of m sides, so every corner lands on a node."""
     R = 2 ** depth
     K = field.charts[key].n_segments * R
+    if isinstance(field, SampledField):
+        return field._evaluate_grid(key, R, K)
     return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
 
 
@@ -127,23 +129,51 @@ class SampledField:
                     "more apart; sample at a higher depth"
                 )
 
-    def evaluate(self, key: FaceKey, rho, phi) -> np.ndarray:
-        grid = self.values[key]
-        R = grid.shape[0] - 1
-        K = grid.shape[1]
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        rho, phi = np.broadcast_arrays(rho, phi)
+    def _bracket(self, key: FaceKey, rho: np.ndarray, phi: np.ndarray):
+        """Stored ring ``i0`` below each rho with the radial fraction
+        ``tr``, and the samples ``j0``, ``j1`` around each phi with the
+        fraction ``tp``; rho and phi are read element by element."""
+        rings, K = self.values[key].shape[:2]
+        R = rings - 1
         rpos = np.clip(rho, 0.0, 1.0) * R
         i0 = np.minimum(rpos.astype(int), R - 1)
         tr = rpos - i0
         ppos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi) * K
         j0 = np.minimum(ppos.astype(int), K - 1)
         tp = ppos - j0
-        j1 = (j0 + 1) % K
+        return i0, tr, j0, (j0 + 1) % K, tp
+
+    def evaluate(self, key: FaceKey, rho, phi) -> np.ndarray:
+        grid = self.values[key]
+        rho = np.atleast_1d(np.asarray(rho, dtype=float))
+        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+        rho, phi = np.broadcast_arrays(rho, phi)
+        i0, tr, j0, j1, tp = self._bracket(key, rho, phi)
         low = geodesic_interpolate(grid[i0, j0], grid[i0, j1], tp)
         high = geodesic_interpolate(grid[i0 + 1, j0], grid[i0 + 1, j1], tp)
         return geodesic_interpolate(low, high, tr)
+
+    def _evaluate_grid(self, key: FaceKey, R: int, K: int) -> np.ndarray:
+        """Values at the nodes of ``grid_nodes(R, K)``, shape (R + 1, K, 3).
+
+        Bit for bit ``evaluate`` at those nodes, with fewer operations:
+        on a tensor-product grid the phi interpolation of a stored ring
+        is the same for every target ring it brackets, so each stored
+        ring that is used is interpolated once at the K target phis, and
+        then every target ring radially between its two stored rings.
+        """
+        grid = self.values[key]
+        rho, phi = grid_nodes(R, K)
+        # Nodes are row-major (R + 1, K): rho[::K] are the ring radii and
+        # phi[:K] the angles around every ring.
+        i0, tr, j0, j1, tp = self._bracket(key, rho[::K], phi[:K])
+        used = np.unique(np.concatenate([i0, i0 + 1]))
+        rings = geodesic_interpolate(grid[used[:, None], j0].reshape(-1, 3),
+                                     grid[used[:, None], j1].reshape(-1, 3),
+                                     np.tile(tp, used.size)).reshape(-1, K, 3)
+        low = rings[np.searchsorted(used, i0)].reshape(-1, 3)
+        high = rings[np.searchsorted(used, i0 + 1)].reshape(-1, 3)
+        return geodesic_interpolate(low, high, np.repeat(tr, K)).reshape(R + 1, K, 3)
 
 
 TangentField = AnalyticField | SampledField
@@ -429,11 +459,13 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     return SampledField(host=field.host, charts=field.charts, values=values)
 
 
+def _float_rows(arr) -> list:
+    # The Python floats of ``[[float(x) for x in row] for row in arr]``.
+    return np.asarray(arr, dtype=float).tolist()
+
+
 def _truncation_to_dict(spec) -> dict:
-    return {
-        "normals": [[float(x) for x in row] for row in spec.normals],
-        "points": [[float(x) for x in row] for row in spec.points],
-    }
+    return {"normals": _float_rows(spec.normals), "points": _float_rows(spec.points)}
 
 
 def truncation_from_dict(poly, data: dict):
@@ -445,36 +477,43 @@ def truncation_from_dict(poly, data: dict):
     )
 
 
-def field_to_dict(field: TangentField, depth: int = 4,
-                  poly_source: Optional[dict] = None) -> dict:
-    """Serializable description of the field, sampled at ``depth``.
+def _field_document(field: TangentField, depth: int,
+                    poly_source: Optional[dict]):
+    """The entries of a field document other than ``faces``, and the face
+    blocks in face order, built one at a time.
 
     Node positions are included for external tools; the loader checks
     them against the reconstructed charts.
     """
     sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
     phat = field.host
-    faces = []
-    for key in phat.face_keys():
+
+    def face_block(key: FaceKey) -> dict:
         grid = sampled.values[key]
-        chart = sampled.charts[key]
         R = grid.shape[0] - 1
         K = grid.shape[1]
-        pos = chart.point(*grid_nodes(R, K))
-        faces.append({
+        return {
             "kind": key[0],
             "index": int(key[1]),
             "rho_steps": int(R),
             "phi_steps": int(K),
-            "positions": [[float(x) for x in row] for row in pos],
-            "vectors": [[float(x) for x in row] for row in grid.reshape(-1, 3)],
-        })
-    return {
+            "positions": _float_rows(sampled.charts[key].point(*grid_nodes(R, K))),
+            "vectors": _float_rows(grid.reshape(-1, 3)),
+        }
+
+    head = {
         "format": FIELD_FORMAT,
         "polyhedron": poly_source or phat.parent.to_dict(),
         "truncation": _truncation_to_dict(phat.spec),
-        "faces": faces,
     }
+    return head, map(face_block, phat.face_keys())
+
+
+def field_to_dict(field: TangentField, depth: int = 4,
+                  poly_source: Optional[dict] = None) -> dict:
+    """Serializable description of the field, sampled at ``depth``."""
+    head, faces = _field_document(field, depth, poly_source)
+    return {**head, "faces": list(faces)}
 
 
 def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
@@ -526,9 +565,21 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
 
 def save_field(field: TangentField, path, depth: int = 4,
                poly_source: Optional[dict] = None) -> None:
+    """Write ``field_to_dict(field, depth, poly_source)`` as the bytes of
+    ``json.dump(..., sort_keys=True)`` and a newline, one face block at a
+    time through the C encoder of ``json.dumps``, so the whole document
+    never sits in memory as text."""
+    head, faces = _field_document(field, depth, poly_source)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(field_to_dict(field, depth, poly_source), fh, sort_keys=True)
-        fh.write("\n")
+        # "faces" sorts before every other top-level key.
+        fh.write('{"faces": [')
+        for i, face in enumerate(faces):
+            fh.write((", " if i else "") + json.dumps(face, sort_keys=True))
+            del face  # free this block before the next one is built
+        fh.write("]")
+        for name in sorted(head):
+            fh.write(f", {json.dumps(name)}: {json.dumps(head[name], sort_keys=True)}")
+        fh.write("}\n")
 
 
 def load_field(path) -> Tuple[SampledField, TangencyReport]:

@@ -67,6 +67,8 @@ class ConvexPolyhedron:
             raise GeometryError("vertices must be an (n, 3) array")
         if verts.shape[0] < 4:
             raise GeometryError("a polyhedron needs at least 4 vertices")
+        if not np.all(np.isfinite(verts)):
+            raise GeometryError("vertex coordinates must be finite")
         bbox = verts.max(axis=0) - verts.min(axis=0)
         tol = TOL_GEOM_FACTOR * float(np.linalg.norm(bbox))
         if tol == 0.0:
@@ -75,10 +77,12 @@ class ConvexPolyhedron:
 
         oriented = []
         normals = []
-        for cycle in faces:
-            cycle = [int(i) for i in cycle]
-            if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-                raise GeometryError(f"bad face cycle {cycle}")
+        for raw in faces:
+            raw = list(raw)
+            cycle = [int(i) for i in raw]
+            if (len(cycle) < 3 or len(set(cycle)) != len(cycle) or cycle != raw
+                    or not 0 <= min(cycle) <= max(cycle) < verts.shape[0]):
+                raise GeometryError(f"bad face cycle {raw}")
             pts = verts[cycle]
             normal = _newell_normal(pts)
             nn = float(np.linalg.norm(normal))
@@ -196,9 +200,16 @@ def builtin_polyhedron(name: str) -> ConvexPolyhedron:
 
 
 def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
-    if data.get("format", POLYHEDRON_FORMAT) != POLYHEDRON_FORMAT:
-        raise GeometryError(f"unsupported polyhedron format {data.get('format')!r}")
-    return ConvexPolyhedron.from_data(data["vertices"], data["faces"])
+    """Read a ``polyhedron/1`` document; a missing, mistyped or out-of-range
+    entry raises GeometryError."""
+    try:
+        if data.get("format", POLYHEDRON_FORMAT) != POLYHEDRON_FORMAT:
+            raise GeometryError(f"unsupported polyhedron format {data.get('format')!r}")
+        return ConvexPolyhedron.from_data(data["vertices"], data["faces"])
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise GeometryError(f"malformed polyhedron document: {what}") from exc
 
 
 def load_polyhedron(path) -> ConvexPolyhedron:
@@ -228,10 +239,14 @@ class TruncationSpec:
     def from_fraction(cls, poly: ConvexPolyhedron, lam: float) -> "TruncationSpec":
         """Generate cuts from a single fraction of local edge length.
 
-        Each plane faces the polyhedron centroid and sits ``lam`` times
-        the nearest-neighbor vertex distance in from its vertex.  Small
-        fractions always separate on a convex polyhedron; overly deep
-        cuts are rejected later by the truncation's interaction checks.
+        The plane at vertex v is normal to v minus the polyhedron
+        centroid and sits ``lam`` times the distance from v to its
+        nearest neighbor in from v.  This separates on the builtin solids
+        and other symmetric ones, but not always on irregular solids,
+        where ``truncate`` then raises SeparationViolation: the normal
+        may leave the vertex's normal cone, which no fraction repairs,
+        or the depth may exceed the height gap to a neighbor.  Overly
+        deep cuts are rejected by the truncation's interaction checks.
         """
         if not (0.0 < lam):
             raise GeometryError(f"truncation fraction must be positive, got {lam}")

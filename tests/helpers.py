@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tangent_topo import AnalyticField, ImageMesh
+from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
 from tangent_topo.sphere import geodesic_point, normalized
 
 
@@ -148,6 +148,17 @@ def subdivide_mesh(mesh: ImageMesh) -> ImageMesh:
         ij, jk, ki = mid(i, j), mid(j, k), mid(k, i)
         tris.extend([[i, ij, ki], [ij, j, jk], [ki, jk, k], [ij, jk, ki]])
     return ImageMesh(triangles=np.asarray(tris), images=np.asarray(verts))
+
+
+# --- solids beyond the builtins ------------------------------------------------
+
+def pentagonal_pyramid():
+    """A solid with a degree-5 apex and a pentagonal face."""
+    ang = 2.0 * np.pi * np.arange(5) / 5.0
+    verts = [(float(np.cos(t)), float(np.sin(t)), 0.0) for t in ang]
+    verts.append((0.0, 0.0, 1.2))
+    faces = [[4, 3, 2, 1, 0]] + [[k, (k + 1) % 5, 5] for k in range(5)]
+    return ConvexPolyhedron.from_data(verts, faces)
 
 
 # --- scipy half-space truncation oracle ----------------------------------------

@@ -229,6 +229,67 @@ class TestErrorPaths:
         assert main(["check", "--inv", str(bad)]) == EXIT_IO
 
 
+def _edit_polyhedron(doc: dict, edit: str) -> object:
+    """A ``polyhedron/1`` document with one entry retyped, deleted or
+    put out of range."""
+    inf, nan = float("inf"), float("nan")
+    if edit == "document_is_list":
+        return [doc]
+    if edit in ("vertices", "faces", "format"):
+        doc[edit] = {"vertices": "x", "faces": 7, "format": 1}[edit]
+    elif edit.startswith("no_"):
+        del doc[edit[3:]]
+    elif edit.startswith("vertex_"):
+        doc["vertices"][0][0] = {"vertex_text": "x", "vertex_infinite": inf,
+                                 "vertex_nan": nan, "vertex_list": [0.0]}[edit]
+    elif edit == "short_vertex_row":
+        doc["vertices"][0] = [0.0, 0.0]
+    elif edit == "face_not_list":
+        doc["faces"][0] = 7
+    else:
+        doc["faces"][0][0] = {"face_index_99": 99, "face_index_negative": -1,
+                              "face_index_half": 0.5, "face_index_text": "0",
+                              "face_index_huge": 10 ** 30,
+                              "face_index_infinite": inf}[edit]
+    return doc
+
+
+POLY_EDITS = ["document_is_list", "vertices", "faces", "format", "no_vertices",
+              "no_faces", "vertex_text", "vertex_infinite", "vertex_nan",
+              "vertex_list", "short_vertex_row", "face_not_list", "face_index_99",
+              "face_index_negative", "face_index_half", "face_index_text",
+              "face_index_huge", "face_index_infinite"]
+
+
+class TestPolyhedronDocuments:
+    @pytest.mark.parametrize("edit", POLY_EDITS)
+    def test_bad_entry_is_a_validation_error(self, cube_phat, tmp_path, edit):
+        poly = _edit_polyhedron(tt.builtin_polyhedron("cube").to_dict(), edit)
+        poly_path = tmp_path / "poly.json"
+        poly_path.write_text(json.dumps(poly))
+        assert main(["truncate", "--poly", str(poly_path),
+                     "--out", str(tmp_path / "t.json")]) == EXIT_VALIDATION
+
+        inv = tt.random_admissible_invariants(cube_phat, seed=1)
+        doc = {"format": "invariants/1", "polyhedron": poly,
+               "truncation": {"lambda": 0.25}}
+        doc.update(invariant_set_to_dict(inv, cube_phat))
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps(doc))
+        assert main(["check", "--inv", str(inv_path)]) == EXIT_VALIDATION
+
+    def test_unedited_document_is_accepted(self, cube_phat, tmp_path):
+        inv = tt.random_admissible_invariants(cube_phat, seed=1)
+        doc = {"format": "invariants/1",
+               "polyhedron": tt.builtin_polyhedron("cube").to_dict(),
+               "truncation": {"lambda": 0.25}}
+        doc.update(invariant_set_to_dict(inv, cube_phat))
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps(doc))
+        assert main(["check", "--inv", str(inv_path),
+                     "--out", str(tmp_path / "c.json")]) == EXIT_OK
+
+
 class TestSeedHandling:
     def test_env_fallback(self, inv_file, tmp_path, monkeypatch):
         monkeypatch.setenv("TANGENT_TOPO_SEED", "41")
@@ -243,3 +304,8 @@ class TestSeedHandling:
         assert main(["invariants", "--inv", str(inv_file), "--seed", "3",
                      "--depth", "5", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["seed"] == 3
+
+    def test_non_integer_env_is_usage_error(self, inv_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("TANGENT_TOPO_SEED", "x")
+        assert main(["invariants", "--inv", str(inv_file),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_USAGE

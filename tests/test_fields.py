@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,11 +23,15 @@ from tangent_topo.fields import (
     field_from_dict,
     field_to_dict,
     frank_energy_surface,
+    grid_nodes,
     sample_field,
+    save_field,
     validate_tangency,
 )
 from tangent_topo.invariants import s_margin
 from tangent_topo.sphere import triangle_areas, unwrap_rotation_angle
+
+from helpers import pentagonal_pyramid
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +326,107 @@ class TestGridAreaSum:
             for depth in (2, 5):
                 grid = face_grid(field, (CLEAVED, a), depth)
                 assert _grid_area_sum(grid) == _reference_area_sum(grid)
+
+
+def _pointwise_grid(sampled, key, depth):
+    """``face_grid`` of a sampled field through ``evaluate`` at every node."""
+    R = 2 ** depth
+    K = sampled.charts[key].n_segments * R
+    return sampled.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+
+
+class TestSampledGridPath:
+    @settings(max_examples=80, deadline=None)
+    @given(face=st.integers(0, 13), R=st.integers(1, 12), turns=st.integers(1, 5),
+           scale=st.sampled_from([0.0, 1e-12, 0.02, 0.2]),
+           depth=st.integers(0, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_pointwise_evaluation(self, cube_phat, face, R, turns, scale,
+                                         depth, seed):
+        # Any stored R, not only powers of two, and K any multiple of the
+        # side count; target grids both shallower and deeper than stored.
+        key = cube_phat.face_keys()[face]
+        charts = charts_for(cube_phat)
+        K = charts[key].n_segments * turns
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(size=3) + scale * rng.normal(size=(R + 1, K, 3))
+        grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
+        assume(_grid_step_bound_ok(grid))
+        sampled = SampledField(host=cube_phat, charts=charts, values={key: grid})
+        assert (face_grid(sampled, key, depth).tobytes()
+                == _pointwise_grid(sampled, key, depth).tobytes())
+
+    def test_equals_pointwise_evaluation_on_a_representative(self, cube_case):
+        _, field = cube_case
+        sampled = sample_field(field, 3)
+        for key in field.host.face_keys():
+            for depth in (1, 3, 5):
+                assert (face_grid(sampled, key, depth).tobytes()
+                        == _pointwise_grid(sampled, key, depth).tobytes())
+
+
+def _reference_field_text(field, depth=4, poly_source=None):
+    """The field document and file text as written element by element
+    through ``json.dump``, the reference for the streamed writer."""
+    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
+    phat = field.host
+    faces = []
+    for key in phat.face_keys():
+        grid = sampled.values[key]
+        R, K = grid.shape[0] - 1, grid.shape[1]
+        pos = sampled.charts[key].point(*grid_nodes(R, K))
+        faces.append({
+            "kind": key[0],
+            "index": int(key[1]),
+            "rho_steps": int(R),
+            "phi_steps": int(K),
+            "positions": [[float(x) for x in row] for row in pos],
+            "vectors": [[float(x) for x in row] for row in grid.reshape(-1, 3)],
+        })
+    doc = {
+        "format": "tangentfield/1",
+        "polyhedron": poly_source or phat.parent.to_dict(),
+        "truncation": {
+            "normals": [[float(x) for x in row] for row in phat.spec.normals],
+            "points": [[float(x) for x in row] for row in phat.spec.points],
+        },
+        "faces": faces,
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True)
+    buf.write("\n")
+    return doc, buf.getvalue()
+
+
+class TestFieldWriter:
+    def _check(self, field, tmp_path, depth=4, poly_source=None):
+        doc, text = _reference_field_text(field, depth, poly_source)
+        path = tmp_path / "field.json"
+        save_field(field, path, depth=depth, poly_source=poly_source)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert field_to_dict(field, depth, poly_source) == doc
+
+    def test_analytic_cube_field(self, cube_case, tmp_path):
+        self._check(cube_case[1], tmp_path, depth=3)
+
+    def test_loaded_field_with_uneven_rings(self, cube_case, tmp_path):
+        # Half again as many rings as sampling needs on each face: 24, 48, ...
+        _, field = cube_case
+        values = {}
+        for key, grid in sample_field(field, 4).values.items():
+            R = (grid.shape[0] - 1) * 3 // 2
+            K = field.charts[key].n_segments * R
+            values[key] = field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+        path = tmp_path / "uneven.json"
+        save_field(SampledField(host=field.host, charts=field.charts, values=values), path)
+        loaded, diag = tt.load_field(path)
+        assert diag.ok
+        assert all((g.shape[0] - 1) % 3 == 0 for g in loaded.values.values())
+        self._check(loaded, tmp_path)
+
+    def test_non_builtin_solid(self, tmp_path):
+        poly = pentagonal_pyramid()
+        phat = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25))
+        inv = tt.random_admissible_invariants(phat, seed=3)
+        adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
+        field = tt.representative_boundary(adm, phat)
+        self._check(field, tmp_path, depth=3, poly_source=poly.to_dict())
