@@ -19,7 +19,6 @@ from .fields import (
     charts_for,
     field_from_dict,
     field_to_dict,
-    frank_energy_surface,
     load_field,
     sample_field,
     save_field,
@@ -44,7 +43,6 @@ from .invariants import (
     antipodal_invariants,
     check_sum_rules,
     choose_reference_s,
-    director_class,
     extract_all,
     extract_edge_orientations,
     extract_kink,
@@ -57,7 +55,6 @@ from .invariants import (
 from .sphere import (
     ImageMesh,
     SphericalPath,
-    geodesic_point,
     mesh_degree,
     reference_frame,
     spherical_triangle_area,
@@ -92,7 +89,6 @@ __all__ = [
     "check_sum_rules",
     "choose_reference_s",
     "covering_patch",
-    "director_class",
     "errors",
     "extract_all",
     "extract_edge_orientations",
@@ -101,8 +97,6 @@ __all__ = [
     "extract_wrapping_preimage",
     "field_from_dict",
     "field_to_dict",
-    "frank_energy_surface",
-    "geodesic_point",
     "invariants_equal",
     "load_field",
     "load_polyhedron",

@@ -1,8 +1,21 @@
 """Exception types shared across the library."""
+from contextlib import contextmanager
 
 
 class TangentTopoError(Exception):
     """Base class for all errors raised by this package."""
+
+
+@contextmanager
+def reading_document(error: type, kind: str):
+    """Turn a missing or mistyped entry, met while the block reads a
+    ``kind`` document, into ``error``."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
+        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise error(f"malformed {kind} document: {what}") from exc
 
 
 # --- geometry ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import geometry
-from .errors import CoarseSampling, FieldError
+from .errors import CoarseSampling, FieldError, reading_document
 from .geometry import (
     CLEAVED,
     TRUNCATED,
@@ -390,52 +390,6 @@ def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
     return float(np.sum(areas)) if valid.all() else None
 
 
-def _mesh(field: TangentField, key: FaceKey, depth: int):
-    """Node positions, field values and triangles of a face's depth grid."""
-    grid = face_grid(field, key, depth)
-    R, K = grid.shape[0] - 1, grid.shape[1]
-    pos = field.charts[key].point(*grid_nodes(R, K))
-    return pos, grid.reshape(-1, 3), _grid_triangles(R, K)
-
-
-def frank_energy_surface(field: TangentField, depth: int = 6) -> float:
-    """Surface Dirichlet energy of the field over all boundary faces.
-
-    This is the two-dimensional restriction of the one-constant director
-    energy: the squared surface gradient of the unit vector integrated
-    over every face by piecewise-linear quadrature on the chart grid.
-    It is a proxy for the volumetric functional, which would need an
-    interior extension; nonnegative, and zero only for locally constant
-    fields.  Face contributions are accumulated in face order, so the
-    reduction is deterministic.
-    """
-    total = 0.0
-    for key in field.host.face_keys():
-        pos, vals, tris = _mesh(field, key, depth)
-        p0, p1, p2 = pos[tris[:, 0]], pos[tris[:, 1]], pos[tris[:, 2]]
-        n0, n1, n2 = vals[tris[:, 0]], vals[tris[:, 1]], vals[tris[:, 2]]
-        e1 = p1 - p0
-        e2 = p2 - p0
-        a11 = np.einsum("ij,ij->i", e1, e1)
-        a12 = np.einsum("ij,ij->i", e1, e2)
-        a22 = np.einsum("ij,ij->i", e2, e2)
-        det = a11 * a22 - a12 * a12
-        good = det > 1e-24
-        d1 = n1 - n0
-        d2 = n2 - n0
-        g11 = np.einsum("ij,ij->i", d1, d1)
-        g12 = np.einsum("ij,ij->i", d1, d2)
-        g22 = np.einsum("ij,ij->i", d2, d2)
-        density = np.zeros_like(det)
-        density[good] = (
-            a22[good] * g11[good] - 2.0 * a12[good] * g12[good] + a11[good] * g22[good]
-        ) / det[good]
-        area = np.zeros_like(det)
-        area[good] = 0.5 * np.sqrt(det[good])
-        total += float(np.sum(density * area))
-    return total
-
-
 def sample_field(field: TangentField, depth: int) -> SampledField:
     """Freeze a field onto per-face grids at the given depth.
 
@@ -523,7 +477,7 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     problems, including a missing or mistyped entry; tangency violations
     are reported, not raised.
     """
-    try:
+    with reading_document(FieldError, "field"):
         if data.get("format") != FIELD_FORMAT:
             raise FieldError(f"unsupported field format {data.get('format')!r}")
         poly_data = data["polyhedron"]
@@ -553,9 +507,6 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
                     or np.max(np.linalg.norm(pos - expected, axis=1)) > 1e-6 * scale):
                 raise FieldError(f"node positions disagree with the chart on face {key}")
             values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise FieldError(f"malformed field document: {what}") from exc
     missing = set(phat.face_keys()) - set(values)
     if missing:
         raise FieldError(f"field file misses faces {sorted(missing)}")
@@ -593,11 +544,13 @@ def save_mesh_obj(field: TangentField, path, depth: int = 4) -> None:
     offset = 1
     face_lines = []
     for key in field.host.face_keys():
-        pos, vals, tris = _mesh(field, key, depth)
-        for p, n in zip(pos, vals):
+        grid = face_grid(field, key, depth)
+        R, K = grid.shape[0] - 1, grid.shape[1]
+        pos = field.charts[key].point(*grid_nodes(R, K))
+        for p, n in zip(pos, grid.reshape(-1, 3)):
             lines.append("v {:.17g} {:.17g} {:.17g}".format(*p))
             lines.append("vn {:.17g} {:.17g} {:.17g}".format(*n))
-        for tri in tris:
+        for tri in _grid_triangles(R, K):
             i, j, k = (int(x) + offset for x in tri)
             face_lines.append(f"f {i}//{i} {j}//{j} {k}//{k}")
         offset += pos.shape[0]

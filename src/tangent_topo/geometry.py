@@ -23,6 +23,7 @@ from .errors import (
     DegenerateCut,
     GeometryError,
     SeparationViolation,
+    reading_document,
 )
 from .sphere import normalized
 
@@ -202,14 +203,10 @@ def builtin_polyhedron(name: str) -> ConvexPolyhedron:
 def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
     """Read a ``polyhedron/1`` document; a missing, mistyped or out-of-range
     entry raises GeometryError."""
-    try:
+    with reading_document(GeometryError, "polyhedron"):
         if data.get("format", POLYHEDRON_FORMAT) != POLYHEDRON_FORMAT:
             raise GeometryError(f"unsupported polyhedron format {data.get('format')!r}")
         return ConvexPolyhedron.from_data(data["vertices"], data["faces"])
-    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
-        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise GeometryError(f"malformed polyhedron document: {what}") from exc
 
 
 def load_polyhedron(path) -> ConvexPolyhedron:

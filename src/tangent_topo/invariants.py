@@ -20,7 +20,6 @@ mutually consistent; all chart-based sums below are computed in chart
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -41,6 +40,7 @@ from .errors import (
     ResolutionTooCoarse,
     SOnBoundaryImage,
     SOnTriangleBoundary,
+    reading_document,
 )
 from .fields import CLEAVED, MAX_DEPTH, TangentField, boundary_trace
 from .geometry import TruncatedPolyhedron
@@ -93,11 +93,6 @@ class InvariantSet:
             np.asarray(self.wrapping_numbers, dtype=int),
         )
 
-    def comparison_key(self) -> tuple:
-        return tuple(np.round(self.edge_orientations.ravel(), 12)) + tuple(
-            self.wrapping_numbers
-        )
-
 
 def invariants_equal(a: InvariantSet, b: InvariantSet, eps_tol: float = 1e-9) -> bool:
     """Exact integer equality plus edge vectors within ``eps_tol``.
@@ -127,12 +122,6 @@ def antipodal_invariants(inv: InvariantSet) -> InvariantSet:
         kink_numbers=dict(inv.kink_numbers),
         wrapping_numbers=-inv.wrapping_numbers,
     )
-
-
-def director_class(inv: InvariantSet) -> InvariantSet:
-    """Canonical representative of the sign-identified (director) pair."""
-    anti = antipodal_invariants(inv)
-    return inv if inv.comparison_key() <= anti.comparison_key() else anti
 
 
 def _sphere_sequence(n: int = 997) -> np.ndarray:
@@ -696,6 +685,26 @@ def _preimage_with_retries(field, a, s, grid_depth, cache=None):
     return None
 
 
+def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int) -> np.ndarray:
+    """``s`` normalized, or the first of six seeded directions off every
+    fan-triangle boundary, by the closed form's own checks: run with zero
+    kink and wrapping numbers, they depend only on ``eps`` and ``s``."""
+    candidates = [normalized(s)] if s is not None else (
+        choose_reference_s(phat, seed + 1000 * attempt) for attempt in range(6))
+    for s_try in candidates:
+        probe = InvariantSet(s=s_try, edge_orientations=eps,
+                             kink_numbers=dict.fromkeys(phat.cleaved_edges, 0),
+                             wrapping_numbers=np.zeros(len(phat.cleaved_faces)))
+        try:
+            for a in range(len(phat.cleaved_faces)):
+                trapped_area_from_invariants(probe, phat, a)
+            return s_try
+        except SOnTriangleBoundary:
+            if s is not None:
+                raise
+    raise SOnTriangleBoundary("could not find a reference direction off all fans")
+
+
 def extract_all(
     field: TangentField,
     s=None,
@@ -706,91 +715,63 @@ def extract_all(
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
 
-    Wrapping numbers come from the integral route, cross-checked against
-    the preimage route wherever the latter finds a regular value: at
-    ``s``, or at the slightly rotated direction its retry used, where
-    the integral route is taken again.  A disagreement raises
-    DualRouteMismatch.  Trapped areas are computed
-    by both the closed form and direct quadrature.  If ``s`` is omitted
-    it is chosen deterministically from ``seed`` and re-chosen when it
-    happens to sit on a fan-triangle boundary.  ``with_preimage=False``
-    skips the cross-route (its report column is then all None).
+    If ``s`` is omitted it is chosen deterministically from ``seed`` and
+    re-chosen while it sits on a fan-triangle boundary, before any route
+    runs.  Wrapping numbers come from the integral route, cross-checked
+    against the preimage route wherever the latter finds a regular
+    value: at ``s``, or at the slightly rotated direction its retry
+    used, where the integral route is taken again.  A disagreement
+    raises DualRouteMismatch.  Trapped areas are computed by both the
+    closed form and direct quadrature.  ``with_preimage=False`` skips
+    the cross-route (its report column is then all None).
     """
     from . import __version__
 
     phat = field.host
-    s_given = s is not None
     eps = extract_edge_orientations(field)
-    kinks = {}
-    kink_res = {}
+    s_ref = _settle_s(phat, eps, s, seed)
+    kinks, kink_res = {}, {}
     for (a, c) in sorted(phat.cleaved_edges):
-        k, res = _kink_detail(field, a, c)
-        kinks[(a, c)] = k
-        kink_res[(a, c)] = res
+        kinks[(a, c)], kink_res[(a, c)] = _kink_detail(field, a, c)
 
     n_corners = len(phat.cleaved_faces)
     grid_cache: dict = {}
+    results = []
+    for a in range(n_corners):
+        w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid_cache)
+        pre = None
+        if with_preimage:
+            found = _preimage_with_retries(field, a, s_ref, depth, cache=grid_cache)
+            if found is not None:
+                pre, s_k = found
+                ref = w if s_k is s_ref else _wrapping_integral_detail(
+                    field, a, s_k, depth, cache=grid_cache)[0]
+                if pre != ref:
+                    raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
+                                            f"preimage {pre} at s = {s_k}")
+        direct = trapped_area_direct(field, a, trapped_depth, cache=grid_cache)
+        results.append((w, res, used, pre, direct))
+    omegas, residuals, depths, preimages, directs = zip(*results)
 
-    for attempt in range(6):
-        s_try = normalized(s) if s_given else choose_reference_s(
-            phat, seed + 1000 * attempt
-        )
-
-        results = []
-        for a in range(n_corners):
-            w, res, used = _wrapping_integral_detail(field, a, s_try, depth,
-                                                     cache=grid_cache)
-            pre = None
-            if with_preimage:
-                found = _preimage_with_retries(field, a, s_try, depth, cache=grid_cache)
-                if found is not None:
-                    pre, s_used = found
-                    ref = w if s_used is s_try else _wrapping_integral_detail(
-                        field, a, s_used, depth, cache=grid_cache)[0]
-                    if pre != ref:
-                        raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
-                                                f"preimage {pre} at s = {s_used}")
-            direct = trapped_area_direct(field, a, trapped_depth, cache=grid_cache)
-            results.append((w, res, used, pre, direct))
-
-        omegas = np.array([r[0] for r in results], dtype=int)
-        residuals = np.array([r[1] for r in results])
-        depths = tuple(r[2] for r in results)
-        preimages = tuple(r[3] for r in results)
-        directs = np.array([r[4] for r in results])
-
-        inv = InvariantSet(
-            s=s_try,
-            edge_orientations=eps,
-            kink_numbers=kinks,
-            wrapping_numbers=omegas,
-        )
-        try:
-            closed = np.array([
-                trapped_area_from_invariants(inv, phat, a) for a in range(n_corners)
-            ])
-        except SOnTriangleBoundary:
-            if s_given:
-                raise
-            continue
-
-        verdicts = check_sum_rules(inv, phat)
-        return InvariantReport(
-            invariants=inv,
-            verdicts=verdicts,
-            trapped_closed=closed,
-            trapped_direct=directs,
-            wrapping_preimage=preimages,
-            wrapping_residuals=residuals,
-            wrapping_depths=depths,
-            kink_residuals=kink_res,
-            seed=seed,
-            s_was_given=s_given,
-            quadrature_depth=depth,
-            trapped_depth=trapped_depth,
-            tool_version=__version__,
-        )
-    raise SOnTriangleBoundary("could not find a reference direction off all fans")
+    inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
+                       wrapping_numbers=np.array(omegas, dtype=int))
+    return InvariantReport(
+        invariants=inv,
+        verdicts=check_sum_rules(inv, phat),
+        trapped_closed=np.array([
+            trapped_area_from_invariants(inv, phat, a) for a in range(n_corners)
+        ]),
+        trapped_direct=np.array(directs),
+        wrapping_preimage=preimages,
+        wrapping_residuals=np.array(residuals),
+        wrapping_depths=depths,
+        kink_residuals=kink_res,
+        seed=seed,
+        s_was_given=s is not None,
+        quadrature_depth=depth,
+        trapped_depth=trapped_depth,
+        tool_version=__version__,
+    )
 
 
 # --- serialization ----------------------------------------------------------
@@ -811,24 +792,35 @@ def invariant_set_to_dict(inv: InvariantSet, phat: TruncatedPolyhedron) -> dict:
     }
 
 
+def _integer(value, what: str) -> int:
+    n = int(value)
+    if n != value:
+        raise InvariantError(f"{what} must be an integer, not {value!r}")
+    return n
+
+
 def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantSet:
     e = phat.parent.n_edges
     eps = np.empty((e, 3))
     for b in range(e):
-        sign = int(data["edge_orientations"][str(b)])
+        sign = _integer(data["edge_orientations"][str(b)], f"edge orientation sign {b}")
         if sign not in (-1, 1):
             raise InvariantError(f"edge orientation sign for edge {b} must be +-1")
         eps[b] = sign * phat.parent.edge_direction(b)
     kinks = {}
     for key, val in data["kink_numbers"].items():
         a_str, c_str = key.split(",")
-        kinks[(int(a_str), int(c_str))] = int(val)
+        kinks[(int(a_str), int(c_str))] = _integer(val, f"kink number {key}")
     if set(kinks) != set(phat.cleaved_edges):
         raise InvariantError("kink numbers do not cover the cleaved edges")
     v = len(phat.cleaved_faces)
-    omegas = np.array([int(data["wrapping_numbers"][str(a)]) for a in range(v)])
+    omegas = np.array([_integer(data["wrapping_numbers"][str(a)], f"wrapping number {a}")
+                       for a in range(v)])
+    s = np.asarray(data["reference_direction"], dtype=float)
+    if s.shape != (3,):
+        raise InvariantError(f"reference direction needs 3 entries, not shape {s.shape}")
     return InvariantSet(
-        s=np.asarray(data["reference_direction"], dtype=float),
+        s=s,
         edge_orientations=eps,
         kink_numbers=kinks,
         wrapping_numbers=omegas,
@@ -879,7 +871,7 @@ def parse_invariants_document(data: dict):
     Returns ``(poly, spec, phat, InvariantSet, poly_source_dict)``.  A
     missing or mistyped entry raises InvariantError.
     """
-    try:
+    with reading_document(InvariantError, "invariant"):
         if data.get("format") == REPORT_FORMAT:
             data = data["invariants"]
         elif data.get("format") not in (None, INVARIANTS_FORMAT):
@@ -895,16 +887,5 @@ def parse_invariants_document(data: dict):
             poly, data.get("truncation", {"lambda": 0.2}))
         phat = geometry.truncate(poly, spec)
         inv = invariant_set_from_dict(phat, data)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise InvariantError(f"malformed invariant document: {what}") from exc
     return poly, spec, phat, inv, poly_source
 
-
-def save_report(report: InvariantReport, phat: TruncatedPolyhedron, path,
-                poly_source: Optional[dict] = None,
-                truncation: Optional[dict] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report, phat, poly_source, truncation),
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")

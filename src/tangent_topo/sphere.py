@@ -136,21 +136,6 @@ def triangle_sigma(a, b, c, s) -> int:
     return 0
 
 
-def geodesic_point(a, b, tau: float) -> np.ndarray:
-    """Point at fraction ``tau`` along the shortest arc from a to b."""
-    a = normalized(a)
-    b = normalized(b)
-    d = float(np.clip(a @ b, -1.0, 1.0))
-    if d <= -1.0 + TOL_ANTIPODAL:
-        raise AntipodalEndpoints("shortest geodesic between antipodes is not unique")
-    ang = float(np.arccos(d))
-    if ang < 1e-9:
-        return normalized((1.0 - tau) * a + tau * b)
-    return normalized(
-        (np.sin((1.0 - tau) * ang) * a + np.sin(tau * ang) * b) / np.sin(ang)
-    )
-
-
 def geodesic_interpolate(u, v, tau) -> np.ndarray:
     """Row-wise shortest-arc interpolation between unit-vector arrays."""
     u, v = _rows(u), _rows(v)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
-from tangent_topo.sphere import geodesic_point, normalized
+from tangent_topo.sphere import geodesic_interpolate, normalized
 
 
 # --- independent spherical-area oracle ---------------------------------------
@@ -140,7 +140,7 @@ def subdivide_mesh(mesh: ImageMesh) -> ImageMesh:
         key = (min(i, j), max(i, j))
         if key not in midpoint:
             midpoint[key] = len(verts)
-            verts.append(geodesic_point(verts[i], verts[j], 0.5))
+            verts.append(geodesic_interpolate(verts[i], verts[j], 0.5)[0])
         return midpoint[key]
 
     tris = []

@@ -97,19 +97,15 @@ def test_criterion_2_sum_rules():
     # Times its own synthesis plus the extraction the rules need: edge
     # orientations, kink numbers, and integral-route wrapping numbers,
     # all at the stated depth.
-    from tangent_topo.invariants import _kink_detail, _wrapping_integral_detail
-
     start = time.perf_counter()
     n = 0
     for label, phat, inv in _corpus_specs():
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
         eps = tt.extract_edge_orientations(field)
-        kinks = {ac: _kink_detail(field, *ac)[0]
-                 for ac in sorted(phat.cleaved_edges)}
-        cache = {}
+        kinks = {ac: tt.extract_kink(field, *ac) for ac in sorted(phat.cleaved_edges)}
         omegas = np.array([
-            _wrapping_integral_detail(field, a, inv.s, DEPTH, cache=cache)[0]
+            tt.extract_wrapping_integral(field, a, inv.s, DEPTH)
             for a in range(len(phat.cleaved_faces))
         ])
         extracted = tt.InvariantSet(s=inv.s, edge_orientations=eps,

@@ -195,7 +195,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("edit", ["zero_reference", "missing_wrapping", "list",
                                       "infinite_wrapping", "infinite_kink",
                                       "infinite_edge_sign", "infinite_reference",
-                                      "nan_reference"])
+                                      "nan_reference", "short_reference",
+                                      "long_reference", "fractional_kink",
+                                      "fractional_wrapping", "fractional_edge_sign"])
     def test_bad_invariant_contents_are_validation_errors(self, inv_file,
                                                           tmp_path, edit):
         doc = json.loads(inv_file.read_text())
@@ -214,6 +216,16 @@ class TestErrorPaths:
             doc["edge_orientations"]["0"] = inf
         elif edit == "infinite_reference":
             doc["reference_direction"] = [inf, 0.0, 0.0]
+        elif edit == "short_reference":
+            doc["reference_direction"] = doc["reference_direction"][:2]
+        elif edit == "long_reference":
+            doc["reference_direction"].append(0.0)
+        elif edit == "fractional_kink":
+            doc["kink_numbers"][next(iter(doc["kink_numbers"]))] += 0.5
+        elif edit == "fractional_wrapping":
+            doc["wrapping_numbers"]["2"] = 0.5
+        elif edit == "fractional_edge_sign":
+            doc["edge_orientations"]["0"] = 1.5
         else:
             doc["reference_direction"][1] = nan
         bad = tmp_path / "bad.json"

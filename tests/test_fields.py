@@ -22,7 +22,6 @@ from tangent_topo.fields import (
     face_grid,
     field_from_dict,
     field_to_dict,
-    frank_energy_surface,
     grid_nodes,
     sample_field,
     save_field,
@@ -95,12 +94,6 @@ class TestAntipodal:
         eps_anti = tt.extract_edge_orientations(antipodal(field))
         assert np.array_equal(eps_anti, -eps)
 
-    def test_energy_invariant(self, cube_case):
-        _, field = cube_case
-        assert frank_energy_surface(antipodal(field), depth=4) == pytest.approx(
-            frank_energy_surface(field, depth=4)
-        )
-
 
 class TestBoundaryTrace:
     def test_truncated_edge_constant(self, cube_case):
@@ -138,30 +131,6 @@ class TestBoundaryTrace:
             parts += unwrap_rotation_angle(path, axis)
         assert total == pytest.approx(parts, abs=1e-9)
         assert total == pytest.approx(0.0, abs=1e-9)  # winding-free loop
-
-
-class TestEnergy:
-    def test_constant_field_zero(self, cube_phat):
-        field = constant_field(cube_phat, [0.0, 0.0, 1.0])
-        assert frank_energy_surface(field, depth=3) == pytest.approx(0.0, abs=1e-20)
-
-    def test_higher_wrapping_costs_more(self, cube_phat):
-        energies = []
-        for w in (1, 2):
-            inv = tt.random_admissible_invariants(
-                cube_phat, seed=13, max_kink=1,
-                wrap_override=(w, -w, 0, 0, 0, 0, 0, 0),
-            )
-            adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
-            energies.append(frank_energy_surface(
-                tt.representative_boundary(adm, cube_phat), depth=6))
-        assert energies[1] > energies[0]
-
-    def test_self_convergence(self, cube_case):
-        _, field = cube_case
-        e6 = frank_energy_surface(field, depth=6)
-        e7 = frank_energy_surface(field, depth=7)
-        assert abs(e7 - e6) / e7 < 0.01
 
 
 class TestSampledFields:

@@ -298,6 +298,31 @@ class TestTrappedAreas:
         with pytest.raises(errors.SOnTriangleBoundary):
             tt.trapped_area_from_invariants(inv, cube_phat, 0)
 
+    def test_no_route_runs_at_a_rejected_reference(self, octa_phat, monkeypatch):
+        # The first direction of seed 430, (0.193, -0.981, 0), lies on the
+        # octahedron's equator, on a fan-triangle boundary of this set.
+        _, field = make_representative(octa_phat, seed=1)
+        rejected = tt.choose_reference_s(octa_phat, 430)
+        calls = []
+        for name in ("extract_wrapping_preimage", "_wrapping_integral_detail"):
+            def spy(field, a, s, *args, _route=getattr(inv_mod, name), **kwargs):
+                calls.append(np.allclose(s, rejected, rtol=0.0, atol=1e-12))
+                return _route(field, a, s, *args, **kwargs)
+            monkeypatch.setattr(inv_mod, name, spy)
+        report = tt.extract_all(field, seed=430, depth=5, trapped_depth=6)
+        assert calls and not any(calls)
+        monkeypatch.undo()
+
+        s = report.invariants.s
+        assert np.array_equal(s, tt.choose_reference_s(octa_phat, 1430))
+        given = tt.extract_all(field, s=s, seed=430, depth=5, trapped_depth=6)
+        chosen_doc, given_doc = (report_to_dict(r, octa_phat) for r in (report, given))
+        assert given_doc["diagnostics"].pop("reference_given")
+        assert not chosen_doc["diagnostics"].pop("reference_given")
+        assert chosen_doc == given_doc
+        with pytest.raises(errors.SOnTriangleBoundary):
+            tt.extract_all(field, s=rejected, seed=430, depth=5, trapped_depth=6)
+
     def test_parallel_fan_pair_rejected(self, cube_phat):
         s = tt.choose_reference_s(cube_phat, seed=3)
         inv = crafted_invariants(cube_phat, s)
@@ -355,19 +380,9 @@ class TestSumRules:
 
 
 class TestDirectorClass:
-    def test_canonicalizes_pair(self, cube_phat):
-        inv, _ = make_representative(cube_phat, seed=2)
-        anti = tt.antipodal_invariants(inv)
-        assert tt.invariants_equal(tt.director_class(inv), tt.director_class(anti))
-
     def test_kinks_shared_by_pair(self, cube_phat):
         inv, _ = make_representative(cube_phat, seed=2)
         assert tt.antipodal_invariants(inv).kink_numbers == inv.kink_numbers
-
-    def test_deterministic_pick(self, cube_phat):
-        inv, _ = make_representative(cube_phat, seed=2)
-        chosen = tt.director_class(inv)
-        assert chosen.comparison_key() <= tt.antipodal_invariants(inv).comparison_key()
 
 
 class TestAntipodalIdentities:

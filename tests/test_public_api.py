@@ -10,11 +10,11 @@ PUBLIC = {
     "ImageMesh", "InvariantReport", "InvariantSet", "PolarChart", "SampledField",
     "SphericalPath", "TruncatedPolyhedron", "TruncationSpec", "antipodal",
     "antipodal_invariants", "boundary_trace", "builtin_polyhedron", "charts_for",
-    "check_sum_rules", "choose_reference_s", "covering_patch", "director_class",
-    "errors", "extract_all", "extract_edge_orientations", "extract_kink",
+    "check_sum_rules", "choose_reference_s", "covering_patch", "errors",
+    "extract_all", "extract_edge_orientations", "extract_kink",
     "extract_wrapping_integral", "extract_wrapping_preimage", "field_from_dict",
-    "field_to_dict", "frank_energy_surface", "geodesic_point", "invariants_equal",
-    "load_field", "load_polyhedron", "mesh_degree", "polar_chart",
+    "field_to_dict", "invariants_equal", "load_field", "load_polyhedron",
+    "mesh_degree", "polar_chart",
     "random_admissible_invariants", "reference_frame", "representative_boundary",
     "sample_field", "save_field", "save_mesh_obj", "save_polyhedron",
     "spherical_triangle_area", "trapped_area_direct", "trapped_area_from_invariants",

@@ -6,7 +6,7 @@ from tangent_topo import errors
 from tangent_topo.sphere import (
     ImageMesh,
     SphericalPath,
-    geodesic_point,
+    geodesic_interpolate,
     mesh_degree,
     spherical_triangle_area,
     triangle_sigma,
@@ -116,16 +116,16 @@ class TestGeodesics:
     def test_endpoints(self):
         a = np.array([0.6, 0.8, 0.0])
         b = np.array([0.0, 0.6, 0.8])
-        assert np.allclose(geodesic_point(a, b, 0.0), a)
-        assert np.allclose(geodesic_point(a, b, 1.0), b)
+        ends = geodesic_interpolate([a, a], [b, b], [0.0, 1.0])
+        assert np.allclose(ends, [a, b])
 
     def test_quarter_arc_midpoint(self):
-        mid = geodesic_point(EX, EY, 0.5)
-        assert np.allclose(mid, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), atol=1e-15)
+        mid = geodesic_interpolate(EX, EY, 0.5)
+        assert np.allclose(mid, [np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)], atol=1e-15)
 
     def test_antipodal_rejected(self):
         with pytest.raises(errors.AntipodalEndpoints):
-            geodesic_point(EX, -EX, 0.5)
+            geodesic_interpolate([EY, EX], [EZ, -EX], 0.5)
 
 
 def _circle_path(axis, total, start, n):
