@@ -8,7 +8,8 @@ Fields are immutable.
 
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
-sampling density.
+sampling density.  Evaluators work point by point: a node's value does
+not depend on the other points of the call, which ``FaceGrid`` relies on.
 """
 from __future__ import annotations
 
@@ -43,6 +44,11 @@ def charts_for(phat: TruncatedPolyhedron) -> Dict[FaceKey, PolarChart]:
     return {key: polar_chart(phat, key) for key in phat.face_keys()}
 
 
+def _grid_axes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
+    # Ring radii and ring angles of the nodes of ``grid_nodes(R, K)``.
+    return np.linspace(0.0, 1.0, R + 1), np.arange(K) * (2.0 * np.pi / K)
+
+
 def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
     """Chart coordinates ``(rho, phi)`` of the nodes of a face grid with
     ``R`` rings and ``K`` samples per ring, flattened row-major from
@@ -53,10 +59,20 @@ def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
     not powers of two, and a field file may have any R); sample j sits
     at phi = 2 pi j / K.
     """
-    rho = np.linspace(0.0, 1.0, R + 1)
-    phi = np.arange(K) * (2.0 * np.pi / K)
-    rr, pp = np.meshgrid(rho, phi, indexing="ij")
+    rr, pp = np.meshgrid(*_grid_axes(R, K), indexing="ij")
     return rr.ravel(), pp.ravel()
+
+
+def _tensor_values(field: TangentField, key: FaceKey, blocks) -> list:
+    """Field values on tensor-product node blocks ``(rho, phi)``, shape
+    (rho.size, phi.size, 3) each, in one call for an analytic field."""
+    if isinstance(field, SampledField):
+        return [field._evaluate_grid(key, rho, phi) for rho, phi in blocks]
+    nodes = [np.meshgrid(rho, phi, indexing="ij") for rho, phi in blocks]
+    values = field.evaluate(key, np.concatenate([rr.ravel() for rr, _ in nodes]),
+                            np.concatenate([pp.ravel() for _, pp in nodes]))
+    ends = np.cumsum([rr.size for rr, _ in nodes])[:-1]
+    return [v.reshape(rr.shape + (3,)) for v, (rr, _) in zip(np.split(values, ends), nodes)]
 
 
 def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
@@ -64,19 +80,28 @@ def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
     K, 3) with R = 2**depth rings and K = m 2**depth samples per ring on
     a face of m sides, so every corner lands on a node."""
     R = 2 ** depth
-    K = field.charts[key].n_segments * R
-    if isinstance(field, SampledField):
-        return field._evaluate_grid(key, R, K)
-    return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+    return _tensor_values(field, key, [_grid_axes(R, field.charts[key].n_segments * R)])[0]
 
 
-def _neighbor_dots(grid: np.ndarray, rolled: np.ndarray):
-    """Dot products of radial neighbors, shape (R, K), and of neighbors
-    around the (periodic) rings, shape (R + 1, K); ``rolled`` is
-    ``np.roll(grid, -1, axis=1)``."""
-    radial = np.einsum("ijk,ijk->ij", grid[:-1], grid[1:])
-    around = np.einsum("ijk,ijk->ij", grid, rolled)
-    return radial, around
+def _dot(a, b):
+    # Dot products of x, y, z plane triples, summed in the order of
+    # numpy's einsum over three components: (a0 b0 + a2 b2) + a1 b1.
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _cross(a, b):
+    # Cross products of plane triples, term for term those of np.cross.
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _neighbor_dots(grid: np.ndarray):
+    """The x, y, z planes of an (R + 1, K, 3) grid and those planes
+    rolled one sample around the (periodic) rings, shape (3, R + 1, K),
+    and the dot products of radial neighbors, shape (R, K), and of
+    neighbors around the rings, shape (R + 1, K)."""
+    planes = np.moveaxis(grid, -1, 0)
+    rolled = np.roll(planes, -1, axis=2)
+    return planes, rolled, _dot(planes[:, :-1], planes[:, 1:]), _dot(planes, rolled)
 
 
 def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
@@ -86,12 +111,14 @@ def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
 
 
 def _grid_step_bound_ok(grid: np.ndarray) -> bool:
-    return _within_quarter_turn(*_neighbor_dots(grid, np.roll(grid, -1, axis=1)))
+    return _within_quarter_turn(*_neighbor_dots(grid)[2:])
 
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Field given by a closed-form evaluator in chart coordinates."""
+    """Field given by a closed-form evaluator in chart coordinates.  The
+    evaluator works point by point: a node's value must not depend on
+    the other points in the call (``FaceGrid`` relies on this)."""
 
     host: TruncatedPolyhedron
     charts: Mapping[FaceKey, PolarChart]
@@ -153,27 +180,25 @@ class SampledField:
         high = geodesic_interpolate(grid[i0 + 1, j0], grid[i0 + 1, j1], tp)
         return geodesic_interpolate(low, high, tr)
 
-    def _evaluate_grid(self, key: FaceKey, R: int, K: int) -> np.ndarray:
-        """Values at the nodes of ``grid_nodes(R, K)``, shape (R + 1, K, 3).
+    def _evaluate_grid(self, key: FaceKey, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Values at the tensor-product nodes of ring radii ``rho`` and
+        angles ``phi``, shape (rho.size, phi.size, 3).
 
         Bit for bit ``evaluate`` at those nodes, with fewer operations:
         on a tensor-product grid the phi interpolation of a stored ring
         is the same for every target ring it brackets, so each stored
-        ring that is used is interpolated once at the K target phis, and
+        ring that is used is interpolated once at the target phis, and
         then every target ring radially between its two stored rings.
         """
         grid = self.values[key]
-        rho, phi = grid_nodes(R, K)
-        # Nodes are row-major (R + 1, K): rho[::K] are the ring radii and
-        # phi[:K] the angles around every ring.
-        i0, tr, j0, j1, tp = self._bracket(key, rho[::K], phi[:K])
+        i0, tr, j0, j1, tp = self._bracket(key, rho, phi)
         used = np.unique(np.concatenate([i0, i0 + 1]))
         rings = geodesic_interpolate(grid[used[:, None], j0].reshape(-1, 3),
                                      grid[used[:, None], j1].reshape(-1, 3),
-                                     np.tile(tp, used.size)).reshape(-1, K, 3)
+                                     np.tile(tp, used.size)).reshape(-1, phi.size, 3)
         low = rings[np.searchsorted(used, i0)].reshape(-1, 3)
         high = rings[np.searchsorted(used, i0 + 1)].reshape(-1, 3)
-        return geodesic_interpolate(low, high, np.repeat(tr, K)).reshape(R + 1, K, 3)
+        return geodesic_interpolate(low, high, np.repeat(tr, phi.size)).reshape(rho.size, -1, 3)
 
 
 TangentField = AnalyticField | SampledField
@@ -222,6 +247,12 @@ def _owner_for_edge(field: TangentField, b: int, side: int = 0) -> Tuple[FaceKey
     seg = field.charts[key].segment_index("edge", b)
     forward = field.charts[key].segments[seg].forward
     return key, seg, not forward
+
+
+def _edge_traces(field: TangentField, b: int, t: np.ndarray) -> list:
+    # The field along truncated edge ``b`` from its low-index endpoint,
+    # at parameters ``t``, as each of its two faces holds it.
+    return [_segment_tracer(field, *_owner_for_edge(field, b, side))(t) for side in (0, 1)]
 
 
 def boundary_trace(
@@ -302,23 +333,15 @@ def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
     Never raises on a violation; callers inspect the report and decide.
     """
     phat = field.host
-    face_dots = {}
-    worst_face = 0.0
-    for c in range(len(phat.trunc_faces)):
-        vals = face_grid(field, (TRUNCATED, c), depth)
-        dot = float(np.max(np.abs(vals @ phat.face_normal(c))))
-        face_dots[c] = dot
-        worst_face = max(worst_face, dot)
+    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), depth)
+                                        @ phat.face_normal(c))))
+                 for c in range(len(phat.trunc_faces))}
 
     t = np.linspace(0.0, 1.0, 2 ** depth + 1)
-    worst_edge = 0.0
     edge_mis = {}
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        traces = []
-        for side in (0, 1):
-            key, seg, rev = _owner_for_edge(field, b, side)
-            traces.append(_segment_tracer(field, key, seg, rev)(t))
+        traces = _edge_traces(field, b, t)
         mis = max(
             float(np.max(1.0 - np.abs(tr @ direction))) for tr in traces
         )
@@ -327,7 +350,6 @@ def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
         for tr in traces:
             mis = max(mis, float(np.max(np.linalg.norm(tr - tr[0], axis=1))))
         edge_mis[b] = mis
-        worst_edge = max(worst_edge, mis)
 
     worst_cont = 0.0
     for (a, c) in phat.cleaved_edges:
@@ -340,9 +362,9 @@ def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
 
     return TangencyReport(
         face_normal_dots=face_dots,
-        worst_normal_dot=worst_face,
+        worst_normal_dot=max(face_dots.values(), default=0.0),
         edge_misalignment=edge_mis,
-        worst_edge_misalignment=worst_edge,
+        worst_edge_misalignment=max(edge_mis.values(), default=0.0),
         worst_continuity=worst_cont,
     )
 
@@ -365,8 +387,9 @@ def _grid_triangles(R: int, K: int):
 
 def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
     """Signed image-area sum of the triangles of ``_grid_triangles``,
-    read from the (R + 1, K, 3) grid through slices; None when the grid
-    breaks the quarter-turn bound or a triangle is invalid.
+    read from the x, y and z planes of the (R + 1, K, 3) grid through
+    slices; None when the grid breaks the quarter-turn bound or a
+    triangle is invalid.
 
     Bit for bit the ``np.sum`` of ``triangle_areas`` over the gathered
     triangles: each dot and triple product has the same operands in the
@@ -374,20 +397,62 @@ def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
     and the areas are summed in the same order, every first triangle
     and then every second one, cells row-major.
     """
-    rolled = np.roll(grid, -1, axis=1)
-    radial, around = _neighbor_dots(grid, rolled)
+    planes, rolled, radial, around = _neighbor_dots(grid)
     if not _within_quarter_turn(radial, around):
         return None
-    c00, c10 = grid[:-1], grid[1:]
-    c01, c11 = rolled[:-1], rolled[1:]
-    diag = np.einsum("ijk,ijk->ij", c11, c00)
+    c00, c10 = planes[:, :-1], planes[:, 1:]
+    c01, c11 = rolled[:, :-1], rolled[:, 1:]
+    diag = _dot(c11, c00)
     # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11, c01).
     re = np.stack([1.0 + radial + around[1:] + diag,
                    1.0 + diag + np.roll(radial, -1, axis=1) + around[:-1]])
-    im = np.stack([np.einsum("ijk,ijk->ij", np.cross(c00, c10), c11),
-                   np.einsum("ijk,ijk->ij", np.cross(c00, c11), c01)])
+    im = np.stack([_dot(_cross(c00, c10), c11), _dot(_cross(c00, c11), c01)])
     areas, valid = _signed_areas(re, im)
     return float(np.sum(areas)) if valid.all() else None
+
+
+class FaceGrid:
+    """``face_grid(field, key, depth)`` at every depth asked for, each
+    built once, with its image-area sum.
+
+    A depth with no held depth below it is evaluated whole.  Depth d + 1
+    over a held depth d takes the depth-d values at its even nodes and
+    evaluates only the nodes it adds, the odd rings whole and the even
+    rings at odd samples: bit for bit the whole grid, as the even nodes
+    have the depth-d coordinates (see ``grid_nodes``) and fields work
+    point by point.
+    """
+
+    def __init__(self, field: TangentField, key: FaceKey):
+        self.field, self.key = field, key
+        self._values: Dict[int, np.ndarray] = {}
+        self._sums: Dict[int, Optional[float]] = {}
+
+    def values(self, depth: int) -> np.ndarray:
+        if depth not in self._values:
+            held = max((d for d in self._values if d < depth), default=None)
+            if held is None:
+                self._values[depth] = face_grid(self.field, self.key, depth)
+            for d in range(depth if held is None else held, depth):
+                coarse = self._values[d]
+                rho, phi = _grid_axes(2 * coarse.shape[0] - 2, 2 * coarse.shape[1])
+                fine = np.empty((rho.size, phi.size, 3))
+                fine[::2, ::2] = coarse
+                fine[1::2], fine[::2, 1::2] = _tensor_values(
+                    self.field, self.key, [(rho[1::2], phi), (rho[::2], phi[1::2])])
+                self._values[d + 1] = fine
+        return self._values[depth]
+
+    def boundary(self, depth: int) -> np.ndarray:
+        return self.values(depth)[-1]  # the ring rho = 1
+
+    def resolved(self, depth: int) -> bool:
+        return _grid_step_bound_ok(self.values(depth))
+
+    def area_sum(self, depth: int) -> Optional[float]:
+        if depth not in self._sums:
+            self._sums[depth] = _grid_area_sum(self.values(depth))
+        return self._sums[depth]
 
 
 def sample_field(field: TangentField, depth: int) -> SampledField:
@@ -401,15 +466,11 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     deepest = max(depth, MAX_DEPTH)
     values = {}
     for key in field.host.face_keys():
-        for d in range(depth, deepest + 1):
-            grid = face_grid(field, key, d)
-            if _grid_step_bound_ok(grid):
-                values[key] = grid
-                break
-        else:
-            raise CoarseSampling(
-                f"face {key} still under-sampled at depth {deepest}"
-            )
+        grid = FaceGrid(field, key)
+        found = next((d for d in range(depth, deepest + 1) if grid.resolved(d)), None)
+        if found is None:
+            raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")
+        values[key] = grid.values(found)
     return SampledField(host=field.host, charts=field.charts, values=values)
 
 
@@ -504,7 +565,7 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
             pos = np.asarray(entry["positions"], dtype=float)
             expected = charts[key].point(*grid_nodes(R, K))
             if (pos.shape != expected.shape
-                    or np.max(np.linalg.norm(pos - expected, axis=1)) > 1e-6 * scale):
+                    or not np.max(np.linalg.norm(pos - expected, axis=1)) <= 1e-6 * scale):
                 raise FieldError(f"node positions disagree with the chart on face {key}")
             values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
     missing = set(phat.face_keys()) - set(values)

@@ -42,7 +42,7 @@ from .errors import (
     SOnTriangleBoundary,
     reading_document,
 )
-from .fields import CLEAVED, MAX_DEPTH, TangentField, boundary_trace
+from .fields import CLEAVED, MAX_DEPTH, FaceGrid, TangentField, boundary_trace
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
@@ -169,11 +169,7 @@ def extract_edge_orientations(field: TangentField) -> np.ndarray:
     eps = np.empty((phat.parent.n_edges, 3))
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        values = []
-        for side in (0, 1):
-            key, seg, rev = fields_mod._owner_for_edge(field, b, side)
-            values.append(fields_mod._segment_tracer(field, key, seg, rev)(t))
-        stacked = np.concatenate(values, axis=0)
+        stacked = np.concatenate(fields_mod._edge_traces(field, b, t), axis=0)
         spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
         if spread > fields_mod.TOL_CONTINUITY:
             raise NonConstantEdge(f"edge {b} value varies by {spread:.3g}")
@@ -215,37 +211,18 @@ def _kink_detail(field, a, c):
     return int(nearest), residual
 
 
-def _face_image_grid(field: TangentField, a: int, depth: int, cache=None):
-    if cache is not None and (a, depth) in cache:
-        return cache[(a, depth)]
-    grid = fields_mod.face_grid(field, (CLEAVED, a), depth)
-    if cache is not None:
-        cache[(a, depth)] = grid
-    return grid
-
-
-def _area_sum(field, a, depth, cache):
-    """Signed image-area sum of corner face ``a`` at ``depth``, in chart
-    order, or None when the grid is not resolved or a triangle is
-    invalid.  It does not depend on ``s``, so it is kept in ``cache``
-    for every other direction and for the direct trapped area."""
-    key = ("area", a, depth)
-    if key not in cache:
-        cache[key] = fields_mod._grid_area_sum(_face_image_grid(field, a, depth, cache))
-    return cache[key]
-
-
 def _wrapping_integral_detail(field, a, s, depth=6, cache=None):
+    # ``cache`` is the FaceGrid of face ``a``: its area sums do not
+    # depend on ``s``, so it serves every direction and the direct area.
     s = normalized(s)
-    cache = {} if cache is None else cache
+    grid = cache or FaceGrid(field, (CLEAVED, a))
     for d in range(depth, MAX_DEPTH + 1):
-        grid = _face_image_grid(field, a, d, cache)
-        boundary = grid[-1]
+        boundary = grid.boundary(d)
         if np.max(boundary @ s) >= 1.0 - 1e-12:
             raise SOnBoundaryImage(
                 f"reference direction on the boundary image of face {a}"
             )
-        area_sum = _area_sum(field, a, d, cache)
+        area_sum = grid.area_sum(d)
         if area_sum is None:
             continue
         # The cap term integrates the reference one-form along the
@@ -336,7 +313,7 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     chart = field.charts[key]
     xi, eta = reference_frame(s)  # of the s given: it normalizes s itself
     s = normalized(s)
-    grid = _face_image_grid(field, a, grid_depth, cache)
+    grid = (cache or FaceGrid(field, key)).values(grid_depth)
     R, K = grid.shape[0] - 1, grid.shape[1]
     diam = 2.0 * float(np.max(np.linalg.norm(chart.corners - chart.base, axis=1)))
 
@@ -474,38 +451,30 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     return winding
 
 
-def extract_wrapping_preimage(
-    field: TangentField,
-    a: int,
-    s,
-    grid_depth: int = 6,
-    cache=None,
-) -> int:
+def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 6,
+                              cache: Optional[FaceGrid] = None) -> int:
     """Wrapping number of corner face ``a`` as a signed preimage count.
 
     Locates every point of the face where the field equals ``s`` by a
-    uniform grid scan plus local polishing, and sums the Jacobian signs.
+    scan of its grid (from the face's FaceGrid ``cache``, if given) plus
+    local polishing, and sums the Jacobian signs.
     Raises NotRegularValue when a preimage is (near-)critical; callers
     fall back to a slightly rotated ``s`` or to the integral route.
     """
     return int(_preimage_points(field, a, s, grid_depth, cache=cache).sum())
 
 
-def trapped_area_direct(
-    field: TangentField,
-    a: int,
-    depth: int = 7,
-    cache=None,
-) -> float:
+def trapped_area_direct(field: TangentField, a: int, depth: int = 7,
+                        cache: Optional[FaceGrid] = None) -> float:
     """Signed spherical area swept over corner face ``a``, by quadrature.
 
     Same image-area sum as the integral wrapping route (first term
-    only, read from ``cache`` where that route already took it), with
-    the invariant orientation convention.
+    only, read from the face's FaceGrid ``cache`` where that route
+    already took it), with the invariant orientation convention.
     """
-    cache = {} if cache is None else cache
+    grid = cache or FaceGrid(field, (CLEAVED, a))
     for d in range(depth, MAX_DEPTH + 1):
-        area_sum = _area_sum(field, a, d, cache)
+        area_sum = grid.area_sum(d)
         if area_sum is not None:
             return -area_sum
     raise ResolutionTooCoarse(
@@ -735,21 +704,21 @@ def extract_all(
         kinks[(a, c)], kink_res[(a, c)] = _kink_detail(field, a, c)
 
     n_corners = len(phat.cleaved_faces)
-    grid_cache: dict = {}
     results = []
     for a in range(n_corners):
-        w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid_cache)
+        grid = FaceGrid(field, (CLEAVED, a))
+        w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
         pre = None
         if with_preimage:
-            found = _preimage_with_retries(field, a, s_ref, depth, cache=grid_cache)
+            found = _preimage_with_retries(field, a, s_ref, depth, cache=grid)
             if found is not None:
                 pre, s_k = found
                 ref = w if s_k is s_ref else _wrapping_integral_detail(
-                    field, a, s_k, depth, cache=grid_cache)[0]
+                    field, a, s_k, depth, cache=grid)[0]
                 if pre != ref:
                     raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
                                             f"preimage {pre} at s = {s_k}")
-        direct = trapped_area_direct(field, a, trapped_depth, cache=grid_cache)
+        direct = trapped_area_direct(field, a, trapped_depth, cache=grid)
         results.append((w, res, used, pre, direct))
     omegas, residuals, depths, preimages, directs = zip(*results)
 
@@ -800,20 +769,33 @@ def _integer(value, what: str) -> int:
 
 
 def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantSet:
-    e = phat.parent.n_edges
+    """Every entry must name an edge, cleaved edge or corner face of
+    ``phat``; ``edge_orientation_vectors``, where present, must hold
+    each edge's sign times its direction."""
+    e, v = phat.parent.n_edges, len(phat.cleaved_faces)
+    signs, vectors = data["edge_orientations"], data.get("edge_orientation_vectors", {})
+    for entries, n, what in ((signs, e, "edge"), (vectors, e, "edge"),
+                             (data["wrapping_numbers"], v, "corner face")):
+        extra = set(entries) - {str(i) for i in range(n)}
+        if extra:
+            raise InvariantError(f"entry {sorted(extra)[0]!r} names no {what} of the solid")
     eps = np.empty((e, 3))
     for b in range(e):
-        sign = _integer(data["edge_orientations"][str(b)], f"edge orientation sign {b}")
+        sign = _integer(signs[str(b)], f"edge orientation sign {b}")
         if sign not in (-1, 1):
             raise InvariantError(f"edge orientation sign for edge {b} must be +-1")
         eps[b] = sign * phat.parent.edge_direction(b)
+        if "edge_orientation_vectors" in data:
+            vec = np.asarray(vectors[str(b)], dtype=float)
+            if vec.shape != (3,) or not np.linalg.norm(vec - eps[b]) <= 1e-9:
+                raise InvariantError(f"edge orientation vector {b} is not its sign "
+                                     "times the edge direction")
     kinks = {}
     for key, val in data["kink_numbers"].items():
         a_str, c_str = key.split(",")
         kinks[(int(a_str), int(c_str))] = _integer(val, f"kink number {key}")
     if set(kinks) != set(phat.cleaved_edges):
-        raise InvariantError("kink numbers do not cover the cleaved edges")
-    v = len(phat.cleaved_faces)
+        raise InvariantError("kink numbers must name exactly the cleaved edges")
     omegas = np.array([_integer(data["wrapping_numbers"][str(a)], f"wrapping number {a}")
                        for a in range(v)])
     s = np.asarray(data["reference_direction"], dtype=float)
@@ -874,7 +856,7 @@ def parse_invariants_document(data: dict):
     with reading_document(InvariantError, "invariant"):
         if data.get("format") == REPORT_FORMAT:
             data = data["invariants"]
-        elif data.get("format") not in (None, INVARIANTS_FORMAT):
+        elif data.get("format", INVARIANTS_FORMAT) != INVARIANTS_FORMAT:
             raise InvariantError(f"unsupported invariants format {data.get('format')!r}")
         poly_data = data["polyhedron"]
         if "builtin" in poly_data:

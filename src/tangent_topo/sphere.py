@@ -144,17 +144,15 @@ def geodesic_interpolate(u, v, tau) -> np.ndarray:
     if np.any(d <= -1.0 + TOL_ANTIPODAL):
         raise AntipodalEndpoints("antipodal pair in geodesic interpolation")
     ang = np.arccos(d)
-    out = np.empty_like(u)
+    # Arc weights on whole arrays; rows closer than 1e-9 take the chord.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sin(ang)
+        out = ((np.sin((1.0 - tau) * ang) / s)[:, None] * u
+               + (np.sin(tau * ang) / s)[:, None] * v)
     small = ang < 1e-9
     if small.any():
         t = tau[small, None]
         out[small] = normalized_rows((1.0 - t) * u[small] + t * v[small])
-    big = ~small
-    if big.any():
-        s = np.sin(ang[big])
-        w0 = np.sin((1.0 - tau[big]) * ang[big]) / s
-        w1 = np.sin(tau[big] * ang[big]) / s
-        out[big] = w0[:, None] * u[big] + w1[:, None] * v[big]
     return normalized_rows(out)
 
 
@@ -244,16 +242,15 @@ class ImageMesh:
 
 
 def _check_closed_oriented(triangles: np.ndarray) -> None:
-    directed = {}
-    for tri in triangles:
-        i, j, k = (int(x) for x in tri)
-        if len({i, j, k}) != 3:
-            raise NotClosed("triangle with a repeated vertex")
-        for e in ((i, j), (j, k), (k, i)):
-            directed[e] = directed.get(e, 0) + 1
-    for (i, j), count in directed.items():
-        if count != 1 or directed.get((j, i), 0) != 1:
-            raise NotClosed("every edge must appear once per direction")
+    following = np.roll(triangles, -1, axis=1)
+    if np.any(triangles == following):
+        raise NotClosed("triangle with a repeated vertex")
+    # Each directed edge once, and its reverse: the reversed edges are
+    # then the same set.
+    directed = np.stack([triangles, following], axis=2).reshape(-1, 2)
+    edges, counts = np.unique(directed, axis=0, return_counts=True)
+    if np.any(counts != 1) or not np.array_equal(np.unique(directed[:, ::-1], axis=0), edges):
+        raise NotClosed("every edge must appear once per direction")
 
 
 def mesh_degree(mesh: ImageMesh) -> int:

@@ -197,7 +197,9 @@ class TestErrorPaths:
                                       "infinite_edge_sign", "infinite_reference",
                                       "nan_reference", "short_reference",
                                       "long_reference", "fractional_kink",
-                                      "fractional_wrapping", "fractional_edge_sign"])
+                                      "fractional_wrapping", "fractional_edge_sign",
+                                      "unknown_wrapping_face", "unknown_edge_sign",
+                                      "tilted_edge_vector"])
     def test_bad_invariant_contents_are_validation_errors(self, inv_file,
                                                           tmp_path, edit):
         doc = json.loads(inv_file.read_text())
@@ -226,6 +228,12 @@ class TestErrorPaths:
             doc["wrapping_numbers"]["2"] = 0.5
         elif edit == "fractional_edge_sign":
             doc["edge_orientations"]["0"] = 1.5
+        elif edit == "unknown_wrapping_face":
+            doc["wrapping_numbers"]["9"] = 5
+        elif edit == "unknown_edge_sign":
+            doc["edge_orientations"]["99"] = 7
+        elif edit == "tilted_edge_vector":  # 45 degrees off edge 0
+            doc["edge_orientation_vectors"]["0"] = [0.0, 0.0, 1.0]
         else:
             doc["reference_direction"][1] = nan
         bad = tmp_path / "bad.json"
@@ -300,6 +308,97 @@ class TestPolyhedronDocuments:
         inv_path.write_text(json.dumps(doc))
         assert main(["check", "--inv", str(inv_path),
                      "--out", str(tmp_path / "c.json")]) == EXIT_OK
+
+
+def _entry_paths(doc, path=()):
+    """The path of every entry of a JSON document, the first element
+    standing for the rest of its list."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list) and doc:
+        children = [(0, doc[0])]
+    else:
+        return
+    for key, value in children:
+        yield path + (key,)
+        yield from _entry_paths(value, path + (key,))
+
+
+# Each edit deletes an entry or replaces it by a value of a wrong type.
+ENTRY_EDITS = {"delete": None, "text": "x", "null": None, "nan": float("nan"),
+               "list": [], "object": {}}
+
+
+def _edited(doc, path: tuple, edit: str):
+    """``doc`` with the entry at ``path`` edited; only the containers on
+    the path are copied."""
+    head, *rest = path
+    copy = list(doc) if isinstance(doc, list) else dict(doc)
+    if rest:
+        copy[head] = _edited(doc[head], rest, edit)
+    elif edit == "delete":
+        del copy[head]
+    else:
+        copy[head] = ENTRY_EDITS[edit]
+    return copy
+
+
+# Entries an invariant document may leave out (``truncation`` then
+# defaults to lambda = 0.2).
+OPTIONAL_INVARIANT_ENTRIES = [("format",), ("truncation",), ("edge_orientation_vectors",)]
+
+
+def _document_edits(doc: dict, optional=()):
+    return [(path, edit) for path in _entry_paths(doc) for edit in ENTRY_EDITS
+            if not (edit == "delete" and path in optional)]
+
+
+@pytest.fixture(scope="module")
+def field_file(tmp_path_factory, tetra_phat):
+    # A set whose depth-1 field stays small: its faces refine to 4-16 rings.
+    inv = tt.random_admissible_invariants(tetra_phat, seed=3, wrap_override=(0, 0, 0, 0))
+    doc = {"polyhedron": {"builtin": "tetrahedron"}, "truncation": {"lambda": 0.25}}
+    doc.update(invariant_set_to_dict(inv, tetra_phat))
+    inv_path = tmp_path_factory.mktemp("field") / "inv.json"
+    inv_path.write_text(json.dumps(doc))
+    path = inv_path.with_name("field.json")
+    assert main(["synthesize", "--inv", str(inv_path), "--depth", "1",
+                 "--out", str(path)]) == EXIT_OK
+    return path
+
+
+class TestDocumentEntries:
+    """Every one-entry edit of a valid invariant or field document exits
+    with a documented code, usage or validation, and never raises."""
+
+    def test_invariant_document(self, inv_file, tmp_path):
+        doc = json.loads(inv_file.read_text())
+        bad = tmp_path / "bad.json"
+        edits = _document_edits(doc, OPTIONAL_INVARIANT_ENTRIES)
+        assert len(edits) > 250
+        codes = {}
+        for path, edit in edits:
+            bad.write_text(json.dumps(_edited(doc, path, edit)))
+            codes[path, edit] = main(["check", "--inv", str(bad)])
+        assert {k: c for k, c in codes.items() if c not in (EXIT_USAGE, EXIT_VALIDATION)} == {}
+        for path in OPTIONAL_INVARIANT_ENTRIES:
+            bad.write_text(json.dumps(_edited(doc, path, "delete")))
+            assert main(["check", "--inv", str(bad)]) == EXIT_OK, path
+
+    def test_field_document(self, field_file, tmp_path):
+        doc = json.loads(field_file.read_text())
+        bad = tmp_path / "bad.json"
+        out = str(tmp_path / "mesh.obj")
+        edits = _document_edits(doc)
+        assert len(edits) > 100
+        codes = {}
+        for path, edit in edits:
+            bad.write_text(json.dumps(_edited(doc, path, edit)))
+            codes[path, edit] = main(["export-mesh", "--field", str(bad), "--depth", "0",
+                                      "--out", out])
+        assert {k: c for k, c in codes.items() if c not in (EXIT_USAGE, EXIT_VALIDATION)} == {}
+        assert main(["export-mesh", "--field", str(field_file), "--depth", "0",
+                     "--out", out]) == EXIT_OK
 
 
 class TestSeedHandling:

@@ -12,6 +12,7 @@ from tangent_topo.fields import (
     CLEAVED,
     MAX_DEPTH,
     AnalyticField,
+    FaceGrid,
     SampledField,
     _grid_area_sum,
     _grid_step_bound_ok,
@@ -295,6 +296,54 @@ class TestGridAreaSum:
             for depth in (2, 5):
                 grid = face_grid(field, (CLEAVED, a), depth)
                 assert _grid_area_sum(grid) == _reference_area_sum(grid)
+
+
+@pytest.fixture(scope="module")
+def solid_fields(cube_phat, tetra_phat, octa_phat):
+    """A representative field of each builtin solid, analytic and sampled."""
+    out = []
+    for phat, wraps in ((cube_phat, (1, -1, 2, -2, 0, 0, 0, 0)),
+                        (tetra_phat, (1, -1, 0, 0)),
+                        (octa_phat, (1, -1, 0, 0, 0, 0))):
+        inv = tt.random_admissible_invariants(phat, seed=4, wrap_override=wraps)
+        adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
+        field = tt.representative_boundary(adm, phat)
+        out += [field, sample_field(field, 2)]
+    return out
+
+
+class TestFaceGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(which=st.integers(0, 5), face=st.integers(0, 13), depth=st.integers(0, 6),
+           start=st.integers(0, 6))
+    def test_nested_grid_is_the_evaluated_grid(self, solid_fields, which, face,
+                                               depth, start):
+        field = solid_fields[which]
+        keys = field.host.face_keys()
+        key = keys[face % len(keys)]
+        grid = FaceGrid(field, key)
+        grid.values(min(start, depth))
+        # Depth + 1 refines the held depth once, or several times over.
+        assert (grid.values(depth + 1).tobytes()
+                == face_grid(field, key, depth + 1).tobytes())
+        assert grid.values(depth + 1) is grid.values(depth + 1)
+
+    def test_evaluates_every_node_once(self, cube_case):
+        _, field = cube_case
+        calls = []
+
+        def evaluator(key, rho, phi):
+            calls.append(rho.size)
+            return field.evaluator(key, rho, phi)
+
+        counted = AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
+        grid = FaceGrid(counted, (CLEAVED, 0))
+        for depth in (3, 4, 5):
+            grid.values(depth)
+        # (R + 1) K nodes with R = 2 ** depth and K = 3 R on a triangle.
+        assert calls == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
+        assert grid.area_sum(5) == _grid_area_sum(face_grid(field, (CLEAVED, 0), 5))
+        assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
 
 
 def _pointwise_grid(sampled, key, depth):

@@ -1,4 +1,7 @@
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,17 @@ def constant_field(phat, vec):
     )
 
 
+def _bench_corpus():
+    """``bench/corpus.py``, loaded from its path."""
+    name = "bench_corpus"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, Path(__file__).parents[1] / "bench" / "corpus.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 class TestChooseReferenceS:
     def test_margin_and_determinism(self, cube_phat):
         s0 = tt.choose_reference_s(cube_phat, seed=0)
@@ -77,6 +91,30 @@ class TestChooseReferenceS:
 
     def test_axis_is_rejected_on_cube(self, cube_phat):
         assert s_margin(cube_phat, [1.0, 0.0, 0.0]) == 0.0
+
+    @pytest.mark.parametrize("solid", tt.BUILTIN_NAMES)
+    def test_bench_corpus_settles_s_by_the_library_rule(self, solid):
+        # bench/corpus.py picks the input's s by its own copy of the rule
+        # by which extract_all settles an omitted s; the CLI workload then
+        # reads each field at the input's s only while the two agree.
+        corpus = _bench_corpus()
+        poly = tt.builtin_polyhedron(solid)
+        phat = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25))
+        moved = set()
+        for set_seed in (0, 1, 2):
+            def make_set(s):
+                return tt.random_admissible_invariants(phat, seed=set_seed, s=s)
+            # Seed 430 starts at spiral point 498, z = 0: on the octahedron's
+            # equator, where fan triangles of equatorial edges have sides.
+            for cli_seed in (0, 17, 430, 2024):
+                ref = corpus._library_reference(phat, cli_seed, make_set)
+                s = inv_mod._settle_s(phat, ref.edge_orientations, None, cli_seed)
+                # An InvariantSet holds its s normalized once more.
+                assert np.array_equal(inv_mod.normalized(s), ref.s), (set_seed, cli_seed)
+                if not np.array_equal(s, tt.choose_reference_s(phat, cli_seed)):
+                    moved.add(cli_seed)
+        if solid == "octahedron":
+            assert 430 in moved
 
 
 class TestEdgeOrientations:
@@ -255,20 +293,28 @@ class TestTrappedAreas:
     def test_direct_route_reuses_the_area_sums(self, cube_phat, monkeypatch):
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
-        area_sum = fields_mod._grid_area_sum
-        sums = []
+        area_sum = fields_mod.FaceGrid.area_sum
+        kernel = fields_mod._grid_area_sum
+        sums, owners = [], {}
+
+        def reading(grid, depth):
+            owners.setdefault(grid.key, set()).add(id(grid))
+            return area_sum(grid, depth)
 
         def counting(grid):
             digest = hashlib.sha1(np.ascontiguousarray(grid).tobytes()).hexdigest()
             sums.append((digest, grid.shape[0] - 1))
-            return area_sum(grid)
+            return kernel(grid)
 
+        monkeypatch.setattr(fields_mod.FaceGrid, "area_sum", reading)
         monkeypatch.setattr(fields_mod, "_grid_area_sum", counting)
         # Both routes start at depth 5, so every direct area is a reuse.
         report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=5)
         assert len({digest for digest, _ in sums}) == len(sums)
         # Every face summed its depth-5 grid, or a finer one, through the patch.
         assert sum(1 for _, rings in sums if rings >= 2 ** 5) >= 8
+        # ... and all routes of a face read one FaceGrid.
+        assert len(owners) == 8 and all(len(ids) == 1 for ids in owners.values())
         monkeypatch.undo()
         for a in range(8):
             assert report.trapped_direct[a] == tt.trapped_area_direct(field, a, depth=5)

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 from tangent_topo import errors
 from tangent_topo.sphere import (
     ImageMesh,
+    _check_closed_oriented,
     SphericalPath,
     geodesic_interpolate,
     mesh_degree,
@@ -127,6 +128,21 @@ class TestGeodesics:
         with pytest.raises(errors.AntipodalEndpoints):
             geodesic_interpolate([EY, EX], [EZ, -EX], 0.5)
 
+    def test_rows_are_independent_of_the_other_rows(self):
+        # Pairs closer than 1e-9 take the chord, the others the arc; a
+        # call that mixes them must give each row its single-row value.
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=(12, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = u + np.where(np.arange(12) % 3 == 0, 1e-11, 0.4)[:, None] * rng.normal(size=(12, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[5] = u[5]
+        tau = rng.uniform(0.0, 1.0, 12)
+        angles = np.arccos(np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0))
+        assert (angles < 1e-9).any() and (angles >= 1e-9).any()
+        rows = np.concatenate([geodesic_interpolate(u[i], v[i], tau[i]) for i in range(12)])
+        assert geodesic_interpolate(u, v, tau).tobytes() == rows.tobytes()
+
 
 def _circle_path(axis, total, start, n):
     axis = axis / np.linalg.norm(axis)
@@ -186,6 +202,18 @@ class TestUnwrap:
             unwrap_rotation_angle(path, EZ)
 
 
+def _loop_refuses(triangles) -> bool:
+    """The closed-and-oriented rule as a directed-edge count loop."""
+    directed = {}
+    for tri in triangles:
+        i, j, k = (int(x) for x in tri)
+        if len({i, j, k}) != 3:
+            return True
+        for e in ((i, j), (j, k), (k, i)):
+            directed[e] = directed.get(e, 0) + 1
+    return any(n != 1 or directed.get((j, i), 0) != 1 for (i, j), n in directed.items())
+
+
 class TestMeshDegree:
     def test_identity_icosahedron(self):
         assert mesh_degree(icosahedron_mesh()) == 1
@@ -228,3 +256,43 @@ class TestMeshDegree:
         mesh = icosahedron_mesh()
         with pytest.raises(errors.NotClosed):
             mesh_degree(ImageMesh(mesh.triangles[:-1], mesh.images))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closed_check_matches_the_edge_count_loop(self, seed):
+        # Random edits of a closed mesh; the check must decide as the
+        # directed-edge count loop it replaced.
+        rng = np.random.default_rng(seed)
+        tris = polar_sphere_mesh(4, 5).triangles.copy()
+        for _ in range(3):
+            i = rng.integers(len(tris))
+            edit = rng.integers(4)
+            if edit == 0:
+                tris = np.delete(tris, i, axis=0)
+            elif edit == 1:
+                tris = np.concatenate([tris, tris[i:i + 1]])
+            elif edit == 2:
+                tris[i] = tris[i, ::-1]
+            else:
+                tris[i, rng.integers(3)] = rng.integers(tris.max() + 1)
+            if _loop_refuses(tris):
+                with pytest.raises(errors.NotClosed):
+                    _check_closed_oriented(tris)
+            else:
+                _check_closed_oriented(tris)
+
+    @pytest.mark.parametrize("defect", ["repeated_vertex", "missing", "duplicated",
+                                        "reversed"])
+    def test_defective_triangulations_rejected(self, defect):
+        mesh = icosahedron_mesh()
+        tris = mesh.triangles.copy()
+        if defect == "repeated_vertex":
+            tris[4, 2] = tris[4, 0]
+        elif defect == "missing":
+            tris = np.delete(tris, 7, axis=0)
+        elif defect == "duplicated":
+            tris = np.concatenate([tris, tris[:1]])
+        else:
+            tris[3] = tris[3, ::-1]
+        with pytest.raises(errors.NotClosed, match="repeated vertex" if defect ==
+                           "repeated_vertex" else "once per direction"):
+            mesh_degree(ImageMesh(tris, mesh.images))
