@@ -8,8 +8,8 @@ configuration and seed produce byte-equal files.  The other commands
 draw nothing at random and take no seed.
 
 Exit codes: 0 success / all verdicts pass; 2 usage or configuration
-error (including |wrapping| above MAX_WRAPPING, a negative depth and a
-non-integer TANGENT_TOPO_SEED);
+error (including |wrapping| above MAX_WRAPPING, a depth below 0 or above
+fields.MAX_DEPTH and a non-integer TANGENT_TOPO_SEED);
 3 validation failure (geometry, tangency, schema contents, non-finite
 numbers); 4 sum-rule violation; 5 resolution or refinement failure;
 6 I/O failure.
@@ -70,8 +70,9 @@ def _lambda_arg(text: str) -> float:
 
 def _depth_arg(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"depth must be nonnegative, got {value}")
+    if not 0 <= value <= fields.MAX_DEPTH:
+        raise argparse.ArgumentTypeError(
+            f"depth must be in [0, {fields.MAX_DEPTH}], got {value}")
     return value
 
 

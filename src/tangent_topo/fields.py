@@ -10,6 +10,13 @@ Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
 sampling density.  Evaluators work point by point: a node's value does
 not depend on the other points of the call, which ``FaceGrid`` relies on.
+
+``evaluate(key, rho, phi)`` broadcasts: ``rho`` and ``phi`` broadcast
+against each other and the values have their broadcast shape + (3,).
+Scattered points are equal-length 1-D arrays; a face grid block is rings
+``rho[:, None]`` against angles ``phi``, which ``_evaluate_grid`` passes
+for both field types, so an analytic evaluator takes a factor of rho
+alone once per ring and a factor of phi alone once per angle.
 """
 from __future__ import annotations
 
@@ -63,24 +70,12 @@ def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
     return rr.ravel(), pp.ravel()
 
 
-def _tensor_values(field: TangentField, key: FaceKey, blocks) -> list:
-    """Field values on tensor-product node blocks ``(rho, phi)``, shape
-    (rho.size, phi.size, 3) each, in one call for an analytic field."""
-    if isinstance(field, SampledField):
-        return [field._evaluate_grid(key, rho, phi) for rho, phi in blocks]
-    nodes = [np.meshgrid(rho, phi, indexing="ij") for rho, phi in blocks]
-    values = field.evaluate(key, np.concatenate([rr.ravel() for rr, _ in nodes]),
-                            np.concatenate([pp.ravel() for _, pp in nodes]))
-    ends = np.cumsum([rr.size for rr, _ in nodes])[:-1]
-    return [v.reshape(rr.shape + (3,)) for v, (rr, _) in zip(np.split(values, ends), nodes)]
-
-
 def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
     """Field values on the depth-``depth`` grid of a face, shape (R + 1,
     K, 3) with R = 2**depth rings and K = m 2**depth samples per ring on
     a face of m sides, so every corner lands on a node."""
     R = 2 ** depth
-    return _tensor_values(field, key, [_grid_axes(R, field.charts[key].n_segments * R)])[0]
+    return field._evaluate_grid(key, *_grid_axes(R, field.charts[key].n_segments * R))
 
 
 def _dot(a, b):
@@ -116,9 +111,16 @@ def _grid_step_bound_ok(grid: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class AnalyticField:
-    """Field given by a closed-form evaluator in chart coordinates.  The
-    evaluator works point by point: a node's value must not depend on
-    the other points in the call (``FaceGrid`` relies on this)."""
+    """Field given by a closed-form evaluator in chart coordinates.
+
+    ``evaluator(key, rho, phi)`` receives float arrays of at least one
+    dimension that broadcast against each other, equal-length 1-D arrays
+    for scattered points or rings ``rho[:, None]`` against angles ``phi``
+    for a grid block, and returns values of their broadcast shape + (3,).
+    It works point by point: a node's value must not depend on the other
+    points in the call (``FaceGrid`` relies on this), nor on whether it
+    is reached as a scattered point or in a block.
+    """
 
     host: TruncatedPolyhedron
     charts: Mapping[FaceKey, PolarChart]
@@ -127,8 +129,12 @@ class AnalyticField:
     def evaluate(self, key: FaceKey, rho, phi) -> np.ndarray:
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        rho, phi = np.broadcast_arrays(rho, phi)
         return normalized_rows(self.evaluator(key, rho, phi))
+
+    def _evaluate_grid(self, key: FaceKey, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Values at the tensor-product nodes of ring radii ``rho`` and
+        angles ``phi``, shape (rho.size, phi.size, 3), in one call."""
+        return self.evaluate(key, rho[:, None], phi)
 
 
 @dataclass(frozen=True)
@@ -417,10 +423,10 @@ class FaceGrid:
 
     A depth with no held depth below it is evaluated whole.  Depth d + 1
     over a held depth d takes the depth-d values at its even nodes and
-    evaluates only the nodes it adds, the odd rings whole and the even
-    rings at odd samples: bit for bit the whole grid, as the even nodes
-    have the depth-d coordinates (see ``grid_nodes``) and fields work
-    point by point.
+    evaluates only the nodes it adds, in two grid blocks, the odd rings
+    whole and the even rings at odd samples: bit for bit the whole grid,
+    as the even nodes have the depth-d coordinates (see ``grid_nodes``)
+    and fields work point by point.
     """
 
     def __init__(self, field: TangentField, key: FaceKey):
@@ -438,8 +444,8 @@ class FaceGrid:
                 rho, phi = _grid_axes(2 * coarse.shape[0] - 2, 2 * coarse.shape[1])
                 fine = np.empty((rho.size, phi.size, 3))
                 fine[::2, ::2] = coarse
-                fine[1::2], fine[::2, 1::2] = _tensor_values(
-                    self.field, self.key, [(rho[1::2], phi), (rho[::2], phi[1::2])])
+                fine[1::2] = self.field._evaluate_grid(self.key, rho[1::2], phi)
+                fine[::2, 1::2] = self.field._evaluate_grid(self.key, rho[::2], phi[1::2])
                 self._values[d + 1] = fine
         return self._values[depth]
 

@@ -137,22 +137,32 @@ def triangle_sigma(a, b, c, s) -> int:
 
 
 def geodesic_interpolate(u, v, tau) -> np.ndarray:
-    """Row-wise shortest-arc interpolation between unit-vector arrays."""
-    u, v = _rows(u), _rows(v)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), (u.shape[0],))
-    d = np.clip(np.einsum("ij,ij->i", u, v), -1.0, 1.0)
+    """Shortest-arc interpolation between unit-vector arrays, row by row.
+
+    ``u`` and ``v`` have shape (..., 3) (a single vector counts as one
+    row) and ``tau`` broadcasts against their leading axes; the result
+    has the broadcast leading shape + (3,).  The arc of each pair (its
+    dot, arccos and sine) is computed once per pair of ``u`` and ``v``
+    rows, and only the two weight sines once per output row, so an arc
+    shared by many ``tau`` costs one arccos.  Each output row comes from
+    the same operations on the same operands as a row-wise call.
+    """
+    u, v = np.broadcast_arrays(_rows(u), _rows(v))
+    tau = np.asarray(tau, dtype=float)
+    d = np.clip(np.einsum("...j,...j->...", u, v), -1.0, 1.0)
     if np.any(d <= -1.0 + TOL_ANTIPODAL):
         raise AntipodalEndpoints("antipodal pair in geodesic interpolation")
     ang = np.arccos(d)
     # Arc weights on whole arrays; rows closer than 1e-9 take the chord.
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sin(ang)
-        out = ((np.sin((1.0 - tau) * ang) / s)[:, None] * u
-               + (np.sin(tau * ang) / s)[:, None] * v)
-    small = ang < 1e-9
+        out = ((np.sin((1.0 - tau) * ang) / s)[..., None] * u
+               + (np.sin(tau * ang) / s)[..., None] * v)
+    small = np.broadcast_to(ang < 1e-9, out.shape[:-1])
     if small.any():
-        t = tau[small, None]
-        out[small] = normalized_rows((1.0 - t) * u[small] + t * v[small])
+        t = np.broadcast_to(tau, small.shape)[small][:, None]
+        out[small] = normalized_rows((1.0 - t) * np.broadcast_to(u, out.shape)[small]
+                                     + t * np.broadcast_to(v, out.shape)[small])
     return normalized_rows(out)
 
 

@@ -44,16 +44,19 @@ def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
 
     Returns ``sin(2 pi rho) cos(omega phi) xi + sin(2 pi rho) sin(omega
     phi) eta + cos(2 pi rho) s``; the value is ``s`` at rho = 0 and
-    ``-s`` on the whole rho = 1/2 circle.
+    ``-s`` on the whole rho = 1/2 circle.  ``rho`` and ``phi`` broadcast
+    against each other and the result has their broadcast shape + (3,):
+    each sine and cosine is taken once per entry of the array it depends
+    on, so rings ``rho[:, None]`` against angles ``phi`` take them once
+    per ring and once per angle.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    rho, phi = np.broadcast_arrays(rho, phi)
     sr = np.sin(2.0 * np.pi * rho)
     return (
-        (sr * np.cos(omega * phi))[:, None] * np.asarray(xi)
-        + (sr * np.sin(omega * phi))[:, None] * np.asarray(eta)
-        + np.cos(2.0 * np.pi * rho)[:, None] * np.asarray(s)
+        (sr * np.cos(omega * phi))[..., None] * np.asarray(xi)
+        + (sr * np.sin(omega * phi))[..., None] * np.asarray(eta)
+        + np.cos(2.0 * np.pi * rho)[..., None] * np.asarray(s)
     )
 
 
@@ -161,32 +164,49 @@ def representative_boundary(
     xi, eta = adm.xi, adm.eta
 
     def evaluator(key, rho, phi):
+        # Factors of rho alone are taken once per entry of rho, factors
+        # of phi alone once per entry of phi (see ``AnalyticField``).
         kind, idx = key
         m = charts[key].n_segments
-        span = 2.0 * np.pi / m
-        pos = np.mod(phi, 2.0 * np.pi) / span
-        k = np.minimum(pos.astype(int), m - 1)
-        u = pos - k
+
+        def segment(phi):
+            # Boundary segment k of each angle and the position u in it.
+            pos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi / m)
+            k = np.minimum(pos.astype(int), m - 1)
+            return k, pos - k
+
         if kind == TRUNCATED:
             u1, u2, knots = trunc_data[idx]
+            k, u = segment(phi)
             theta = knots[k] + (knots[k + 1] - knots[k]) * u
             full = rho * theta + (1.0 - rho) * knots[0]
-            return np.cos(full)[:, None] * u1 + np.sin(full)[:, None] * u2
+            return np.cos(full)[..., None] * u1 + np.sin(full)[..., None] * u2
         e0s, axcs, totals, omega = cleaved_data[idx]
-        out = np.empty(rho.shape + (3,))
-        inner = rho < 0.5
+        shape = np.broadcast_shapes(rho.shape, phi.shape)
+        rho, phi = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (rho, phi))
+        if any(n > 1 for n in rho.shape[1:]):
+            # rho varies along more than the first axis: point by point.
+            rho, phi = (x.ravel() for x in np.broadcast_arrays(rho, phi))
+        # The covering fills the rows (rings) with rho < 1/2, the geodesic
+        # from -s to the boundary spiral the others.
+        lead = np.broadcast_shapes(rho.shape, phi.shape)
+        inner = np.broadcast_to(rho.reshape(-1) < 0.5, lead[:1])
+
+        def rows(x, part):
+            # The rows ``part`` of x, or x when it broadcasts along rows.
+            return x if x.shape[0] == 1 else x[part]
+
+        out = np.empty(lead + (3,))
         if inner.any():
-            out[inner] = covering_patch(rho[inner], phi[inner], omega, xi, eta, s)
+            out[inner] = covering_patch(rows(rho, inner), rows(phi, inner), omega, xi, eta, s)
         outer = ~inner
         if outer.any():
             # The boundary spiral, needed only where rho >= 1/2.
-            ko = k[outer]
-            ang = totals[ko] * (1.0 - u[outer])
-            bval = np.cos(ang)[:, None] * e0s[ko] + np.sin(ang)[:, None] * axcs[ko]
-            tau = 2.0 * rho[outer] - 1.0
-            base = np.broadcast_to(minus_s, bval.shape)
-            out[outer] = geodesic_interpolate(base, bval, tau)
-        return out
+            k, u = segment(rows(phi, outer))
+            ang = totals[k] * (1.0 - u)
+            bval = np.cos(ang)[..., None] * e0s[k] + np.sin(ang)[..., None] * axcs[k]
+            out[outer] = geodesic_interpolate(minus_s, bval, 2.0 * rows(rho, outer) - 1.0)
+        return out.reshape(shape + (3,))
 
     return AnalyticField(host=phat, charts=charts, evaluator=evaluator)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
+from tangent_topo.fields import charts_for
 from tangent_topo.sphere import geodesic_interpolate, normalized
 
 
@@ -198,6 +199,19 @@ def halfspace_truncation_counts(poly, spec):
     return len(pts), n_edges, len(groups)
 
 
+# --- fields ------------------------------------------------------------------------
+
+def constant_field(phat, vec) -> AnalyticField:
+    """The field that is ``vec`` everywhere, tangent or not, with the
+    broadcasting evaluator contract."""
+    vec = np.asarray(vec, dtype=float)
+
+    def evaluator(key, rho, phi):
+        return np.broadcast_to(vec, np.broadcast(rho, phi).shape + (3,))
+
+    return AnalyticField(host=phat, charts=charts_for(phat), evaluator=evaluator)
+
+
 # --- tangency-preserving perturbations ------------------------------------------
 
 def tangent_perturbation(field: AnalyticField, seed: int,
@@ -228,9 +242,9 @@ def tangent_perturbation(field: AnalyticField, seed: int,
             psi = amp * rho * rho * (1.0 - rho) * np.cos(k * phi + phase)
         else:
             psi = amp * rho * (1.0 - rho)
-        cosp = np.cos(psi)[:, None]
-        sinp = np.sin(psi)[:, None]
-        dot = (vals @ axis)[:, None]
+        cosp = np.cos(psi)[..., None]
+        sinp = np.sin(psi)[..., None]
+        dot = (vals @ axis)[..., None]
         return cosp * vals + sinp * np.cross(axis, vals) + (1.0 - cosp) * dot * axis
 
     return AnalyticField(host=phat, charts=field.charts, evaluator=evaluator)

@@ -10,8 +10,10 @@ from tangent_topo.cli import (
     EXIT_SUMRULE,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    _depth_arg,
     main,
 )
+from tangent_topo.fields import MAX_DEPTH
 from tangent_topo.invariants import invariant_set_to_dict
 
 
@@ -139,6 +141,17 @@ class TestErrorPaths:
             main([command, "--inv", str(inv_file), "--depth", "-1",
                   "--out", str(tmp_path / "x.json")])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["invariants", "synthesize", "export-mesh"])
+    def test_depth_above_max_depth_is_usage_error(self, inv_file, tmp_path, command):
+        # Refused while parsing, before anything is sampled or written.
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main([command, "--inv", str(inv_file), "--depth", str(MAX_DEPTH + 1),
+                  "--out", str(out)])
+        assert err.value.code == EXIT_USAGE
+        assert not out.exists()
+        assert _depth_arg(str(MAX_DEPTH)) == MAX_DEPTH
 
     def test_export_mesh_takes_no_seed(self, inv_file, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -31,7 +31,7 @@ from tangent_topo.fields import (
 from tangent_topo.invariants import s_margin
 from tangent_topo.sphere import triangle_areas, unwrap_rotation_angle
 
-from helpers import pentagonal_pyramid
+from helpers import constant_field, pentagonal_pyramid
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +39,6 @@ def cube_case(cube_phat):
     inv = tt.random_admissible_invariants(cube_phat, seed=2)
     adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
     return inv, tt.representative_boundary(adm, cube_phat)
-
-
-def constant_field(phat, vec):
-    charts = charts_for(phat)
-    vec = np.asarray(vec, dtype=float)
-
-    def evaluator(key, rho, phi):
-        return np.tile(vec, (rho.shape[0], 1))
-
-    return AnalyticField(host=phat, charts=charts, evaluator=evaluator)
 
 
 class TestValidateTangency:
@@ -333,17 +323,102 @@ class TestFaceGrid:
         calls = []
 
         def evaluator(key, rho, phi):
-            calls.append(rho.size)
+            calls.append(np.broadcast(rho, phi).size)
             return field.evaluator(key, rho, phi)
 
         counted = AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
         grid = FaceGrid(counted, (CLEAVED, 0))
+        nodes = []
         for depth in (3, 4, 5):
+            calls.clear()
             grid.values(depth)
+            nodes.append(sum(calls))
         # (R + 1) K nodes with R = 2 ** depth and K = 3 R on a triangle.
-        assert calls == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
+        assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
         assert grid.area_sum(5) == _grid_area_sum(face_grid(field, (CLEAVED, 0), 5))
         assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
+
+    @pytest.mark.parametrize("key", [(CLEAVED, 0), ("truncated", 0)])
+    def test_each_grid_block_is_one_evaluate_call(self, cube_case, monkeypatch, key):
+        # The benchmark's fields.evaluate.analytic.points counter (see
+        # bench/spans.py) reads the broadcast size of each evaluate call,
+        # so grid blocks must reach it whole, one call per block.
+        _, field = cube_case
+        sizes = []
+        evaluate = AnalyticField.evaluate
+
+        def counted(self, face, rho, phi):
+            sizes.append(np.broadcast(np.atleast_1d(rho), np.atleast_1d(phi)).size)
+            return evaluate(self, face, rho, phi)
+
+        monkeypatch.setattr(AnalyticField, "evaluate", counted)
+        m = field.charts[key].n_segments
+        face_grid(field, key, 3)
+        assert sizes == [9 * 8 * m]
+        sizes.clear()
+        grid = FaceGrid(field, key)
+        grid.values(2)
+        grid.values(4)
+        # Depth 2 whole, then per step the odd rings whole and the even
+        # rings at odd samples.
+        assert sizes == [5 * 4 * m, 4 * 8 * m, 5 * 4 * m, 8 * 16 * m, 9 * 8 * m]
+
+
+@pytest.fixture(scope="module")
+def block_fields(cube_phat, tetra_phat, octa_phat):
+    """A representative field of each builtin solid and of the pentagonal
+    pyramid, each followed by its antipodal field."""
+    poly = pentagonal_pyramid()
+    pyramid = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25))
+    out = []
+    for phat, seed in ((cube_phat, 4), (tetra_phat, 1), (octa_phat, 2), (pyramid, 3)):
+        inv = tt.random_admissible_invariants(phat, seed=seed)
+        field = tt.representative_boundary(
+            tt.AdmissibleInvariants.from_invariants(inv, phat), phat)
+        out += [field, antipodal(field)]
+    return out
+
+
+RING_SETS = [[0.0], [0.5], [1.0], [0.0, 0.5, 1.0], [0.25, 0.5, 0.75],
+             [0.5 - 2.0 ** -53, 0.5], [0.375, 0.625, 1.0], [0.0, 0.125, 0.25]]
+
+
+class TestGridBlocks:
+    """A grid block, rings ``rho[:, None]`` against angles ``phi`` in one
+    call, is bit for bit the scattered evaluation at its nodes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(which=st.integers(0, 7), cleaved=st.booleans(), face=st.integers(0, 13),
+           rho=st.one_of(st.sampled_from(RING_SETS),
+                         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)),
+           grid_angles=st.integers(0, 3),
+           phi=st.lists(st.floats(-7.0, 14.0), min_size=1, max_size=8))
+    def test_block_equals_scattered_nodes(self, block_fields, which, cleaved, face,
+                                          rho, grid_angles, phi):
+        field = block_fields[which]
+        keys = [k for k in field.host.face_keys() if (k[0] == CLEAVED) == cleaved]
+        key = keys[face % len(keys)]
+        rho = np.asarray(rho)
+        if grid_angles:
+            # The angles of a grid, corners and segment ends included.
+            m = field.charts[key].n_segments
+            phi = np.arange(m * 2 ** grid_angles) * (2.0 * np.pi / (m * 2 ** grid_angles))
+        phi = np.asarray(phi)
+        block = field._evaluate_grid(key, rho, phi)
+        rr, pp = np.meshgrid(rho, phi, indexing="ij")
+        scattered = field.evaluate(key, rr.ravel(), pp.ravel())
+        assert block.shape == (rho.size, phi.size, 3)
+        assert block.tobytes() == scattered.tobytes()
+        # Any broadcasting pair gives the same values, here two 2-D arrays.
+        assert field.evaluate(key, rr, pp).tobytes() == block.tobytes()
+
+    def test_face_grids_equal_scattered_nodes(self, block_fields):
+        for field in block_fields:
+            for key in field.host.face_keys():
+                R = 4
+                K = field.charts[key].n_segments * R
+                scattered = field.evaluate(key, *grid_nodes(R, K))
+                assert face_grid(field, key, 2).tobytes() == scattered.tobytes()
 
 
 def _pointwise_grid(sampled, key, depth):

@@ -10,7 +10,7 @@ import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
 from tangent_topo import invariants as inv_mod
-from tangent_topo.fields import AnalyticField, charts_for
+from tangent_topo.fields import AnalyticField
 from tangent_topo.invariants import (
     InvariantSet,
     MARGIN_S,
@@ -22,7 +22,7 @@ from tangent_topo.invariants import (
     s_margin,
 )
 
-from helpers import tangent_perturbation
+from helpers import constant_field, tangent_perturbation
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -56,15 +56,6 @@ def crafted_invariants(phat, s, corner=0, corner_eps_sign=1, wrap=None):
         wraps = np.asarray(wrap, dtype=int)
     return InvariantSet(s=s, edge_orientations=eps, kink_numbers=kinks,
                         wrapping_numbers=wraps)
-
-
-def constant_field(phat, vec):
-    charts = charts_for(phat)
-    vec = np.asarray(vec, dtype=float)
-    return AnalyticField(
-        host=phat, charts=charts,
-        evaluator=lambda key, rho, phi: np.tile(vec, (rho.shape[0], 1)),
-    )
 
 
 def _bench_corpus():
@@ -253,8 +244,11 @@ class TestWrapping:
         def evaluator2(face_key, rho, phi):
             if face_key != key:
                 return field.evaluate(face_key, rho, phi)
+            # locate works on a list of points: flatten a grid block.
+            shape = np.broadcast(rho, phi).shape
+            rho, phi = (x.ravel() for x in np.broadcast_arrays(rho, phi))
             rr, pp, _ = chart.locate(charts2[key].point(rho, phi))
-            return field.evaluate(key, rr, pp)
+            return field.evaluate(key, rr, pp).reshape(shape + (3,))
 
         field2 = AnalyticField(host=cube_phat, charts=charts2, evaluator=evaluator2)
         assert tt.extract_wrapping_integral(field2, a, inv.s, depth=5) == w_ref

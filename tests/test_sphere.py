@@ -128,6 +128,28 @@ class TestGeodesics:
         with pytest.raises(errors.AntipodalEndpoints):
             geodesic_interpolate([EY, EX], [EZ, -EX], 0.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rings=st.integers(1, 5),
+           cols=st.integers(1, 7), shared=st.booleans(), lead=st.booleans())
+    def test_broadcast_equals_row_wise_calls(self, seed, rings, cols, shared, lead):
+        # Arcs along one axis and tau along another, as a face grid block
+        # passes them (one start for all arcs when ``shared``, a leading
+        # axis of length 1 when ``lead``): every ring of the result is bit
+        # for bit the row-wise call at that tau.
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=3 if shared else (cols, 3))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        v = np.broadcast_to(u, (cols, 3)) + np.where(
+            rng.random(cols) < 0.3, 1e-11, 0.8)[:, None] * rng.normal(size=(cols, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        tau = rng.uniform(0.0, 1.0, rings)
+        tau[rng.random(rings) < 0.4] = rng.choice([0.0, 0.5, 1.0])
+        got = geodesic_interpolate(u, v[None] if lead else v, tau[:, None])
+        assert got.shape == (rings, cols, 3)
+        for i in range(rings):
+            rows = geodesic_interpolate(np.broadcast_to(u, (cols, 3)), v, np.full(cols, tau[i]))
+            assert got[i].tobytes() == rows.tobytes()
+
     def test_rows_are_independent_of_the_other_rows(self):
         # Pairs closer than 1e-9 take the chord, the others the arc; a
         # call that mixes them must give each row its single-row value.

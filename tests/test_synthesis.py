@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -231,3 +234,18 @@ class TestRepresentative:
             for i in range(0, rho.size, 7):
                 single = field.evaluate(key, rho[i], phi[i])
                 assert mixed[i].tobytes() == single[0].tobytes()
+
+    def test_field_is_freed_by_reference_counting(self, cube_phat):
+        # No reference cycle through the evaluator: a dropped field frees
+        # its closure data at once, not at the next cycle collection.
+        inv = random_admissible_invariants(cube_phat, seed=3)
+        field = tt.representative_boundary(
+            AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
+        field.evaluate((CLEAVED, 0), np.linspace(0.0, 1.0, 5)[:, None], np.zeros(3))
+        ref = weakref.ref(field.evaluator)
+        gc.disable()
+        try:
+            del field
+            assert ref() is None
+        finally:
+            gc.enable()
