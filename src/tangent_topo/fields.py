@@ -34,9 +34,8 @@ from .geometry import (
     FaceKey,
     PolarChart,
     TruncatedPolyhedron,
-    polar_chart,
 )
-from .sphere import SphericalPath, _signed_areas, geodesic_interpolate, normalized_rows
+from .sphere import SphericalPath, _signed_areas, cross, geodesic_interpolate, normalized_rows
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
@@ -46,9 +45,10 @@ MAX_DEPTH = 9
 FIELD_FORMAT = "tangentfield/1"
 
 
-def charts_for(phat: TruncatedPolyhedron) -> Dict[FaceKey, PolarChart]:
-    """Deterministic centroid-based charts for every face."""
-    return {key: polar_chart(phat, key) for key in phat.face_keys()}
+def charts_for(phat: TruncatedPolyhedron) -> Mapping[FaceKey, PolarChart]:
+    """Deterministic centroid-based charts for every face, built once per
+    solid (``TruncatedPolyhedron.charts``)."""
+    return phat.charts
 
 
 def _grid_axes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -78,25 +78,43 @@ def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
     return field._evaluate_grid(key, *_grid_axes(R, field.charts[key].n_segments * R))
 
 
-def _dot(a, b):
+# Entries per band of grid rows in the whole-grid kernels: the
+# temporaries of a band stay in cache, and the allocator reuses them
+# instead of mapping fresh pages for every whole-grid temporary.
+BAND_ENTRIES = 8192
+
+
+def _bands(rows: int, K: int):
+    # Row ranges [i, j) of about BAND_ENTRIES entries of K per row.
+    step = max(1, BAND_ENTRIES // K)
+    return [(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _dot(a, b, out=None):
     # Dot products of x, y, z plane triples, summed in the order of
     # numpy's einsum over three components: (a0 b0 + a2 b2) + a1 b1.
-    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
-
-
-def _cross(a, b):
-    # Cross products of plane triples, term for term those of np.cross.
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    out = np.multiply(a[0], b[0], out=out)
+    part = a[2] * b[2]
+    out += part
+    out += np.multiply(a[1], b[1], out=part)
+    return out
 
 
 def _neighbor_dots(grid: np.ndarray):
-    """The x, y, z planes of an (R + 1, K, 3) grid and those planes
-    rolled one sample around the (periodic) rings, shape (3, R + 1, K),
-    and the dot products of radial neighbors, shape (R, K), and of
-    neighbors around the rings, shape (R + 1, K)."""
-    planes = np.moveaxis(grid, -1, 0)
-    rolled = np.roll(planes, -1, axis=2)
-    return planes, rolled, _dot(planes[:, :-1], planes[:, 1:]), _dot(planes, rolled)
+    """The x, y, z planes of an (R + 1, K, 3) grid with the first sample
+    of each (periodic) ring repeated as column K, shape (3, R + 1, K + 1),
+    and the dot products of radial neighbors over all K + 1 columns,
+    shape (R, K + 1), and of neighbors around the rings, shape (R + 1, K)."""
+    R1, K = grid.shape[:2]
+    planes = np.empty((3, R1, K + 1))
+    planes[:, :, :K] = np.moveaxis(grid, -1, 0)
+    planes[:, :, K] = planes[:, :, 0]
+    radial, around = np.empty((R1 - 1, K + 1)), np.empty((R1, K))
+    for i, j in _bands(R1 - 1, K):
+        _dot(planes[:, i:j], planes[:, i + 1:j + 1], out=radial[i:j])
+    for i, j in _bands(R1, K):
+        _dot(planes[:, i:j, :-1], planes[:, i:j, 1:], out=around[i:j])
+    return planes, radial, around
 
 
 def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
@@ -106,7 +124,7 @@ def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
 
 
 def _grid_step_bound_ok(grid: np.ndarray) -> bool:
-    return _within_quarter_turn(*_neighbor_dots(grid)[2:])
+    return _within_quarter_turn(*_neighbor_dots(grid)[1:])
 
 
 @dataclass(frozen=True)
@@ -400,33 +418,54 @@ def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
     Bit for bit the ``np.sum`` of ``triangle_areas`` over the gathered
     triangles: each dot and triple product has the same operands in the
     same order (a product of two floats does not depend on their order),
-    and the areas are summed in the same order, every first triangle
-    and then every second one, cells row-major.
+    and the areas are summed in the same order, by one ``np.sum`` over
+    the contiguous (2, R, K) areas of every first triangle and then
+    every second one, cells row-major.  The areas are filled in band by
+    band of rows, and the first invalid band ends the pass.
     """
-    planes, rolled, radial, around = _neighbor_dots(grid)
+    planes, radial, around = _neighbor_dots(grid)
     if not _within_quarter_turn(radial, around):
         return None
-    c00, c10 = planes[:, :-1], planes[:, 1:]
-    c01, c11 = rolled[:, :-1], rolled[:, 1:]
-    diag = _dot(c11, c00)
-    # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11, c01).
-    re = np.stack([1.0 + radial + around[1:] + diag,
-                   1.0 + diag + np.roll(radial, -1, axis=1) + around[:-1]])
-    im = np.stack([_dot(_cross(c00, c10), c11), _dot(_cross(c00, c11), c01)])
-    areas, valid = _signed_areas(re, im)
-    return float(np.sum(areas)) if valid.all() else None
+    R, K = radial.shape[0], around.shape[1]
+    areas = np.empty((2, R, K))
+    bands = _bands(R, K)
+    re, im = np.empty((2, 2, bands[0][1], K))  # the first band is the tallest
+    for i, j in bands:
+        rings = planes[:, i:j + 1]
+        c00, c10 = rings[:, :-1, :-1], rings[:, 1:, :-1]
+        c01, c11 = rings[:, :-1, 1:], rings[:, 1:, 1:]
+        diag = _dot(c11, c00)
+        # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11,
+        # c01); radial[:, 1:] is the radial dot of the next sample.
+        first, second = re[0, :j - i], re[1, :j - i]
+        np.add(1.0, radial[i:j, :-1], out=first)
+        first += around[i + 1:j + 1]
+        first += diag
+        np.add(1.0, diag, out=second)
+        second += radial[i:j, 1:]
+        second += around[i:j]
+        _dot(cross(c00, c10, axis=0), c11, out=im[0, :j - i])
+        _dot(cross(c00, c11, axis=0), c01, out=im[1, :j - i])
+        band, valid = _signed_areas(re[:, :j - i], im[:, :j - i])
+        if not valid.all():
+            return None
+        areas[:, i:j] = band
+    return float(np.sum(areas))
 
 
 class FaceGrid:
     """``face_grid(field, key, depth)`` at every depth asked for, each
     built once, with its image-area sum.
 
-    A depth with no held depth below it is evaluated whole.  Depth d + 1
-    over a held depth d takes the depth-d values at its even nodes and
-    evaluates only the nodes it adds, in two grid blocks, the odd rings
-    whole and the even rings at odd samples: bit for bit the whole grid,
-    as the even nodes have the depth-d coordinates (see ``grid_nodes``)
-    and fields work point by point.
+    A depth below a held depth is the nearest finer held grid at every
+    2**k-th ring and sample, k levels down, with no evaluation: those are
+    its nodes, at the same coordinates.  Any other depth with no held
+    depth below it is evaluated whole.  Depth d + 1 over a held depth d
+    takes the depth-d values at its even nodes and evaluates only the
+    nodes it adds, in two grid blocks, the odd rings whole and the even
+    rings at odd samples: bit for bit the whole grid, as the even nodes
+    have the depth-d coordinates (see ``grid_nodes``) and fields work
+    point by point.
     """
 
     def __init__(self, field: TangentField, key: FaceKey):
@@ -436,17 +475,23 @@ class FaceGrid:
 
     def values(self, depth: int) -> np.ndarray:
         if depth not in self._values:
+            finer = min((d for d in self._values if d > depth), default=None)
             held = max((d for d in self._values if d < depth), default=None)
-            if held is None:
+            if finer is not None:
+                step = 2 ** (finer - depth)
+                self._values[depth] = np.ascontiguousarray(
+                    self._values[finer][::step, ::step])
+            elif held is None:
                 self._values[depth] = face_grid(self.field, self.key, depth)
-            for d in range(depth if held is None else held, depth):
-                coarse = self._values[d]
-                rho, phi = _grid_axes(2 * coarse.shape[0] - 2, 2 * coarse.shape[1])
-                fine = np.empty((rho.size, phi.size, 3))
-                fine[::2, ::2] = coarse
-                fine[1::2] = self.field._evaluate_grid(self.key, rho[1::2], phi)
-                fine[::2, 1::2] = self.field._evaluate_grid(self.key, rho[::2], phi[1::2])
-                self._values[d + 1] = fine
+            else:
+                for d in range(held, depth):
+                    coarse = self._values[d]
+                    rho, phi = _grid_axes(2 * coarse.shape[0] - 2, 2 * coarse.shape[1])
+                    fine = np.empty((rho.size, phi.size, 3))
+                    fine[::2, ::2] = coarse
+                    fine[1::2] = self.field._evaluate_grid(self.key, rho[1::2], phi)
+                    fine[::2, 1::2] = self.field._evaluate_grid(self.key, rho[::2], phi[1::2])
+                    self._values[d + 1] = fine
         return self._values[depth]
 
     def boundary(self, depth: int) -> np.ndarray:

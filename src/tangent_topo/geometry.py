@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     SeparationViolation,
     reading_document,
 )
-from .sphere import normalized
+from .sphere import cross, normalized
 
 TOL_GEOM_FACTOR = 1e-9
 
@@ -39,7 +41,7 @@ TRUNCATED = "truncated"
 
 def _newell_normal(points: np.ndarray) -> np.ndarray:
     nxt = np.roll(points, -1, axis=0)
-    return np.cross(points, nxt).sum(axis=0)
+    return cross(points, nxt).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -330,6 +332,12 @@ class TruncatedPolyhedron:
         keys += [(CLEAVED, a) for a in range(len(self.cleaved_faces))]
         return tuple(keys)
 
+    @cached_property
+    def charts(self) -> Mapping[FaceKey, PolarChart]:
+        """The centroid-based ``polar_chart`` of every face, built on first
+        use and shared, read-only, by every field on this solid."""
+        return MappingProxyType({key: polar_chart(self, key) for key in self.face_keys()})
+
     def face_outward_normal(self, key: FaceKey) -> np.ndarray:
         kind, idx = key
         return self.face_normal(idx) if kind == TRUNCATED else self.cut_normal(idx)
@@ -618,7 +626,7 @@ def polar_chart(
     m = len(polygon)
     for k in range(m):
         q0, q1 = pts[k], pts[(k + 1) % m]
-        inward = np.cross(normal, q1 - q0)
+        inward = cross(normal, q1 - q0)
         if (base - q0) @ inward <= 1e-9 * scale:
             raise BasePointOutside("base point is not strictly inside the face")
 
@@ -628,7 +636,7 @@ def polar_chart(
     corners = phat.points[polygon]
 
     w1 = normalized(corners[0] - base)
-    w2 = normalized(np.cross(normal, w1))
+    w2 = normalized(cross(normal, w1))
     return PolarChart(
         corners=corners,
         base=base,

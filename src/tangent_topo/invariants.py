@@ -46,6 +46,7 @@ from .fields import CLEAVED, MAX_DEPTH, FaceGrid, TangentField, boundary_trace
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
+    cross,
     normalized,
     reference_frame,
     spherical_triangle_area,
@@ -194,7 +195,7 @@ def _kink_detail(field, a, c):
     path = boundary_trace(field, ("cleaved", (a, c)), samples=129)
     xi1 = unwrap_rotation_angle(path, axis)
     n0, n1 = path.samples[0], path.samples[-1]
-    sin_eta = float(np.cross(n0, n1) @ axis)
+    sin_eta = float(cross(n0, n1) @ axis)
     cos_eta = float(n0 @ n1)
     if abs(sin_eta) < 1e-9:
         raise ParallelEndpoints(
@@ -266,11 +267,13 @@ def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
     c11 = np.roll(c10, -1, axis=1)
 
     def inside(t0, t1, t2):
-        orient = np.sign(np.einsum("ijk,ijk->ij", np.cross(t0, t1), t2))
+        # Each of the three edge cross products once; the first one
+        # also gives the orientation.
+        edges = cross(t0, t1), cross(t1, t2), cross(t2, t0)
+        orient = np.sign(np.einsum("ijk,ijk->ij", edges[0], t2))
         ok = orient != 0
-        for u, v in ((t0, t1), (t1, t2), (t2, t0)):
-            z = np.einsum("ijk,k->ij", np.cross(u, v), s)
-            ok &= orient * z >= -1e-12
+        for edge in edges:
+            ok &= orient * np.einsum("ijk,k->ij", edge, s) >= -1e-12
         return ok
 
     cand = inside(c00, c10, c11) | inside(c00, c11, c01)
@@ -632,11 +635,11 @@ class InvariantReport:
 def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
     axis = np.zeros(3)
     axis[axis_hint % 3] = 1.0
-    axis = normalized(np.cross(s, axis)) if abs(s[axis_hint % 3]) < 0.9 else normalized(
-        np.cross(s, np.roll(axis, 1))
+    axis = normalized(cross(s, axis)) if abs(s[axis_hint % 3]) < 0.9 else normalized(
+        cross(s, np.roll(axis, 1))
     )
     return normalized(
-        np.cos(angle) * s + np.sin(angle) * np.cross(axis, s)
+        np.cos(angle) * s + np.sin(angle) * cross(axis, s)
     )
 
 

@@ -45,11 +45,46 @@ def normalized(vec) -> np.ndarray:
 
 
 def normalized_rows(arr) -> np.ndarray:
+    """``arr`` with every row (its last axis) scaled to unit length.
+
+    Raises ValueError for a near-zero or non-finite row.  Rows of three
+    take their norm ``sqrt((x*x + y*y) + z*z)`` from component views, in
+    the order ``np.linalg.norm`` sums a length-3 axis, so bit for bit.
+    """
     a = np.asarray(arr, dtype=float)
-    n = np.linalg.norm(a, axis=-1, keepdims=True)
-    if not np.all((n >= 1e-15) & (n < np.inf)):
+    if a.shape[-1:] == (3,) and a.size:
+        x, y, z = a[..., 0], a[..., 1], a[..., 2]
+        n = np.sqrt((x * x + y * y) + z * z)
+        ok = n.min() >= 1e-15 and n.max() < np.inf
+        n = n[..., None]
+    else:
+        n = np.linalg.norm(a, axis=-1, keepdims=True)
+        ok = np.all((n >= 1e-15) & (n < np.inf))
+    if not ok:
         raise ValueError("cannot normalize a near-zero or non-finite vector")
     return a / n
+
+
+def cross(a, b, axis: int = -1) -> np.ndarray:
+    """Cross products of the 3-vectors along ``axis`` of ``a`` and ``b``
+    (broadcast), with the components along ``axis`` of the result.
+
+    Term for term those of ``np.cross`` (``a1 b2 - a2 b1`` and so on),
+    so bit for bit, without its set-up cost: a single pair takes Python
+    floats, whose arithmetic is the same double rounding.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape == b.shape == (3,):
+        (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+        return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    parts = out
+    if axis != 0:
+        a, b, parts = (np.moveaxis(x, axis, 0) for x in (a, b, out))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=parts[i])
+        parts[i] -= a[k] * b[j]
+    return out
 
 
 def reference_frame(s) -> Tuple[np.ndarray, np.ndarray]:
@@ -57,8 +92,8 @@ def reference_frame(s) -> Tuple[np.ndarray, np.ndarray]:
     s = normalized(s)
     axis = np.zeros(3)
     axis[int(np.argmin(np.abs(s)))] = 1.0
-    xi = normalized(np.cross(s, axis))
-    eta = np.cross(xi, s)
+    xi = normalized(cross(s, axis))
+    eta = cross(xi, s)
     return xi, eta
 
 
@@ -78,17 +113,28 @@ def triangle_areas(a, b, c):
     bc = np.einsum("ij,ij->i", b, c)
     ca = np.einsum("ij,ij->i", c, a)
     re = 1.0 + ab + bc + ca
-    im = np.einsum("ij,ij->i", np.cross(a, b), c)
+    im = np.einsum("ij,ij->i", cross(a, b), c)
     return _signed_areas(re, im)
 
 
 def _signed_areas(re, im):
     """Areas ``2 arg(re + i im)`` of triangles with ``re = 1 + a.b + b.c
     + c.a`` and ``im = (a x b).c``, and the validity mask of
-    ``triangle_areas``."""
-    areas = 2.0 * np.arctan2(im, re)
-    valid = np.hypot(re, im) > 1e-13
-    valid &= ~((np.abs(im) <= 1e-13) & (re < 0.0))
+    ``triangle_areas``.
+
+    A rounded ``hypot(re, im)`` is never below ``max(|re|, |im|)``, so
+    only the entries where that maximum is at most 1e-13, or NaN, need
+    the hypotenuse for the mask.
+    """
+    areas = np.arctan2(im, re)
+    areas *= 2.0
+    abs_im = np.abs(im)
+    big = np.abs(re)
+    valid = np.maximum(big, abs_im, out=big) > 1e-13
+    rest = ~valid
+    if rest.any():
+        valid[rest] = np.hypot(re[rest], im[rest]) > 1e-13
+    valid &= ~((abs_im <= 1e-13) & (re < 0.0))
     return areas, valid
 
 
@@ -117,12 +163,9 @@ def triangle_sigma(a, b, c, s) -> int:
     alone would also fire for the antipodal region.
     """
     a, b, c, s = (normalized(v) for v in (a, b, c, s))
-    z = np.array([
-        float(np.cross(a, b) @ s),
-        float(np.cross(b, c) @ s),
-        float(np.cross(c, a) @ s),
-    ])
-    orient = float(np.cross(a, b) @ c)
+    ab = cross(a, b)
+    z = np.array([float(ab @ s), float(cross(b, c) @ s), float(cross(c, a) @ s)])
+    orient = float(ab @ c)
     o = 0 if abs(orient) < 1e-13 else (1 if orient > 0 else -1)
     tiny = np.abs(z) < TOL_ANTIPODAL
     if tiny.any():
@@ -168,7 +211,7 @@ def geodesic_interpolate(u, v, tau) -> np.ndarray:
 
 def _step_angles(samples: np.ndarray) -> np.ndarray:
     u, v = samples[:-1], samples[1:]
-    cr = np.linalg.norm(np.cross(u, v), axis=1)
+    cr = np.linalg.norm(cross(u, v), axis=1)
     dt = np.einsum("ij,ij->i", u, v)
     return np.arctan2(cr, dt)
 
@@ -228,7 +271,7 @@ def unwrap_rotation_angle(path: SphericalPath, axis) -> float:
         raise NotInPlane("path samples are not orthogonal to the axis")
     path.ensure_step_bound()
     u, v = path.samples[:-1], path.samples[1:]
-    steps = np.arctan2(np.cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))
+    steps = np.arctan2(cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))
     return float(np.sum(steps))
 
 

@@ -36,7 +36,7 @@ from .invariants import (
     face_opposition_count,
     s_margin,
 )
-from .sphere import geodesic_interpolate, normalized, reference_frame
+from .sphere import cross, geodesic_interpolate, normalized, reference_frame
 
 
 def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
@@ -97,7 +97,7 @@ def _spiral_parts(phat, eps, kinks, a, c):
     axis = phat.face_normal(c)
     e0 = eps[ce.start_edge]
     e1 = eps[ce.end_edge]
-    sin_eta = float(np.cross(e0, e1) @ axis)
+    sin_eta = float(cross(e0, e1) @ axis)
     cos_eta = float(e0 @ e1)
     if abs(sin_eta) < 1e-12:
         raise ParallelEndpoints(
@@ -105,7 +105,7 @@ def _spiral_parts(phat, eps, kinks, a, c):
         )
     eta = float(np.arctan2(sin_eta, cos_eta))
     total = eta + 2.0 * np.pi * kinks[(a, c)]
-    return e0, np.cross(axis, e0), total
+    return e0, cross(axis, e0), total
 
 
 def representative_boundary(
@@ -130,7 +130,7 @@ def representative_boundary(
         else:
             b0 = segs[-1].key
         u1 = eps[b0]
-        u2 = np.cross(normal, u1)
+        u2 = cross(normal, u1)
         knots = [0.0]
         for seg in segs:
             if seg.kind == "edge":

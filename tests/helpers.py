@@ -248,3 +248,41 @@ def tangent_perturbation(field: AnalyticField, seed: int,
         return cosp * vals + sinp * np.cross(axis, vals) + (1.0 - cosp) * dot * axis
 
     return AnalyticField(host=phat, charts=field.charts, evaluator=evaluator)
+
+
+# --- reference kernels ------------------------------------------------------------
+
+def reference_candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
+    """The preimage cell scan as eight ``np.cross`` calls over ``np.roll``
+    copies of the grid, which ``invariants._candidate_cells`` must match."""
+    c00 = grid[:-1]
+    c10 = grid[1:]
+    c01 = np.roll(c00, -1, axis=1)
+    c11 = np.roll(c10, -1, axis=1)
+
+    def inside(t0, t1, t2):
+        orient = np.sign(np.einsum("ijk,ijk->ij", np.cross(t0, t1), t2))
+        ok = orient != 0
+        for u, v in ((t0, t1), (t1, t2), (t2, t0)):
+            z = np.einsum("ijk,k->ij", np.cross(u, v), s)
+            ok &= orient * z >= -1e-12
+        return ok
+
+    cand = inside(c00, c10, c11) | inside(c00, c11, c01)
+    corner_best = np.maximum.reduce([c00 @ s, c10 @ s, c01 @ s, c11 @ s])
+    h = np.arccos(np.clip(np.minimum.reduce([
+        np.einsum("ijk,ijk->ij", c00, c10),
+        np.einsum("ijk,ijk->ij", c10, c11),
+        np.einsum("ijk,ijk->ij", c11, c01),
+        np.einsum("ijk,ijk->ij", c01, c00),
+    ]), -1.0, 1.0))
+    cand &= corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi))
+    grown = cand.copy()
+    grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
+    grown[1:] |= cand[:-1]
+    grown[:-1] |= cand[1:]
+    idx = np.argwhere(grown)
+    if idx.shape[0] > limit:
+        order = np.argsort(-corner_best[grown])
+        idx = idx[order[:limit]]
+    return idx

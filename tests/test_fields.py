@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import tangent_topo as tt
 from tangent_topo import errors
+from tangent_topo import fields as fields_mod
 from tangent_topo.fields import (
     CLEAVED,
     MAX_DEPTH,
@@ -252,6 +253,9 @@ ANTIPODAL_TRIANGLE = np.array([
     [[1.0, 0.0, 0.0], _TILT],
     [_TILT, [-1.0, 1e-14, 0.0]],
 ])
+# The same cell in the second row and the second column of cells, below
+# a row of cells with zero area (a repeated ring).
+LATE_ANTIPODAL = np.roll(ANTIPODAL_TRIANGLE[[0, 0, 1]], 1, axis=1)
 # Neighbors a quarter turn apart, and the first triangle straddles a
 # hemisphere: three points of one great circle that wrap it.
 STRADDLING = np.array([
@@ -264,19 +268,45 @@ class TestGridAreaSum:
     @settings(max_examples=300, deadline=None)
     @given(unit_grids())
     @example(ANTIPODAL_TRIANGLE)
+    @example(LATE_ANTIPODAL)
     @example(STRADDLING)
     @example(-ANTIPODAL_TRIANGLE[:, ::-1])
     def test_equals_the_gathered_triangle_sum(self, grid):
         expected = _reference_area_sum(grid)
-        got = _grid_area_sum(grid)
-        if expected is None:
-            assert got is None
-        else:
-            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        # In one band of rows, and in bands of one row each, so an
+        # invalid triangle can sit in a later band.
+        for band_entries in (fields_mod.BAND_ENTRIES, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fields_mod, "BAND_ENTRIES", band_entries)
+                got = _grid_area_sum(grid)
+            if expected is None:
+                assert got is None
+            else:
+                assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("R", [37, 129])
+    @pytest.mark.parametrize("band_rows", [None, 10])
+    def test_grids_taller_than_one_band(self, R, band_rows, monkeypatch):
+        K = 384
+        if band_rows is not None:
+            monkeypatch.setattr(fields_mod, "BAND_ENTRIES", band_rows * K)
+        bands = fields_mod._bands(R, K)
+        # Several bands, the last one shorter than the others.
+        assert len(bands) > 1 and bands[-1][1] - bands[-1][0] < bands[0][1]
+        rho, phi = np.meshgrid(np.linspace(0.0, 1.0, R + 1), np.arange(K) * (2 * np.pi / K),
+                               indexing="ij")
+        lat = rho * (0.2 + 0.4 * np.sin(3.0 * phi))
+        lon = phi + 0.3 * rho * np.cos(2.0 * phi)
+        grid = np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)],
+                        axis=-1)
+        expected = _reference_area_sum(grid)
+        assert expected is not None
+        assert np.float64(_grid_area_sum(grid)).tobytes() == np.float64(expected).tobytes()
 
     def test_refuses_an_antipodal_triangle_of_a_resolved_grid(self):
-        assert _grid_step_bound_ok(ANTIPODAL_TRIANGLE)
-        assert _grid_area_sum(ANTIPODAL_TRIANGLE) is None
+        for grid in (ANTIPODAL_TRIANGLE, LATE_ANTIPODAL):
+            assert _grid_step_bound_ok(grid)
+            assert _grid_area_sum(grid) is None
 
     def test_equals_the_gathered_sum_on_representative_grids(self, cube_case):
         # Larger than the drawn grids, so np.sum splits the areas into
@@ -305,9 +335,9 @@ def solid_fields(cube_phat, tetra_phat, octa_phat):
 class TestFaceGrid:
     @settings(max_examples=40, deadline=None)
     @given(which=st.integers(0, 5), face=st.integers(0, 13), depth=st.integers(0, 6),
-           start=st.integers(0, 6))
+           start=st.integers(0, 6), lower=st.integers(0, 6))
     def test_nested_grid_is_the_evaluated_grid(self, solid_fields, which, face,
-                                               depth, start):
+                                               depth, start, lower):
         field = solid_fields[which]
         keys = field.host.face_keys()
         key = keys[face % len(keys)]
@@ -317,6 +347,10 @@ class TestFaceGrid:
         assert (grid.values(depth + 1).tobytes()
                 == face_grid(field, key, depth + 1).tobytes())
         assert grid.values(depth + 1) is grid.values(depth + 1)
+        # A depth at or below the held ones is read, or sliced from the
+        # nearest finer one.
+        lower = min(lower, depth)
+        assert grid.values(lower).tobytes() == face_grid(field, key, lower).tobytes()
 
     def test_evaluates_every_node_once(self, cube_case):
         _, field = cube_case
@@ -337,6 +371,20 @@ class TestFaceGrid:
         assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
         assert grid.area_sum(5) == _grid_area_sum(face_grid(field, (CLEAVED, 0), 5))
         assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
+        # A depth asked below a finer one evaluates nothing: it is sliced
+        # from the nearest finer grid, every 2**k-th ring and sample, also
+        # where a coarser depth is held too (depth 4 after 5 and 3).
+        fine = FaceGrid(counted, (CLEAVED, 0))
+        calls.clear()
+        fine.values(5)
+        assert sum(calls) == 33 * 96
+        for depth in (3, 4, 2):
+            calls.clear()
+            coarse = fine.values(depth)
+            assert calls == []
+            assert coarse.flags.c_contiguous
+            assert coarse.tobytes() == face_grid(field, (CLEAVED, 0), depth).tobytes()
+        assert fine.area_sum(3) == grid.area_sum(3)
 
     @pytest.mark.parametrize("key", [(CLEAVED, 0), ("truncated", 0)])
     def test_each_grid_block_is_one_evaluate_call(self, cube_case, monkeypatch, key):

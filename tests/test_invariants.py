@@ -21,8 +21,9 @@ from tangent_topo.invariants import (
     report_to_dict,
     s_margin,
 )
+from tangent_topo.sphere import normalized
 
-from helpers import constant_field, tangent_perturbation
+from helpers import constant_field, reference_candidate_cells, tangent_perturbation
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -252,6 +253,34 @@ class TestWrapping:
 
         field2 = AnalyticField(host=cube_phat, charts=charts2, evaluator=evaluator2)
         assert tt.extract_wrapping_integral(field2, a, inv.s, depth=5) == w_ref
+
+
+class TestCandidateCells:
+    def test_equals_the_reference_scan_on_representatives(self, cube_phat, tetra_phat):
+        rng = np.random.default_rng(11)
+        for phat, seed in ((cube_phat, 3), (tetra_phat, 1)):
+            inv, field = make_representative(phat, seed=seed)
+            for a in range(len(phat.cleaved_faces)):
+                for depth in (3, 6):
+                    grid = fields_mod.face_grid(field, ("cleaved", a), depth)
+                    # s itself, a node value (a preimage on the grid) and
+                    # a random direction.
+                    node = grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])]
+                    for s in (inv.s, node, normalized(rng.normal(size=3))):
+                        got = inv_mod._candidate_cells(grid, s)
+                        assert np.array_equal(got, reference_candidate_cells(grid, s))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_reference_scan_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        R, K = 5 + seed, 8 + 3 * seed
+        base = normalized(rng.normal(size=3))
+        grid = base + (0.3 + 0.5 * seed) * rng.normal(size=(R + 1, K, 3))
+        grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
+        for s in (base, -base, grid[1, 2], normalized(rng.normal(size=3))):
+            for limit in (96, 5):
+                got = inv_mod._candidate_cells(grid, s, limit)
+                assert np.array_equal(got, reference_candidate_cells(grid, s, limit))
 
 
 class TestTrappedAreas:

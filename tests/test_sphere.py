@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tangent_topo import errors
 from tangent_topo.sphere import (
     ImageMesh,
     _check_closed_oriented,
+    _signed_areas,
     SphericalPath,
+    cross,
     geodesic_interpolate,
     mesh_degree,
+    normalized_rows,
     spherical_triangle_area,
     triangle_sigma,
     unwrap_rotation_angle,
@@ -92,6 +96,117 @@ class TestTriangleArea:
             assert spherical_triangle_area(rot @ a, rot @ b, rot @ c) == pytest.approx(
                 base, abs=1e-10
             )
+
+
+def _reference_normalized_rows(arr):
+    # Rows scaled by their np.linalg.norm, which normalized_rows must match.
+    a = np.asarray(arr, dtype=float)
+    n = np.linalg.norm(a, axis=-1, keepdims=True)
+    if not np.all((n >= 1e-15) & (n < np.inf)):
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
+    return a / n
+
+
+def _layouts(a):
+    """``a`` contiguous, with its last axis strided (a moved-axis view of
+    a plane copy), and broadcast along its last and its first axis."""
+    out = [a, np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1),
+           np.broadcast_to(a[..., :1], a.shape)]
+    if a.ndim > 1:
+        out.append(np.broadcast_to(a[:1], a.shape))
+    return out
+
+
+class TestNormalizedRows:
+    @pytest.mark.parametrize("shape", [(3,), (7, 3), (5, 6, 3), (0, 3)])
+    def test_equals_the_linalg_norm_reference(self, shape):
+        rng = np.random.default_rng(len(shape))
+        # Row scales from 1e-9 to 1e9, so the squares span many exponents.
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 9, size=shape[:-1] + (1,))
+        for view in _layouts(a):
+            got = normalized_rows(view)
+            assert got.shape == view.shape
+            assert got.tobytes() == _reference_normalized_rows(view).tobytes()
+
+    def test_other_row_lengths_take_the_reference(self):
+        a = np.random.default_rng(3).normal(size=(4, 5))
+        assert normalized_rows(a).tobytes() == _reference_normalized_rows(a).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [1e-16, 0.0, 0.0],
+                                     [np.inf, 0.0, 0.0], [0.0, np.nan, 1.0],
+                                     [1e200, 1e200, 0.0]])
+    def test_raises_on_a_zero_tiny_or_non_finite_row(self, bad):
+        rows = np.ones((5, 3))
+        rows[3] = bad
+        for view in [np.asarray(bad, dtype=float), *_layouts(rows)[:2]]:
+            with np.errstate(over="ignore"):
+                with pytest.raises(ValueError):
+                    _reference_normalized_rows(view)
+                with pytest.raises(ValueError):
+                    normalized_rows(view)
+
+
+# Values around the 1e-13 cut-off of the area mask, including pairs whose
+# hypotenuse straddles it while neither entry reaches it.
+_MASK_EDGES = [0.0, -0.0, 1e-13, -1e-13, np.nextafter(1e-13, 1.0), np.nextafter(1e-13, 0.0),
+               1e-13 / np.sqrt(2.0), np.nextafter(1e-13 / np.sqrt(2.0), 1.0), 9e-14, -6e-14,
+               5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300,
+               np.inf, -np.inf, np.nan]
+
+
+class TestSignedAreas:
+    @staticmethod
+    def _reference(re, im):
+        # Every entry through hypot, as the mask was first written.
+        with np.errstate(invalid="ignore", over="ignore"):
+            areas = 2.0 * np.arctan2(im, re)
+            valid = np.hypot(re, im) > 1e-13
+        valid &= ~((np.abs(im) <= 1e-13) & (re < 0.0))
+        return areas, valid
+
+    def _check(self, re, im):
+        want_areas, want_valid = self._reference(re, im)
+        with np.errstate(invalid="ignore"):
+            areas, valid = _signed_areas(re, im)
+        assert areas.tobytes() == want_areas.tobytes()
+        assert np.array_equal(valid, want_valid)
+
+    def test_every_pair_of_edge_values(self):
+        re, im = np.meshgrid(_MASK_EDGES, _MASK_EDGES)
+        self._check(re, im)
+
+    def test_nan_with_a_large_partner_is_invalid(self):
+        # hypot is NaN there, though one entry is far above 1e-13.
+        _, valid = _signed_areas(np.array([np.nan, 1e300, 1.0]),
+                                 np.array([1e300, np.nan, np.nan]))
+        assert not valid.any()
+        # hypot(inf, NaN) is inf.
+        assert _signed_areas(np.array([np.inf]), np.array([np.nan]))[1].all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(float, (2, 12), elements=st.one_of(
+        st.sampled_from(_MASK_EDGES), st.floats(-2e-13, 2e-13), st.floats())))
+    def test_equals_the_whole_array_hypot(self, parts):
+        self._check(parts[0], parts[1])
+
+
+class TestCross:
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, (2, 4, 3), elements=st.floats(-1e100, 1e100)))
+    def test_equals_np_cross(self, ab):
+        a, b = ab
+        for x, y in ((a, b), (a[0], b[0]), (a[0], b), (a, b[1])):
+            assert cross(x, y).tobytes() == np.cross(x, y).tobytes()
+        planes = cross(a.T, b.T, axis=0)
+        assert planes.tobytes() == np.ascontiguousarray(np.cross(a, b).T).tobytes()
+
+    def test_grid_blocks_and_strided_inputs(self):
+        g = np.random.default_rng(5).normal(size=(9, 7, 3))
+        for x, y in ((g[:-1], g[1:]), (g[:-1], np.roll(g[1:], -1, axis=1)),
+                     (g[:, ::2][:, :3], g[:, 1::2])):
+            got = cross(x, y)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.cross(x, y).tobytes()
 
 
 class TestTriangleSigma:

@@ -249,3 +249,17 @@ class TestRepresentative:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_fields_on_one_solid_share_its_charts(self, cube_phat):
+        # The charts are derived once per truncation and shared read-only.
+        fields = [tt.representative_boundary(
+            AdmissibleInvariants.from_invariants(
+                random_admissible_invariants(cube_phat, seed=seed), cube_phat), cube_phat)
+            for seed in (1, 2)]
+        assert fields[0].charts is fields[1].charts is tt.charts_for(cube_phat)
+        key = (CLEAVED, 0)
+        fresh = tt.polar_chart(cube_phat, key)
+        assert np.array_equal(fields[0].charts[key].base, fresh.base)
+        assert np.array_equal(fields[0].charts[key].corners, fresh.corners)
+        with pytest.raises(TypeError):
+            fields[0].charts[key] = None
