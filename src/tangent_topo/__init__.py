@@ -16,7 +16,6 @@ from .fields import (
     SampledField,
     antipodal,
     boundary_trace,
-    charts_for,
     field_from_dict,
     field_to_dict,
     load_field,
@@ -85,7 +84,6 @@ __all__ = [
     "antipodal_invariants",
     "boundary_trace",
     "builtin_polyhedron",
-    "charts_for",
     "check_sum_rules",
     "choose_reference_s",
     "covering_patch",

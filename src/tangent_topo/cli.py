@@ -145,7 +145,7 @@ def _field_from_args(args):
         phat = field.host
         return field, phat, phat.parent.to_dict(), None, diagnostics
     data = _load_json(args.inv)
-    poly, spec, phat, inv, source = invariants.parse_invariants_document(data)
+    phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
         raise argparse.ArgumentTypeError(
             f"|wrapping| is limited to {MAX_WRAPPING} per face"
@@ -188,7 +188,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_check(args) -> int:
     data = _load_json(args.inv)
-    poly, spec, phat, inv, source = invariants.parse_invariants_document(data)
+    phat, inv, source = invariants.parse_invariants_document(data)
     verdicts = invariants.check_sum_rules(inv, phat)
     out = {
         "format": "sum-rule-check/1",

@@ -45,12 +45,6 @@ MAX_DEPTH = 9
 FIELD_FORMAT = "tangentfield/1"
 
 
-def charts_for(phat: TruncatedPolyhedron) -> Mapping[FaceKey, PolarChart]:
-    """Deterministic centroid-based charts for every face, built once per
-    solid (``TruncatedPolyhedron.charts``)."""
-    return phat.charts
-
-
 def _grid_axes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
     # Ring radii and ring angles of the nodes of ``grid_nodes(R, K)``.
     return np.linspace(0.0, 1.0, R + 1), np.arange(K) * (2.0 * np.pi / K)
@@ -245,10 +239,26 @@ def antipodal(field: TangentField) -> TangentField:
     )
 
 
-def _segment_tracer(field: TangentField, key: FaceKey, seg_index: int,
-                    reverse: bool = False):
-    chart = field.charts[key]
-    phi0, phi1 = chart.segment_span(seg_index)
+def _curve_tracer(field: TangentField, curve, side: int = 0, reverse: bool = False):
+    """The field along ``curve`` (see ``boundary_trace``) at parameters t
+    in [0, 1], on the face of side ``side``: trimmed face ``c`` (0) or
+    corner face ``a`` (1) of cleaved edge ``(a, c)``, and face
+    ``edge_faces[b, side]`` of truncated edge ``b``."""
+    kind, ident = curve
+    if kind == "cleaved":
+        key = ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
+    elif kind == "edge":
+        key = (TRUNCATED, int(field.host.parent.edge_faces[ident, side]))
+    elif kind == "boundary":
+        key = ident
+    else:
+        raise FieldError(f"unknown curve kind {kind!r}")
+    phi0, phi1 = 0.0, 2.0 * np.pi
+    if kind != "boundary":
+        chart = field.charts[key]
+        seg = chart.segment_index(kind, ident)
+        reverse ^= not chart.segments[seg].forward
+        phi0, phi1 = chart.segment_span(seg)
 
     def evaluate(t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -258,25 +268,10 @@ def _segment_tracer(field: TangentField, key: FaceKey, seg_index: int,
     return evaluate
 
 
-def _owner_for_cleaved(field: TangentField, ac: Tuple[int, int]) -> Tuple[FaceKey, int, bool]:
-    a, c = ac
-    key = (TRUNCATED, c)
-    seg = field.charts[key].segment_index("cleaved", (a, c))
-    return key, seg, False
-
-
-def _owner_for_edge(field: TangentField, b: int, side: int = 0) -> Tuple[FaceKey, int, bool]:
-    c = int(field.host.parent.edge_faces[b, side])
-    key = (TRUNCATED, c)
-    seg = field.charts[key].segment_index("edge", b)
-    forward = field.charts[key].segments[seg].forward
-    return key, seg, not forward
-
-
-def _edge_traces(field: TangentField, b: int, t: np.ndarray) -> list:
-    # The field along truncated edge ``b`` from its low-index endpoint,
-    # at parameters ``t``, as each of its two faces holds it.
-    return [_segment_tracer(field, *_owner_for_edge(field, b, side))(t) for side in (0, 1)]
+def _seam_traces(field: TangentField, curve, t: np.ndarray) -> list:
+    # The field along a cleaved or truncated edge at parameters ``t``, as
+    # each of the two faces that hold it holds it.
+    return [_curve_tracer(field, curve, side)(t) for side in (0, 1)]
 
 
 def boundary_trace(
@@ -294,26 +289,7 @@ def boundary_trace(
     The returned path carries a refinement callback, so downstream
     unwrapping can bisect it adaptively.
     """
-    kind = curve[0]
-    if kind == "cleaved":
-        key, seg, rev = _owner_for_cleaved(field, curve[1])
-        rev ^= reverse
-        evaluate = _segment_tracer(field, key, seg, rev)
-    elif kind == "edge":
-        key, seg, rev = _owner_for_edge(field, curve[1])
-        rev ^= reverse
-        evaluate = _segment_tracer(field, key, seg, rev)
-    elif kind == "boundary":
-        face_key = curve[1]
-
-        def evaluate(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            local = 1.0 - t if reverse else t
-            return field.evaluate(face_key, np.ones_like(t),
-                                  2.0 * np.pi * local)
-    else:
-        raise FieldError(f"unknown curve kind {kind!r}")
-
+    evaluate = _curve_tracer(field, curve, reverse=reverse)
     if samples < 2:
         raise FieldError("need at least two samples")
     t = np.linspace(0.0, 1.0, samples)
@@ -365,7 +341,7 @@ def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
     edge_mis = {}
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        traces = _edge_traces(field, b, t)
+        traces = _seam_traces(field, ("edge", b), t)
         mis = max(
             float(np.max(1.0 - np.abs(tr @ direction))) for tr in traces
         )
@@ -376,12 +352,8 @@ def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
         edge_mis[b] = mis
 
     worst_cont = 0.0
-    for (a, c) in phat.cleaved_edges:
-        key_f, seg_f, _ = _owner_for_cleaved(field, (a, c))
-        from_f = _segment_tracer(field, key_f, seg_f, False)(t)
-        key_c = (CLEAVED, a)
-        seg_c = field.charts[key_c].segment_index("cleaved", (a, c))
-        from_c = _segment_tracer(field, key_c, seg_c, True)(t)
+    for ac in phat.cleaved_edges:
+        from_f, from_c = _seam_traces(field, ("cleaved", ac), t)
         worst_cont = max(worst_cont, float(np.max(np.linalg.norm(from_f - from_c, axis=1))))
 
     return TangencyReport(
@@ -530,19 +502,6 @@ def _float_rows(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _truncation_to_dict(spec) -> dict:
-    return {"normals": _float_rows(spec.normals), "points": _float_rows(spec.points)}
-
-
-def truncation_from_dict(poly, data: dict):
-    if "lambda" in data:
-        return geometry.TruncationSpec.from_fraction(poly, float(data["lambda"]))
-    return geometry.TruncationSpec(
-        normals=np.asarray(data["normals"], dtype=float),
-        points=np.asarray(data["points"], dtype=float),
-    )
-
-
 def _field_document(field: TangentField, depth: int,
                     poly_source: Optional[dict]):
     """The entries of a field document other than ``faces``, and the face
@@ -570,14 +529,15 @@ def _field_document(field: TangentField, depth: int,
     head = {
         "format": FIELD_FORMAT,
         "polyhedron": poly_source or phat.parent.to_dict(),
-        "truncation": _truncation_to_dict(phat.spec),
+        "truncation": phat.spec.to_dict(),
     }
     return head, map(face_block, phat.face_keys())
 
 
 def field_to_dict(field: TangentField, depth: int = 4,
                   poly_source: Optional[dict] = None) -> dict:
-    """Serializable description of the field, sampled at ``depth``."""
+    """Serializable description of the field: an analytic field sampled
+    at ``depth``, a SampledField at its stored grids (``depth`` unused)."""
     head, faces = _field_document(field, depth, poly_source)
     return {**head, "faces": list(faces)}
 
@@ -592,16 +552,10 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     with reading_document(FieldError, "field"):
         if data.get("format") != FIELD_FORMAT:
             raise FieldError(f"unsupported field format {data.get('format')!r}")
-        poly_data = data["polyhedron"]
-        if "builtin" in poly_data:
-            poly = geometry.builtin_polyhedron(poly_data["builtin"])
-        else:
-            poly = geometry.polyhedron_from_dict(poly_data)
-        spec = truncation_from_dict(poly, data["truncation"])
-        phat = geometry.truncate(poly, spec)
-        charts = charts_for(phat)
+        phat, _ = geometry.truncated_solid(data["polyhedron"], data["truncation"])
+        charts = phat.charts
         values = {}
-        scale = float(np.linalg.norm(poly.vertices.max(0) - poly.vertices.min(0)))
+        scale = float(np.linalg.norm(np.ptp(phat.parent.vertices, axis=0)))
         for entry in data["faces"]:
             key = (entry["kind"], int(entry["index"]))
             if key not in charts:
@@ -631,7 +585,8 @@ def save_field(field: TangentField, path, depth: int = 4,
     """Write ``field_to_dict(field, depth, poly_source)`` as the bytes of
     ``json.dump(..., sort_keys=True)`` and a newline, one face block at a
     time through the C encoder of ``json.dumps``, so the whole document
-    never sits in memory as text."""
+    never sits in memory as text.  As there, ``depth`` is the sampling
+    depth of an analytic field; a SampledField keeps its stored grids."""
     head, faces = _field_document(field, depth, poly_source)
     with open(path, "w", encoding="utf-8") as fh:
         # "faces" sorts before every other top-level key.

@@ -262,6 +262,11 @@ class TruncationSpec:
             points[a] = verts[a] - lam * nn * normal
         return cls(normals=normals, points=points)
 
+    def to_dict(self) -> dict:
+        """The ``truncation`` entry of a document: every cut plane."""
+        return {"normals": np.asarray(self.normals, dtype=float).tolist(),
+                "points": np.asarray(self.points, dtype=float).tolist()}
+
 
 @dataclass(frozen=True)
 class CleavedEdge:
@@ -502,6 +507,25 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
     return phat
 
 
+def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, dict]:
+    """The solid that a document's ``polyhedron`` and ``truncation``
+    entries name (a fraction ``lambda`` or the cut planes of
+    ``TruncationSpec.to_dict``), and the polyhedron entry to write back,
+    ``{"builtin": name}`` or the solid's own document."""
+    if "builtin" in poly_entry:
+        poly = builtin_polyhedron(poly_entry["builtin"])
+        source = {"builtin": poly_entry["builtin"]}
+    else:
+        poly = polyhedron_from_dict(poly_entry)
+        source = poly.to_dict()
+    if "lambda" in truncation_entry:
+        spec = TruncationSpec.from_fraction(poly, float(truncation_entry["lambda"]))
+    else:
+        spec = TruncationSpec(normals=np.asarray(truncation_entry["normals"], dtype=float),
+                              points=np.asarray(truncation_entry["points"], dtype=float))
+    return truncate(poly, spec), source
+
+
 @dataclass(frozen=True)
 class ChartSegment:
     kind: str            # "cleaved" or "edge"
@@ -535,15 +559,19 @@ class PolarChart:
     def n_segments(self) -> int:
         return self.corners.shape[0]
 
-    def boundary_point(self, phi) -> np.ndarray:
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    def segment_position(self, phi) -> Tuple[np.ndarray, np.ndarray]:
+        """Side ``k`` of the boundary at each angle of the array ``phi``,
+        taken mod 2 pi, and the fraction ``u`` along that side; an angle
+        that rounds up to a full turn stays on side m - 1."""
         m = self.n_segments
-        span = 2.0 * np.pi / m
-        pos = np.mod(phi, 2.0 * np.pi) / span
+        pos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi / m)
         k = np.minimum(pos.astype(int), m - 1)
-        u = pos - k
+        return k, pos - k
+
+    def boundary_point(self, phi) -> np.ndarray:
+        k, u = self.segment_position(np.atleast_1d(np.asarray(phi, dtype=float)))
         q0 = self.corners[k]
-        q1 = self.corners[(k + 1) % m]
+        q1 = self.corners[(k + 1) % self.n_segments]
         return (1.0 - u)[:, None] * q0 + u[:, None] * q1
 
     def point(self, rho, phi) -> np.ndarray:

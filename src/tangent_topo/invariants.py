@@ -170,7 +170,7 @@ def extract_edge_orientations(field: TangentField) -> np.ndarray:
     eps = np.empty((phat.parent.n_edges, 3))
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        stacked = np.concatenate(fields_mod._edge_traces(field, b, t), axis=0)
+        stacked = np.concatenate(fields_mod._seam_traces(field, ("edge", b), t), axis=0)
         spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
         if spread > fields_mod.TOL_CONTINUITY:
             raise NonConstantEdge(f"edge {b} value varies by {spread:.3g}")
@@ -657,6 +657,25 @@ def _preimage_with_retries(field, a, s, grid_depth, cache=None):
     return None
 
 
+def _checked_preimage(field, a, s_ref, w, depth, used, grid):
+    """Preimage count of corner face ``a``, checked against the integral
+    route (``w`` at ``s_ref``, depth ``used``) as ``extract_all`` says;
+    None where no direction is a regular value.  An unresolved grid can
+    hide preimages, so a disagreement at ``depth`` is scanned again at
+    ``used`` and raises DualRouteMismatch only there."""
+    for scan in (depth,) if used == depth else (depth, used):
+        found = _preimage_with_retries(field, a, s_ref, scan, cache=grid)
+        if found is None:
+            return None
+        pre, s_k = found
+        ref = w if s_k is s_ref else _wrapping_integral_detail(
+            field, a, s_k, depth, cache=grid)[0]
+        if pre == ref:
+            return pre
+    raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
+                            f"preimage {pre} at s = {s_k}")
+
+
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int) -> np.ndarray:
     """``s`` normalized, or the first of six seeded directions off every
     fan-triangle boundary, by the closed form's own checks: run with zero
@@ -693,8 +712,9 @@ def extract_all(
     against the preimage route wherever the latter finds a regular
     value: at ``s``, or at the slightly rotated direction its retry
     used, where the integral route is taken again.  A disagreement
-    raises DualRouteMismatch.  Trapped areas are computed by both the
-    closed form and direct quadrature.  ``with_preimage=False`` skips
+    raises DualRouteMismatch, unless the grid at ``depth`` is unresolved
+    and a rescan on the route's resolved grid agrees.  Trapped areas are
+    computed by both the closed form and direct quadrature.  ``with_preimage=False`` skips
     the cross-route (its report column is then all None).
     """
     from . import __version__
@@ -711,16 +731,8 @@ def extract_all(
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
-        pre = None
-        if with_preimage:
-            found = _preimage_with_retries(field, a, s_ref, depth, cache=grid)
-            if found is not None:
-                pre, s_k = found
-                ref = w if s_k is s_ref else _wrapping_integral_detail(
-                    field, a, s_k, depth, cache=grid)[0]
-                if pre != ref:
-                    raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
-                                            f"preimage {pre} at s = {s_k}")
+        pre = (_checked_preimage(field, a, s_ref, w, depth, used, grid)
+               if with_preimage else None)
         direct = trapped_area_direct(field, a, trapped_depth, cache=grid)
         results.append((w, res, used, pre, direct))
     omegas, residuals, depths, preimages, directs = zip(*results)
@@ -813,11 +825,10 @@ def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantS
 
 
 def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
-                   poly_source: Optional[dict] = None,
-                   truncation: Optional[dict] = None) -> dict:
+                   poly_source: Optional[dict] = None) -> dict:
     inv_dict = invariant_set_to_dict(report.invariants, phat)
     inv_dict["polyhedron"] = poly_source or phat.parent.to_dict()
-    inv_dict["truncation"] = truncation or fields_mod._truncation_to_dict(phat.spec)
+    inv_dict["truncation"] = phat.spec.to_dict()
     return {
         "format": REPORT_FORMAT,
         "tool_version": report.tool_version,
@@ -853,24 +864,17 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
 def parse_invariants_document(data: dict):
     """Read an invariant-set file or a report file (re-ingestible).
 
-    Returns ``(poly, spec, phat, InvariantSet, poly_source_dict)``.  A
-    missing or mistyped entry raises InvariantError.
+    Returns ``(phat, InvariantSet, poly_source_dict)``; a document with
+    no ``truncation`` entry is cut at fraction 0.2.  A missing or
+    mistyped entry raises InvariantError.
     """
     with reading_document(InvariantError, "invariant"):
         if data.get("format") == REPORT_FORMAT:
             data = data["invariants"]
         elif data.get("format", INVARIANTS_FORMAT) != INVARIANTS_FORMAT:
             raise InvariantError(f"unsupported invariants format {data.get('format')!r}")
-        poly_data = data["polyhedron"]
-        if "builtin" in poly_data:
-            poly = geometry.builtin_polyhedron(poly_data["builtin"])
-            poly_source = {"builtin": poly_data["builtin"]}
-        else:
-            poly = geometry.polyhedron_from_dict(poly_data)
-            poly_source = poly.to_dict()
-        spec = fields_mod.truncation_from_dict(
-            poly, data.get("truncation", {"lambda": 0.2}))
-        phat = geometry.truncate(poly, spec)
+        phat, poly_source = geometry.truncated_solid(
+            data["polyhedron"], data.get("truncation", {"lambda": 0.2}))
         inv = invariant_set_from_dict(phat, data)
-    return poly, spec, phat, inv, poly_source
+    return phat, inv, poly_source
 

@@ -27,7 +27,7 @@ from .errors import (
     ParallelEndpoints,
     SumRuleViolation,
 )
-from .fields import CLEAVED, TRUNCATED, AnalyticField, charts_for
+from .fields import CLEAVED, TRUNCATED, AnalyticField
 from .geometry import TruncatedPolyhedron
 from .invariants import (
     InvariantSet,
@@ -111,15 +111,17 @@ def _spiral_parts(phat, eps, kinks, a, c):
 def representative_boundary(
     adm: AdmissibleInvariants,
     phat: TruncatedPolyhedron,
-    charts=None,
 ) -> AnalyticField:
     """Analytic boundary field whose invariants are ``adm.invariants``."""
     inv = adm.invariants
     eps = inv.edge_orientations
     s = inv.s
     minus_s = -s
-    charts = charts or charts_for(phat)
+    charts = phat.charts
 
+    # Each cleaved-edge spiral, built once as its trimmed face's loop
+    # reaches it and read again by its corner face.
+    spirals = {}
     trunc_data = {}
     for c in range(len(phat.trunc_faces)):
         chart = charts[(TRUNCATED, c)]
@@ -136,9 +138,8 @@ def representative_boundary(
             if seg.kind == "edge":
                 knots.append(knots[-1])
             else:
-                a_, c_ = seg.key
-                _, _, total = _spiral_parts(phat, eps, inv.kink_numbers, a_, c_)
-                knots.append(knots[-1] + total)
+                spirals[seg.key] = _spiral_parts(phat, eps, inv.kink_numbers, *seg.key)
+                knots.append(knots[-1] + spirals[seg.key][2])
         knots = np.asarray(knots)
         if abs(knots[-1] - knots[0]) > 1e-9:
             raise NonzeroWinding(
@@ -147,19 +148,10 @@ def representative_boundary(
         trunc_data[c] = (u1, u2, knots)
 
     cleaved_data = {}
-    for a, cf in enumerate(phat.cleaved_faces):
-        chart = charts[(CLEAVED, a)]
-        e0s, axcs, totals = [], [], []
-        for seg in chart.segments:
-            a_, c_ = seg.key
-            e0, axc, total = _spiral_parts(phat, eps, inv.kink_numbers, a_, c_)
-            e0s.append(e0)
-            axcs.append(axc)
-            totals.append(total)
-        cleaved_data[a] = (
-            np.asarray(e0s), np.asarray(axcs), np.asarray(totals),
-            int(inv.wrapping_numbers[a]),
-        )
+    for a in range(len(phat.cleaved_faces)):
+        segs = charts[(CLEAVED, a)].segments
+        e0s, axcs, totals = (np.asarray(x) for x in zip(*(spirals[seg.key] for seg in segs)))
+        cleaved_data[a] = (e0s, axcs, totals, int(inv.wrapping_numbers[a]))
 
     xi, eta = adm.xi, adm.eta
 
@@ -167,17 +159,10 @@ def representative_boundary(
         # Factors of rho alone are taken once per entry of rho, factors
         # of phi alone once per entry of phi (see ``AnalyticField``).
         kind, idx = key
-        m = charts[key].n_segments
-
-        def segment(phi):
-            # Boundary segment k of each angle and the position u in it.
-            pos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi / m)
-            k = np.minimum(pos.astype(int), m - 1)
-            return k, pos - k
-
+        chart = charts[key]
         if kind == TRUNCATED:
             u1, u2, knots = trunc_data[idx]
-            k, u = segment(phi)
+            k, u = chart.segment_position(phi)
             theta = knots[k] + (knots[k + 1] - knots[k]) * u
             full = rho * theta + (1.0 - rho) * knots[0]
             return np.cos(full)[..., None] * u1 + np.sin(full)[..., None] * u2
@@ -202,7 +187,7 @@ def representative_boundary(
         outer = ~inner
         if outer.any():
             # The boundary spiral, needed only where rho >= 1/2.
-            k, u = segment(rows(phi, outer))
+            k, u = chart.segment_position(rows(phi, outer))
             ang = totals[k] * (1.0 - u)
             bval = np.cos(ang)[..., None] * e0s[k] + np.sin(ang)[..., None] * axcs[k]
             out[outer] = geodesic_interpolate(minus_s, bval, 2.0 * rows(rho, outer) - 1.0)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
-from tangent_topo.fields import charts_for
 from tangent_topo.sphere import geodesic_interpolate, normalized
 
 
@@ -209,7 +208,7 @@ def constant_field(phat, vec) -> AnalyticField:
     def evaluator(key, rho, phi):
         return np.broadcast_to(vec, np.broadcast(rho, phi).shape + (3,))
 
-    return AnalyticField(host=phat, charts=charts_for(phat), evaluator=evaluator)
+    return AnalyticField(host=phat, charts=phat.charts, evaluator=evaluator)
 
 
 # --- tangency-preserving perturbations ------------------------------------------

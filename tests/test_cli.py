@@ -105,6 +105,21 @@ class TestPipeline:
         assert doc["invariants"]["wrapping_numbers"] == src["wrapping_numbers"]
         assert doc["invariants"]["kink_numbers"] == src["kink_numbers"]
 
+    def test_invariants_at_depth_one(self, cube_phat, tmp_path):
+        # The preimage route's depth-1 scan misses preimages on this set;
+        # the cross-check rescans the resolved grid instead of exiting 5.
+        inv = tt.random_admissible_invariants(cube_phat, seed=3)
+        doc = {"format": "invariants/1", "polyhedron": {"builtin": "cube"},
+               "truncation": {"lambda": 0.25}, **invariant_set_to_dict(inv, cube_phat)}
+        inv_path = tmp_path / "inv.json"
+        inv_path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["invariants", "--inv", str(inv_path), "--depth", "1",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["invariants"]["wrapping_numbers"] == doc["wrapping_numbers"]
+        assert report["wrapping_preimage"] == doc["wrapping_numbers"]
+
     def test_minimal_mesh_depth_zero(self, inv_file, tmp_path):
         mesh_path = tmp_path / "mesh.obj"
         assert main(["export-mesh", "--inv", str(inv_file), "--depth", "0",

@@ -12,6 +12,9 @@ from tangent_topo import fields as fields_mod
 from tangent_topo.fields import (
     CLEAVED,
     MAX_DEPTH,
+    TOL_CONTINUITY,
+    TOL_TANGENCY,
+    TRUNCATED,
     AnalyticField,
     FaceGrid,
     SampledField,
@@ -20,7 +23,6 @@ from tangent_topo.fields import (
     _grid_triangles,
     antipodal,
     boundary_trace,
-    charts_for,
     face_grid,
     field_from_dict,
     field_to_dict,
@@ -68,6 +70,61 @@ class TestValidateTangency:
         for c in x_faces:
             assert report.face_normal_dots[c] == pytest.approx(1.0)
         assert not report.ok
+
+    def test_corner_face_off_its_trimmed_face_on_one_cleaved_edge(self, cube_case):
+        _, field = cube_case
+        phat = field.host
+        good = validate_tangency(field)
+        a, c = sorted(phat.cleaved_edges)[3]
+        bent = _bent_on_side(field, (CLEAVED, a), "cleaved", (a, c))
+        report = validate_tangency(bent)
+        assert report.worst_continuity > TOL_CONTINUITY
+        assert not report.ok
+        # The trimmed faces, and so tangency and the edges, are untouched.
+        assert report.face_normal_dots == good.face_normal_dots
+        assert report.edge_misalignment == good.edge_misalignment
+        # Side 1 of the seam is the corner face: only (a, c) disagrees.
+        t = np.linspace(0.0, 1.0, 17)
+        gaps = {ac: np.max(np.linalg.norm(np.subtract(*fields_mod._seam_traces(
+            bent, ("cleaved", ac), t)), axis=1)) for ac in phat.cleaved_edges}
+        assert [ac for ac, gap in gaps.items() if gap > TOL_CONTINUITY] == [(a, c)]
+
+    def test_two_faces_of_a_truncated_edge_disagree(self, cube_case):
+        _, field = cube_case
+        phat = field.host
+        good = validate_tangency(field)
+        b = 5
+        face = int(phat.parent.edge_faces[b, 0])
+        report = validate_tangency(_bent_on_side(field, (TRUNCATED, face), "edge", b))
+        assert report.edge_misalignment[b] > TOL_TANGENCY
+        assert {e for e, mis in report.edge_misalignment.items()
+                if mis != good.edge_misalignment[e]} == {b}
+        assert report.worst_normal_dot < 1e-12  # rotated within the face plane
+        assert not report.ok
+
+
+def _bent_on_side(field: AnalyticField, key, kind: str, ident,
+                  angle: float = 0.1) -> AnalyticField:
+    """``field`` with its values on face ``key`` turned about the face's
+    outward normal by ``angle`` sin(pi u) on the side ``(kind, ident)``, u
+    the fraction along it, and unchanged elsewhere: in-plane values stay
+    in-plane, and the values at the side's ends stay put."""
+    chart = field.charts[key]
+    side = chart.segment_index(kind, ident)
+    axis = field.host.face_outward_normal(key)
+
+    def evaluator(k, rho, phi):
+        vals = field.evaluator(k, rho, phi)
+        if k != key:
+            return vals
+        seg, u = chart.segment_position(phi)
+        psi = np.where(seg == side, angle * np.sin(np.pi * u), 0.0)
+        psi = np.broadcast_to(psi, vals.shape[:-1])[..., None]
+        dot = (vals @ axis)[..., None]
+        return (np.cos(psi) * vals + np.sin(psi) * np.cross(axis, vals)
+                + (1.0 - np.cos(psi)) * dot * axis)
+
+    return AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
 
 
 class TestAntipodal:
@@ -123,6 +180,14 @@ class TestBoundaryTrace:
             parts += unwrap_rotation_angle(path, axis)
         assert total == pytest.approx(parts, abs=1e-9)
         assert total == pytest.approx(0.0, abs=1e-9)  # winding-free loop
+
+    def test_unknown_curve_kind_and_too_few_samples(self, cube_case):
+        _, field = cube_case
+        with pytest.raises(errors.FieldError, match="unknown curve kind"):
+            boundary_trace(field, ("spiral", (0, 0)))
+        for samples in (1, 0):
+            with pytest.raises(errors.FieldError, match="two samples"):
+                boundary_trace(field, ("edge", 0), samples=samples)
 
 
 class TestSampledFields:
@@ -486,7 +551,7 @@ class TestSampledGridPath:
         # Any stored R, not only powers of two, and K any multiple of the
         # side count; target grids both shallower and deeper than stored.
         key = cube_phat.face_keys()[face]
-        charts = charts_for(cube_phat)
+        charts = cube_phat.charts
         K = charts[key].n_segments * turns
         rng = np.random.default_rng(seed)
         grid = rng.normal(size=3) + scale * rng.normal(size=(R + 1, K, 3))

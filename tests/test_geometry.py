@@ -197,6 +197,32 @@ class TestPolarChart:
         gap = np.abs(np.angle(np.exp(1j * (phi2[2:2 + m] - corners))))
         assert np.all(gap < 1e-9)
 
+    @pytest.mark.parametrize("solid", ["cube_phat", "tetra_phat", "octa_phat"])
+    def test_segment_position_puts_side_multiples_on_corners(self, solid, request):
+        phat = request.getfixturevalue(solid)
+        for key, chart in phat.charts.items():
+            m = chart.n_segments
+            sides = np.linalg.norm(np.roll(chart.corners, -1, axis=0) - chart.corners, axis=1)
+            # phi = 2 pi k / m for k = 0..m, where k = m wraps to corner 0,
+            # and phi = -2 pi, which wraps to corner 0 as well.
+            phi = np.append(2.0 * np.pi * np.arange(m + 1) / m, -2.0 * np.pi)
+            want = chart.corners[np.append(np.arange(m + 1) % m, 0)]
+            gap = np.linalg.norm(chart.boundary_point(phi) - want, axis=1)
+            assert np.all(gap <= 1e-12 * sides.min()), key
+            k, u = chart.segment_position(np.array([-2.0 * np.pi]))
+            assert k.tolist() == [0] and u.tolist() == [0.0]
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_segment_position_clamps_below_a_full_turn(self, m):
+        # One ulp below 2 pi can round up to the end of side m; it stays
+        # on side m - 1 at a fraction within [0, 1].
+        chart = tt.PolarChart(corners=np.zeros((m, 3)), base=np.zeros(3),
+                              normal=np.array([0.0, 0.0, 1.0]), segments=(),
+                              frame=(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
+        k, u = chart.segment_position(np.array([np.nextafter(2.0 * np.pi, 0.0), 0.0]))
+        assert k.tolist() == [m - 1, 0]
+        assert 0.0 <= u[0] <= 1.0 and u[1] == 0.0
+
     def test_locate_flags_points_outside(self, cube_phat):
         chart = polar_chart(cube_phat, ("cleaved", 1))
         phi = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)

@@ -10,7 +10,7 @@ import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
 from tangent_topo import invariants as inv_mod
-from tangent_topo.fields import AnalyticField
+from tangent_topo.fields import CLEAVED, AnalyticField, FaceGrid
 from tangent_topo.invariants import (
     InvariantSet,
     MARGIN_S,
@@ -220,6 +220,37 @@ class TestWrapping:
             assert len(calls) <= 3
         count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 6)
         assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
+
+    def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
+        # At depth 1 the preimage scan of face 2 used to count 1 against
+        # the integral route's 3 and raise DualRouteMismatch.
+        inv, field = make_representative(cube_phat, seed=3)
+        report = tt.extract_all(field, s=inv.s, depth=1)
+        assert tt.invariants_equal(report.invariants, inv)
+        assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
+        assert min(report.wrapping_depths) > 1
+
+    def test_only_the_resolved_scan_decides(self, cube_phat, monkeypatch):
+        inv, field = make_representative(cube_phat, seed=3)
+        grid = FaceGrid(field, (CLEAVED, 0))
+        w, _, used = inv_mod._wrapping_integral_detail(field, 0, inv.s, 1, cache=grid)
+        assert used > 1
+        scans = {1: (w + 1, inv.s)}  # a miscount on the unresolved grid
+        monkeypatch.setattr(inv_mod, "_preimage_with_retries",
+                            lambda field, a, s, depth, cache=None: scans[depth])
+
+        def checked(depth):
+            return inv_mod._checked_preimage(field, 0, inv.s, w, depth, used, grid)
+
+        scans[used] = (w, inv.s)
+        assert checked(1) == w
+        scans[used] = None  # no regular value: no count, never the miscount
+        assert checked(1) is None
+        scans[used] = (w - 1, inv.s)
+        with pytest.raises(errors.DualRouteMismatch):
+            checked(1)
+        with pytest.raises(errors.DualRouteMismatch):
+            checked(used)  # a resolved grid is not scanned again
 
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
@@ -502,7 +533,7 @@ class TestSerialization:
         report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
         doc = report_to_dict(report, tetra_phat,
                              poly_source={"builtin": "tetrahedron"})
-        poly, spec, phat2, inv2, source = parse_invariants_document(doc)
+        phat2, inv2, source = parse_invariants_document(doc)
         assert tt.invariants_equal(inv2, inv, eps_tol=0.0)
         assert source == {"builtin": "tetrahedron"}
 

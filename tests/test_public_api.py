@@ -9,7 +9,7 @@ PUBLIC = {
     "AdmissibleInvariants", "AnalyticField", "BUILTIN_NAMES", "ConvexPolyhedron",
     "ImageMesh", "InvariantReport", "InvariantSet", "PolarChart", "SampledField",
     "SphericalPath", "TruncatedPolyhedron", "TruncationSpec", "antipodal",
-    "antipodal_invariants", "boundary_trace", "builtin_polyhedron", "charts_for",
+    "antipodal_invariants", "boundary_trace", "builtin_polyhedron",
     "check_sum_rules", "choose_reference_s", "covering_patch", "errors",
     "extract_all", "extract_edge_orientations", "extract_kink",
     "extract_wrapping_integral", "extract_wrapping_preimage", "field_from_dict",

@@ -256,7 +256,7 @@ class TestRepresentative:
             AdmissibleInvariants.from_invariants(
                 random_admissible_invariants(cube_phat, seed=seed), cube_phat), cube_phat)
             for seed in (1, 2)]
-        assert fields[0].charts is fields[1].charts is tt.charts_for(cube_phat)
+        assert fields[0].charts is fields[1].charts is cube_phat.charts
         key = (CLEAVED, 0)
         fresh = tt.polar_chart(cube_phat, key)
         assert np.array_equal(fields[0].charts[key].base, fresh.base)
