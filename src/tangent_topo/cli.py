@@ -142,8 +142,7 @@ def _field_from_args(args):
     """Field plus serialization context from --field or --inv input."""
     if getattr(args, "field", None):
         field, diagnostics = fields.load_field(args.field)
-        phat = field.host
-        return field, phat, phat.parent.to_dict(), None, diagnostics
+        return field, field.host, field.source, None, diagnostics
     data = _load_json(args.inv)
     phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:

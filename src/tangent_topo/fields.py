@@ -129,9 +129,10 @@ class AnalyticField:
     dimension that broadcast against each other, equal-length 1-D arrays
     for scattered points or rings ``rho[:, None]`` against angles ``phi``
     for a grid block, and returns values of their broadcast shape + (3,).
-    It works point by point: a node's value must not depend on the other
-    points in the call (``FaceGrid`` relies on this), nor on whether it
-    is reached as a scattered point or in a block.
+    The values need not be unit vectors: ``evaluate`` normalizes each
+    row once.  It works point by point: a node's value must not depend
+    on the other points in the call (``FaceGrid`` relies on this), nor
+    on whether it is reached as a scattered point or in a block.
     """
 
     host: TruncatedPolyhedron
@@ -157,11 +158,14 @@ class SampledField:
     boundary samples (phi-periodic); K is a multiple of the face's side
     count so corners land on nodes.  Interpolation is geodesic, first in
     phi at the two bracketing rings, then radially, in that fixed order.
+    ``source`` is the ``polyhedron`` entry of the document the field was
+    read from, ``{"builtin": name}`` or the solid's own document.
     """
 
     host: TruncatedPolyhedron
     charts: Mapping[FaceKey, PolarChart]
     values: Mapping[FaceKey, np.ndarray]
+    source: Optional[dict] = None
 
     def __post_init__(self):
         for key, grid in self.values.items():
@@ -230,6 +234,7 @@ def antipodal(field: TangentField) -> TangentField:
             host=field.host,
             charts=field.charts,
             values={k: -v for k, v in field.values.items()},
+            source=field.source,
         )
     inner = field.evaluator
     return AnalyticField(
@@ -545,14 +550,15 @@ def field_to_dict(field: TangentField, depth: int = 4,
 def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     """Rebuild a sampled field; returns it with its tangency diagnostics.
 
-    Vectors are renormalized on load.  Raises FieldError for structural
-    problems, including a missing or mistyped entry; tangency violations
-    are reported, not raised.
+    The field keeps the document's ``polyhedron`` entry as its
+    ``source``.  Vectors are renormalized on load.  Raises FieldError
+    for structural problems, including a missing or mistyped entry;
+    tangency violations are reported, not raised.
     """
     with reading_document(FieldError, "field"):
         if data.get("format") != FIELD_FORMAT:
             raise FieldError(f"unsupported field format {data.get('format')!r}")
-        phat, _ = geometry.truncated_solid(data["polyhedron"], data["truncation"])
+        phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
         charts = phat.charts
         values = {}
         scale = float(np.linalg.norm(np.ptp(phat.parent.vertices, axis=0)))
@@ -576,7 +582,7 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     missing = set(phat.face_keys()) - set(values)
     if missing:
         raise FieldError(f"field file misses faces {sorted(missing)}")
-    sampled = SampledField(host=phat, charts=charts, values=values)
+    sampled = SampledField(host=phat, charts=charts, values=values, source=source)
     return sampled, validate_tangency(sampled)
 
 

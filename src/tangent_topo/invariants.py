@@ -467,19 +467,24 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
     return int(_preimage_points(field, a, s, grid_depth, cache=cache).sum())
 
 
-def trapped_area_direct(field: TangentField, a: int, depth: int = 7,
-                        cache: Optional[FaceGrid] = None) -> float:
-    """Signed spherical area swept over corner face ``a``, by quadrature.
+def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
+    """Signed spherical area swept over corner face ``a``, by quadrature
+    on the first resolved grid from ``depth`` on.
 
     Same image-area sum as the integral wrapping route (first term
-    only, read from the face's FaceGrid ``cache`` where that route
-    already took it), with the invariant orientation convention.
+    only), with the invariant orientation convention.  ``extract_all``
+    reads it by default from the face's FaceGrid at the depth where that
+    route resolved, so there it costs no evaluation and no sum of its own.
     """
-    grid = cache or FaceGrid(field, (CLEAVED, a))
+    return _trapped_area_detail(FaceGrid(field, (CLEAVED, a)), a, depth)[0]
+
+
+def _trapped_area_detail(grid, a, depth):
+    # The direct trapped area of face ``a`` and the depth it was read at.
     for d in range(depth, MAX_DEPTH + 1):
         area_sum = grid.area_sum(d)
         if area_sum is not None:
-            return -area_sum
+            return -area_sum, d
     raise ResolutionTooCoarse(
         f"trapped-area quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
     )
@@ -623,8 +628,11 @@ class InvariantReport:
     kink_residuals: Dict[Tuple[int, int], float]
     seed: int
     s_was_given: bool
+    s_attempts: int                        # directions ``_settle_s`` tried
+    s_margin: float
     quadrature_depth: int
-    trapped_depth: int
+    trapped_depths: Tuple[int, ...]        # where each direct area was read
+    preimage_scan_depths: Tuple[Optional[int], ...]
     tool_version: str
 
     @property
@@ -658,38 +666,40 @@ def _preimage_with_retries(field, a, s, grid_depth, cache=None):
 
 
 def _checked_preimage(field, a, s_ref, w, depth, used, grid):
-    """Preimage count of corner face ``a``, checked against the integral
-    route (``w`` at ``s_ref``, depth ``used``) as ``extract_all`` says;
-    None where no direction is a regular value.  An unresolved grid can
-    hide preimages, so a disagreement at ``depth`` is scanned again at
-    ``used`` and raises DualRouteMismatch only there."""
+    """``(count, scan depth)``: the preimage count of corner face ``a``,
+    checked against the integral route (``w`` at ``s_ref``, depth
+    ``used``) as ``extract_all`` says, and the depth of the scan that
+    gave it; ``(None, None)`` where no direction is a regular value.  An
+    unresolved grid can hide preimages, so a disagreement at ``depth`` is
+    scanned again at ``used`` and raises DualRouteMismatch only there."""
     for scan in (depth,) if used == depth else (depth, used):
         found = _preimage_with_retries(field, a, s_ref, scan, cache=grid)
         if found is None:
-            return None
+            return None, None
         pre, s_k = found
         ref = w if s_k is s_ref else _wrapping_integral_detail(
             field, a, s_k, depth, cache=grid)[0]
         if pre == ref:
-            return pre
+            return pre, scan
     raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
                             f"preimage {pre} at s = {s_k}")
 
 
-def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int) -> np.ndarray:
-    """``s`` normalized, or the first of six seeded directions off every
-    fan-triangle boundary, by the closed form's own checks: run with zero
-    kink and wrapping numbers, they depend only on ``eps`` and ``s``."""
+def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
+    """``(s, attempts)``: ``s`` normalized, or the first of six seeded
+    directions off every fan-triangle boundary, by the closed form's own
+    checks (run with zero kink and wrapping numbers, they depend only on
+    ``eps`` and ``s``), and how many directions were tried."""
     candidates = [normalized(s)] if s is not None else (
         choose_reference_s(phat, seed + 1000 * attempt) for attempt in range(6))
-    for s_try in candidates:
+    for attempts, s_try in enumerate(candidates, 1):
         probe = InvariantSet(s=s_try, edge_orientations=eps,
                              kink_numbers=dict.fromkeys(phat.cleaved_edges, 0),
                              wrapping_numbers=np.zeros(len(phat.cleaved_faces)))
         try:
             for a in range(len(phat.cleaved_faces)):
                 trapped_area_from_invariants(probe, phat, a)
-            return s_try
+            return s_try, attempts
         except SOnTriangleBoundary:
             if s is not None:
                 raise
@@ -701,7 +711,7 @@ def extract_all(
     s=None,
     seed: int = 0,
     depth: int = 6,
-    trapped_depth: int = 7,
+    trapped_depth: Optional[int] = None,
     with_preimage: bool = True,
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
@@ -713,15 +723,24 @@ def extract_all(
     value: at ``s``, or at the slightly rotated direction its retry
     used, where the integral route is taken again.  A disagreement
     raises DualRouteMismatch, unless the grid at ``depth`` is unresolved
-    and a rescan on the route's resolved grid agrees.  Trapped areas are
-    computed by both the closed form and direct quadrature.  ``with_preimage=False`` skips
-    the cross-route (its report column is then all None).
+    and a rescan on the route's resolved grid agrees.  The preimage
+    route is the independent check of the wrapping numbers;
+    ``with_preimage=False`` skips it (its report column is then all
+    None).
+
+    Trapped areas come from the closed form and from direct quadrature.
+    By default the direct area of a face is read from the grid on which
+    the integral route resolved, whose area sum that route already took,
+    so their agreement checks the cap-kink-fan identity of the closed
+    form and the integral route's residual, not a second grid.  An
+    integer ``trapped_depth`` sums the first resolved grid from that
+    depth on instead, for a deeper, independent grid.
     """
     from . import __version__
 
     phat = field.host
     eps = extract_edge_orientations(field)
-    s_ref = _settle_s(phat, eps, s, seed)
+    s_ref, s_attempts = _settle_s(phat, eps, s, seed)
     kinks, kink_res = {}, {}
     for (a, c) in sorted(phat.cleaved_edges):
         kinks[(a, c)], kink_res[(a, c)] = _kink_detail(field, a, c)
@@ -731,11 +750,12 @@ def extract_all(
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
-        pre = (_checked_preimage(field, a, s_ref, w, depth, used, grid)
-               if with_preimage else None)
-        direct = trapped_area_direct(field, a, trapped_depth, cache=grid)
-        results.append((w, res, used, pre, direct))
-    omegas, residuals, depths, preimages, directs = zip(*results)
+        pre, scan = (_checked_preimage(field, a, s_ref, w, depth, used, grid)
+                     if with_preimage else (None, None))
+        direct, read_at = _trapped_area_detail(
+            grid, a, used if trapped_depth is None else trapped_depth)
+        results.append((w, res, used, pre, scan, direct, read_at))
+    omegas, residuals, depths, preimages, scans, directs, trapped_depths = zip(*results)
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -752,8 +772,11 @@ def extract_all(
         kink_residuals=kink_res,
         seed=seed,
         s_was_given=s is not None,
+        s_attempts=s_attempts,
+        s_margin=s_margin(phat, s_ref),
         quadrature_depth=depth,
-        trapped_depth=trapped_depth,
+        trapped_depths=trapped_depths,
+        preimage_scan_depths=scans,
         tool_version=__version__,
     )
 
@@ -846,8 +869,9 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
         },
         "diagnostics": {
             "quadrature_depth": report.quadrature_depth,
-            "trapped_depth": report.trapped_depth,
+            "trapped_depths": list(report.trapped_depths),
             "wrapping_depths": list(report.wrapping_depths),
+            "preimage_scan_depths": list(report.preimage_scan_depths),
             "wrapping_residuals": {
                 str(a): float(r) for a, r in enumerate(report.wrapping_residuals)
             },
@@ -856,6 +880,8 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
                 for (a, c), r in sorted(report.kink_residuals.items())
             },
             "reference_given": report.s_was_given,
+            "s_attempts": report.s_attempts,
+            "s_margin": report.s_margin,
             "cleaved_edge_start_rule": CLEAVED_EDGE_START_RULE,
         },
     }

@@ -179,7 +179,7 @@ def triangle_sigma(a, b, c, s) -> int:
     return 0
 
 
-def geodesic_interpolate(u, v, tau) -> np.ndarray:
+def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:
     """Shortest-arc interpolation between unit-vector arrays, row by row.
 
     ``u`` and ``v`` have shape (..., 3) (a single vector counts as one
@@ -189,6 +189,10 @@ def geodesic_interpolate(u, v, tau) -> np.ndarray:
     rows, and only the two weight sines once per output row, so an arc
     shared by many ``tau`` costs one arccos.  Each output row comes from
     the same operations on the same operands as a row-wise call.
+
+    Pairs closer than 1e-9 take the chord.  Every row is normalized
+    once, at the end; ``normalize=False`` leaves the rows, unit up to
+    rounding, to a caller that normalizes its values itself.
     """
     u, v = np.broadcast_arrays(_rows(u), _rows(v))
     tau = np.asarray(tau, dtype=float)
@@ -204,9 +208,9 @@ def geodesic_interpolate(u, v, tau) -> np.ndarray:
     small = np.broadcast_to(ang < 1e-9, out.shape[:-1])
     if small.any():
         t = np.broadcast_to(tau, small.shape)[small][:, None]
-        out[small] = normalized_rows((1.0 - t) * np.broadcast_to(u, out.shape)[small]
-                                     + t * np.broadcast_to(v, out.shape)[small])
-    return normalized_rows(out)
+        out[small] = ((1.0 - t) * np.broadcast_to(u, out.shape)[small]
+                      + t * np.broadcast_to(v, out.shape)[small])
+    return normalized_rows(out) if normalize else out
 
 
 def _step_angles(samples: np.ndarray) -> np.ndarray:

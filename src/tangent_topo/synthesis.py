@@ -190,7 +190,9 @@ def representative_boundary(
             k, u = chart.segment_position(rows(phi, outer))
             ang = totals[k] * (1.0 - u)
             bval = np.cos(ang)[..., None] * e0s[k] + np.sin(ang)[..., None] * axcs[k]
-            out[outer] = geodesic_interpolate(minus_s, bval, 2.0 * rows(rho, outer) - 1.0)
+            # Left unnormalized: AnalyticField.evaluate normalizes every value.
+            out[outer] = geodesic_interpolate(minus_s, bval, 2.0 * rows(rho, outer) - 1.0,
+                                              normalize=False)
         return out.reshape(shape + (3,))
 
     return AnalyticField(host=phat, charts=charts, evaluator=evaluator)

@@ -95,6 +95,14 @@ class TestPipeline:
                      "--out", str(mesh_path)]) == EXIT_OK
         assert mesh_path.read_text().count("\nf ") > 0
 
+    def test_field_report_names_the_field_files_solid(self, field_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["invariants", "--field", str(field_file), "--depth", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(field_file.read_text())["polyhedron"] == {"builtin": "tetrahedron"}
+        assert json.loads(out.read_text())["invariants"]["polyhedron"] == {
+            "builtin": "tetrahedron"}
+
     def test_invariants_from_representative_spec(self, inv_file, tmp_path):
         out = tmp_path / "report.json"
         assert main(["invariants", "--inv", str(inv_file), "--depth", "5",

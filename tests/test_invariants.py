@@ -100,7 +100,7 @@ class TestChooseReferenceS:
             # equator, where fan triangles of equatorial edges have sides.
             for cli_seed in (0, 17, 430, 2024):
                 ref = corpus._library_reference(phat, cli_seed, make_set)
-                s = inv_mod._settle_s(phat, ref.edge_orientations, None, cli_seed)
+                s, _ = inv_mod._settle_s(phat, ref.edge_orientations, None, cli_seed)
                 # An InvariantSet holds its s normalized once more.
                 assert np.array_equal(inv_mod.normalized(s), ref.s), (set_seed, cli_seed)
                 if not np.array_equal(s, tt.choose_reference_s(phat, cli_seed)):
@@ -243,9 +243,12 @@ class TestWrapping:
             return inv_mod._checked_preimage(field, 0, inv.s, w, depth, used, grid)
 
         scans[used] = (w, inv.s)
-        assert checked(1) == w
+        assert checked(1) == (w, used)  # the rescan decided
+        scans[1] = (w, inv.s)
+        assert checked(1) == (w, 1)
+        scans[1] = (w + 1, inv.s)
         scans[used] = None  # no regular value: no count, never the miscount
-        assert checked(1) is None
+        assert checked(1) == (None, None)
         scans[used] = (w - 1, inv.s)
         with pytest.raises(errors.DualRouteMismatch):
             checked(1)
@@ -373,6 +376,32 @@ class TestTrappedAreas:
         for a in range(8):
             assert report.trapped_direct[a] == tt.trapped_area_direct(field, a, depth=5)
 
+    def test_default_reads_the_integral_routes_grid(self, cube_phat):
+        inv, field = make_representative(cube_phat, seed=3)
+        report = tt.extract_all(field, s=inv.s, with_preimage=False)
+        assert report.trapped_depths == report.wrapping_depths
+        deeper = tt.extract_all(field, s=inv.s, trapped_depth=7, with_preimage=False)
+        assert deeper.trapped_depths == (7,) * 8
+        for a in range(8):
+            grid = FaceGrid(field, (CLEAVED, a))
+            assert report.trapped_direct[a] == -grid.area_sum(report.wrapping_depths[a])
+            assert deeper.trapped_direct[a] == -grid.area_sum(7)
+
+    def test_default_evaluates_no_grid_past_the_resolved_depth(self, cube_phat):
+        inv, field = make_representative(cube_phat, seed=3)
+        depths = []
+
+        def counting(key, rho, phi):
+            # A ring at rho = i / 2**d (exact in floats) is a depth-d node.
+            if key[0] == CLEAVED:
+                depths.extend(next(d for d in range(64) if (r * 2 ** d).is_integer())
+                              for r in np.unique(rho))
+            return field.evaluator(key, rho, phi)
+
+        counted = AnalyticField(host=field.host, charts=field.charts, evaluator=counting)
+        report = tt.extract_all(counted, s=inv.s, with_preimage=False)
+        assert max(depths) == max(report.wrapping_depths) < 7
+
     def test_invariant_across_reference_choices(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=7)
         values = []
@@ -409,19 +438,21 @@ class TestTrappedAreas:
                 calls.append(np.allclose(s, rejected, rtol=0.0, atol=1e-12))
                 return _route(field, a, s, *args, **kwargs)
             monkeypatch.setattr(inv_mod, name, spy)
-        report = tt.extract_all(field, seed=430, depth=5, trapped_depth=6)
+        report = tt.extract_all(field, seed=430, depth=5)
         assert calls and not any(calls)
         monkeypatch.undo()
 
         s = report.invariants.s
         assert np.array_equal(s, tt.choose_reference_s(octa_phat, 1430))
-        given = tt.extract_all(field, s=s, seed=430, depth=5, trapped_depth=6)
+        given = tt.extract_all(field, s=s, seed=430, depth=5)
         chosen_doc, given_doc = (report_to_dict(r, octa_phat) for r in (report, given))
         assert given_doc["diagnostics"].pop("reference_given")
         assert not chosen_doc["diagnostics"].pop("reference_given")
+        assert (chosen_doc["diagnostics"].pop("s_attempts"),
+                given_doc["diagnostics"].pop("s_attempts")) == (2, 1)
         assert chosen_doc == given_doc
         with pytest.raises(errors.SOnTriangleBoundary):
-            tt.extract_all(field, s=rejected, seed=430, depth=5, trapped_depth=6)
+            tt.extract_all(field, s=rejected, seed=430, depth=5)
 
     def test_parallel_fan_pair_rejected(self, cube_phat):
         s = tt.choose_reference_s(cube_phat, seed=3)
@@ -530,7 +561,7 @@ class TestSerialization:
 
     def test_report_is_reingestible(self, tetra_phat):
         inv, field = make_representative(tetra_phat, seed=4)
-        report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
+        report = tt.extract_all(field, s=inv.s, depth=5)
         doc = report_to_dict(report, tetra_phat,
                              poly_source={"builtin": "tetrahedron"})
         phat2, inv2, source = parse_invariants_document(doc)
@@ -539,8 +570,8 @@ class TestSerialization:
 
     def test_report_determinism(self, tetra_phat):
         inv, field = make_representative(tetra_phat, seed=4)
-        r1 = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
-        r2 = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
+        r1 = tt.extract_all(field, s=inv.s, depth=5)
+        r2 = tt.extract_all(field, s=inv.s, depth=5)
         d1 = report_to_dict(r1, tetra_phat)
         d2 = report_to_dict(r2, tetra_phat)
         assert d1 == d2
@@ -555,7 +586,7 @@ class TestTruncationIndependence:
             inv = tt.random_admissible_invariants(phat, seed=12, s=DIAG)
             adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
             field = tt.representative_boundary(adm, phat)
-            report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
+            report = tt.extract_all(field, s=inv.s, depth=5)
             extracted = report.invariants
             if reference is None:
                 reference = extracted
