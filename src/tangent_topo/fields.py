@@ -39,6 +39,8 @@ from .sphere import SphericalPath, _signed_areas, cross, geodesic_interpolate, n
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
+# Depth of the face grids and edge samples that validate_tangency scans.
+TANGENCY_DEPTH = 4
 # Deepest face grid that sampling and the extraction routes refine to.
 MAX_DEPTH = 9
 
@@ -244,7 +246,7 @@ def antipodal(field: TangentField) -> TangentField:
     )
 
 
-def _curve_tracer(field: TangentField, curve, side: int = 0, reverse: bool = False):
+def _curve_tracer(field: TangentField, curve, side: int = 0):
     """The field along ``curve`` (see ``boundary_trace``) at parameters t
     in [0, 1], on the face of side ``side``: trimmed face ``c`` (0) or
     corner face ``a`` (1) of cleaved edge ``(a, c)``, and face
@@ -258,11 +260,11 @@ def _curve_tracer(field: TangentField, curve, side: int = 0, reverse: bool = Fal
         key = ident
     else:
         raise FieldError(f"unknown curve kind {kind!r}")
-    phi0, phi1 = 0.0, 2.0 * np.pi
+    phi0, phi1, reverse = 0.0, 2.0 * np.pi, False
     if kind != "boundary":
         chart = field.charts[key]
         seg = chart.segment_index(kind, ident)
-        reverse ^= not chart.segments[seg].forward
+        reverse = not chart.segments[seg].forward
         phi0, phi1 = chart.segment_span(seg)
 
     def evaluate(t: np.ndarray) -> np.ndarray:
@@ -279,28 +281,21 @@ def _seam_traces(field: TangentField, curve, t: np.ndarray) -> list:
     return [_curve_tracer(field, curve, side)(t) for side in (0, 1)]
 
 
-def boundary_trace(
-    field: TangentField,
-    curve,
-    samples: int = 65,
-    reverse: bool = False,
-) -> SphericalPath:
+def boundary_trace(field: TangentField, curve, samples: int = 65) -> SphericalPath:
     """Sample the field along an oriented curve on the boundary.
 
     ``curve`` is ``("cleaved", (a, c))`` for the border of corner ``a``
     on face ``c`` in its stored direction, ``("edge", b)`` for a
     truncated edge from its low-index endpoint, or
     ``("boundary", face_key)`` for a full face boundary in chart order.
-    The returned path carries a refinement callback, so downstream
-    unwrapping can bisect it adaptively.
+    The returned path is not refined here: it carries a refinement
+    callback, with which downstream unwrapping bisects it adaptively.
     """
-    evaluate = _curve_tracer(field, curve, reverse=reverse)
+    evaluate = _curve_tracer(field, curve)
     if samples < 2:
         raise FieldError("need at least two samples")
     t = np.linspace(0.0, 1.0, samples)
-    path = SphericalPath(samples=evaluate(t), params=t, refine=evaluate)
-    path.ensure_step_bound()
-    return path
+    return SphericalPath(samples=evaluate(t), params=t, refine=evaluate)
 
 
 @dataclass(frozen=True)
@@ -332,17 +327,18 @@ class TangencyReport:
         }
 
 
-def validate_tangency(field: TangentField, depth: int = 4) -> TangencyReport:
-    """Diagnostic scan of the tangency and continuity invariants.
+def validate_tangency(field: TangentField) -> TangencyReport:
+    """Diagnostic scan of the tangency and continuity invariants, on the
+    depth-``TANGENCY_DEPTH`` face grids and edge samples.
 
     Never raises on a violation; callers inspect the report and decide.
     """
     phat = field.host
-    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), depth)
+    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), TANGENCY_DEPTH)
                                         @ phat.face_normal(c))))
                  for c in range(len(phat.trunc_faces))}
 
-    t = np.linspace(0.0, 1.0, 2 ** depth + 1)
+    t = np.linspace(0.0, 1.0, 2 ** TANGENCY_DEPTH + 1)
     edge_mis = {}
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
@@ -434,15 +430,12 @@ class FaceGrid:
     """``face_grid(field, key, depth)`` at every depth asked for, each
     built once, with its image-area sum.
 
-    A depth below a held depth is the nearest finer held grid at every
-    2**k-th ring and sample, k levels down, with no evaluation: those are
-    its nodes, at the same coordinates.  Any other depth with no held
-    depth below it is evaluated whole.  Depth d + 1 over a held depth d
-    takes the depth-d values at its even nodes and evaluates only the
-    nodes it adds, in two grid blocks, the odd rings whole and the even
-    rings at odd samples: bit for bit the whole grid, as the even nodes
-    have the depth-d coordinates (see ``grid_nodes``) and fields work
-    point by point.
+    A depth with no held depth below it is evaluated whole.  Depth d + 1
+    over a held depth d takes the depth-d values at its even nodes and
+    evaluates only the nodes it adds, in two grid blocks, the odd rings
+    whole and the even rings at odd samples: bit for bit the whole grid,
+    as the even nodes have the depth-d coordinates (see ``grid_nodes``)
+    and fields work point by point.
     """
 
     def __init__(self, field: TangentField, key: FaceKey):
@@ -452,13 +445,8 @@ class FaceGrid:
 
     def values(self, depth: int) -> np.ndarray:
         if depth not in self._values:
-            finer = min((d for d in self._values if d > depth), default=None)
             held = max((d for d in self._values if d < depth), default=None)
-            if finer is not None:
-                step = 2 ** (finer - depth)
-                self._values[depth] = np.ascontiguousarray(
-                    self._values[finer][::step, ::step])
-            elif held is None:
+            if held is None:
                 self._values[depth] = face_grid(self.field, self.key, depth)
             else:
                 for d in range(held, depth):

@@ -469,22 +469,19 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
 
 def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
     """Signed spherical area swept over corner face ``a``, by quadrature
-    on the first resolved grid from ``depth`` on.
+    on the first resolved grid from ``depth`` on: an independent check
+    of the closed form at a depth of the caller's choice.
 
     Same image-area sum as the integral wrapping route (first term
     only), with the invariant orientation convention.  ``extract_all``
-    reads it by default from the face's FaceGrid at the depth where that
-    route resolved, so there it costs no evaluation and no sum of its own.
+    does not call it: it reads the same sum from the face's FaceGrid at
+    the depth where that route resolved.
     """
-    return _trapped_area_detail(FaceGrid(field, (CLEAVED, a)), a, depth)[0]
-
-
-def _trapped_area_detail(grid, a, depth):
-    # The direct trapped area of face ``a`` and the depth it was read at.
+    grid = FaceGrid(field, (CLEAVED, a))
     for d in range(depth, MAX_DEPTH + 1):
         area_sum = grid.area_sum(d)
         if area_sum is not None:
-            return -area_sum, d
+            return -area_sum
     raise ResolutionTooCoarse(
         f"trapped-area quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
     )
@@ -631,7 +628,6 @@ class InvariantReport:
     s_attempts: int                        # directions ``_settle_s`` tried
     s_margin: float
     quadrature_depth: int
-    trapped_depths: Tuple[int, ...]        # where each direct area was read
     preimage_scan_depths: Tuple[Optional[int], ...]
     tool_version: str
 
@@ -711,7 +707,6 @@ def extract_all(
     s=None,
     seed: int = 0,
     depth: int = 6,
-    trapped_depth: Optional[int] = None,
     with_preimage: bool = True,
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
@@ -729,12 +724,11 @@ def extract_all(
     None).
 
     Trapped areas come from the closed form and from direct quadrature.
-    By default the direct area of a face is read from the grid on which
-    the integral route resolved, whose area sum that route already took,
-    so their agreement checks the cap-kink-fan identity of the closed
-    form and the integral route's residual, not a second grid.  An
-    integer ``trapped_depth`` sums the first resolved grid from that
-    depth on instead, for a deeper, independent grid.
+    The direct area of a face is read from the grid on which the
+    integral route resolved, whose area sum that route already took, so
+    their agreement checks the cap-kink-fan identity of the closed form
+    and the integral route's residual, not a second grid; an independent
+    grid is ``trapped_area_direct`` at a depth of the caller's choice.
     """
     from . import __version__
 
@@ -752,10 +746,8 @@ def extract_all(
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
         pre, scan = (_checked_preimage(field, a, s_ref, w, depth, used, grid)
                      if with_preimage else (None, None))
-        direct, read_at = _trapped_area_detail(
-            grid, a, used if trapped_depth is None else trapped_depth)
-        results.append((w, res, used, pre, scan, direct, read_at))
-    omegas, residuals, depths, preimages, scans, directs, trapped_depths = zip(*results)
+        results.append((w, res, used, pre, scan, -grid.area_sum(used)))
+    omegas, residuals, depths, preimages, scans, directs = zip(*results)
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -775,7 +767,6 @@ def extract_all(
         s_attempts=s_attempts,
         s_margin=s_margin(phat, s_ref),
         quadrature_depth=depth,
-        trapped_depths=trapped_depths,
         preimage_scan_depths=scans,
         tool_version=__version__,
     )
@@ -869,7 +860,9 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
         },
         "diagnostics": {
             "quadrature_depth": report.quadrature_depth,
-            "trapped_depths": list(report.trapped_depths),
+            # Equal to wrapping_depths by construction; kept until the
+            # next report-format revision so report bytes hold.
+            "trapped_depths": list(report.wrapping_depths),
             "wrapping_depths": list(report.wrapping_depths),
             "preimage_scan_depths": list(report.preimage_scan_depths),
             "wrapping_residuals": {

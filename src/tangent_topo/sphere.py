@@ -271,9 +271,9 @@ def unwrap_rotation_angle(path: SphericalPath, axis) -> float:
     contributes its signed angle in (-pi/2, pi/2).
     """
     axis = normalized(axis)
+    path.ensure_step_bound()
     if np.max(np.abs(path.samples @ axis)) > 1e-8:
         raise NotInPlane("path samples are not orthogonal to the axis")
-    path.ensure_step_bound()
     u, v = path.samples[:-1], path.samples[1:]
     steps = np.arctan2(cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))
     return float(np.sum(steps))

@@ -36,7 +36,13 @@ from .invariants import (
     face_opposition_count,
     s_margin,
 )
-from .sphere import cross, geodesic_interpolate, normalized, reference_frame
+from .sphere import TOL_ANTIPODAL, cross, geodesic_interpolate, normalized, reference_frame
+
+# A corner-face boundary value lies on the great circle normal to its
+# trimmed face F, so its dot with -s can reach -sqrt(1 - (s . F)**2),
+# which geodesic_interpolate refuses from a margin |s . F| just below
+# this floor on.
+MARGIN_FLOOR = np.sqrt(2.0 * TOL_ANTIPODAL)
 
 
 def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
@@ -83,10 +89,10 @@ class AdmissibleInvariants:
                     f"wrapping numbers sum to {verdicts.wrapping_total}, not 0"
                 )
             raise SumRuleViolation("; ".join(parts))
-        if s_margin(phat, inv.s) < 1e-9:
+        if s_margin(phat, inv.s) <= MARGIN_FLOOR:
             raise GeodesicAntipodal(
-                "reference direction lies in a face plane; boundary values "
-                "could hit it"
+                "reference direction lies too close to a face plane; "
+                "boundary values could hit -s"
             )
         xi, eta = reference_frame(inv.s)
         return cls(invariants=inv, xi=xi, eta=eta)

@@ -3,8 +3,10 @@
 Each test prints a single pass line; tolerances are fixed here and
 nowhere else.  The randomized corpus (50 admissible invariant sets on
 the cube and the tetrahedron, synthesized and re-extracted at
-quadrature depth 6 with trapped-area quadrature at depth 7) is built
-once and shared.
+quadrature depth 6) is built once and shared.  Each report reads its
+direct trapped areas from the integral route's resolved grid; criterion
+5 also checks the closed form against an independent grid, by
+``trapped_area_direct`` at depth 7.
 """
 import time
 from dataclasses import dataclass
@@ -58,8 +60,7 @@ def corpus():
     for label, phat, inv in _corpus_specs():
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
-        report = tt.extract_all(field, s=inv.s, depth=DEPTH,
-                                trapped_depth=TRAPPED_DEPTH)
+        report = tt.extract_all(field, s=inv.s, depth=DEPTH)
         cases.append(Case(label, phat, inv, field, report))
     kink_max = max(abs(k) for c in cases for k in c.invariants.kink_numbers.values())
     wrap_max = max(int(np.max(np.abs(c.invariants.wrapping_numbers))) for c in cases)
@@ -154,6 +155,14 @@ def test_criterion_5_trapped_area_consistency(corpus):
     cases = corpus
     worst = max(case.report.trapped_max_disagreement for case in cases)
     assert worst < 2e-2
+    # The report reads its direct areas from the integral route's grid;
+    # the closed form is also checked against an independent, deeper one.
+    deep = 0.0
+    for case in cases:
+        for a, closed in enumerate(case.report.trapped_closed):
+            direct = tt.trapped_area_direct(case.field, a, depth=TRAPPED_DEPTH)
+            deep = max(deep, abs(closed - direct))
+    assert deep < 2e-2
 
     spread = 0.0
     for case in cases[:3]:
@@ -178,14 +187,15 @@ def test_criterion_5_trapped_area_consistency(corpus):
         spread = max(spread, float(np.max(values.max(0) - values.min(0))))
     assert spread < 1e-6
     print(f"\n[acceptance] criterion 5 PASS: closed form vs quadrature within "
-          f"{worst:.2e} at depth {TRAPPED_DEPTH}; reference-choice spread {spread:.2e}")
+          f"{worst:.2e} on the resolved grids and {deep:.2e} at depth "
+          f"{TRAPPED_DEPTH}; reference-choice spread {spread:.2e}")
 
 
 def test_criterion_6_antipodal_identities(corpus):
     cases = corpus
     for case in cases:
         anti = tt.extract_all(tt.antipodal(case.field), s=-case.invariants.s,
-                              depth=5, trapped_depth=6, with_preimage=False)
+                              depth=5, with_preimage=False)
         rep = case.report
         assert np.array_equal(anti.invariants.edge_orientations,
                               -rep.invariants.edge_orientations), case.label
@@ -203,10 +213,10 @@ def test_criterion_7_perturbation_stability(cube_phat):
     inv = tt.random_admissible_invariants(cube_phat, seed=21)
     adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
     field = tt.representative_boundary(adm, cube_phat)
-    base = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6).invariants
+    base = tt.extract_all(field, s=inv.s, depth=5).invariants
     for k in range(20):
         wobbled = tangent_perturbation(field, seed=k, amplitude=0.1)
-        got = tt.extract_all(wobbled, s=inv.s, depth=5, trapped_depth=6).invariants
+        got = tt.extract_all(wobbled, s=inv.s, depth=5).invariants
         assert tt.invariants_equal(got, base, eps_tol=0.0), f"perturbation {k}"
     print("\n[acceptance] criterion 7 PASS: 20 tangent homotopies left every "
           "invariant unchanged")

@@ -160,13 +160,6 @@ class TestBoundaryTrace:
         xi = unwrap_rotation_angle(path, cube_phat.face_normal(c))
         assert abs(xi) > np.pi  # wound beyond the minimal arc
 
-    def test_reversed_curve_reverses_path(self, cube_case):
-        _, field = cube_case
-        fwd = boundary_trace(field, ("cleaved", (0, 0)), samples=33)
-        rev = boundary_trace(field, ("cleaved", (0, 0)), samples=33, reverse=True)
-        assert np.allclose(rev.samples[0], fwd.samples[-1])
-        assert np.allclose(rev.samples[-1], fwd.samples[0])
-
     def test_face_boundary_concatenates_segments(self, cube_case):
         _, field = cube_case
         c = 0
@@ -176,8 +169,10 @@ class TestBoundaryTrace:
         parts = 0.0
         for seg in field.charts[("truncated", c)].segments:
             curve = ("cleaved", seg.key) if seg.kind == "cleaved" else ("edge", seg.key)
-            path = boundary_trace(field, curve, samples=65, reverse=not seg.forward)
-            parts += unwrap_rotation_angle(path, axis)
+            path = boundary_trace(field, curve, samples=65)
+            # A segment the chart runs backward is traced in its stored direction.
+            angle = unwrap_rotation_angle(path, axis)
+            parts += angle if seg.forward else -angle
         assert total == pytest.approx(parts, abs=1e-9)
         assert total == pytest.approx(0.0, abs=1e-9)  # winding-free loop
 
@@ -412,8 +407,8 @@ class TestFaceGrid:
         assert (grid.values(depth + 1).tobytes()
                 == face_grid(field, key, depth + 1).tobytes())
         assert grid.values(depth + 1) is grid.values(depth + 1)
-        # A depth at or below the held ones is read, or sliced from the
-        # nearest finer one.
+        # A depth at or below the held ones is read, refined from a held
+        # coarser one, or evaluated whole.
         lower = min(lower, depth)
         assert grid.values(lower).tobytes() == face_grid(field, key, lower).tobytes()
 
@@ -436,20 +431,6 @@ class TestFaceGrid:
         assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
         assert grid.area_sum(5) == _grid_area_sum(face_grid(field, (CLEAVED, 0), 5))
         assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
-        # A depth asked below a finer one evaluates nothing: it is sliced
-        # from the nearest finer grid, every 2**k-th ring and sample, also
-        # where a coarser depth is held too (depth 4 after 5 and 3).
-        fine = FaceGrid(counted, (CLEAVED, 0))
-        calls.clear()
-        fine.values(5)
-        assert sum(calls) == 33 * 96
-        for depth in (3, 4, 2):
-            calls.clear()
-            coarse = fine.values(depth)
-            assert calls == []
-            assert coarse.flags.c_contiguous
-            assert coarse.tobytes() == face_grid(field, (CLEAVED, 0), depth).tobytes()
-        assert fine.area_sum(3) == grid.area_sum(3)
 
     @pytest.mark.parametrize("key", [(CLEAVED, 0), ("truncated", 0)])
     def test_each_grid_block_is_one_evaluate_call(self, cube_case, monkeypatch, key):

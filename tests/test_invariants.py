@@ -158,6 +158,21 @@ class TestKinks:
         for (a, c), k in inv.kink_numbers.items():
             assert tt.extract_kink(anti, a, c) == k
 
+    def test_step_bound_checked_once(self, cube_phat, monkeypatch):
+        # The unwrap refines the traced path itself; the trace does not.
+        inv, field = make_representative(cube_phat, seed=9)
+        (a, c), k = max(inv.kink_numbers.items(), key=lambda item: abs(item[1]))
+        ensure = tt.SphericalPath.ensure_step_bound
+        calls = []
+
+        def counting(path):
+            calls.append(path.samples.shape[0])
+            return ensure(path)
+
+        monkeypatch.setattr(tt.SphericalPath, "ensure_step_bound", counting)
+        assert tt.extract_kink(field, a, c) == k
+        assert calls == [129]
+
     def test_parallel_endpoints_rejected(self, cube_phat):
         field = constant_field(cube_phat, [0.0, 0.0, 1.0])
         a, c = next(iter(cube_phat.cleaved_edges))
@@ -344,7 +359,7 @@ class TestTrappedAreas:
 
     def test_closed_form_matches_quadrature(self, tetra_phat):
         inv, field = make_representative(tetra_phat, seed=2)
-        report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
+        report = tt.extract_all(field, s=inv.s, depth=5)
         assert report.trapped_max_disagreement < 2e-2
 
     def test_direct_route_reuses_the_area_sums(self, cube_phat, monkeypatch):
@@ -365,8 +380,8 @@ class TestTrappedAreas:
 
         monkeypatch.setattr(fields_mod.FaceGrid, "area_sum", reading)
         monkeypatch.setattr(fields_mod, "_grid_area_sum", counting)
-        # Both routes start at depth 5, so every direct area is a reuse.
-        report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=5)
+        # Every direct area is a reuse of the integral route's sum.
+        report = tt.extract_all(field, s=inv.s, depth=5)
         assert len({digest for digest, _ in sums}) == len(sums)
         # Every face summed its depth-5 grid, or a finer one, through the patch.
         assert sum(1 for _, rings in sums if rings >= 2 ** 5) >= 8
@@ -379,13 +394,9 @@ class TestTrappedAreas:
     def test_default_reads_the_integral_routes_grid(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=3)
         report = tt.extract_all(field, s=inv.s, with_preimage=False)
-        assert report.trapped_depths == report.wrapping_depths
-        deeper = tt.extract_all(field, s=inv.s, trapped_depth=7, with_preimage=False)
-        assert deeper.trapped_depths == (7,) * 8
         for a in range(8):
             grid = FaceGrid(field, (CLEAVED, a))
             assert report.trapped_direct[a] == -grid.area_sum(report.wrapping_depths[a])
-            assert deeper.trapped_direct[a] == -grid.area_sum(7)
 
     def test_default_evaluates_no_grid_past_the_resolved_depth(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=3)
@@ -519,9 +530,8 @@ class TestDirectorClass:
 class TestAntipodalIdentities:
     def test_full_report_relation(self, tetra_phat):
         inv, field = make_representative(tetra_phat, seed=3)
-        rep = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
-        anti = tt.extract_all(tt.antipodal(field), s=-inv.s, depth=5,
-                              trapped_depth=6)
+        rep = tt.extract_all(field, s=inv.s, depth=5)
+        anti = tt.extract_all(tt.antipodal(field), s=-inv.s, depth=5)
         assert np.array_equal(anti.invariants.edge_orientations,
                               -rep.invariants.edge_orientations)
         assert anti.invariants.kink_numbers == rep.invariants.kink_numbers

@@ -7,7 +7,8 @@ import pytest
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo.fields import CLEAVED
-from tangent_topo.sphere import mesh_degree, reference_frame
+from tangent_topo.invariants import s_margin
+from tangent_topo.sphere import mesh_degree, normalized, reference_frame
 from tangent_topo.synthesis import (
     AdmissibleInvariants,
     covering_patch,
@@ -147,13 +148,21 @@ class TestAdmissibility:
 
     def test_in_plane_reference_rejected(self, cube_phat):
         inv = random_admissible_invariants(cube_phat, seed=0)
-        bad_s = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)  # orthogonal to ez faces
-        broken = tt.InvariantSet(
-            s=bad_s, edge_orientations=inv.edge_orientations,
-            kink_numbers=inv.kink_numbers, wrapping_numbers=inv.wrapping_numbers,
-        )
-        with pytest.raises(errors.GeodesicAntipodal):
-            AdmissibleInvariants.from_invariants(broken, cube_phat)
+        # Edge 0's orientation tilted 1e-7 toward the normals of its two
+        # faces: a margin at which a corner-face boundary value comes
+        # within TOL_ANTIPODAL of -s.
+        f0, f1 = cube_phat.parent.edge_faces[0]
+        near = normalized(inv.edge_orientations[0] + 1e-7 * (
+            cube_phat.face_normal(int(f0)) + cube_phat.face_normal(int(f1))))
+        assert s_margin(cube_phat, near) == pytest.approx(1e-7)
+        for bad_s in (np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0),  # orthogonal to ez faces
+                      near):
+            broken = tt.InvariantSet(
+                s=bad_s, edge_orientations=inv.edge_orientations,
+                kink_numbers=inv.kink_numbers, wrapping_numbers=inv.wrapping_numbers,
+            )
+            with pytest.raises(errors.GeodesicAntipodal):
+                AdmissibleInvariants.from_invariants(broken, cube_phat)
 
 
 class TestRandomAdmissible:
@@ -197,7 +206,7 @@ class TestRepresentative:
             tetra_phat, seed=1, wrap_override=(1, -1, 0, 0))
         adm = AdmissibleInvariants.from_invariants(inv, tetra_phat)
         field = tt.representative_boundary(adm, tetra_phat)
-        report = tt.extract_all(field, s=inv.s, depth=5, trapped_depth=6)
+        report = tt.extract_all(field, s=inv.s, depth=5)
         assert tt.invariants_equal(report.invariants, inv, eps_tol=0.0)
 
     def test_seams_continuous(self, cube_phat):
@@ -213,7 +222,7 @@ class TestRepresentative:
         anti_inv = tt.antipodal_invariants(inv)
         adm = AdmissibleInvariants.from_invariants(anti_inv, tetra_phat)
         field = tt.representative_boundary(adm, tetra_phat)
-        report = tt.extract_all(field, s=anti_inv.s, depth=5, trapped_depth=6)
+        report = tt.extract_all(field, s=anti_inv.s, depth=5)
         assert tt.invariants_equal(report.invariants, anti_inv, eps_tol=0.0)
 
     def test_corner_face_evaluates_point_by_point(self, cube_phat):
