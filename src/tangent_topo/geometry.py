@@ -550,10 +550,13 @@ class PolarChart:
     frame: Tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        w1, w2 = self.frame
         rel = self.corners - self.base
-        object.__setattr__(self, "_corners2d",
-                           np.stack([rel @ w1, rel @ w2], axis=1))
+        c2 = np.stack([rel @ w for w in self.frame], axis=1)
+        d = np.roll(c2, -1, axis=0) - c2   # side vectors q1 - q0
+        # The per-chart constants of ``locate`` (the dataclass is frozen).
+        self.__dict__.update(_corners2d=c2, _sides=d,
+                             _tau_num=d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1],
+                             _scale=float(np.max(np.linalg.norm(c2, axis=1))))
 
     @property
     def n_segments(self) -> int:
@@ -597,18 +600,14 @@ class PolarChart:
         ``phi`` and ``rho``; every side is solved in closed form.
         """
         rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.base
-        w1, w2 = self.frame
-        x0 = (rel @ w1)[:, None]
-        x1 = (rel @ w2)[:, None]
-        c2 = self._corners2d
-        scale = float(np.max(np.linalg.norm(c2, axis=1)))
-        at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * scale
+        x0, x1 = ((rel @ w)[:, None] for w in self.frame)
+        c2, d = self._corners2d, self._sides
+        at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * self._scale
         # Side k solves q0 + u (q1 - q0) = tau x by Cramer's rule.
-        d = np.roll(c2, -1, axis=0) - c2
         det = x0 * d[:, 1] - x1 * d[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = (x1 * c2[:, 0] - x0 * c2[:, 1]) / det
-            tau = (d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1]) / det
+            tau = self._tau_num / det
             hit = ((np.abs(det) >= 1e-18) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
                    & (tau >= 1.0 - 1e-9) & ~at_base[:, None])
             k = np.argmax(hit, axis=1)

@@ -255,16 +255,22 @@ def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) ->
 def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
     """Grid cells whose image may contain ``s``.
 
-    Exact membership of ``s`` in the geodesic image triangles of each
-    cell, dilated by one ring of neighbors to absorb the curvature sag
-    of the true (non-geodesic) cell edges.  Exactness matters: near the
-    apex of a covering patch the image cells are slivers much narrower
-    than any useful tolerance band.
+    A proximity filter over the whole grid runs first: only cells whose
+    image comes near ``s`` can hold a preimage, and it discards antipodal
+    slivers whose great-circle sign tests flicker (the tangential
+    residual vanishes at -s as well).  The cells it keeps take the exact
+    test of ``s`` against their geodesic image triangles (near the apex
+    of a covering patch the image cells are slivers much narrower than
+    any useful tolerance band), dilated by one ring of neighbors to
+    absorb the curvature sag of the true (non-geodesic) cell edges.
     """
-    c00 = grid[:-1]
-    c10 = grid[1:]
-    c01 = np.roll(c00, -1, axis=1)
-    c11 = np.roll(c10, -1, axis=1)
+    dots = grid @ s
+    rolled = np.roll(dots, -1, axis=1)  # corner j + 1, wrapped
+    corner_best = np.maximum.reduce([dots[:-1], dots[1:], rolled[:-1], rolled[1:]])
+    _, radial, around = fields_mod._neighbor_dots(grid)
+    h = np.arccos(np.clip(np.minimum.reduce(
+        [radial[:, :-1], around[1:], radial[:, 1:], around[:-1]]), -1.0, 1.0))
+    ii, jj = np.nonzero(corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi)))
 
     def inside(t0, t1, t2):
         # Each of the three edge cross products once; the first one
@@ -276,18 +282,11 @@ def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
             ok &= orient * np.einsum("ijk,k->ij", edge, s) >= -1e-12
         return ok
 
-    cand = inside(c00, c10, c11) | inside(c00, c11, c01)
-    # Only cells whose image actually comes near s can hold a preimage;
-    # this discards antipodal slivers whose great-circle sign tests
-    # flicker (the tangential residual vanishes at -s as well).
-    corner_best = np.maximum.reduce([c00 @ s, c10 @ s, c01 @ s, c11 @ s])
-    h = np.arccos(np.clip(np.minimum.reduce([
-        np.einsum("ijk,ijk->ij", c00, c10),
-        np.einsum("ijk,ijk->ij", c10, c11),
-        np.einsum("ijk,ijk->ij", c11, c01),
-        np.einsum("ijk,ijk->ij", c01, c00),
-    ]), -1.0, 1.0))
-    cand &= corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi))
+    # The near cells' corners as (n, 1, 3) blocks, summed as the grid's.
+    c00, c10, c01, c11 = (grid[i, j][:, None] for j in (jj, (jj + 1) % grid.shape[1])
+                          for i in (ii, ii + 1))
+    cand = np.zeros(corner_best.shape, dtype=bool)
+    cand[ii, jj] = (inside(c00, c10, c11) | inside(c00, c11, c01))[:, 0]
     grown = cand.copy()
     grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
     grown[1:] |= cand[:-1]
@@ -309,8 +308,9 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     Jacobian below TOL_REGULAR, raises NotRegularValue.  A first seed
     that starts converged is never moved, so it is checked before the
     candidate scan and the polish, and a critical one raises at once.
-    All seeds are polished together: every step locates and evaluates
-    its points in one call.
+    All seeds are polished together: each line-search round locates and
+    evaluates its trial points with their stencils in one call, from
+    which the next Newton step reads its residuals and Jacobians.
     """
     key = (CLEAVED, a)
     chart = field.charts[key]
@@ -401,13 +401,12 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     hemi = np.full(len(p), -1.0)
     have_g = np.zeros(len(p), dtype=bool)   # False once a stencil left the face
     ok = np.zeros(len(p), dtype=bool)
-    active = np.ones(len(p), dtype=bool)
+    # Only the first iteration evaluates its own stencils (stencil[0] is 0).
+    idx = np.arange(len(p))
+    gs, hs, inside = residuals(p[:, None, :] + stencil)
     for _ in range(POLISH_ITERS):
-        idx = np.flatnonzero(active)
-        gs, hs, inside = residuals(p[idx, None, :] + stencil)
         valid = inside.all(axis=1)
         have_g[idx] = valid
-        active[idx] = valid
         idx, gs = idx[valid], gs[valid]
         g[idx], hemi[idx] = gs[:, 0], hs[valid, 0]
         base = np.hypot(g[idx, 0], g[idx, 1])
@@ -415,7 +414,6 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         ok[idx[done]] = hemi[idx[done]] > 0.0  # the antipode solves the residual too
         jac = jacobians(gs)
         done |= np.abs(np.linalg.det(jac)) < 1e-18
-        active[idx[done]] = False
         idx, jac, base = idx[~done], jac[~done], base[~done]
         if idx.size == 0:
             break
@@ -425,12 +423,14 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         step[big] *= (0.25 * diam / norm[big])[:, None]
         # Backtracking keeps the iteration inside its basin.
         trial = p[idx]
+        gs, hs = np.empty((idx.size, 5, 2)), np.empty((idx.size, 5))
+        inside = np.empty((idx.size, 5), dtype=bool)
         pending = np.ones(idx.size, dtype=bool)
         for _ in range(8):
             j = np.flatnonzero(pending)
             trial[j] = p[idx[j]] + step[j, :1] * w1 + step[j, 1:] * w2
-            gt, _, inside = residuals(trial[j])
-            accept = inside & (np.hypot(gt[:, 0], gt[:, 1]) < base[j])
+            gs[j], hs[j], inside[j] = residuals(trial[j, None] + stencil)
+            accept = inside[j, 0] & (np.hypot(gs[j, 0, 0], gs[j, 0, 1]) < base[j])
             pending[j[accept]] = False
             step[j[~accept]] *= 0.5
             if not pending.any():

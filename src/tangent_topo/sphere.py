@@ -78,9 +78,8 @@ def cross(a, b, axis: int = -1) -> np.ndarray:
         (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
         return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    parts = out
-    if axis != 0:
-        a, b, parts = (np.moveaxis(x, axis, 0) for x in (a, b, out))
+    a, b, parts = ([x[(slice(None),) * (axis % x.ndim) + (i,)] for i in range(3)]
+                   for x in (a, b, out))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=parts[i])
         parts[i] -= a[k] * b[j]

@@ -13,7 +13,8 @@ from tangent_topo.geometry import (
     truncate,
 )
 
-from helpers import halfspace_truncation_counts, random_rotation
+from helpers import (halfspace_truncation_counts, pentagonal_pyramid, random_rotation,
+                     reference_locate)
 
 
 class TestPolyhedronLoading:
@@ -232,6 +233,33 @@ class TestPolarChart:
         rho, phi2, inside = chart.locate(np.concatenate([inner, outer]))
         assert inside[:12].all() and not inside[12:].any()
         assert np.all(rho[12:] == 0.0) and np.all(phi2[12:] == 0.0)
+
+    @pytest.mark.parametrize("solid", ["cube_phat", "tetra_phat", "octa_phat", "pyramid"])
+    def test_locate_equals_the_reference_formula(self, solid, request):
+        # The per-chart constants computed once give the same bits as the
+        # formula that recomputes them on every call.
+        if solid == "pyramid":
+            poly = pentagonal_pyramid()
+            phat = truncate(poly, TruncationSpec.from_fraction(poly, 0.25))
+        else:
+            phat = request.getfixturevalue(solid)
+        rng = np.random.default_rng(7)
+        for key, chart in phat.charts.items():
+            m = chart.n_segments
+            corners = np.arange(m) * (2.0 * np.pi / m)
+            phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 40), corners,
+                                  corners + np.pi / m])
+            rim = chart.point(np.ones(phi.size), phi)
+            pts = np.concatenate([
+                chart.point(rng.uniform(0.0, 1.0, 40), phi[:40]),        # interior
+                rim, chart.base + (1.0 - 1e-12) * (rim - chart.base),  # rim
+                [chart.base, chart.base + 1e-16 * chart.frame[0]],      # base point
+                chart.base + 1.5 * (rim - chart.base),                  # outside
+            ])
+            got, want = chart.locate(pts), reference_locate(chart, pts)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes(), key
+            assert got[2][-phi.size:].sum() == 0 and got[2][-phi.size - 2:-phi.size].all()
 
     def test_fan_cycle_anchored_and_cyclic(self, cube_phat):
         cycle = cube_phat.fan_edge_cycle(0)

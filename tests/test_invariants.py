@@ -236,6 +236,24 @@ class TestWrapping:
         count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 6)
         assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
 
+    def test_polish_reads_each_step_from_its_line_search(self, cube_phat):
+        # Face 0 of the seed-3 set has w = 1, and its polish takes 12
+        # iterations.  A stencil call at the start of each iteration made
+        # 27 evaluate calls in all; only the first iteration makes one now,
+        # the others read the stencils that the line search evaluated.
+        inv, field = make_representative(cube_phat, seed=3)
+        calls = []
+
+        def evaluator(key, rho, phi):
+            calls.append(rho.size)
+            return field.evaluator(key, rho, phi)
+
+        counted = AnalyticField(host=cube_phat, charts=field.charts,
+                                evaluator=evaluator)
+        assert inv.wrapping_numbers[0] == 1
+        assert tt.extract_wrapping_preimage(counted, 0, inv.s) == 1
+        assert len(calls) == 27 - 11
+
     def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
         # At depth 1 the preimage scan of face 2 used to count 1 against
         # the integral route's 3 and raise DualRouteMismatch.
@@ -331,6 +349,53 @@ class TestCandidateCells:
                 got = inv_mod._candidate_cells(grid, s, limit)
                 assert np.array_equal(got, reference_candidate_cells(grid, s, limit))
 
+
+    @staticmethod
+    def _gnomonic_annulus(R=4, K=8):
+        # Ring i at planar radius 1 + i, sample j at angle 2 pi j / K,
+        # centrally projected: the geodesic image triangles are the images
+        # of the planar ones, so a direction lies in one cell only.
+        r = 1.0 + np.arange(R + 1)[:, None]
+        t = 2.0 * np.pi * np.arange(K) / K
+        return normalized(np.stack(
+            [r * np.cos(t), r * np.sin(t), np.full((R + 1, K), 10.0)], axis=-1))
+
+    def test_the_wrapped_cell_alone(self):
+        # s lies between rings 1 and 2 and between columns K - 1 and 0.
+        grid = self._gnomonic_annulus()
+        K = grid.shape[1]
+        s = normalized([2.5 * np.cos(np.pi / K), -2.5 * np.sin(np.pi / K), 10.0])
+        got = inv_mod._candidate_cells(grid, s)
+        assert np.array_equal(got, reference_candidate_cells(grid, s))
+        # The one candidate and its four neighbors, across the seam.
+        assert sorted(map(tuple, got.tolist())) == [
+            (0, K - 1), (1, 0), (1, K - 2), (1, K - 1), (2, K - 1)]
+
+    def test_no_near_cell(self):
+        grid = self._gnomonic_annulus()
+        for s in ([0.0, 0.0, -1.0], [1.0, 0.0, 0.0]):
+            got = inv_mod._candidate_cells(grid, normalized(s))
+            assert got.shape == (0, 2)
+            assert np.array_equal(got, reference_candidate_cells(grid, normalized(s)))
+
+    @pytest.mark.parametrize("case_id", range(4))
+    def test_corpus_faces_at_the_retry_directions(self, case_id):
+        # One certify corpus case of each solid.  At s itself the whole
+        # rho = 0 ring of every face lands on s, so the scan stops at its
+        # limit; the retry directions are the ones the preimage route
+        # polishes from.
+        corpus = _bench_corpus().Corpus(1, with_field=True, file_dir=None)
+        case = corpus.case(case_id)
+        s = case.expected.s
+        for a in range(len(case.phat.cleaved_faces)):
+            grid = fields_mod.face_grid(case.field, ("cleaved", a), 6)
+            got = inv_mod._candidate_cells(grid, s)
+            assert len(got) == 96 and len(reference_candidate_cells(grid, s, 10 ** 9)) > 96
+            assert np.array_equal(got, reference_candidate_cells(grid, s))
+            for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1):
+                s_k = inv_mod._rotated(s, k, 1e-3 * k)
+                got = inv_mod._candidate_cells(grid, s_k)
+                assert np.array_equal(got, reference_candidate_cells(grid, s_k))
 
 class TestTrappedAreas:
     def test_octant_corner(self, cube_phat):

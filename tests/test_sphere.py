@@ -209,6 +209,17 @@ class TestCross:
             assert got.tobytes() == np.cross(x, y).tobytes()
 
 
+    def test_inputs_of_unequal_rank(self):
+        rng = np.random.default_rng(9)
+        v, block = rng.normal(size=3), rng.normal(size=(6, 1, 3))
+        for x, y in ((v, block), (block, v), (block, rng.normal(size=(4, 3)))):
+            assert cross(x, y).tobytes() == np.cross(x, y).tobytes()
+        planes, column = rng.normal(size=(3, 7)), rng.normal(size=(3, 1))
+        for x, y in ((planes, column), (column, planes)):
+            got = cross(x, y, axis=0)
+            assert got.shape == (3, 7)
+            assert got.tobytes() == np.cross(x, y, axis=0).tobytes()
+
 class TestTriangleSigma:
     def test_interior_positive(self):
         assert triangle_sigma(EX, EY, EZ, DIAG) == 1
