@@ -6,6 +6,9 @@ sampled (structured per-face grids with geodesic interpolation, which
 keeps values on the sphere and keeps in-plane values in their plane).
 Fields are immutable.
 
+Field files hold each face grid as base64 of its float64 bytes
+(``tangentfield/2``); the ``tangentfield/1`` files of JSON lists are read.
+
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
 sampling density.  Evaluators work point by point: a node's value does
@@ -20,6 +23,7 @@ alone once per ring and a factor of phi alone once per angle.
 """
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
@@ -44,7 +48,7 @@ TANGENCY_DEPTH = 4
 # Deepest face grid that sampling and the extraction routes refine to.
 MAX_DEPTH = 9
 
-FIELD_FORMAT = "tangentfield/1"
+FIELD_FORMAT = "tangentfield/2"
 
 
 def _grid_axes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -490,33 +494,28 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     return SampledField(host=field.host, charts=field.charts, values=values)
 
 
-def _float_rows(arr) -> list:
-    # The Python floats of ``[[float(x) for x in row] for row in arr]``.
-    return np.asarray(arr, dtype=float).tolist()
-
-
 def _field_document(field: TangentField, depth: int,
                     poly_source: Optional[dict]):
     """The entries of a field document other than ``faces``, and the face
     blocks in face order, built one at a time.
 
-    Node positions are included for external tools; the loader checks
-    them against the reconstructed charts.
+    A block's ``vectors`` entry is the standard base64 of the
+    little-endian float64 bytes of its (R + 1, K, 3) grid, row-major.
+    Node positions are not written: they are the chart's
+    ``point(*grid_nodes(R, K))``.
     """
     sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
     phat = field.host
 
     def face_block(key: FaceKey) -> dict:
         grid = sampled.values[key]
-        R = grid.shape[0] - 1
-        K = grid.shape[1]
+        raw = grid.astype("<f8", copy=False).tobytes()
         return {
             "kind": key[0],
             "index": int(key[1]),
-            "rho_steps": int(R),
-            "phi_steps": int(K),
-            "positions": _float_rows(sampled.charts[key].point(*grid_nodes(R, K))),
-            "vectors": _float_rows(grid.reshape(-1, 3)),
+            "rho_steps": int(grid.shape[0] - 1),
+            "phi_steps": int(grid.shape[1]),
+            "vectors": base64.b64encode(raw).decode("ascii"),
         }
 
     head = {
@@ -536,15 +535,18 @@ def field_to_dict(field: TangentField, depth: int = 4,
 
 
 def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
-    """Rebuild a sampled field; returns it with its tangency diagnostics.
+    """Rebuild a sampled field from a ``tangentfield/2`` or
+    ``tangentfield/1`` document, whose node positions must match the
+    charts; returns it with its tangency diagnostics.
 
     The field keeps the document's ``polyhedron`` entry as its
     ``source``.  Vectors are renormalized on load.  Raises FieldError
-    for structural problems, including a missing or mistyped entry;
-    tangency violations are reported, not raised.
+    for structural problems, including a missing or mistyped entry or a
+    malformed vector block; tangency violations are reported, not raised.
     """
     with reading_document(FieldError, "field"):
-        if data.get("format") != FIELD_FORMAT:
+        v1 = data.get("format") == "tangentfield/1"
+        if not v1 and data.get("format") != FIELD_FORMAT:
             raise FieldError(f"unsupported field format {data.get('format')!r}")
         phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
         charts = phat.charts
@@ -558,14 +560,21 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
             K = int(entry["phi_steps"])
             if R < 1 or K < 1:
                 raise FieldError(f"face {key} needs at least one rho and one phi step")
-            vecs = np.asarray(entry["vectors"], dtype=float)
+            if v1:
+                vecs = np.asarray(entry["vectors"], dtype=float)
+            else:  # base64 of the "<f8" bytes, counted before they are shaped
+                raw = base64.b64decode(entry["vectors"], validate=True)
+                if len(raw) != (R + 1) * K * 24:
+                    raise FieldError(f"vector block of face {key} has {len(raw)} bytes")
+                vecs = np.frombuffer(raw, "<f8").reshape(-1, 3)
             if vecs.shape != ((R + 1) * K, 3):
                 raise FieldError(f"vector block shape mismatch on face {key}")
-            pos = np.asarray(entry["positions"], dtype=float)
-            expected = charts[key].point(*grid_nodes(R, K))
-            if (pos.shape != expected.shape
-                    or not np.max(np.linalg.norm(pos - expected, axis=1)) <= 1e-6 * scale):
-                raise FieldError(f"node positions disagree with the chart on face {key}")
+            if v1:
+                pos = np.asarray(entry["positions"], dtype=float)
+                expected = charts[key].point(*grid_nodes(R, K))
+                if (pos.shape != expected.shape
+                        or not np.max(np.linalg.norm(pos - expected, axis=1)) <= 1e-6 * scale):
+                    raise FieldError(f"node positions disagree with the chart on face {key}")
             values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
     missing = set(phat.face_keys()) - set(values)
     if missing:

@@ -1,9 +1,14 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import base64
+import io
+import json
+
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
+from tangent_topo.fields import SampledField, grid_nodes, sample_field
 from tangent_topo.sphere import geodesic_interpolate, normalized
 
 
@@ -313,3 +318,52 @@ def reference_locate(chart, points):
         rho = np.where(inside, np.minimum(1.0, 1.0 / tau[rows, k]), 0.0)
         phi = np.where(inside, (k + np.clip(u[rows, k], 0.0, 1.0)) * span, 0.0)
     return rho, phi, inside | at_base
+
+
+# --- field documents ------------------------------------------------------------
+
+def encode_vectors(vecs) -> str:
+    """A ``tangentfield/2`` vector block: base64 of ``<f8`` bytes, row-major."""
+    return base64.b64encode(np.asarray(vecs, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_vectors(text: str) -> np.ndarray:
+    """The (n, 3) rows of a ``tangentfield/2`` vector block, writable."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3).copy()
+
+
+def reference_field_text(field, depth=4, poly_source=None, fmt="tangentfield/2"):
+    """The field document and file text as written element by element
+    through ``json.dump``, the reference for the streamed writer.
+
+    ``fmt="tangentfield/1"`` writes the old format, vectors and node
+    positions as lists of JSON floats.
+    """
+    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
+    phat = field.host
+    faces = []
+    for key in phat.face_keys():
+        grid = sampled.values[key]
+        R, K = grid.shape[0] - 1, grid.shape[1]
+        face = {"kind": key[0], "index": int(key[1]), "rho_steps": int(R),
+                "phi_steps": int(K)}
+        if fmt == "tangentfield/1":
+            pos = sampled.charts[key].point(*grid_nodes(R, K))
+            face["positions"] = [[float(x) for x in row] for row in pos]
+            face["vectors"] = [[float(x) for x in row] for row in grid.reshape(-1, 3)]
+        else:
+            face["vectors"] = encode_vectors(grid)
+        faces.append(face)
+    doc = {
+        "format": fmt,
+        "polyhedron": poly_source or phat.parent.to_dict(),
+        "truncation": {
+            "normals": [[float(x) for x in row] for row in phat.spec.normals],
+            "points": [[float(x) for x in row] for row in phat.spec.points],
+        },
+        "faces": faces,
+    }
+    buf = io.StringIO()
+    json.dump(doc, buf, sort_keys=True)
+    buf.write("\n")
+    return doc, buf.getvalue()

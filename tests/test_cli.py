@@ -16,6 +16,8 @@ from tangent_topo.cli import (
 from tangent_topo.fields import MAX_DEPTH
 from tangent_topo.invariants import invariant_set_to_dict
 
+from helpers import decode_vectors, encode_vectors, reference_field_text
+
 
 @pytest.fixture(scope="module")
 def inv_file(tmp_path_factory, tetra_phat):
@@ -135,6 +137,49 @@ class TestPipeline:
         assert mesh_path.read_text().startswith("#")
 
 
+@pytest.fixture(scope="module")
+def synthesized_field(inv_file):
+    path = inv_file.with_name("field.json")
+    assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",
+                 "--seed", "1", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+FIELD_EDITS = ["zero_rho_steps", "vectors_not_numbers", "huge_rho_steps",
+               "infinite_rho_steps", "nan_vector", "zero_vector", "invalid_base64",
+               "short_payload", "vectors_as_list"]
+V2_ONLY_FIELD_EDITS = ("invalid_base64", "short_payload", "vectors_as_list")
+
+
+def _edit_field(doc: dict, edit: str) -> dict:
+    """``doc`` with its first face block edited in place; the values of a
+    ``tangentfield/2`` block are edited as decoded rows and re-encoded."""
+    face = doc["faces"][0]
+    v2 = doc["format"] == "tangentfield/2"
+    vecs = decode_vectors(face["vectors"]) if v2 else face["vectors"]
+    if edit == "zero_rho_steps":  # a single ring, consistent in size
+        face["rho_steps"] = 0
+        vecs = vecs[:face["phi_steps"]]
+        if not v2:
+            face["positions"] = face["positions"][:face["phi_steps"]]
+    elif edit == "huge_rho_steps":  # refused before any grid is built
+        face["rho_steps"] = 10 ** 12
+    elif edit == "infinite_rho_steps":
+        face["rho_steps"] = float("inf")
+    elif edit in ("nan_vector", "zero_vector"):
+        vecs[3] = [float("nan") if edit == "nan_vector" else 0.0] * 3
+    face["vectors"] = encode_vectors(vecs) if v2 else vecs
+    if edit == "vectors_not_numbers":
+        face["vectors"] = "x"
+    elif edit == "invalid_base64":
+        face["vectors"] = "*" + face["vectors"][1:]
+    elif edit == "short_payload":
+        face["vectors"] = encode_vectors(vecs.reshape(-1)[:-1])
+    elif edit == "vectors_as_list":
+        face["vectors"] = vecs.tolist()
+    return doc
+
+
 class TestErrorPaths:
     def test_sum_rule_violation(self, inv_file, tmp_path):
         doc = json.loads(inv_file.read_text())
@@ -182,43 +227,35 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "x.obj")])
         assert err.value.code == EXIT_USAGE
 
-    def test_non_tangent_field_rejected(self, inv_file, tmp_path):
-        field_path = tmp_path / "field.json"
-        assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",
-                     "--seed", "1", "--out", str(field_path)]) == EXIT_OK
-        doc = json.loads(field_path.read_text())
+    def test_non_tangent_field_rejected(self, synthesized_field, tmp_path, capsys):
+        doc = json.loads(synthesized_field.read_text())
         face = next(f for f in doc["faces"] if f["kind"] == "truncated")
-        face["vectors"] = [[1.0, 0.0, 0.0] for _ in face["vectors"]]
+        rows = (face["rho_steps"] + 1) * face["phi_steps"]
+        face["vectors"] = encode_vectors([[1.0, 0.0, 0.0]] * rows)
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         assert main(["invariants", "--field", str(broken),
                      "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        assert "tangency validation failed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["zero_rho_steps", "vectors_not_numbers",
-                                      "huge_rho_steps", "infinite_rho_steps",
-                                      "nan_vector"])
-    def test_bad_field_contents_are_validation_errors(self, inv_file, tmp_path, edit):
-        field_path = tmp_path / "field.json"
-        assert main(["synthesize", "--inv", str(inv_file), "--depth", "4",
-                     "--seed", "1", "--out", str(field_path)]) == EXIT_OK
-        doc = json.loads(field_path.read_text())
-        face = doc["faces"][0]
-        if edit == "zero_rho_steps":  # a single ring, consistent in size
-            face["rho_steps"] = 0
-            face["vectors"] = face["vectors"][:face["phi_steps"]]
-            face["positions"] = face["positions"][:face["phi_steps"]]
-        elif edit == "vectors_not_numbers":
-            face["vectors"] = "x"
-        elif edit == "huge_rho_steps":  # refused before any grid is built
-            face["rho_steps"] = 10 ** 12
-        elif edit == "infinite_rho_steps":
-            face["rho_steps"] = float("inf")
-        else:
-            face["vectors"][3] = [float("nan")] * 3
+    @pytest.mark.parametrize("edit", FIELD_EDITS)
+    def test_bad_field_contents_are_validation_errors(self, synthesized_field, tmp_path,
+                                                      capsys, edit):
+        # Each edit of a tangentfield/2 document, and of the tangentfield/1
+        # document of the same field where the edit applies to it, is a
+        # malformed document (not a tangency failure).
+        doc = json.loads(synthesized_field.read_text())
+        docs = [doc]
+        if edit not in V2_ONLY_FIELD_EDITS:
+            field, _ = tt.load_field(synthesized_field)
+            docs.append(reference_field_text(field, poly_source=field.source,
+                                             fmt="tangentfield/1")[0])
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["invariants", "--field", str(bad),
-                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        for doc in docs:
+            bad.write_text(json.dumps(_edit_field(doc, edit)))
+            assert main(["invariants", "--field", str(bad),
+                         "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION, doc["format"]
+            assert capsys.readouterr().err.startswith("validation failure: ")
 
     def test_missing_file(self, tmp_path):
         assert main(["invariants", "--field", str(tmp_path / "nope.json"),

@@ -1,4 +1,3 @@
-import io
 import json
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
+from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.fields import (
     CLEAVED,
     MAX_DEPTH,
@@ -34,7 +34,13 @@ from tangent_topo.fields import (
 from tangent_topo.invariants import s_margin
 from tangent_topo.sphere import triangle_areas, unwrap_rotation_angle
 
-from helpers import constant_field, pentagonal_pyramid
+from helpers import (
+    constant_field,
+    decode_vectors,
+    encode_vectors,
+    pentagonal_pyramid,
+    reference_field_text,
+)
 
 
 @pytest.fixture(scope="module")
@@ -224,17 +230,17 @@ class TestSampledFields:
     def test_loader_renormalizes(self, cube_case):
         _, field = cube_case
         doc = field_to_dict(field, depth=4)
-        doc["faces"][0]["vectors"] = [
-            [2.0 * x for x in row] for row in doc["faces"][0]["vectors"]
-        ]
+        doc["faces"][0]["vectors"] = encode_vectors(2.0 * decode_vectors(doc["faces"][0]["vectors"]))
         loaded, diag = field_from_dict(doc)
         key = (doc["faces"][0]["kind"], doc["faces"][0]["index"])
         norms = np.linalg.norm(loaded.values[key].reshape(-1, 3), axis=1)
         assert np.allclose(norms, 1.0)
 
     def test_loader_rejects_displaced_positions(self, cube_case):
+        # Only tangentfield/1 documents carry node positions.
         _, field = cube_case
-        doc = field_to_dict(field, depth=4)
+        doc, _ = reference_field_text(field, depth=4, fmt="tangentfield/1")
+        field_from_dict(doc)
         doc["faces"][0]["positions"][0][0] += 0.5
         with pytest.raises(errors.FieldError):
             field_from_dict(doc)
@@ -551,42 +557,9 @@ class TestSampledGridPath:
                         == _pointwise_grid(sampled, key, depth).tobytes())
 
 
-def _reference_field_text(field, depth=4, poly_source=None):
-    """The field document and file text as written element by element
-    through ``json.dump``, the reference for the streamed writer."""
-    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
-    phat = field.host
-    faces = []
-    for key in phat.face_keys():
-        grid = sampled.values[key]
-        R, K = grid.shape[0] - 1, grid.shape[1]
-        pos = sampled.charts[key].point(*grid_nodes(R, K))
-        faces.append({
-            "kind": key[0],
-            "index": int(key[1]),
-            "rho_steps": int(R),
-            "phi_steps": int(K),
-            "positions": [[float(x) for x in row] for row in pos],
-            "vectors": [[float(x) for x in row] for row in grid.reshape(-1, 3)],
-        })
-    doc = {
-        "format": "tangentfield/1",
-        "polyhedron": poly_source or phat.parent.to_dict(),
-        "truncation": {
-            "normals": [[float(x) for x in row] for row in phat.spec.normals],
-            "points": [[float(x) for x in row] for row in phat.spec.points],
-        },
-        "faces": faces,
-    }
-    buf = io.StringIO()
-    json.dump(doc, buf, sort_keys=True)
-    buf.write("\n")
-    return doc, buf.getvalue()
-
-
 class TestFieldWriter:
     def _check(self, field, tmp_path, depth=4, poly_source=None):
-        doc, text = _reference_field_text(field, depth, poly_source)
+        doc, text = reference_field_text(field, depth, poly_source)
         path = tmp_path / "field.json"
         save_field(field, path, depth=depth, poly_source=poly_source)
         assert path.read_bytes() == text.encode("utf-8")
@@ -617,3 +590,27 @@ class TestFieldWriter:
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
         self._check(field, tmp_path, depth=3, poly_source=poly.to_dict())
+
+    def test_v1_file_reads_as_the_v2_file(self, tetra_phat, tmp_path):
+        # A tangentfield/1 file and the tangentfield/2 file of one field
+        # load the same float64 values and give byte-identical reports.
+        inv = tt.random_admissible_invariants(tetra_phat, seed=3, wrap_override=(0, 0, 0, 0))
+        adm = tt.AdmissibleInvariants.from_invariants(inv, tetra_phat)
+        field = sample_field(tt.representative_boundary(adm, tetra_phat), 1)
+        source = {"builtin": "tetrahedron"}
+        paths = {fmt: tmp_path / f"{fmt[-1]}.json" for fmt in ("tangentfield/1", "tangentfield/2")}
+        paths["tangentfield/1"].write_text(
+            reference_field_text(field, poly_source=source, fmt="tangentfield/1")[1])
+        save_field(field, paths["tangentfield/2"], poly_source=source)
+        assert json.loads(paths["tangentfield/2"].read_text())["format"] == "tangentfield/2"
+        v1, v2 = (tt.load_field(path)[0] for path in paths.values())
+        assert v1.source == v2.source == source
+        for key in tetra_phat.face_keys():
+            assert v1.values[key].tobytes() == v2.values[key].tobytes()
+        reports = []
+        for fmt, path in paths.items():
+            out = tmp_path / f"report{fmt[-1]}.json"
+            assert main(["invariants", "--field", str(path), "--depth", "3", "--seed", "0",
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

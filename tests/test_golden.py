@@ -22,7 +22,7 @@ REPORTS = {
     "octahedron": "bc2718586e8e9e45043f3d58fbdb0a37ceceb9bc1334cf9e1253af2570435b6f",
 }
 TETRAHEDRON_CLI = {
-    "field.json": "494b09ce213be2ba9589a674c8f1da167dfa039b6b5b9696b288e4ba9b783bab",
+    "field.json": "25b2ac56e97d137394f8ad52488e4eff4233cad51a9d35de64e5ecbc39398411",
     "synthesize-report.json": "9c0e7ad2ec0ca87aa5703ff44d2745a583ace7554803c715200defa568767dcb",
     "invariants-report.json": "b4e5637644da3a4d0a69485632d863121b8220c6970de6d12e018f2e21dffc3e",
 }
