@@ -33,7 +33,6 @@ from .geometry import (
     builtin_polyhedron,
     load_polyhedron,
     polar_chart,
-    save_polyhedron,
     truncate,
 )
 from .invariants import (
@@ -106,7 +105,6 @@ __all__ = [
     "sample_field",
     "save_field",
     "save_mesh_obj",
-    "save_polyhedron",
     "spherical_triangle_area",
     "trapped_area_direct",
     "trapped_area_from_invariants",

@@ -216,12 +216,6 @@ def load_polyhedron(path) -> ConvexPolyhedron:
         return polyhedron_from_dict(json.load(fh))
 
 
-def save_polyhedron(poly: ConvexPolyhedron, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poly.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass(frozen=True)
 class TruncationSpec:
     """One separating cut plane per vertex.

@@ -61,6 +61,9 @@ TOL_REGULAR = 1e-6
 PREIMAGE_MERGE_TOL = 1e-7
 POLISH_ITERS = 20
 PREIMAGE_ATTEMPTS = 3
+# The preimage check turns off s by multiples of this angle; every turn
+# stays within MARGIN_S of s, so it crosses no boundary image of a face.
+PREIMAGE_TURN = MARGIN_S / (PREIMAGE_ATTEMPTS + 1)
 
 INVARIANTS_FORMAT = "invariants/1"
 REPORT_FORMAT = "invariant-report/1"
@@ -252,8 +255,9 @@ def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) ->
     return w
 
 
-def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
-    """Grid cells whose image may contain ``s``.
+def _candidate_cells(grid: np.ndarray, s: np.ndarray):
+    """Every grid cell whose image may contain ``s``: a few dozen off the
+    apex of a covering patch, whole rows at it (its base ring maps onto s).
 
     A proximity filter over the whole grid runs first: only cells whose
     image comes near ``s`` can hold a preimage, and it discards antipodal
@@ -291,11 +295,7 @@ def _candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
     grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
     grown[1:] |= cand[:-1]
     grown[:-1] |= cand[1:]
-    idx = np.argwhere(grown)
-    if idx.shape[0] > limit:
-        order = np.argsort(-corner_best[grown])
-        idx = idx[order[:limit]]
-    return idx
+    return np.argwhere(grown)
 
 
 def _preimage_points(field, a, s, grid_depth, cache=None):
@@ -305,9 +305,8 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     local degree: +-1 at a regular preimage, 0 or larger magnitude at
     critical points (for example the center of a covering patch hit
     head-on).  A preimage of another local degree, or with a normalized
-    Jacobian below TOL_REGULAR, raises NotRegularValue.  A first seed
-    that starts converged is never moved, so it is checked before the
-    candidate scan and the polish, and a critical one raises at once.
+    Jacobian below TOL_REGULAR, raises NotRegularValue; every preimage
+    is polished first, so a critical one raises only at that check.
     All seeds are polished together: each line-search round locates and
     evaluates its trial points with their stencils in one call, from
     which the next Newton step reads its residuals and Jacobians.
@@ -343,39 +342,12 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
         """Central differences from the stencil residuals ``(n, 5, 2)``."""
         return np.stack([g[:, 1] - g[:, 2], g[:, 3] - g[:, 4]], axis=2) / (2 * h)
 
-    def local_degree(points):
-        """Windings about ``(n, 3)`` points (0 where the circle or the
-        stencil leaves the face), normalized Jacobian determinants, and
-        the residual, hemisphere and stencil ``inside`` mask at each
-        point."""
-        gs, hs, inside = residuals(points[:, None, :] + np.concatenate([circle, stencil]))
-        angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
-        winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
-        winding[~inside.all(axis=1)] = 0
-        det_norm = np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
-        return winding, det_norm, gs[:, 17], hs[:, 17], inside[:, 17:].all(axis=1)
-
-    def require_regular(winding, det_norm):
-        bad = np.abs(winding) != 1
-        if bad.any():
-            raise NotRegularValue(f"preimage on face {a} has local degree {winding[bad][0]}")
-        if np.any(np.abs(det_norm) < TOL_REGULAR):
-            raise NotRegularValue(f"near-critical preimage on face {a} "
-                                  f"(|det|={np.min(np.abs(det_norm)):.3g})")
-
     # Nodes that already land on s seed first.  A covering patch hit
-    # head-on has its critical preimage exactly on such a node; a first
-    # seed that starts converged is kept unmoved by the polish, so its
-    # local degree decides a failing attempt here, before any other
-    # seed is built.
+    # head-on has its critical preimage exactly on such a node; the
+    # polish keeps a seed that starts converged, so the final local
+    # degree check sees it.
     hits = np.flatnonzero((grid @ s).ravel() >= 1.0 - 1e-12)
     hit_rho, hit_phi = (x[hits] for x in fields_mod.grid_nodes(R, K))
-    if len(hits):
-        first = chart.point(hit_rho[:1], hit_phi[:1])
-        winding, det_norm, g0, hemi0, stencil_in = local_degree(first)
-        if (stencil_in[0] and np.hypot(g0[0, 0], g0[0, 1]) < 1e-11 and hemi0[0] > 0.0
-                and chart.locate(first)[0][0] <= 1.0 - 1e-9):
-            require_regular(winding, det_norm)
     # Each candidate cell starts from the best interior point of a
     # sub-grid, so the polish begins inside the right basin even when
     # several preimages crowd a coarse cell.  Interior sub-points only:
@@ -446,8 +418,20 @@ def _preimage_points(field, a, s, grid_depth, cache=None):
     for i in np.flatnonzero(ok & inside & (rho <= 1.0 - 1e-9)):
         if not any(np.linalg.norm(p[i] - p[j]) < PREIMAGE_MERGE_TOL * diam for j in kept):
             kept.append(i)
-    winding, det_norm, _, _, _ = local_degree(p[kept])
-    require_regular(winding, det_norm)
+    # The local degree at each kept point: the winding of the residual on
+    # a small circle about it (0 where the circle or the stencil leaves
+    # the face), and the normalized Jacobian from the stencil.
+    gs, _, inside = residuals(p[kept][:, None, :] + np.concatenate([circle, stencil]))
+    angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
+    winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
+    winding[~inside.all(axis=1)] = 0
+    det_norm = np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
+    bad = np.abs(winding) != 1
+    if bad.any():
+        raise NotRegularValue(f"preimage on face {a} has local degree {winding[bad][0]}")
+    if np.any(np.abs(det_norm) < TOL_REGULAR):
+        raise NotRegularValue(f"near-critical preimage on face {a} "
+                              f"(|det|={np.min(np.abs(det_norm)):.3g})")
     # The winding runs counterclockwise about the outward cut normal, in
     # the frame (xi, eta) with xi x eta = -s: that frame reverses the
     # face as the invariant convention does, so it is the preimage sign.
@@ -460,9 +444,11 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
 
     Locates every point of the face where the field equals ``s`` by a
     scan of its grid (from the face's FaceGrid ``cache``, if given) plus
-    local polishing, and sums the Jacobian signs.
-    Raises NotRegularValue when a preimage is (near-)critical; callers
-    fall back to a slightly rotated ``s`` or to the integral route.
+    local polishing, and sums the Jacobian signs.  The scan runs at the
+    ``s`` given.  Raises NotRegularValue when a preimage is
+    (near-)critical, as the center of a covering patch is for the ``s``
+    of its own representative; ``extract_all`` therefore counts at
+    slightly rotated directions only.
     """
     return int(_preimage_points(field, a, s, grid_depth, cache=cache).sum())
 
@@ -648,11 +634,13 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
 
 
 def _preimage_with_retries(field, a, s, grid_depth, cache=None):
-    """``(count, direction)``: the preimage count at ``s`` or, where ``s``
-    is not a regular value, at the first of PREIMAGE_ATTEMPTS slightly
-    rotated directions that is; None when every direction fails."""
-    for k in range(PREIMAGE_ATTEMPTS + 1):
-        s_k = s if k == 0 else _rotated(s, k, 1e-3 * k)
+    """``(count, direction)``: the preimage count at the first of
+    PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
+    PREIMAGE_TURN that is a regular value; None when none is.  ``s``
+    itself is never tried: the covering patch of the representative
+    maps the whole base ring of every corner face onto it."""
+    for k in range(1, PREIMAGE_ATTEMPTS + 1):
+        s_k = _rotated(s, k, k * PREIMAGE_TURN)
         try:
             return extract_wrapping_preimage(field, a, s_k, grid_depth=grid_depth,
                                              cache=cache), s_k
@@ -661,20 +649,20 @@ def _preimage_with_retries(field, a, s, grid_depth, cache=None):
     return None
 
 
-def _checked_preimage(field, a, s_ref, w, depth, used, grid):
-    """``(count, scan depth)``: the preimage count of corner face ``a``,
-    checked against the integral route (``w`` at ``s_ref``, depth
-    ``used``) as ``extract_all`` says, and the depth of the scan that
-    gave it; ``(None, None)`` where no direction is a regular value.  An
-    unresolved grid can hide preimages, so a disagreement at ``depth`` is
-    scanned again at ``used`` and raises DualRouteMismatch only there."""
+def _checked_preimage(field, a, s_ref, depth, used, grid):
+    """``(count, scan depth)``: the preimage count of corner face ``a``
+    near ``s_ref``, checked against the integral route at the direction
+    the count came from, and the depth of the scan that gave it;
+    ``(None, None)`` where no direction is a regular value.  The
+    integral route resolved at depth ``used``.  An unresolved grid can
+    hide preimages, so a disagreement at ``depth`` is scanned again at
+    ``used`` and raises DualRouteMismatch only there."""
     for scan in (depth,) if used == depth else (depth, used):
         found = _preimage_with_retries(field, a, s_ref, scan, cache=grid)
         if found is None:
             return None, None
         pre, s_k = found
-        ref = w if s_k is s_ref else _wrapping_integral_detail(
-            field, a, s_k, depth, cache=grid)[0]
+        ref = _wrapping_integral_detail(field, a, s_k, depth, cache=grid)[0]
         if pre == ref:
             return pre, scan
     raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
@@ -713,13 +701,15 @@ def extract_all(
 
     If ``s`` is omitted it is chosen deterministically from ``seed`` and
     re-chosen while it sits on a fan-triangle boundary, before any route
-    runs.  Wrapping numbers come from the integral route, cross-checked
-    against the preimage route wherever the latter finds a regular
-    value: at ``s``, or at the slightly rotated direction its retry
-    used, where the integral route is taken again.  A disagreement
-    raises DualRouteMismatch, unless the grid at ``depth`` is unresolved
-    and a rescan on the route's resolved grid agrees.  The preimage
-    route is the independent check of the wrapping numbers;
+    runs.  Wrapping numbers come from the integral route at ``s``.  The
+    preimage route cross-checks them at up to PREIMAGE_ATTEMPTS
+    directions turned off ``s`` by multiples of PREIMAGE_TURN, never at
+    ``s`` itself, where a representative's covering patches are
+    critical: the first turned direction that is a regular value gives
+    the count, and the integral route is taken again there.  A
+    disagreement raises DualRouteMismatch, unless the grid at ``depth``
+    is unresolved and a rescan on the route's resolved grid agrees.  The
+    preimage route is the independent check of the wrapping numbers;
     ``with_preimage=False`` skips it (its report column is then all
     None).
 
@@ -744,7 +734,7 @@ def extract_all(
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
-        pre, scan = (_checked_preimage(field, a, s_ref, w, depth, used, grid)
+        pre, scan = (_checked_preimage(field, a, s_ref, depth, used, grid)
                      if with_preimage else (None, None))
         results.append((w, res, used, pre, scan, -grid.area_sum(used)))
     omegas, residuals, depths, preimages, scans, directs = zip(*results)

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh
+from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh, TruncationSpec
 from tangent_topo.fields import SampledField, grid_nodes, sample_field
 from tangent_topo.sphere import geodesic_interpolate, normalized
 
@@ -166,6 +166,61 @@ def pentagonal_pyramid():
     return ConvexPolyhedron.from_data(verts, faces)
 
 
+def random_hull(rng):
+    """``(poly, lam)``: the convex hull of 6-12 random directions, each
+    scaled by U(0.7, 1.3), and a truncation fraction from U(0.05, 0.3).
+
+    The hull keeps only the vertices it uses, in sorted order; coplanar
+    simplices merge by their plane equations rounded to 1e-9, and each
+    face is ordered by angle about its centroid.  Every call draws the
+    same numbers from ``rng`` in the same order, so hull ``k`` of a
+    generator seed is its ``k + 1``-th call.
+    """
+    from scipy.spatial import ConvexHull
+
+    n = rng.integers(6, 13)
+    d = rng.normal(size=(n, 3))
+    pts = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(0.7, 1.3, size=(n, 1))
+    hull = ConvexHull(pts)
+    used = np.unique(hull.simplices)
+    index = {int(v): i for i, v in enumerate(used)}
+    verts = pts[used]
+    planes = {}
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        planes.setdefault(tuple(np.round(eq, 9)), set()).update(index[int(v)] for v in simplex)
+    faces = []
+    for eq, members in planes.items():
+        cycle = sorted(members)
+        normal = np.asarray(eq[:3])
+        u = normalized(np.cross(normal, [1.0, 0.0, 0.0] if abs(normal[0]) < 0.9
+                                else [0.0, 1.0, 0.0]))
+        w = np.cross(normal, u)
+        rel = verts[cycle] - verts[cycle].mean(axis=0)
+        faces.append([cycle[k] for k in np.argsort(np.arctan2(rel @ w, rel @ u))])
+    return ConvexPolyhedron.from_data(verts, faces), rng.uniform(0.05, 0.3)
+
+
+def normal_cone_spec(poly, lam) -> TruncationSpec:
+    """A cut at every vertex that separates on any convex solid.
+
+    The cut normal at vertex ``a`` is the normalized sum of its face
+    normals, which lies inside the vertex's normal cone; the depth is
+    ``lam`` times the smallest height ``n . (v_a - v_b)`` of an edge
+    neighbor ``b`` along that normal.
+    """
+    verts = poly.vertices
+    normals = np.empty_like(verts)
+    points = np.empty_like(verts)
+    for a in range(poly.n_vertices):
+        normal = normalized(sum(n for cyc, n in zip(poly.faces, poly.face_normals)
+                                if a in cyc))
+        neighbors = [int(b) for edge in poly.edges if a in edge for b in edge if b != a]
+        normals[a] = normal
+        points[a] = verts[a] - lam * min(normal @ (verts[a] - verts[b])
+                                         for b in neighbors) * normal
+    return TruncationSpec(normals=normals, points=points)
+
+
 # --- scipy half-space truncation oracle ----------------------------------------
 
 def halfspace_truncation_counts(poly, spec):
@@ -256,7 +311,7 @@ def tangent_perturbation(field: AnalyticField, seed: int,
 
 # --- reference kernels ------------------------------------------------------------
 
-def reference_candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
+def reference_candidate_cells(grid: np.ndarray, s: np.ndarray):
     """The preimage cell scan as eight ``np.cross`` calls over ``np.roll``
     copies of the grid, which ``invariants._candidate_cells`` must match."""
     c00 = grid[:-1]
@@ -285,11 +340,7 @@ def reference_candidate_cells(grid: np.ndarray, s: np.ndarray, limit: int = 96):
     grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
     grown[1:] |= cand[:-1]
     grown[:-1] |= cand[1:]
-    idx = np.argwhere(grown)
-    if idx.shape[0] > limit:
-        order = np.argsort(-corner_best[grown])
-        idx = idx[order[:limit]]
-    return idx
+    return np.argwhere(grown)
 
 
 def reference_locate(chart, points):

@@ -58,7 +58,8 @@ class TestTruncateCommand:
 
     def test_custom_poly_file(self, tmp_path):
         poly_path = tmp_path / "poly.json"
-        tt.save_polyhedron(tt.builtin_polyhedron("octahedron"), poly_path)
+        with open(poly_path, "w", encoding="utf-8") as fh:
+            json.dump(tt.builtin_polyhedron("octahedron").to_dict(), fh)
         out = tmp_path / "trunc.json"
         assert main(["truncate", "--poly", str(poly_path), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["counts"]["cleaved_faces"] == 6

@@ -46,7 +46,8 @@ class TestPolyhedronLoading:
     def test_json_round_trip(self, tmp_path):
         cube = builtin_polyhedron("cube")
         path = tmp_path / "cube.json"
-        tt.save_polyhedron(cube, path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cube.to_dict(), fh)
         again = tt.load_polyhedron(path)
         assert np.array_equal(again.vertices, cube.vertices)
         assert again.faces == cube.faces

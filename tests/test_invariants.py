@@ -23,7 +23,8 @@ from tangent_topo.invariants import (
 )
 from tangent_topo.sphere import normalized
 
-from helpers import constant_field, reference_candidate_cells, tangent_perturbation
+from helpers import (constant_field, normal_cone_spec, random_hull,
+                     reference_candidate_cells, tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -215,32 +216,28 @@ class TestWrapping:
         with pytest.raises(errors.DualRouteMismatch):
             tt.extract_all(field, s=inv.s)
 
-    def test_critical_first_seed_fails_before_the_polish(self, cube_phat):
+    def test_critical_node_preimage_raises_after_the_polish(self, cube_phat):
         # Every face's base point maps to s; at w = 2 (face 0) and w = 0
-        # (face 2) it is a critical preimage that the first seed exposes.
+        # (face 2) it is a critical preimage.  It seeds the polish as a
+        # grid node hit, stays where it is, and fails the local-degree
+        # check; without that seed face 2 would count 0 and pass.
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
-        calls = []
-
-        def evaluator(key, rho, phi):
-            calls.append(rho.size)
-            return field.evaluator(key, rho, phi)
-
-        counted = AnalyticField(host=cube_phat, charts=field.charts,
-                                evaluator=evaluator)
         for a in (0, 2):
-            calls.clear()
             with pytest.raises(errors.NotRegularValue):
-                tt.extract_wrapping_preimage(counted, a, inv.s)
-            assert len(calls) <= 3
-        count, s_k = inv_mod._preimage_with_retries(counted, 0, inv.s, 6)
+                tt.extract_wrapping_preimage(field, a, inv.s)
+        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 6)
         assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
 
     def test_polish_reads_each_step_from_its_line_search(self, cube_phat):
-        # Face 0 of the seed-3 set has w = 1, and its polish takes 12
-        # iterations.  A stencil call at the start of each iteration made
-        # 27 evaluate calls in all; only the first iteration makes one now,
-        # the others read the stencils that the line search evaluated.
+        # Face 0 of the seed-3 set has w = 1.  At the first retry
+        # direction the scan keeps 4 candidate cells, whose seeds take
+        # three Newton steps, each accepted in one line-search round:
+        # four seeds, four seeds, then the last unconverged one.  The
+        # evaluate calls are the depth-6 grid, the seeds' sub-grids, the
+        # first stencils, the three rounds and the local degree of the
+        # one preimage: 7.  A stencil call at the start of every
+        # iteration would add two more.
         inv, field = make_representative(cube_phat, seed=3)
         calls = []
 
@@ -250,9 +247,10 @@ class TestWrapping:
 
         counted = AnalyticField(host=cube_phat, charts=field.charts,
                                 evaluator=evaluator)
+        s_1 = inv_mod._rotated(inv.s, 1, inv_mod.PREIMAGE_TURN)
         assert inv.wrapping_numbers[0] == 1
-        assert tt.extract_wrapping_preimage(counted, 0, inv.s) == 1
-        assert len(calls) == 27 - 11
+        assert tt.extract_wrapping_preimage(counted, 0, s_1) == 1
+        assert len(calls) == 7
 
     def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
         # At depth 1 the preimage scan of face 2 used to count 1 against
@@ -273,7 +271,7 @@ class TestWrapping:
                             lambda field, a, s, depth, cache=None: scans[depth])
 
         def checked(depth):
-            return inv_mod._checked_preimage(field, 0, inv.s, w, depth, used, grid)
+            return inv_mod._checked_preimage(field, 0, inv.s, depth, used, grid)
 
         scans[used] = (w, inv.s)
         assert checked(1) == (w, used)  # the rescan decided
@@ -322,6 +320,36 @@ class TestWrapping:
         assert tt.extract_wrapping_integral(field2, a, inv.s, depth=5) == w_ref
 
 
+def _hull_round_trip(g, k):
+    """Hull ``k`` of generator seed ``g``, cut by the normal-cone rule,
+    its seed-``k`` set, and the report read at that set's ``s``."""
+    rng = np.random.default_rng(g)
+    for _ in range(k + 1):
+        poly, lam = random_hull(rng)
+    phat = tt.truncate(poly, normal_cone_spec(poly, lam))
+    inv, field = make_representative(phat, seed=k)
+    return inv, tt.extract_all(field, s=inv.s)
+
+
+class TestRandomHulls:
+    @pytest.mark.parametrize("g, k", [(2, 5), (4, 13)])
+    def test_round_trip(self, g, k):
+        # Face 4 of (2, 5) has w = 2 and face 1 of (4, 13) has w = 3.  At
+        # s itself their patches split near the apex, and a scan there
+        # found one preimage; the rotated directions find them all.
+        inv, report = _hull_round_trip(g, k)
+        assert tt.invariants_equal(report.invariants, inv)
+        assert report.verdicts.all_ok
+        assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
+
+    @pytest.mark.xfail(strict=True, raises=errors.DualRouteMismatch,
+                       reason="the polish merges the seeds of a |w| = 3 face "
+                              "into fewer preimages")
+    @pytest.mark.parametrize("g, k", [(21, 7), (23, 19)])
+    def test_polish_loses_a_preimage(self, g, k):
+        _hull_round_trip(g, k)
+
+
 class TestCandidateCells:
     def test_equals_the_reference_scan_on_representatives(self, cube_phat, tetra_phat):
         rng = np.random.default_rng(11)
@@ -345,9 +373,8 @@ class TestCandidateCells:
         grid = base + (0.3 + 0.5 * seed) * rng.normal(size=(R + 1, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         for s in (base, -base, grid[1, 2], normalized(rng.normal(size=3))):
-            for limit in (96, 5):
-                got = inv_mod._candidate_cells(grid, s, limit)
-                assert np.array_equal(got, reference_candidate_cells(grid, s, limit))
+            got = inv_mod._candidate_cells(grid, s)
+            assert np.array_equal(got, reference_candidate_cells(grid, s))
 
 
     @staticmethod
@@ -381,21 +408,22 @@ class TestCandidateCells:
     @pytest.mark.parametrize("case_id", range(4))
     def test_corpus_faces_at_the_retry_directions(self, case_id):
         # One certify corpus case of each solid.  At s itself the whole
-        # rho = 0 ring of every face lands on s, so the scan stops at its
-        # limit; the retry directions are the ones the preimage route
-        # polishes from.
+        # rho = 0 ring of every face lands on s, so the scan there spans
+        # more than 96 cells; the retry directions are the ones the
+        # preimage route polishes from.
         corpus = _bench_corpus().Corpus(1, with_field=True, file_dir=None)
         case = corpus.case(case_id)
         s = case.expected.s
         for a in range(len(case.phat.cleaved_faces)):
             grid = fields_mod.face_grid(case.field, ("cleaved", a), 6)
             got = inv_mod._candidate_cells(grid, s)
-            assert len(got) == 96 and len(reference_candidate_cells(grid, s, 10 ** 9)) > 96
+            assert len(got) > 96
             assert np.array_equal(got, reference_candidate_cells(grid, s))
             for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1):
-                s_k = inv_mod._rotated(s, k, 1e-3 * k)
+                s_k = inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
                 got = inv_mod._candidate_cells(grid, s_k)
                 assert np.array_equal(got, reference_candidate_cells(grid, s_k))
+
 
 class TestTrappedAreas:
     def test_octant_corner(self, cube_phat):

@@ -16,7 +16,7 @@ PUBLIC = {
     "field_to_dict", "invariants_equal", "load_field", "load_polyhedron",
     "mesh_degree", "polar_chart",
     "random_admissible_invariants", "reference_frame", "representative_boundary",
-    "sample_field", "save_field", "save_mesh_obj", "save_polyhedron",
+    "sample_field", "save_field", "save_mesh_obj",
     "spherical_triangle_area", "trapped_area_direct", "trapped_area_from_invariants",
     "triangle_sigma", "truncate", "unwrap_rotation_angle", "validate_tangency",
 }
