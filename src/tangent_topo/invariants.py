@@ -6,9 +6,11 @@ numbers (integer excess windings along cleaved edges, measured about
 the adjacent trimmed-face normal), the wrapping numbers (integer face
 degrees relative to a geodesic cap closure toward the antipode of a
 reference direction ``s``), and the reference direction itself.  The
-trapped areas are derived reals, computed here by two independent
-routes: direct quadrature of the image area, and a closed form in the
-other invariants.
+wrapping numbers are computed twice on one resolved face grid: by the
+area/cap integral, and by a signed count of the image triangles that
+contain a direction next to ``s``.  The trapped areas are derived
+reals, computed here by two independent routes: direct quadrature of
+the image area, and a closed form in the other invariants.
 
 Orientation convention used throughout: surface integrals over a corner
 face run with the boundary direction that traverses every cleaved edge
@@ -48,7 +50,6 @@ from .sphere import (
     DEGREE_RESIDUAL_TOL,
     cross,
     normalized,
-    reference_frame,
     spherical_triangle_area,
     triangle_areas,
     triangle_sigma,
@@ -57,9 +58,6 @@ from .sphere import (
 
 MARGIN_S = 0.05
 KINK_RESIDUAL_TOL = 1e-6
-TOL_REGULAR = 1e-6
-PREIMAGE_MERGE_TOL = 1e-7
-POLISH_ITERS = 20
 PREIMAGE_ATTEMPTS = 3
 # The preimage check turns off s by multiples of this angle; every turn
 # stays within MARGIN_S of s, so it crosses no boundary image of a face.
@@ -255,202 +253,67 @@ def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) ->
     return w
 
 
-def _candidate_cells(grid: np.ndarray, s: np.ndarray):
-    """Every grid cell whose image may contain ``s``: a few dozen off the
-    apex of a covering patch, whole rows at it (its base ring maps onto s).
+def _grid_count(grid: np.ndarray, s: np.ndarray) -> int:
+    """Signed number of the image triangles of ``_grid_triangles`` that
+    contain ``s``: the degree at ``s`` of the piecewise-geodesic map of
+    the (R + 1, K, 3) grid, closed off by the cap of the integral route.
 
     A proximity filter over the whole grid runs first: only cells whose
-    image comes near ``s`` can hold a preimage, and it discards antipodal
-    slivers whose great-circle sign tests flicker (the tangential
-    residual vanishes at -s as well).  The cells it keeps take the exact
-    test of ``s`` against their geodesic image triangles (near the apex
-    of a covering patch the image cells are slivers much narrower than
-    any useful tolerance band), dilated by one ring of neighbors to
-    absorb the curvature sag of the true (non-geodesic) cell edges.
+    image comes near ``s`` can contain it, and it discards antipodal
+    slivers, whose edge signs are rounding noise.  On the cells that
+    pass, a triangle contains ``s`` when all three of its sides
+    ``orient * cross(t_i, t_j) . s`` are positive.  The signs are exact:
+    ``cross(b, a)`` is bit for bit ``-cross(a, b)``, so the two triangles
+    that share an edge agree on which side of it ``s`` lies, and no
+    image triangle is counted twice or missed.  Triangles with
+    ``orient == 0`` are skipped, and one with two equal nodes (on the
+    collapsed rho = 0 ring) has sides ``x``, ``-x`` and 0, so it never
+    counts.  The count is negated: chart order runs against the
+    invariant convention.  Raises NotRegularValue where ``s`` is the
+    image of a grid node or lies on the boundary of an image triangle.
     """
-    dots = grid @ s
-    rolled = np.roll(dots, -1, axis=1)  # corner j + 1, wrapped
-    corner_best = np.maximum.reduce([dots[:-1], dots[1:], rolled[:-1], rolled[1:]])
-    _, radial, around = fields_mod._neighbor_dots(grid)
+    planes, radial, around = fields_mod._neighbor_dots(grid)
+    dots = fields_mod._dot(planes, s)
+    if dots.max() >= 1.0 - 1e-12:
+        raise NotRegularValue("reference direction is the image of a grid node")
+    corner_best = np.maximum.reduce(
+        [dots[:-1, :-1], dots[1:, :-1], dots[:-1, 1:], dots[1:, 1:]])
     h = np.arccos(np.clip(np.minimum.reduce(
         [radial[:, :-1], around[1:], radial[:, 1:], around[:-1]]), -1.0, 1.0))
     ii, jj = np.nonzero(corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi)))
-
-    def inside(t0, t1, t2):
-        # Each of the three edge cross products once; the first one
-        # also gives the orientation.
-        edges = cross(t0, t1), cross(t1, t2), cross(t2, t0)
-        orient = np.sign(np.einsum("ijk,ijk->ij", edges[0], t2))
-        ok = orient != 0
-        for edge in edges:
-            ok &= orient * np.einsum("ijk,k->ij", edge, s) >= -1e-12
-        return ok
-
-    # The near cells' corners as (n, 1, 3) blocks, summed as the grid's.
-    c00, c10, c01, c11 = (grid[i, j][:, None] for j in (jj, (jj + 1) % grid.shape[1])
-                          for i in (ii, ii + 1))
-    cand = np.zeros(corner_best.shape, dtype=bool)
-    cand[ii, jj] = (inside(c00, c10, c11) | inside(c00, c11, c01))[:, 0]
-    grown = cand.copy()
-    grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
-    grown[1:] |= cand[:-1]
-    grown[:-1] |= cand[1:]
-    return np.argwhere(grown)
-
-
-def _preimage_points(field, a, s, grid_depth, cache=None):
-    """Signs of the polished preimages of ``s`` on corner face ``a``.
-
-    The local winding of the image around ``s`` on a small circle is the
-    local degree: +-1 at a regular preimage, 0 or larger magnitude at
-    critical points (for example the center of a covering patch hit
-    head-on).  A preimage of another local degree, or with a normalized
-    Jacobian below TOL_REGULAR, raises NotRegularValue; every preimage
-    is polished first, so a critical one raises only at that check.
-    All seeds are polished together: each line-search round locates and
-    evaluates its trial points with their stencils in one call, from
-    which the next Newton step reads its residuals and Jacobians.
-    """
-    key = (CLEAVED, a)
-    chart = field.charts[key]
-    xi, eta = reference_frame(s)  # of the s given: it normalizes s itself
-    s = normalized(s)
-    grid = (cache or FaceGrid(field, key)).values(grid_depth)
-    R, K = grid.shape[0] - 1, grid.shape[1]
-    diam = 2.0 * float(np.max(np.linalg.norm(chart.corners - chart.base, axis=1)))
-
-    h = 1e-6 * diam
-    w1, w2 = chart.frame
-    stencil = np.stack([np.zeros(3), h * w1, -(h * w1), h * w2, -(h * w2)])
-    t = np.linspace(0.0, 2.0 * np.pi, 17)
-    circle = 1e-5 * diam * (np.cos(t)[:, None] * w1 + np.sin(t)[:, None] * w2)
-
-    def residuals(points):
-        """Tangential residual, hemisphere and ``inside`` mask at
-        ``(..., 3)`` in-plane points; only points inside are evaluated."""
-        rho, phi, inside = chart.locate(points.reshape(-1, 3))
-        g = np.zeros((rho.size, 2))
-        hemi = np.full(rho.size, -1.0)
-        if inside.any():
-            vals = field.evaluate(key, rho[inside], phi[inside])
-            g[inside] = np.stack([(vals - s) @ xi, (vals - s) @ eta], axis=1)
-            hemi[inside] = vals @ s
-        shape = points.shape[:-1]
-        return g.reshape(shape + (2,)), hemi.reshape(shape), inside.reshape(shape)
-
-    def jacobians(g):
-        """Central differences from the stencil residuals ``(n, 5, 2)``."""
-        return np.stack([g[:, 1] - g[:, 2], g[:, 3] - g[:, 4]], axis=2) / (2 * h)
-
-    # Nodes that already land on s seed first.  A covering patch hit
-    # head-on has its critical preimage exactly on such a node; the
-    # polish keeps a seed that starts converged, so the final local
-    # degree check sees it.
-    hits = np.flatnonzero((grid @ s).ravel() >= 1.0 - 1e-12)
-    hit_rho, hit_phi = (x[hits] for x in fields_mod.grid_nodes(R, K))
-    # Each candidate cell starts from the best interior point of a
-    # sub-grid, so the polish begins inside the right basin even when
-    # several preimages crowd a coarse cell.  Interior sub-points only:
-    # a shared corner node (the apex of a covering patch) would
-    # otherwise win the proximity contest in every adjacent cell and
-    # collapse all their polishes into one basin.
-    cand = _candidate_cells(grid, s)
-    sub = np.linspace(0.1, 0.9, 5)
-    sub_r, sub_p = (g.ravel() for g in np.meshgrid(sub, sub, indexing="ij"))
-    rho_s = (cand[:, :1] + sub_r) / R
-    phi_s = (cand[:, 1:] + sub_p) * (2.0 * np.pi / K)
-    best = np.zeros(len(cand), dtype=int)
-    if len(cand):
-        vals = field.evaluate(key, rho_s.ravel(), phi_s.ravel())
-        best = np.argmax((vals @ s).reshape(rho_s.shape), axis=1)
-    rows = np.arange(len(cand))
-    seeds = chart.point(np.concatenate([hit_rho, rho_s[rows, best]]),
-                        np.concatenate([hit_phi, phi_s[rows, best]]))
-    # Identical seeds polish identically; every rho = 0 node is the base.
-    p = seeds[np.sort(np.unique(seeds, axis=0, return_index=True)[1])]
-
-    g = np.zeros((len(p), 2))
-    hemi = np.full(len(p), -1.0)
-    have_g = np.zeros(len(p), dtype=bool)   # False once a stencil left the face
-    ok = np.zeros(len(p), dtype=bool)
-    # Only the first iteration evaluates its own stencils (stencil[0] is 0).
-    idx = np.arange(len(p))
-    gs, hs, inside = residuals(p[:, None, :] + stencil)
-    for _ in range(POLISH_ITERS):
-        valid = inside.all(axis=1)
-        have_g[idx] = valid
-        idx, gs = idx[valid], gs[valid]
-        g[idx], hemi[idx] = gs[:, 0], hs[valid, 0]
-        base = np.hypot(g[idx, 0], g[idx, 1])
-        done = base < 1e-11
-        ok[idx[done]] = hemi[idx[done]] > 0.0  # the antipode solves the residual too
-        jac = jacobians(gs)
-        done |= np.abs(np.linalg.det(jac)) < 1e-18
-        idx, jac, base = idx[~done], jac[~done], base[~done]
-        if idx.size == 0:
-            break
-        step = np.linalg.solve(jac, -g[idx, :, None])[:, :, 0]
-        norm = np.hypot(step[:, 0], step[:, 1])
-        big = norm > 0.25 * diam
-        step[big] *= (0.25 * diam / norm[big])[:, None]
-        # Backtracking keeps the iteration inside its basin.
-        trial = p[idx]
-        gs, hs = np.empty((idx.size, 5, 2)), np.empty((idx.size, 5))
-        inside = np.empty((idx.size, 5), dtype=bool)
-        pending = np.ones(idx.size, dtype=bool)
-        for _ in range(8):
-            j = np.flatnonzero(pending)
-            trial[j] = p[idx[j]] + step[j, :1] * w1 + step[j, 1:] * w2
-            gs[j], hs[j], inside[j] = residuals(trial[j, None] + stencil)
-            accept = inside[j, 0] & (np.hypot(gs[j, 0, 0], gs[j, 0, 1]) < base[j])
-            pending[j[accept]] = False
-            step[j[~accept]] *= 0.5
-            if not pending.any():
-                break
-        p[idx] = trial
-
-    if np.any(~ok & have_g & (hemi > 0.0) & (np.hypot(g[:, 0], g[:, 1]) < 1e-7)):
-        raise NotRegularValue(
-            f"polishing stalled near a critical preimage on face {a}"
-        )
-    rho, _, inside = chart.locate(p)
-    kept = []
-    for i in np.flatnonzero(ok & inside & (rho <= 1.0 - 1e-9)):
-        if not any(np.linalg.norm(p[i] - p[j]) < PREIMAGE_MERGE_TOL * diam for j in kept):
-            kept.append(i)
-    # The local degree at each kept point: the winding of the residual on
-    # a small circle about it (0 where the circle or the stencil leaves
-    # the face), and the normalized Jacobian from the stencil.
-    gs, _, inside = residuals(p[kept][:, None, :] + np.concatenate([circle, stencil]))
-    angles = np.unwrap(np.arctan2(gs[:, :17, 1], gs[:, :17, 0]), axis=1)
-    winding = np.rint((angles[:, -1] - angles[:, 0]) / (2.0 * np.pi)).astype(int)
-    winding[~inside.all(axis=1)] = 0
-    det_norm = np.linalg.det(jacobians(gs[:, 17:])) * diam * diam
-    bad = np.abs(winding) != 1
-    if bad.any():
-        raise NotRegularValue(f"preimage on face {a} has local degree {winding[bad][0]}")
-    if np.any(np.abs(det_norm) < TOL_REGULAR):
-        raise NotRegularValue(f"near-critical preimage on face {a} "
-                              f"(|det|={np.min(np.abs(det_norm)):.3g})")
-    # The winding runs counterclockwise about the outward cut normal, in
-    # the frame (xi, eta) with xi x eta = -s: that frame reverses the
-    # face as the invariant convention does, so it is the preimage sign.
-    return winding
+    # The near cells' corners as (3, n) planes; column K repeats column 0.
+    c00, c10, c01, c11 = (planes[:, i, j] for j in (jj, jj + 1) for i in (ii, ii + 1))
+    count = 0
+    for t0, t1, t2 in ((c00, c10, c11), (c00, c11, c01)):
+        edges = cross(t0, t1, axis=0), cross(t1, t2, axis=0), cross(t2, t0, axis=0)
+        orient = np.sign(fields_mod._dot(edges[0], t2))
+        side = np.minimum.reduce([orient * fields_mod._dot(edge, s) for edge in edges])
+        if np.any((orient != 0) & (side == 0.0)):
+            raise NotRegularValue("reference direction on an image triangle edge")
+        count += int(orient[side > 0.0].sum())
+    return -count
 
 
 def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 6,
                               cache: Optional[FaceGrid] = None) -> int:
-    """Wrapping number of corner face ``a`` as a signed preimage count.
+    """Wrapping number of corner face ``a`` as a signed count of the image
+    triangles that contain ``s``, on the first resolved grid from
+    ``grid_depth`` on (from the face's FaceGrid ``cache``, if given).
 
-    Locates every point of the face where the field equals ``s`` by a
-    scan of its grid (from the face's FaceGrid ``cache``, if given) plus
-    local polishing, and sums the Jacobian signs.  The scan runs at the
-    ``s`` given.  Raises NotRegularValue when a preimage is
-    (near-)critical, as the center of a covering patch is for the ``s``
-    of its own representative; ``extract_all`` therefore counts at
-    slightly rotated directions only.
+    A second degree computation on the grid of the integral route, by
+    edge-sign tests in place of area sums; it does not look at the field
+    between grid nodes.  Raises NotRegularValue where ``s`` is the image
+    of a grid node or of a triangle edge, as it is at the base ring of a
+    covering patch for the ``s`` of its own representative;
+    ``extract_all`` therefore counts at slightly rotated directions only.
     """
-    return int(_preimage_points(field, a, s, grid_depth, cache=cache).sum())
+    grid = cache or FaceGrid(field, (CLEAVED, a))
+    for d in range(grid_depth, MAX_DEPTH + 1):
+        if grid.area_sum(d) is not None:
+            return _grid_count(grid.values(d), normalized(s))
+    raise ResolutionTooCoarse(
+        f"preimage count on face {a} did not resolve by depth {MAX_DEPTH}"
+    )
 
 
 def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
@@ -614,7 +477,6 @@ class InvariantReport:
     s_attempts: int                        # directions ``_settle_s`` tried
     s_margin: float
     quadrature_depth: int
-    preimage_scan_depths: Tuple[Optional[int], ...]
     tool_version: str
 
     @property
@@ -633,40 +495,26 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
     )
 
 
-def _preimage_with_retries(field, a, s, grid_depth, cache=None):
-    """``(count, direction)``: the preimage count at the first of
-    PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
-    PREIMAGE_TURN that is a regular value; None when none is.  ``s``
-    itself is never tried: the covering patch of the representative
-    maps the whole base ring of every corner face onto it."""
+def _checked_preimage(field, a, s_ref, used, grid):
+    """The preimage count of corner face ``a`` on the integral route's
+    resolved grid (depth ``used``), at the first of PREIMAGE_ATTEMPTS
+    directions turned off ``s_ref`` by multiples of PREIMAGE_TURN that is
+    a regular value, checked against the integral route there; None when
+    none is.  ``s_ref`` itself is never tried: the covering patch of the
+    representative maps the whole base ring of every corner face onto
+    it."""
     for k in range(1, PREIMAGE_ATTEMPTS + 1):
-        s_k = _rotated(s, k, k * PREIMAGE_TURN)
+        s_k = _rotated(s_ref, k, k * PREIMAGE_TURN)
         try:
-            return extract_wrapping_preimage(field, a, s_k, grid_depth=grid_depth,
-                                             cache=cache), s_k
+            pre = extract_wrapping_preimage(field, a, s_k, grid_depth=used, cache=grid)
         except NotRegularValue:
             continue
+        ref = _wrapping_integral_detail(field, a, s_k, used, cache=grid)[0]
+        if pre != ref:
+            raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
+                                    f"preimage {pre} at s = {s_k}")
+        return pre
     return None
-
-
-def _checked_preimage(field, a, s_ref, depth, used, grid):
-    """``(count, scan depth)``: the preimage count of corner face ``a``
-    near ``s_ref``, checked against the integral route at the direction
-    the count came from, and the depth of the scan that gave it;
-    ``(None, None)`` where no direction is a regular value.  The
-    integral route resolved at depth ``used``.  An unresolved grid can
-    hide preimages, so a disagreement at ``depth`` is scanned again at
-    ``used`` and raises DualRouteMismatch only there."""
-    for scan in (depth,) if used == depth else (depth, used):
-        found = _preimage_with_retries(field, a, s_ref, scan, cache=grid)
-        if found is None:
-            return None, None
-        pre, s_k = found
-        ref = _wrapping_integral_detail(field, a, s_k, depth, cache=grid)[0]
-        if pre == ref:
-            return pre, scan
-    raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
-                            f"preimage {pre} at s = {s_k}")
 
 
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
@@ -701,17 +549,18 @@ def extract_all(
 
     If ``s`` is omitted it is chosen deterministically from ``seed`` and
     re-chosen while it sits on a fan-triangle boundary, before any route
-    runs.  Wrapping numbers come from the integral route at ``s``.  The
-    preimage route cross-checks them at up to PREIMAGE_ATTEMPTS
-    directions turned off ``s`` by multiples of PREIMAGE_TURN, never at
-    ``s`` itself, where a representative's covering patches are
-    critical: the first turned direction that is a regular value gives
-    the count, and the integral route is taken again there.  A
-    disagreement raises DualRouteMismatch, unless the grid at ``depth``
-    is unresolved and a rescan on the route's resolved grid agrees.  The
-    preimage route is the independent check of the wrapping numbers;
-    ``with_preimage=False`` skips it (its report column is then all
-    None).
+    runs.  Wrapping numbers come from the integral route at ``s``, which
+    starts at ``depth`` and refines each face to a resolved grid.  The
+    preimage route cross-checks them on that resolved grid, by a signed
+    count of the image triangles that contain one of up to
+    PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
+    PREIMAGE_TURN, never ``s`` itself, the image of the base ring of a
+    representative's covering patches: the first turned direction that
+    is a regular value gives the count, and the integral route is taken
+    again there.  A disagreement raises DualRouteMismatch.  The count
+    reads only the grid the integral route already evaluated, so it
+    makes no ``evaluate`` call of its own; ``with_preimage=False`` skips
+    it (its report column is then all None).
 
     Trapped areas come from the closed form and from direct quadrature.
     The direct area of a face is read from the grid on which the
@@ -734,10 +583,9 @@ def extract_all(
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
-        pre, scan = (_checked_preimage(field, a, s_ref, depth, used, grid)
-                     if with_preimage else (None, None))
-        results.append((w, res, used, pre, scan, -grid.area_sum(used)))
-    omegas, residuals, depths, preimages, scans, directs = zip(*results)
+        pre = _checked_preimage(field, a, s_ref, used, grid) if with_preimage else None
+        results.append((w, res, used, pre, -grid.area_sum(used)))
+    omegas, residuals, depths, preimages, directs = zip(*results)
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -757,7 +605,6 @@ def extract_all(
         s_attempts=s_attempts,
         s_margin=s_margin(phat, s_ref),
         quadrature_depth=depth,
-        preimage_scan_depths=scans,
         tool_version=__version__,
     )
 
@@ -850,11 +697,7 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
         },
         "diagnostics": {
             "quadrature_depth": report.quadrature_depth,
-            # Equal to wrapping_depths by construction; kept until the
-            # next report-format revision so report bytes hold.
-            "trapped_depths": list(report.wrapping_depths),
             "wrapping_depths": list(report.wrapping_depths),
-            "preimage_scan_depths": list(report.preimage_scan_depths),
             "wrapping_residuals": {
                 str(a): float(r) for a, r in enumerate(report.wrapping_residuals)
             },

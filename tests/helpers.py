@@ -311,36 +311,33 @@ def tangent_perturbation(field: AnalyticField, seed: int,
 
 # --- reference kernels ------------------------------------------------------------
 
-def reference_candidate_cells(grid: np.ndarray, s: np.ndarray):
-    """The preimage cell scan as eight ``np.cross`` calls over ``np.roll``
-    copies of the grid, which ``invariants._candidate_cells`` must match."""
+def reference_grid_count(grid: np.ndarray, s: np.ndarray):
+    """The count of ``invariants._grid_count`` over every triangle of the
+    grid, with no proximity filter, by ``np.cross`` over ``np.roll``
+    copies of the grid: minus the signed number of image triangles that
+    contain ``s``.  None where ``s`` is no regular value: the image of a
+    grid node, or on the boundary of an image triangle.  With no filter,
+    triangles with a repeated node are skipped outright: far from ``s``
+    (at ``-s``, say) one may have ``s`` on the great circle of its edge."""
+    if np.max(grid @ s) >= 1.0 - 1e-12:
+        return None
     c00 = grid[:-1]
     c10 = grid[1:]
     c01 = np.roll(c00, -1, axis=1)
     c11 = np.roll(c10, -1, axis=1)
-
-    def inside(t0, t1, t2):
+    count = 0
+    for t0, t1, t2 in ((c00, c10, c11), (c00, c11, c01)):
         orient = np.sign(np.einsum("ijk,ijk->ij", np.cross(t0, t1), t2))
-        ok = orient != 0
-        for u, v in ((t0, t1), (t1, t2), (t2, t0)):
-            z = np.einsum("ijk,k->ij", np.cross(u, v), s)
-            ok &= orient * z >= -1e-12
-        return ok
-
-    cand = inside(c00, c10, c11) | inside(c00, c11, c01)
-    corner_best = np.maximum.reduce([c00 @ s, c10 @ s, c01 @ s, c11 @ s])
-    h = np.arccos(np.clip(np.minimum.reduce([
-        np.einsum("ijk,ijk->ij", c00, c10),
-        np.einsum("ijk,ijk->ij", c10, c11),
-        np.einsum("ijk,ijk->ij", c11, c01),
-        np.einsum("ijk,ijk->ij", c01, c00),
-    ]), -1.0, 1.0))
-    cand &= corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi))
-    grown = cand.copy()
-    grown |= np.roll(cand, 1, axis=1) | np.roll(cand, -1, axis=1)
-    grown[1:] |= cand[:-1]
-    grown[:-1] |= cand[1:]
-    return np.argwhere(grown)
+        # A triangle with a repeated node (on the rho = 0 ring, or where
+        # the field is constant) has no interior, whatever the rounded sign.
+        orient[np.any([(u == v).all(axis=-1) for u, v in ((t0, t1), (t1, t2), (t2, t0))],
+                      axis=0)] = 0
+        side = np.minimum.reduce([orient * np.einsum("ijk,k->ij", np.cross(u, v), s)
+                                  for u, v in ((t0, t1), (t1, t2), (t2, t0))])
+        if np.any((orient != 0) & (side == 0.0)):
+            return None
+        count += int(orient[side > 0.0].sum())
+    return -count
 
 
 def reference_locate(chart, points):

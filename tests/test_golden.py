@@ -17,14 +17,14 @@ from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.invariants import invariant_set_to_dict, report_to_dict
 
 REPORTS = {
-    "cube": "e52addad5312eb8483a553b70db4dd138ac21dc94c33a8736e03ffac82234868",
-    "tetrahedron": "eec1616a64ec6ff9dd824470a93ed24bd20b02a73ccdd0c038289198e2aa6afa",
-    "octahedron": "bc2718586e8e9e45043f3d58fbdb0a37ceceb9bc1334cf9e1253af2570435b6f",
+    "cube": "614cece0bb090a8008d1d9c4e8baa6fd132275207f8a89db4e11cf626fdefb71",
+    "tetrahedron": "c27c8c25af1132c2bc007c268b618e4094ce9a5986850d67236f2a1553dd382f",
+    "octahedron": "b9179b918031d9cc748150486b94cafb2820c043963d0ed0b0e43780392a8712",
 }
 TETRAHEDRON_CLI = {
     "field.json": "25b2ac56e97d137394f8ad52488e4eff4233cad51a9d35de64e5ecbc39398411",
-    "synthesize-report.json": "9c0e7ad2ec0ca87aa5703ff44d2745a583ace7554803c715200defa568767dcb",
-    "invariants-report.json": "b4e5637644da3a4d0a69485632d863121b8220c6970de6d12e018f2e21dffc3e",
+    "synthesize-report.json": "685c519cd84228a6a1c22516f5b312dc9c4039d4e70b74f781d530db9b09f6bc",
+    "invariants-report.json": "85f176d83fe8d8481eb51ab2f79216c95f7d2eef036fd4bf076ebe8a345fa6b1",
 }
 
 

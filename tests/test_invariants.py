@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import tangent_topo as tt
 from tangent_topo import errors
@@ -21,10 +22,10 @@ from tangent_topo.invariants import (
     report_to_dict,
     s_margin,
 )
-from tangent_topo.sphere import normalized
+from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, normalized, triangle_areas
 
 from helpers import (constant_field, normal_cone_spec, random_hull,
-                     reference_candidate_cells, tangent_perturbation)
+                     reference_grid_count, tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -58,6 +59,19 @@ def crafted_invariants(phat, s, corner=0, corner_eps_sign=1, wrap=None):
         wraps = np.asarray(wrap, dtype=int)
     return InvariantSet(s=s, edge_orientations=eps, kink_numbers=kinks,
                         wrapping_numbers=wraps)
+
+
+def turned(s, k):
+    """The ``k``-th direction at which ``extract_all`` counts preimages."""
+    return inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
+
+
+def grid_count(grid, s):
+    """``invariants._grid_count``, or None where ``s`` is no regular value."""
+    try:
+        return inv_mod._grid_count(grid, s)
+    except errors.NotRegularValue:
+        return None
 
 
 def _bench_corpus():
@@ -191,7 +205,10 @@ class TestWrapping:
     def test_patch_preimage_is_single_positive(self, cube_phat):
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(1, -1, 0, 0, 0, 0, 0, 0))
-        assert tt.extract_wrapping_preimage(field, 0, inv.s) == 1
+        assert tt.extract_wrapping_preimage(field, 0, turned(inv.s, 1)) == 1
+        # The base ring of the covering patch maps onto s itself.
+        with pytest.raises(errors.NotRegularValue):
+            tt.extract_wrapping_preimage(field, 0, inv.s)
 
     def test_retry_compares_routes_at_the_rotated_direction(self, cube_phat,
                                                             monkeypatch):
@@ -200,9 +217,10 @@ class TestWrapping:
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
         with pytest.raises(errors.NotRegularValue):
             tt.extract_wrapping_preimage(field, 0, inv.s)
-        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 6)
-        assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
-        assert inv_mod._wrapping_integral_detail(field, 0, s_k)[0] == 2
+        s_1 = turned(inv.s, 1)
+        assert not np.allclose(s_1, inv.s, atol=1e-6)
+        assert tt.extract_wrapping_preimage(field, 0, s_1) == 2
+        assert inv_mod._wrapping_integral_detail(field, 0, s_1)[0] == 2
         assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
 
         # An integral route that is off only away from s must be caught.
@@ -216,45 +234,46 @@ class TestWrapping:
         with pytest.raises(errors.DualRouteMismatch):
             tt.extract_all(field, s=inv.s)
 
-    def test_critical_node_preimage_raises_after_the_polish(self, cube_phat):
-        # Every face's base point maps to s; at w = 2 (face 0) and w = 0
-        # (face 2) it is a critical preimage.  It seeds the polish as a
-        # grid node hit, stays where it is, and fails the local-degree
-        # check; without that seed face 2 would count 0 and pass.
+    def test_apex_is_refused_before_any_evaluate_call(self, cube_phat):
+        # Every face's base ring maps to s, at w = 2 (face 0) and w = 0
+        # (face 2) alike: s is the image of a grid node, refused on the
+        # face grid with no further evaluate call.
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
-        for a in (0, 2):
-            with pytest.raises(errors.NotRegularValue):
-                tt.extract_wrapping_preimage(field, a, inv.s)
-        count, s_k = inv_mod._preimage_with_retries(field, 0, inv.s, 6)
-        assert count == 2 and not np.allclose(s_k, inv.s, atol=1e-6)
-
-    def test_polish_reads_each_step_from_its_line_search(self, cube_phat):
-        # Face 0 of the seed-3 set has w = 1.  At the first retry
-        # direction the scan keeps 4 candidate cells, whose seeds take
-        # three Newton steps, each accepted in one line-search round:
-        # four seeds, four seeds, then the last unconverged one.  The
-        # evaluate calls are the depth-6 grid, the seeds' sub-grids, the
-        # first stencils, the three rounds and the local degree of the
-        # one preimage: 7.  A stencil call at the start of every
-        # iteration would add two more.
-        inv, field = make_representative(cube_phat, seed=3)
         calls = []
 
         def evaluator(key, rho, phi):
-            calls.append(rho.size)
+            calls.append(key)
             return field.evaluator(key, rho, phi)
 
-        counted = AnalyticField(host=cube_phat, charts=field.charts,
-                                evaluator=evaluator)
-        s_1 = inv_mod._rotated(inv.s, 1, inv_mod.PREIMAGE_TURN)
-        assert inv.wrapping_numbers[0] == 1
-        assert tt.extract_wrapping_preimage(counted, 0, s_1) == 1
-        assert len(calls) == 7
+        counted = AnalyticField(host=cube_phat, charts=field.charts, evaluator=evaluator)
+        for a in (0, 2):
+            calls.clear()
+            with pytest.raises(errors.NotRegularValue):
+                tt.extract_wrapping_preimage(counted, a, inv.s)
+            assert calls == [(CLEAVED, a)]  # the depth-6 grid, in one call
+
+    def test_preimage_check_makes_no_evaluate_call(self, cube_phat):
+        # The count reads the grid on which the integral route resolved,
+        # and that route, taken again at the turned direction, reads it too.
+        inv, field = make_representative(cube_phat, seed=3)
+        calls = {True: [], False: []}
+        for with_preimage, log in calls.items():
+            def evaluator(key, rho, phi, log=log):
+                log.append((key, rho.tobytes(), phi.tobytes()))
+                return field.evaluator(key, rho, phi)
+
+            counted = AnalyticField(host=cube_phat, charts=field.charts,
+                                    evaluator=evaluator)
+            report = tt.extract_all(counted, s=inv.s, with_preimage=with_preimage)
+            if with_preimage:
+                assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
+        assert calls[True] == calls[False]
 
     def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
-        # At depth 1 the preimage scan of face 2 used to count 1 against
-        # the integral route's 3 and raise DualRouteMismatch.
+        # The depth-1 grids of this set are unresolved (a scan there once
+        # counted 1 against 3 on face 2); the count runs only on the grid
+        # where the integral route resolved.
         inv, field = make_representative(cube_phat, seed=3)
         report = tt.extract_all(field, s=inv.s, depth=1)
         assert tt.invariants_equal(report.invariants, inv)
@@ -262,29 +281,42 @@ class TestWrapping:
         assert min(report.wrapping_depths) > 1
 
     def test_only_the_resolved_scan_decides(self, cube_phat, monkeypatch):
+        # One count per face, on the integral route's resolved grid, at the
+        # first turned direction that is a regular value, compared with the
+        # integral route there.
         inv, field = make_representative(cube_phat, seed=3)
         grid = FaceGrid(field, (CLEAVED, 0))
         w, _, used = inv_mod._wrapping_integral_detail(field, 0, inv.s, 1, cache=grid)
         assert used > 1
-        scans = {1: (w + 1, inv.s)}  # a miscount on the unresolved grid
-        monkeypatch.setattr(inv_mod, "_preimage_with_retries",
-                            lambda field, a, s, depth, cache=None: scans[depth])
+        count, seen, script = inv_mod._grid_count, [], []
 
-        def checked(depth):
-            return inv_mod._checked_preimage(field, 0, inv.s, depth, used, grid)
+        def scripted(values, s):
+            # Each call takes the next step: None refuses s, an integer is
+            # added to the true count.
+            seen.append((values, s))
+            step = script.pop(0)
+            if step is None:
+                raise errors.NotRegularValue("scripted")
+            return count(values, s) + step
 
-        scans[used] = (w, inv.s)
-        assert checked(1) == (w, used)  # the rescan decided
-        scans[1] = (w, inv.s)
-        assert checked(1) == (w, 1)
-        scans[1] = (w + 1, inv.s)
-        scans[used] = None  # no regular value: no count, never the miscount
-        assert checked(1) == (None, None)
-        scans[used] = (w - 1, inv.s)
-        with pytest.raises(errors.DualRouteMismatch):
-            checked(1)
-        with pytest.raises(errors.DualRouteMismatch):
-            checked(used)  # a resolved grid is not scanned again
+        monkeypatch.setattr(inv_mod, "_grid_count", scripted)
+
+        def checked(*steps):
+            seen.clear()
+            script[:] = steps
+            return inv_mod._checked_preimage(field, 0, inv.s, used, grid)
+
+        assert checked(0) == w
+        assert len(seen) == 1 and seen[0][0] is grid.values(used)
+        assert np.allclose(seen[0][1], turned(inv.s, 1), rtol=0.0, atol=1e-15)
+        assert checked(None, 0) == w and len(seen) == 2
+        assert np.allclose(seen[1][1], turned(inv.s, 2), rtol=0.0, atol=1e-15)
+        # No regular value: no count, and nothing compared.
+        assert checked(*[None] * inv_mod.PREIMAGE_ATTEMPTS) is None
+        for steps in ((1,), (None, -1), (None, None, 2)):
+            with pytest.raises(errors.DualRouteMismatch):
+                checked(*steps)
+            assert not script  # the first count decides
 
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
@@ -332,25 +364,23 @@ def _hull_round_trip(g, k):
 
 
 class TestRandomHulls:
-    @pytest.mark.parametrize("g, k", [(2, 5), (4, 13)])
+    @pytest.mark.parametrize("g, k", [(2, 5), (4, 13), (12, 15), (17, 15), (21, 7),
+                                      (23, 19), (26, 8)])
     def test_round_trip(self, g, k):
-        # Face 4 of (2, 5) has w = 2 and face 1 of (4, 13) has w = 3.  At
-        # s itself their patches split near the apex, and a scan there
-        # found one preimage; the rotated directions find them all.
+        # Face 4 of (2, 5) has w = 2 and face 1 of (4, 13) has w = 3: at s
+        # itself their patches split near the apex.  The other five each
+        # have a |w| = 3 face that a Newton polish of preimages merged into
+        # fewer preimages ((17, 15): into none that converged).
         inv, report = _hull_round_trip(g, k)
         assert tt.invariants_equal(report.invariants, inv)
         assert report.verdicts.all_ok
         assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
 
-    @pytest.mark.xfail(strict=True, raises=errors.DualRouteMismatch,
-                       reason="the polish merges the seeds of a |w| = 3 face "
-                              "into fewer preimages")
-    @pytest.mark.parametrize("g, k", [(21, 7), (23, 19)])
-    def test_polish_loses_a_preimage(self, g, k):
-        _hull_round_trip(g, k)
-
 
 class TestCandidateCells:
+    """``invariants._grid_count``, which counts on the cells its proximity
+    filter keeps, against the whole-grid reference count."""
+
     def test_equals_the_reference_scan_on_representatives(self, cube_phat, tetra_phat):
         rng = np.random.default_rng(11)
         for phat, seed in ((cube_phat, 3), (tetra_phat, 1)):
@@ -358,12 +388,14 @@ class TestCandidateCells:
             for a in range(len(phat.cleaved_faces)):
                 for depth in (3, 6):
                     grid = fields_mod.face_grid(field, ("cleaved", a), depth)
-                    # s itself, a node value (a preimage on the grid) and
-                    # a random direction.
+                    # s itself and a node value are images of grid nodes.
                     node = grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])]
-                    for s in (inv.s, node, normalized(rng.normal(size=3))):
-                        got = inv_mod._candidate_cells(grid, s)
-                        assert np.array_equal(got, reference_candidate_cells(grid, s))
+                    for s in (inv.s, node):
+                        with pytest.raises(errors.NotRegularValue):
+                            inv_mod._grid_count(grid, s)
+                    for s in (turned(inv.s, 1), normalized(rng.normal(size=3))):
+                        got = inv_mod._grid_count(grid, s)
+                        assert got == reference_grid_count(grid, s)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_reference_scan_on_random_grids(self, seed):
@@ -373,9 +405,38 @@ class TestCandidateCells:
         grid = base + (0.3 + 0.5 * seed) * rng.normal(size=(R + 1, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         for s in (base, -base, grid[1, 2], normalized(rng.normal(size=3))):
-            got = inv_mod._candidate_cells(grid, s)
-            assert np.array_equal(got, reference_candidate_cells(grid, s))
+            assert grid_count(grid, s) == reference_grid_count(grid, s)
+        assert grid_count(grid, grid[1, 2]) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), R=st.integers(2, 6), turns=st.integers(-3, 3),
+           reach=st.floats(0.2, 3.0), noise=st.floats(0.0, 0.1))
+    def test_equals_the_reference_and_the_area_cap_degree(self, seed, R, turns, reach,
+                                                          noise):
+        # A disk that winds ``turns`` times about a random pole out to
+        # polar angle ``reach`` (past pi it folds over the antipode), with
+        # noise off its rho = 0 ring, which collapses onto the pole as on a
+        # face grid: the sheet and the cap over its boundary close up.
+        rng = np.random.default_rng(seed)
+        pole, e1, e2 = np.linalg.qr(rng.normal(size=(3, 3)))[0].T
+        K = 16 * max(abs(turns), 1)
+        theta = reach * np.arange(R + 1)[:, None, None] / R
+        phi = turns * 2.0 * np.pi * np.arange(K)[None, :, None] / K
+        grid = np.cos(theta) * pole + np.sin(theta) * (np.cos(phi) * e1 + np.sin(phi) * e2)
+        grid[1:] += noise * rng.normal(size=(R, K, 3))
+        grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
+        s = normalized(rng.uniform(-1.0, 3.0) * pole + rng.normal(size=3))
+        area_sum = fields_mod._grid_area_sum(grid)
+        assume(area_sum is not None)  # the quarter-turn bound: a resolved grid
+        expected = reference_grid_count(grid, s)
+        assert grid_count(grid, s) == expected
+        assume(expected is not None)
+        boundary = grid[-1]
+        gamma, valid = triangle_areas(boundary, np.roll(boundary, -1, axis=0),
+                                      np.broadcast_to(-s, boundary.shape))
+        assume(valid.all() and np.max(boundary @ s) < 1.0 - 1e-12)
+        raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
+        assert abs(raw - expected) < DEGREE_RESIDUAL_TOL
 
     @staticmethod
     def _gnomonic_annulus(R=4, K=8):
@@ -388,41 +449,45 @@ class TestCandidateCells:
             [r * np.cos(t), r * np.sin(t), np.full((R + 1, K), 10.0)], axis=-1))
 
     def test_the_wrapped_cell_alone(self):
-        # s lies between rings 1 and 2 and between columns K - 1 and 0.
+        # s lies between rings 1 and 2 and between columns K - 1 and 0, in
+        # the cell across the seam.  The rings run counterclockwise about
+        # the outward normal, the chart's order, which counts -1; read in
+        # the other direction they count +1.
         grid = self._gnomonic_annulus()
         K = grid.shape[1]
         s = normalized([2.5 * np.cos(np.pi / K), -2.5 * np.sin(np.pi / K), 10.0])
-        got = inv_mod._candidate_cells(grid, s)
-        assert np.array_equal(got, reference_candidate_cells(grid, s))
-        # The one candidate and its four neighbors, across the seam.
-        assert sorted(map(tuple, got.tolist())) == [
-            (0, K - 1), (1, 0), (1, K - 2), (1, K - 1), (2, K - 1)]
+        assert inv_mod._grid_count(grid, s) == reference_grid_count(grid, s) == -1
+        mirrored = grid[:, ::-1]
+        assert inv_mod._grid_count(mirrored, s) == reference_grid_count(mirrored, s) == 1
 
     def test_no_near_cell(self):
         grid = self._gnomonic_annulus()
         for s in ([0.0, 0.0, -1.0], [1.0, 0.0, 0.0]):
-            got = inv_mod._candidate_cells(grid, normalized(s))
-            assert got.shape == (0, 2)
-            assert np.array_equal(got, reference_candidate_cells(grid, normalized(s)))
+            assert inv_mod._grid_count(grid, normalized(s)) == 0
+            assert reference_grid_count(grid, normalized(s)) == 0
 
     @pytest.mark.parametrize("case_id", range(4))
     def test_corpus_faces_at_the_retry_directions(self, case_id):
         # One certify corpus case of each solid.  At s itself the whole
-        # rho = 0 ring of every face lands on s, so the scan there spans
-        # more than 96 cells; the retry directions are the ones the
-        # preimage route polishes from.
+        # rho = 0 ring of every face lands on s; at the turned directions
+        # the count on the resolved grid is the face's wrapping number.
         corpus = _bench_corpus().Corpus(1, with_field=True, file_dir=None)
         case = corpus.case(case_id)
         s = case.expected.s
         for a in range(len(case.phat.cleaved_faces)):
-            grid = fields_mod.face_grid(case.field, ("cleaved", a), 6)
-            got = inv_mod._candidate_cells(grid, s)
-            assert len(got) > 96
-            assert np.array_equal(got, reference_candidate_cells(grid, s))
-            for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1):
-                s_k = inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
-                got = inv_mod._candidate_cells(grid, s_k)
-                assert np.array_equal(got, reference_candidate_cells(grid, s_k))
+            grid = FaceGrid(case.field, (CLEAVED, a))
+            w, _, used = inv_mod._wrapping_integral_detail(case.field, a, s, cache=grid)
+            values = grid.values(used)
+            assert w == case.expected.wrapping_numbers[a]
+            with pytest.raises(errors.NotRegularValue):
+                inv_mod._grid_count(values, s)
+            # A turned direction may lie on the image of a radial edge from
+            # s, shared by two image triangles: such a direction is refused.
+            counts = [grid_count(values, turned(s, k))
+                      for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1)]
+            assert counts != [None] * len(counts)
+            for k, got in enumerate(counts, 1):
+                assert got is None or got == reference_grid_count(values, turned(s, k)) == w
 
 
 class TestTrappedAreas:
