@@ -160,9 +160,16 @@ class ConvexPolyhedron:
             raise GeometryError(f"no edge {key}")
         return int(idx[0])
 
+    @cached_property
+    def _edge_directions(self) -> np.ndarray:
+        dirs = np.array([normalized(self.vertices[j] - self.vertices[i]) for i, j in self.edges])
+        dirs.flags.writeable = False
+        return dirs
+
     def edge_direction(self, b: int) -> np.ndarray:
-        i, j = self.edges[b]
-        return normalized(self.vertices[j] - self.vertices[i])
+        """Unit direction of edge ``b``, from its lower to its higher vertex, built
+        once per solid; each call returns a fresh array."""
+        return self._edge_directions[b].copy()
 
     def to_dict(self) -> dict:
         return {

@@ -135,6 +135,10 @@ def _sphere_sequence(n: int = 997) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=1)
 
 
+_SPIRAL = _sphere_sequence()
+_SPIRAL.flags.writeable = False
+
+
 def s_margin(phat: TruncatedPolyhedron, s) -> float:
     """Smallest |s . F| over the trimmed-face normals."""
     s = normalized(s)
@@ -146,14 +150,14 @@ def choose_reference_s(phat: TruncatedPolyhedron, seed: int = 0) -> np.ndarray:
 
     Walks a golden-spiral sequence on the sphere from a seed-dependent
     offset and returns the first point with margin at least MARGIN_S.
+    The spiral is built once, at import; each call returns a fresh array.
     """
-    pts = _sphere_sequence()
-    n = pts.shape[0]
+    n = _SPIRAL.shape[0]
     start = (int(seed) * 131) % n
     for k in range(n):
-        cand = pts[(start + k) % n]
+        cand = _SPIRAL[(start + k) % n]
         if s_margin(phat, cand) >= MARGIN_S:
-            return cand
+            return cand.copy()
     raise NoAdmissibleS(
         "face normals blanket the sphere beyond the margin"
     )
@@ -266,11 +270,11 @@ def _grid_count(grid: np.ndarray, s: np.ndarray) -> int:
     ``cross(b, a)`` is bit for bit ``-cross(a, b)``, so the two triangles
     that share an edge agree on which side of it ``s`` lies, and no
     image triangle is counted twice or missed.  Triangles with
-    ``orient == 0`` are skipped, and one with two equal nodes (on the
-    collapsed rho = 0 ring) has sides ``x``, ``-x`` and 0, so it never
-    counts.  The count is negated: chart order runs against the
-    invariant convention.  Raises NotRegularValue where ``s`` is the
-    image of a grid node or lies on the boundary of an image triangle.
+    ``orient == 0`` are skipped, and so is one with two equal nodes (on
+    the collapsed rho = 0 ring), whatever its rounded ``orient``: it has
+    no interior, and its exact-zero side refuses nothing.  The count is
+    negated: chart order runs against the invariant convention.  Raises
+    NotRegularValue where ``s`` is the image of a grid node or of an edge.
     """
     planes, radial, around = fields_mod._neighbor_dots(grid)
     dots = fields_mod._dot(planes, s)
@@ -287,6 +291,7 @@ def _grid_count(grid: np.ndarray, s: np.ndarray) -> int:
     for t0, t1, t2 in ((c00, c10, c11), (c00, c11, c01)):
         edges = cross(t0, t1, axis=0), cross(t1, t2, axis=0), cross(t2, t0, axis=0)
         orient = np.sign(fields_mod._dot(edges[0], t2))
+        orient[(t0 == t1).all(0) | (t1 == t2).all(0) | (t2 == t0).all(0)] = 0
         side = np.minimum.reduce([orient * fields_mod._dot(edge, s) for edge in edges])
         if np.any((orient != 0) & (side == 0.0)):
             raise NotRegularValue("reference direction on an image triangle edge")
@@ -364,10 +369,15 @@ def trapped_area_from_invariants(
         except OnBoundary as exc:
             raise SOnTriangleBoundary(str(exc)) from exc
         fan += spherical_triangle_area(*tri) - 4.0 * np.pi * sigma
+    return _closed_form(inv, phat, a, fan)
 
+
+def _closed_form(inv: InvariantSet, phat: TruncatedPolyhedron, a: int, fan: float) -> float:
+    """``trapped_area_from_invariants`` of face ``a`` from its fan term: adds
+    the wrapping and kink terms, after checking ``s`` off each face plane."""
     kink_term = 0.0
     for c in phat.cleaved_faces[a].face_chain:
-        dot = float(phat.face_normal(c) @ s)
+        dot = float(phat.face_normal(c) @ inv.s)
         if abs(dot) < 1e-12:
             raise SOnTriangleBoundary(
                 f"reference direction orthogonal to face normal {c}"
@@ -518,10 +528,10 @@ def _checked_preimage(field, a, s_ref, used, grid):
 
 
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
-    """``(s, attempts)``: ``s`` normalized, or the first of six seeded
-    directions off every fan-triangle boundary, by the closed form's own
-    checks (run with zero kink and wrapping numbers, they depend only on
-    ``eps`` and ``s``), and how many directions were tried."""
+    """``(s, attempts, fans)``: ``s`` normalized, or the first of six seeded
+    directions off every fan-triangle boundary, how many directions were
+    tried, and each face's fan term there: the closed form with zero kink and
+    wrapping numbers, whose checks then depend only on ``eps`` and ``s``."""
     candidates = [normalized(s)] if s is not None else (
         choose_reference_s(phat, seed + 1000 * attempt) for attempt in range(6))
     for attempts, s_try in enumerate(candidates, 1):
@@ -529,9 +539,9 @@ def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
                              kink_numbers=dict.fromkeys(phat.cleaved_edges, 0),
                              wrapping_numbers=np.zeros(len(phat.cleaved_faces)))
         try:
-            for a in range(len(phat.cleaved_faces)):
-                trapped_area_from_invariants(probe, phat, a)
-            return s_try, attempts
+            fans = [trapped_area_from_invariants(probe, phat, a)
+                    for a in range(len(phat.cleaved_faces))]
+            return s_try, attempts, fans
         except SOnTriangleBoundary:
             if s is not None:
                 raise
@@ -573,7 +583,7 @@ def extract_all(
 
     phat = field.host
     eps = extract_edge_orientations(field)
-    s_ref, s_attempts = _settle_s(phat, eps, s, seed)
+    s_ref, s_attempts, fans = _settle_s(phat, eps, s, seed)
     kinks, kink_res = {}, {}
     for (a, c) in sorted(phat.cleaved_edges):
         kinks[(a, c)], kink_res[(a, c)] = _kink_detail(field, a, c)
@@ -593,7 +603,7 @@ def extract_all(
         invariants=inv,
         verdicts=check_sum_rules(inv, phat),
         trapped_closed=np.array([
-            trapped_area_from_invariants(inv, phat, a) for a in range(n_corners)
+            _closed_form(inv, phat, a, fans[a]) for a in range(n_corners)
         ]),
         trapped_direct=np.array(directs),
         wrapping_preimage=preimages,

@@ -200,6 +200,18 @@ def random_hull(rng):
     return ConvexPolyhedron.from_data(verts, faces), rng.uniform(0.05, 0.3)
 
 
+# (generator seed, hull) pairs of ``random_hull`` with a pinned round trip.
+PINNED_HULLS = ((2, 5), (4, 13), (12, 15), (17, 15), (21, 7), (23, 19), (26, 8))
+
+
+def pinned_hull(g, k):
+    """``(poly, lam)`` of hull ``k`` of generator seed ``g``."""
+    rng = np.random.default_rng(g)
+    for _ in range(k + 1):
+        poly, lam = random_hull(rng)
+    return poly, lam
+
+
 def normal_cone_spec(poly, lam) -> TruncationSpec:
     """A cut at every vertex that separates on any convex solid.
 
@@ -338,6 +350,21 @@ def reference_grid_count(grid: np.ndarray, s: np.ndarray):
             return None
         count += int(orient[side > 0.0].sum())
     return -count
+
+
+def reference_choose_reference_s(phat, seed):
+    """``invariants.choose_reference_s`` with the golden spiral rebuilt on
+    every call: the same walk over a spiral that no cache holds."""
+    from tangent_topo.invariants import MARGIN_S, _sphere_sequence, s_margin
+
+    pts = _sphere_sequence()
+    n = pts.shape[0]
+    start = (int(seed) * 131) % n
+    for k in range(n):
+        cand = pts[(start + k) % n]
+        if s_margin(phat, cand) >= MARGIN_S:
+            return cand
+    return None
 
 
 def reference_locate(chart, points):

@@ -12,9 +12,10 @@ from tangent_topo.geometry import (
     polar_chart,
     truncate,
 )
+from tangent_topo.sphere import normalized
 
-from helpers import (halfspace_truncation_counts, pentagonal_pyramid, random_rotation,
-                     reference_locate)
+from helpers import (PINNED_HULLS, halfspace_truncation_counts, pentagonal_pyramid,
+                     pinned_hull, random_rotation, reference_locate)
 
 
 class TestPolyhedronLoading:
@@ -42,6 +43,21 @@ class TestPolyhedronLoading:
         cube = builtin_polyhedron("cube")
         with pytest.raises(errors.GeometryError):
             ConvexPolyhedron.from_data(cube.vertices, [list(f) for f in cube.faces[:-1]])
+
+    @pytest.mark.parametrize("solid", tt.BUILTIN_NAMES + PINNED_HULLS)
+    def test_edge_directions_are_the_normalized_edges(self, solid):
+        poly = builtin_polyhedron(solid) if isinstance(solid, str) else pinned_hull(*solid)[0]
+        for b, (i, j) in enumerate(poly.edges):
+            assert np.array_equal(poly.edge_direction(b),
+                                  normalized(poly.vertices[j] - poly.vertices[i]))
+
+    def test_mutating_an_edge_direction_leaves_the_solid(self):
+        cube = builtin_polyhedron("cube")
+        vertices, first = cube.vertices.copy(), cube.edge_direction(0)
+        d = cube.edge_direction(0)
+        d *= -1.0
+        assert np.array_equal(cube.edge_direction(0), first)
+        assert np.array_equal(cube.vertices, vertices)
 
     def test_json_round_trip(self, tmp_path):
         cube = builtin_polyhedron("cube")

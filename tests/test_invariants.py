@@ -22,10 +22,11 @@ from tangent_topo.invariants import (
     report_to_dict,
     s_margin,
 )
-from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, normalized, triangle_areas
+from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas
 
-from helpers import (constant_field, normal_cone_spec, random_hull,
-                     reference_grid_count, tangent_perturbation)
+from helpers import (PINNED_HULLS, constant_field, normal_cone_spec, pinned_hull,
+                     reference_choose_reference_s, reference_grid_count,
+                     tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -93,6 +94,29 @@ class TestChooseReferenceS:
         s1 = tt.choose_reference_s(cube_phat, seed=1)
         assert not np.array_equal(s0, s1)
 
+    @pytest.mark.parametrize("phat_name", ["cube_phat", "octa_phat"])
+    def test_every_start_offset_walks_as_before(self, phat_name, request):
+        # 131 is invertible mod 997, so seeds 0-996 start at every offset.
+        phat = request.getfixturevalue(phat_name)
+        for seed in range(997):
+            assert np.array_equal(tt.choose_reference_s(phat, seed),
+                                  reference_choose_reference_s(phat, seed)), seed
+
+    def test_the_spiral_is_not_rebuilt(self, cube_phat, monkeypatch):
+        expected = tt.choose_reference_s(cube_phat, seed=5)
+
+        def rebuilt(n=997):
+            raise AssertionError("spiral rebuilt")
+
+        monkeypatch.setattr(inv_mod, "_sphere_sequence", rebuilt)
+        assert np.array_equal(tt.choose_reference_s(cube_phat, seed=5), expected)
+
+    def test_mutating_a_result_changes_no_later_result(self, cube_phat):
+        s = tt.choose_reference_s(cube_phat, seed=2)
+        expected = s.copy()
+        s *= -1.0
+        assert np.array_equal(tt.choose_reference_s(cube_phat, seed=2), expected)
+
     def test_diagonal_is_admissible_on_cube(self, cube_phat):
         assert s_margin(cube_phat, DIAG) == pytest.approx(1.0 / np.sqrt(3.0))
 
@@ -115,7 +139,7 @@ class TestChooseReferenceS:
             # equator, where fan triangles of equatorial edges have sides.
             for cli_seed in (0, 17, 430, 2024):
                 ref = corpus._library_reference(phat, cli_seed, make_set)
-                s, _ = inv_mod._settle_s(phat, ref.edge_orientations, None, cli_seed)
+                s = inv_mod._settle_s(phat, ref.edge_orientations, None, cli_seed)[0]
                 # An InvariantSet holds its s normalized once more.
                 assert np.array_equal(inv_mod.normalized(s), ref.s), (set_seed, cli_seed)
                 if not np.array_equal(s, tt.choose_reference_s(phat, cli_seed)):
@@ -355,17 +379,14 @@ class TestWrapping:
 def _hull_round_trip(g, k):
     """Hull ``k`` of generator seed ``g``, cut by the normal-cone rule,
     its seed-``k`` set, and the report read at that set's ``s``."""
-    rng = np.random.default_rng(g)
-    for _ in range(k + 1):
-        poly, lam = random_hull(rng)
+    poly, lam = pinned_hull(g, k)
     phat = tt.truncate(poly, normal_cone_spec(poly, lam))
     inv, field = make_representative(phat, seed=k)
     return inv, tt.extract_all(field, s=inv.s)
 
 
 class TestRandomHulls:
-    @pytest.mark.parametrize("g, k", [(2, 5), (4, 13), (12, 15), (17, 15), (21, 7),
-                                      (23, 19), (26, 8)])
+    @pytest.mark.parametrize("g, k", PINNED_HULLS)
     def test_round_trip(self, g, k):
         # Face 4 of (2, 5) has w = 2 and face 1 of (4, 13) has w = 3: at s
         # itself their patches split near the apex.  The other five each
@@ -489,6 +510,20 @@ class TestCandidateCells:
             for k, got in enumerate(counts, 1):
                 assert got is None or got == reference_grid_count(values, turned(s, k)) == w
 
+    def test_a_collapsed_triangle_refuses_nothing(self):
+        # Corpus seed 2, case 6, face 0 at the third turned direction: the
+        # only exact-zero side is that of a triangle with two equal nodes
+        # on the rho = 0 ring (c00 == c01), which has no interior.
+        case = _bench_corpus().Corpus(2, with_field=True, file_dir=None).case(6)
+        s = case.expected.s
+        grid = FaceGrid(case.field, (CLEAVED, 0))
+        w, _, used = inv_mod._wrapping_integral_detail(case.field, 0, s, cache=grid)
+        values, s_3 = grid.values(used), turned(s, 3)
+        c00, c01, c11 = values[0], np.roll(values[0], -1, axis=0), np.roll(values[1], -1, axis=0)
+        side = fields_mod._dot(cross(c00, c11).T, s_3)
+        assert np.any((c00 == c01).all(axis=1) & (side == 0.0))
+        assert inv_mod._grid_count(values, s_3) == reference_grid_count(values, s_3) == w
+
 
 class TestTrappedAreas:
     def test_octant_corner(self, cube_phat):
@@ -589,6 +624,27 @@ class TestTrappedAreas:
             ])
         values = np.asarray(values)
         assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-6
+
+    def test_closed_form_reuses_the_settled_fan(self, octa_phat, monkeypatch):
+        # Seed 430 settles at its second direction.  Each face's fan term
+        # is taken once, by the closed form with zero kink and wrapping
+        # numbers at the settled s, and read again for trapped_closed.
+        _, field = make_representative(octa_phat, seed=1)
+        closed_form, calls = inv_mod.trapped_area_from_invariants, []
+
+        def counting(inv, phat, a):
+            calls.append(a)
+            return closed_form(inv, phat, a)
+
+        monkeypatch.setattr(inv_mod, "trapped_area_from_invariants", counting)
+        for s, attempts in ((None, 2), (tt.choose_reference_s(octa_phat, 1430), 1)):
+            calls.clear()
+            report = tt.extract_all(field, s=s, seed=430, depth=5, with_preimage=False)
+            assert report.s_attempts == attempts
+            assert calls[-6:] == list(range(6)) and len(calls) <= 6 * attempts
+            for a in range(6):
+                assert report.trapped_closed[a] == tt.trapped_area_from_invariants(
+                    report.invariants, octa_phat, a)
 
     def test_reference_on_fan_boundary_rejected(self, cube_phat):
         s = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
