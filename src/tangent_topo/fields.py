@@ -386,11 +386,11 @@ def _grid_triangles(R: int, K: int):
     return np.concatenate([t1, t2], axis=0)
 
 
-def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
-    """Signed image-area sum of the triangles of ``_grid_triangles``,
-    read from the x, y and z planes of the (R + 1, K, 3) grid through
-    slices; None when the grid breaks the quarter-turn bound or a
-    triangle is invalid.
+def _grid_area_sum(dots) -> Optional[float]:
+    """Signed image-area sum of the triangles of ``_grid_triangles`` of
+    an (R + 1, K, 3) grid, read through slices from its ``_neighbor_dots``
+    triple ``dots``; None when the grid breaks the quarter-turn bound or
+    a triangle is invalid.
 
     Bit for bit the ``np.sum`` of ``triangle_areas`` over the gathered
     triangles: each dot and triple product has the same operands in the
@@ -400,7 +400,7 @@ def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
     every second one, cells row-major.  The areas are filled in band by
     band of rows, and the first invalid band ends the pass.
     """
-    planes, radial, around = _neighbor_dots(grid)
+    planes, radial, around = dots
     if not _within_quarter_turn(radial, around):
         return None
     R, K = radial.shape[0], around.shape[1]
@@ -432,7 +432,8 @@ def _grid_area_sum(grid: np.ndarray) -> Optional[float]:
 
 class FaceGrid:
     """``face_grid(field, key, depth)`` at every depth asked for, each
-    built once, with its image-area sum.
+    built once, with its ``_neighbor_dots`` triple, taken once, which the
+    quarter-turn check, the image-area sum and the preimage count read.
 
     A depth with no held depth below it is evaluated whole.  Depth d + 1
     over a held depth d takes the depth-d values at its even nodes and
@@ -445,6 +446,7 @@ class FaceGrid:
     def __init__(self, field: TangentField, key: FaceKey):
         self.field, self.key = field, key
         self._values: Dict[int, np.ndarray] = {}
+        self._dots: Dict[int, tuple] = {}
         self._sums: Dict[int, Optional[float]] = {}
 
     def values(self, depth: int) -> np.ndarray:
@@ -466,12 +468,17 @@ class FaceGrid:
     def boundary(self, depth: int) -> np.ndarray:
         return self.values(depth)[-1]  # the ring rho = 1
 
+    def neighbor_dots(self, depth: int) -> tuple:
+        if depth not in self._dots:
+            self._dots[depth] = _neighbor_dots(self.values(depth))
+        return self._dots[depth]
+
     def resolved(self, depth: int) -> bool:
-        return _grid_step_bound_ok(self.values(depth))
+        return _within_quarter_turn(*self.neighbor_dots(depth)[1:])
 
     def area_sum(self, depth: int) -> Optional[float]:
         if depth not in self._sums:
-            self._sums[depth] = _grid_area_sum(self.values(depth))
+            self._sums[depth] = _grid_area_sum(self.neighbor_dots(depth))
         return self._sums[depth]
 
 

@@ -257,10 +257,31 @@ def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) ->
     return w
 
 
-def _grid_count(grid: np.ndarray, s: np.ndarray) -> int:
+def _near_cells(node_dots: np.ndarray, radial: np.ndarray, around: np.ndarray):
+    """Row-major indices ``(ii, jj)`` of the cells whose image can come
+    near ``s``: a corner dot with ``s`` (``node_dots``) of at least
+    ``cos(min(2 arccos(m) + 1e-3, pi))``, ``m`` the cell's least neighbor
+    dot clipped to [-1, 1].  The arccos runs only where the lower bound
+    ``2 max(m, 0)**2 - 1 - (1e-3 + 1e-9)`` of that threshold admits the
+    cell (``cos(2 h + d) >= cos(2 h) - d`` for m >= 0, and -1 for m <= 0),
+    so no cell is lost.
+    """
+    # Maxima and minima are exact: taken pairwise, they are the same.
+    best = np.maximum(node_dots[:-1], node_dots[1:])
+    best = np.maximum(best[:, :-1], best[:, 1:])
+    m = np.minimum(radial[:, :-1], radial[:, 1:])
+    np.minimum(m, np.minimum(around[1:], around[:-1]), out=m)
+    cells = np.flatnonzero(best >= 2.0 * np.clip(m, 0.0, 1.0) ** 2 - 1.0 - (1e-3 + 1e-9))
+    h = np.arccos(np.clip(m.ravel()[cells], -1.0, 1.0))
+    cells = cells[best.ravel()[cells] >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi))]
+    return np.divmod(cells, best.shape[1])
+
+
+def _grid_count(dots: tuple, s: np.ndarray) -> int:
     """Signed number of the image triangles of ``_grid_triangles`` that
     contain ``s``: the degree at ``s`` of the piecewise-geodesic map of
-    the (R + 1, K, 3) grid, closed off by the cap of the integral route.
+    an (R + 1, K, 3) grid, read from its ``_neighbor_dots`` triple
+    ``dots``, closed off by the cap of the integral route.
 
     A proximity filter over the whole grid runs first: only cells whose
     image comes near ``s`` can contain it, and it discards antipodal
@@ -276,27 +297,24 @@ def _grid_count(grid: np.ndarray, s: np.ndarray) -> int:
     negated: chart order runs against the invariant convention.  Raises
     NotRegularValue where ``s`` is the image of a grid node or of an edge.
     """
-    planes, radial, around = fields_mod._neighbor_dots(grid)
-    dots = fields_mod._dot(planes, s)
-    if dots.max() >= 1.0 - 1e-12:
+    planes, radial, around = dots
+    node_dots = fields_mod._dot(planes, s)
+    if node_dots.max() >= 1.0 - 1e-12:
         raise NotRegularValue("reference direction is the image of a grid node")
-    corner_best = np.maximum.reduce(
-        [dots[:-1, :-1], dots[1:, :-1], dots[:-1, 1:], dots[1:, 1:]])
-    h = np.arccos(np.clip(np.minimum.reduce(
-        [radial[:, :-1], around[1:], radial[:, 1:], around[:-1]]), -1.0, 1.0))
-    ii, jj = np.nonzero(corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi)))
-    # The near cells' corners as (3, n) planes; column K repeats column 0.
-    c00, c10, c01, c11 = (planes[:, i, j] for j in (jj, jj + 1) for i in (ii, ii + 1))
-    count = 0
-    for t0, t1, t2 in ((c00, c10, c11), (c00, c11, c01)):
-        edges = cross(t0, t1, axis=0), cross(t1, t2, axis=0), cross(t2, t0, axis=0)
-        orient = np.sign(fields_mod._dot(edges[0], t2))
-        orient[(t0 == t1).all(0) | (t1 == t2).all(0) | (t2 == t0).all(0)] = 0
-        side = np.minimum.reduce([orient * fields_mod._dot(edge, s) for edge in edges])
-        if np.any((orient != 0) & (side == 0.0)):
-            raise NotRegularValue("reference direction on an image triangle edge")
-        count += int(orient[side > 0.0].sum())
-    return -count
+    ii, jj = _near_cells(node_dots, radial, around)
+    # The corners of the near cells' triangles (c00, c10, c11), then (c00,
+    # c11, c01), as (3, 2n) planes; column K repeats column 0.
+    row = planes.shape[2]
+    c00 = ii * row + jj
+    t0, t1, t2 = (planes.reshape(3, -1).take(np.concatenate([c00 + p, c00 + q]), axis=1)
+                  for p, q in ((0, 0), (row, row + 1), (row + 1, 1)))
+    edges = cross(t0, t1, axis=0), cross(t1, t2, axis=0), cross(t2, t0, axis=0)
+    orient = np.sign(fields_mod._dot(edges[0], t2))
+    orient[(t0 == t1).all(0) | (t1 == t2).all(0) | (t2 == t0).all(0)] = 0
+    side = np.minimum.reduce([orient * fields_mod._dot(edge, s) for edge in edges])
+    if np.any((orient != 0) & (side == 0.0)):
+        raise NotRegularValue("reference direction on an image triangle edge")
+    return -int(orient[side > 0.0].sum())
 
 
 def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 6,
@@ -315,7 +333,7 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
     grid = cache or FaceGrid(field, (CLEAVED, a))
     for d in range(grid_depth, MAX_DEPTH + 1):
         if grid.area_sum(d) is not None:
-            return _grid_count(grid.values(d), normalized(s))
+            return _grid_count(grid.neighbor_dots(d), normalized(s))
     raise ResolutionTooCoarse(
         f"preimage count on face {a} did not resolve by depth {MAX_DEPTH}"
     )

@@ -352,6 +352,18 @@ def reference_grid_count(grid: np.ndarray, s: np.ndarray):
     return -count
 
 
+def reference_near_cells(node_dots, radial, around):
+    """The proximity filter of ``invariants._near_cells`` in one stage:
+    ``arccos`` and ``cos`` over every cell, with no cheaper bound first.
+    ``node_dots`` are the nodes' dots with ``s``, ``radial`` and
+    ``around`` the neighbor dots of ``fields._neighbor_dots``."""
+    corner_best = np.maximum.reduce([node_dots[:-1, :-1], node_dots[1:, :-1],
+                                     node_dots[:-1, 1:], node_dots[1:, 1:]])
+    h = np.arccos(np.clip(np.minimum.reduce(
+        [radial[:, :-1], around[1:], radial[:, 1:], around[:-1]]), -1.0, 1.0))
+    return np.nonzero(corner_best >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi)))
+
+
 def reference_choose_reference_s(phat, seed):
     """``invariants.choose_reference_s`` with the golden spiral rebuilt on
     every call: the same walk over a spiral that no cache holds."""

@@ -21,6 +21,7 @@ from tangent_topo.fields import (
     _grid_area_sum,
     _grid_step_bound_ok,
     _grid_triangles,
+    _neighbor_dots,
     antipodal,
     boundary_trace,
     face_grid,
@@ -344,7 +345,7 @@ class TestGridAreaSum:
         for band_entries in (fields_mod.BAND_ENTRIES, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fields_mod, "BAND_ENTRIES", band_entries)
-                got = _grid_area_sum(grid)
+                got = _grid_area_sum(_neighbor_dots(grid))
             if expected is None:
                 assert got is None
             else:
@@ -367,12 +368,13 @@ class TestGridAreaSum:
                         axis=-1)
         expected = _reference_area_sum(grid)
         assert expected is not None
-        assert np.float64(_grid_area_sum(grid)).tobytes() == np.float64(expected).tobytes()
+        got = _grid_area_sum(_neighbor_dots(grid))
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_refuses_an_antipodal_triangle_of_a_resolved_grid(self):
         for grid in (ANTIPODAL_TRIANGLE, LATE_ANTIPODAL):
             assert _grid_step_bound_ok(grid)
-            assert _grid_area_sum(grid) is None
+            assert _grid_area_sum(_neighbor_dots(grid)) is None
 
     def test_equals_the_gathered_sum_on_representative_grids(self, cube_case):
         # Larger than the drawn grids, so np.sum splits the areas into
@@ -381,7 +383,7 @@ class TestGridAreaSum:
         for a in range(8):
             for depth in (2, 5):
                 grid = face_grid(field, (CLEAVED, a), depth)
-                assert _grid_area_sum(grid) == _reference_area_sum(grid)
+                assert _grid_area_sum(_neighbor_dots(grid)) == _reference_area_sum(grid)
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +437,11 @@ class TestFaceGrid:
             nodes.append(sum(calls))
         # (R + 1) K nodes with R = 2 ** depth and K = 3 R on a triangle.
         assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
-        assert grid.area_sum(5) == _grid_area_sum(face_grid(field, (CLEAVED, 0), 5))
+        whole = face_grid(field, (CLEAVED, 0), 5)
+        assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(whole))
+        # One neighbor-dot triple per depth, which the step-bound check reads too.
+        assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
+        assert grid.resolved(5) == _grid_step_bound_ok(grid.values(5))
         assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
 
     @pytest.mark.parametrize("key", [(CLEAVED, 0), ("truncated", 0)])

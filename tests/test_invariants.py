@@ -26,7 +26,7 @@ from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, cross, normalized, triangle
 
 from helpers import (PINNED_HULLS, constant_field, normal_cone_spec, pinned_hull,
                      reference_choose_reference_s, reference_grid_count,
-                     tangent_perturbation)
+                     reference_near_cells, tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -67,10 +67,15 @@ def turned(s, k):
     return inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
 
 
+def counted(grid, s):
+    """``invariants._grid_count`` of a bare (R + 1, K, 3) grid."""
+    return inv_mod._grid_count(fields_mod._neighbor_dots(grid), s)
+
+
 def grid_count(grid, s):
-    """``invariants._grid_count``, or None where ``s`` is no regular value."""
+    """``counted``, or None where ``s`` is no regular value."""
     try:
-        return inv_mod._grid_count(grid, s)
+        return counted(grid, s)
     except errors.NotRegularValue:
         return None
 
@@ -294,6 +299,34 @@ class TestWrapping:
                 assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
         assert calls[True] == calls[False]
 
+    def test_one_neighbor_dot_pass_per_grid(self, cube_phat, monkeypatch):
+        # The integral route, the direct area, the preimage count and the
+        # integral route again at the turned direction read one neighbor
+        # dot triple per (face, depth) built, each taken once.
+        inv, field = make_representative(cube_phat, seed=3)
+        faces, passes = [], []
+        init, kernel = FaceGrid.__init__, fields_mod._neighbor_dots
+
+        def tracking(grid, *args):
+            init(grid, *args)
+            faces.append(grid)
+
+        def counting(values):
+            passes.append(values)
+            return kernel(values)
+
+        monkeypatch.setattr(FaceGrid, "__init__", tracking)
+        monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
+        report = tt.extract_all(field, s=inv.s, depth=5, with_preimage=True)
+        assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
+        built = [(grid.key, d) for grid in faces for d in grid._values]
+        read = [(grid.key, d) for values in passes for grid in faces
+                for d, held in grid._values.items() if held is values]
+        assert len(read) == len(passes) == len(set(read))
+        assert sorted(read) == sorted(built)
+        # Faces that refined past depth 5 built, and read, two depths.
+        assert len(built) == len(faces) + sum(d > 5 for d in report.wrapping_depths) > len(faces)
+
     def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
         # The depth-1 grids of this set are unresolved (a scan there once
         # counted 1 against 3 on face 2); the count runs only on the grid
@@ -314,14 +347,14 @@ class TestWrapping:
         assert used > 1
         count, seen, script = inv_mod._grid_count, [], []
 
-        def scripted(values, s):
+        def scripted(dots, s):
             # Each call takes the next step: None refuses s, an integer is
             # added to the true count.
-            seen.append((values, s))
+            seen.append((dots, s))
             step = script.pop(0)
             if step is None:
                 raise errors.NotRegularValue("scripted")
-            return count(values, s) + step
+            return count(dots, s) + step
 
         monkeypatch.setattr(inv_mod, "_grid_count", scripted)
 
@@ -331,7 +364,7 @@ class TestWrapping:
             return inv_mod._checked_preimage(field, 0, inv.s, used, grid)
 
         assert checked(0) == w
-        assert len(seen) == 1 and seen[0][0] is grid.values(used)
+        assert len(seen) == 1 and seen[0][0] is grid.neighbor_dots(used)
         assert np.allclose(seen[0][1], turned(inv.s, 1), rtol=0.0, atol=1e-15)
         assert checked(None, 0) == w and len(seen) == 2
         assert np.allclose(seen[1][1], turned(inv.s, 2), rtol=0.0, atol=1e-15)
@@ -413,9 +446,9 @@ class TestCandidateCells:
                     node = grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])]
                     for s in (inv.s, node):
                         with pytest.raises(errors.NotRegularValue):
-                            inv_mod._grid_count(grid, s)
+                            counted(grid, s)
                     for s in (turned(inv.s, 1), normalized(rng.normal(size=3))):
-                        got = inv_mod._grid_count(grid, s)
+                        got = counted(grid, s)
                         assert got == reference_grid_count(grid, s)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -447,7 +480,7 @@ class TestCandidateCells:
         grid[1:] += noise * rng.normal(size=(R, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         s = normalized(rng.uniform(-1.0, 3.0) * pole + rng.normal(size=3))
-        area_sum = fields_mod._grid_area_sum(grid)
+        area_sum = fields_mod._grid_area_sum(fields_mod._neighbor_dots(grid))
         assume(area_sum is not None)  # the quarter-turn bound: a resolved grid
         expected = reference_grid_count(grid, s)
         assert grid_count(grid, s) == expected
@@ -458,6 +491,46 @@ class TestCandidateCells:
         assume(valid.all() and np.max(boundary @ s) < 1.0 - 1e-12)
         raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
         assert abs(raw - expected) < DEGREE_RESIDUAL_TOL
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), R=st.integers(1, 8), K=st.integers(3, 12),
+           spread=st.floats(0.0, 3.0))
+    def test_filter_keeps_the_cells_of_the_one_stage_filter_on_random_grids(
+            self, seed, R, K, spread):
+        # Grids from nearly constant to scattered all over the sphere, with
+        # one pair of antipodal neighbors: a neighbor dot of -1, where
+        # the one-stage threshold clamps at pi.
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(size=3) + spread * rng.normal(size=(R + 1, K, 3))
+        grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
+        grid[0, 0] = -grid[1, 0]
+        planes, radial, around = fields_mod._neighbor_dots(grid)
+        assert radial.min() < 0.0
+        for s in (grid[R, K - 1], normalized(rng.normal(size=3))):
+            dots = fields_mod._dot(planes, s)
+            got = inv_mod._near_cells(dots, radial, around)
+            expected = reference_near_cells(dots, radial, around)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+    @settings(max_examples=120, deadline=None)
+    @given(m=st.one_of(st.floats(-1.5, 1.5), st.sampled_from(
+               [-1.0, 0.0, 1.0, 5e-4, np.cos(np.pi / 4 - 2.5e-4), np.cos(np.pi / 4)])),
+           step=st.sampled_from([-1, 0, 1]))
+    def test_filter_keeps_a_cell_on_the_one_stage_threshold(self, m, step):
+        # Every neighbor dot m and every corner dot one float step below,
+        # at or above the one-stage threshold cos(min(2 arccos m + 1e-3, pi)):
+        # the cells there are kept alike, with m negative, where the
+        # threshold clamps, and where the cheaper bound is tightest (2 h
+        # near pi/2).
+        radial, around = np.full((2, 4), m), np.full((3, 3), m)
+        edge = np.cos(np.minimum(2.0 * np.arccos(np.clip(m, -1.0, 1.0)) + 1e-3, np.pi))
+        dots = np.full((3, 4), edge)
+        if step:
+            dots = np.nextafter(dots, step * np.inf)
+        got = inv_mod._near_cells(dots, radial, around)
+        expected = reference_near_cells(dots, radial, around)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+        assert expected[0].size == (6 if step >= 0 else 0)
 
     @staticmethod
     def _gnomonic_annulus(R=4, K=8):
@@ -477,14 +550,14 @@ class TestCandidateCells:
         grid = self._gnomonic_annulus()
         K = grid.shape[1]
         s = normalized([2.5 * np.cos(np.pi / K), -2.5 * np.sin(np.pi / K), 10.0])
-        assert inv_mod._grid_count(grid, s) == reference_grid_count(grid, s) == -1
+        assert counted(grid, s) == reference_grid_count(grid, s) == -1
         mirrored = grid[:, ::-1]
-        assert inv_mod._grid_count(mirrored, s) == reference_grid_count(mirrored, s) == 1
+        assert counted(mirrored, s) == reference_grid_count(mirrored, s) == 1
 
     def test_no_near_cell(self):
         grid = self._gnomonic_annulus()
         for s in ([0.0, 0.0, -1.0], [1.0, 0.0, 0.0]):
-            assert inv_mod._grid_count(grid, normalized(s)) == 0
+            assert counted(grid, normalized(s)) == 0
             assert reference_grid_count(grid, normalized(s)) == 0
 
     @pytest.mark.parametrize("case_id", range(4))
@@ -501,7 +574,7 @@ class TestCandidateCells:
             values = grid.values(used)
             assert w == case.expected.wrapping_numbers[a]
             with pytest.raises(errors.NotRegularValue):
-                inv_mod._grid_count(values, s)
+                counted(values, s)
             # A turned direction may lie on the image of a radial edge from
             # s, shared by two image triangles: such a direction is refused.
             counts = [grid_count(values, turned(s, k))
@@ -522,7 +595,7 @@ class TestCandidateCells:
         c00, c01, c11 = values[0], np.roll(values[0], -1, axis=0), np.roll(values[1], -1, axis=0)
         side = fields_mod._dot(cross(c00, c11).T, s_3)
         assert np.any((c00 == c01).all(axis=1) & (side == 0.0))
-        assert inv_mod._grid_count(values, s_3) == reference_grid_count(values, s_3) == w
+        assert counted(values, s_3) == reference_grid_count(values, s_3) == w
 
 
 class TestTrappedAreas:
@@ -566,10 +639,11 @@ class TestTrappedAreas:
             owners.setdefault(grid.key, set()).add(id(grid))
             return area_sum(grid, depth)
 
-        def counting(grid):
-            digest = hashlib.sha1(np.ascontiguousarray(grid).tobytes()).hexdigest()
-            sums.append((digest, grid.shape[0] - 1))
-            return kernel(grid)
+        def counting(dots):
+            planes, radial, _ = dots
+            digest = hashlib.sha1(np.ascontiguousarray(planes).tobytes()).hexdigest()
+            sums.append((digest, radial.shape[0]))
+            return kernel(dots)
 
         monkeypatch.setattr(fields_mod.FaceGrid, "area_sum", reading)
         monkeypatch.setattr(fields_mod, "_grid_area_sum", counting)
