@@ -139,10 +139,17 @@ def cmd_truncate(args) -> int:
 
 
 def _field_from_args(args):
-    """Field plus serialization context from --field or --inv input."""
+    """Field plus serialization context from --field or --inv input, or
+    None for a --field file that fails tangency validation, whose
+    diagnostics are then written to stderr."""
     if getattr(args, "field", None):
         field, diagnostics = fields.load_field(args.field)
-        return field, field.host, field.source, None, diagnostics
+        if not diagnostics.ok:
+            sys.stderr.write("tangency validation failed:\n")
+            sys.stderr.write(json.dumps(diagnostics.to_dict(), indent=2, sort_keys=True))
+            sys.stderr.write("\n")
+            return None
+        return field, field.host, field.source, None
     data = _load_json(args.inv)
     phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
@@ -151,17 +158,15 @@ def _field_from_args(args):
         )
     adm = synthesis.AdmissibleInvariants.from_invariants(inv, phat)
     field = synthesis.representative_boundary(adm, phat)
-    return field, phat, source, inv, None
+    return field, phat, source, inv
 
 
 def cmd_invariants(args) -> int:
     seed = _resolve_seed(args)
-    field, phat, source, inv, diagnostics = _field_from_args(args)
-    if diagnostics is not None and not diagnostics.ok:
-        sys.stderr.write("tangency validation failed:\n")
-        sys.stderr.write(json.dumps(diagnostics.to_dict(), indent=2, sort_keys=True))
-        sys.stderr.write("\n")
+    loaded = _field_from_args(args)
+    if loaded is None:
         return EXIT_VALIDATION
+    field, phat, source, inv = loaded
     s = inv.s if inv is not None else None
     report = invariants.extract_all(field, s=s, seed=seed, depth=args.depth)
     _dump_json(invariants.report_to_dict(report, phat, poly_source=source), args.out)
@@ -170,7 +175,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_synthesize(args) -> int:
     seed = _resolve_seed(args)
-    field, phat, source, inv, _ = _field_from_args(args)
+    field, phat, source, inv = _field_from_args(args)  # --inv only: never refused
     sampled = fields.sample_field(field, args.depth)
     fields.save_field(sampled, args.out, depth=args.depth, poly_source=source)
     report = invariants.extract_all(
@@ -205,10 +210,10 @@ def cmd_check(args) -> int:
 def cmd_export_mesh(args) -> int:
     if args.fmt != "obj":
         raise argparse.ArgumentTypeError(f"unknown mesh format {args.fmt!r}")
-    field, _, _, _, diagnostics = _field_from_args(args)
-    if diagnostics is not None and not diagnostics.ok:
+    loaded = _field_from_args(args)
+    if loaded is None:
         return EXIT_VALIDATION
-    fields.save_mesh_obj(field, args.out, depth=args.depth)
+    fields.save_mesh_obj(loaded[0], args.out, depth=args.depth)
     return EXIT_OK
 
 

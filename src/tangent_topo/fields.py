@@ -20,12 +20,16 @@ Scattered points are equal-length 1-D arrays; a face grid block is rings
 ``rho[:, None]`` against angles ``phi``, which ``_evaluate_grid`` passes
 for both field types, so an analytic evaluator takes a factor of rho
 alone once per ring and a factor of phi alone once per angle.
+Values may come in any layout; both field types return moved-axis views
+of x, y, z planes.  Rows that reach einsum or matmul, whose sums follow
+the layout, are C-contiguous (``face_grid``, ``FaceGrid``, curve traces).
 """
 from __future__ import annotations
 
 import base64
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -39,7 +43,8 @@ from .geometry import (
     PolarChart,
     TruncatedPolyhedron,
 )
-from .sphere import SphericalPath, _signed_areas, cross, geodesic_interpolate, normalized_rows
+from .sphere import (SphericalPath, _dot, _signed_areas, cross, geodesic_interpolate,
+                     normalized_rows)
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
@@ -71,11 +76,11 @@ def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
-    """Field values on the depth-``depth`` grid of a face, shape (R + 1,
-    K, 3) with R = 2**depth rings and K = m 2**depth samples per ring on
-    a face of m sides, so every corner lands on a node."""
-    R = 2 ** depth
-    return field._evaluate_grid(key, *_grid_axes(R, field.charts[key].n_segments * R))
+    """Field values on the depth-``depth`` grid of a face, C-contiguous of
+    shape (R + 1, K, 3) with R = 2**depth rings and K = m 2**depth
+    samples per ring on a face of m sides, so every corner lands on a
+    node."""
+    return FaceGrid(field, key).values(depth)
 
 
 # Entries per band of grid rows in the whole-grid kernels: the
@@ -90,25 +95,20 @@ def _bands(rows: int, K: int):
     return [(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
-def _dot(a, b, out=None):
-    # Dot products of x, y, z plane triples, summed in the order of
-    # numpy's einsum over three components: (a0 b0 + a2 b2) + a1 b1.
-    out = np.multiply(a[0], b[0], out=out)
-    part = a[2] * b[2]
-    out += part
-    out += np.multiply(a[1], b[1], out=part)
-    return out
-
-
-def _neighbor_dots(grid: np.ndarray):
+def _grid_planes(grid: np.ndarray) -> np.ndarray:
     """The x, y, z planes of an (R + 1, K, 3) grid with the first sample
-    of each (periodic) ring repeated as column K, shape (3, R + 1, K + 1),
-    and the dot products of radial neighbors over all K + 1 columns,
-    shape (R, K + 1), and of neighbors around the rings, shape (R + 1, K)."""
-    R1, K = grid.shape[:2]
-    planes = np.empty((3, R1, K + 1))
-    planes[:, :, :K] = np.moveaxis(grid, -1, 0)
-    planes[:, :, K] = planes[:, :, 0]
+    of each (periodic) ring repeated as column K, shape (3, R + 1, K + 1)."""
+    planes = np.empty((3, grid.shape[0], grid.shape[1] + 1))
+    planes[:, :, :-1] = np.moveaxis(grid, -1, 0)
+    planes[:, :, -1] = planes[:, :, 0]
+    return planes
+
+
+def _neighbor_dots(planes: np.ndarray):
+    """``planes`` (see ``_grid_planes``) with the dot products of radial
+    neighbors over all K + 1 columns, shape (R, K + 1), and of neighbors
+    around the rings, shape (R + 1, K); the planes are read, not copied."""
+    R1, K = planes.shape[1], planes.shape[2] - 1
     radial, around = np.empty((R1 - 1, K + 1)), np.empty((R1, K))
     for i, j in _bands(R1 - 1, K):
         _dot(planes[:, i:j], planes[:, i + 1:j + 1], out=radial[i:j])
@@ -124,7 +124,7 @@ def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
 
 
 def _grid_step_bound_ok(grid: np.ndarray) -> bool:
-    return _within_quarter_turn(*_neighbor_dots(grid)[1:])
+    return _within_quarter_turn(*_neighbor_dots(_grid_planes(grid))[1:])
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,12 @@ class AnalyticField:
     for scattered points or rings ``rho[:, None]`` against angles ``phi``
     for a grid block, and returns values of their broadcast shape + (3,).
     The values need not be unit vectors: ``evaluate`` normalizes each
-    row once.  It works point by point: a node's value must not depend
-    on the other points in the call (``FaceGrid`` relies on this), nor
-    on whether it is reached as a scattered point or in a block.
+    row once, in the layout the evaluator returns: a moved-axis view of
+    x, y, z planes reaches ``FaceGrid``'s planes in one contiguous copy,
+    C-ordered rows in one strided copy.  It works point by point: a
+    node's value must not depend on the other points in the call
+    (``FaceGrid`` relies on this), nor on whether it is reached as a
+    scattered point or in a block.
     """
 
     host: TruncatedPolyhedron
@@ -216,17 +219,16 @@ class SampledField:
         on a tensor-product grid the phi interpolation of a stored ring
         is the same for every target ring it brackets, so each stored
         ring that is used is interpolated once at the target phis, and
-        then every target ring radially between its two stored rings.
+        then every target ring radially between its two stored rings,
+        with weights broadcast against whole blocks, no reshape copies.
         """
         grid = self.values[key]
         i0, tr, j0, j1, tp = self._bracket(key, rho, phi)
         used = np.unique(np.concatenate([i0, i0 + 1]))
-        rings = geodesic_interpolate(grid[used[:, None], j0].reshape(-1, 3),
-                                     grid[used[:, None], j1].reshape(-1, 3),
-                                     np.tile(tp, used.size)).reshape(-1, phi.size, 3)
-        low = rings[np.searchsorted(used, i0)].reshape(-1, 3)
-        high = rings[np.searchsorted(used, i0 + 1)].reshape(-1, 3)
-        return geodesic_interpolate(low, high, np.repeat(tr, phi.size)).reshape(rho.size, -1, 3)
+        rings = geodesic_interpolate(grid[used[:, None], j0], grid[used[:, None], j1], tp)
+        planes = np.moveaxis(rings, -1, 0)
+        low, high = (np.moveaxis(planes[:, np.searchsorted(used, i)], 0, -1) for i in (i0, i0 + 1))
+        return geodesic_interpolate(low, high, tr[:, None])
 
 
 TangentField = AnalyticField | SampledField
@@ -272,9 +274,12 @@ def _curve_tracer(field: TangentField, curve, side: int = 0):
         phi0, phi1 = chart.segment_span(seg)
 
     def evaluate(t: np.ndarray) -> np.ndarray:
+        # C-contiguous rows: the traces meet einsum and matmul, whose sums
+        # depend on the layout.
         t = np.asarray(t, dtype=float)
         local = 1.0 - t if reverse else t
-        return field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local)
+        return np.ascontiguousarray(
+            field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local))
 
     return evaluate
 
@@ -431,46 +436,54 @@ def _grid_area_sum(dots) -> Optional[float]:
 
 
 class FaceGrid:
-    """``face_grid(field, key, depth)`` at every depth asked for, each
-    built once, with its ``_neighbor_dots`` triple, taken once, which the
-    quarter-turn check, the image-area sum and the preimage count read.
+    """The x, y, z planes (see ``_grid_planes``) of ``face_grid(field,
+    key, depth)`` at every depth asked for, each built once, and their
+    ``_neighbor_dots`` triple, taken once, which the quarter-turn check,
+    the image-area sum and the preimage count read.
 
     A depth with no held depth below it is evaluated whole.  Depth d + 1
-    over a held depth d takes the depth-d values at its even nodes and
+    over a held depth d takes the depth-d planes at its even nodes and
     evaluates only the nodes it adds, in two grid blocks, the odd rings
     whole and the even rings at odd samples: bit for bit the whole grid,
     as the even nodes have the depth-d coordinates (see ``grid_nodes``)
-    and fields work point by point.
+    and fields work point by point.  ``values`` and ``boundary`` are
+    C-contiguous row copies, for einsum and matmul.
     """
 
     def __init__(self, field: TangentField, key: FaceKey):
         self.field, self.key = field, key
-        self._values: Dict[int, np.ndarray] = {}
+        self._planes: Dict[int, np.ndarray] = {}
         self._dots: Dict[int, tuple] = {}
         self._sums: Dict[int, Optional[float]] = {}
 
-    def values(self, depth: int) -> np.ndarray:
-        if depth not in self._values:
-            held = max((d for d in self._values if d < depth), default=None)
+    def planes(self, depth: int) -> np.ndarray:
+        if depth not in self._planes:
+            held = max((d for d in self._planes if d < depth), default=None)
+            block = partial(self.field._evaluate_grid, self.key)
             if held is None:
-                self._values[depth] = face_grid(self.field, self.key, depth)
-            else:
-                for d in range(held, depth):
-                    coarse = self._values[d]
-                    rho, phi = _grid_axes(2 * coarse.shape[0] - 2, 2 * coarse.shape[1])
-                    fine = np.empty((rho.size, phi.size, 3))
-                    fine[::2, ::2] = coarse
-                    fine[1::2] = self.field._evaluate_grid(self.key, rho[1::2], phi)
-                    fine[::2, 1::2] = self.field._evaluate_grid(self.key, rho[::2], phi[1::2])
-                    self._values[d + 1] = fine
-        return self._values[depth]
+                R = 2 ** depth
+                rho, phi = _grid_axes(R, self.field.charts[self.key].n_segments * R)
+                self._planes[depth] = _grid_planes(block(rho, phi))
+            for d in range(depth if held is None else held, depth):
+                coarse = self._planes[d]
+                rho, phi = _grid_axes(2 * coarse.shape[1] - 2, 2 * coarse.shape[2] - 2)
+                fine = np.empty((3, rho.size, phi.size + 1))
+                fine[:, ::2, ::2] = coarse
+                fine[:, 1::2, :-1] = np.moveaxis(block(rho[1::2], phi), -1, 0)
+                fine[:, 1::2, -1] = fine[:, 1::2, 0]
+                fine[:, ::2, 1:-1:2] = np.moveaxis(block(rho[::2], phi[1::2]), -1, 0)
+                self._planes[d + 1] = fine
+        return self._planes[depth]
+
+    def values(self, depth: int) -> np.ndarray:
+        return np.ascontiguousarray(np.moveaxis(self.planes(depth)[:, :, :-1], 0, -1))
 
     def boundary(self, depth: int) -> np.ndarray:
-        return self.values(depth)[-1]  # the ring rho = 1
+        return np.ascontiguousarray(self.planes(depth)[:, -1, :-1].T)  # the ring rho = 1
 
     def neighbor_dots(self, depth: int) -> tuple:
         if depth not in self._dots:
-            self._dots[depth] = _neighbor_dots(self.values(depth))
+            self._dots[depth] = _neighbor_dots(self.planes(depth))
         return self._dots[depth]
 
     def resolved(self, depth: int) -> bool:

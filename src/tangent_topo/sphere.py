@@ -50,6 +50,7 @@ def normalized_rows(arr) -> np.ndarray:
     Raises ValueError for a near-zero or non-finite row.  Rows of three
     take their norm ``sqrt((x*x + y*y) + z*z)`` from component views, in
     the order ``np.linalg.norm`` sums a length-3 axis, so bit for bit.
+    The result has the memory layout of ``arr``.
     """
     a = np.asarray(arr, dtype=float)
     if a.shape[-1:] == (3,) and a.size:
@@ -63,6 +64,38 @@ def normalized_rows(arr) -> np.ndarray:
     if not ok:
         raise ValueError("cannot normalize a near-zero or non-finite vector")
     return a / n
+
+
+def _dot(a, b, out=None):
+    """Dot products of x, y, z component triples, summed in the order of
+    numpy's einsum over contiguous rows, (a0 b0 + a2 b2) + a1 b1, in any
+    layout: on a moved-axis view of planes einsum sums (a0 b0 + a1 b1) +
+    a2 b2 instead, and ``@`` differs too."""
+    out = np.multiply(a[0], b[0], out=out)
+    part = a[2] * b[2]
+    out += part
+    out += np.multiply(a[1], b[1], out=part)
+    return out
+
+
+def _as_rows(planes: np.ndarray) -> np.ndarray:
+    # x, y, z planes (3, ...) as a moved-axis view of rows (..., 3).
+    return planes.transpose(tuple(range(1, planes.ndim)) + (0,))
+
+
+def _weighted_planes(*terms) -> np.ndarray:
+    """x, y, z planes of the sum of ``weight * vector`` over the
+    ``(weight, vector)`` pairs ``terms``, added left to right: bit for
+    bit the rows ``weight[..., None] * vector + ...``, one component at
+    a time.  A vector is a 3-vector or x, y, z components that broadcast
+    against the weights."""
+    (w0, v0), *rest = terms
+    out = np.empty((3,) + np.broadcast(*(x for w, v in terms for x in (w, v[0]))).shape)
+    for i in range(3):
+        plane = np.multiply(w0, v0[i], out=out[i, ...])
+        for w, v in rest:
+            plane += w * v[i]
+    return out
 
 
 def cross(a, b, axis: int = -1) -> np.ndarray:
@@ -183,33 +216,38 @@ def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:
 
     ``u`` and ``v`` have shape (..., 3) (a single vector counts as one
     row) and ``tau`` broadcasts against their leading axes; the result
-    has the broadcast leading shape + (3,).  The arc of each pair (its
-    dot, arccos and sine) is computed once per pair of ``u`` and ``v``
-    rows, and only the two weight sines once per output row, so an arc
-    shared by many ``tau`` costs one arccos.  Each output row comes from
-    the same operations on the same operands as a row-wise call.
+    has the broadcast leading shape + (3,), as a moved-axis view of x,
+    y, z planes.  The arc of each pair (its dot, arccos and sine) is
+    computed once per pair of ``u`` and ``v`` rows, and only the two
+    weight sines once per output row, so an arc shared by many ``tau``
+    costs one arccos.  Each output row comes from the same operations on
+    the same operands as a row-wise call, whatever the layout of ``u``
+    and ``v``: the dot is summed in the ``_dot`` order.
 
     Pairs closer than 1e-9 take the chord.  Every row is normalized
     once, at the end; ``normalize=False`` leaves the rows, unit up to
     rounding, to a caller that normalizes its values itself.
     """
-    u, v = np.broadcast_arrays(_rows(u), _rows(v))
+    u_rows, v_rows = np.broadcast_arrays(_rows(u), _rows(v))
+    u, v = ((x[..., 0], x[..., 1], x[..., 2]) for x in (u_rows, v_rows))
     tau = np.asarray(tau, dtype=float)
-    d = np.clip(np.einsum("...j,...j->...", u, v), -1.0, 1.0)
+    d = np.clip(_dot(u, v), -1.0, 1.0)
     if np.any(d <= -1.0 + TOL_ANTIPODAL):
         raise AntipodalEndpoints("antipodal pair in geodesic interpolation")
     ang = np.arccos(d)
     # Arc weights on whole arrays; rows closer than 1e-9 take the chord.
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sin(ang)
-        out = ((np.sin((1.0 - tau) * ang) / s)[..., None] * u
-               + (np.sin(tau * ang) / s)[..., None] * v)
-    small = np.broadcast_to(ang < 1e-9, out.shape[:-1])
+        out = _weighted_planes((np.sin((1.0 - tau) * ang) / s, u),
+                               (np.sin(tau * ang) / s, v))
+    small = np.broadcast_to(ang < 1e-9, out.shape[1:])
     if small.any():
-        t = np.broadcast_to(tau, small.shape)[small][:, None]
-        out[small] = ((1.0 - t) * np.broadcast_to(u, out.shape)[small]
-                      + t * np.broadcast_to(v, out.shape)[small])
-    return normalized_rows(out) if normalize else out
+        t = np.broadcast_to(tau, small.shape)[small]
+        a, b = (np.broadcast_to(x, small.shape + (3,))[small] for x in (u_rows, v_rows))
+        for i, plane in enumerate(out):
+            plane[small] = (1.0 - t) * a[:, i] + t * b[:, i]
+    rows = _as_rows(out)
+    return normalized_rows(rows) if normalize else rows
 
 
 def _step_angles(samples: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ from .invariants import (
     face_opposition_count,
     s_margin,
 )
-from .sphere import TOL_ANTIPODAL, cross, geodesic_interpolate, normalized, reference_frame
+from .sphere import (TOL_ANTIPODAL, _as_rows, _weighted_planes, cross, geodesic_interpolate,
+                     normalized, reference_frame)
 
 # A corner-face boundary value lies on the great circle normal to its
 # trimmed face F, so its dot with -s can reach -sqrt(1 - (s . F)**2),
@@ -51,19 +52,19 @@ def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
     Returns ``sin(2 pi rho) cos(omega phi) xi + sin(2 pi rho) sin(omega
     phi) eta + cos(2 pi rho) s``; the value is ``s`` at rho = 0 and
     ``-s`` on the whole rho = 1/2 circle.  ``rho`` and ``phi`` broadcast
-    against each other and the result has their broadcast shape + (3,):
-    each sine and cosine is taken once per entry of the array it depends
-    on, so rings ``rho[:, None]`` against angles ``phi`` take them once
-    per ring and once per angle.
+    against each other and the result has their broadcast shape + (3,),
+    as a moved-axis view of x, y, z planes filled one component at a
+    time: each sine and cosine is taken once per entry of the array it
+    depends on, so rings ``rho[:, None]`` against angles ``phi`` take
+    them once per ring and once per angle.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     sr = np.sin(2.0 * np.pi * rho)
-    return (
-        (sr * np.cos(omega * phi))[..., None] * np.asarray(xi)
-        + (sr * np.sin(omega * phi))[..., None] * np.asarray(eta)
-        + np.cos(2.0 * np.pi * rho)[..., None] * np.asarray(s)
-    )
+    planes = _weighted_planes((sr * np.cos(omega * phi), np.asarray(xi)),
+                              (sr * np.sin(omega * phi), np.asarray(eta)),
+                              (np.cos(2.0 * np.pi * rho), np.asarray(s)))
+    return _as_rows(planes)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def representative_boundary(
             k, u = chart.segment_position(phi)
             theta = knots[k] + (knots[k + 1] - knots[k]) * u
             full = rho * theta + (1.0 - rho) * knots[0]
-            return np.cos(full)[..., None] * u1 + np.sin(full)[..., None] * u2
+            return _as_rows(_weighted_planes((np.cos(full), u1), (np.sin(full), u2)))
         e0s, axcs, totals, omega = cleaved_data[idx]
         shape = np.broadcast_shapes(rho.shape, phi.shape)
         rho, phi = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (rho, phi))
@@ -187,9 +188,11 @@ def representative_boundary(
             # The rows ``part`` of x, or x when it broadcasts along rows.
             return x if x.shape[0] == 1 else x[part]
 
-        out = np.empty(lead + (3,))
+        # Both parts are x, y, z planes, copied into one set of planes.
+        out = np.empty((3,) + lead)
         if inner.any():
-            out[inner] = covering_patch(rows(rho, inner), rows(phi, inner), omega, xi, eta, s)
+            out[:, inner] = np.moveaxis(
+                covering_patch(rows(rho, inner), rows(phi, inner), omega, xi, eta, s), -1, 0)
         outer = ~inner
         if outer.any():
             # The boundary spiral, needed only where rho >= 1/2.
@@ -197,9 +200,9 @@ def representative_boundary(
             ang = totals[k] * (1.0 - u)
             bval = np.cos(ang)[..., None] * e0s[k] + np.sin(ang)[..., None] * axcs[k]
             # Left unnormalized: AnalyticField.evaluate normalizes every value.
-            out[outer] = geodesic_interpolate(minus_s, bval, 2.0 * rows(rho, outer) - 1.0,
-                                              normalize=False)
-        return out.reshape(shape + (3,))
+            out[:, outer] = np.moveaxis(geodesic_interpolate(
+                minus_s, bval, 2.0 * rows(rho, outer) - 1.0, normalize=False), -1, 0)
+        return _as_rows(out).reshape(shape + (3,))
 
     return AnalyticField(host=phat, charts=charts, evaluator=evaluator)
 

@@ -229,16 +229,34 @@ class TestErrorPaths:
                   "--out", str(tmp_path / "x.obj")])
         assert err.value.code == EXIT_USAGE
 
-    def test_non_tangent_field_rejected(self, synthesized_field, tmp_path, capsys):
+    @staticmethod
+    def _non_tangent_copy(synthesized_field, tmp_path):
+        # The field file with one truncated face's vectors all (1, 0, 0).
         doc = json.loads(synthesized_field.read_text())
         face = next(f for f in doc["faces"] if f["kind"] == "truncated")
         rows = (face["rho_steps"] + 1) * face["phi_steps"]
         face["vectors"] = encode_vectors([[1.0, 0.0, 0.0]] * rows)
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
+        return broken
+
+    def test_non_tangent_field_rejected(self, synthesized_field, tmp_path, capsys):
+        broken = self._non_tangent_copy(synthesized_field, tmp_path)
         assert main(["invariants", "--field", str(broken),
                      "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
         assert "tangency validation failed" in capsys.readouterr().err
+
+    def test_non_tangent_field_rejected_by_export_mesh(self, synthesized_field, tmp_path,
+                                                       capsys):
+        # The export-mesh twin: the same exit code and diagnostics, no mesh.
+        broken = self._non_tangent_copy(synthesized_field, tmp_path)
+        mesh = tmp_path / "x.obj"
+        assert main(["export-mesh", "--field", str(broken),
+                     "--out", str(mesh)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("tangency validation failed:\n")
+        assert json.loads(err.split("\n", 1)[1])["ok"] is False
+        assert not mesh.exists()
 
     @pytest.mark.parametrize("edit", FIELD_EDITS)
     def test_bad_field_contents_are_validation_errors(self, synthesized_field, tmp_path,

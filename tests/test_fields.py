@@ -18,7 +18,9 @@ from tangent_topo.fields import (
     AnalyticField,
     FaceGrid,
     SampledField,
+    _curve_tracer,
     _grid_area_sum,
+    _grid_planes,
     _grid_step_bound_ok,
     _grid_triangles,
     _neighbor_dots,
@@ -345,7 +347,7 @@ class TestGridAreaSum:
         for band_entries in (fields_mod.BAND_ENTRIES, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fields_mod, "BAND_ENTRIES", band_entries)
-                got = _grid_area_sum(_neighbor_dots(grid))
+                got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
             if expected is None:
                 assert got is None
             else:
@@ -368,13 +370,13 @@ class TestGridAreaSum:
                         axis=-1)
         expected = _reference_area_sum(grid)
         assert expected is not None
-        got = _grid_area_sum(_neighbor_dots(grid))
+        got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_refuses_an_antipodal_triangle_of_a_resolved_grid(self):
         for grid in (ANTIPODAL_TRIANGLE, LATE_ANTIPODAL):
             assert _grid_step_bound_ok(grid)
-            assert _grid_area_sum(_neighbor_dots(grid)) is None
+            assert _grid_area_sum(_neighbor_dots(_grid_planes(grid))) is None
 
     def test_equals_the_gathered_sum_on_representative_grids(self, cube_case):
         # Larger than the drawn grids, so np.sum splits the areas into
@@ -383,7 +385,8 @@ class TestGridAreaSum:
         for a in range(8):
             for depth in (2, 5):
                 grid = face_grid(field, (CLEAVED, a), depth)
-                assert _grid_area_sum(_neighbor_dots(grid)) == _reference_area_sum(grid)
+                got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
+                assert got == _reference_area_sum(grid)
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +417,8 @@ class TestFaceGrid:
         # Depth + 1 refines the held depth once, or several times over.
         assert (grid.values(depth + 1).tobytes()
                 == face_grid(field, key, depth + 1).tobytes())
-        assert grid.values(depth + 1) is grid.values(depth + 1)
+        # Each depth is built once: the planes are held, the rows copied.
+        assert grid.planes(depth + 1) is grid.planes(depth + 1)
         # A depth at or below the held ones is read, refined from a held
         # coarser one, or evaluated whole.
         lower = min(lower, depth)
@@ -438,7 +442,7 @@ class TestFaceGrid:
         # (R + 1) K nodes with R = 2 ** depth and K = 3 R on a triangle.
         assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
         whole = face_grid(field, (CLEAVED, 0), 5)
-        assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(whole))
+        assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(_grid_planes(whole)))
         # One neighbor-dot triple per depth, which the step-bound check reads too.
         assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
         assert grid.resolved(5) == _grid_step_bound_ok(grid.values(5))
@@ -514,6 +518,9 @@ class TestGridBlocks:
         rr, pp = np.meshgrid(rho, phi, indexing="ij")
         scattered = field.evaluate(key, rr.ravel(), pp.ravel())
         assert block.shape == (rho.size, phi.size, 3)
+        # The block is a moved-axis view of contiguous x, y, z planes,
+        # which FaceGrid copies into its own planes plane by plane.
+        assert np.moveaxis(block, -1, 0).flags.c_contiguous
         assert block.tobytes() == scattered.tobytes()
         # Any broadcasting pair gives the same values, here two 2-D arrays.
         assert field.evaluate(key, rr, pp).tobytes() == block.tobytes()
@@ -527,11 +534,79 @@ class TestGridBlocks:
                 assert face_grid(field, key, 2).tobytes() == scattered.tobytes()
 
 
-def _pointwise_grid(sampled, key, depth):
-    """``face_grid`` of a sampled field through ``evaluate`` at every node."""
+def _pointwise_grid(field, key, depth):
+    """``face_grid`` of a field through ``evaluate`` at every node."""
     R = 2 ** depth
-    K = sampled.charts[key].n_segments * R
-    return sampled.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+    K = field.charts[key].n_segments * R
+    return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+
+
+def _trace_reference(field, curve, side, t):
+    """The field along ``curve`` (see ``boundary_trace``) on the face of
+    side ``side``, through one scattered ``evaluate`` call."""
+    kind, ident = curve
+    if kind == "boundary":
+        return field.evaluate(ident, np.ones_like(t), 2.0 * np.pi * t)
+    if kind == "cleaved":
+        key = ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
+    else:
+        key = (TRUNCATED, int(field.host.parent.edge_faces[ident, side]))
+    chart = field.charts[key]
+    seg = chart.segment_index(kind, ident)
+    phi0, phi1 = chart.segment_span(seg)
+    local = t if chart.segments[seg].forward else 1.0 - t
+    return field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local)
+
+
+class TestRowLayout:
+    """Rows that reach einsum or matmul, whose sums follow the layout, are
+    C-contiguous, and bit for bit the scattered evaluation: grids and
+    boundary rings of FaceGrid at whole and refined depths, face_grid,
+    and the curve traces of kinks, edges and tangency checks."""
+
+    @staticmethod
+    def _check(rows, expected):
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_grids_and_boundaries(self, solid_fields, which):
+        # Analytic and sampled fields of each builtin solid, even entries
+        # analytic: depth 1 whole, then 2 and 3 by refinement.
+        field = solid_fields[which]
+        for key in (next(k for k in field.host.face_keys() if k[0] == kind)
+                    for kind in (CLEAVED, TRUNCATED)):
+            grid = FaceGrid(field, key)
+            for depth in (1, 3, 2):
+                expected = _pointwise_grid(field, key, depth)
+                self._check(grid.values(depth), expected)
+                self._check(grid.boundary(depth), expected[-1])
+                self._check(face_grid(field, key, depth), expected)
+
+    def test_refined_golden_cube_grids(self, cube_phat):
+        # The golden cube report's face 2 resolves at depth 8 by refinement.
+        inv = tt.random_admissible_invariants(cube_phat, seed=0)
+        field = tt.representative_boundary(
+            tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
+        assert tt.extract_all(field).wrapping_depths[2] == 8
+        grid = FaceGrid(field, (CLEAVED, 2))
+        grid.values(6)
+        expected = _pointwise_grid(field, (CLEAVED, 2), 8)
+        self._check(grid.values(8), expected)
+        self._check(grid.boundary(8), expected[-1])
+
+    @pytest.mark.parametrize("which", range(6))
+    def test_curve_traces(self, solid_fields, which):
+        field = solid_fields[which]
+        phat = field.host
+        t = np.linspace(0.0, 1.0, 17)
+        curves = [("cleaved", ac) for ac in sorted(phat.cleaved_edges)[:3]]
+        curves += [("edge", b) for b in range(3)]
+        curves += [("boundary", key) for key in phat.face_keys()[:2]]
+        for curve in curves:
+            for side in (0, 1) if curve[0] != "boundary" else (0,):
+                self._check(_curve_tracer(field, curve, side)(t),
+                            _trace_reference(field, curve, side, t))
 
 
 class TestSampledGridPath:

@@ -67,9 +67,14 @@ def turned(s, k):
     return inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
 
 
+def grid_dots(grid):
+    """``fields._neighbor_dots`` of a bare (R + 1, K, 3) grid."""
+    return fields_mod._neighbor_dots(fields_mod._grid_planes(grid))
+
+
 def counted(grid, s):
     """``invariants._grid_count`` of a bare (R + 1, K, 3) grid."""
-    return inv_mod._grid_count(fields_mod._neighbor_dots(grid), s)
+    return inv_mod._grid_count(grid_dots(grid), s)
 
 
 def grid_count(grid, s):
@@ -311,17 +316,17 @@ class TestWrapping:
             init(grid, *args)
             faces.append(grid)
 
-        def counting(values):
-            passes.append(values)
-            return kernel(values)
+        def counting(planes):
+            passes.append(planes)
+            return kernel(planes)
 
         monkeypatch.setattr(FaceGrid, "__init__", tracking)
         monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
         report = tt.extract_all(field, s=inv.s, depth=5, with_preimage=True)
         assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
-        built = [(grid.key, d) for grid in faces for d in grid._values]
-        read = [(grid.key, d) for values in passes for grid in faces
-                for d, held in grid._values.items() if held is values]
+        built = [(grid.key, d) for grid in faces for d in grid._planes]
+        read = [(grid.key, d) for planes in passes for grid in faces
+                for d, held in grid._planes.items() if held is planes]
         assert len(read) == len(passes) == len(set(read))
         assert sorted(read) == sorted(built)
         # Faces that refined past depth 5 built, and read, two depths.
@@ -480,7 +485,7 @@ class TestCandidateCells:
         grid[1:] += noise * rng.normal(size=(R, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         s = normalized(rng.uniform(-1.0, 3.0) * pole + rng.normal(size=3))
-        area_sum = fields_mod._grid_area_sum(fields_mod._neighbor_dots(grid))
+        area_sum = fields_mod._grid_area_sum(grid_dots(grid))
         assume(area_sum is not None)  # the quarter-turn bound: a resolved grid
         expected = reference_grid_count(grid, s)
         assert grid_count(grid, s) == expected
@@ -504,7 +509,7 @@ class TestCandidateCells:
         grid = rng.normal(size=3) + spread * rng.normal(size=(R + 1, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         grid[0, 0] = -grid[1, 0]
-        planes, radial, around = fields_mod._neighbor_dots(grid)
+        planes, radial, around = grid_dots(grid)
         assert radial.min() < 0.0
         for s in (grid[R, K - 1], normalized(rng.normal(size=3))):
             dots = fields_mod._dot(planes, s)

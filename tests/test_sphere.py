@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tangent_topo import errors
+from tangent_topo.synthesis import covering_patch
 from tangent_topo.sphere import (
     ImageMesh,
     _check_closed_oriented,
@@ -13,6 +16,7 @@ from tangent_topo.sphere import (
     geodesic_interpolate,
     mesh_degree,
     normalized_rows,
+    reference_frame,
     spherical_triangle_area,
     triangle_sigma,
     unwrap_rotation_angle,
@@ -290,6 +294,62 @@ class TestGeodesics:
         assert (angles < 1e-9).any() and (angles >= 1e-9).any()
         rows = np.concatenate([geodesic_interpolate(u[i], v[i], tau[i]) for i in range(12)])
         assert geodesic_interpolate(u, v, tau).tobytes() == rows.tobytes()
+
+
+def _bytes_or_error(fn, *args):
+    # The bytes of the result, or the type of the error raised.
+    try:
+        return fn(*args).tobytes()
+    except (ValueError, errors.TangentTopoError) as exc:
+        return type(exc)
+
+
+class TestLayoutIndependence:
+    """Row kernels give the same bytes for the same values in every layout
+    of ``_layouts``: contiguous rows, a moved-axis view of x, y, z planes,
+    or a broadcast.  numpy's einsum and matmul sum three components in an
+    order that follows the layout, so a kernel that summed with them would
+    differ in the last bit between contiguous and moved-axis rows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(1,), (7,), (3, 5)]),
+           close=st.floats(0.0, 1.0))
+    def test_geodesic_interpolate(self, seed, shape, close):
+        # Some pairs closer than 1e-9, which take the chord.
+        rng = np.random.default_rng(seed)
+        u = normalized_rows(rng.normal(size=shape + (3,)))
+        step = np.where(rng.random(shape) < close, 1e-11, 0.8)[..., None]
+        v = normalized_rows(u + step * rng.normal(size=shape + (3,)))
+        tau = rng.uniform(0.0, 1.0, shape)
+        for lu, lv in itertools.product(_layouts(u), _layouts(v)):
+            for normalize in (True, False):
+                want = _bytes_or_error(geodesic_interpolate, np.ascontiguousarray(lu),
+                                       np.ascontiguousarray(lv), tau, normalize)
+                assert _bytes_or_error(geodesic_interpolate, lu, lv, tau, normalize) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), omega=st.integers(-3, 3))
+    def test_covering_patch(self, seed, omega):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.0, 1.0, (4, 6))
+        phi = rng.uniform(0.0, 2.0 * np.pi, (4, 6))
+        s = normalized_rows(rng.normal(size=3))
+        # The frame as strided columns of one matrix, and contiguous.
+        frame = np.stack([*reference_frame(s), s], axis=1)
+        for lr, lp in itertools.product(_layouts(rho), _layouts(phi)):
+            want = covering_patch(np.ascontiguousarray(lr), np.ascontiguousarray(lp), omega,
+                                  *np.ascontiguousarray(frame.T))
+            got = covering_patch(lr, lp, omega, *frame.T)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from([(3,), (7, 3), (4, 5, 3)]))
+    def test_normalized_rows(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * 10.0 ** rng.uniform(-9, 9, size=shape[:-1] + (1,))
+        for view in _layouts(a):
+            want = normalized_rows(np.ascontiguousarray(view)).tobytes()
+            assert normalized_rows(view).tobytes() == want
 
 
 def _circle_path(axis, total, start, n):
