@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -76,10 +76,10 @@ def grid_nodes(R: int, K: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def face_grid(field: TangentField, key: FaceKey, depth: int) -> np.ndarray:
-    """Field values on the depth-``depth`` grid of a face, C-contiguous of
-    shape (R + 1, K, 3) with R = 2**depth rings and K = m 2**depth
-    samples per ring on a face of m sides, so every corner lands on a
-    node."""
+    """Field values on the whole depth-``depth`` grid of a face,
+    C-contiguous of shape (R + 1, K, 3) with R = 2**depth rings and
+    K = m 2**depth samples per ring on a face of m sides, so every corner
+    lands on a node; the first level of a ``FaceGrid``."""
     return FaceGrid(field, key).values(depth)
 
 
@@ -175,13 +175,14 @@ class SampledField:
     charts: Mapping[FaceKey, PolarChart]
     values: Mapping[FaceKey, np.ndarray]
     source: Optional[dict] = None
+    _checked: InitVar[bool] = False  # every grid keeps the step bound
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
         for key, grid in self.values.items():
             m = self.charts[key].n_segments
             if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[1] % m:
                 raise FieldError(f"bad grid shape {grid.shape} for face {key}")
-            if not _grid_step_bound_ok(grid):
+            if not _checked and not _grid_step_bound_ok(grid):
                 raise CoarseSampling(
                     f"grid on face {key} has neighbors a quarter turn or "
                     "more apart; sample at a higher depth"
@@ -243,6 +244,7 @@ def antipodal(field: TangentField) -> TangentField:
             charts=field.charts,
             values={k: -v for k, v in field.values.items()},
             source=field.source,
+            _checked=True,  # negation keeps every neighbor dot
         )
     inner = field.evaluator
     return AnalyticField(
@@ -436,18 +438,19 @@ def _grid_area_sum(dots) -> Optional[float]:
 
 
 class FaceGrid:
-    """The x, y, z planes (see ``_grid_planes``) of ``face_grid(field,
-    key, depth)`` at every depth asked for, each built once, and their
-    ``_neighbor_dots`` triple, taken once, which the quarter-turn check,
-    the image-area sum and the preimage count read.
+    """One chain of refinement levels of a face grid, each built once as
+    x, y, z planes (see ``_grid_planes``) with its ``_neighbor_dots``
+    triple, which the quarter-turn check, the area sum and the count read.
 
-    A depth with no held depth below it is evaluated whole.  Depth d + 1
-    over a held depth d takes the depth-d planes at its even nodes and
-    evaluates only the nodes it adds, in two grid blocks, the odd rings
-    whole and the even rings at odd samples: bit for bit the whole grid,
-    as the even nodes have the depth-d coordinates (see ``grid_nodes``)
-    and fields work point by point.  ``values`` and ``boundary`` are
-    C-contiguous row copies, for einsum and matmul.
+    The first depth asked for is ``face_grid(field, key, depth)``.  Each
+    level above doubles K, the samples per ring, and R, the rings, only
+    where the level below has a radial dot <= 0 or keeps the quarter-turn
+    bound with an invalid area sum.  It takes the planes below at its even
+    nodes and evaluates the nodes it adds, the odd rings whole (if R
+    doubles), then the held rings at odd samples: bit for bit the whole
+    grid of its (R, K), as 2 pi / 2K is exactly (2 pi / K) / 2 and fields
+    work point by point.  ``values`` and ``boundary`` are C-contiguous
+    row copies, for einsum and matmul.
     """
 
     def __init__(self, field: TangentField, key: FaceKey):
@@ -457,23 +460,31 @@ class FaceGrid:
         self._sums: Dict[int, Optional[float]] = {}
 
     def planes(self, depth: int) -> np.ndarray:
-        if depth not in self._planes:
-            held = max((d for d in self._planes if d < depth), default=None)
-            block = partial(self.field._evaluate_grid, self.key)
-            if held is None:
-                R = 2 ** depth
-                rho, phi = _grid_axes(R, self.field.charts[self.key].n_segments * R)
-                self._planes[depth] = _grid_planes(block(rho, phi))
-            for d in range(depth if held is None else held, depth):
-                coarse = self._planes[d]
-                rho, phi = _grid_axes(2 * coarse.shape[1] - 2, 2 * coarse.shape[2] - 2)
-                fine = np.empty((3, rho.size, phi.size + 1))
-                fine[:, ::2, ::2] = coarse
+        block = partial(self.field._evaluate_grid, self.key)
+        if not self._planes:
+            R = 2 ** depth
+            rho, phi = _grid_axes(R, self.field.charts[self.key].n_segments * R)
+            self._planes[depth] = _grid_planes(block(rho, phi))
+        if depth < min(self._planes):
+            raise ValueError(f"depth {depth} is below the first level {min(self._planes)}")
+        for d in range(max(self._planes), depth):
+            coarse = self._planes[d]
+            step = 2 if self._doubles_rings(d) else 1
+            rho, phi = _grid_axes(step * (coarse.shape[1] - 1), 2 * coarse.shape[2] - 2)
+            fine = np.empty((3, rho.size, phi.size + 1))
+            fine[:, ::step, ::2] = coarse
+            if step == 2:
                 fine[:, 1::2, :-1] = np.moveaxis(block(rho[1::2], phi), -1, 0)
                 fine[:, 1::2, -1] = fine[:, 1::2, 0]
-                fine[:, ::2, 1:-1:2] = np.moveaxis(block(rho[::2], phi[1::2]), -1, 0)
-                self._planes[d + 1] = fine
+            fine[:, ::step, 1:-1:2] = np.moveaxis(block(rho[::step], phi[1::2]), -1, 0)
+            self._planes[d + 1] = fine
         return self._planes[depth]
+
+    def _doubles_rings(self, depth: int) -> bool:
+        # The level above ``depth`` doubles R too: a radial step fails, or
+        # the quarter-turn bound holds and a triangle is invalid.
+        return not self.neighbor_dots(depth)[1].min() > 0.0 or (
+            self.resolved(depth) and self.area_sum(depth) is None)
 
     def values(self, depth: int) -> np.ndarray:
         return np.ascontiguousarray(np.moveaxis(self.planes(depth)[:, :, :-1], 0, -1))
@@ -496,12 +507,11 @@ class FaceGrid:
 
 
 def sample_field(field: TangentField, depth: int) -> SampledField:
-    """Freeze a field onto per-face grids at the given depth.
-
-    Faces whose values turn faster than a quarter turn per cell at the
-    requested depth are refined individually, up to ``MAX_DEPTH``, the
-    depth cap of the extraction routes, so a field they resolve is
-    never refused here; beyond that CoarseSampling is raised.
+    """Freeze a field onto per-face grids, from the whole depth-``depth``
+    grid of each face up its ``FaceGrid`` levels to the first that keeps
+    the quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
+    extraction routes, so a field they resolve is never refused here;
+    beyond that CoarseSampling is raised.  No grid is checked twice.
     """
     deepest = max(depth, MAX_DEPTH)
     values = {}
@@ -511,7 +521,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
         if found is None:
             raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")
         values[key] = grid.values(found)
-    return SampledField(host=field.host, charts=field.charts, values=values)
+    return SampledField(host=field.host, charts=field.charts, values=values, _checked=True)
 
 
 def _field_document(field: TangentField, depth: int,

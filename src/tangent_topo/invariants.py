@@ -341,8 +341,9 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
 
 def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
     """Signed spherical area swept over corner face ``a``, by quadrature
-    on the first resolved grid from ``depth`` on: an independent check
-    of the closed form at a depth of the caller's choice.
+    on the first resolved level of its ``FaceGrid`` from the whole
+    depth-``depth`` grid on: an independent check of the closed form at
+    a depth of the caller's choice.
 
     Same image-area sum as the integral wrapping route (first term
     only), with the invariant orientation convention.  ``extract_all``
@@ -499,6 +500,7 @@ class InvariantReport:
     wrapping_preimage: Tuple[Optional[int], ...]
     wrapping_residuals: np.ndarray
     wrapping_depths: Tuple[int, ...]
+    wrapping_grids: Tuple[Tuple[int, int], ...]  # (R, K) of each resolved grid
     kink_residuals: Dict[Tuple[int, int], float]
     seed: int
     s_was_given: bool
@@ -578,9 +580,10 @@ def extract_all(
     If ``s`` is omitted it is chosen deterministically from ``seed`` and
     re-chosen while it sits on a fan-triangle boundary, before any route
     runs.  Wrapping numbers come from the integral route at ``s``, which
-    starts at ``depth`` and refines each face to a resolved grid.  The
-    preimage route cross-checks them on that resolved grid, by a signed
-    count of the image triangles that contain one of up to
+    starts on the whole depth-``depth`` grid of each face and climbs its
+    ``FaceGrid`` levels to a resolved grid, whose level and (R, K) the
+    report keeps.  The preimage route cross-checks them on that grid, by
+    a signed count of the image triangles that contain one of up to
     PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
     PREIMAGE_TURN, never ``s`` itself, the image of the base ring of a
     representative's covering patches: the first turned direction that
@@ -612,8 +615,9 @@ def extract_all(
         grid = FaceGrid(field, (CLEAVED, a))
         w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
         pre = _checked_preimage(field, a, s_ref, used, grid) if with_preimage else None
-        results.append((w, res, used, pre, -grid.area_sum(used)))
-    omegas, residuals, depths, preimages, directs = zip(*results)
+        rings, samples = grid.planes(used).shape[1:]
+        results.append((w, res, used, (rings - 1, samples - 1), pre, -grid.area_sum(used)))
+    omegas, residuals, depths, grids, preimages, directs = zip(*results)
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -627,6 +631,7 @@ def extract_all(
         wrapping_preimage=preimages,
         wrapping_residuals=np.array(residuals),
         wrapping_depths=depths,
+        wrapping_grids=grids,
         kink_residuals=kink_res,
         seed=seed,
         s_was_given=s is not None,
@@ -726,6 +731,7 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
         "diagnostics": {
             "quadrature_depth": report.quadrature_depth,
             "wrapping_depths": list(report.wrapping_depths),
+            "wrapping_grids": {str(a): list(g) for a, g in enumerate(report.wrapping_grids)},
             "wrapping_residuals": {
                 str(a): float(r) for a, r in enumerate(report.wrapping_residuals)
             },

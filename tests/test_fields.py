@@ -20,6 +20,7 @@ from tangent_topo.fields import (
     SampledField,
     _curve_tracer,
     _grid_area_sum,
+    _grid_axes,
     _grid_planes,
     _grid_step_bound_ok,
     _grid_triangles,
@@ -271,8 +272,58 @@ class TestSampledFields:
         inv = tt.random_admissible_invariants(phat, seed=0, s=s)
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         sampled = sample_field(tt.representative_boundary(adm, phat), 4)
-        rings = max(g.shape[0] - 1 for g in sampled.values.values())
-        assert 2 ** (4 + 3) < rings <= 2 ** MAX_DEPTH
+        # Level d has 2**d samples per side on every ring.
+        samples = max(g.shape[1] // phat.charts[key].n_segments
+                      for key, g in sampled.values.items())
+        assert 2 ** (4 + 3) < samples <= 2 ** MAX_DEPTH
+
+    @pytest.mark.parametrize("solid, seed, wraps, depths", [
+        ("tetrahedron", 3, (0, 0, 0, 0), (1, 2, 3)),  # the CLI tests' field file
+        ("cube", 2, None, (0, 1, 2, 3)),
+    ])
+    def test_every_level_doubles_the_samples(self, tetra_phat, cube_phat, solid, seed, wraps,
+                                             depths):
+        # Levels that doubled only the rings kept corner face 1 of the
+        # tetrahedron set at 12 samples per ring, where its boundary
+        # turns whole turns between nodes and the seams read 2.0 apart.
+        # (From depth 0 its faces 1 and 2 resolve on the whole depth-0
+        # grid, 3 samples per ring, which aliases the same way.)
+        phat = {"tetrahedron": tetra_phat, "cube": cube_phat}[solid]
+        inv = tt.random_admissible_invariants(phat, seed=seed, wrap_override=wraps)
+        field = tt.representative_boundary(tt.AdmissibleInvariants.from_invariants(inv, phat),
+                                           phat)
+        for depth in depths:
+            sampled = sample_field(field, depth)
+            for key, g in sampled.values.items():
+                level = (g.shape[1] // field.charts[key].n_segments).bit_length() - 1
+                assert g.shape[1] == field.charts[key].n_segments * 2 ** level
+                assert level >= depth and 2 ** depth <= g.shape[0] - 1 <= 2 ** level
+            assert validate_tangency(sampled).ok
+
+    def test_takes_each_levels_neighbor_dots_once(self, cube_phat, monkeypatch):
+        # The step bound of every level sample_field builds is checked
+        # once, and the SampledField it returns does not check it again.
+        inv = tt.random_admissible_invariants(cube_phat, seed=9)
+        field = tt.representative_boundary(
+            tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
+        grids, passes = [], []
+        init, kernel = FaceGrid.__init__, fields_mod._neighbor_dots
+
+        def tracking(grid, *args):
+            init(grid, *args)
+            grids.append(grid)
+
+        def counting(planes):
+            passes.append(planes)
+            return kernel(planes)
+
+        monkeypatch.setattr(FaceGrid, "__init__", tracking)
+        monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
+        sample_field(field, 3)
+        built = [planes for grid in grids for planes in grid._planes.values()]
+        assert len(grids) == len(cube_phat.face_keys())
+        assert len(passes) == len(built) > len(grids)
+        assert {id(p) for p in passes} == {id(p) for p in built}
 
     def test_mesh_export(self, cube_case, tmp_path):
         _, field = cube_case
@@ -405,24 +456,54 @@ def solid_fields(cube_phat, tetra_phat, octa_phat):
 
 class TestFaceGrid:
     @settings(max_examples=40, deadline=None)
-    @given(which=st.integers(0, 5), face=st.integers(0, 13), depth=st.integers(0, 6),
-           start=st.integers(0, 6), lower=st.integers(0, 6))
-    def test_nested_grid_is_the_evaluated_grid(self, solid_fields, which, face,
-                                               depth, start, lower):
+    @given(which=st.integers(0, 5), face=st.integers(0, 13), start=st.integers(0, 4),
+           rounds=st.lists(st.booleans(), min_size=1, max_size=3), stepwise=st.booleans())
+    def test_nested_grid_is_the_evaluated_grid(self, solid_fields, which, face, start,
+                                               rounds, stepwise):
+        # Any sequence of rounds that double K alone or K and R, taken
+        # one level per call or several at once.
         field = solid_fields[which]
         keys = field.host.face_keys()
         key = keys[face % len(keys)]
+        m = field.charts[key].n_segments
+        grid, script = FaceGrid(field, key), list(rounds)
+        top = start + len(rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FaceGrid, "_doubles_rings", lambda self, depth: script.pop(0))
+            for depth in range(start, top + 1) if stepwise else (start, top):
+                grid.values(depth)
+        assert script == []
+        for depth in range(start, top + 1):
+            R, K = (n - 1 for n in grid.planes(depth).shape[1:])
+            assert (R, K) == (2 ** (start + sum(rounds[:depth - start])), m * 2 ** depth)
+            whole = field._evaluate_grid(key, *_grid_axes(R, K))
+            assert grid.values(depth).tobytes() == whole.tobytes()
+        # Each level is built once: the planes are held, the rows copied.
+        assert grid.planes(top) is grid.planes(top)
+        # The first level is face_grid; no level is held below it.
+        assert grid.values(start).tobytes() == face_grid(field, key, start).tobytes()
+        if start:
+            with pytest.raises(ValueError):
+                grid.planes(start - 1)
+
+    def test_rings_double_where_a_radial_step_fails(self, cube_phat, monkeypatch):
+        # Constant around each ring, turning 3 pi radially: radial dots
+        # cos(3 pi / R) are <= 0 up to R = 4, and rings double up to 8.
+        def evaluator(key, rho, phi):
+            turn = 3.0 * np.pi * rho + 0.0 * phi
+            return np.stack([np.cos(turn), np.sin(turn), np.zeros_like(turn)], axis=-1)
+
+        field = AnalyticField(host=cube_phat, charts=cube_phat.charts, evaluator=evaluator)
+        key = (CLEAVED, 0)
         grid = FaceGrid(field, key)
-        grid.values(min(start, depth))
-        # Depth + 1 refines the held depth once, or several times over.
-        assert (grid.values(depth + 1).tobytes()
-                == face_grid(field, key, depth + 1).tobytes())
-        # Each depth is built once: the planes are held, the rows copied.
-        assert grid.planes(depth + 1) is grid.planes(depth + 1)
-        # A depth at or below the held ones is read, refined from a held
-        # coarser one, or evaluated whole.
-        lower = min(lower, depth)
-        assert grid.values(lower).tobytes() == face_grid(field, key, lower).tobytes()
+        assert [grid.planes(d).shape[1] - 1 for d in range(6)] == [1, 2, 4, 8, 8, 8]
+        # A level that passes the quarter-turn bound with an invalid area
+        # sum doubles the rings too.
+        monkeypatch.setattr(fields_mod, "_grid_area_sum", lambda dots: None)
+        grid = FaceGrid(field, key)
+        grid.planes(3)
+        assert grid.resolved(3) and grid.area_sum(3) is None
+        assert grid.planes(4).shape[1:] == (17, 3 * 16 + 1)
 
     def test_evaluates_every_node_once(self, cube_case):
         _, field = cube_case
@@ -439,9 +520,11 @@ class TestFaceGrid:
             calls.clear()
             grid.values(depth)
             nodes.append(sum(calls))
-        # (R + 1) K nodes with R = 2 ** depth and K = 3 R on a triangle.
-        assert nodes == [9 * 24, 17 * 48 - 9 * 24, 33 * 96 - 17 * 48]
-        whole = face_grid(field, (CLEAVED, 0), 5)
+        # (R + 1) K nodes with K = 3 2**depth on a triangle; depth 3 is
+        # whole, R = 8, and depths 4 and 5 double K alone.
+        assert [grid.planes(d).shape[1] - 1 for d in (3, 4, 5)] == [8, 8, 8]
+        assert nodes == [9 * 24, 9 * 48 - 9 * 24, 9 * 96 - 9 * 48]
+        whole = field._evaluate_grid((CLEAVED, 0), *_grid_axes(8, 96))
         assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(_grid_planes(whole)))
         # One neighbor-dot triple per depth, which the step-bound check reads too.
         assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
@@ -469,9 +552,11 @@ class TestFaceGrid:
         grid = FaceGrid(field, key)
         grid.values(2)
         grid.values(4)
-        # Depth 2 whole, then per step the odd rings whole and the even
-        # rings at odd samples.
-        assert sizes == [5 * 4 * m, 4 * 8 * m, 5 * 4 * m, 8 * 16 * m, 9 * 8 * m]
+        # Depth 2 whole; depth 3 doubles R and K: the odd rings whole,
+        # then the even rings at odd samples; depth 4 doubles K alone:
+        # every ring at odd samples.
+        assert [grid.planes(d).shape[1] - 1 for d in (2, 3, 4)] == [4, 8, 8]
+        assert sizes == [5 * 4 * m, 4 * 8 * m, 5 * 4 * m, 9 * 8 * m]
 
 
 @pytest.fixture(scope="module")
@@ -534,10 +619,11 @@ class TestGridBlocks:
                 assert face_grid(field, key, 2).tobytes() == scattered.tobytes()
 
 
-def _pointwise_grid(field, key, depth):
-    """``face_grid`` of a field through ``evaluate`` at every node."""
-    R = 2 ** depth
-    K = field.charts[key].n_segments * R
+def _pointwise_grid(field, key, depth, rings=None):
+    """``face_grid`` of a field through ``evaluate`` at every node, or the
+    depth-``depth`` level of a FaceGrid with ``rings`` rings."""
+    R = rings or 2 ** depth
+    K = field.charts[key].n_segments * 2 ** depth
     return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
 
 
@@ -584,14 +670,16 @@ class TestRowLayout:
                 self._check(face_grid(field, key, depth), expected)
 
     def test_refined_golden_cube_grids(self, cube_phat):
-        # The golden cube report's face 2 resolves at depth 8 by refinement.
+        # The golden cube report's face 2 resolves at depth 8 by refinement,
+        # on the 64 rings of depth 6.
         inv = tt.random_admissible_invariants(cube_phat, seed=0)
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
-        assert tt.extract_all(field).wrapping_depths[2] == 8
+        report = tt.extract_all(field)
+        assert report.wrapping_depths[2] == 8 and report.wrapping_grids[2] == (64, 3 * 2 ** 8)
         grid = FaceGrid(field, (CLEAVED, 2))
         grid.values(6)
-        expected = _pointwise_grid(field, (CLEAVED, 2), 8)
+        expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=64)
         self._check(grid.values(8), expected)
         self._check(grid.boundary(8), expected[-1])
 
@@ -650,12 +738,13 @@ class TestFieldWriter:
         self._check(cube_case[1], tmp_path, depth=3)
 
     def test_loaded_field_with_uneven_rings(self, cube_case, tmp_path):
-        # Half again as many rings as sampling needs on each face: 24, 48, ...
+        # Half again as many rings and samples as sampling needs on each
+        # face: 24, 48, ... rings.
         _, field = cube_case
         values = {}
         for key, grid in sample_field(field, 4).values.items():
             R = (grid.shape[0] - 1) * 3 // 2
-            K = field.charts[key].n_segments * R
+            K = grid.shape[1] * 3 // 2
             values[key] = field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
         path = tmp_path / "uneven.json"
         save_field(SampledField(host=field.host, charts=field.charts, values=values), path)

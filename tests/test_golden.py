@@ -17,14 +17,14 @@ from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.invariants import invariant_set_to_dict, report_to_dict
 
 REPORTS = {
-    "cube": "614cece0bb090a8008d1d9c4e8baa6fd132275207f8a89db4e11cf626fdefb71",
-    "tetrahedron": "c27c8c25af1132c2bc007c268b618e4094ce9a5986850d67236f2a1553dd382f",
-    "octahedron": "b9179b918031d9cc748150486b94cafb2820c043963d0ed0b0e43780392a8712",
+    "cube": "adca35bb10210c545289bbfd2942fb5885e65dd8acd53f443bd8dd0b7cb56d71",
+    "tetrahedron": "582ce6a77039c5421256bd83a836d102d54a437da2e2668ead08ff850dd77c4e",
+    "octahedron": "849284e0c06d6c18ed42388e367e5c07b9726142fa54bca7c7ba89f3b35a72c5",
 }
 TETRAHEDRON_CLI = {
-    "field.json": "25b2ac56e97d137394f8ad52488e4eff4233cad51a9d35de64e5ecbc39398411",
-    "synthesize-report.json": "685c519cd84228a6a1c22516f5b312dc9c4039d4e70b74f781d530db9b09f6bc",
-    "invariants-report.json": "85f176d83fe8d8481eb51ab2f79216c95f7d2eef036fd4bf076ebe8a345fa6b1",
+    "field.json": "f122abdad2f63aab308479c263fa5e8f9d072b2fa93f920879349d0b9991886f",
+    "synthesize-report.json": "595e7e7fd71baf22fbfebc42f1a37bbd358eb35f6c5386ce0029e95627c96a4c",
+    "invariants-report.json": "04efae091691d846f1a13f469e9a22ced3d1a691d405bc8a510d254a5f502760",
 }
 
 
