@@ -22,7 +22,12 @@ for both field types, so an analytic evaluator takes a factor of rho
 alone once per ring and a factor of phi alone once per angle.
 Values may come in any layout; both field types return moved-axis views
 of x, y, z planes.  Rows that reach einsum or matmul, whose sums follow
-the layout, are C-contiguous (``face_grid``, ``FaceGrid``, curve traces).
+the layout, are C-contiguous (``face_grid``, ``FaceGrid``, boundary rings
+and traces).  A face's boundary is read as one ring, one ``evaluate``
+call (``_boundary_ring``), whose rows are bit for bit the traces of its
+segments, and a ``boundary_trace`` is one such row.  ``validate_tangency``
+reads every seam from the rings of both faces, and ``extract_all`` reads
+kinks and edge orientations from the rings of the trimmed faces.
 """
 from __future__ import annotations
 
@@ -254,42 +259,68 @@ def antipodal(field: TangentField) -> TangentField:
     )
 
 
-def _curve_tracer(field: TangentField, curve, side: int = 0):
-    """The field along ``curve`` (see ``boundary_trace``) at parameters t
-    in [0, 1], on the face of side ``side``: trimmed face ``c`` (0) or
-    corner face ``a`` (1) of cleaved edge ``(a, c)``, and face
-    ``edge_faces[b, side]`` of truncated edge ``b``."""
+def _curve_key(host: TruncatedPolyhedron, curve, side: int) -> FaceKey:
+    # The face of side ``side`` of ``curve`` (see ``boundary_trace``):
+    # trimmed face c (0) or corner face a (1) of cleaved edge (a, c), and
+    # face edge_faces[b, side] of truncated edge b.
     kind, ident = curve
     if kind == "cleaved":
-        key = ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
-    elif kind == "edge":
-        key = (TRUNCATED, int(field.host.parent.edge_faces[ident, side]))
-    elif kind == "boundary":
-        key = ident
-    else:
-        raise FieldError(f"unknown curve kind {kind!r}")
-    phi0, phi1, reverse = 0.0, 2.0 * np.pi, False
+        return ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
+    if kind == "edge":
+        return (TRUNCATED, int(host.parent.edge_faces[ident, side]))
+    if kind == "boundary":
+        return ident
+    raise FieldError(f"unknown curve kind {kind!r}")
+
+
+def _boundary_ring(field: TangentField, key: FaceKey, t: np.ndarray, spans=None) -> np.ndarray:
+    """The field on the boundary rho = 1 of face ``key`` in one ``evaluate``
+    call, C-contiguous of shape (n, len(t), 3): row k at phi0 + (phi1 -
+    phi0) t for the k-th (phi0, phi1) of ``spans``, by default the spans
+    of the face's n segments.  For t = linspace(0, 1, 2**n + 1), t is
+    exactly i / 2**n, so a row read backward or at every 2**j-th sample
+    is bit for bit the row at 1 - t or at the coarser t."""
+    chart = field.charts[key]
+    t = np.asarray(t, dtype=float)
+    ends = np.array([chart.segment_span(k) for k in range(chart.n_segments)]
+                    if spans is None else spans, dtype=float)
+    phi = (ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * t).ravel()
+    values = field.evaluate(key, np.ones_like(phi), phi)
+    return np.ascontiguousarray(values).reshape(len(ends), t.size, 3)
+
+
+def _curve_tracer(field: TangentField, curve):
+    """The field along ``curve`` (see ``boundary_trace``) at parameters t
+    in [0, 1], on its side 0 (see ``_curve_key``): a row of
+    ``_boundary_ring``, in the curve's own direction."""
+    kind, ident = curve
+    key = _curve_key(field.host, curve, 0)
+    span, reverse = (0.0, 2.0 * np.pi), False
     if kind != "boundary":
         chart = field.charts[key]
         seg = chart.segment_index(kind, ident)
-        reverse = not chart.segments[seg].forward
-        phi0, phi1 = chart.segment_span(seg)
+        span, reverse = chart.segment_span(seg), not chart.segments[seg].forward
 
     def evaluate(t: np.ndarray) -> np.ndarray:
-        # C-contiguous rows: the traces meet einsum and matmul, whose sums
-        # depend on the layout.
         t = np.asarray(t, dtype=float)
-        local = 1.0 - t if reverse else t
-        return np.ascontiguousarray(
-            field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local))
+        return _boundary_ring(field, key, 1.0 - t if reverse else t, [span])[0]
 
     return evaluate
 
 
-def _seam_traces(field: TangentField, curve, t: np.ndarray) -> list:
-    # The field along a cleaved or truncated edge at parameters ``t``, as
-    # each of the two faces that hold it holds it.
-    return [_curve_tracer(field, curve, side)(t) for side in (0, 1)]
+def _seam_rows(field: TangentField, rings: Mapping[FaceKey, np.ndarray], curve) -> list:
+    """The field along a cleaved or truncated edge on its sides 0 and 1
+    (see ``_curve_key``), read from their ``rings`` in the curve's own
+    direction, as C-contiguous rows."""
+    kind, ident = curve
+    rows = []
+    for side in (0, 1):
+        key = _curve_key(field.host, curve, side)
+        chart = field.charts[key]
+        seg = chart.segment_index(kind, ident)
+        row = rings[key][seg]
+        rows.append(row if chart.segments[seg].forward else row[::-1].copy())
+    return rows
 
 
 def boundary_trace(field: TangentField, curve, samples: int = 65) -> SphericalPath:
@@ -350,10 +381,11 @@ def validate_tangency(field: TangentField) -> TangencyReport:
                  for c in range(len(phat.trunc_faces))}
 
     t = np.linspace(0.0, 1.0, 2 ** TANGENCY_DEPTH + 1)
+    rings = {key: _boundary_ring(field, key, t) for key in phat.face_keys()}
     edge_mis = {}
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        traces = _seam_traces(field, ("edge", b), t)
+        traces = _seam_rows(field, rings, ("edge", b))
         mis = max(
             float(np.max(1.0 - np.abs(tr @ direction))) for tr in traces
         )
@@ -365,7 +397,7 @@ def validate_tangency(field: TangentField) -> TangencyReport:
 
     worst_cont = 0.0
     for ac in phat.cleaved_edges:
-        from_f, from_c = _seam_traces(field, ("cleaved", ac), t)
+        from_f, from_c = _seam_rows(field, rings, ("cleaved", ac))
         worst_cont = max(worst_cont, float(np.max(np.linalg.norm(from_f - from_c, axis=1))))
 
     return TangencyReport(
@@ -512,12 +544,14 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     the quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
     extraction routes, so a field they resolve is never refused here;
     beyond that CoarseSampling is raised.  No grid is checked twice.
+    Depth 0 starts at depth 1: one sample per side can keep the bound
+    while the boundary turns between the corners.
     """
     deepest = max(depth, MAX_DEPTH)
     values = {}
     for key in field.host.face_keys():
         grid = FaceGrid(field, key)
-        found = next((d for d in range(depth, deepest + 1) if grid.resolved(d)), None)
+        found = next((d for d in range(max(depth, 1), deepest + 1) if grid.resolved(d)), None)
         if found is None:
             raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")
         values[key] = grid.values(found)

@@ -44,12 +44,15 @@ from .errors import (
     SOnTriangleBoundary,
     reading_document,
 )
-from .fields import CLEAVED, MAX_DEPTH, FaceGrid, TangentField, boundary_trace
+from .fields import CLEAVED, MAX_DEPTH, TRUNCATED, FaceGrid, TangentField
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
+    SphericalPath,
+    _unwrap_rows,
     cross,
     normalized,
+    normalized_rows,
     spherical_triangle_area,
     triangle_areas,
     triangle_sigma,
@@ -62,6 +65,10 @@ PREIMAGE_ATTEMPTS = 3
 # The preimage check turns off s by multiples of this angle; every turn
 # stays within MARGIN_S of s, so it crosses no boundary image of a face.
 PREIMAGE_TURN = MARGIN_S / (PREIMAGE_ATTEMPTS + 1)
+# Samples per boundary segment of the trimmed-face rings that kinks
+# unwrap, 2**7 + 1; edge orientations read every EDGE_STRIDE-th, 9.
+RING_SAMPLES = 129
+EDGE_STRIDE = 16
 
 INVARIANTS_FORMAT = "invariants/1"
 REPORT_FORMAT = "invariant-report/1"
@@ -163,6 +170,14 @@ def choose_reference_s(phat: TruncatedPolyhedron, seed: int = 0) -> np.ndarray:
     )
 
 
+def _trimmed_rings(field: TangentField) -> dict:
+    # The boundary ring of each trimmed face, RING_SAMPLES per segment:
+    # one ``evaluate`` call per face.
+    t = np.linspace(0.0, 1.0, RING_SAMPLES)
+    return {(TRUNCATED, c): fields_mod._boundary_ring(field, (TRUNCATED, c), t)
+            for c in range(len(field.host.trunc_faces))}
+
+
 def extract_edge_orientations(field: TangentField) -> np.ndarray:
     """Constant field value on each truncated edge, snapped to the edge line.
 
@@ -170,12 +185,18 @@ def extract_edge_orientations(field: TangentField) -> np.ndarray:
     adjacent faces within the continuity tolerance, then returns the
     exactly edge-parallel unit vector with the observed sign.
     """
+    return _edge_orientations(field, _trimmed_rings(field))
+
+
+def _edge_orientations(field, rings):
+    # Each side of an edge is read at 9 samples, every EDGE_STRIDE-th of
+    # its trimmed face's ring.
     phat = field.host
-    t = np.linspace(0.0, 1.0, 9)
     eps = np.empty((phat.parent.n_edges, 3))
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
-        stacked = np.concatenate(fields_mod._seam_traces(field, ("edge", b), t), axis=0)
+        stacked = np.concatenate([row[::EDGE_STRIDE] for row in
+                                  fields_mod._seam_rows(field, rings, ("edge", b))], axis=0)
         spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
         if spread > fields_mod.TOL_CONTINUITY:
             raise NonConstantEdge(f"edge {b} value varies by {spread:.3g}")
@@ -190,31 +211,59 @@ def extract_edge_orientations(field: TangentField) -> np.ndarray:
 def extract_kink(field: TangentField, a: int, c: int) -> int:
     """Integer winding of the field along cleaved edge ``(a, c)`` in
     excess of the minimal rotation between its endpoint values."""
-    k, _ = _kink_detail(field, a, c)
+    k, _ = _kink_details(field, [(a, c)])[(a, c)]
     return k
 
 
-def _kink_detail(field, a, c):
+def _kink_details(field, edges, rings=None) -> dict:
+    """``{(a, c): (kink, residual)}`` of the cleaved edges ``edges``, checked
+    in their order.  Each edge's row of RING_SAMPLES samples, read from
+    its trimmed face's ring in ``rings`` or evaluated alone (one
+    ``evaluate`` call per face), is its ``boundary_trace``.  A face's rows
+    are unwrapped together, bit for bit ``unwrap_rotation_angle`` of
+    each; a row that breaks the quarter-turn bound or leaves the great
+    circle is unwrapped alone, to be bisected or refused."""
     phat = field.host
-    axis = phat.face_normal(c)
-    path = boundary_trace(field, ("cleaved", (a, c)), samples=129)
-    xi1 = unwrap_rotation_angle(path, axis)
-    n0, n1 = path.samples[0], path.samples[-1]
-    sin_eta = float(cross(n0, n1) @ axis)
-    cos_eta = float(n0 @ n1)
-    if abs(sin_eta) < 1e-9:
-        raise ParallelEndpoints(
-            f"endpoint values on cleaved edge ({a},{c}) are parallel"
-        )
-    eta = float(np.arctan2(sin_eta, cos_eta))
-    raw = (xi1 - eta) / (2.0 * np.pi)
-    nearest = round(raw)
-    residual = abs(raw - nearest)
-    if residual >= KINK_RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"kink residual {residual:.3g} on cleaved edge ({a},{c})"
-        )
-    return int(nearest), residual
+    t = np.linspace(0.0, 1.0, RING_SAMPLES)
+    rows = {}
+    for c in dict.fromkeys(c for _, c in edges):
+        group = [ac for ac in edges if ac[1] == c]
+        key, axis = (TRUNCATED, c), phat.face_normal(c)
+        chart = field.charts[key]
+        segs = [chart.segment_index("cleaved", ac) for ac in group]
+        # A trimmed face runs its cleaved segments forward (see
+        # geometry._face_segments), so no row is read backward.
+        assert all(chart.segments[k].forward for k in segs)
+        raw = (rings[key][segs] if rings is not None else fields_mod._boundary_ring(
+            field, key, t, [chart.segment_span(k) for k in segs]))
+        unit = normalized_rows(raw)  # as a SphericalPath holds it
+        angles, fits = _unwrap_rows(unit, normalized(axis))
+        rows.update(zip(group, zip(raw, unit, angles.tolist(), fits.tolist())))
+    details = {}
+    for (a, c) in edges:
+        axis = phat.face_normal(c)
+        row, samples, xi1, fits = rows[(a, c)]
+        if not fits:
+            path = SphericalPath(samples=row, params=t, refine=fields_mod._curve_tracer(
+                field, ("cleaved", (a, c))))
+            xi1, samples = unwrap_rotation_angle(path, axis), path.samples
+        n0, n1 = samples[0], samples[-1]
+        sin_eta = float(cross(n0, n1) @ axis)
+        cos_eta = float(n0 @ n1)
+        if abs(sin_eta) < 1e-9:
+            raise ParallelEndpoints(
+                f"endpoint values on cleaved edge ({a},{c}) are parallel"
+            )
+        eta = float(np.arctan2(sin_eta, cos_eta))
+        raw = (xi1 - eta) / (2.0 * np.pi)
+        nearest = round(raw)
+        residual = abs(raw - nearest)
+        if residual >= KINK_RESIDUAL_TOL:
+            raise ResidualTooLarge(
+                f"kink residual {residual:.3g} on cleaved edge ({a},{c})"
+            )
+        details[(a, c)] = (int(nearest), residual)
+    return details
 
 
 def _wrapping_integral_detail(field, a, s, depth=6, cache=None):
@@ -603,11 +652,12 @@ def extract_all(
     from . import __version__
 
     phat = field.host
-    eps = extract_edge_orientations(field)
+    rings = _trimmed_rings(field)
+    eps = _edge_orientations(field, rings)
     s_ref, s_attempts, fans = _settle_s(phat, eps, s, seed)
-    kinks, kink_res = {}, {}
-    for (a, c) in sorted(phat.cleaved_edges):
-        kinks[(a, c)], kink_res[(a, c)] = _kink_detail(field, a, c)
+    details = _kink_details(field, sorted(phat.cleaved_edges), rings)
+    kinks = {ac: k for ac, (k, _) in details.items()}
+    kink_res = {ac: res for ac, (_, res) in details.items()}
 
     n_corners = len(phat.cleaved_faces)
     results = []

@@ -3,9 +3,10 @@
 Signed geodesic triangle areas, an oriented point-in-triangle test, the
 tangent frame of a reference direction, geodesic interpolation,
 continuous unwrapping of rotation angles for paths confined to a great
-circle, and the degree of a discretized sphere map.  Everything here is
-a pure function of immutable numpy data and is safe to call
-concurrently.
+circle (one path at a time with adaptive refinement, or a stack of
+paths at once where no step needs it), and the degree of a discretized
+sphere map.  Everything here is a pure function of immutable numpy data
+and is safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -250,11 +251,12 @@ def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:
     return normalized_rows(rows) if normalize else rows
 
 
-def _step_angles(samples: np.ndarray) -> np.ndarray:
-    u, v = samples[:-1], samples[1:]
-    cr = np.linalg.norm(cross(u, v), axis=1)
-    dt = np.einsum("ij,ij->i", u, v)
-    return np.arctan2(cr, dt)
+def _steps(samples: np.ndarray):
+    # Cross products, dots and unsigned angles of consecutive samples of
+    # (..., k, 3) paths.
+    u, v = samples[..., :-1, :], samples[..., 1:, :]
+    cr, dt = cross(u, v), np.einsum("...ij,...ij->...i", u, v)
+    return cr, dt, np.arctan2(np.linalg.norm(cr, axis=-1), dt)
 
 
 @dataclass
@@ -284,7 +286,7 @@ class SphericalPath:
     def ensure_step_bound(self) -> None:
         """Refine until consecutive samples subtend less than a quarter turn."""
         for _ in range(MAX_REFINE_ROUNDS):
-            bad = _step_angles(self.samples) >= NYQUIST_STEP
+            bad = _steps(self.samples)[2] >= NYQUIST_STEP
             if not bad.any():
                 return
             if self.refine is None:
@@ -309,11 +311,22 @@ def unwrap_rotation_angle(path: SphericalPath, axis) -> float:
     """
     axis = normalized(axis)
     path.ensure_step_bound()
-    if np.max(np.abs(path.samples @ axis)) > 1e-8:
+    angle, fits = _unwrap_rows(path.samples[None], axis)
+    if not fits[0]:
         raise NotInPlane("path samples are not orthogonal to the axis")
-    u, v = path.samples[:-1], path.samples[1:]
-    steps = np.arctan2(cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))
-    return float(np.sum(steps))
+    return float(angle[0])
+
+
+def _unwrap_rows(rows: np.ndarray, axis: np.ndarray):
+    """The sum of the signed step angles about the unit ``axis`` of each
+    path of an (n, k, 3) stack of unit vectors, and the mask of the paths
+    where that sum is their unwrapped angle: those that keep the
+    quarter-turn bound and lie in the great circle.  The others need a
+    ``SphericalPath`` that bisects its bad steps, or raise."""
+    cr, dt, angles = _steps(rows)
+    fits = ~np.any(angles >= NYQUIST_STEP, axis=-1)
+    fits &= np.max(np.abs(rows @ axis), axis=-1) <= 1e-8
+    return np.arctan2(cr @ axis, dt).sum(axis=-1), fits
 
 
 @dataclass(frozen=True)

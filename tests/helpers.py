@@ -8,8 +8,9 @@ import json
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh, TruncationSpec
-from tangent_topo.fields import SampledField, grid_nodes, sample_field
-from tangent_topo.sphere import geodesic_interpolate, normalized
+from tangent_topo.fields import (CLEAVED, TRUNCATED, SampledField, face_grid, grid_nodes,
+                                 sample_field)
+from tangent_topo.sphere import SphericalPath, cross, geodesic_interpolate, normalized
 
 
 # --- independent spherical-area oracle ---------------------------------------
@@ -322,6 +323,102 @@ def tangent_perturbation(field: AnalyticField, seed: int,
 
 
 # --- reference kernels ------------------------------------------------------------
+
+def reference_trace(field, curve, side, t):
+    """The field along ``curve`` (see ``boundary_trace``) on the face of
+    side ``side`` at parameters ``t``, through one scattered ``evaluate``
+    call of its own, as C-contiguous rows."""
+    kind, ident = curve
+    if kind == "boundary":
+        return np.ascontiguousarray(field.evaluate(ident, np.ones_like(t), 2.0 * np.pi * t))
+    if kind == "cleaved":
+        key = ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
+    else:
+        key = (TRUNCATED, int(field.host.parent.edge_faces[ident, side]))
+    chart = field.charts[key]
+    seg = chart.segment_index(kind, ident)
+    phi0, phi1 = chart.segment_span(seg)
+    local = t if chart.segments[seg].forward else 1.0 - t
+    return np.ascontiguousarray(
+        field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local))
+
+
+def reference_unwrap(path, axis) -> float:
+    """``unwrap_rotation_angle`` path by path: the step bound, then the
+    sum of the signed steps of the (k, 3) samples."""
+    axis = normalized(axis)
+    path.ensure_step_bound()
+    assert np.max(np.abs(path.samples @ axis)) <= 1e-8
+    u, v = path.samples[:-1], path.samples[1:]
+    return float(np.sum(np.arctan2(cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))))
+
+
+def reference_kink_detail(field, a, c):
+    """``(kink, residual)`` of cleaved edge ``(a, c)`` curve by curve: its
+    own 129-sample trace, unwrapped alone by ``reference_unwrap``, which
+    bisects the steps that break the quarter-turn bound."""
+    axis = field.host.face_normal(c)
+    t = np.linspace(0.0, 1.0, 129)
+
+    def trace(params):
+        return reference_trace(field, ("cleaved", (a, c)), 0, params)
+
+    path = SphericalPath(samples=trace(t), params=t, refine=trace)
+    xi1 = reference_unwrap(path, axis)
+    n0, n1 = path.samples[0], path.samples[-1]
+    eta = float(np.arctan2(float(cross(n0, n1) @ axis), float(n0 @ n1)))
+    raw = (xi1 - eta) / (2.0 * np.pi)
+    return int(round(raw)), abs(raw - round(raw))
+
+
+def reference_edge_orientations(field) -> np.ndarray:
+    """Edge orientations from 9-sample traces of each truncated edge on
+    both of its faces, edge by edge."""
+    phat = field.host
+    t = np.linspace(0.0, 1.0, 9)
+    eps = np.empty((phat.parent.n_edges, 3))
+    for b in range(phat.parent.n_edges):
+        direction = phat.parent.edge_direction(b)
+        stacked = np.concatenate([reference_trace(field, ("edge", b), side, t)
+                                  for side in (0, 1)], axis=0)
+        assert np.max(np.linalg.norm(stacked - stacked[0], axis=1)) <= 1e-6
+        align = float(stacked.mean(axis=0) @ direction)
+        eps[b] = direction if align > 0 else -direction
+    return eps
+
+
+def reference_tangency(field) -> dict:
+    """``validate_tangency(field).to_dict()`` from 17-sample traces of
+    every edge and seam, curve by curve."""
+    phat = field.host
+    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), 4)
+                                        @ phat.face_normal(c))))
+                 for c in range(len(phat.trunc_faces))}
+    t = np.linspace(0.0, 1.0, 17)
+    edge_mis = {}
+    for b in range(phat.parent.n_edges):
+        direction = phat.parent.edge_direction(b)
+        traces = [reference_trace(field, ("edge", b), side, t) for side in (0, 1)]
+        mis = max(float(np.max(1.0 - np.abs(tr @ direction))) for tr in traces)
+        mis = max(mis, float(np.max(np.linalg.norm(traces[0] - traces[1], axis=1))))
+        for tr in traces:
+            mis = max(mis, float(np.max(np.linalg.norm(tr - tr[0], axis=1))))
+        edge_mis[b] = mis
+    worst_cont = 0.0
+    for ac in phat.cleaved_edges:
+        from_f, from_c = (reference_trace(field, ("cleaved", ac), side, t) for side in (0, 1))
+        worst_cont = max(worst_cont, float(np.max(np.linalg.norm(from_f - from_c, axis=1))))
+    worst_dot = max(face_dots.values(), default=0.0)
+    worst_mis = max(edge_mis.values(), default=0.0)
+    return {
+        "ok": worst_dot <= 1e-8 and worst_mis <= 1e-8 and worst_cont <= 1e-6,
+        "worst_normal_dot": worst_dot,
+        "worst_edge_misalignment": worst_mis,
+        "worst_continuity": worst_cont,
+        "face_normal_dots": {str(k): v for k, v in sorted(face_dots.items())},
+        "edge_misalignment": {str(k): v for k, v in sorted(edge_mis.items())},
+    }
+
 
 def reference_grid_count(grid: np.ndarray, s: np.ndarray):
     """The count of ``invariants._grid_count`` over every triangle of the

@@ -132,6 +132,27 @@ class TestPipeline:
         assert report["invariants"]["wrapping_numbers"] == doc["wrapping_numbers"]
         assert report["wrapping_preimage"] == doc["wrapping_numbers"]
 
+    def test_synthesize_at_depth_zero(self, tetra_phat, tmp_path):
+        # Depth 0 samples from depth 1: the whole depth-0 grid, one sample
+        # per side on one ring, keeps the quarter-turn bound on corner
+        # faces 1 and 2 of this set while their boundary turns between the
+        # corners, and the file it made read 2.0 apart at the seams.
+        inv = tt.random_admissible_invariants(tetra_phat, seed=3, wrap_override=(0, 0, 0, 0))
+        doc = {"format": "invariants/1", "polyhedron": {"builtin": "tetrahedron"},
+               "truncation": {"lambda": 0.25}, **invariant_set_to_dict(inv, tetra_phat)}
+        inv_path, field_path, out = (tmp_path / name for name in
+                                     ("inv.json", "field.json", "report.json"))
+        inv_path.write_text(json.dumps(doc))
+        assert main(["synthesize", "--inv", str(inv_path), "--depth", "0",
+                     "--out", str(field_path)]) == EXIT_OK
+        # extract_all with seed 3 settles on the set's own s.
+        assert main(["invariants", "--field", str(field_path), "--seed", "3",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())["invariants"]
+        for entry in ("reference_direction", "edge_orientations", "kink_numbers",
+                      "wrapping_numbers"):
+            assert report[entry] == doc[entry]
+
     def test_minimal_mesh_depth_zero(self, inv_file, tmp_path):
         mesh_path = tmp_path / "mesh.obj"
         assert main(["export-mesh", "--inv", str(inv_file), "--depth", "0",

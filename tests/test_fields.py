@@ -18,13 +18,14 @@ from tangent_topo.fields import (
     AnalyticField,
     FaceGrid,
     SampledField,
-    _curve_tracer,
+    _boundary_ring,
     _grid_area_sum,
     _grid_axes,
     _grid_planes,
     _grid_step_bound_ok,
     _grid_triangles,
     _neighbor_dots,
+    _seam_rows,
     antipodal,
     boundary_trace,
     face_grid,
@@ -36,7 +37,7 @@ from tangent_topo.fields import (
     validate_tangency,
 )
 from tangent_topo.invariants import s_margin
-from tangent_topo.sphere import triangle_areas, unwrap_rotation_angle
+from tangent_topo.sphere import normalized_rows, triangle_areas, unwrap_rotation_angle
 
 from helpers import (
     constant_field,
@@ -44,6 +45,7 @@ from helpers import (
     encode_vectors,
     pentagonal_pyramid,
     reference_field_text,
+    reference_trace,
 )
 
 
@@ -95,8 +97,9 @@ class TestValidateTangency:
         assert report.edge_misalignment == good.edge_misalignment
         # Side 1 of the seam is the corner face: only (a, c) disagrees.
         t = np.linspace(0.0, 1.0, 17)
-        gaps = {ac: np.max(np.linalg.norm(np.subtract(*fields_mod._seam_traces(
-            bent, ("cleaved", ac), t)), axis=1)) for ac in phat.cleaved_edges}
+        rings = {key: _boundary_ring(bent, key, t) for key in phat.face_keys()}
+        gaps = {ac: np.max(np.linalg.norm(np.subtract(*_seam_rows(
+            bent, rings, ("cleaved", ac))), axis=1)) for ac in phat.cleaved_edges}
         assert [ac for ac, gap in gaps.items() if gap > TOL_CONTINUITY] == [(a, c)]
 
     def test_two_faces_of_a_truncated_edge_disagree(self, cube_case):
@@ -278,7 +281,7 @@ class TestSampledFields:
         assert 2 ** (4 + 3) < samples <= 2 ** MAX_DEPTH
 
     @pytest.mark.parametrize("solid, seed, wraps, depths", [
-        ("tetrahedron", 3, (0, 0, 0, 0), (1, 2, 3)),  # the CLI tests' field file
+        ("tetrahedron", 3, (0, 0, 0, 0), (0, 1, 2, 3)),  # the CLI tests' field file
         ("cube", 2, None, (0, 1, 2, 3)),
     ])
     def test_every_level_doubles_the_samples(self, tetra_phat, cube_phat, solid, seed, wraps,
@@ -286,8 +289,8 @@ class TestSampledFields:
         # Levels that doubled only the rings kept corner face 1 of the
         # tetrahedron set at 12 samples per ring, where its boundary
         # turns whole turns between nodes and the seams read 2.0 apart.
-        # (From depth 0 its faces 1 and 2 resolve on the whole depth-0
-        # grid, 3 samples per ring, which aliases the same way.)
+        # The whole depth-0 grid, 3 samples per ring, aliases the same way
+        # on its faces 1 and 2, so depth 0 samples from depth 1.
         phat = {"tetrahedron": tetra_phat, "cube": cube_phat}[solid]
         inv = tt.random_admissible_invariants(phat, seed=seed, wrap_override=wraps)
         field = tt.representative_boundary(tt.AdmissibleInvariants.from_invariants(inv, phat),
@@ -627,28 +630,12 @@ def _pointwise_grid(field, key, depth, rings=None):
     return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
 
 
-def _trace_reference(field, curve, side, t):
-    """The field along ``curve`` (see ``boundary_trace``) on the face of
-    side ``side``, through one scattered ``evaluate`` call."""
-    kind, ident = curve
-    if kind == "boundary":
-        return field.evaluate(ident, np.ones_like(t), 2.0 * np.pi * t)
-    if kind == "cleaved":
-        key = ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
-    else:
-        key = (TRUNCATED, int(field.host.parent.edge_faces[ident, side]))
-    chart = field.charts[key]
-    seg = chart.segment_index(kind, ident)
-    phi0, phi1 = chart.segment_span(seg)
-    local = t if chart.segments[seg].forward else 1.0 - t
-    return field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local)
-
-
 class TestRowLayout:
     """Rows that reach einsum or matmul, whose sums follow the layout, are
     C-contiguous, and bit for bit the scattered evaluation: grids and
     boundary rings of FaceGrid at whole and refined depths, face_grid,
-    and the curve traces of kinks, edges and tangency checks."""
+    and the face boundary rings that kinks, edges and tangency checks
+    read."""
 
     @staticmethod
     def _check(rows, expected):
@@ -685,16 +672,30 @@ class TestRowLayout:
 
     @pytest.mark.parametrize("which", range(6))
     def test_curve_traces(self, solid_fields, which):
+        # Seams read from the boundary rings, forward and backward, at 17
+        # samples per segment and at every 8th of 129; boundary_trace of
+        # the same curves and of whole face boundaries, and its refinement
+        # callback at midpoints.
         field = solid_fields[which]
         phat = field.host
         t = np.linspace(0.0, 1.0, 17)
         curves = [("cleaved", ac) for ac in sorted(phat.cleaved_edges)[:3]]
         curves += [("edge", b) for b in range(3)]
-        curves += [("boundary", key) for key in phat.face_keys()[:2]]
-        for curve in curves:
-            for side in (0, 1) if curve[0] != "boundary" else (0,):
-                self._check(_curve_tracer(field, curve, side)(t),
-                            _trace_reference(field, curve, side, t))
+        for samples, stride in ((17, 1), (129, 8)):
+            rings = {key: _boundary_ring(field, key, np.linspace(0.0, 1.0, samples))
+                     for key in phat.face_keys()}
+            for ring in rings.values():
+                assert ring.flags.c_contiguous
+            for curve in curves:
+                for side, row in enumerate(_seam_rows(field, rings, curve)):
+                    assert row.flags.c_contiguous
+                    self._check(np.ascontiguousarray(row[::stride]),
+                                reference_trace(field, curve, side, t))
+        mid = 0.5 * (t[:-1] + t[1:])
+        for curve in curves + [("boundary", key) for key in phat.face_keys()[:2]]:
+            path = boundary_trace(field, curve, samples=17)
+            self._check(path.samples, normalized_rows(reference_trace(field, curve, 0, t)))
+            self._check(path.refine(mid), reference_trace(field, curve, 0, mid))
 
 
 class TestSampledGridPath:

@@ -11,7 +11,7 @@ import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
 from tangent_topo import invariants as inv_mod
-from tangent_topo.fields import CLEAVED, AnalyticField, FaceGrid
+from tangent_topo.fields import CLEAVED, TRUNCATED, AnalyticField, FaceGrid
 from tangent_topo.invariants import (
     InvariantSet,
     MARGIN_S,
@@ -24,9 +24,10 @@ from tangent_topo.invariants import (
 )
 from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas
 
-from helpers import (PINNED_HULLS, constant_field, normal_cone_spec, pinned_hull,
-                     reference_choose_reference_s, reference_grid_count,
-                     reference_near_cells, tangent_perturbation)
+from helpers import (PINNED_HULLS, constant_field, normal_cone_spec, pentagonal_pyramid,
+                     pinned_hull, reference_choose_reference_s, reference_edge_orientations,
+                     reference_grid_count, reference_kink_detail, reference_near_cells,
+                     reference_tangency, tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -181,25 +182,45 @@ class TestEdgeOrientations:
             tt.extract_edge_orientations(field)
 
 
+def wound_invariants(phat, s, target):
+    """``crafted_invariants`` with kink ``target`` on cleaved edge (0, c0),
+    c0 the first face of corner 0's chain, and the face's requirement
+    moved onto another of its corners; returns the set and the edge."""
+    inv = crafted_invariants(phat, s)
+    kinks = dict(inv.kink_numbers)
+    (a, c) = (0, phat.cleaved_faces[0].face_chain[0])
+    corners = [seg[1][0] for seg in phat.trunc_faces[c].segments
+               if seg[0] == "cleaved"]
+    other = [x for x in corners if x != a][-1]
+    kinks[(other, c)] -= target - kinks[(a, c)]
+    kinks[(a, c)] = target
+    return InvariantSet(s=s, edge_orientations=inv.edge_orientations, kink_numbers=kinks,
+                        wrapping_numbers=inv.wrapping_numbers), (a, c)
+
+
+def representative(inv, phat):
+    return tt.representative_boundary(tt.AdmissibleInvariants.from_invariants(inv, phat), phat)
+
+
+def spy_on(monkeypatch, owner, name):
+    """Calls of ``owner.name``, each as its positional arguments, replaced
+    by a recording wrapper."""
+    inner, calls = getattr(owner, name), []
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 class TestKinks:
     @pytest.mark.parametrize("target", [0, 1, -2])
     def test_prescribed_winding(self, cube_phat, target):
         s = tt.choose_reference_s(cube_phat, seed=0)
-        inv = crafted_invariants(cube_phat, s)
-        kinks = dict(inv.kink_numbers)
-        # move the requirement of face c0 so edge (corner, c0) holds `target`
-        (a, c) = (0, cube_phat.cleaved_faces[0].face_chain[0])
-        corners = [seg[1][0] for seg in cube_phat.trunc_faces[c].segments
-                   if seg[0] == "cleaved"]
-        other = [x for x in corners if x != a][-1]
-        kinks[(other, c)] -= target - kinks[(a, c)]
-        kinks[(a, c)] = target
-        inv = InvariantSet(s=s, edge_orientations=inv.edge_orientations,
-                           kink_numbers=kinks,
-                           wrapping_numbers=inv.wrapping_numbers)
-        adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
-        field = tt.representative_boundary(adm, cube_phat)
-        assert tt.extract_kink(field, a, c) == target
+        inv, (a, c) = wound_invariants(cube_phat, s, target)
+        assert tt.extract_kink(representative(inv, cube_phat), a, c) == target
 
     def test_kinks_survive_antipodal(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=6)
@@ -208,25 +229,135 @@ class TestKinks:
             assert tt.extract_kink(anti, a, c) == k
 
     def test_step_bound_checked_once(self, cube_phat, monkeypatch):
-        # The unwrap refines the traced path itself; the trace does not.
+        # The bound is checked once per stack: extract_kink's one row, and
+        # in extract_all the rows of each face's cleaved segments.  No row
+        # of the seed-9 cube refines.
         inv, field = make_representative(cube_phat, seed=9)
         (a, c), k = max(inv.kink_numbers.items(), key=lambda item: abs(item[1]))
-        ensure = tt.SphericalPath.ensure_step_bound
-        calls = []
-
-        def counting(path):
-            calls.append(path.samples.shape[0])
-            return ensure(path)
-
-        monkeypatch.setattr(tt.SphericalPath, "ensure_step_bound", counting)
+        checks = spy_on(monkeypatch, inv_mod, "_unwrap_rows")
+        refined = spy_on(monkeypatch, tt.SphericalPath, "ensure_step_bound")
+        rows = {c: sum(seg[0] == "cleaved" for seg in tf.segments)
+                for c, tf in enumerate(cube_phat.trunc_faces)}
         assert tt.extract_kink(field, a, c) == k
-        assert calls == [129]
+        assert [x.shape for x, _ in checks] == [(1, 129, 3)]
+        checks.clear()
+        report = tt.extract_all(field, with_preimage=False)
+        assert report.invariants.kink_numbers == inv.kink_numbers
+        assert [x.shape for x, _ in checks] == [(n, 129, 3) for n in rows.values()]
+        assert refined == []
+
+    def test_refined_row_keeps_the_curve_by_curve_residual(self, cube_phat, monkeypatch):
+        # A 40-turn kink steps about 1.96 rad between the 129 samples of
+        # its row, past the quarter-turn bound: that row, and the row
+        # that takes up the face's requirement, are bisected as before.
+        s = tt.choose_reference_s(cube_phat, seed=0)
+        inv, (a, c) = wound_invariants(cube_phat, s, 40)
+        field = representative(inv, cube_phat)
+        refined = spy_on(monkeypatch, tt.SphericalPath, "ensure_step_bound")
+        assert tt.extract_kink(field, a, c) == 40
+        assert [path.samples.shape[0] for path, in refined] == [257]
+        # Its corner faces do not resolve by MAX_DEPTH; extract_all reads
+        # kinks from the trimmed faces only, so it takes the corner faces
+        # of the unwound set.
+        plain = representative(crafted_invariants(cube_phat, s), cube_phat)
+        hybrid = AnalyticField(
+            host=field.host, charts=field.charts,
+            evaluator=lambda key, rho, phi: (
+                field if key[0] == TRUNCATED else plain).evaluator(key, rho, phi))
+        refined.clear()
+        report = tt.extract_all(hybrid, s=s, with_preimage=False)
+        assert report.invariants.kink_numbers == inv.kink_numbers
+        assert len(refined) == 2
+        for ac in inv.kink_numbers:
+            kink, residual = reference_kink_detail(hybrid, *ac)
+            assert report.invariants.kink_numbers[ac] == kink
+            assert np.float64(report.kink_residuals[ac]).tobytes() == \
+                np.float64(residual).tobytes()
+
+    def test_evaluates_its_own_row(self, cube_phat, monkeypatch):
+        # extract_kink evaluates the 129 samples of its edge, not the ring
+        # of the face, in one call.
+        _, field = make_representative(cube_phat, seed=9)
+        calls = spy_on(monkeypatch, AnalyticField, "evaluate")
+        for a, c in sorted(cube_phat.cleaved_edges)[:4]:
+            calls.clear()
+            tt.extract_kink(field, a, c)
+            assert [(key, phi.shape) for _, key, _, phi in calls] == [((TRUNCATED, c), (129,))]
+
+    def test_unknown_edge_rejected(self, cube_phat):
+        _, field = make_representative(cube_phat, seed=9)
+        a, c = next(iter(cube_phat.cleaved_edges))
+        other = next(x for x in range(len(cube_phat.cleaved_faces))
+                     if (x, c) not in cube_phat.cleaved_edges)
+        with pytest.raises(errors.GeometryError):
+            tt.extract_kink(field, other, c)
 
     def test_parallel_endpoints_rejected(self, cube_phat):
         field = constant_field(cube_phat, [0.0, 0.0, 1.0])
         a, c = next(iter(cube_phat.cleaved_edges))
         with pytest.raises(errors.ParallelEndpoints):
             tt.extract_kink(field, a, c)
+
+
+@pytest.fixture(scope="module")
+def ring_fields(cube_phat, tetra_phat, octa_phat, tmp_path_factory):
+    """Representative fields of the three builtins at three seeds and of
+    the pentagonal pyramid, whose face normals are not unit to the last
+    bit, the antipodal field of one, and a SampledField read back from
+    its file."""
+    pyramid = pentagonal_pyramid()
+    out = {}
+    for name, phat in (("cube", cube_phat), ("tetrahedron", tetra_phat),
+                       ("octahedron", octa_phat),
+                       ("pyramid", tt.truncate(pyramid, tt.TruncationSpec.from_fraction(
+                           pyramid, 0.25)))):
+        for seed in (0, 4, 7):
+            out[name, seed] = make_representative(phat, seed=seed)[1]
+    out["antipodal"] = tt.antipodal(out["cube", 4])
+    path = tmp_path_factory.mktemp("ring") / "field.json"
+    tt.save_field(tt.sample_field(out["tetrahedron", 4], 2), path)
+    out["sampled"] = tt.load_field(path)[0]
+    return out
+
+
+RING_FIELDS = [(name, seed) for name in ("cube", "tetrahedron", "octahedron", "pyramid")
+               for seed in (0, 4, 7)] + ["antipodal", "sampled"]
+
+
+class TestBoundaryRings:
+    """Kinks and edge orientations are read from one boundary ring per
+    trimmed face, bit for bit the curve-by-curve traces."""
+
+    @pytest.mark.parametrize("which", RING_FIELDS)
+    def test_equal_to_curve_by_curve(self, ring_fields, which):
+        field = ring_fields[which]
+        report = tt.extract_all(field, with_preimage=False)
+        for ac in sorted(field.host.cleaved_edges):
+            kink, residual = reference_kink_detail(field, *ac)
+            assert report.invariants.kink_numbers[ac] == kink
+            assert np.float64(report.kink_residuals[ac]).tobytes() == \
+                np.float64(residual).tobytes()
+            assert tt.extract_kink(field, *ac) == kink
+        expected = reference_edge_orientations(field).tobytes()
+        assert report.invariants.edge_orientations.tobytes() == expected
+        assert tt.extract_edge_orientations(field).tobytes() == expected
+        assert tt.validate_tangency(field).to_dict() == reference_tangency(field)
+
+    @pytest.mark.parametrize("which", [("cube", 4), "sampled"])
+    def test_one_evaluate_per_face(self, ring_fields, monkeypatch, which):
+        # extract_all evaluates each trimmed face once, its ring, and
+        # validate_tangency the ring of every face once (the scattered
+        # calls; face grids pass rings of rho as a column).
+        field = ring_fields[which]
+        phat = field.host
+        calls = spy_on(monkeypatch, type(field), "evaluate")
+        trimmed = [(TRUNCATED, c) for c in range(len(phat.trunc_faces))]
+        tt.extract_all(field, with_preimage=False)
+        assert [key for _, key, *_ in calls if key[0] == TRUNCATED] == trimmed
+        calls.clear()
+        tt.validate_tangency(field)
+        assert sorted(key for _, key, rho, _ in calls if np.ndim(rho) == 1) == \
+            sorted(phat.face_keys())
 
 
 class TestWrapping:

@@ -11,10 +11,12 @@ from tangent_topo.sphere import (
     ImageMesh,
     _check_closed_oriented,
     _signed_areas,
+    _unwrap_rows,
     SphericalPath,
     cross,
     geodesic_interpolate,
     mesh_degree,
+    normalized,
     normalized_rows,
     reference_frame,
     spherical_triangle_area,
@@ -28,6 +30,7 @@ from helpers import (
     lhuilier_signed_area,
     polar_sphere_mesh,
     random_rotation,
+    reference_unwrap,
     subdivide_mesh,
 )
 
@@ -408,6 +411,32 @@ class TestUnwrap:
         path = SphericalPath(samples=at(t), params=t, refine=None)
         with pytest.raises(errors.CoarseSampling):
             unwrap_rotation_angle(path, EZ)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), k=st.integers(2, 40),
+           turn=st.floats(0.0, 2.0))
+    def test_stack_equals_path_by_path(self, seed, n, k, turn):
+        # Rows with steps up to 2 rad around a random axis, one of them
+        # lifted off the great circle: every row in the mask unwraps to
+        # the bits of its own path, unwrapped by the path-by-path formula
+        # as well, and the mask is the rows that neither refine nor raise.
+        rng = np.random.default_rng(seed)
+        axis = random_rotation(rng) @ EZ
+        start = normalized_rows(cross(axis, rng.normal(size=3)))
+        angles = np.cumsum(rng.uniform(-turn, turn, (n, k)), axis=1)
+        raw = np.cos(angles)[..., None] * start + np.sin(angles)[..., None] * cross(axis, start)
+        raw[0, k // 2] += 1e-6 * axis
+        # A SphericalPath holds its samples normalized once more, and
+        # unwrap_rotation_angle normalizes the axis.
+        xi, ok = _unwrap_rows(normalized_rows(raw), normalized(axis))
+        for row, angle, fits in zip(raw, xi, ok):
+            path = SphericalPath(samples=row, params=np.linspace(0.0, 1.0, k))
+            if fits:
+                assert unwrap_rotation_angle(path, axis) == angle
+                assert reference_unwrap(path, axis) == angle
+            else:
+                with pytest.raises((errors.CoarseSampling, errors.NotInPlane)):
+                    unwrap_rotation_angle(path, axis)
 
 
 def _loop_refuses(triangles) -> bool:
