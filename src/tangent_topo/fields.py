@@ -22,12 +22,13 @@ for both field types, so an analytic evaluator takes a factor of rho
 alone once per ring and a factor of phi alone once per angle.
 Values may come in any layout; both field types return moved-axis views
 of x, y, z planes.  Rows that reach einsum or matmul, whose sums follow
-the layout, are C-contiguous (``face_grid``, ``FaceGrid``, boundary rings
-and traces).  A face's boundary is read as one ring, one ``evaluate``
-call (``_boundary_ring``), whose rows are bit for bit the traces of its
-segments, and a ``boundary_trace`` is one such row.  ``validate_tangency``
-reads every seam from the rings of both faces, and ``extract_all`` reads
-kinks and edge orientations from the rings of the trimmed faces.
+the layout, are C-contiguous (``face_grid``, ``FaceGrid`` and boundary
+rings).  A face's boundary is read as one ring, one ``evaluate`` call
+(``_boundary_ring``), whose rows are bit for bit the field along its
+segments; a ring read on chosen spans at finer parameters gives finer
+rows of the same segments.  ``validate_tangency`` reads every seam from
+the rings of both faces, and ``extract_all`` reads kinks and edge
+orientations from the rings of the trimmed faces.
 """
 from __future__ import annotations
 
@@ -48,8 +49,7 @@ from .geometry import (
     PolarChart,
     TruncatedPolyhedron,
 )
-from .sphere import (SphericalPath, _dot, _signed_areas, cross, geodesic_interpolate,
-                     normalized_rows)
+from .sphere import _dot, _signed_areas, cross, geodesic_interpolate, normalized_rows
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
@@ -260,17 +260,13 @@ def antipodal(field: TangentField) -> TangentField:
 
 
 def _curve_key(host: TruncatedPolyhedron, curve, side: int) -> FaceKey:
-    # The face of side ``side`` of ``curve`` (see ``boundary_trace``):
-    # trimmed face c (0) or corner face a (1) of cleaved edge (a, c), and
-    # face edge_faces[b, side] of truncated edge b.
+    # The face of side ``side`` of ``curve`` (see ``_seam_rows``): trimmed
+    # face c (0) or corner face a (1) of cleaved edge (a, c), and face
+    # edge_faces[b, side] of truncated edge b.
     kind, ident = curve
     if kind == "cleaved":
         return ((TRUNCATED, ident[1]), (CLEAVED, ident[0]))[side]
-    if kind == "edge":
-        return (TRUNCATED, int(host.parent.edge_faces[ident, side]))
-    if kind == "boundary":
-        return ident
-    raise FieldError(f"unknown curve kind {kind!r}")
+    return (TRUNCATED, int(host.parent.edge_faces[ident, side]))
 
 
 def _boundary_ring(field: TangentField, key: FaceKey, t: np.ndarray, spans=None) -> np.ndarray:
@@ -289,29 +285,12 @@ def _boundary_ring(field: TangentField, key: FaceKey, t: np.ndarray, spans=None)
     return np.ascontiguousarray(values).reshape(len(ends), t.size, 3)
 
 
-def _curve_tracer(field: TangentField, curve):
-    """The field along ``curve`` (see ``boundary_trace``) at parameters t
-    in [0, 1], on its side 0 (see ``_curve_key``): a row of
-    ``_boundary_ring``, in the curve's own direction."""
-    kind, ident = curve
-    key = _curve_key(field.host, curve, 0)
-    span, reverse = (0.0, 2.0 * np.pi), False
-    if kind != "boundary":
-        chart = field.charts[key]
-        seg = chart.segment_index(kind, ident)
-        span, reverse = chart.segment_span(seg), not chart.segments[seg].forward
-
-    def evaluate(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return _boundary_ring(field, key, 1.0 - t if reverse else t, [span])[0]
-
-    return evaluate
-
-
 def _seam_rows(field: TangentField, rings: Mapping[FaceKey, np.ndarray], curve) -> list:
-    """The field along a cleaved or truncated edge on its sides 0 and 1
-    (see ``_curve_key``), read from their ``rings`` in the curve's own
-    direction, as C-contiguous rows."""
+    """The field along ``curve`` on its sides 0 and 1 (see ``_curve_key``),
+    read from their ``rings`` in the curve's own direction, as
+    C-contiguous rows.  ``curve`` is ``("cleaved", (a, c))`` for the
+    border of corner ``a`` on face ``c`` in its stored direction, or
+    ``("edge", b)`` for truncated edge ``b`` from its low-index endpoint."""
     kind, ident = curve
     rows = []
     for side in (0, 1):
@@ -321,23 +300,6 @@ def _seam_rows(field: TangentField, rings: Mapping[FaceKey, np.ndarray], curve) 
         row = rings[key][seg]
         rows.append(row if chart.segments[seg].forward else row[::-1].copy())
     return rows
-
-
-def boundary_trace(field: TangentField, curve, samples: int = 65) -> SphericalPath:
-    """Sample the field along an oriented curve on the boundary.
-
-    ``curve`` is ``("cleaved", (a, c))`` for the border of corner ``a``
-    on face ``c`` in its stored direction, ``("edge", b)`` for a
-    truncated edge from its low-index endpoint, or
-    ``("boundary", face_key)`` for a full face boundary in chart order.
-    The returned path is not refined here: it carries a refinement
-    callback, with which downstream unwrapping bisects it adaptively.
-    """
-    evaluate = _curve_tracer(field, curve)
-    if samples < 2:
-        raise FieldError("need at least two samples")
-    t = np.linspace(0.0, 1.0, samples)
-    return SphericalPath(samples=evaluate(t), params=t, refine=evaluate)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,10 @@ from .errors import (
     AntipodalFanPair,
     DualRouteMismatch,
     InvariantError,
+    MaxRefinement,
     NoAdmissibleS,
     NonConstantEdge,
+    NotInPlane,
     NotRegularValue,
     OnBoundary,
     ParallelEndpoints,
@@ -48,8 +50,6 @@ from .fields import CLEAVED, MAX_DEPTH, TRUNCATED, FaceGrid, TangentField
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
-    SphericalPath,
-    _unwrap_rows,
     cross,
     normalized,
     normalized_rows,
@@ -69,6 +69,9 @@ PREIMAGE_TURN = MARGIN_S / (PREIMAGE_ATTEMPTS + 1)
 # unwrap, 2**7 + 1; edge orientations read every EDGE_STRIDE-th, 9.
 RING_SAMPLES = 129
 EDGE_STRIDE = 16
+# Most samples a kink row is refined to, 2**16 + 1: a row in the
+# quarter-turn bound then winds up to about 16k turns.
+MAX_ROW_SAMPLES = 2 ** 16 + 1
 
 INVARIANTS_FORMAT = "invariants/1"
 REPORT_FORMAT = "invariant-report/1"
@@ -178,20 +181,18 @@ def _trimmed_rings(field: TangentField) -> dict:
             for c in range(len(field.host.trunc_faces))}
 
 
-def extract_edge_orientations(field: TangentField) -> np.ndarray:
+def extract_edge_orientations(field: TangentField, rings=None) -> np.ndarray:
     """Constant field value on each truncated edge, snapped to the edge line.
 
     Checks constancy along the edge and agreement between the two
     adjacent faces within the continuity tolerance, then returns the
-    exactly edge-parallel unit vector with the observed sign.
+    exactly edge-parallel unit vector with the observed sign.  Each side
+    of an edge is read at 9 samples, every EDGE_STRIDE-th of its trimmed
+    face's ring in ``rings`` (by default evaluated here, one ``evaluate``
+    call per face).
     """
-    return _edge_orientations(field, _trimmed_rings(field))
-
-
-def _edge_orientations(field, rings):
-    # Each side of an edge is read at 9 samples, every EDGE_STRIDE-th of
-    # its trimmed face's ring.
     phat = field.host
+    rings = _trimmed_rings(field) if rings is None else rings
     eps = np.empty((phat.parent.n_edges, 3))
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
@@ -217,37 +218,44 @@ def extract_kink(field: TangentField, a: int, c: int) -> int:
 
 def _kink_details(field, edges, rings=None) -> dict:
     """``{(a, c): (kink, residual)}`` of the cleaved edges ``edges``, checked
-    in their order.  Each edge's row of RING_SAMPLES samples, read from
+    in their order.  Each edge's row of RING_SAMPLES samples is read from
     its trimmed face's ring in ``rings`` or evaluated alone (one
-    ``evaluate`` call per face), is its ``boundary_trace``.  A face's rows
-    are unwrapped together, bit for bit ``unwrap_rotation_angle`` of
-    each; a row that breaks the quarter-turn bound or leaves the great
-    circle is unwrapped alone, to be bisected or refused."""
+    ``evaluate`` call per face), and a face's rows are unwrapped together.
+    The rows that break the quarter-turn bound are evaluated again on
+    their own spans at twice the steps, t = i / 256, then i / 512 and so
+    on, and unwrapped again, up to MAX_ROW_SAMPLES samples; a row still
+    past the bound raises MaxRefinement, and one that leaves the great
+    circle NotInPlane."""
     phat = field.host
-    t = np.linspace(0.0, 1.0, RING_SAMPLES)
     rows = {}
     for c in dict.fromkeys(c for _, c in edges):
         group = [ac for ac in edges if ac[1] == c]
-        key, axis = (TRUNCATED, c), phat.face_normal(c)
+        key, axis = (TRUNCATED, c), normalized(phat.face_normal(c))
         chart = field.charts[key]
         segs = [chart.segment_index("cleaved", ac) for ac in group]
         # A trimmed face runs its cleaved segments forward (see
         # geometry._face_segments), so no row is read backward.
         assert all(chart.segments[k].forward for k in segs)
-        raw = (rings[key][segs] if rings is not None else fields_mod._boundary_ring(
-            field, key, t, [chart.segment_span(k) for k in segs]))
-        unit = normalized_rows(raw)  # as a SphericalPath holds it
-        angles, fits = _unwrap_rows(unit, normalized(axis))
-        rows.update(zip(group, zip(raw, unit, angles.tolist(), fits.tolist())))
+        spans = np.array([chart.segment_span(k) for k in segs])
+        t = np.linspace(0.0, 1.0, RING_SAMPLES)
+        raw = rings[key][segs] if rings is not None else fields_mod._boundary_ring(
+            field, key, t, spans)
+        unit = normalized_rows(raw)  # once more, as kink residuals have always read it
+        angles, bound, in_plane = unwrap_rotation_angle(unit, axis)
+        while not bound.all() and t.size < MAX_ROW_SAMPLES:
+            t, bad = np.linspace(0.0, 1.0, 2 * t.size - 1), np.flatnonzero(~bound)
+            fine = normalized_rows(fields_mod._boundary_ring(field, key, t, spans[bad]))
+            angles[bad], bound[bad], in_plane[bad] = unwrap_rotation_angle(fine, axis)
+        rows.update(zip(group, zip(unit[:, 0], unit[:, -1], angles.tolist(), bound, in_plane)))
     details = {}
     for (a, c) in edges:
         axis = phat.face_normal(c)
-        row, samples, xi1, fits = rows[(a, c)]
-        if not fits:
-            path = SphericalPath(samples=row, params=t, refine=fields_mod._curve_tracer(
-                field, ("cleaved", (a, c))))
-            xi1, samples = unwrap_rotation_angle(path, axis), path.samples
-        n0, n1 = samples[0], samples[-1]
+        n0, n1, xi1, bound, in_plane = rows[(a, c)]
+        if not bound:
+            raise MaxRefinement(f"cleaved edge ({a},{c}) breaks the quarter-turn bound "
+                                f"at {MAX_ROW_SAMPLES} samples")
+        if not in_plane:
+            raise NotInPlane(f"field on cleaved edge ({a},{c}) leaves the plane of face {c}")
         sin_eta = float(cross(n0, n1) @ axis)
         cos_eta = float(n0 @ n1)
         if abs(sin_eta) < 1e-9:
@@ -653,7 +661,7 @@ def extract_all(
 
     phat = field.host
     rings = _trimmed_rings(field)
-    eps = _edge_orientations(field, rings)
+    eps = extract_edge_orientations(field, rings)
     s_ref, s_attempts, fans = _settle_s(phat, eps, s, seed)
     details = _kink_details(field, sorted(phat.cleaved_edges), rings)
     kinks = {ac: k for ac, (k, _) in details.items()}

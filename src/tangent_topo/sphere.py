@@ -2,33 +2,28 @@
 
 Signed geodesic triangle areas, an oriented point-in-triangle test, the
 tangent frame of a reference direction, geodesic interpolation,
-continuous unwrapping of rotation angles for paths confined to a great
-circle (one path at a time with adaptive refinement, or a stack of
-paths at once where no step needs it), and the degree of a discretized
-sphere map.  Everything here is a pure function of immutable numpy data
-and is safe to call concurrently.
+continuous unwrapping of the rotation angles of a stack of paths
+confined to a great circle, and the degree of a discretized sphere map.
+Everything here is a pure function of immutable numpy data and is safe
+to call concurrently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import (
     AntipodalEndpoints,
     AntipodalPair,
-    CoarseSampling,
-    MaxRefinement,
     NotClosed,
-    NotInPlane,
     OnBoundary,
     ResolutionTooCoarse,
 )
 
 TOL_ANTIPODAL = 1e-9
 NYQUIST_STEP = 0.5 * np.pi
-MAX_REFINE_ROUNDS = 24
 DEGREE_RESIDUAL_TOL = 0.1
 
 
@@ -251,82 +246,19 @@ def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:
     return normalized_rows(rows) if normalize else rows
 
 
-def _steps(samples: np.ndarray):
-    # Cross products, dots and unsigned angles of consecutive samples of
-    # (..., k, 3) paths.
-    u, v = samples[..., :-1, :], samples[..., 1:, :]
+def unwrap_rotation_angle(rows: np.ndarray, axis: np.ndarray):
+    """Accumulated rotation angles about the unit ``axis`` of the paths of
+    an (n, k, 3) stack of unit vectors, each the sum of its signed step
+    angles, with two masks: the paths whose steps all subtend less than a
+    quarter turn, and the paths that lie in the great circle orthogonal
+    to ``axis``.  Where both hold, the sum is the path's continuous
+    rotation angle, 0 at its start; a path that breaks the bound needs
+    finer samples (see ``invariants._kink_details``)."""
+    u, v = rows[..., :-1, :], rows[..., 1:, :]
     cr, dt = cross(u, v), np.einsum("...ij,...ij->...i", u, v)
-    return cr, dt, np.arctan2(np.linalg.norm(cr, axis=-1), dt)
-
-
-@dataclass
-class SphericalPath:
-    """A sampled curve on the sphere with optional adaptive refinement.
-
-    ``params`` are strictly increasing in [0, 1].  ``refine``, when
-    given, evaluates the underlying curve at new parameter values; it is
-    used to bisect intervals whose samples subtend an angle of pi/2 or
-    more, the step bound required for unambiguous unwrapping.
-    """
-
-    samples: np.ndarray
-    params: np.ndarray
-    refine: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        self.samples = normalized_rows(self.samples)
-        self.params = np.asarray(self.params, dtype=float)
-        if self.samples.shape[0] != self.params.shape[0]:
-            raise ValueError("samples and params length mismatch")
-        if self.samples.shape[0] < 2:
-            raise ValueError("a path needs at least two samples")
-        if np.any(np.diff(self.params) <= 0):
-            raise ValueError("params must be strictly increasing")
-
-    def ensure_step_bound(self) -> None:
-        """Refine until consecutive samples subtend less than a quarter turn."""
-        for _ in range(MAX_REFINE_ROUNDS):
-            bad = _steps(self.samples)[2] >= NYQUIST_STEP
-            if not bad.any():
-                return
-            if self.refine is None:
-                raise CoarseSampling(
-                    "path violates the step bound and has no refinement callback"
-                )
-            mid = 0.5 * (self.params[:-1][bad] + self.params[1:][bad])
-            values = normalized_rows(self.refine(mid))
-            params = np.concatenate([self.params, mid])
-            order = np.argsort(params, kind="stable")
-            self.params = params[order]
-            self.samples = np.concatenate([self.samples, values])[order]
-        raise MaxRefinement("path refinement budget exhausted")
-
-
-def unwrap_rotation_angle(path: SphericalPath, axis) -> float:
-    """Accumulated rotation angle of ``path`` about ``axis``.
-
-    The path must lie in the great circle orthogonal to ``axis``.  The
-    angle is continuous with value 0 at the start; each refined step
-    contributes its signed angle in (-pi/2, pi/2).
-    """
-    axis = normalized(axis)
-    path.ensure_step_bound()
-    angle, fits = _unwrap_rows(path.samples[None], axis)
-    if not fits[0]:
-        raise NotInPlane("path samples are not orthogonal to the axis")
-    return float(angle[0])
-
-
-def _unwrap_rows(rows: np.ndarray, axis: np.ndarray):
-    """The sum of the signed step angles about the unit ``axis`` of each
-    path of an (n, k, 3) stack of unit vectors, and the mask of the paths
-    where that sum is their unwrapped angle: those that keep the
-    quarter-turn bound and lie in the great circle.  The others need a
-    ``SphericalPath`` that bisects its bad steps, or raise."""
-    cr, dt, angles = _steps(rows)
-    fits = ~np.any(angles >= NYQUIST_STEP, axis=-1)
-    fits &= np.max(np.abs(rows @ axis), axis=-1) <= 1e-8
-    return np.arctan2(cr @ axis, dt).sum(axis=-1), fits
+    bound = ~np.any(np.arctan2(np.linalg.norm(cr, axis=-1), dt) >= NYQUIST_STEP, axis=-1)
+    in_plane = np.max(np.abs(rows @ axis), axis=-1) <= 1e-8
+    return np.arctan2(cr @ axis, dt).sum(axis=-1), bound, in_plane
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh, TruncationSpec
 from tangent_topo.fields import (CLEAVED, TRUNCATED, SampledField, face_grid, grid_nodes,
                                  sample_field)
-from tangent_topo.sphere import SphericalPath, cross, geodesic_interpolate, normalized
+from tangent_topo.sphere import cross, geodesic_interpolate, normalized, normalized_rows
 
 
 # --- independent spherical-area oracle ---------------------------------------
@@ -284,6 +284,27 @@ def constant_field(phat, vec) -> AnalyticField:
     return AnalyticField(host=phat, charts=phat.charts, evaluator=evaluator)
 
 
+def jumped_field(field: AnalyticField, a, c, lo=0.3, hi=0.305) -> AnalyticField:
+    """``field`` negated on trimmed face ``c`` over the part (lo, hi) of its
+    cleaved segment ``(a, c)``: two half-turn jumps inside one step of the
+    17-sample seams that ``validate_tangency`` reads, so it still passes,
+    with 129-sample kink row samples between them."""
+    key = (TRUNCATED, c)
+    chart = field.charts[key]
+    phi0, phi1 = chart.segment_span(chart.segment_index("cleaved", (a, c)))
+    inner = field.evaluator
+
+    def evaluator(k, rho, phi):
+        values = inner(k, rho, phi)
+        if k != key:
+            return values
+        inside = (phi > phi0 + lo * (phi1 - phi0)) & (phi < phi0 + hi * (phi1 - phi0))
+        sign = np.where(np.broadcast_to(inside, np.broadcast(rho, phi).shape), -1.0, 1.0)
+        return sign[..., None] * values
+
+    return AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
+
+
 # --- tangency-preserving perturbations ------------------------------------------
 
 def tangent_perturbation(field: AnalyticField, seed: int,
@@ -325,9 +346,11 @@ def tangent_perturbation(field: AnalyticField, seed: int,
 # --- reference kernels ------------------------------------------------------------
 
 def reference_trace(field, curve, side, t):
-    """The field along ``curve`` (see ``boundary_trace``) on the face of
-    side ``side`` at parameters ``t``, through one scattered ``evaluate``
-    call of its own, as C-contiguous rows."""
+    """The field along ``curve`` (a cleaved or truncated edge, as in
+    ``fields._seam_rows``, or ``("boundary", face_key)`` for a whole face
+    boundary in chart order) on the face of side ``side`` at parameters
+    ``t``, through one scattered ``evaluate`` call of its own, as
+    C-contiguous rows."""
     kind, ident = curve
     if kind == "boundary":
         return np.ascontiguousarray(field.evaluate(ident, np.ones_like(t), 2.0 * np.pi * t))
@@ -343,14 +366,33 @@ def reference_trace(field, curve, side, t):
         field.evaluate(key, np.ones_like(t), phi0 + (phi1 - phi0) * local))
 
 
-def reference_unwrap(path, axis) -> float:
-    """``unwrap_rotation_angle`` path by path: the step bound, then the
-    sum of the signed steps of the (k, 3) samples."""
-    axis = normalized(axis)
-    path.ensure_step_bound()
-    assert np.max(np.abs(path.samples @ axis)) <= 1e-8
-    u, v = path.samples[:-1], path.samples[1:]
-    return float(np.sum(np.arctan2(cross(u, v) @ axis, np.einsum("ij,ij->i", u, v))))
+def reference_unwrap(samples, axis, refine=None) -> float:
+    """Rotation angle about ``axis`` of one path, by bisection: the (k, 3)
+    ``samples`` sit at k equal steps of t in [0, 1], and every step of a
+    quarter turn or more is bisected through ``refine``, which evaluates
+    the curve at given t, for up to 24 rounds; then the signed steps are
+    summed.  Raises ValueError for a step it cannot bisect or a sample
+    off the great circle.  ``samples`` and ``axis`` are normalized once."""
+    axis, samples = normalized(axis), normalized_rows(samples)
+    params = np.linspace(0.0, 1.0, len(samples))
+
+    for _ in range(24):
+        u, v = samples[:-1], samples[1:]
+        cr, dt = cross(u, v), np.einsum("ij,ij->i", u, v)
+        bad = np.arctan2(np.linalg.norm(cr, axis=1), dt) >= 0.5 * np.pi
+        if not bad.any():
+            break
+        if refine is None:
+            raise ValueError("a step needs bisection and no refine callback is given")
+        mid = 0.5 * (params[:-1][bad] + params[1:][bad])
+        order = np.argsort(np.concatenate([params, mid]), kind="stable")
+        params = np.concatenate([params, mid])[order]
+        samples = np.concatenate([samples, normalized_rows(refine(mid))])[order]
+    else:
+        raise ValueError("bisection budget exhausted")
+    if np.max(np.abs(samples @ axis)) > 1e-8:
+        raise ValueError("samples leave the great circle")
+    return float(np.sum(np.arctan2(cr @ axis, dt)))
 
 
 def reference_kink_detail(field, a, c):
@@ -358,14 +400,13 @@ def reference_kink_detail(field, a, c):
     own 129-sample trace, unwrapped alone by ``reference_unwrap``, which
     bisects the steps that break the quarter-turn bound."""
     axis = field.host.face_normal(c)
-    t = np.linspace(0.0, 1.0, 129)
 
     def trace(params):
         return reference_trace(field, ("cleaved", (a, c)), 0, params)
 
-    path = SphericalPath(samples=trace(t), params=t, refine=trace)
-    xi1 = reference_unwrap(path, axis)
-    n0, n1 = path.samples[0], path.samples[-1]
+    row = trace(np.linspace(0.0, 1.0, 129))
+    xi1 = reference_unwrap(row, axis, refine=trace)
+    n0, n1 = normalized_rows(row[[0, -1]])
     eta = float(np.arctan2(float(cross(n0, n1) @ axis), float(n0 @ n1)))
     raw = (xi1 - eta) / (2.0 * np.pi)
     return int(round(raw)), abs(raw - round(raw))

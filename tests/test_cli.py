@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 import tangent_topo as tt
+from tangent_topo import errors, fields
 from tangent_topo.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -13,10 +15,10 @@ from tangent_topo.cli import (
     _depth_arg,
     main,
 )
-from tangent_topo.fields import MAX_DEPTH
+from tangent_topo.fields import MAX_DEPTH, TRUNCATED, SampledField, _grid_axes
 from tangent_topo.invariants import invariant_set_to_dict
 
-from helpers import decode_vectors, encode_vectors, reference_field_text
+from helpers import decode_vectors, encode_vectors, jumped_field, reference_field_text
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +280,48 @@ class TestErrorPaths:
         assert err.startswith("tangency validation failed:\n")
         assert json.loads(err.split("\n", 1)[1])["ok"] is False
         assert not mesh.exists()
+
+    def test_kink_row_off_the_face_plane_is_a_validation_error(self, synthesized_field,
+                                                               tmp_path, capsys):
+        # One trimmed face resampled at twice the samples per ring, with
+        # its boundary node at t = 1/32 of a cleaved segment lifted off the
+        # face plane: tangency validation reads every other node of that
+        # ring and passes, and the kink row reads the lifted node.
+        field, _ = tt.load_field(synthesized_field)
+        phat = field.host
+        a, c = sorted(phat.cleaved_edges)[0]
+        key, chart = (TRUNCATED, c), field.charts[(TRUNCATED, c)]
+        R, K = field.values[key].shape[0] - 1, 2 * field.values[key].shape[1]
+        fine = np.ascontiguousarray(field._evaluate_grid(key, *_grid_axes(R, K)))
+        fine[R, chart.segment_index("cleaved", (a, c)) * K // chart.n_segments + 1] += (
+            1e-6 * phat.face_normal(c))
+        tilted = SampledField(host=phat, charts=field.charts,
+                              values={**field.values, key: fine}, source=field.source)
+        with pytest.raises(errors.NotInPlane):
+            tt.extract_kink(tilted, a, c)
+        path = tmp_path / "tilted.json"
+        tt.save_field(tilted, path)
+        assert tt.load_field(path)[1].ok
+        assert main(["invariants", "--field", str(path),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        assert "leaves the plane of face" in capsys.readouterr().err
+
+    def test_kink_row_past_the_cap_is_a_resolution_failure(self, tetra_phat, tmp_path,
+                                                           monkeypatch, capsys):
+        # A field file holds no jump, as its grids keep neighbors within a
+        # quarter turn, so the loader hands over an analytic field with
+        # one on a cleaved row, which passes tangency validation, and the
+        # ``source`` a loaded field carries.
+        inv = tt.random_admissible_invariants(tetra_phat, seed=5, wrap_override=(1, -1, 0, 0))
+        adm = tt.AdmissibleInvariants.from_invariants(inv, tetra_phat)
+        jumped = jumped_field(tt.representative_boundary(adm, tetra_phat),
+                              *sorted(tetra_phat.cleaved_edges)[0])
+        object.__setattr__(jumped, "source", {"builtin": "tetrahedron"})
+        monkeypatch.setattr(fields, "load_field",
+                            lambda path: (jumped, fields.validate_tangency(jumped)))
+        assert main(["invariants", "--field", "jumped.json",
+                     "--out", str(tmp_path / "r.json")]) == EXIT_RESOLUTION
+        assert "quarter-turn bound" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", FIELD_EDITS)
     def test_bad_field_contents_are_validation_errors(self, synthesized_field, tmp_path,

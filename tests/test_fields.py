@@ -19,6 +19,7 @@ from tangent_topo.fields import (
     FaceGrid,
     SampledField,
     _boundary_ring,
+    _curve_key,
     _grid_area_sum,
     _grid_axes,
     _grid_planes,
@@ -27,7 +28,6 @@ from tangent_topo.fields import (
     _neighbor_dots,
     _seam_rows,
     antipodal,
-    boundary_trace,
     face_grid,
     field_from_dict,
     field_to_dict,
@@ -37,7 +37,7 @@ from tangent_topo.fields import (
     validate_tangency,
 )
 from tangent_topo.invariants import s_margin
-from tangent_topo.sphere import normalized_rows, triangle_areas, unwrap_rotation_angle
+from tangent_topo.sphere import normalized, triangle_areas, unwrap_rotation_angle
 
 from helpers import (
     constant_field,
@@ -157,11 +157,20 @@ class TestAntipodal:
         assert np.array_equal(eps_anti, -eps)
 
 
+def _row_angle(row, axis) -> float:
+    # The rotation angle of one in-plane row, unwrapped by the kernel.
+    angle, bound, in_plane = unwrap_rotation_angle(row[None], normalized(axis))
+    assert bound[0] and in_plane[0]
+    return float(angle[0])
+
+
 class TestBoundaryTrace:
     def test_truncated_edge_constant(self, cube_case):
         _, field = cube_case
-        path = boundary_trace(field, ("edge", 0), samples=17)
-        assert np.max(np.linalg.norm(path.samples - path.samples[0], axis=1)) < 1e-12
+        rings = {key: _boundary_ring(field, key, np.linspace(0.0, 1.0, 17))
+                 for key in field.host.face_keys()}
+        for row in _seam_rows(field, rings, ("edge", 0)):
+            assert np.max(np.linalg.norm(row - row[0], axis=1)) < 1e-12
 
     def test_kinked_edge_winds_past_eta(self, cube_phat):
         inv = tt.random_admissible_invariants(cube_phat, seed=9)
@@ -169,33 +178,29 @@ class TestBoundaryTrace:
         adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
         field = tt.representative_boundary(adm, cube_phat)
         a, c = target
-        path = boundary_trace(field, ("cleaved", (a, c)), samples=129)
-        xi = unwrap_rotation_angle(path, cube_phat.face_normal(c))
-        assert abs(xi) > np.pi  # wound beyond the minimal arc
+        key = (TRUNCATED, c)
+        chart = field.charts[key]
+        span = chart.segment_span(chart.segment_index("cleaved", (a, c)))
+        row = _boundary_ring(field, key, np.linspace(0.0, 1.0, 129), [span])[0]
+        assert abs(_row_angle(row, cube_phat.face_normal(c))) > np.pi  # beyond the minimal arc
 
     def test_face_boundary_concatenates_segments(self, cube_case):
         _, field = cube_case
-        c = 0
-        whole = boundary_trace(field, ("boundary", ("truncated", c)), samples=257)
-        axis = field.host.face_normal(c)
-        total = unwrap_rotation_angle(whole, axis)
+        key = (TRUNCATED, 0)
+        axis = field.host.face_normal(0)
+        whole = _boundary_ring(field, key, np.linspace(0.0, 1.0, 257), [(0.0, 2.0 * np.pi)])[0]
+        total = _row_angle(whole, axis)
+        rings = {k: _boundary_ring(field, k, np.linspace(0.0, 1.0, 65))
+                 for k in field.host.face_keys()}
         parts = 0.0
-        for seg in field.charts[("truncated", c)].segments:
+        for seg in field.charts[key].segments:
             curve = ("cleaved", seg.key) if seg.kind == "cleaved" else ("edge", seg.key)
-            path = boundary_trace(field, curve, samples=65)
-            # A segment the chart runs backward is traced in its stored direction.
-            angle = unwrap_rotation_angle(path, axis)
+            side = [_curve_key(field.host, curve, k) for k in (0, 1)].index(key)
+            # A segment the chart runs backward is read in its stored direction.
+            angle = _row_angle(_seam_rows(field, rings, curve)[side], axis)
             parts += angle if seg.forward else -angle
         assert total == pytest.approx(parts, abs=1e-9)
         assert total == pytest.approx(0.0, abs=1e-9)  # winding-free loop
-
-    def test_unknown_curve_kind_and_too_few_samples(self, cube_case):
-        _, field = cube_case
-        with pytest.raises(errors.FieldError, match="unknown curve kind"):
-            boundary_trace(field, ("spiral", (0, 0)))
-        for samples in (1, 0):
-            with pytest.raises(errors.FieldError, match="two samples"):
-                boundary_trace(field, ("edge", 0), samples=samples)
 
 
 class TestSampledFields:
@@ -673,9 +678,9 @@ class TestRowLayout:
     @pytest.mark.parametrize("which", range(6))
     def test_curve_traces(self, solid_fields, which):
         # Seams read from the boundary rings, forward and backward, at 17
-        # samples per segment and at every 8th of 129; boundary_trace of
-        # the same curves and of whole face boundaries, and its refinement
-        # callback at midpoints.
+        # samples per segment and at every 8th of 129; rings read on the
+        # span of one segment or of a whole face boundary, at 17 samples
+        # and at their midpoints, as the refinement of a kink row reads.
         field = solid_fields[which]
         phat = field.host
         t = np.linspace(0.0, 1.0, 17)
@@ -693,9 +698,15 @@ class TestRowLayout:
                                 reference_trace(field, curve, side, t))
         mid = 0.5 * (t[:-1] + t[1:])
         for curve in curves + [("boundary", key) for key in phat.face_keys()[:2]]:
-            path = boundary_trace(field, curve, samples=17)
-            self._check(path.samples, normalized_rows(reference_trace(field, curve, 0, t)))
-            self._check(path.refine(mid), reference_trace(field, curve, 0, mid))
+            key, span, reverse = curve[1], (0.0, 2.0 * np.pi), False
+            if curve[0] != "boundary":
+                key = _curve_key(phat, curve, 0)
+                seg = field.charts[key].segment_index(*curve)
+                span = field.charts[key].segment_span(seg)
+                reverse = not field.charts[key].segments[seg].forward
+            for params in (t, mid):
+                row = _boundary_ring(field, key, 1.0 - params if reverse else params, [span])[0]
+                self._check(row, reference_trace(field, curve, 0, params))
 
 
 class TestSampledGridPath:

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
+from tangent_topo import geometry
 from tangent_topo import invariants as inv_mod
 from tangent_topo.fields import CLEAVED, TRUNCATED, AnalyticField, FaceGrid
 from tangent_topo.invariants import (
@@ -22,12 +23,13 @@ from tangent_topo.invariants import (
     report_to_dict,
     s_margin,
 )
-from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas
+from tangent_topo.sphere import (DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas,
+                                 triangle_sigma)
 
-from helpers import (PINNED_HULLS, constant_field, normal_cone_spec, pentagonal_pyramid,
-                     pinned_hull, reference_choose_reference_s, reference_edge_orientations,
-                     reference_grid_count, reference_kink_detail, reference_near_cells,
-                     reference_tangency, tangent_perturbation)
+from helpers import (PINNED_HULLS, constant_field, jumped_field, normal_cone_spec,
+                     pentagonal_pyramid, pinned_hull, reference_choose_reference_s,
+                     reference_edge_orientations, reference_grid_count, reference_kink_detail,
+                     reference_near_cells, reference_tangency, tangent_perturbation)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -234,8 +236,7 @@ class TestKinks:
         # of the seed-9 cube refines.
         inv, field = make_representative(cube_phat, seed=9)
         (a, c), k = max(inv.kink_numbers.items(), key=lambda item: abs(item[1]))
-        checks = spy_on(monkeypatch, inv_mod, "_unwrap_rows")
-        refined = spy_on(monkeypatch, tt.SphericalPath, "ensure_step_bound")
+        checks = spy_on(monkeypatch, inv_mod, "unwrap_rotation_angle")
         rows = {c: sum(seg[0] == "cleaved" for seg in tf.segments)
                 for c, tf in enumerate(cube_phat.trunc_faces)}
         assert tt.extract_kink(field, a, c) == k
@@ -244,18 +245,19 @@ class TestKinks:
         report = tt.extract_all(field, with_preimage=False)
         assert report.invariants.kink_numbers == inv.kink_numbers
         assert [x.shape for x, _ in checks] == [(n, 129, 3) for n in rows.values()]
-        assert refined == []
 
     def test_refined_row_keeps_the_curve_by_curve_residual(self, cube_phat, monkeypatch):
         # A 40-turn kink steps about 1.96 rad between the 129 samples of
         # its row, past the quarter-turn bound: that row, and the row
-        # that takes up the face's requirement, are bisected as before.
+        # that takes up the face's requirement, are evaluated again at
+        # 257 samples, one stack of the failing rows, and keep the
+        # residuals of a bisection curve by curve.
         s = tt.choose_reference_s(cube_phat, seed=0)
         inv, (a, c) = wound_invariants(cube_phat, s, 40)
         field = representative(inv, cube_phat)
-        refined = spy_on(monkeypatch, tt.SphericalPath, "ensure_step_bound")
+        checks = spy_on(monkeypatch, inv_mod, "unwrap_rotation_angle")
         assert tt.extract_kink(field, a, c) == 40
-        assert [path.samples.shape[0] for path, in refined] == [257]
+        assert [x.shape for x, _ in checks] == [(1, 129, 3), (1, 257, 3)]
         # Its corner faces do not resolve by MAX_DEPTH; extract_all reads
         # kinks from the trimmed faces only, so it takes the corner faces
         # of the unwound set.
@@ -264,10 +266,10 @@ class TestKinks:
             host=field.host, charts=field.charts,
             evaluator=lambda key, rho, phi: (
                 field if key[0] == TRUNCATED else plain).evaluator(key, rho, phi))
-        refined.clear()
+        checks.clear()
         report = tt.extract_all(hybrid, s=s, with_preimage=False)
         assert report.invariants.kink_numbers == inv.kink_numbers
-        assert len(refined) == 2
+        assert [x.shape for x, _ in checks if x.shape[1] != 129] == [(2, 257, 3)]
         for ac in inv.kink_numbers:
             kink, residual = reference_kink_detail(hybrid, *ac)
             assert report.invariants.kink_numbers[ac] == kink
@@ -283,6 +285,28 @@ class TestKinks:
             calls.clear()
             tt.extract_kink(field, a, c)
             assert [(key, phi.shape) for _, key, _, phi in calls] == [((TRUNCATED, c), (129,))]
+
+    def test_row_past_the_cap_refused(self, cube_phat, monkeypatch):
+        # A jump never comes within the quarter-turn bound: the row doubles
+        # its samples from 129 up to MAX_ROW_SAMPLES, then is refused.
+        _, field = make_representative(cube_phat, seed=9)
+        a, c = sorted(cube_phat.cleaved_edges)[0]
+        jumped = jumped_field(field, a, c)
+        assert tt.validate_tangency(jumped).ok
+        checks = spy_on(monkeypatch, inv_mod, "unwrap_rotation_angle")
+        with pytest.raises(errors.MaxRefinement):
+            tt.extract_kink(jumped, a, c)
+        assert inv_mod.MAX_ROW_SAMPLES == 2 ** 16 + 1
+        assert [x.shape for x, _ in checks] == [(1, 2 ** n + 1, 3) for n in range(7, 17)]
+
+    def test_row_off_the_great_circle_refused(self, cube_phat):
+        _, field = make_representative(cube_phat, seed=9)
+        a, c = sorted(cube_phat.cleaved_edges)[0]
+        lift = 1e-6 * cube_phat.face_normal(c)
+        tilted = AnalyticField(host=field.host, charts=field.charts,
+                               evaluator=lambda *args: field.evaluator(*args) + lift)
+        with pytest.raises(errors.NotInPlane):
+            tt.extract_kink(tilted, a, c)
 
     def test_unknown_edge_rejected(self, cube_phat):
         _, field = make_representative(cube_phat, seed=9)
@@ -365,15 +389,15 @@ class TestWrapping:
         field = constant_field(cube_phat, [0.0, 0.0, 1.0])
         s = tt.choose_reference_s(cube_phat, seed=0)
         assert tt.extract_wrapping_integral(field, 0, s, depth=4) == 0
-        assert tt.extract_wrapping_preimage(field, 0, s, grid_depth=4) == 0
+        assert inv_mod.extract_wrapping_preimage(field, 0, s, grid_depth=4) == 0
 
     def test_patch_preimage_is_single_positive(self, cube_phat):
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(1, -1, 0, 0, 0, 0, 0, 0))
-        assert tt.extract_wrapping_preimage(field, 0, turned(inv.s, 1)) == 1
+        assert inv_mod.extract_wrapping_preimage(field, 0, turned(inv.s, 1)) == 1
         # The base ring of the covering patch maps onto s itself.
         with pytest.raises(errors.NotRegularValue):
-            tt.extract_wrapping_preimage(field, 0, inv.s)
+            inv_mod.extract_wrapping_preimage(field, 0, inv.s)
 
     def test_retry_compares_routes_at_the_rotated_direction(self, cube_phat,
                                                             monkeypatch):
@@ -381,10 +405,10 @@ class TestWrapping:
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
         with pytest.raises(errors.NotRegularValue):
-            tt.extract_wrapping_preimage(field, 0, inv.s)
+            inv_mod.extract_wrapping_preimage(field, 0, inv.s)
         s_1 = turned(inv.s, 1)
         assert not np.allclose(s_1, inv.s, atol=1e-6)
-        assert tt.extract_wrapping_preimage(field, 0, s_1) == 2
+        assert inv_mod.extract_wrapping_preimage(field, 0, s_1) == 2
         assert inv_mod._wrapping_integral_detail(field, 0, s_1)[0] == 2
         assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
 
@@ -415,7 +439,7 @@ class TestWrapping:
         for a in (0, 2):
             calls.clear()
             with pytest.raises(errors.NotRegularValue):
-                tt.extract_wrapping_preimage(counted, a, inv.s)
+                inv_mod.extract_wrapping_preimage(counted, a, inv.s)
             assert calls == [(CLEAVED, a)]  # the depth-6 grid, in one call
 
     def test_preimage_check_makes_no_evaluate_call(self, cube_phat):
@@ -528,7 +552,7 @@ class TestWrapping:
         base2 = 0.6 * chart.base + 0.4 * chart.point(
             np.array([rng.uniform(0.2, 0.5)]), np.array([rng.uniform(0, 2 * np.pi)])
         )[0]
-        chart2 = tt.polar_chart(cube_phat, key, base_point=base2)
+        chart2 = geometry.polar_chart(cube_phat, key, base_point=base2)
         charts2 = dict(field.charts)
         charts2[key] = chart2
 
@@ -737,7 +761,7 @@ class TestCandidateCells:
 class TestTrappedAreas:
     def test_octant_corner(self, cube_phat):
         s = tt.choose_reference_s(cube_phat, seed=3)
-        assert tt.triangle_sigma([1, 0, 0], [0, 1, 0], [0, 0, 1], s) == 0
+        assert triangle_sigma([1, 0, 0], [0, 1, 0], [0, 0, 1], s) == 0
         inv = crafted_invariants(cube_phat, s)
         adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
         field = tt.representative_boundary(adm, cube_phat)
@@ -948,7 +972,7 @@ class TestSumRules:
 class TestDirectorClass:
     def test_kinks_shared_by_pair(self, cube_phat):
         inv, _ = make_representative(cube_phat, seed=2)
-        assert tt.antipodal_invariants(inv).kink_numbers == inv.kink_numbers
+        assert inv_mod.antipodal_invariants(inv).kink_numbers == inv.kink_numbers
 
 
 class TestAntipodalIdentities:

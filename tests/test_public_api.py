@@ -8,17 +8,14 @@ import tangent_topo as tt
 PUBLIC = {
     "AdmissibleInvariants", "AnalyticField", "BUILTIN_NAMES", "ConvexPolyhedron",
     "ImageMesh", "InvariantReport", "InvariantSet", "PolarChart", "SampledField",
-    "SphericalPath", "TruncatedPolyhedron", "TruncationSpec", "antipodal",
-    "antipodal_invariants", "boundary_trace", "builtin_polyhedron",
-    "check_sum_rules", "choose_reference_s", "covering_patch", "errors",
-    "extract_all", "extract_edge_orientations", "extract_kink",
-    "extract_wrapping_integral", "extract_wrapping_preimage", "field_from_dict",
-    "field_to_dict", "invariants_equal", "load_field", "load_polyhedron",
-    "mesh_degree", "polar_chart",
-    "random_admissible_invariants", "reference_frame", "representative_boundary",
-    "sample_field", "save_field", "save_mesh_obj",
-    "spherical_triangle_area", "trapped_area_direct", "trapped_area_from_invariants",
-    "triangle_sigma", "truncate", "unwrap_rotation_angle", "validate_tangency",
+    "TruncatedPolyhedron", "TruncationSpec", "antipodal", "builtin_polyhedron",
+    "check_sum_rules", "choose_reference_s", "errors", "extract_all",
+    "extract_edge_orientations", "extract_kink", "extract_wrapping_integral",
+    "field_from_dict", "field_to_dict", "invariants_equal", "load_field",
+    "load_polyhedron", "mesh_degree", "random_admissible_invariants",
+    "representative_boundary", "sample_field", "save_field", "save_mesh_obj",
+    "trapped_area_direct", "trapped_area_from_invariants", "truncate",
+    "validate_tangency",
 }
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"

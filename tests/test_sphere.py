@@ -11,8 +11,6 @@ from tangent_topo.sphere import (
     ImageMesh,
     _check_closed_oriented,
     _signed_areas,
-    _unwrap_rows,
-    SphericalPath,
     cross,
     geodesic_interpolate,
     mesh_degree,
@@ -355,88 +353,81 @@ class TestLayoutIndependence:
             assert normalized_rows(view).tobytes() == want
 
 
-def _circle_path(axis, total, start, n):
+def _circle(axis, total, start):
+    # The great-circle path turning ``start`` by ``total`` about ``axis``
+    # as t runs over [0, 1], evaluated at an array of t.
     axis = axis / np.linalg.norm(axis)
-    t = np.linspace(0.0, 1.0, n)
 
     def at(tk):
-        ang = total * np.asarray(tk, dtype=float)
-        ang = np.atleast_1d(ang)
-        return (
-            np.cos(ang)[:, None] * start
-            + np.sin(ang)[:, None] * np.cross(axis, start)
-        )
+        ang = total * np.atleast_1d(np.asarray(tk, dtype=float))
+        return np.cos(ang)[:, None] * start + np.sin(ang)[:, None] * np.cross(axis, start)
 
-    return SphericalPath(samples=at(t), params=t, refine=at), at
+    return at
+
+
+def _unwrap_one(row, axis=EZ):
+    angle, bound, in_plane = unwrap_rotation_angle(np.asarray(row)[None], axis)
+    return float(angle[0]), bool(bound[0]), bool(in_plane[0])
 
 
 class TestUnwrap:
     def test_constant_path(self):
-        pts = np.tile(EX, (8, 1))
-        path = SphericalPath(samples=pts, params=np.linspace(0, 1, 8))
-        assert unwrap_rotation_angle(path, EZ) == 0.0
+        assert _unwrap_one(np.tile(EX, (8, 1))) == (0.0, True, True)
 
     def test_full_positive_turn(self):
-        path, _ = _circle_path(EZ, 2.0 * np.pi, EX, 16)
-        assert unwrap_rotation_angle(path, EZ) == pytest.approx(2.0 * np.pi, abs=1e-12)
+        angle, bound, in_plane = _unwrap_one(_circle(EZ, 2.0 * np.pi, EX)(np.linspace(0, 1, 16)))
+        assert bound and in_plane
+        assert angle == pytest.approx(2.0 * np.pi, abs=1e-12)
 
     def test_many_turns_vs_brute_force(self):
-        eta = 1.1
-        total = eta + 4.0 * np.pi
-        path, at = _circle_path(EZ, total, EX, 16)
-        assert unwrap_rotation_angle(path, EZ) == pytest.approx(total, abs=1e-10)
-        oracle = brute_force_rotation_angle(lambda t: at(t)[0], EZ)
-        assert unwrap_rotation_angle(path, EZ) == pytest.approx(oracle, abs=1e-8)
+        total = 1.1 + 4.0 * np.pi
+        at = _circle(EZ, total, EX)
+        angle, bound, in_plane = _unwrap_one(at(np.linspace(0.0, 1.0, 16)))
+        assert bound and in_plane
+        assert angle == pytest.approx(total, abs=1e-10)
+        assert angle == pytest.approx(brute_force_rotation_angle(lambda t: at(t)[0], EZ),
+                                      abs=1e-8)
 
     def test_concatenation_additivity(self):
-        path, at = _circle_path(EZ, 3.0, EX, 33)
-        t_first = np.linspace(0.0, 0.5, 17)
-        t_second = np.linspace(0.5, 1.0, 17)
-        first = SphericalPath(at(t_first), t_first, refine=at)
-        second = SphericalPath(at(t_second), t_second, refine=at)
-        total = unwrap_rotation_angle(path, EZ)
-        assert unwrap_rotation_angle(first, EZ) + unwrap_rotation_angle(
-            second, EZ
-        ) == pytest.approx(total, abs=1e-12)
+        at = _circle(EZ, 3.0, EX)
+        halves = np.stack([at(np.linspace(0.0, 0.5, 17)), at(np.linspace(0.5, 1.0, 17))])
+        parts, bound, in_plane = unwrap_rotation_angle(halves, EZ)
+        assert bound.all() and in_plane.all()
+        total = _unwrap_one(at(np.linspace(0.0, 1.0, 33)))[0]
+        assert parts.sum() == pytest.approx(total, abs=1e-12)
 
     def test_not_in_plane(self):
-        pts = np.tile(DIAG, (4, 1))
-        path = SphericalPath(samples=pts, params=np.linspace(0, 1, 4))
-        with pytest.raises(errors.NotInPlane):
-            unwrap_rotation_angle(path, EZ)
+        # In the bound, off the great circle: the masks tell the two apart.
+        assert _unwrap_one(np.tile(DIAG, (4, 1)))[1:] == (True, False)
 
     def test_coarse_without_refinement(self):
-        _, at = _circle_path(EZ, 4.0 * np.pi, EX, 5)
-        t = np.linspace(0.0, 1.0, 5)
-        path = SphericalPath(samples=at(t), params=t, refine=None)
-        with pytest.raises(errors.CoarseSampling):
-            unwrap_rotation_angle(path, EZ)
+        # Two turns in four steps of half a turn: the kernel flags the row
+        # and leaves its refinement to the caller.
+        angle, bound, in_plane = _unwrap_one(_circle(EZ, 4.0 * np.pi, EX)(np.linspace(0, 1, 5)))
+        assert (bound, in_plane) == (False, True)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), k=st.integers(2, 40),
            turn=st.floats(0.0, 2.0))
     def test_stack_equals_path_by_path(self, seed, n, k, turn):
         # Rows with steps up to 2 rad around a random axis, one of them
-        # lifted off the great circle: every row in the mask unwraps to
-        # the bits of its own path, unwrapped by the path-by-path formula
-        # as well, and the mask is the rows that neither refine nor raise.
+        # lifted off the great circle: every row in both masks unwraps to
+        # the bits of the path-by-path reference, and the masks are the
+        # rows that the reference, with nothing to bisect with, refuses.
         rng = np.random.default_rng(seed)
         axis = random_rotation(rng) @ EZ
         start = normalized_rows(cross(axis, rng.normal(size=3)))
         angles = np.cumsum(rng.uniform(-turn, turn, (n, k)), axis=1)
         raw = np.cos(angles)[..., None] * start + np.sin(angles)[..., None] * cross(axis, start)
         raw[0, k // 2] += 1e-6 * axis
-        # A SphericalPath holds its samples normalized once more, and
-        # unwrap_rotation_angle normalizes the axis.
-        xi, ok = _unwrap_rows(normalized_rows(raw), normalized(axis))
-        for row, angle, fits in zip(raw, xi, ok):
-            path = SphericalPath(samples=row, params=np.linspace(0.0, 1.0, k))
-            if fits:
-                assert unwrap_rotation_angle(path, axis) == angle
-                assert reference_unwrap(path, axis) == angle
+        xi, bound, in_plane = unwrap_rotation_angle(normalized_rows(raw), normalized(axis))
+        for row, angle, fits, flat in zip(raw, xi, bound, in_plane):
+            if fits and flat:
+                assert reference_unwrap(row, axis) == angle
             else:
-                with pytest.raises((errors.CoarseSampling, errors.NotInPlane)):
-                    unwrap_rotation_angle(path, axis)
+                match = "great circle" if fits else "bisection"
+                with pytest.raises(ValueError, match=match):
+                    reference_unwrap(row, axis)
 
 
 def _loop_refuses(triangles) -> bool:

@@ -6,9 +6,10 @@ import pytest
 
 import tangent_topo as tt
 from tangent_topo import errors
-from tangent_topo.fields import CLEAVED
-from tangent_topo.invariants import s_margin
-from tangent_topo.sphere import mesh_degree, normalized, reference_frame
+from tangent_topo.fields import CLEAVED, _boundary_ring
+from tangent_topo.geometry import polar_chart
+from tangent_topo.invariants import antipodal_invariants, s_margin
+from tangent_topo.sphere import mesh_degree, normalized, reference_frame, unwrap_rotation_angle
 from tangent_topo.synthesis import (
     AdmissibleInvariants,
     covering_patch,
@@ -96,9 +97,11 @@ class TestTrimmedFaceContraction:
                 phi = np.linspace(*chart.segment_span(k), 5)
                 rim = field.evaluate(key, np.ones_like(phi), phi)
                 assert np.allclose(rim, inv.edge_orientations[seg.key], atol=1e-12)
-            loop = tt.boundary_trace(field, ("boundary", key), samples=257)
-            assert tt.unwrap_rotation_angle(loop, cube_phat.face_normal(c)) == (
-                pytest.approx(0.0, abs=1e-9))
+            loop = _boundary_ring(field, key, np.linspace(0.0, 1.0, 257), [(0.0, 2.0 * np.pi)])
+            axis = normalized(cube_phat.face_normal(c))
+            angle, bound, in_plane = unwrap_rotation_angle(loop, axis)
+            assert bound[0] and in_plane[0]
+            assert angle[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_values_stay_in_the_face_plane(self, cube_phat, case):
         _, field = case
@@ -219,7 +222,7 @@ class TestRepresentative:
 
     def test_antipodal_image_of_invariants(self, tetra_phat):
         inv = random_admissible_invariants(tetra_phat, seed=4)
-        anti_inv = tt.antipodal_invariants(inv)
+        anti_inv = antipodal_invariants(inv)
         adm = AdmissibleInvariants.from_invariants(anti_inv, tetra_phat)
         field = tt.representative_boundary(adm, tetra_phat)
         report = tt.extract_all(field, s=anti_inv.s, depth=5)
@@ -267,7 +270,7 @@ class TestRepresentative:
             for seed in (1, 2)]
         assert fields[0].charts is fields[1].charts is cube_phat.charts
         key = (CLEAVED, 0)
-        fresh = tt.polar_chart(cube_phat, key)
+        fresh = polar_chart(cube_phat, key)
         assert np.array_equal(fields[0].charts[key].base, fresh.base)
         assert np.array_equal(fields[0].charts[key].corners, fresh.corners)
         with pytest.raises(TypeError):
