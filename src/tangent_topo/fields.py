@@ -122,6 +122,14 @@ def _neighbor_dots(planes: np.ndarray):
     return planes, radial, around
 
 
+def _least_neighbor_dots(radial: np.ndarray, around: np.ndarray) -> np.ndarray:
+    """The least of the two radial and two around neighbor dots of each
+    grid cell, shape (R, K), from a ``_neighbor_dots`` triple."""
+    # Minima are exact: taken pairwise, they are the same.
+    least = np.minimum(radial[:, :-1], radial[:, 1:])
+    return np.minimum(least, np.minimum(around[1:], around[:-1]), out=least)
+
+
 def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
     # Neighboring samples within a quarter turn; geodesic interpolation
     # is then unambiguous.
@@ -333,13 +341,19 @@ class TangencyReport:
 
 def validate_tangency(field: TangentField) -> TangencyReport:
     """Diagnostic scan of the tangency and continuity invariants, on the
-    depth-``TANGENCY_DEPTH`` face grids and edge samples.
+    depth-``TANGENCY_DEPTH`` edge samples and face grids; a SampledField's
+    face-normal dots are read at every node it stores, whose geodesic
+    interpolation keeps in-plane values in their plane.
 
     Never raises on a violation; callers inspect the report and decide.
     """
     phat = field.host
-    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), TANGENCY_DEPTH)
-                                        @ phat.face_normal(c))))
+
+    def nodes(key: FaceKey) -> np.ndarray:
+        return (field.values[key] if isinstance(field, SampledField)
+                else face_grid(field, key, TANGENCY_DEPTH))
+
+    face_dots = {c: float(np.max(np.abs(nodes((TRUNCATED, c)) @ phat.face_normal(c))))
                  for c in range(len(phat.trunc_faces))}
 
     t = np.linspace(0.0, 1.0, 2 ** TANGENCY_DEPTH + 1)
@@ -432,53 +446,79 @@ def _grid_area_sum(dots) -> Optional[float]:
 
 
 class FaceGrid:
-    """One chain of refinement levels of a face grid, each built once as
-    x, y, z planes (see ``_grid_planes``) with its ``_neighbor_dots``
-    triple, which the quarter-turn check, the area sum and the count read.
+    """One chain of refinement levels of a face grid, each a tensor grid
+    of ring radii and angles built once as x, y, z planes (see
+    ``_grid_planes``) with its ``_neighbor_dots`` triple, which the
+    quarter-turn check, the area sum and the count read.
 
-    The first depth asked for is ``face_grid(field, key, depth)``.  Each
-    level above doubles K, the samples per ring, and R, the rings, only
-    where the level below has a radial dot <= 0 or keeps the quarter-turn
-    bound with an invalid area sum.  It takes the planes below at its even
-    nodes and evaluates the nodes it adds, the odd rings whole (if R
-    doubles), then the held rings at odd samples: bit for bit the whole
-    grid of its (R, K), as 2 pi / 2K is exactly (2 pi / K) / 2 and fields
-    work point by point.  ``values`` and ``boundary`` are C-contiguous
-    row copies, for einsum and matmul.
+    The first depth asked for is ``face_grid(field, key, depth)``.  Level
+    d keeps the integer positions j of its columns at resolution
+    M = m 2**d on a face of m sides, its angles at 2 pi j / M.  The round
+    to level d + 1 doubles the positions and splits intervals between
+    neighboring columns (the last one wraps around) at their midpoints.
+    Where level d has a radial dot <= 0, or keeps the quarter-turn bound
+    with an invalid area sum, it doubles R, the rings, and splits every
+    interval.  Otherwise it splits the intervals in which some ring has an
+    around dot <= 0, or every interval when none has, as a resolved level
+    whose residual or cap fails needs.  It takes the planes below at their
+    columns and evaluates the nodes it adds, the odd rings whole (if R
+    doubles), then the held rings at the new columns: bit for bit the
+    nodes of the whole grid on its radii and angles, as 2 pi (2 j) / 2M is
+    exactly 2 pi j / M and fields work point by point.  ``values`` and
+    ``boundary`` are C-contiguous row copies, for einsum and matmul.
     """
+
+    _local = True  # split only the intervals that break the bound
 
     def __init__(self, field: TangentField, key: FaceKey):
         self.field, self.key = field, key
+        self._sides = field.charts[key].n_segments
         self._planes: Dict[int, np.ndarray] = {}
+        self._cols: Dict[int, np.ndarray] = {}  # column positions j of each level
         self._dots: Dict[int, tuple] = {}
+        self._least: Dict[int, np.ndarray] = {}
         self._sums: Dict[int, Optional[float]] = {}
+
+    def _phi(self, depth: int) -> np.ndarray:
+        # The angles 2 pi j / M of the columns of level ``depth``.
+        return self._cols[depth] * (2.0 * np.pi / (self._sides * 2 ** depth))
 
     def planes(self, depth: int) -> np.ndarray:
         block = partial(self.field._evaluate_grid, self.key)
         if not self._planes:
             R = 2 ** depth
-            rho, phi = _grid_axes(R, self.field.charts[self.key].n_segments * R)
-            self._planes[depth] = _grid_planes(block(rho, phi))
+            self._cols[depth] = np.arange(self._sides * R)
+            self._planes[depth] = _grid_planes(block(np.linspace(0.0, 1.0, R + 1),
+                                                     self._phi(depth)))
         if depth < min(self._planes):
             raise ValueError(f"depth {depth} is below the first level {min(self._planes)}")
         for d in range(max(self._planes), depth):
-            coarse = self._planes[d]
-            step = 2 if self._doubles_rings(d) else 1
-            rho, phi = _grid_axes(step * (coarse.shape[1] - 1), 2 * coarse.shape[2] - 2)
+            coarse, cols = self._planes[d], self._cols[d]
+            doubles, split = self._round(d)
+            step = 2 if doubles else 1
+            # A split interval's midpoint is the sum of its ends at the
+            # doubled resolution; the last interval ends at M.
+            mids = (cols + np.append(cols[1:], self._sides * 2 ** d))[split]
+            self._cols[d + 1] = np.sort(np.concatenate([2 * cols, mids]))
+            held, added = (np.searchsorted(self._cols[d + 1], j) for j in (2 * cols, mids))
+            rho, phi = np.linspace(0.0, 1.0, step * (coarse.shape[1] - 1) + 1), self._phi(d + 1)
             fine = np.empty((3, rho.size, phi.size + 1))
-            fine[:, ::step, ::2] = coarse
+            fine[:, ::step, held] = coarse[:, :, :-1]
             if step == 2:
                 fine[:, 1::2, :-1] = np.moveaxis(block(rho[1::2], phi), -1, 0)
-                fine[:, 1::2, -1] = fine[:, 1::2, 0]
-            fine[:, ::step, 1:-1:2] = np.moveaxis(block(rho[::step], phi[1::2]), -1, 0)
+            fine[:, ::step, added] = np.moveaxis(block(rho[::step], phi[added]), -1, 0)
+            fine[:, :, -1] = fine[:, :, 0]
             self._planes[d + 1] = fine
         return self._planes[depth]
 
-    def _doubles_rings(self, depth: int) -> bool:
-        # The level above ``depth`` doubles R too: a radial step fails, or
-        # the quarter-turn bound holds and a triangle is invalid.
-        return not self.neighbor_dots(depth)[1].min() > 0.0 or (
-            self.resolved(depth) and self.area_sum(depth) is None)
+    def _round(self, depth: int):
+        # The round from level ``depth``: whether it doubles the rings, and
+        # the intervals it splits.
+        _, radial, around = self.neighbor_dots(depth)
+        doubles = not radial.min() > 0.0 or (self.resolved(depth) and self.area_sum(depth) is None)
+        split = ~(around.min(axis=0) > 0.0)
+        local = self._local and not doubles and split.any()
+        return doubles, split if local else np.ones_like(split)
 
     def values(self, depth: int) -> np.ndarray:
         return np.ascontiguousarray(np.moveaxis(self.planes(depth)[:, :, :-1], 0, -1))
@@ -491,6 +531,12 @@ class FaceGrid:
             self._dots[depth] = _neighbor_dots(self.planes(depth))
         return self._dots[depth]
 
+    def least_dots(self, depth: int) -> np.ndarray:
+        # Read by the count's proximity filter at every direction it tries.
+        if depth not in self._least:
+            self._least[depth] = _least_neighbor_dots(*self.neighbor_dots(depth)[1:])
+        return self._least[depth]
+
     def resolved(self, depth: int) -> bool:
         return _within_quarter_turn(*self.neighbor_dots(depth)[1:])
 
@@ -500,10 +546,17 @@ class FaceGrid:
         return self._sums[depth]
 
 
+class _UniformGrid(FaceGrid):
+    # Every round splits every interval: field files and SampledField
+    # store rings of evenly spaced samples.
+    _local = False
+
+
 def sample_field(field: TangentField, depth: int) -> SampledField:
     """Freeze a field onto per-face grids, from the whole depth-``depth``
-    grid of each face up its ``FaceGrid`` levels to the first that keeps
-    the quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
+    grid of each face up the levels of its uniform ``FaceGrid``, whose
+    every round splits every interval, to the first that keeps the
+    quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
     extraction routes, so a field they resolve is never refused here;
     beyond that CoarseSampling is raised.  No grid is checked twice.
     Depth 0 starts at depth 1: one sample per side can keep the bound
@@ -512,7 +565,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     deepest = max(depth, MAX_DEPTH)
     values = {}
     for key in field.host.face_keys():
-        grid = FaceGrid(field, key)
+        grid = _UniformGrid(field, key)
         found = next((d for d in range(max(depth, 1), deepest + 1) if grid.resolved(d)), None)
         if found is None:
             raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")

@@ -430,11 +430,15 @@ def reference_edge_orientations(field) -> np.ndarray:
 
 def reference_tangency(field) -> dict:
     """``validate_tangency(field).to_dict()`` from 17-sample traces of
-    every edge and seam, curve by curve."""
+    every edge and seam, curve by curve, and face-normal dots at the
+    depth-4 grid nodes, or at every stored node of a SampledField."""
     phat = field.host
-    face_dots = {c: float(np.max(np.abs(face_grid(field, (TRUNCATED, c), 4)
-                                        @ phat.face_normal(c))))
-                 for c in range(len(phat.trunc_faces))}
+    face_dots = {}
+    for c in range(len(phat.trunc_faces)):
+        key = (TRUNCATED, c)
+        nodes = (field.values[key] if isinstance(field, SampledField)
+                 else face_grid(field, key, 4))
+        face_dots[c] = float(np.max(np.abs(nodes @ phat.face_normal(c))))
     t = np.linspace(0.0, 1.0, 17)
     edge_mis = {}
     for b in range(phat.parent.n_edges):
@@ -488,6 +492,47 @@ def reference_grid_count(grid: np.ndarray, s: np.ndarray):
             return None
         count += int(orient[side > 0.0].sum())
     return -count
+
+
+def uniform_chain_wrapping(field, a, s, depth=6):
+    """Corner face ``a`` on the uniform chain of whole grids, which
+    ``FaceGrid``'s local refinement replaces: ``(w, level, direct area,
+    preimage count)``.
+
+    From the depth-``depth`` grid on, each level is evaluated whole at
+    K = m 2**level samples per ring; R doubles over a level with a radial
+    dot <= 0, or one that keeps the quarter-turn bound with an invalid
+    area sum.  The first level whose area and cap sums give an integer
+    within DEGREE_RESIDUAL_TOL resolves; the preimage count is
+    ``reference_grid_count`` there at the first turned direction of
+    ``extract_all`` that is a regular value.
+    """
+    from tangent_topo import invariants as inv_mod
+    from tangent_topo.fields import MAX_DEPTH, _grid_area_sum, _grid_planes, _neighbor_dots
+    from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, triangle_areas
+
+    key = (CLEAVED, a)
+    s = normalized(s)
+    R = 2 ** depth
+    for level in range(depth, MAX_DEPTH + 1):
+        K = field.charts[key].n_segments * 2 ** level
+        grid = np.ascontiguousarray(field._evaluate_grid(
+            key, np.linspace(0.0, 1.0, R + 1), np.arange(K) * (2.0 * np.pi / K)))
+        _, radial, around = dots = _neighbor_dots(_grid_planes(grid))
+        area = _grid_area_sum(dots)
+        if area is not None:
+            boundary = grid[-1]
+            gamma, valid = triangle_areas(boundary, np.roll(boundary, -1, axis=0),
+                                          np.broadcast_to(-s, boundary.shape))
+            raw = (float(np.sum(gamma)) - area) / (4.0 * np.pi)
+            if valid.all() and abs(raw - round(raw)) < DEGREE_RESIDUAL_TOL:
+                turned = (inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
+                          for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1))
+                counts = (reference_grid_count(grid, s_k) for s_k in turned)
+                return round(raw), level, -area, next((c for c in counts if c is not None), None)
+        if radial.min() <= 0.0 or (around.min() > 0.0 and area is None):
+            R *= 2
+    raise AssertionError(f"face {a} unresolved on the uniform chain")
 
 
 def reference_near_cells(node_dots, radial, around):

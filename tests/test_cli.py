@@ -281,30 +281,59 @@ class TestErrorPaths:
         assert json.loads(err.split("\n", 1)[1])["ok"] is False
         assert not mesh.exists()
 
-    def test_kink_row_off_the_face_plane_is_a_validation_error(self, synthesized_field,
-                                                               tmp_path, capsys):
-        # One trimmed face resampled at twice the samples per ring, with
-        # its boundary node at t = 1/32 of a cleaved segment lifted off the
-        # face plane: tangency validation reads every other node of that
-        # ring and passes, and the kink row reads the lifted node.
+    @staticmethod
+    def _lifted_copy(synthesized_field, tmp_path, node):
+        # One trimmed face resampled at twice the samples per ring, its node
+        # (ring, column) ``node`` of a cleaved segment (ring R on the
+        # boundary, column 1 at t = 1/32) lifted 1e-6 off the face plane,
+        # written as a field file; the field, its face and the file.
         field, _ = tt.load_field(synthesized_field)
         phat = field.host
         a, c = sorted(phat.cleaved_edges)[0]
         key, chart = (TRUNCATED, c), field.charts[(TRUNCATED, c)]
         R, K = field.values[key].shape[0] - 1, 2 * field.values[key].shape[1]
         fine = np.ascontiguousarray(field._evaluate_grid(key, *_grid_axes(R, K)))
-        fine[R, chart.segment_index("cleaved", (a, c)) * K // chart.n_segments + 1] += (
+        ring, column = node(R)
+        fine[ring, chart.segment_index("cleaved", (a, c)) * K // chart.n_segments + column] += (
             1e-6 * phat.face_normal(c))
         tilted = SampledField(host=phat, charts=field.charts,
                               values={**field.values, key: fine}, source=field.source)
-        with pytest.raises(errors.NotInPlane):
-            tt.extract_kink(tilted, a, c)
         path = tmp_path / "tilted.json"
         tt.save_field(tilted, path)
-        assert tt.load_field(path)[1].ok
+        return tilted, (a, c), path
+
+    def test_kink_row_off_the_face_plane_is_a_validation_error(self, synthesized_field,
+                                                               tmp_path, capsys):
+        # The lifted boundary node lies on a kink row, which refuses it,
+        # and tangency validation reads it at load, as every stored node.
+        tilted, (a, c), path = self._lifted_copy(synthesized_field, tmp_path,
+                                                 lambda R: (R, 1))
+        with pytest.raises(errors.NotInPlane):
+            tt.extract_kink(tilted, a, c)
+        report = tt.load_field(path)[1]
+        assert not report.ok and report.face_normal_dots[c] > fields.TOL_TANGENCY
         assert main(["invariants", "--field", str(path),
                      "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
-        assert "leaves the plane of face" in capsys.readouterr().err
+        assert "tangency validation failed" in capsys.readouterr().err
+
+    def test_off_plane_node_inside_a_face_is_a_validation_error(self, synthesized_field,
+                                                                tmp_path, capsys):
+        # A node inside the face, off every depth-4 node and kink row: the
+        # depth-4 grid keeps the plane, and only the stored node shows it.
+        tilted, (_, c), path = self._lifted_copy(synthesized_field, tmp_path,
+                                                 lambda R: (R // 2, 1))
+        depth4 = fields.face_grid(tilted, (TRUNCATED, c), fields.TANGENCY_DEPTH)
+        assert np.max(np.abs(depth4 @ tilted.host.face_normal(c))) <= fields.TOL_TANGENCY
+        loaded, report = tt.load_field(path)
+        assert not report.ok
+        assert report.face_normal_dots[c] == pytest.approx(1e-6, rel=1e-3)
+        assert [d for d, dot in report.face_normal_dots.items()
+                if dot > fields.TOL_TANGENCY] == [c]
+        assert main(["invariants", "--field", str(path),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("tangency validation failed:\n")
+        assert json.loads(err.split("\n", 1)[1])["ok"] is False
 
     def test_kink_row_past_the_cap_is_a_resolution_failure(self, tetra_phat, tmp_path,
                                                            monkeypatch, capsys):

@@ -462,30 +462,96 @@ def solid_fields(cube_phat, tetra_phat, octa_phat):
     return out
 
 
+def _next_columns(cols, split, M):
+    """The column positions of the next level, in a sorted list: each
+    position of ``cols`` (at resolution M) doubled, and the midpoint of
+    each interval that ``split`` marks, the last one ending at M."""
+    ends = list(cols[1:]) + [M]
+    return sorted([2 * int(c) for c in cols]
+                  + [int(c + e) for c, e, cut in zip(cols, ends, split) if cut])
+
+
+def _ruled_round(grid, depth):
+    """The round from a FaceGrid level by the refinement rule, restated on
+    the level's values: R doubles and every interval splits where a
+    radial step breaks the quarter-turn bound, or the bound holds and the
+    area sum is invalid; otherwise the intervals split in which some ring
+    breaks the bound, or all of them when none does."""
+    values = grid.values(depth)
+    radial = np.einsum("ijk,ijk->ij", values[:-1], values[1:])
+    around = np.einsum("ijk,ijk->ij", values, np.roll(values, -1, axis=1))
+    broken = (around <= 0.0).any(axis=0)
+    if radial.min() <= 0.0 or (not broken.any() and grid.area_sum(depth) is None):
+        return True, np.ones_like(broken)
+    return False, broken if broken.any() else ~broken
+
+
 class TestFaceGrid:
+    @staticmethod
+    def _check_level(field, grid, depth):
+        # A level is the whole grid of its own axes: R + 1 rings of
+        # linspace, and the depth-``depth`` angles of today's uniform grid
+        # at its columns, bit for bit.
+        key = grid.key
+        R = grid.planes(depth).shape[1] - 1
+        M = field.charts[key].n_segments * 2 ** depth
+        phi = grid._phi(depth)
+        assert phi.tobytes() == _grid_axes(R, M)[1][grid._cols[depth]].tobytes()
+        whole = field._evaluate_grid(key, np.linspace(0.0, 1.0, R + 1), phi)
+        assert grid.values(depth).tobytes() == whole.tobytes()
+        assert grid.boundary(depth).tobytes() == whole[-1].tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(which=st.integers(0, 5), face=st.integers(0, 13), start=st.integers(0, 4),
-           rounds=st.lists(st.booleans(), min_size=1, max_size=3), stepwise=st.booleans())
+           rounds=st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 32 - 1),
+                                     st.sampled_from([0.0, 0.2, 0.7, 1.0])),
+                           min_size=1, max_size=3),
+           stepwise=st.booleans())
     def test_nested_grid_is_the_evaluated_grid(self, solid_fields, which, face, start,
                                                rounds, stepwise):
-        # Any sequence of rounds that double K alone or K and R, taken
-        # one level per call or several at once.
+        # Any sequence of rounds that double R or not and split any
+        # nonempty set of intervals, taken one level per call or several
+        # at once.
         field = solid_fields[which]
         keys = field.host.face_keys()
         key = keys[face % len(keys)]
         m = field.charts[key].n_segments
-        grid, script = FaceGrid(field, key), list(rounds)
+        grid, script, taken = FaceGrid(field, key), list(rounds), []
+
+        def scripted(self, depth):
+            doubles, seed, share = script.pop(0)
+            rng = np.random.default_rng(seed)
+            split = rng.random(self.planes(depth).shape[2] - 1) < share
+            split[rng.integers(split.size)] = True
+            taken.append((doubles, split))
+            return doubles, split
+
+        blocks = []
+        inner = type(field)._evaluate_grid
         top = start + len(rounds)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(FaceGrid, "_doubles_rings", lambda self, depth: script.pop(0))
+            mp.setattr(FaceGrid, "_round", scripted)
+            mp.setattr(type(field), "_evaluate_grid", lambda self, k, rho, phi: (
+                blocks.append(rho.size * phi.size) or inner(self, k, rho, phi)))
             for depth in range(start, top + 1) if stepwise else (start, top):
                 grid.values(depth)
         assert script == []
+        # The first level is whole; each round evaluates the R + 1 held
+        # rings at the midpoints of its split intervals, after the R odd
+        # rings whole if it doubles R.
+        R = 2 ** start
+        expected = [(R + 1) * m * R]
+        for depth, (doubles, split) in enumerate(taken, start):
+            K, n = grid.planes(depth + 1).shape[2] - 1, int(split.sum())
+            assert K == split.size + n
+            assert grid._cols[depth + 1].tolist() == _next_columns(
+                grid._cols[depth], split, m * 2 ** depth)
+            expected += [R * K] * doubles + [(R + 1) * n]
+            R *= 2 if doubles else 1
+            assert grid.planes(depth + 1).shape[1] == R + 1
+        assert blocks == expected
         for depth in range(start, top + 1):
-            R, K = (n - 1 for n in grid.planes(depth).shape[1:])
-            assert (R, K) == (2 ** (start + sum(rounds[:depth - start])), m * 2 ** depth)
-            whole = field._evaluate_grid(key, *_grid_axes(R, K))
-            assert grid.values(depth).tobytes() == whole.tobytes()
+            self._check_level(field, grid, depth)
         # Each level is built once: the planes are held, the rows copied.
         assert grid.planes(top) is grid.planes(top)
         # The first level is face_grid; no level is held below it.
@@ -494,9 +560,46 @@ class TestFaceGrid:
             with pytest.raises(ValueError):
                 grid.planes(start - 1)
 
+    def test_each_round_follows_the_rule(self, cube_phat):
+        # A disk that turns 3 pi radially, whose boundary image makes a
+        # half turn inside phi in [1, 1.1] and turns back over the rest:
+        # radial steps break the quarter-turn bound up to R = 4, where R
+        # doubles and every interval splits; then rounds split only the
+        # intervals around the half turn, and every interval past a
+        # resolved level.  Each round evaluates (R + 1) nodes per split
+        # interval, and R K more where R doubles.
+        def evaluator(key, rho, phi):
+            t = np.interp(phi, [0.0, 1.0, 1.1, 2.0 * np.pi], [0.0, 0.0, np.pi, 0.0])
+            lat = 3.0 * np.pi * rho
+            return np.stack(np.broadcast_arrays(np.cos(lat) * np.cos(t),
+                                                np.cos(lat) * np.sin(t), np.sin(lat)), axis=-1)
+
+        sizes = []
+        field = AnalyticField(host=cube_phat, charts=cube_phat.charts, evaluator=lambda *a: (
+            sizes.append(np.broadcast(a[1], a[2]).size) or evaluator(*a)))
+        grid = FaceGrid(field, (CLEAVED, 0))
+        grid.values(0)
+        branches = []
+        for depth in range(8):
+            R, K = (n - 1 for n in grid.planes(depth).shape[1:])
+            doubles, split = _ruled_round(grid, depth)
+            sizes.clear()
+            grid.values(depth + 1)
+            R1, K1 = (n - 1 for n in grid.planes(depth + 1).shape[1:])
+            assert (R1, K1) == ((2 if doubles else 1) * R, K + split.sum())
+            assert grid._cols[depth + 1].tolist() == _next_columns(grid._cols[depth], split,
+                                                                   3 * 2 ** depth)
+            assert sum(sizes) == (R * K1 if doubles else 0) + (R + 1) * split.sum()
+            self._check_level(field, grid, depth + 1)
+            branches.append("R" if doubles else "all" if split.all() else "some")
+        assert branches == ["R", "R", "R", "all", "some", "some", "all", "all"]
+        assert [grid._cols[5].size, grid._cols[6].size] == [49, 50]
+
     def test_rings_double_where_a_radial_step_fails(self, cube_phat, monkeypatch):
         # Constant around each ring, turning 3 pi radially: radial dots
         # cos(3 pi / R) are <= 0 up to R = 4, and rings double up to 8.
+        # No ring breaks the quarter-turn bound, so every round splits
+        # every interval.
         def evaluator(key, rho, phi):
             turn = 3.0 * np.pi * rho + 0.0 * phi
             return np.stack([np.cos(turn), np.sin(turn), np.zeros_like(turn)], axis=-1)
@@ -505,6 +608,7 @@ class TestFaceGrid:
         key = (CLEAVED, 0)
         grid = FaceGrid(field, key)
         assert [grid.planes(d).shape[1] - 1 for d in range(6)] == [1, 2, 4, 8, 8, 8]
+        assert [grid.planes(d).shape[2] - 1 for d in range(6)] == [3 * 2 ** d for d in range(6)]
         # A level that passes the quarter-turn bound with an invalid area
         # sum doubles the rings too.
         monkeypatch.setattr(fields_mod, "_grid_area_sum", lambda dots: None)
@@ -528,11 +632,14 @@ class TestFaceGrid:
             calls.clear()
             grid.values(depth)
             nodes.append(sum(calls))
-        # (R + 1) K nodes with K = 3 2**depth on a triangle; depth 3 is
-        # whole, R = 8, and depths 4 and 5 double K alone.
-        assert [grid.planes(d).shape[1] - 1 for d in (3, 4, 5)] == [8, 8, 8]
-        assert nodes == [9 * 24, 9 * 48 - 9 * 24, 9 * 96 - 9 * 48]
-        whole = field._evaluate_grid((CLEAVED, 0), *_grid_axes(8, 96))
+        # (R + 1) K nodes with K = 3 2**depth on a triangle at depth 3,
+        # which is whole, R = 8; depth 4 splits the one interval that
+        # breaks the quarter-turn bound, and depth 5, over a resolved
+        # level, every interval: (R + 1) nodes per split interval.
+        assert [grid.planes(d).shape[1:] for d in (3, 4, 5)] == [(9, 25), (9, 26), (9, 51)]
+        assert nodes == [9 * 24, 9 * 1, 9 * 25]
+        assert not grid.resolved(3) and grid.resolved(4)
+        whole = field._evaluate_grid((CLEAVED, 0), np.linspace(0.0, 1.0, 9), grid._phi(5))
         assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(_grid_planes(whole)))
         # One neighbor-dot triple per depth, which the step-bound check reads too.
         assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
@@ -560,11 +667,14 @@ class TestFaceGrid:
         grid = FaceGrid(field, key)
         grid.values(2)
         grid.values(4)
-        # Depth 2 whole; depth 3 doubles R and K: the odd rings whole,
-        # then the even rings at odd samples; depth 4 doubles K alone:
-        # every ring at odd samples.
+        # Depth 2 whole; depth 3 doubles R and splits every interval: the
+        # odd rings whole, then the even rings at the midpoints; depth 4
+        # splits the n intervals of depth 3 that break the quarter-turn
+        # bound, or all of them: every ring at their midpoints.
         assert [grid.planes(d).shape[1] - 1 for d in (2, 3, 4)] == [4, 8, 8]
-        assert sizes == [5 * 4 * m, 4 * 8 * m, 5 * 4 * m, 9 * 8 * m]
+        n = grid.planes(4).shape[2] - 1 - 8 * m
+        assert n == _ruled_round(grid, 3)[1].sum()
+        assert sizes == [5 * 4 * m, 4 * 8 * m, 5 * 4 * m, 9 * n]
 
 
 @pytest.fixture(scope="module")
@@ -627,12 +737,17 @@ class TestGridBlocks:
                 assert face_grid(field, key, 2).tobytes() == scattered.tobytes()
 
 
-def _pointwise_grid(field, key, depth, rings=None):
+def _pointwise_grid(field, key, depth, rings=None, columns=None):
     """``face_grid`` of a field through ``evaluate`` at every node, or the
-    depth-``depth`` level of a FaceGrid with ``rings`` rings."""
+    depth-``depth`` level of a FaceGrid with ``rings`` rings and the
+    column positions ``columns`` of the uniform depth-``depth`` grid."""
     R = rings or 2 ** depth
     K = field.charts[key].n_segments * 2 ** depth
-    return field.evaluate(key, *grid_nodes(R, K)).reshape(R + 1, K, 3)
+    rho, phi = grid_nodes(R, K)
+    if columns is not None:
+        keep = np.isin(np.arange(rho.size) % K, columns)
+        rho, phi, K = rho[keep], phi[keep], len(columns)
+    return field.evaluate(key, rho, phi).reshape(R + 1, K, 3)
 
 
 class TestRowLayout:
@@ -663,15 +778,19 @@ class TestRowLayout:
 
     def test_refined_golden_cube_grids(self, cube_phat):
         # The golden cube report's face 2 resolves at depth 8 by refinement,
-        # on the 64 rings of depth 6.
+        # on the 64 rings of depth 6, and 198 of the 768 angles of the
+        # uniform depth-8 grid: the 192 of depth 6 and 6 midpoints.
         inv = tt.random_admissible_invariants(cube_phat, seed=0)
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
         report = tt.extract_all(field)
-        assert report.wrapping_depths[2] == 8 and report.wrapping_grids[2] == (64, 3 * 2 ** 8)
+        assert report.wrapping_depths[2] == 8 and report.wrapping_grids[2] == (64, 198)
         grid = FaceGrid(field, (CLEAVED, 2))
         grid.values(6)
-        expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=64)
+        grid.planes(8)
+        columns = grid._cols[8]
+        assert set(4 * np.arange(192)) < set(columns.tolist())
+        expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=64, columns=columns)
         self._check(grid.values(8), expected)
         self._check(grid.boundary(8), expected[-1])
 

@@ -17,7 +17,7 @@ from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.invariants import invariant_set_to_dict, report_to_dict
 
 REPORTS = {
-    "cube": "adca35bb10210c545289bbfd2942fb5885e65dd8acd53f443bd8dd0b7cb56d71",
+    "cube": "147c5f5d2c6ca4e2220ffc96f961460469c85b179c03d4948523dce58876b0f9",
     "tetrahedron": "582ce6a77039c5421256bd83a836d102d54a437da2e2668ead08ff850dd77c4e",
     "octahedron": "849284e0c06d6c18ed42388e367e5c07b9726142fa54bca7c7ba89f3b35a72c5",
 }

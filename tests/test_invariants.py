@@ -29,7 +29,8 @@ from tangent_topo.sphere import (DEGREE_RESIDUAL_TOL, cross, normalized, triangl
 from helpers import (PINNED_HULLS, constant_field, jumped_field, normal_cone_spec,
                      pentagonal_pyramid, pinned_hull, reference_choose_reference_s,
                      reference_edge_orientations, reference_grid_count, reference_kink_detail,
-                     reference_near_cells, reference_tangency, tangent_perturbation)
+                     reference_near_cells, reference_tangency, tangent_perturbation,
+                     uniform_chain_wrapping)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
 
@@ -77,7 +78,8 @@ def grid_dots(grid):
 
 def counted(grid, s):
     """``invariants._grid_count`` of a bare (R + 1, K, 3) grid."""
-    return inv_mod._grid_count(grid_dots(grid), s)
+    planes, radial, around = grid_dots(grid)
+    return inv_mod._grid_count(planes, fields_mod._least_neighbor_dots(radial, around), s)
 
 
 def grid_count(grid, s):
@@ -507,14 +509,14 @@ class TestWrapping:
         assert used > 1
         count, seen, script = inv_mod._grid_count, [], []
 
-        def scripted(dots, s):
+        def scripted(planes, least, s):
             # Each call takes the next step: None refuses s, an integer is
             # added to the true count.
-            seen.append((dots, s))
+            seen.append((planes, least, s))
             step = script.pop(0)
             if step is None:
                 raise errors.NotRegularValue("scripted")
-            return count(dots, s) + step
+            return count(planes, least, s) + step
 
         monkeypatch.setattr(inv_mod, "_grid_count", scripted)
 
@@ -524,16 +526,42 @@ class TestWrapping:
             return inv_mod._checked_preimage(field, 0, inv.s, used, grid)
 
         assert checked(0) == w
-        assert len(seen) == 1 and seen[0][0] is grid.neighbor_dots(used)
-        assert np.allclose(seen[0][1], turned(inv.s, 1), rtol=0.0, atol=1e-15)
+        assert len(seen) == 1 and seen[0][0] is grid.planes(used)
+        assert seen[0][1] is grid.least_dots(used)
+        assert np.allclose(seen[0][2], turned(inv.s, 1), rtol=0.0, atol=1e-15)
         assert checked(None, 0) == w and len(seen) == 2
-        assert np.allclose(seen[1][1], turned(inv.s, 2), rtol=0.0, atol=1e-15)
+        assert np.allclose(seen[1][2], turned(inv.s, 2), rtol=0.0, atol=1e-15)
         # No regular value: no count, and nothing compared.
         assert checked(*[None] * inv_mod.PREIMAGE_ATTEMPTS) is None
         for steps in ((1,), (None, -1), (None, None, 2)):
             with pytest.raises(errors.DualRouteMismatch):
                 checked(*steps)
             assert not script  # the first count decides
+
+    def test_one_least_neighbor_reduction_per_level(self, cube_phat, monkeypatch):
+        # The cells' least neighbor dots do not depend on s: a direction
+        # refused after a whole count, and the next one counted, read one
+        # reduction of the level, bit for bit the reduction of its dots.
+        inv, field = make_representative(cube_phat, seed=3)
+        grid = FaceGrid(field, (CLEAVED, 0))
+        w, _, used = inv_mod._wrapping_integral_detail(field, 0, inv.s, 6, cache=grid)
+        reductions = spy_on(monkeypatch, fields_mod, "_least_neighbor_dots")
+        count, directions = inv_mod._grid_count, []
+
+        def refuse_first(planes, least, s):
+            directions.append(s)
+            got = count(planes, least, s)
+            if len(directions) == 1:
+                raise errors.NotRegularValue("refused after the count")
+            return got
+
+        monkeypatch.setattr(inv_mod, "_grid_count", refuse_first)
+        assert inv_mod._checked_preimage(field, 0, inv.s, used, grid) == w
+        assert len(directions) == 2 and len(reductions) == 1
+        _, radial, around = grid.neighbor_dots(used)
+        expected = np.minimum.reduce([radial[:, :-1], radial[:, 1:], around[1:], around[:-1]])
+        assert grid.least_dots(used).tobytes() == expected.tobytes()
+        assert len(reductions) == 1
 
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
@@ -576,6 +604,34 @@ def _hull_round_trip(g, k):
     phat = tt.truncate(poly, normal_cone_spec(poly, lam))
     inv, field = make_representative(phat, seed=k)
     return inv, tt.extract_all(field, s=inv.s)
+
+
+class TestLocalRefinement:
+    """Face grids refined only in the angular intervals that break the
+    quarter-turn bound give the integers, preimage counts and depths of
+    the uniform chain of whole grids, and its direct areas up to rounding."""
+
+    @pytest.mark.parametrize("which", ["golden cube", "near-plane cube"])
+    def test_equals_the_uniform_chain(self, cube_phat, which):
+        if which == "golden cube":
+            inv = tt.random_admissible_invariants(cube_phat, seed=0)
+            field = tt.representative_boundary(
+                tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
+            report = tt.extract_all(field)
+        else:  # certify corpus seed 1, case 4: margin below 0.1
+            case = _bench_corpus().Corpus(1, with_field=True, file_dir=None).case(4)
+            assert case.stratum == (0.0, 0.1)
+            field = case.field
+            report = tt.extract_all(field, s=case.expected.s)
+        local = 0
+        for a in range(len(field.host.cleaved_faces)):
+            w, level, direct, pre = uniform_chain_wrapping(field, a, report.invariants.s)
+            assert report.invariants.wrapping_numbers[a] == w
+            assert report.wrapping_depths[a] == level
+            assert report.wrapping_preimage[a] == pre == w
+            assert abs(report.trapped_direct[a] - direct) <= 1e-12
+            local += report.wrapping_grids[a][1] < 3 * 2 ** level
+        assert local >= 4  # faces that resolved on fewer angles
 
 
 class TestRandomHulls:
@@ -668,7 +724,7 @@ class TestCandidateCells:
         assert radial.min() < 0.0
         for s in (grid[R, K - 1], normalized(rng.normal(size=3))):
             dots = fields_mod._dot(planes, s)
-            got = inv_mod._near_cells(dots, radial, around)
+            got = inv_mod._near_cells(dots, fields_mod._least_neighbor_dots(radial, around))
             expected = reference_near_cells(dots, radial, around)
             assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
@@ -687,7 +743,7 @@ class TestCandidateCells:
         dots = np.full((3, 4), edge)
         if step:
             dots = np.nextafter(dots, step * np.inf)
-        got = inv_mod._near_cells(dots, radial, around)
+        got = inv_mod._near_cells(dots, fields_mod._least_neighbor_dots(radial, around))
         expected = reference_near_cells(dots, radial, around)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
         assert expected[0].size == (6 if step >= 0 else 0)
