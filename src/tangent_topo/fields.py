@@ -122,14 +122,6 @@ def _neighbor_dots(planes: np.ndarray):
     return planes, radial, around
 
 
-def _least_neighbor_dots(radial: np.ndarray, around: np.ndarray) -> np.ndarray:
-    """The least of the two radial and two around neighbor dots of each
-    grid cell, shape (R, K), from a ``_neighbor_dots`` triple."""
-    # Minima are exact: taken pairwise, they are the same.
-    least = np.minimum(radial[:, :-1], radial[:, 1:])
-    return np.minimum(least, np.minimum(around[1:], around[:-1]), out=least)
-
-
 def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
     # Neighboring samples within a quarter turn; geodesic interpolation
     # is then unambiguous.
@@ -476,7 +468,6 @@ class FaceGrid:
         self._planes: Dict[int, np.ndarray] = {}
         self._cols: Dict[int, np.ndarray] = {}  # column positions j of each level
         self._dots: Dict[int, tuple] = {}
-        self._least: Dict[int, np.ndarray] = {}
         self._sums: Dict[int, Optional[float]] = {}
 
     def _phi(self, depth: int) -> np.ndarray:
@@ -530,12 +521,6 @@ class FaceGrid:
         if depth not in self._dots:
             self._dots[depth] = _neighbor_dots(self.planes(depth))
         return self._dots[depth]
-
-    def least_dots(self, depth: int) -> np.ndarray:
-        # Read by the count's proximity filter at every direction it tries.
-        if depth not in self._least:
-            self._least[depth] = _least_neighbor_dots(*self.neighbor_dots(depth)[1:])
-        return self._least[depth]
 
     def resolved(self, depth: int) -> bool:
         return _within_quarter_turn(*self.neighbor_dots(depth)[1:])

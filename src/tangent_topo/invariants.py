@@ -314,32 +314,31 @@ def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) ->
     return w
 
 
-def _near_cells(node_dots: np.ndarray, least: np.ndarray):
+def _near_cells(node_dots: np.ndarray, radial: np.ndarray, around: np.ndarray):
     """Row-major indices ``(ii, jj)`` of the cells whose image can come
     near ``s``: a corner dot with ``s`` (``node_dots``) of at least
     ``cos(min(2 arccos(m) + 1e-3, pi))``, ``m`` the cell's least neighbor
-    dot (``least``, see ``fields._least_neighbor_dots``) clipped to
-    [-1, 1].  The arccos runs only where the lower bound
+    dot clipped to [-1, 1].  The arccos runs only where the lower bound
     ``2 max(m, 0)**2 - 1 - (1e-3 + 1e-9)`` of that threshold admits the
     cell (``cos(2 h + d) >= cos(2 h) - d`` for m >= 0, and -1 for m <= 0),
     so no cell is lost.
     """
-    # Maxima are exact: taken pairwise, they are the same.
+    # Maxima and minima are exact: taken pairwise, they are the same.
     best = np.maximum(node_dots[:-1], node_dots[1:])
     best = np.maximum(best[:, :-1], best[:, 1:])
-    cells = np.flatnonzero(best >= 2.0 * np.clip(least, 0.0, 1.0) ** 2 - 1.0 - (1e-3 + 1e-9))
-    h = np.arccos(np.clip(least.ravel()[cells], -1.0, 1.0))
+    m = np.minimum(radial[:, :-1], radial[:, 1:])
+    np.minimum(m, np.minimum(around[1:], around[:-1]), out=m)
+    cells = np.flatnonzero(best >= 2.0 * np.clip(m, 0.0, 1.0) ** 2 - 1.0 - (1e-3 + 1e-9))
+    h = np.arccos(np.clip(m.ravel()[cells], -1.0, 1.0))
     cells = cells[best.ravel()[cells] >= np.cos(np.minimum(2.0 * h + 1e-3, np.pi))]
     return np.divmod(cells, best.shape[1])
 
 
-def _grid_count(planes: np.ndarray, least: np.ndarray, s: np.ndarray) -> int:
+def _grid_count(dots: tuple, s: np.ndarray) -> int:
     """Signed number of the image triangles of ``_grid_triangles`` that
     contain ``s``: the degree at ``s`` of the piecewise-geodesic map of
-    an (R + 1, K, 3) grid, read from its planes (see
-    ``fields._grid_planes``) and the least neighbor dot of each cell
-    (``fields._least_neighbor_dots``), which does not depend on ``s``,
-    closed off by the cap of the integral route.
+    an (R + 1, K, 3) grid, read from its ``_neighbor_dots`` triple
+    ``dots``, closed off by the cap of the integral route.
 
     A proximity filter over the whole grid runs first: only cells whose
     image comes near ``s`` can contain it, and it discards antipodal
@@ -355,10 +354,11 @@ def _grid_count(planes: np.ndarray, least: np.ndarray, s: np.ndarray) -> int:
     negated: chart order runs against the invariant convention.  Raises
     NotRegularValue where ``s`` is the image of a grid node or of an edge.
     """
+    planes, radial, around = dots
     node_dots = fields_mod._dot(planes, s)
     if node_dots.max() >= 1.0 - 1e-12:
         raise NotRegularValue("reference direction is the image of a grid node")
-    ii, jj = _near_cells(node_dots, least)
+    ii, jj = _near_cells(node_dots, radial, around)
     # The corners of the near cells' triangles (c00, c10, c11), then (c00,
     # c11, c01), as (3, 2n) planes; column K repeats column 0.
     row = planes.shape[2]
@@ -390,7 +390,7 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
     grid = cache or FaceGrid(field, (CLEAVED, a))
     for d in range(grid_depth, MAX_DEPTH + 1):
         if grid.area_sum(d) is not None:
-            return _grid_count(grid.planes(d), grid.least_dots(d), normalized(s))
+            return _grid_count(grid.neighbor_dots(d), normalized(s))
     raise ResolutionTooCoarse(
         f"preimage count on face {a} did not resolve by depth {MAX_DEPTH}"
     )

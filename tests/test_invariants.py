@@ -78,8 +78,7 @@ def grid_dots(grid):
 
 def counted(grid, s):
     """``invariants._grid_count`` of a bare (R + 1, K, 3) grid."""
-    planes, radial, around = grid_dots(grid)
-    return inv_mod._grid_count(planes, fields_mod._least_neighbor_dots(radial, around), s)
+    return inv_mod._grid_count(grid_dots(grid), s)
 
 
 def grid_count(grid, s):
@@ -509,14 +508,14 @@ class TestWrapping:
         assert used > 1
         count, seen, script = inv_mod._grid_count, [], []
 
-        def scripted(planes, least, s):
+        def scripted(dots, s):
             # Each call takes the next step: None refuses s, an integer is
             # added to the true count.
-            seen.append((planes, least, s))
+            seen.append((dots, s))
             step = script.pop(0)
             if step is None:
                 raise errors.NotRegularValue("scripted")
-            return count(planes, least, s) + step
+            return count(dots, s) + step
 
         monkeypatch.setattr(inv_mod, "_grid_count", scripted)
 
@@ -526,42 +525,16 @@ class TestWrapping:
             return inv_mod._checked_preimage(field, 0, inv.s, used, grid)
 
         assert checked(0) == w
-        assert len(seen) == 1 and seen[0][0] is grid.planes(used)
-        assert seen[0][1] is grid.least_dots(used)
-        assert np.allclose(seen[0][2], turned(inv.s, 1), rtol=0.0, atol=1e-15)
+        assert len(seen) == 1 and seen[0][0] is grid.neighbor_dots(used)
+        assert np.allclose(seen[0][1], turned(inv.s, 1), rtol=0.0, atol=1e-15)
         assert checked(None, 0) == w and len(seen) == 2
-        assert np.allclose(seen[1][2], turned(inv.s, 2), rtol=0.0, atol=1e-15)
+        assert np.allclose(seen[1][1], turned(inv.s, 2), rtol=0.0, atol=1e-15)
         # No regular value: no count, and nothing compared.
         assert checked(*[None] * inv_mod.PREIMAGE_ATTEMPTS) is None
         for steps in ((1,), (None, -1), (None, None, 2)):
             with pytest.raises(errors.DualRouteMismatch):
                 checked(*steps)
             assert not script  # the first count decides
-
-    def test_one_least_neighbor_reduction_per_level(self, cube_phat, monkeypatch):
-        # The cells' least neighbor dots do not depend on s: a direction
-        # refused after a whole count, and the next one counted, read one
-        # reduction of the level, bit for bit the reduction of its dots.
-        inv, field = make_representative(cube_phat, seed=3)
-        grid = FaceGrid(field, (CLEAVED, 0))
-        w, _, used = inv_mod._wrapping_integral_detail(field, 0, inv.s, 6, cache=grid)
-        reductions = spy_on(monkeypatch, fields_mod, "_least_neighbor_dots")
-        count, directions = inv_mod._grid_count, []
-
-        def refuse_first(planes, least, s):
-            directions.append(s)
-            got = count(planes, least, s)
-            if len(directions) == 1:
-                raise errors.NotRegularValue("refused after the count")
-            return got
-
-        monkeypatch.setattr(inv_mod, "_grid_count", refuse_first)
-        assert inv_mod._checked_preimage(field, 0, inv.s, used, grid) == w
-        assert len(directions) == 2 and len(reductions) == 1
-        _, radial, around = grid.neighbor_dots(used)
-        expected = np.minimum.reduce([radial[:, :-1], radial[:, 1:], around[1:], around[:-1]])
-        assert grid.least_dots(used).tobytes() == expected.tobytes()
-        assert len(reductions) == 1
 
     def test_dual_routes_agree(self, tetra_phat):
         for seed in (0, 1, 2):
@@ -724,7 +697,7 @@ class TestCandidateCells:
         assert radial.min() < 0.0
         for s in (grid[R, K - 1], normalized(rng.normal(size=3))):
             dots = fields_mod._dot(planes, s)
-            got = inv_mod._near_cells(dots, fields_mod._least_neighbor_dots(radial, around))
+            got = inv_mod._near_cells(dots, radial, around)
             expected = reference_near_cells(dots, radial, around)
             assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
@@ -743,7 +716,7 @@ class TestCandidateCells:
         dots = np.full((3, 4), edge)
         if step:
             dots = np.nextafter(dots, step * np.inf)
-        got = inv_mod._near_cells(dots, fields_mod._least_neighbor_dots(radial, around))
+        got = inv_mod._near_cells(dots, radial, around)
         expected = reference_near_cells(dots, radial, around)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
         assert expected[0].size == (6 if step >= 0 else 0)
