@@ -27,9 +27,6 @@ from . import __version__, fields, geometry, invariants, synthesis
 from .errors import (
     CoarseSampling,
     DualRouteMismatch,
-    FieldError,
-    GeometryError,
-    InvariantError,
     MaxRefinement,
     NotClosed,
     ResidualTooLarge,
@@ -288,7 +285,7 @@ def main(argv=None) -> int:
     except _RESOLUTION_ERRORS as exc:
         sys.stderr.write(f"resolution failure: {exc}\n")
         return EXIT_RESOLUTION
-    except (GeometryError, FieldError, InvariantError, TangentTopoError) as exc:
+    except TangentTopoError as exc:
         sys.stderr.write(f"validation failure: {exc}\n")
         return EXIT_VALIDATION
     except (OSError, json.JSONDecodeError) as exc:

@@ -14,12 +14,14 @@ the winding and preimage routes only need continuity plus adequate
 sampling density.  Evaluators work point by point: a node's value does
 not depend on the other points of the call, which ``FaceGrid`` relies on.
 
-``evaluate(key, rho, phi)`` broadcasts: ``rho`` and ``phi`` broadcast
-against each other and the values have their broadcast shape + (3,).
-Scattered points are equal-length 1-D arrays; a face grid block is rings
-``rho[:, None]`` against angles ``phi``, which ``_evaluate_grid`` passes
-for both field types, so an analytic evaluator takes a factor of rho
-alone once per ring and a factor of phi alone once per angle.
+``evaluate(key, rho, phi)`` is the one entry point of both field types,
+and it broadcasts: ``rho`` and ``phi`` broadcast against each other and
+the values have their broadcast shape + (3,).  Scattered points are
+equal-length 1-D arrays; a face grid block is rings ``rho[:, None]``
+(shape (n, 1)) against angles ``phi`` (shape (k,)), which ``FaceGrid``
+passes, so an analytic evaluator takes a factor of rho alone once per
+ring and a factor of phi alone once per angle, and a SampledField
+interpolates each stored ring it reads once per block.
 Values may come in any layout; both field types return moved-axis views
 of x, y, z planes.  Rows that reach einsum or matmul, whose sums follow
 the layout, are C-contiguous (``face_grid``, ``FaceGrid`` and boundary
@@ -35,13 +37,12 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import InitVar, dataclass
-from functools import partial
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from . import geometry
-from .errors import CoarseSampling, FieldError, reading_document
+from .errors import CoarseSampling, FieldError, ResolutionTooCoarse, reading_document
 from .geometry import (
     CLEAVED,
     TRUNCATED,
@@ -158,11 +159,6 @@ class AnalyticField:
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
         return normalized_rows(self.evaluator(key, rho, phi))
 
-    def _evaluate_grid(self, key: FaceKey, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Values at the tensor-product nodes of ring radii ``rho`` and
-        angles ``phi``, shape (rho.size, phi.size, 3), in one call."""
-        return self.evaluate(key, rho[:, None], phi)
-
 
 @dataclass(frozen=True)
 class SampledField:
@@ -172,6 +168,8 @@ class SampledField:
     boundary samples (phi-periodic); K is a multiple of the face's side
     count so corners land on nodes.  Interpolation is geodesic, first in
     phi at the two bracketing rings, then radially, in that fixed order.
+    ``evaluate`` takes a grid block (see the module docstring) ring by
+    ring and any other input point by point, bit for bit alike at a node.
     ``source`` is the ``polyhedron`` entry of the document the field was
     read from, ``{"builtin": name}`` or the solid's own document.
     """
@@ -211,30 +209,21 @@ class SampledField:
         grid = self.values[key]
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        rho, phi = np.broadcast_arrays(rho, phi)
         i0, tr, j0, j1, tp = self._bracket(key, rho, phi)
-        low = geodesic_interpolate(grid[i0, j0], grid[i0, j1], tp)
-        high = geodesic_interpolate(grid[i0 + 1, j0], grid[i0 + 1, j1], tp)
-        return geodesic_interpolate(low, high, tr)
-
-    def _evaluate_grid(self, key: FaceKey, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """Values at the tensor-product nodes of ring radii ``rho`` and
-        angles ``phi``, shape (rho.size, phi.size, 3).
-
-        Bit for bit ``evaluate`` at those nodes, with fewer operations:
-        on a tensor-product grid the phi interpolation of a stored ring
-        is the same for every target ring it brackets, so each stored
-        ring that is used is interpolated once at the target phis, and
-        then every target ring radially between its two stored rings,
-        with weights broadcast against whole blocks, no reshape copies.
-        """
-        grid = self.values[key]
-        i0, tr, j0, j1, tp = self._bracket(key, rho, phi)
+        if not (rho.ndim == 2 and rho.shape[1] == 1 and phi.ndim == 1):
+            low = geodesic_interpolate(grid[i0, j0], grid[i0, j1], tp)
+            high = geodesic_interpolate(grid[i0 + 1, j0], grid[i0 + 1, j1], tp)
+            return geodesic_interpolate(low, high, tr)
+        # A grid block: the phi interpolation of a stored ring is the same
+        # for every target ring it brackets, so each stored ring used is
+        # interpolated once at the target phis, then every target ring
+        # radially between its two, weights broadcast against whole blocks.
+        i0 = i0[:, 0]
         used = np.unique(np.concatenate([i0, i0 + 1]))
         rings = geodesic_interpolate(grid[used[:, None], j0], grid[used[:, None], j1], tp)
         planes = np.moveaxis(rings, -1, 0)
         low, high = (np.moveaxis(planes[:, np.searchsorted(used, i)], 0, -1) for i in (i0, i0 + 1))
-        return geodesic_interpolate(low, high, tr[:, None])
+        return geodesic_interpolate(low, high, tr)
 
 
 TangentField = AnalyticField | SampledField
@@ -333,9 +322,11 @@ class TangencyReport:
 
 def validate_tangency(field: TangentField) -> TangencyReport:
     """Diagnostic scan of the tangency and continuity invariants, on the
-    depth-``TANGENCY_DEPTH`` edge samples and face grids; a SampledField's
-    face-normal dots are read at every node it stores, whose geodesic
-    interpolation keeps in-plane values in their plane.
+    depth-``TANGENCY_DEPTH`` edge samples and face grids.  A SampledField
+    is read at every node it stores, whose geodesic interpolation keeps
+    in-plane values in their plane: its face-normal dots at every node,
+    and every edge and seam also at t = j / k for the k samples per side
+    of each face, so at every stored boundary node of both its faces.
 
     Never raises on a violation; callers inspect the report and decide.
     """
@@ -349,6 +340,10 @@ def validate_tangency(field: TangentField) -> TangencyReport:
                  for c in range(len(phat.trunc_faces))}
 
     t = np.linspace(0.0, 1.0, 2 ** TANGENCY_DEPTH + 1)
+    if isinstance(field, SampledField):
+        t = np.array(sorted(set(t.tolist()).union(*(
+            np.linspace(0.0, 1.0, grid.shape[1] // field.charts[key].n_segments + 1).tolist()
+            for key, grid in field.values.items()))))
     rings = {key: _boundary_ring(field, key, t) for key in phat.face_keys()}
     edge_mis = {}
     for b in range(phat.parent.n_edges):
@@ -475,12 +470,12 @@ class FaceGrid:
         return self._cols[depth] * (2.0 * np.pi / (self._sides * 2 ** depth))
 
     def planes(self, depth: int) -> np.ndarray:
-        block = partial(self.field._evaluate_grid, self.key)
+        evaluate, key = self.field.evaluate, self.key  # in grid blocks, rings rho[:, None]
         if not self._planes:
             R = 2 ** depth
             self._cols[depth] = np.arange(self._sides * R)
-            self._planes[depth] = _grid_planes(block(np.linspace(0.0, 1.0, R + 1),
-                                                     self._phi(depth)))
+            self._planes[depth] = _grid_planes(
+                evaluate(key, np.linspace(0.0, 1.0, R + 1)[:, None], self._phi(depth)))
         if depth < min(self._planes):
             raise ValueError(f"depth {depth} is below the first level {min(self._planes)}")
         for d in range(max(self._planes), depth):
@@ -492,12 +487,13 @@ class FaceGrid:
             mids = (cols + np.append(cols[1:], self._sides * 2 ** d))[split]
             self._cols[d + 1] = np.sort(np.concatenate([2 * cols, mids]))
             held, added = (np.searchsorted(self._cols[d + 1], j) for j in (2 * cols, mids))
-            rho, phi = np.linspace(0.0, 1.0, step * (coarse.shape[1] - 1) + 1), self._phi(d + 1)
+            rho = np.linspace(0.0, 1.0, step * (coarse.shape[1] - 1) + 1)[:, None]
+            phi = self._phi(d + 1)
             fine = np.empty((3, rho.size, phi.size + 1))
             fine[:, ::step, held] = coarse[:, :, :-1]
             if step == 2:
-                fine[:, 1::2, :-1] = np.moveaxis(block(rho[1::2], phi), -1, 0)
-            fine[:, ::step, added] = np.moveaxis(block(rho[::step], phi[added]), -1, 0)
+                fine[:, 1::2, :-1] = np.moveaxis(evaluate(key, rho[1::2], phi), -1, 0)
+            fine[:, ::step, added] = np.moveaxis(evaluate(key, rho[::step], phi[added]), -1, 0)
             fine[:, :, -1] = fine[:, :, 0]
             self._planes[d + 1] = fine
         return self._planes[depth]
@@ -529,6 +525,14 @@ class FaceGrid:
         if depth not in self._sums:
             self._sums[depth] = _grid_area_sum(self.neighbor_dots(depth))
         return self._sums[depth]
+
+    def first_valid(self, depth: int) -> int:
+        """The first level from ``depth`` on, up to MAX_DEPTH, whose area
+        sum is valid; ResolutionTooCoarse if there is none."""
+        for d in range(depth, MAX_DEPTH + 1):
+            if self.area_sum(d) is not None:
+                return d
+        raise ResolutionTooCoarse(f"grid of face {self.key} did not resolve by depth {MAX_DEPTH}")
 
 
 class _UniformGrid(FaceGrid):

@@ -274,11 +274,10 @@ def _kink_details(field, edges, rings=None) -> dict:
     return details
 
 
-def _wrapping_integral_detail(field, a, s, depth=6, cache=None):
-    # ``cache`` is the FaceGrid of face ``a``: its area sums do not
+def _wrapping_integral_detail(grid: FaceGrid, s, depth=6):
+    # ``grid`` is the FaceGrid of a corner face: its area sums do not
     # depend on ``s``, so it serves every direction and the direct area.
-    s = normalized(s)
-    grid = cache or FaceGrid(field, (CLEAVED, a))
+    s, a = normalized(s), grid.key[1]
     for d in range(depth, MAX_DEPTH + 1):
         boundary = grid.boundary(d)
         if np.max(boundary @ s) >= 1.0 - 1e-12:
@@ -310,7 +309,7 @@ def _wrapping_integral_detail(field, a, s, depth=6, cache=None):
 
 def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) -> int:
     """Wrapping number of corner face ``a`` by the area/cap integral."""
-    w, _, _ = _wrapping_integral_detail(field, a, s, depth)
+    w, _, _ = _wrapping_integral_detail(FaceGrid(field, (CLEAVED, a)), s, depth)
     return w
 
 
@@ -388,12 +387,7 @@ def extract_wrapping_preimage(field: TangentField, a: int, s, grid_depth: int = 
     ``extract_all`` therefore counts at slightly rotated directions only.
     """
     grid = cache or FaceGrid(field, (CLEAVED, a))
-    for d in range(grid_depth, MAX_DEPTH + 1):
-        if grid.area_sum(d) is not None:
-            return _grid_count(grid.neighbor_dots(d), normalized(s))
-    raise ResolutionTooCoarse(
-        f"preimage count on face {a} did not resolve by depth {MAX_DEPTH}"
-    )
+    return _grid_count(grid.neighbor_dots(grid.first_valid(grid_depth)), normalized(s))
 
 
 def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
@@ -408,13 +402,7 @@ def trapped_area_direct(field: TangentField, a: int, depth: int = 7) -> float:
     the depth where that route resolved.
     """
     grid = FaceGrid(field, (CLEAVED, a))
-    for d in range(depth, MAX_DEPTH + 1):
-        area_sum = grid.area_sum(d)
-        if area_sum is not None:
-            return -area_sum
-    raise ResolutionTooCoarse(
-        f"trapped-area quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
-    )
+    return -grid.area_sum(grid.first_valid(depth))
 
 
 def trapped_area_from_invariants(
@@ -582,21 +570,22 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
     )
 
 
-def _checked_preimage(field, a, s_ref, used, grid):
-    """The preimage count of corner face ``a`` on the integral route's
-    resolved grid (depth ``used``), at the first of PREIMAGE_ATTEMPTS
-    directions turned off ``s_ref`` by multiples of PREIMAGE_TURN that is
-    a regular value, checked against the integral route there; None when
-    none is.  ``s_ref`` itself is never tried: the covering patch of the
-    representative maps the whole base ring of every corner face onto
-    it."""
+def _checked_preimage(grid: FaceGrid, s_ref, used):
+    """The preimage count of a corner face on level ``used`` of its
+    FaceGrid ``grid``, where the integral route resolved, at the first of
+    PREIMAGE_ATTEMPTS directions turned off ``s_ref`` by multiples of
+    PREIMAGE_TURN that is a regular value, checked against the integral
+    route there; None when none is.  ``s_ref`` itself is never tried: the
+    covering patch of the representative maps the whole base ring of
+    every corner face onto it."""
+    a = grid.key[1]
     for k in range(1, PREIMAGE_ATTEMPTS + 1):
         s_k = _rotated(s_ref, k, k * PREIMAGE_TURN)
         try:
-            pre = extract_wrapping_preimage(field, a, s_k, grid_depth=used, cache=grid)
+            pre = extract_wrapping_preimage(grid.field, a, s_k, used, grid)
         except NotRegularValue:
             continue
-        ref = _wrapping_integral_detail(field, a, s_k, used, cache=grid)[0]
+        ref = _wrapping_integral_detail(grid, s_k, used)[0]
         if pre != ref:
             raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
                                     f"preimage {pre} at s = {s_k}")
@@ -671,8 +660,8 @@ def extract_all(
     results = []
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
-        w, res, used = _wrapping_integral_detail(field, a, s_ref, depth, cache=grid)
-        pre = _checked_preimage(field, a, s_ref, used, grid) if with_preimage else None
+        w, res, used = _wrapping_integral_detail(grid, s_ref, depth)
+        pre = _checked_preimage(grid, s_ref, used) if with_preimage else None
         rings, samples = grid.planes(used).shape[1:]
         results.append((w, res, used, (rings - 1, samples - 1), pre, -grid.area_sum(used)))
     omegas, residuals, depths, grids, preimages, directs = zip(*results)

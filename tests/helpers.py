@@ -305,6 +305,26 @@ def jumped_field(field: AnalyticField, a, c, lo=0.3, hi=0.305) -> AnalyticField:
     return AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
 
 
+def seam_turned_field(phat, angle=0.6) -> SampledField:
+    """The seed-1 representative of ``phat`` sampled at depth 5, with the
+    boundary node at column 3 of corner face 0, on its cleaved segment 0
+    and between the 17 samples per side of a depth-4 read (t = 3/64 on
+    the cube), turned by ``angle`` about its trimmed face's normal: in
+    the plane of the seam's other face, off the seam by 2 sin(angle / 2)."""
+    from tangent_topo import AdmissibleInvariants, random_admissible_invariants
+    from tangent_topo import representative_boundary
+
+    inv = random_admissible_invariants(phat, seed=1)
+    field = sample_field(representative_boundary(
+        AdmissibleInvariants.from_invariants(inv, phat), phat), 5)
+    key = (CLEAVED, 0)
+    chart, grid = field.charts[key], field.values[key].copy()
+    kind, (_, c) = chart.segments[0].kind, chart.segments[0].key
+    assert kind == "cleaved"
+    grid[-1, 3] = rotation_matrix(phat.face_normal(c), angle) @ grid[-1, 3]
+    return SampledField(host=phat, charts=field.charts, values={**field.values, key: grid})
+
+
 # --- tangency-preserving perturbations ------------------------------------------
 
 def tangent_perturbation(field: AnalyticField, seed: int,
@@ -431,7 +451,8 @@ def reference_edge_orientations(field) -> np.ndarray:
 def reference_tangency(field) -> dict:
     """``validate_tangency(field).to_dict()`` from 17-sample traces of
     every edge and seam, curve by curve, and face-normal dots at the
-    depth-4 grid nodes, or at every stored node of a SampledField."""
+    depth-4 grid nodes; a SampledField at every stored node, its traces
+    also at each face's boundary nodes, t = j / (samples per side)."""
     phat = field.host
     face_dots = {}
     for c in range(len(phat.trunc_faces)):
@@ -440,6 +461,10 @@ def reference_tangency(field) -> dict:
                  else face_grid(field, key, 4))
         face_dots[c] = float(np.max(np.abs(nodes @ phat.face_normal(c))))
     t = np.linspace(0.0, 1.0, 17)
+    if isinstance(field, SampledField):
+        per_side = {grid.shape[1] // field.charts[key].n_segments
+                    for key, grid in field.values.items()}
+        t = np.unique(np.concatenate([t] + [np.arange(k + 1) / k for k in per_side]))
     edge_mis = {}
     for b in range(phat.parent.n_edges):
         direction = phat.parent.edge_direction(b)
@@ -516,8 +541,8 @@ def uniform_chain_wrapping(field, a, s, depth=6):
     R = 2 ** depth
     for level in range(depth, MAX_DEPTH + 1):
         K = field.charts[key].n_segments * 2 ** level
-        grid = np.ascontiguousarray(field._evaluate_grid(
-            key, np.linspace(0.0, 1.0, R + 1), np.arange(K) * (2.0 * np.pi / K)))
+        grid = np.ascontiguousarray(field.evaluate(
+            key, np.linspace(0.0, 1.0, R + 1)[:, None], np.arange(K) * (2.0 * np.pi / K)))
         _, radial, around = dots = _neighbor_dots(_grid_planes(grid))
         area = _grid_area_sum(dots)
         if area is not None:

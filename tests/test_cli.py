@@ -18,7 +18,8 @@ from tangent_topo.cli import (
 from tangent_topo.fields import MAX_DEPTH, TRUNCATED, SampledField, _grid_axes
 from tangent_topo.invariants import invariant_set_to_dict
 
-from helpers import decode_vectors, encode_vectors, jumped_field, reference_field_text
+from helpers import (decode_vectors, encode_vectors, jumped_field, reference_field_text,
+                     seam_turned_field)
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +293,8 @@ class TestErrorPaths:
         a, c = sorted(phat.cleaved_edges)[0]
         key, chart = (TRUNCATED, c), field.charts[(TRUNCATED, c)]
         R, K = field.values[key].shape[0] - 1, 2 * field.values[key].shape[1]
-        fine = np.ascontiguousarray(field._evaluate_grid(key, *_grid_axes(R, K)))
+        rho, phi = _grid_axes(R, K)
+        fine = np.ascontiguousarray(field.evaluate(key, rho[:, None], phi))
         ring, column = node(R)
         fine[ring, chart.segment_index("cleaved", (a, c)) * K // chart.n_segments + column] += (
             1e-6 * phat.face_normal(c))
@@ -334,6 +336,20 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("tangency validation failed:\n")
         assert json.loads(err.split("\n", 1)[1])["ok"] is False
+
+    def test_seam_node_off_the_seam_is_a_validation_error(self, cube_phat, tmp_path,
+                                                          capsys):
+        # A corner-face boundary node turned off its seam between the 17
+        # samples per side of a depth-4 read: the seams are read at every
+        # stored boundary node, so the file fails validation at load.
+        path = tmp_path / "seam.json"
+        tt.save_field(seam_turned_field(cube_phat), path)
+        assert not tt.load_field(path)[1].ok
+        assert main(["invariants", "--field", str(path),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("tangency validation failed:\n")
+        assert json.loads(err.split("\n", 1)[1])["worst_continuity"] > fields.TOL_CONTINUITY
 
     def test_kink_row_past_the_cap_is_a_resolution_failure(self, tetra_phat, tmp_path,
                                                            monkeypatch, capsys):

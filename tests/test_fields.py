@@ -46,6 +46,7 @@ from helpers import (
     pentagonal_pyramid,
     reference_field_text,
     reference_trace,
+    seam_turned_field,
 )
 
 
@@ -114,6 +115,20 @@ class TestValidateTangency:
                 if mis != good.edge_misalignment[e]} == {b}
         assert report.worst_normal_dot < 1e-12  # rotated within the face plane
         assert not report.ok
+
+    def test_sampled_seam_read_at_every_stored_node(self, cube_phat):
+        # A corner-face boundary node between the 17 samples per side of a
+        # depth-4 read: only a read at every stored node sees the seam break.
+        field = seam_turned_field(cube_phat)
+        t = np.linspace(0.0, 1.0, 17)
+        rings = {key: _boundary_ring(field, key, t) for key in cube_phat.face_keys()}
+        assert all(np.max(np.linalg.norm(np.subtract(*_seam_rows(
+            field, rings, ("cleaved", ac))), axis=1)) <= TOL_CONTINUITY
+            for ac in cube_phat.cleaved_edges)
+        report = validate_tangency(field)
+        assert not report.ok
+        assert report.worst_continuity == pytest.approx(2.0 * np.sin(0.3), rel=1e-9)
+        assert report.worst_normal_dot < 1e-12 and report.worst_edge_misalignment < 1e-12
 
 
 def _bent_on_side(field: AnalyticField, key, kind: str, ident,
@@ -497,7 +512,7 @@ class TestFaceGrid:
         M = field.charts[key].n_segments * 2 ** depth
         phi = grid._phi(depth)
         assert phi.tobytes() == _grid_axes(R, M)[1][grid._cols[depth]].tobytes()
-        whole = field._evaluate_grid(key, np.linspace(0.0, 1.0, R + 1), phi)
+        whole = field.evaluate(key, np.linspace(0.0, 1.0, R + 1)[:, None], phi)
         assert grid.values(depth).tobytes() == whole.tobytes()
         assert grid.boundary(depth).tobytes() == whole[-1].tobytes()
 
@@ -527,11 +542,11 @@ class TestFaceGrid:
             return doubles, split
 
         blocks = []
-        inner = type(field)._evaluate_grid
+        inner = type(field).evaluate
         top = start + len(rounds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(FaceGrid, "_round", scripted)
-            mp.setattr(type(field), "_evaluate_grid", lambda self, k, rho, phi: (
+            mp.setattr(type(field), "evaluate", lambda self, k, rho, phi: (
                 blocks.append(rho.size * phi.size) or inner(self, k, rho, phi)))
             for depth in range(start, top + 1) if stepwise else (start, top):
                 grid.values(depth)
@@ -639,7 +654,7 @@ class TestFaceGrid:
         assert [grid.planes(d).shape[1:] for d in (3, 4, 5)] == [(9, 25), (9, 26), (9, 51)]
         assert nodes == [9 * 24, 9 * 1, 9 * 25]
         assert not grid.resolved(3) and grid.resolved(4)
-        whole = field._evaluate_grid((CLEAVED, 0), np.linspace(0.0, 1.0, 9), grid._phi(5))
+        whole = field.evaluate((CLEAVED, 0), np.linspace(0.0, 1.0, 9)[:, None], grid._phi(5))
         assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(_grid_planes(whole)))
         # One neighbor-dot triple per depth, which the step-bound check reads too.
         assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
@@ -717,7 +732,7 @@ class TestGridBlocks:
             m = field.charts[key].n_segments
             phi = np.arange(m * 2 ** grid_angles) * (2.0 * np.pi / (m * 2 ** grid_angles))
         phi = np.asarray(phi)
-        block = field._evaluate_grid(key, rho, phi)
+        block = field.evaluate(key, rho[:, None], phi)
         rr, pp = np.meshgrid(rho, phi, indexing="ij")
         scattered = field.evaluate(key, rr.ravel(), pp.ravel())
         assert block.shape == (rho.size, phi.size, 3)
@@ -847,6 +862,42 @@ class TestSampledGridPath:
         sampled = SampledField(host=cube_phat, charts=charts, values={key: grid})
         assert (face_grid(sampled, key, depth).tobytes()
                 == _pointwise_grid(sampled, key, depth).tobytes())
+
+    def test_extract_all_reaches_each_node_once_through_evaluate(self, cube_case, tmp_path,
+                                                               monkeypatch):
+        # The bench's fields.evaluate.sampled span wraps SampledField.evaluate
+        # on the class: on a loaded field, every node of every FaceGrid that
+        # extract_all builds passes through it, each once, in grid blocks.
+        _, field = cube_case
+        path = tmp_path / "field.json"
+        save_field(field, path, depth=3)
+        loaded = tt.load_field(path)[0]
+        blocks, grids = [], []
+        evaluate, init = SampledField.evaluate, FaceGrid.__init__
+
+        def wrapped(self, key, rho, phi):
+            if np.ndim(rho) == 2:  # the boundary rings are 1-D
+                rr, pp = np.broadcast_arrays(rho, phi)
+                blocks.extend(zip([key] * rr.size, rr.ravel(), pp.ravel()))
+            return evaluate(self, key, rho, phi)
+
+        def tracking(grid, *args):
+            init(grid, *args)
+            grids.append(grid)
+
+        monkeypatch.setattr(SampledField, "evaluate", wrapped)
+        monkeypatch.setattr(FaceGrid, "__init__", tracking)
+        tt.extract_all(loaded, depth=4)
+        monkeypatch.undo()
+        nodes = []
+        for grid in grids:
+            top = max(grid._planes)
+            rr, pp = np.meshgrid(np.linspace(0.0, 1.0, grid.planes(top).shape[1]),
+                                 grid._phi(top), indexing="ij")
+            nodes.extend(zip([grid.key] * rr.size, rr.ravel(), pp.ravel()))
+        assert len(grids) == len(field.host.cleaved_faces)
+        assert len(set(nodes)) == len(nodes) == len(blocks)
+        assert sorted(blocks) == sorted(nodes)
 
     def test_equals_pointwise_evaluation_on_a_representative(self, cube_case):
         _, field = cube_case

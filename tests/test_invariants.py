@@ -410,14 +410,14 @@ class TestWrapping:
         s_1 = turned(inv.s, 1)
         assert not np.allclose(s_1, inv.s, atol=1e-6)
         assert inv_mod.extract_wrapping_preimage(field, 0, s_1) == 2
-        assert inv_mod._wrapping_integral_detail(field, 0, s_1)[0] == 2
+        assert inv_mod._wrapping_integral_detail(FaceGrid(field, (CLEAVED, 0)), s_1)[0] == 2
         assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
 
         # An integral route that is off only away from s must be caught.
         integral = inv_mod._wrapping_integral_detail
 
-        def off_at_retries(field, a, s, *args, **kwargs):
-            w, res, depth = integral(field, a, s, *args, **kwargs)
+        def off_at_retries(grid, s, *args, **kwargs):
+            w, res, depth = integral(grid, s, *args, **kwargs)
             return w + (not np.allclose(s, inv.s, atol=1e-12)), res, depth
 
         monkeypatch.setattr(inv_mod, "_wrapping_integral_detail", off_at_retries)
@@ -504,7 +504,7 @@ class TestWrapping:
         # integral route there.
         inv, field = make_representative(cube_phat, seed=3)
         grid = FaceGrid(field, (CLEAVED, 0))
-        w, _, used = inv_mod._wrapping_integral_detail(field, 0, inv.s, 1, cache=grid)
+        w, _, used = inv_mod._wrapping_integral_detail(grid, inv.s, 1)
         assert used > 1
         count, seen, script = inv_mod._grid_count, [], []
 
@@ -522,7 +522,7 @@ class TestWrapping:
         def checked(*steps):
             seen.clear()
             script[:] = steps
-            return inv_mod._checked_preimage(field, 0, inv.s, used, grid)
+            return inv_mod._checked_preimage(grid, inv.s, used)
 
         assert checked(0) == w
         assert len(seen) == 1 and seen[0][0] is grid.neighbor_dots(used)
@@ -759,7 +759,7 @@ class TestCandidateCells:
         s = case.expected.s
         for a in range(len(case.phat.cleaved_faces)):
             grid = FaceGrid(case.field, (CLEAVED, a))
-            w, _, used = inv_mod._wrapping_integral_detail(case.field, a, s, cache=grid)
+            w, _, used = inv_mod._wrapping_integral_detail(grid, s)
             values = grid.values(used)
             assert w == case.expected.wrapping_numbers[a]
             with pytest.raises(errors.NotRegularValue):
@@ -779,7 +779,7 @@ class TestCandidateCells:
         case = _bench_corpus().Corpus(2, with_field=True, file_dir=None).case(6)
         s = case.expected.s
         grid = FaceGrid(case.field, (CLEAVED, 0))
-        w, _, used = inv_mod._wrapping_integral_detail(case.field, 0, s, cache=grid)
+        w, _, used = inv_mod._wrapping_integral_detail(grid, s)
         values, s_3 = grid.values(used), turned(s, 3)
         c00, c01, c11 = values[0], np.roll(values[0], -1, axis=0), np.roll(values[1], -1, axis=0)
         side = fields_mod._dot(cross(c00, c11).T, s_3)
@@ -921,10 +921,11 @@ class TestTrappedAreas:
         _, field = make_representative(octa_phat, seed=1)
         rejected = tt.choose_reference_s(octa_phat, 430)
         calls = []
-        for name in ("extract_wrapping_preimage", "_wrapping_integral_detail"):
-            def spy(field, a, s, *args, _route=getattr(inv_mod, name), **kwargs):
-                calls.append(np.allclose(s, rejected, rtol=0.0, atol=1e-12))
-                return _route(field, a, s, *args, **kwargs)
+        # s is argument 2 of the public route and 1 of the grid's helper.
+        for name, at in (("extract_wrapping_preimage", 2), ("_wrapping_integral_detail", 1)):
+            def spy(*args, _route=getattr(inv_mod, name), _at=at, **kwargs):
+                calls.append(np.allclose(args[_at], rejected, rtol=0.0, atol=1e-12))
+                return _route(*args, **kwargs)
             monkeypatch.setattr(inv_mod, name, spy)
         report = tt.extract_all(field, seed=430, depth=5)
         assert calls and not any(calls)
