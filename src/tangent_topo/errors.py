@@ -32,10 +32,6 @@ class DegenerateCut(GeometryError):
     """A cut plane grazes a vertex or cuts interact with each other."""
 
 
-class BasePointOutside(GeometryError):
-    """Requested chart base point is not strictly inside the face."""
-
-
 # --- sphere -----------------------------------------------------------------
 
 class SphereError(TangentTopoError):

@@ -219,10 +219,13 @@ class SampledField:
         # interpolated once at the target phis, then every target ring
         # radially between its two, weights broadcast against whole blocks.
         i0 = i0[:, 0]
-        used = np.unique(np.concatenate([i0, i0 + 1]))
-        rings = geodesic_interpolate(grid[used[:, None], j0], grid[used[:, None], j1], tp)
+        used = np.zeros(grid.shape[0], dtype=bool)
+        used[i0] = used[i0 + 1] = True
+        slot = np.cumsum(used) - 1      # row of each used stored ring
+        rows = np.flatnonzero(used)[:, None]
+        rings = geodesic_interpolate(grid[rows, j0], grid[rows, j1], tp)
         planes = np.moveaxis(rings, -1, 0)
-        low, high = (np.moveaxis(planes[:, np.searchsorted(used, i)], 0, -1) for i in (i0, i0 + 1))
+        low, high = (np.moveaxis(planes[:, slot[i]], 0, -1) for i in (i0, i0 + 1))
         return geodesic_interpolate(low, high, tr)
 
 

@@ -21,7 +21,6 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    BasePointOutside,
     DegenerateCut,
     GeometryError,
     SeparationViolation,
@@ -344,10 +343,6 @@ class TruncatedPolyhedron:
         use and shared, read-only, by every field on this solid."""
         return MappingProxyType({key: polar_chart(self, key) for key in self.face_keys()})
 
-    def face_outward_normal(self, key: FaceKey) -> np.ndarray:
-        kind, idx = key
-        return self.face_normal(idx) if kind == TRUNCATED else self.cut_normal(idx)
-
     def fan_edge_cycle(self, a: int) -> Tuple[int, ...]:
         """Truncated edges around corner ``a``, ordered so consecutive
         ones are linked by a cleaved edge traversed in its stored
@@ -395,8 +390,11 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
 
     Raises SeparationViolation when a plane fails to isolate its vertex
     and DegenerateCut when a plane grazes a vertex or two cuts meet, in
-    particular when a truncated edge would collapse to a point.
+    particular when a truncated edge would collapse to a point, and
+    GeometryError when a normal or point holds a non-finite number.
     """
+    if not (np.isfinite(spec.normals).all() and np.isfinite(spec.points).all()):
+        raise GeometryError("cut-plane normals and points must be finite")
     verts = poly.vertices
     tol = poly.tol
     v = poly.n_vertices
@@ -542,22 +540,13 @@ class PolarChart:
     ``z`` walks the boundary with constant speed on each side, one equal
     phi-span per side, starting (phi = 0) at the corner with the lowest
     point index and running counterclockwise about the outward normal.
+    ``polar_chart`` builds the one chart per face that the library uses,
+    the centroid chart, whose base is the mean of the face's corners.
     """
 
     corners: np.ndarray                 # (m, 3) anchored cycle
     base: np.ndarray
-    normal: np.ndarray
     segments: Tuple[ChartSegment, ...]
-    frame: Tuple[np.ndarray, np.ndarray]
-
-    def __post_init__(self):
-        rel = self.corners - self.base
-        c2 = np.stack([rel @ w for w in self.frame], axis=1)
-        d = np.roll(c2, -1, axis=0) - c2   # side vectors q1 - q0
-        # The per-chart constants of ``locate`` (the dataclass is frozen).
-        self.__dict__.update(_corners2d=c2, _sides=d,
-                             _tau_num=d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1],
-                             _scale=float(np.max(np.linalg.norm(c2, axis=1))))
 
     @property
     def n_segments(self) -> int:
@@ -600,15 +589,18 @@ class PolarChart:
         The first side the ray from the base point leaves through gives
         ``phi`` and ``rho``; every side is solved in closed form.
         """
+        w1 = normalized(self.corners[0] - self.base)
+        frame = (w1, normalized(cross(_newell_normal(self.corners), w1)))
         rel = np.atleast_2d(np.asarray(points, dtype=float)) - self.base
-        x0, x1 = ((rel @ w)[:, None] for w in self.frame)
-        c2, d = self._corners2d, self._sides
-        at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * self._scale
+        x0, x1 = ((rel @ w)[:, None] for w in frame)
+        c2 = np.stack([(self.corners - self.base) @ w for w in frame], axis=1)
+        d = np.roll(c2, -1, axis=0) - c2   # side vectors q1 - q0
+        at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * np.max(np.linalg.norm(c2, axis=1))
         # Side k solves q0 + u (q1 - q0) = tau x by Cramer's rule.
         det = x0 * d[:, 1] - x1 * d[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = (x1 * c2[:, 0] - x0 * c2[:, 1]) / det
-            tau = self._tau_num / det
+            tau = (d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1]) / det
             hit = ((np.abs(det) >= 1e-18) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
                    & (tau >= 1.0 - 1e-9) & ~at_base[:, None])
             k = np.argmax(hit, axis=1)
@@ -620,7 +612,9 @@ class PolarChart:
         return rho, phi, inside | at_base
 
 
-def _face_segments(phat: TruncatedPolyhedron, key: FaceKey):
+def polar_chart(phat: TruncatedPolyhedron, key: FaceKey) -> PolarChart:
+    """The centroid chart of a face of the truncated polyhedron: its base
+    is the mean of the face's corners, strictly inside the convex face."""
     kind, idx = key
     if kind == TRUNCATED:
         tf = phat.trunc_faces[idx]
@@ -630,45 +624,8 @@ def _face_segments(phat: TruncatedPolyhedron, key: FaceKey):
         cf = phat.cleaved_faces[idx]
         polygon = list(cf.polygon)
         segs = [ChartSegment("cleaved", (cf.vertex, c), False) for c in cf.face_chain]
-    return polygon, segs
-
-
-def polar_chart(
-    phat: TruncatedPolyhedron,
-    key: FaceKey,
-    base_point=None,
-) -> PolarChart:
-    """Polygonal-polar chart for a face of the truncated polyhedron.
-
-    The default base point is the polygon centroid; an explicit base
-    point must lie strictly inside the face.
-    """
-    polygon, segs = _face_segments(phat, key)
-    pts = phat.points[polygon]
-    normal = phat.face_outward_normal(key)
-    base = pts.mean(axis=0) if base_point is None else np.asarray(base_point, float)
-
-    scale = float(np.max(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-    if abs((base - pts[0]) @ normal) > 1e-7 * scale:
-        raise BasePointOutside("base point is off the face plane")
-    m = len(polygon)
-    for k in range(m):
-        q0, q1 = pts[k], pts[(k + 1) % m]
-        inward = cross(normal, q1 - q0)
-        if (base - q0) @ inward <= 1e-9 * scale:
-            raise BasePointOutside("base point is not strictly inside the face")
-
+    base = phat.points[polygon].mean(axis=0)
     anchor = int(np.argmin(polygon))
     polygon = polygon[anchor:] + polygon[:anchor]
     segs = segs[anchor:] + segs[:anchor]
-    corners = phat.points[polygon]
-
-    w1 = normalized(corners[0] - base)
-    w2 = normalized(cross(normal, w1))
-    return PolarChart(
-        corners=corners,
-        base=base,
-        normal=normal,
-        segments=tuple(segs),
-        frame=(w1, w2),
-    )
+    return PolarChart(corners=phat.points[polygon], base=base, segments=tuple(segs))

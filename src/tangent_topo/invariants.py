@@ -234,7 +234,7 @@ def _kink_details(field, edges, rings=None) -> dict:
         chart = field.charts[key]
         segs = [chart.segment_index("cleaved", ac) for ac in group]
         # A trimmed face runs its cleaved segments forward (see
-        # geometry._face_segments), so no row is read backward.
+        # geometry.polar_chart), so no row is read backward.
         assert all(chart.segments[k].forward for k in segs)
         spans = np.array([chart.segment_span(k) for k in segs])
         t = np.linspace(0.0, 1.0, RING_SAMPLES)

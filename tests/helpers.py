@@ -337,7 +337,7 @@ def tangent_perturbation(field: AnalyticField, seed: int,
     phat = field.host
     params = {}
     for key in phat.face_keys():
-        axis = (phat.face_outward_normal(key) if key[0] == "truncated"
+        axis = (phat.face_normal(key[1]) if key[0] == "truncated"
                 else normalized(rng.normal(size=3)))
         params[key] = (
             float(rng.uniform(0.2, 1.0) * amplitude),
@@ -585,34 +585,6 @@ def reference_choose_reference_s(phat, seed):
         if s_margin(phat, cand) >= MARGIN_S:
             return cand
     return None
-
-
-def reference_locate(chart, points):
-    """``PolarChart.locate`` with every per-chart constant (the scale of
-    the base-point test, the side vectors and the numerators of tau)
-    recomputed from the corners on each call."""
-    rel = np.atleast_2d(np.asarray(points, dtype=float)) - chart.base
-    w1, w2 = chart.frame
-    x0 = (rel @ w1)[:, None]
-    x1 = (rel @ w2)[:, None]
-    corners = chart.corners - chart.base
-    c2 = np.stack([corners @ w1, corners @ w2], axis=1)
-    scale = float(np.max(np.linalg.norm(c2, axis=1)))
-    at_base = np.hypot(x0[:, 0], x1[:, 0]) < 1e-14 * scale
-    d = np.roll(c2, -1, axis=0) - c2
-    det = x0 * d[:, 1] - x1 * d[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (x1 * c2[:, 0] - x0 * c2[:, 1]) / det
-        tau = (d[:, 1] * c2[:, 0] - d[:, 0] * c2[:, 1]) / det
-        hit = ((np.abs(det) >= 1e-18) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-               & (tau >= 1.0 - 1e-9) & ~at_base[:, None])
-        k = np.argmax(hit, axis=1)
-        rows = np.arange(k.size)
-        inside = hit[rows, k]
-        span = 2.0 * np.pi / chart.n_segments
-        rho = np.where(inside, np.minimum(1.0, 1.0 / tau[rows, k]), 0.0)
-        phi = np.where(inside, (k + np.clip(u[rows, k], 0.0, 1.0)) * span, 0.0)
-    return rho, phi, inside | at_base
 
 
 # --- field documents ------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -588,6 +592,31 @@ class TestDocumentEntries:
             bad.write_text(json.dumps(_edited(doc, path, "delete")))
             assert main(["check", "--inv", str(bad)]) == EXIT_OK, path
 
+    def test_non_finite_cut_plane(self, inv_file, tetra_phat, tmp_path):
+        # An invariant document with the solid's cut planes; NaN, Infinity
+        # or null in any of their entries is refused by every command that
+        # reads the document.
+        doc = json.loads(inv_file.read_text())
+        doc["truncation"] = tetra_phat.spec.to_dict()
+        bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+        commands = (["check", "--inv", str(bad)],
+                    ["invariants", "--inv", str(bad), "--out", out],
+                    ["synthesize", "--inv", str(bad), "--depth", "0", "--out", out])
+        bad.write_text(json.dumps(doc))
+        assert main(commands[0]) == EXIT_OK
+        codes = {}
+        for entry in ("normals", "points"):
+            for a, row in enumerate(doc["truncation"][entry]):
+                for j in range(len(row)):
+                    for value in (float("nan"), float("inf"), None):
+                        edited = json.loads(json.dumps(doc))
+                        edited["truncation"][entry][a][j] = value
+                        bad.write_text(json.dumps(edited))
+                        for argv in commands:
+                            codes[entry, a, j, value, argv[0]] = main(argv)
+        assert len(codes) == 2 * 4 * 3 * 3 * 3
+        assert {k: c for k, c in codes.items() if c != EXIT_VALIDATION} == {}
+
     def test_field_document(self, field_file, tmp_path):
         doc = json.loads(field_file.read_text())
         bad = tmp_path / "bad.json"
@@ -602,6 +631,21 @@ class TestDocumentEntries:
         assert {k: c for k, c in codes.items() if c not in (EXIT_USAGE, EXIT_VALIDATION)} == {}
         assert main(["export-mesh", "--field", str(field_file), "--depth", "0",
                      "--out", out]) == EXIT_OK
+
+
+def test_field_extraction_never_imports_numpy_ma(field_file):
+    # numpy.ma costs 9-25 ms to import, paid once by each process that
+    # loads a field file and extracts its invariants.
+    script = ("import sys, tangent_topo as tt\n"
+              f"field, diagnostics = tt.load_field({str(field_file)!r})\n"
+              "assert diagnostics.ok\n"
+              "tt.extract_all(field, seed=0, depth=3)\n"
+              "assert 'numpy' in sys.modules and 'numpy.ma' not in sys.modules\n")
+    src = str(Path(tt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestSeedHandling:

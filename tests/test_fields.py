@@ -139,7 +139,8 @@ def _bent_on_side(field: AnalyticField, key, kind: str, ident,
     in-plane, and the values at the side's ends stay put."""
     chart = field.charts[key]
     side = chart.segment_index(kind, ident)
-    axis = field.host.face_outward_normal(key)
+    phat, idx = field.host, key[1]
+    axis = phat.face_normal(idx) if key[0] == TRUNCATED else phat.cut_normal(idx)
 
     def evaluator(k, rho, phi):
         vals = field.evaluator(k, rho, phi)

@@ -14,8 +14,8 @@ from tangent_topo.geometry import (
 )
 from tangent_topo.sphere import normalized
 
-from helpers import (PINNED_HULLS, halfspace_truncation_counts, pentagonal_pyramid,
-                     pinned_hull, random_rotation, reference_locate)
+from helpers import (PINNED_HULLS, halfspace_truncation_counts, normal_cone_spec,
+                     pinned_hull, random_rotation)
 
 
 class TestPolyhedronLoading:
@@ -128,6 +128,18 @@ class TestTruncation:
         with pytest.raises(errors.DegenerateCut):
             truncate(cube, TruncationSpec(normals=spec.normals, points=points))
 
+    @pytest.mark.parametrize("entry", ["normals", "points"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cut_plane_rejected(self, entry, value):
+        cube = builtin_polyhedron("cube")
+        planes = TruncationSpec.from_fraction(cube, 0.25).to_dict()
+        for a in range(cube.n_vertices):
+            for j in range(3):
+                edited = {k: np.array(v) for k, v in planes.items()}
+                edited[entry][a, j] = value
+                with pytest.raises(errors.GeometryError, match="finite"):
+                    truncate(cube, TruncationSpec(**edited))
+
     def test_rigid_motion_equivariance(self):
         rng = np.random.default_rng(7)
         poly = builtin_polyhedron("tetrahedron")
@@ -180,10 +192,26 @@ class TestPolarChart:
         assert np.all(rho < 1.0 - 1e-6)
         assert np.all(np.abs((pts - chart.base) @ normal) < 1e-12)
 
-    def test_base_point_outside_rejected(self, cube_phat):
-        corner = cube_phat.points[cube_phat.trunc_faces[0].polygon[0]]
-        with pytest.raises(errors.BasePointOutside):
-            polar_chart(cube_phat, ("truncated", 0), base_point=corner + 1.0)
+    @pytest.mark.parametrize("solid", [(name, lam) for name in tt.BUILTIN_NAMES
+                                       for lam in (0.2, 0.25)] + list(PINNED_HULLS))
+    def test_base_lies_strictly_inside_its_face(self, solid):
+        # The centroid chart's base lies in the face plane and strictly
+        # inside every side; on the thinnest hull faces it is 8.6e-4 of
+        # the face's size away from one.
+        if isinstance(solid[0], str):
+            poly = builtin_polyhedron(solid[0])
+            phat = truncate(poly, TruncationSpec.from_fraction(poly, solid[1]))
+        else:
+            poly, lam = pinned_hull(*solid)
+            phat = truncate(poly, normal_cone_spec(poly, lam))
+        for (kind, idx), chart in phat.charts.items():
+            normal = phat.face_normal(idx) if kind == "truncated" else phat.cut_normal(idx)
+            q0 = chart.corners
+            q1 = np.roll(q0, -1, axis=0)
+            scale = np.max(np.linalg.norm(q0 - chart.base, axis=1))
+            assert np.all(np.abs((q0 - chart.base) @ normal) <= 1e-12 * scale), (kind, idx)
+            inward = np.cross(normal, q1 - q0) / np.linalg.norm(q1 - q0, axis=1)[:, None]
+            assert np.all(np.einsum("kj,kj->k", chart.base - q0, inward) > 1e-9 * scale)
 
     def test_locate_inverts_point(self, cube_phat):
         chart = polar_chart(cube_phat, ("cleaved", 3))
@@ -234,9 +262,7 @@ class TestPolarChart:
     def test_segment_position_clamps_below_a_full_turn(self, m):
         # One ulp below 2 pi can round up to the end of side m; it stays
         # on side m - 1 at a fraction within [0, 1].
-        chart = tt.PolarChart(corners=np.zeros((m, 3)), base=np.zeros(3),
-                              normal=np.array([0.0, 0.0, 1.0]), segments=(),
-                              frame=(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])))
+        chart = tt.PolarChart(corners=np.zeros((m, 3)), base=np.zeros(3), segments=())
         k, u = chart.segment_position(np.array([np.nextafter(2.0 * np.pi, 0.0), 0.0]))
         assert k.tolist() == [m - 1, 0]
         assert 0.0 <= u[0] <= 1.0 and u[1] == 0.0
@@ -250,33 +276,6 @@ class TestPolarChart:
         rho, phi2, inside = chart.locate(np.concatenate([inner, outer]))
         assert inside[:12].all() and not inside[12:].any()
         assert np.all(rho[12:] == 0.0) and np.all(phi2[12:] == 0.0)
-
-    @pytest.mark.parametrize("solid", ["cube_phat", "tetra_phat", "octa_phat", "pyramid"])
-    def test_locate_equals_the_reference_formula(self, solid, request):
-        # The per-chart constants computed once give the same bits as the
-        # formula that recomputes them on every call.
-        if solid == "pyramid":
-            poly = pentagonal_pyramid()
-            phat = truncate(poly, TruncationSpec.from_fraction(poly, 0.25))
-        else:
-            phat = request.getfixturevalue(solid)
-        rng = np.random.default_rng(7)
-        for key, chart in phat.charts.items():
-            m = chart.n_segments
-            corners = np.arange(m) * (2.0 * np.pi / m)
-            phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 40), corners,
-                                  corners + np.pi / m])
-            rim = chart.point(np.ones(phi.size), phi)
-            pts = np.concatenate([
-                chart.point(rng.uniform(0.0, 1.0, 40), phi[:40]),        # interior
-                rim, chart.base + (1.0 - 1e-12) * (rim - chart.base),  # rim
-                [chart.base, chart.base + 1e-16 * chart.frame[0]],      # base point
-                chart.base + 1.5 * (rim - chart.base),                  # outside
-            ])
-            got, want = chart.locate(pts), reference_locate(chart, pts)
-            for x, y in zip(got, want):
-                assert x.tobytes() == y.tobytes(), key
-            assert got[2][-phi.size:].sum() == 0 and got[2][-phi.size - 2:-phi.size].all()
 
     def test_fan_cycle_anchored_and_cyclic(self, cube_phat):
         cycle = cube_phat.fan_edge_cycle(0)
