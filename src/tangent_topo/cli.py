@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--field", help="sampled-field JSON file")
     src.add_argument("--inv", help="invariant-set file, extracted from its representative")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--depth", type=_depth_arg, default=6)
+    p.add_argument("--depth", type=_depth_arg, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_invariants)
 

@@ -6,11 +6,11 @@ numbers (integer excess windings along cleaved edges, measured about
 the adjacent trimmed-face normal), the wrapping numbers (integer face
 degrees relative to a geodesic cap closure toward the antipode of a
 reference direction ``s``), and the reference direction itself.  The
-wrapping numbers are computed twice on one resolved face grid: by the
-area/cap integral, and by a signed count of the image triangles that
-contain a direction next to ``s``.  The trapped areas are derived
-reals, computed here by two independent routes: direct quadrature of
-the image area, and a closed form in the other invariants.
+wrapping numbers are computed twice on one face grid: by the area/cap
+integral on a resolved level, and one level up by a signed count of the
+image triangles that contain a direction next to ``s``.  Trapped
+areas, derived reals, come from two independent routes: direct
+quadrature of the image area, and a closed form in the other invariants.
 
 Orientation convention used throughout: surface integrals over a corner
 face run with the boundary direction that traverses every cleaved edge
@@ -546,6 +546,7 @@ class InvariantReport:
     wrapping_residuals: np.ndarray
     wrapping_depths: Tuple[int, ...]
     wrapping_grids: Tuple[Tuple[int, int], ...]  # (R, K) of each resolved grid
+    wrapping_checks: Tuple[Optional[int], ...]  # levels the check turned down
     kink_residuals: Dict[Tuple[int, int], float]
     seed: int
     s_was_given: bool
@@ -572,7 +573,7 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
 
 def _checked_preimage(grid: FaceGrid, s_ref, used):
     """The preimage count of a corner face on level ``used`` of its
-    FaceGrid ``grid``, where the integral route resolved, at the first of
+    FaceGrid ``grid``, a level with a valid area sum, at the first of
     PREIMAGE_ATTEMPTS directions turned off ``s_ref`` by multiples of
     PREIMAGE_TURN that is a regular value, checked against the integral
     route there; None when none is.  ``s_ref`` itself is never tried: the
@@ -591,6 +592,32 @@ def _checked_preimage(grid: FaceGrid, s_ref, used):
                                     f"preimage {pre} at s = {s_k}")
         return pre
     return None
+
+
+def _checked_climb(grid: FaceGrid, s, depth: int, with_preimage: bool):
+    """``(w, residual, level, preimage, checks)`` of a corner face by the
+    integral route at ``s`` from level ``depth`` of ``grid`` on.  A level
+    u below MAX_DEPTH counts once level u + 1 has a valid area sum and
+    gives w: by ``_checked_preimage`` there ``with_preimage``, else (or
+    where that is None) by the integral route resolved on u + 1 itself.
+    Otherwise, a DualRouteMismatch included, the climb restarts from
+    u + 1; ``checks`` counts the restarts, None if the climb first
+    resolved at MAX_DEPTH, which counts unchecked."""
+    w, res, u = _wrapping_integral_detail(grid, s, depth)
+    checks = 0
+    while u < MAX_DEPTH:
+        if grid.area_sum(u + 1) is not None:
+            try:
+                pre = _checked_preimage(grid, s, u + 1) if with_preimage else None
+                if pre == w or pre is None and _wrapping_integral_detail(
+                        grid, s, u + 1)[::2] == (w, u + 1):
+                    return w, res, u, pre, checks
+            except DualRouteMismatch:
+                pass
+        checks += 1
+        w, res, u = _wrapping_integral_detail(grid, s, u + 1)
+    pre = _checked_preimage(grid, s, u) if with_preimage else None
+    return w, res, u, pre, checks or None
 
 
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
@@ -618,7 +645,7 @@ def extract_all(
     field: TangentField,
     s=None,
     seed: int = 0,
-    depth: int = 6,
+    depth: int = 4,
     with_preimage: bool = True,
 ) -> InvariantReport:
     """Assemble the full invariant report of a field.
@@ -627,15 +654,17 @@ def extract_all(
     re-chosen while it sits on a fan-triangle boundary, before any route
     runs.  Wrapping numbers come from the integral route at ``s``, which
     starts on the whole depth-``depth`` grid of each face and climbs its
-    ``FaceGrid`` levels to a resolved grid, whose level and (R, K) the
-    report keeps.  The preimage route cross-checks them on that grid, by
-    a signed count of the image triangles that contain one of up to
-    PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
+    ``FaceGrid`` levels to a resolved level, whose depth and (R, K) the
+    report keeps, checked one level up (``_checked_climb``): any resolved
+    grid is exact, so the check guards against a field that turns too
+    far between nodes.  The preimage route cross-checks w on the check
+    level by a signed count of the image triangles that contain one of
+    up to PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
     PREIMAGE_TURN, never ``s`` itself, the image of the base ring of a
     representative's covering patches: the first turned direction that
     is a regular value gives the count, and the integral route is taken
-    again there.  A disagreement raises DualRouteMismatch.  The count
-    reads only the grid the integral route already evaluated, so it
+    again there.  A disagreement climbs on, and raises DualRouteMismatch
+    at MAX_DEPTH.  The count reads only grids the climb evaluated, so it
     makes no ``evaluate`` call of its own; ``with_preimage=False`` skips
     it (its report column is then all None).
 
@@ -660,11 +689,10 @@ def extract_all(
     results = []
     for a in range(n_corners):
         grid = FaceGrid(field, (CLEAVED, a))
-        w, res, used = _wrapping_integral_detail(grid, s_ref, depth)
-        pre = _checked_preimage(grid, s_ref, used) if with_preimage else None
-        rings, samples = grid.planes(used).shape[1:]
-        results.append((w, res, used, (rings - 1, samples - 1), pre, -grid.area_sum(used)))
-    omegas, residuals, depths, grids, preimages, directs = zip(*results)
+        climb = _checked_climb(grid, s_ref, depth, with_preimage)
+        rings, samples = grid.planes(climb[2]).shape[1:]
+        results.append((*climb, (rings - 1, samples - 1), -grid.area_sum(climb[2])))
+    omegas, residuals, depths, preimages, checks, grids, directs = zip(*results)
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -679,6 +707,7 @@ def extract_all(
         wrapping_residuals=np.array(residuals),
         wrapping_depths=depths,
         wrapping_grids=grids,
+        wrapping_checks=checks,
         kink_residuals=kink_res,
         seed=seed,
         s_was_given=s is not None,
@@ -779,6 +808,7 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
             "quadrature_depth": report.quadrature_depth,
             "wrapping_depths": list(report.wrapping_depths),
             "wrapping_grids": {str(a): list(g) for a, g in enumerate(report.wrapping_grids)},
+            "wrapping_checks": {str(a): n for a, n in enumerate(report.wrapping_checks)},
             "wrapping_residuals": {
                 str(a): float(r) for a, r in enumerate(report.wrapping_residuals)
             },

@@ -519,7 +519,7 @@ def reference_grid_count(grid: np.ndarray, s: np.ndarray):
     return -count
 
 
-def uniform_chain_wrapping(field, a, s, depth=6):
+def uniform_chain_wrapping(field, a, s, depth=4):
     """Corner face ``a`` on the uniform chain of whole grids, which
     ``FaceGrid``'s local refinement replaces: ``(w, level, direct area,
     preimage count)``.
@@ -529,20 +529,31 @@ def uniform_chain_wrapping(field, a, s, depth=6):
     dot <= 0, or one that keeps the quarter-turn bound with an invalid
     area sum.  The first level whose area and cap sums give an integer
     within DEGREE_RESIDUAL_TOL resolves; the preimage count is
-    ``reference_grid_count`` there at the first turned direction of
-    ``extract_all`` that is a regular value.
+    ``reference_grid_count`` one level up (on that level itself at
+    MAX_DEPTH), where ``extract_all`` checks a resolved level, at the
+    first turned direction of ``extract_all`` that is a regular value.
+    It does not model a level that the check turns down: compare it only
+    with faces whose ``wrapping_checks`` entry is 0.
     """
     from tangent_topo import invariants as inv_mod
     from tangent_topo.fields import MAX_DEPTH, _grid_area_sum, _grid_planes, _neighbor_dots
     from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, triangle_areas
 
+    def count(grid):
+        turned = (inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
+                  for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1))
+        counts = (reference_grid_count(grid, s_k) for s_k in turned)
+        return next((c for c in counts if c is not None), None)
+
     key = (CLEAVED, a)
     s = normalized(s)
-    R = 2 ** depth
+    R, found = 2 ** depth, None
     for level in range(depth, MAX_DEPTH + 1):
         K = field.charts[key].n_segments * 2 ** level
         grid = np.ascontiguousarray(field.evaluate(
             key, np.linspace(0.0, 1.0, R + 1)[:, None], np.arange(K) * (2.0 * np.pi / K)))
+        if found is not None:
+            return (*found, count(grid))
         _, radial, around = dots = _neighbor_dots(_grid_planes(grid))
         area = _grid_area_sum(dots)
         if area is not None:
@@ -551,10 +562,11 @@ def uniform_chain_wrapping(field, a, s, depth=6):
                                           np.broadcast_to(-s, boundary.shape))
             raw = (float(np.sum(gamma)) - area) / (4.0 * np.pi)
             if valid.all() and abs(raw - round(raw)) < DEGREE_RESIDUAL_TOL:
-                turned = (inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
-                          for k in range(1, inv_mod.PREIMAGE_ATTEMPTS + 1))
-                counts = (reference_grid_count(grid, s_k) for s_k in turned)
-                return round(raw), level, -area, next((c for c in counts if c is not None), None)
+                # A resolved level keeps R: its radial dots are positive
+                # and its area sum valid.
+                found = round(raw), level, -area
+                if level == MAX_DEPTH:
+                    return (*found, count(grid))
         if radial.min() <= 0.0 or (around.min() > 0.0 and area is None):
             R *= 2
     raise AssertionError(f"face {a} unresolved on the uniform chain")

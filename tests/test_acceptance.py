@@ -2,12 +2,15 @@
 
 Each test prints a single pass line; tolerances are fixed here and
 nowhere else.  The randomized corpus (50 admissible invariant sets on
-the cube and the tetrahedron, synthesized and re-extracted at
-quadrature depth 6) is built once and shared.  Each report reads its
-direct trapped areas from the integral route's resolved grid; criterion
-5 also checks the closed form against an independent grid, by
+the cube and the tetrahedron, synthesized and re-extracted from the
+default starting depth of ``extract_all``, with its level check) is
+built once and shared.  Each report reads its direct trapped areas from
+the integral route's resolved grid, so criterion 5's agreement there
+checks the cap-kink-fan algebra and w, not the quadrature; it also
+checks the closed form against an independent grid, by
 ``trapped_area_direct`` at depth 7.
 """
+import inspect
 import time
 from dataclasses import dataclass
 
@@ -25,7 +28,7 @@ from helpers import (
     tangent_perturbation,
 )
 
-DEPTH = 6
+DEPTH = inspect.signature(tt.extract_all).parameters["depth"].default
 TRAPPED_DEPTH = 7
 N_CASES_PER_SOLID = 25
 

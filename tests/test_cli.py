@@ -125,8 +125,8 @@ class TestPipeline:
 
     def test_invariants_at_depth_one(self, cube_phat, tmp_path):
         # A depth-1 grid does not resolve this set; the preimage count
-        # runs on the grid where the integral route resolved, so the two
-        # routes agree instead of exiting 5.
+        # runs only on a resolved grid, one level above the integral
+        # route's, so the two routes agree instead of exiting 5.
         inv = tt.random_admissible_invariants(cube_phat, seed=3)
         doc = {"format": "invariants/1", "polyhedron": {"builtin": "cube"},
                "truncation": {"lambda": 0.25}, **invariant_set_to_dict(inv, cube_phat)}

@@ -794,19 +794,19 @@ class TestRowLayout:
 
     def test_refined_golden_cube_grids(self, cube_phat):
         # The golden cube report's face 2 resolves at depth 8 by refinement,
-        # on the 64 rings of depth 6, and 198 of the 768 angles of the
-        # uniform depth-8 grid: the 192 of depth 6 and 6 midpoints.
+        # on the 16 rings of depth 4, and 63 of the 768 angles of the
+        # uniform depth-8 grid: the 48 of depth 4 and 15 midpoints.
         inv = tt.random_admissible_invariants(cube_phat, seed=0)
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
         report = tt.extract_all(field)
-        assert report.wrapping_depths[2] == 8 and report.wrapping_grids[2] == (64, 198)
+        assert report.wrapping_depths[2] == 8 and report.wrapping_grids[2] == (16, 63)
         grid = FaceGrid(field, (CLEAVED, 2))
-        grid.values(6)
+        grid.values(4)
         grid.planes(8)
         columns = grid._cols[8]
-        assert set(4 * np.arange(192)) < set(columns.tolist())
-        expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=64, columns=columns)
+        assert set(16 * np.arange(48)) < set(columns.tolist())
+        expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=16, columns=columns)
         self._check(grid.values(8), expected)
         self._check(grid.boundary(8), expected[-1])
 

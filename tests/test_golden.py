@@ -17,14 +17,14 @@ from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.invariants import invariant_set_to_dict, report_to_dict
 
 REPORTS = {
-    "cube": "147c5f5d2c6ca4e2220ffc96f961460469c85b179c03d4948523dce58876b0f9",
-    "tetrahedron": "582ce6a77039c5421256bd83a836d102d54a437da2e2668ead08ff850dd77c4e",
-    "octahedron": "849284e0c06d6c18ed42388e367e5c07b9726142fa54bca7c7ba89f3b35a72c5",
+    "cube": "8fe5f9952894c6c41a6216664cba9e687dd2ed708bebe47e2c46bb2398f30c8f",
+    "tetrahedron": "875ea885abba708e0a54b9c65c07aeea367f7b9373506cf034f3bc6ad995e1f7",
+    "octahedron": "ab2fad1cf96e3fac1956de39fe96627c9882759224b798fa11e1c2cfc46cfc3c",
 }
 TETRAHEDRON_CLI = {
     "field.json": "f122abdad2f63aab308479c263fa5e8f9d072b2fa93f920879349d0b9991886f",
-    "synthesize-report.json": "595e7e7fd71baf22fbfebc42f1a37bbd358eb35f6c5386ce0029e95627c96a4c",
-    "invariants-report.json": "04efae091691d846f1a13f469e9a22ced3d1a691d405bc8a510d254a5f502760",
+    "synthesize-report.json": "946dba24b968d1f2d3d14e4668d0ab5677d5202602c1d4544c8bb6a313b2d1a5",
+    "invariants-report.json": "a3f62873e18f6e7ada2cdf13c15d87da4af46c61decabd6fc34ec1befe33e7f0",
 }
 
 

@@ -12,7 +12,7 @@ import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
 from tangent_topo import invariants as inv_mod
-from tangent_topo.fields import CLEAVED, TRUNCATED, AnalyticField, FaceGrid
+from tangent_topo.fields import CLEAVED, MAX_DEPTH, TRUNCATED, AnalyticField, FaceGrid
 from tangent_topo.invariants import (
     InvariantSet,
     MARGIN_S,
@@ -444,8 +444,9 @@ class TestWrapping:
             assert calls == [(CLEAVED, a)]  # the depth-6 grid, in one call
 
     def test_preimage_check_makes_no_evaluate_call(self, cube_phat):
-        # The count reads the grid on which the integral route resolved,
-        # and that route, taken again at the turned direction, reads it too.
+        # The count reads the check level one above the resolved one, which
+        # the climb evaluates with or without it, and the integral route,
+        # taken again at the turned direction, reads it too.
         inv, field = make_representative(cube_phat, seed=3)
         calls = {True: [], False: []}
         for with_preimage, log in calls.items():
@@ -485,13 +486,17 @@ class TestWrapping:
                 for d, held in grid._planes.items() if held is planes]
         assert len(read) == len(passes) == len(set(read))
         assert sorted(read) == sorted(built)
-        # Faces that refined past depth 5 built, and read, two depths.
-        assert len(built) == len(faces) + sum(d > 5 for d in report.wrapping_depths) > len(faces)
+        # Each face built, and read, every level from depth 5 up to the
+        # check one above its resolved level, and some face refined.
+        assert sorted(built) == sorted(
+            ((CLEAVED, a), d) for a, used in enumerate(report.wrapping_depths)
+            for d in range(5, min(used + 1, MAX_DEPTH) + 1))
+        assert max(report.wrapping_depths) > 5
 
     def test_low_depth_cross_check_rescans_the_resolved_grid(self, cube_phat):
         # The depth-1 grids of this set are unresolved (a scan there once
-        # counted 1 against 3 on face 2); the count runs only on the grid
-        # where the integral route resolved.
+        # counted 1 against 3 on face 2); the count runs only on a resolved
+        # grid, one level above the integral route's.
         inv, field = make_representative(cube_phat, seed=3)
         report = tt.extract_all(field, s=inv.s, depth=1)
         assert tt.invariants_equal(report.invariants, inv)
@@ -499,7 +504,7 @@ class TestWrapping:
         assert min(report.wrapping_depths) > 1
 
     def test_only_the_resolved_scan_decides(self, cube_phat, monkeypatch):
-        # One count per face, on the integral route's resolved grid, at the
+        # One count per face, on the resolved level it is given, at the
         # first turned direction that is a regular value, compared with the
         # integral route there.
         inv, field = make_representative(cube_phat, seed=3)
@@ -602,9 +607,93 @@ class TestLocalRefinement:
             assert report.invariants.wrapping_numbers[a] == w
             assert report.wrapping_depths[a] == level
             assert report.wrapping_preimage[a] == pre == w
+            assert report.wrapping_checks[a] == 0
             assert abs(report.trapped_direct[a] - direct) <= 1e-12
             local += report.wrapping_grids[a][1] < 3 * 2 ** level
         assert local >= 4  # faces that resolved on fewer angles
+
+
+def bubbled_field(field):
+    """``field`` with a bubble of degree +1 on corner face 0 (3 sides) that
+    no node of the depth-4 grid sees: an ellipse about (rho_c, phi_c) =
+    (0.25 + hr / 2, 5.5 step), step = 2 pi / 48, of half-widths (hr, hp)
+    = (1 / 32, 0.45 step).  At d = hypot((rho - rho_c) / hr, (phi -
+    phi_c) / hp) below 1/2 the value covers the sphere once about the
+    field value f, in a frame (xi, eta); from 1/2 to 1 it turns back to f
+    along the meridian through xi.  The level-5 node (0.25, 5.5 step)
+    lies at d = 1/2."""
+    key, step = (CLEAVED, 0), 2.0 * np.pi / 48
+    hr, hp = 1.0 / 32, 0.45 * step
+    rho_c, phi_c = 0.25 + hr / 2, 5.5 * step
+    centre = normalized(field.evaluator(key, np.array([rho_c]), np.array([phi_c]))[0])
+    axis = np.eye(3)[np.argmin(np.abs(centre))]
+
+    def evaluator(k, rho, phi):
+        f = field.evaluator(k, rho, phi)
+        if k != key:
+            return f
+        rho, phi = np.broadcast_arrays(rho, phi)
+        f = f / np.linalg.norm(f, axis=-1, keepdims=True)
+        x, y = (rho - rho_c) / hr, (phi - phi_c) / hp
+        d, theta = np.hypot(x, y)[..., None], np.arctan2(y, x)[..., None]
+        xi = np.cross(f, axis)
+        xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+        eta = np.cross(xi, f)
+        inner = (np.sin(2 * np.pi * d) * (np.cos(theta) * xi + np.sin(theta) * eta)
+                 + np.cos(2 * np.pi * d) * f)
+        outer = np.cos(np.pi * (2 - 2 * d)) * f + np.sin(np.pi * (2 - 2 * d)) * xi
+        return np.where(d < 0.5, inner, np.where(d < 1.0, outer, f))
+
+    return AnalyticField(host=field.host, charts=field.charts, evaluator=evaluator)
+
+
+class TestLevelCheck:
+    """A level resolved below MAX_DEPTH counts only once the level above
+    it agrees; a level that does not restarts the climb."""
+
+    def test_a_between_node_bubble_is_caught(self, cube_phat):
+        inv = tt.random_admissible_invariants(cube_phat, seed=0)
+        field = bubbled_field(representative(inv, cube_phat))
+        grid = FaceGrid(field, (CLEAVED, 0))
+        # Unchecked, the depth-4 grid resolves and misses the bubble.
+        w, _, used = inv_mod._wrapping_integral_detail(grid, inv.s, 4)
+        assert (w, used) == (inv.wrapping_numbers[0], 4) == (-3, 4)
+        report = tt.extract_all(field, s=inv.s)
+        assert report.invariants.wrapping_numbers[0] == -2
+        assert report.wrapping_checks[0] >= 1
+        assert report.wrapping_depths[0] == MAX_DEPTH
+        assert report.wrapping_grids[0] == (256, 1536)
+        assert report.wrapping_preimage[0] == -2
+
+    def test_a_disagreement_below_the_top_climbs(self, cube_phat, monkeypatch):
+        inv, field = make_representative(cube_phat, seed=3)
+        plain = tt.extract_all(field, s=inv.s)
+        assert plain.wrapping_depths[0] < MAX_DEPTH - 1
+        assert plain.wrapping_checks == (0,) * 8
+        count, calls = inv_mod.extract_wrapping_preimage, []
+
+        def off(n):
+            # The first n counts are one too many.
+            def counting(*args):
+                calls.append(args)
+                return count(*args) + (len(calls) <= n)
+            return counting
+
+        # Face 0's check level disagrees once: the climb goes on one level.
+        monkeypatch.setattr(inv_mod, "extract_wrapping_preimage", off(1))
+        report = tt.extract_all(field, s=inv.s)
+        assert tt.invariants_equal(report.invariants, inv)
+        assert report.wrapping_checks == (1,) + (0,) * 7
+        assert report.wrapping_depths[0] == plain.wrapping_depths[0] + 1
+        assert report.wrapping_depths[1:] == plain.wrapping_depths[1:]
+        assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
+        # Disagreeing at every level, it is refused only at MAX_DEPTH.
+        calls.clear()
+        monkeypatch.setattr(inv_mod, "extract_wrapping_preimage", off(10 ** 6))
+        with pytest.raises(errors.DualRouteMismatch):
+            tt.extract_all(field, s=inv.s)
+        assert [args[3] for args in calls] == list(range(plain.wrapping_depths[0] + 1,
+                                                         MAX_DEPTH + 1)) + [MAX_DEPTH]
 
 
 class TestRandomHulls:
@@ -852,22 +941,30 @@ class TestTrappedAreas:
         report = tt.extract_all(field, s=inv.s, with_preimage=False)
         for a in range(8):
             grid = FaceGrid(field, (CLEAVED, a))
+            grid.planes(4)  # the integral route's climb starts at depth 4
             assert report.trapped_direct[a] == -grid.area_sum(report.wrapping_depths[a])
 
-    def test_default_evaluates_no_grid_past_the_resolved_depth(self, cube_phat):
+    def test_default_evaluates_no_grid_past_the_check_level(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=3)
         depths = []
 
+        def level(x):
+            # The least d with x * 2**d an integer, up to rounding.
+            return next(d for d in range(64) if abs(x * 2 ** d - round(x * 2 ** d)) < 1e-9)
+
         def counting(key, rho, phi):
-            # A ring at rho = i / 2**d (exact in floats) is a depth-d node.
+            # A ring at rho = i / 2**d and an angle at 2 pi j / (m 2**d) on
+            # a face of m sides are depth-d nodes.
             if key[0] == CLEAVED:
-                depths.extend(next(d for d in range(64) if (r * 2 ** d).is_integer())
-                              for r in np.unique(rho))
+                turns = np.ravel(phi) * (field.charts[key].n_segments / (2.0 * np.pi))
+                depths.extend(level(x) for x in np.unique(np.append(np.ravel(rho), turns)))
             return field.evaluator(key, rho, phi)
 
         counted = AnalyticField(host=field.host, charts=field.charts, evaluator=counting)
         report = tt.extract_all(counted, s=inv.s, with_preimage=False)
-        assert max(depths) == max(report.wrapping_depths) < 7
+        # The check of a face resolved at level u evaluates level u + 1.
+        assert min(report.wrapping_depths) == 4
+        assert max(depths) == max(report.wrapping_depths) + 1 == 7
 
     def test_invariant_across_reference_choices(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=7)
