@@ -18,6 +18,26 @@ def reading_document(error: type, kind: str):
         raise error(f"malformed {kind} document: {what}") from exc
 
 
+def integer_entry(error: type, value, what: str) -> int:
+    """A document entry that must be an integer, as an int; raises
+    ``error`` for a bool, text or a number with a fraction part."""
+    n = int(value)
+    if isinstance(value, bool) or n != value:
+        raise error(f"{what} must be an integer, not {value!r}")
+    return n
+
+
+def numbers_entry(error: type, value, what: str):
+    """A document entry of numbers, or of lists of them, unchanged; raises
+    ``error`` where a bool or text stands for a number (``float`` and numpy
+    read ``true`` as 1 and ``"0.5"`` as 0.5)."""
+    if isinstance(value, (bool, str)):
+        raise error(f"{what} must hold numbers, not {value!r}")
+    for item in value if isinstance(value, list) else ():
+        numbers_entry(error, item, what)
+    return value
+
+
 # --- geometry ---------------------------------------------------------------
 
 class GeometryError(TangentTopoError):

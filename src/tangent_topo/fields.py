@@ -42,7 +42,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import geometry
-from .errors import CoarseSampling, FieldError, ResolutionTooCoarse, reading_document
+from .errors import (CoarseSampling, FieldError, ResolutionTooCoarse, integer_entry,
+                     reading_document)
 from .geometry import (
     CLEAVED,
     TRUNCATED,
@@ -624,11 +625,11 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
         values = {}
         scale = float(np.linalg.norm(np.ptp(phat.parent.vertices, axis=0)))
         for entry in data["faces"]:
-            key = (entry["kind"], int(entry["index"]))
-            if key not in charts:
-                raise FieldError(f"unknown face {key} in field file")
-            R = int(entry["rho_steps"])
-            K = int(entry["phi_steps"])
+            key = (entry["kind"], integer_entry(FieldError, entry["index"], "face index"))
+            if key not in charts or key in values:
+                raise FieldError(f"unknown or repeated face {key} in field file")
+            R = integer_entry(FieldError, entry["rho_steps"], f"rho_steps of face {key}")
+            K = integer_entry(FieldError, entry["phi_steps"], f"phi_steps of face {key}")
             if R < 1 or K < 1:
                 raise FieldError(f"face {key} needs at least one rho and one phi step")
             if v1:

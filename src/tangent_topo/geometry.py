@@ -24,6 +24,7 @@ from .errors import (
     DegenerateCut,
     GeometryError,
     SeparationViolation,
+    numbers_entry,
     reading_document,
 )
 from .sphere import cross, normalized
@@ -214,7 +215,8 @@ def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
     with reading_document(GeometryError, "polyhedron"):
         if data.get("format", POLYHEDRON_FORMAT) != POLYHEDRON_FORMAT:
             raise GeometryError(f"unsupported polyhedron format {data.get('format')!r}")
-        return ConvexPolyhedron.from_data(data["vertices"], data["faces"])
+        return ConvexPolyhedron.from_data(*(numbers_entry(GeometryError, data[k], k)
+                                            for k in ("vertices", "faces")))
 
 
 def load_polyhedron(path) -> ConvexPolyhedron:
@@ -518,10 +520,12 @@ def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, 
         poly = polyhedron_from_dict(poly_entry)
         source = poly.to_dict()
     if "lambda" in truncation_entry:
-        spec = TruncationSpec.from_fraction(poly, float(truncation_entry["lambda"]))
+        lam = numbers_entry(GeometryError, truncation_entry["lambda"], "lambda")
+        spec = TruncationSpec.from_fraction(poly, float(lam))
     else:
-        spec = TruncationSpec(normals=np.asarray(truncation_entry["normals"], dtype=float),
-                              points=np.asarray(truncation_entry["points"], dtype=float))
+        normals, points = (np.asarray(numbers_entry(GeometryError, truncation_entry[k], k),
+                                      dtype=float) for k in ("normals", "points"))
+        spec = TruncationSpec(normals=normals, points=points)
     return truncate(poly, spec), source
 
 

@@ -44,6 +44,8 @@ from .errors import (
     ResolutionTooCoarse,
     SOnBoundaryImage,
     SOnTriangleBoundary,
+    integer_entry,
+    numbers_entry,
     reading_document,
 )
 from .fields import CLEAVED, MAX_DEPTH, TRUNCATED, FaceGrid, TangentField
@@ -274,43 +276,37 @@ def _kink_details(field, edges, rings=None) -> dict:
     return details
 
 
-def _wrapping_integral_detail(grid: FaceGrid, s, depth=6):
-    # ``grid`` is the FaceGrid of a corner face: its area sums do not
-    # depend on ``s``, so it serves every direction and the direct area.
-    s, a = normalized(s), grid.key[1]
-    for d in range(depth, MAX_DEPTH + 1):
-        boundary = grid.boundary(d)
-        if np.max(boundary @ s) >= 1.0 - 1e-12:
-            raise SOnBoundaryImage(
-                f"reference direction on the boundary image of face {a}"
-            )
-        area_sum = grid.area_sum(d)
-        if area_sum is None:
-            continue
-        # The cap term integrates the reference one-form along the
-        # boundary image by exact geodesic steps: each step contributes
-        # the signed area of the triangle (u, v, -s), which makes area
-        # sum minus cap sum an exact multiple of 4*pi for any resolved
-        # grid (the face sheet plus the cone over its boundary is a
-        # closed surface cycle).  Both sums run in chart order.
-        minus_s = np.broadcast_to(-s, boundary.shape)
-        gamma, gvalid = triangle_areas(boundary, np.roll(boundary, -1, axis=0), minus_s)
-        if not gvalid.all():
-            continue
-        raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
-        nearest = round(raw)
-        residual = abs(raw - nearest)
-        if residual < DEGREE_RESIDUAL_TOL:
-            return int(nearest), residual, d
-    raise ResolutionTooCoarse(
-        f"wrapping quadrature on face {a} did not resolve by depth {MAX_DEPTH}"
-    )
+def _integral_at(grid: FaceGrid, s: np.ndarray, d: int):
+    """``(w, residual)`` of a corner face by the area/cap integral at the
+    unit direction ``s`` on level ``d`` of its FaceGrid ``grid`` (whose
+    area sums serve every ``s``), or None where that level is unresolved."""
+    boundary = grid.boundary(d)
+    if np.max(boundary @ s) >= 1.0 - 1e-12:
+        raise SOnBoundaryImage(f"reference direction on the boundary image of "
+                               f"face {grid.key[1]}")
+    area_sum = grid.area_sum(d)
+    if area_sum is None:
+        return None
+    # The cap term integrates the reference one-form along the
+    # boundary image by exact geodesic steps: each step contributes
+    # the signed area of the triangle (u, v, -s), which makes area
+    # sum minus cap sum an exact multiple of 4*pi for any resolved
+    # grid (the face sheet plus the cone over its boundary is a
+    # closed surface cycle).  Both sums run in chart order.
+    minus_s = np.broadcast_to(-s, boundary.shape)
+    gamma, gvalid = triangle_areas(boundary, np.roll(boundary, -1, axis=0), minus_s)
+    if not gvalid.all():
+        return None
+    raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
+    nearest = round(raw)
+    residual = abs(raw - nearest)
+    return (int(nearest), residual) if residual < DEGREE_RESIDUAL_TOL else None
 
 
-def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 6) -> int:
-    """Wrapping number of corner face ``a`` by the area/cap integral."""
-    w, _, _ = _wrapping_integral_detail(FaceGrid(field, (CLEAVED, a)), s, depth)
-    return w
+def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 4) -> int:
+    """Wrapping number of corner face ``a`` by the area/cap integral, by
+    ``extract_all``'s checked climb without the preimage route."""
+    return _checked_climb(FaceGrid(field, (CLEAVED, a)), normalized(s), depth, False)[0]
 
 
 def _near_cells(node_dots: np.ndarray, radial: np.ndarray, around: np.ndarray):
@@ -575,10 +571,10 @@ def _checked_preimage(grid: FaceGrid, s_ref, used):
     """The preimage count of a corner face on level ``used`` of its
     FaceGrid ``grid``, a level with a valid area sum, at the first of
     PREIMAGE_ATTEMPTS directions turned off ``s_ref`` by multiples of
-    PREIMAGE_TURN that is a regular value, checked against the integral
-    route there; None when none is.  ``s_ref`` itself is never tried: the
-    covering patch of the representative maps the whole base ring of
-    every corner face onto it."""
+    PREIMAGE_TURN that is a regular value and that the integral route
+    resolves on that same level, checked against that route; None when
+    none is.  ``s_ref`` itself is never tried: the covering patch of the
+    representative maps the whole base ring of every corner face onto it."""
     a = grid.key[1]
     for k in range(1, PREIMAGE_ATTEMPTS + 1):
         s_k = _rotated(s_ref, k, k * PREIMAGE_TURN)
@@ -586,9 +582,11 @@ def _checked_preimage(grid: FaceGrid, s_ref, used):
             pre = extract_wrapping_preimage(grid.field, a, s_k, used, grid)
         except NotRegularValue:
             continue
-        ref = _wrapping_integral_detail(grid, s_k, used)[0]
-        if pre != ref:
-            raise DualRouteMismatch(f"face {a}: integral route {ref} vs "
+        ref = _integral_at(grid, s_k, used)
+        if ref is None:
+            continue
+        if pre != ref[0]:
+            raise DualRouteMismatch(f"face {a}: integral route {ref[0]} vs "
                                     f"preimage {pre} at s = {s_k}")
         return pre
     return None
@@ -596,28 +594,33 @@ def _checked_preimage(grid: FaceGrid, s_ref, used):
 
 def _checked_climb(grid: FaceGrid, s, depth: int, with_preimage: bool):
     """``(w, residual, level, preimage, checks)`` of a corner face by the
-    integral route at ``s`` from level ``depth`` of ``grid`` on.  A level
-    u below MAX_DEPTH counts once level u + 1 has a valid area sum and
-    gives w: by ``_checked_preimage`` there ``with_preimage``, else (or
-    where that is None) by the integral route resolved on u + 1 itself.
-    Otherwise, a DualRouteMismatch included, the climb restarts from
-    u + 1; ``checks`` counts the restarts, None if the climb first
-    resolved at MAX_DEPTH, which counts unchecked."""
-    w, res, u = _wrapping_integral_detail(grid, s, depth)
-    checks = 0
-    while u < MAX_DEPTH:
-        if grid.area_sum(u + 1) is not None:
-            try:
-                pre = _checked_preimage(grid, s, u + 1) if with_preimage else None
-                if pre == w or pre is None and _wrapping_integral_detail(
-                        grid, s, u + 1)[::2] == (w, u + 1):
-                    return w, res, u, pre, checks
-            except DualRouteMismatch:
-                pass
-        checks += 1
-        w, res, u = _wrapping_integral_detail(grid, s, u + 1)
-    pre = _checked_preimage(grid, s, u) if with_preimage else None
-    return w, res, u, pre, checks or None
+    integral route at the unit ``s``: the one climb over the levels of
+    ``grid``, from ``depth`` on.  A resolved level u below MAX_DEPTH counts
+    once level u + 1 has a valid area sum and gives w: by
+    ``_checked_preimage`` there ``with_preimage``, else (or where that is
+    None) by ``_integral_at`` on u + 1.  ``checks`` counts the levels turned
+    down, a DualRouteMismatch included; None if the climb first resolved
+    at MAX_DEPTH, which counts unchecked."""
+    checks = None
+    for u in range(depth, MAX_DEPTH + 1):
+        at = _integral_at(grid, s, u)
+        if at is None:
+            continue
+        checks = 0 if checks is None else checks + 1
+        if u == MAX_DEPTH:
+            pre = _checked_preimage(grid, s, u) if with_preimage else None
+            return (*at, u, pre, checks or None)
+        if grid.area_sum(u + 1) is None:
+            continue
+        try:
+            pre = _checked_preimage(grid, s, u + 1) if with_preimage else None
+        except DualRouteMismatch:
+            continue
+        up = _integral_at(grid, s, u + 1) if pre is None else (pre,)
+        if up is not None and up[0] == at[0]:
+            return (*at, u, pre, checks)
+    raise ResolutionTooCoarse(f"wrapping quadrature on face {grid.key[1]} did not "
+                              f"resolve by depth {MAX_DEPTH}")
 
 
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
@@ -662,11 +665,11 @@ def extract_all(
     up to PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
     PREIMAGE_TURN, never ``s`` itself, the image of the base ring of a
     representative's covering patches: the first turned direction that
-    is a regular value gives the count, and the integral route is taken
-    again there.  A disagreement climbs on, and raises DualRouteMismatch
-    at MAX_DEPTH.  The count reads only grids the climb evaluated, so it
-    makes no ``evaluate`` call of its own; ``with_preimage=False`` skips
-    it (its report column is then all None).
+    is a regular value, and resolved by the integral route on that level,
+    gives the count, compared with that route.  A disagreement climbs on
+    and raises DualRouteMismatch at MAX_DEPTH.  The count reads only
+    grids the climb evaluated, so it makes no ``evaluate`` call of its
+    own; ``with_preimage=False`` skips it (its report column is all None).
 
     Trapped areas come from the closed form and from direct quadrature.
     The direct area of a face is read from the grid on which the
@@ -736,13 +739,6 @@ def invariant_set_to_dict(inv: InvariantSet, phat: TruncatedPolyhedron) -> dict:
     }
 
 
-def _integer(value, what: str) -> int:
-    n = int(value)
-    if n != value:
-        raise InvariantError(f"{what} must be an integer, not {value!r}")
-    return n
-
-
 def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantSet:
     """Every entry must name an edge, cleaved edge or corner face of
     ``phat``; ``edge_orientation_vectors``, where present, must hold
@@ -756,24 +752,29 @@ def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantS
             raise InvariantError(f"entry {sorted(extra)[0]!r} names no {what} of the solid")
     eps = np.empty((e, 3))
     for b in range(e):
-        sign = _integer(signs[str(b)], f"edge orientation sign {b}")
+        sign = integer_entry(InvariantError, signs[str(b)], f"edge orientation sign {b}")
         if sign not in (-1, 1):
             raise InvariantError(f"edge orientation sign for edge {b} must be +-1")
         eps[b] = sign * phat.parent.edge_direction(b)
         if "edge_orientation_vectors" in data:
-            vec = np.asarray(vectors[str(b)], dtype=float)
+            vec = np.asarray(numbers_entry(InvariantError, vectors[str(b)],
+                                           f"edge orientation vector {b}"), dtype=float)
             if vec.shape != (3,) or not np.linalg.norm(vec - eps[b]) <= 1e-9:
                 raise InvariantError(f"edge orientation vector {b} is not its sign "
                                      "times the edge direction")
     kinks = {}
     for key, val in data["kink_numbers"].items():
         a_str, c_str = key.split(",")
-        kinks[(int(a_str), int(c_str))] = _integer(val, f"kink number {key}")
+        edge = int(a_str), int(c_str)
+        if edge in kinks:
+            raise InvariantError(f"kink number {key!r} repeats cleaved edge {edge}")
+        kinks[edge] = integer_entry(InvariantError, val, f"kink number {key}")
     if set(kinks) != set(phat.cleaved_edges):
         raise InvariantError("kink numbers must name exactly the cleaved edges")
-    omegas = np.array([_integer(data["wrapping_numbers"][str(a)], f"wrapping number {a}")
-                       for a in range(v)])
-    s = np.asarray(data["reference_direction"], dtype=float)
+    omegas = np.array([integer_entry(InvariantError, data["wrapping_numbers"][str(a)],
+                                     f"wrapping number {a}") for a in range(v)])
+    s = np.asarray(numbers_entry(InvariantError, data["reference_direction"],
+                                 "reference direction"), dtype=float)
     if s.shape != (3,):
         raise InvariantError(f"reference direction needs 3 entries, not shape {s.shape}")
     return InvariantSet(

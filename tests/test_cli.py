@@ -177,7 +177,8 @@ def synthesized_field(inv_file):
 
 FIELD_EDITS = ["zero_rho_steps", "vectors_not_numbers", "huge_rho_steps",
                "infinite_rho_steps", "nan_vector", "zero_vector", "invalid_base64",
-               "short_payload", "vectors_as_list"]
+               "short_payload", "vectors_as_list", "index_as_text", "rho_steps_as_text",
+               "fractional_index", "boolean_index", "repeated_block"]
 V2_ONLY_FIELD_EDITS = ("invalid_base64", "short_payload", "vectors_as_list")
 
 
@@ -207,6 +208,16 @@ def _edit_field(doc: dict, edit: str) -> dict:
         face["vectors"] = encode_vectors(vecs.reshape(-1)[:-1])
     elif edit == "vectors_as_list":
         face["vectors"] = vecs.tolist()
+    elif edit in ("index_as_text", "rho_steps_as_text"):  # "0" once read as 0
+        name = edit.removesuffix("_as_text")
+        face[name] = str(face[name])
+    elif edit == "fractional_index":  # 0.5 once read as 0
+        face["index"] += 0.5
+    elif edit == "boolean_index":  # true once read as 1, so on the block of index 1
+        block = next(f for f in doc["faces"] if f["kind"] == face["kind"] and f["index"] == 1)
+        block["index"] = True
+    elif edit == "repeated_block":  # the later copy once won silently
+        doc["faces"].append(dict(face))
     return doc
 
 
@@ -406,7 +417,7 @@ class TestErrorPaths:
                                       "long_reference", "fractional_kink",
                                       "fractional_wrapping", "fractional_edge_sign",
                                       "unknown_wrapping_face", "unknown_edge_sign",
-                                      "tilted_edge_vector"])
+                                      "tilted_edge_vector", "repeated_kink"])
     def test_bad_invariant_contents_are_validation_errors(self, inv_file,
                                                           tmp_path, edit):
         doc = json.loads(inv_file.read_text())
@@ -441,6 +452,9 @@ class TestErrorPaths:
             doc["edge_orientations"]["99"] = 7
         elif edit == "tilted_edge_vector":  # 45 degrees off edge 0
             doc["edge_orientation_vectors"]["0"] = [0.0, 0.0, 1.0]
+        elif edit == "repeated_kink":  # " 0, 0" once read as edge (0, 0), the later entry won
+            key = next(iter(doc["kink_numbers"]))
+            doc["kink_numbers"][" " + key.replace(",", ", ")] = doc["kink_numbers"][key]
         else:
             doc["reference_direction"][1] = nan
         bad = tmp_path / "bad.json"
@@ -466,6 +480,10 @@ def _edit_polyhedron(doc: dict, edit: str) -> object:
         doc[edit] = {"vertices": "x", "faces": 7, "format": 1}[edit]
     elif edit.startswith("no_"):
         del doc[edit[3:]]
+    elif edit in ("vertex_true", "vertex_numeric_text"):  # for a 1.0: once the same cube
+        doc["vertices"][1][2] = {"vertex_true": True, "vertex_numeric_text": "1"}[edit]
+    elif edit == "face_index_true":  # for a 1: once the same faces
+        doc["faces"][0][1] = True
     elif edit.startswith("vertex_"):
         doc["vertices"][0][0] = {"vertex_text": "x", "vertex_infinite": inf,
                                  "vertex_nan": nan, "vertex_list": [0.0]}[edit]
@@ -485,7 +503,8 @@ POLY_EDITS = ["document_is_list", "vertices", "faces", "format", "no_vertices",
               "no_faces", "vertex_text", "vertex_infinite", "vertex_nan",
               "vertex_list", "short_vertex_row", "face_not_list", "face_index_99",
               "face_index_negative", "face_index_half", "face_index_text",
-              "face_index_huge", "face_index_infinite"]
+              "face_index_huge", "face_index_infinite", "vertex_true", "vertex_numeric_text",
+              "face_index_true"]
 
 
 class TestPolyhedronDocuments:
@@ -533,7 +552,7 @@ def _entry_paths(doc, path=()):
 
 # Each edit deletes an entry or replaces it by a value of a wrong type.
 ENTRY_EDITS = {"delete": None, "text": "x", "null": None, "nan": float("nan"),
-               "list": [], "object": {}}
+               "list": [], "object": {}, "true": True, "numeric_text": "1"}
 
 
 def _edited(doc, path: tuple, edit: str):

@@ -23,7 +23,7 @@ REPORTS = {
 }
 TETRAHEDRON_CLI = {
     "field.json": "f122abdad2f63aab308479c263fa5e8f9d072b2fa93f920879349d0b9991886f",
-    "synthesize-report.json": "946dba24b968d1f2d3d14e4668d0ab5677d5202602c1d4544c8bb6a313b2d1a5",
+    "synthesize-report.json": "bea11b4e8598f0c90a00a3498a597c06f6896bda62db80251123846aec8e4d5e",
     "invariants-report.json": "a3f62873e18f6e7ada2cdf13c15d87da4af46c61decabd6fc34ec1befe33e7f0",
 }
 

@@ -71,6 +71,15 @@ def turned(s, k):
     return inv_mod._rotated(s, k, k * inv_mod.PREIMAGE_TURN)
 
 
+def first_resolved(grid, s, depth):
+    """``(w, level)`` of the first level of ``grid`` from ``depth`` on
+    that the integral route resolves at ``s``, unchecked."""
+    for d in range(depth, MAX_DEPTH + 1):
+        at = inv_mod._integral_at(grid, normalized(s), d)
+        if at is not None:
+            return at[0], d
+
+
 def grid_dots(grid):
     """``fields._neighbor_dots`` of a bare (R + 1, K, 3) grid."""
     return fields_mod._neighbor_dots(fields_mod._grid_planes(grid))
@@ -410,17 +419,18 @@ class TestWrapping:
         s_1 = turned(inv.s, 1)
         assert not np.allclose(s_1, inv.s, atol=1e-6)
         assert inv_mod.extract_wrapping_preimage(field, 0, s_1) == 2
-        assert inv_mod._wrapping_integral_detail(FaceGrid(field, (CLEAVED, 0)), s_1)[0] == 2
+        assert tt.extract_wrapping_integral(field, 0, s_1) == 2
         assert tt.extract_all(field, s=inv.s).wrapping_preimage[0] == 2
 
         # An integral route that is off only away from s must be caught.
-        integral = inv_mod._wrapping_integral_detail
+        integral = inv_mod._integral_at
 
-        def off_at_retries(grid, s, *args, **kwargs):
-            w, res, depth = integral(grid, s, *args, **kwargs)
-            return w + (not np.allclose(s, inv.s, atol=1e-12)), res, depth
+        def off_at_retries(grid, s, d):
+            at = integral(grid, s, d)
+            off = not np.allclose(s, inv.s, atol=1e-12)
+            return None if at is None else (at[0] + off, at[1])
 
-        monkeypatch.setattr(inv_mod, "_wrapping_integral_detail", off_at_retries)
+        monkeypatch.setattr(inv_mod, "_integral_at", off_at_retries)
         with pytest.raises(errors.DualRouteMismatch):
             tt.extract_all(field, s=inv.s)
 
@@ -509,7 +519,7 @@ class TestWrapping:
         # integral route there.
         inv, field = make_representative(cube_phat, seed=3)
         grid = FaceGrid(field, (CLEAVED, 0))
-        w, _, used = inv_mod._wrapping_integral_detail(grid, inv.s, 1)
+        w, used = first_resolved(grid, inv.s, 1)
         assert used > 1
         count, seen, script = inv_mod._grid_count, [], []
 
@@ -656,8 +666,8 @@ class TestLevelCheck:
         field = bubbled_field(representative(inv, cube_phat))
         grid = FaceGrid(field, (CLEAVED, 0))
         # Unchecked, the depth-4 grid resolves and misses the bubble.
-        w, _, used = inv_mod._wrapping_integral_detail(grid, inv.s, 4)
-        assert (w, used) == (inv.wrapping_numbers[0], 4) == (-3, 4)
+        assert inv_mod._integral_at(grid, inv.s, 4)[0] == inv.wrapping_numbers[0] == -3
+        assert tt.extract_wrapping_integral(field, 0, inv.s, depth=4) == -2
         report = tt.extract_all(field, s=inv.s)
         assert report.invariants.wrapping_numbers[0] == -2
         assert report.wrapping_checks[0] >= 1
@@ -848,7 +858,7 @@ class TestCandidateCells:
         s = case.expected.s
         for a in range(len(case.phat.cleaved_faces)):
             grid = FaceGrid(case.field, (CLEAVED, a))
-            w, _, used = inv_mod._wrapping_integral_detail(grid, s)
+            w, used = first_resolved(grid, s, 6)
             values = grid.values(used)
             assert w == case.expected.wrapping_numbers[a]
             with pytest.raises(errors.NotRegularValue):
@@ -868,7 +878,7 @@ class TestCandidateCells:
         case = _bench_corpus().Corpus(2, with_field=True, file_dir=None).case(6)
         s = case.expected.s
         grid = FaceGrid(case.field, (CLEAVED, 0))
-        w, _, used = inv_mod._wrapping_integral_detail(grid, s)
+        w, used = first_resolved(grid, s, 6)
         values, s_3 = grid.values(used), turned(s, 3)
         c00, c01, c11 = values[0], np.roll(values[0], -1, axis=0), np.roll(values[1], -1, axis=0)
         side = fields_mod._dot(cross(c00, c11).T, s_3)
@@ -1019,7 +1029,7 @@ class TestTrappedAreas:
         rejected = tt.choose_reference_s(octa_phat, 430)
         calls = []
         # s is argument 2 of the public route and 1 of the grid's helper.
-        for name, at in (("extract_wrapping_preimage", 2), ("_wrapping_integral_detail", 1)):
+        for name, at in (("extract_wrapping_preimage", 2), ("_integral_at", 1)):
             def spy(*args, _route=getattr(inv_mod, name), _at=at, **kwargs):
                 calls.append(np.allclose(args[_at], rejected, rtol=0.0, atol=1e-12))
                 return _route(*args, **kwargs)

@@ -28,21 +28,38 @@ def test_all_is_the_public_surface():
         assert getattr(tt, name, None) is not None, name
 
 
-def _bench_targets():
+def _bench_spans():
+    """``bench/spans.py``, loaded from its path."""
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.TARGETS
+    return spans
 
 
 def test_bench_trace_targets_resolve():
-    # The tracer skips a missing name silently and reports its metrics as 0.
-    for module, attr, _ in _bench_targets():
-        obj = importlib.import_module(f"tangent_topo.{module}")
-        for part in attr.split("."):
-            obj = getattr(obj, part, None)
-            assert obj is not None, f"{module}.{attr}"
-        assert callable(obj), f"{module}.{attr}"
+    # The tracer skips a missing name silently and reports its metrics as 0,
+    # so a renamed route would zero a per-layer metric with no failure:
+    # every target resolves in its module (a method on its class), and
+    # ``Tracer.install`` wraps each of them there.
+    spans = _bench_spans()
+    homes = []
+    for module, attr, _ in spans.TARGETS:
+        *owner, name = attr.split(".")
+        home = importlib.import_module(f"tangent_topo.{module}")
+        for part in owner:
+            home = getattr(home, part, None)
+            assert home is not None, f"{module}.{attr}"
+        fn = getattr(home, name, None)
+        assert callable(fn), f"{module}.{attr}"
+        homes.append((home, name, fn))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        unwrapped = [name for home, name, fn in homes if getattr(home, name) is fn]
+    finally:
+        tracer.uninstall()
+    assert unwrapped == []
+    assert all(getattr(home, name) is fn for home, name, fn in homes)
 
 
 def test_integer_routes_return_int(tetra_phat):
