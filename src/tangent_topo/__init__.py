@@ -16,7 +16,6 @@ from .fields import (
     SampledField,
     antipodal,
     field_from_dict,
-    field_to_dict,
     load_field,
     sample_field,
     save_field,
@@ -75,7 +74,6 @@ __all__ = [
     "extract_kink",
     "extract_wrapping_integral",
     "field_from_dict",
-    "field_to_dict",
     "invariants_equal",
     "load_field",
     "load_polyhedron",

@@ -27,6 +27,7 @@ from . import __version__, fields, geometry, invariants, synthesis
 from .errors import (
     CoarseSampling,
     DualRouteMismatch,
+    InvariantError,
     MaxRefinement,
     NotClosed,
     ResidualTooLarge,
@@ -34,6 +35,7 @@ from .errors import (
     SOnTriangleBoundary,
     SumRuleViolation,
     TangentTopoError,
+    load_document,
 )
 
 EXIT_OK = 0
@@ -84,11 +86,6 @@ def _resolve_seed(args) -> int:
             f"TANGENT_TOPO_SEED must be an integer, got {env!r}") from None
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _dump_json(data: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -118,7 +115,7 @@ def cmd_truncate(args) -> int:
             "euler_characteristic": phat.n_points - phat.n_edges + phat.n_faces,
             "cleaved_faces": len(phat.cleaved_faces),
             "truncated_faces": len(phat.trunc_faces),
-            "truncated_edges": int(phat.trunc_edges.shape[0]),
+            "truncated_edges": phat.parent.n_edges,
             "cleaved_edges": len(phat.cleaved_edges),
         },
         "points": [[float(x) for x in p] for p in phat.points],
@@ -147,7 +144,7 @@ def _field_from_args(args):
             sys.stderr.write("\n")
             return None
         return field, field.host, field.source, None
-    data = _load_json(args.inv)
+    data = load_document(args.inv, InvariantError, "invariant")
     phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
         raise argparse.ArgumentTypeError(
@@ -186,7 +183,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    data = _load_json(args.inv)
+    data = load_document(args.inv, InvariantError, "invariant")
     phat, inv, source = invariants.parse_invariants_document(data)
     verdicts = invariants.check_sum_rules(inv, phat)
     out = {

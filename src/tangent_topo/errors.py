@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the document checks that raise them."""
+import json
 from contextlib import contextmanager
 
 
@@ -16,6 +17,20 @@ def reading_document(error: type, kind: str):
             ValueError) as exc:
         what = f"missing entry {exc}" if isinstance(exc, KeyError) else str(exc)
         raise error(f"malformed {kind} document: {what}") from exc
+
+
+def load_document(path, error: type, kind: str):
+    """The JSON document at ``path``; a repeated key in any of its objects,
+    whose last copy ``json.load`` would keep, raises ``error``."""
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated = next(k for k in keys if keys.count(k) > 1)
+            raise error(f"malformed {kind} document: repeated key {repeated!r}")
+        return obj
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique)
 
 
 def integer_entry(error: type, value, what: str) -> int:

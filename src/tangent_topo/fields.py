@@ -6,8 +6,9 @@ sampled (structured per-face grids with geodesic interpolation, which
 keeps values on the sphere and keeps in-plane values in their plane).
 Fields are immutable.
 
-Field files hold each face grid as base64 of its float64 bytes
-(``tangentfield/2``); the ``tangentfield/1`` files of JSON lists are read.
+``save_field`` is the one field writer: its files hold each face grid as
+base64 of its float64 bytes (``tangentfield/2``); the ``tangentfield/1``
+files of JSON lists are read.
 
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import geometry
 from .errors import (CoarseSampling, FieldError, ResolutionTooCoarse, integer_entry,
-                     reading_document)
+                     load_document, reading_document)
 from .geometry import (
     CLEAVED,
     TRUNCATED,
@@ -566,46 +567,6 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     return SampledField(host=field.host, charts=field.charts, values=values, _checked=True)
 
 
-def _field_document(field: TangentField, depth: int,
-                    poly_source: Optional[dict]):
-    """The entries of a field document other than ``faces``, and the face
-    blocks in face order, built one at a time.
-
-    A block's ``vectors`` entry is the standard base64 of the
-    little-endian float64 bytes of its (R + 1, K, 3) grid, row-major.
-    Node positions are not written: they are the chart's
-    ``point(*grid_nodes(R, K))``.
-    """
-    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
-    phat = field.host
-
-    def face_block(key: FaceKey) -> dict:
-        grid = sampled.values[key]
-        raw = grid.astype("<f8", copy=False).tobytes()
-        return {
-            "kind": key[0],
-            "index": int(key[1]),
-            "rho_steps": int(grid.shape[0] - 1),
-            "phi_steps": int(grid.shape[1]),
-            "vectors": base64.b64encode(raw).decode("ascii"),
-        }
-
-    head = {
-        "format": FIELD_FORMAT,
-        "polyhedron": poly_source or phat.parent.to_dict(),
-        "truncation": phat.spec.to_dict(),
-    }
-    return head, map(face_block, phat.face_keys())
-
-
-def field_to_dict(field: TangentField, depth: int = 4,
-                  poly_source: Optional[dict] = None) -> dict:
-    """Serializable description of the field: an analytic field sampled
-    at ``depth``, a SampledField at its stored grids (``depth`` unused)."""
-    head, faces = _field_document(field, depth, poly_source)
-    return {**head, "faces": list(faces)}
-
-
 def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
     """Rebuild a sampled field from a ``tangentfield/2`` or
     ``tangentfield/1`` document, whose node positions must match the
@@ -657,18 +618,34 @@ def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
 
 def save_field(field: TangentField, path, depth: int = 4,
                poly_source: Optional[dict] = None) -> None:
-    """Write ``field_to_dict(field, depth, poly_source)`` as the bytes of
-    ``json.dump(..., sort_keys=True)`` and a newline, one face block at a
-    time through the C encoder of ``json.dumps``, so the whole document
-    never sits in memory as text.  As there, ``depth`` is the sampling
-    depth of an analytic field; a SampledField keeps its stored grids."""
-    head, faces = _field_document(field, depth, poly_source)
+    """Write an analytic field sampled at ``depth``, or a SampledField at
+    its stored grids, as the bytes of ``json.dump(..., sort_keys=True)``
+    and a newline, one face block at a time through the C encoder of
+    ``json.dumps``.  A block's ``vectors`` entry is the standard base64 of
+    the little-endian float64 bytes of its (R + 1, K, 3) grid, row-major;
+    node positions are the chart's ``point(*grid_nodes(R, K))``."""
+    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
+    phat = field.host
+    head = {
+        "format": FIELD_FORMAT,
+        "polyhedron": poly_source or phat.parent.to_dict(),
+        "truncation": phat.spec.to_dict(),
+    }
     with open(path, "w", encoding="utf-8") as fh:
         # "faces" sorts before every other top-level key.
         fh.write('{"faces": [')
-        for i, face in enumerate(faces):
-            fh.write((", " if i else "") + json.dumps(face, sort_keys=True))
-            del face  # free this block before the next one is built
+        for i, key in enumerate(phat.face_keys()):
+            grid = sampled.values[key]
+            raw = grid.astype("<f8", copy=False).tobytes()
+            block = {
+                "kind": key[0],
+                "index": int(key[1]),
+                "rho_steps": int(grid.shape[0] - 1),
+                "phi_steps": int(grid.shape[1]),
+                "vectors": base64.b64encode(raw).decode("ascii"),
+            }
+            fh.write((", " if i else "") + json.dumps(block, sort_keys=True))
+            del raw, block  # free this block before the next one is built
         fh.write("]")
         for name in sorted(head):
             fh.write(f", {json.dumps(name)}: {json.dumps(head[name], sort_keys=True)}")
@@ -676,8 +653,7 @@ def save_field(field: TangentField, path, depth: int = 4,
 
 
 def load_field(path) -> Tuple[SampledField, TangencyReport]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_dict(json.load(fh))
+    return field_from_dict(load_document(path, FieldError, "field"))
 
 
 def save_mesh_obj(field: TangentField, path, depth: int = 4) -> None:

@@ -12,11 +12,10 @@ pure function, so the module is safe to use from multiple threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     DegenerateCut,
     GeometryError,
     SeparationViolation,
+    load_document,
     numbers_entry,
     reading_document,
 )
@@ -220,8 +220,7 @@ def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
 
 
 def load_polyhedron(path) -> ConvexPolyhedron:
-    with open(path, "r", encoding="utf-8") as fh:
-        return polyhedron_from_dict(json.load(fh))
+    return polyhedron_from_dict(load_document(path, GeometryError, "polyhedron"))
 
 
 @dataclass(frozen=True)
@@ -272,29 +271,34 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class CleavedEdge:
-    """Border between a corner face and a trimmed face.
+    """Border between corner face ``a`` and trimmed face ``c``, stored in
+    ``TruncatedPolyhedron.cleaved_edges`` under its key ``(a, c)``.
 
     The stored direction runs counterclockwise about the trimmed face's
     outward normal: from the crossing on the edge entering the corner in
     that face's cycle (``start_edge``) to the crossing on the leaving
-    edge (``end_edge``).
+    edge (``end_edge``), the point ``end_point``.
     """
 
-    vertex: int
-    face: int
-    start_point: int
     end_point: int
     start_edge: int
     end_edge: int
 
 
+class ChartSegment(NamedTuple):
+    kind: str            # "cleaved" or "edge"
+    key: object          # (a, c) or edge index b
+    forward: bool        # True if the face walks it as stored (edge b: low end first)
+
+
 @dataclass(frozen=True)
 class TruncatedFace:
+    """The remnant of original face ``face``: its corners in cycle order
+    and one segment per side, cleaved (always forward) and edge in turn."""
+
     face: int
     polygon: Tuple[int, ...]
-    # ("cleaved", (a, c), True) or ("edge", b, forward); forward is True
-    # when the cycle walks edge b from its low-index endpoint.
-    segments: Tuple[Tuple[str, object, bool], ...]
+    segments: Tuple[ChartSegment, ...]
 
 
 @dataclass(frozen=True)
@@ -311,7 +315,6 @@ class TruncatedPolyhedron:
     parent: ConvexPolyhedron
     spec: TruncationSpec
     points: np.ndarray                       # (2e, 3) cut corner points
-    trunc_edges: np.ndarray                  # (e, 2) point indices, parent low->high
     trunc_faces: Tuple[TruncatedFace, ...]
     cleaved_faces: Tuple[CleavedFace, ...]
     cleaved_edges: dict
@@ -327,9 +330,6 @@ class TruncatedPolyhedron:
     @property
     def n_faces(self) -> int:
         return len(self.trunc_faces) + len(self.cleaved_faces)
-
-    def cut_normal(self, a: int) -> np.ndarray:
-        return self.spec.normals[a]
 
     def face_normal(self, c: int) -> np.ndarray:
         return self.parent.face_normals[c]
@@ -363,9 +363,9 @@ class TruncatedPolyhedron:
         for tf in self.trunc_faces:
             poly = tf.polygon
             for k, seg in enumerate(tf.segments):
-                if seg[0] == "cleaved":
-                    fwd[seg[1]] = (poly[k], poly[(k + 1) % len(poly)])
-            kinds = [seg[0] for seg in tf.segments]
+                if seg.kind == "cleaved":
+                    fwd[seg.key] = (poly[k], poly[(k + 1) % len(poly)])
+            kinds = [seg.kind for seg in tf.segments]
             for k in range(len(kinds)):
                 if kinds[k] == kinds[(k + 1) % len(kinds)]:
                     raise GeometryError("face boundary does not alternate edge kinds")
@@ -438,11 +438,6 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
         if np.any(d[a, ~own] > -tol):
             raise DegenerateCut("cut planes interact; shrink the truncation")
 
-    trunc_edges = np.empty((e, 2), dtype=int)
-    for b in range(e):
-        i, j = (int(x) for x in poly.edges[b])
-        trunc_edges[b] = (pt_index(b, i), pt_index(b, j))
-
     cleaved_edges = {}
     trunc_faces = []
     for c, cyc in enumerate(poly.faces):
@@ -456,13 +451,10 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
             p_in = pt_index(b_in, cur)
             p_out = pt_index(b_out, cur)
             polygon.extend((p_in, p_out))
-            segments.append(("cleaved", (cur, c), True))
-            segments.append(("edge", b_out, cur == int(poly.edges[b_out, 0])))
-            cleaved_edges[(cur, c)] = CleavedEdge(
-                vertex=cur, face=c,
-                start_point=p_in, end_point=p_out,
-                start_edge=b_in, end_edge=b_out,
-            )
+            segments.append(ChartSegment("cleaved", (cur, c), True))
+            segments.append(ChartSegment("edge", b_out, cur == int(poly.edges[b_out, 0])))
+            cleaved_edges[(cur, c)] = CleavedEdge(end_point=p_out, start_edge=b_in,
+                                                  end_edge=b_out)
         trunc_faces.append(TruncatedFace(face=c, polygon=tuple(polygon),
                                          segments=tuple(segments)))
 
@@ -499,7 +491,6 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
         parent=poly,
         spec=spec,
         points=points,
-        trunc_edges=trunc_edges,
         trunc_faces=tuple(trunc_faces),
         cleaved_faces=tuple(cleaved_faces),
         cleaved_edges=cleaved_edges,
@@ -527,13 +518,6 @@ def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, 
                                       dtype=float) for k in ("normals", "points"))
         spec = TruncationSpec(normals=normals, points=points)
     return truncate(poly, spec), source
-
-
-@dataclass(frozen=True)
-class ChartSegment:
-    kind: str            # "cleaved" or "edge"
-    key: object          # (a, c) or edge index b
-    forward: bool        # True if chart direction matches the stored direction
 
 
 @dataclass(frozen=True)
@@ -623,7 +607,7 @@ def polar_chart(phat: TruncatedPolyhedron, key: FaceKey) -> PolarChart:
     if kind == TRUNCATED:
         tf = phat.trunc_faces[idx]
         polygon = list(tf.polygon)
-        segs = [ChartSegment(s[0], s[1], s[2]) for s in tf.segments]
+        segs = list(tf.segments)
     else:
         cf = phat.cleaved_faces[idx]
         polygon = list(cf.polygon)

@@ -485,9 +485,9 @@ class SumRuleVerdicts:
         }
 
 
-def face_opposition_count(inv: InvariantSet, phat: TruncatedPolyhedron, c: int) -> int:
+def face_opposition_count(eps: np.ndarray, phat: TruncatedPolyhedron, c: int) -> int:
     """Number of consecutive truncated-edge pairs of face ``c`` whose
-    orientations point opposite ways along the face cycle.
+    orientations ``eps[b]`` point opposite ways along the face cycle.
 
     Each edge orientation either follows or opposes the direction in
     which the face cycle traverses its edge; the count is the number of
@@ -498,11 +498,11 @@ def face_opposition_count(inv: InvariantSet, phat: TruncatedPolyhedron, c: int) 
     tf = phat.trunc_faces[c]
     aligns = []
     for seg in tf.segments:
-        if seg[0] != "edge":
+        if seg.kind != "edge":
             continue
-        b, forward = seg[1], seg[2]
-        d = phat.parent.edge_direction(b) * (1.0 if forward else -1.0)
-        dot = float(inv.edge_orientations[b] @ d)
+        b = seg.key
+        d = phat.parent.edge_direction(b) * (1.0 if seg.forward else -1.0)
+        dot = float(eps[b] @ d)
         if abs(dot) < 0.5:
             raise InvariantError(f"edge orientation {b} not parallel to its edge")
         aligns.append(1 if dot > 0 else -1)
@@ -518,12 +518,12 @@ def check_sum_rules(inv: InvariantSet, phat: TruncatedPolyhedron) -> SumRuleVerd
     """Per-face kink identities and the global wrapping identity."""
     verdicts = []
     for c in range(len(phat.trunc_faces)):
-        q = face_opposition_count(inv, phat, c)
+        q = face_opposition_count(inv.edge_orientations, phat, c)
         required = q // 2 - 1
         actual = sum(
-            inv.kink_numbers[(seg[1][0], c)]
+            inv.kink_numbers[seg.key]
             for seg in phat.trunc_faces[c].segments
-            if seg[0] == "cleaved"
+            if seg.kind == "cleaved"
         )
         verdicts.append(KinkRuleVerdict(face=c, q=q, required=required, actual=actual))
     total = int(np.sum(inv.wrapping_numbers))

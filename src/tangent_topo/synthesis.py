@@ -232,15 +232,11 @@ def random_admissible_invariants(
         float(signs[b]) * parent.edge_direction(b) for b in range(parent.n_edges)
     ])
     s_vec = normalized(s) if s is not None else choose_reference_s(phat, seed)
-    probe = InvariantSet(
-        s=s_vec, edge_orientations=eps, kink_numbers={},
-        wrapping_numbers=np.zeros(len(phat.cleaved_faces), dtype=int),
-    )
 
     kinks = {}
     for c, tf in enumerate(phat.trunc_faces):
-        corners = [seg[1][0] for seg in tf.segments if seg[0] == "cleaved"]
-        required = face_opposition_count(probe, phat, c) // 2 - 1
+        corners = [seg.key[0] for seg in tf.segments if seg.kind == "cleaved"]
+        required = face_opposition_count(eps, phat, c) // 2 - 1
         override = (kink_overrides or {}).get(c)
         for _ in range(1000):
             if override is not None:

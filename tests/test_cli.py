@@ -55,7 +55,10 @@ class TestTruncateCommand:
     def test_tetrahedron_faces(self, tmp_path):
         out = tmp_path / "trunc.json"
         assert main(["truncate", "--poly", "tetrahedron", "--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["counts"]["faces"] == 8
+        assert json.loads(out.read_text())["counts"] == {
+            "cleaved_edges": 12, "cleaved_faces": 4, "edges": 18,
+            "euler_characteristic": 2, "faces": 8, "truncated_edges": 6,
+            "truncated_faces": 4, "vertices": 12}
 
     def test_bad_lambda_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -650,6 +653,27 @@ class TestDocumentEntries:
         assert {k: c for k, c in codes.items() if c not in (EXIT_USAGE, EXIT_VALIDATION)} == {}
         assert main(["export-mesh", "--field", str(field_file), "--depth", "0",
                      "--out", out]) == EXIT_OK
+
+    @pytest.mark.parametrize("kind", ["invariant", "field", "polyhedron"])
+    def test_repeated_key_is_a_validation_error(self, kind, inv_file, field_file, tmp_path):
+        # A valid document with one key repeated before its valid copy,
+        # the copy that json.load keeps.
+        bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+        if kind == "invariant":
+            valid = inv_file.read_text()
+            text = valid.replace('"wrapping_numbers": {', '"wrapping_numbers": {"0": 7, ', 1)
+            argv = ["check", "--inv", str(bad)]
+        elif kind == "field":
+            valid = field_file.read_text()
+            text = '{"faces": [], ' + valid[1:]
+            argv = ["export-mesh", "--field", str(bad), "--depth", "0", "--out", out]
+        else:
+            valid = json.dumps(tt.builtin_polyhedron("cube").to_dict())
+            text = '{"faces": [[0, 1, 2]], ' + valid[1:]
+            argv = ["truncate", "--poly", str(bad), "--out", out]
+        assert text != valid and json.loads(text) == json.loads(valid)
+        bad.write_text(text)
+        assert main(argv) == EXIT_VALIDATION
 
 
 def test_field_extraction_never_imports_numpy_ma(field_file):

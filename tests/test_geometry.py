@@ -6,6 +6,7 @@ import pytest
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo.geometry import (
+    ChartSegment,
     ConvexPolyhedron,
     TruncationSpec,
     builtin_polyhedron,
@@ -86,7 +87,6 @@ class TestTruncation:
         assert len(tetra_phat.cleaved_faces) == 4
         assert all(len(cf.polygon) == 3 for cf in tetra_phat.cleaved_faces)
         assert all(len(tf.polygon) == 6 for tf in tetra_phat.trunc_faces)
-        assert tetra_phat.trunc_edges.shape[0] == 6
         assert len(tetra_phat.cleaved_edges) == 12
 
     @pytest.mark.parametrize("name", ["cube", "tetrahedron", "octahedron"])
@@ -170,6 +170,14 @@ class TestTruncation:
 
 
 class TestPolarChart:
+    def test_trimmed_face_chart_holds_its_face_segments(self, cube_phat):
+        # The same records, turned to start at the lowest corner.
+        for c, tf in enumerate(cube_phat.trunc_faces):
+            segs = polar_chart(cube_phat, ("truncated", c)).segments
+            k = tf.polygon.index(min(tf.polygon))
+            assert segs == tf.segments[k:] + tf.segments[:k]
+            assert all(type(seg) is ChartSegment for seg in segs)
+
     def test_rho_zero_is_base(self, cube_phat):
         chart = polar_chart(cube_phat, ("truncated", 0))
         pts = chart.point(np.zeros(5), np.linspace(0, 2 * np.pi, 5))
@@ -186,7 +194,7 @@ class TestPolarChart:
         chart = polar_chart(tetra_phat, ("cleaved", 0))
         phis = np.linspace(0.0, 2.0 * np.pi, 37)
         pts = chart.point(np.full_like(phis, 0.5), phis)
-        normal = tetra_phat.cut_normal(0)
+        normal = tetra_phat.spec.normals[0]
         rho, _, inside = chart.locate(pts)
         assert inside.all()
         assert np.all(rho < 1.0 - 1e-6)
@@ -205,7 +213,7 @@ class TestPolarChart:
             poly, lam = pinned_hull(*solid)
             phat = truncate(poly, normal_cone_spec(poly, lam))
         for (kind, idx), chart in phat.charts.items():
-            normal = phat.face_normal(idx) if kind == "truncated" else phat.cut_normal(idx)
+            normal = phat.face_normal(idx) if kind == "truncated" else phat.spec.normals[idx]
             q0 = chart.corners
             q1 = np.roll(q0, -1, axis=0)
             scale = np.max(np.linalg.norm(q0 - chart.base, axis=1))

@@ -48,12 +48,10 @@ def crafted_invariants(phat, s, corner=0, corner_eps_sign=1, wrap=None):
     eps = np.array([
         corner_eps_sign * parent.edge_direction(b) for b in range(parent.n_edges)
     ])
-    probe = InvariantSet(s=s, edge_orientations=eps, kink_numbers={},
-                         wrapping_numbers=np.zeros(len(phat.cleaved_faces), dtype=int))
     kinks = {}
     for c, tf in enumerate(phat.trunc_faces):
         corners = [seg[1][0] for seg in tf.segments if seg[0] == "cleaved"]
-        required = face_opposition_count(probe, phat, c) // 2 - 1
+        required = face_opposition_count(eps, phat, c) // 2 - 1
         vals = {a: 0 for a in corners}
         dump = [a for a in corners if a != corner][-1]
         vals[dump] = required
@@ -1065,7 +1063,6 @@ class TestTrappedAreas:
 
 class TestSumRules:
     def test_aligned_square_face_needs_minus_one(self, cube_phat):
-        s = tt.choose_reference_s(cube_phat, seed=0)
         eps = np.zeros((cube_phat.parent.n_edges, 3))
         tf = cube_phat.trunc_faces[0]
         # orient every edge of face 0 along its cycle direction, the
@@ -1076,16 +1073,12 @@ class TestSumRules:
             if seg[0] == "edge":
                 d = cube_phat.parent.edge_direction(seg[1])
                 eps[seg[1]] = d if seg[2] else -d
-        inv = InvariantSet(s=s, edge_orientations=eps, kink_numbers={},
-                           wrapping_numbers=np.zeros(8, dtype=int))
-        assert face_opposition_count(inv, cube_phat, 0) == 0
+        assert face_opposition_count(eps, cube_phat, 0) == 0
         # flip alternating edges: every consecutive pair now opposes
         edges = [seg[1] for seg in tf.segments if seg[0] == "edge"]
         for b in edges[::2]:
             eps[b] = -eps[b]
-        inv2 = InvariantSet(s=s, edge_orientations=eps, kink_numbers={},
-                            wrapping_numbers=np.zeros(8, dtype=int))
-        assert face_opposition_count(inv2, cube_phat, 0) == 4
+        assert face_opposition_count(eps, cube_phat, 0) == 4
 
     def test_verdict_values(self, cube_phat):
         inv, field = make_representative(cube_phat, seed=1)
