@@ -15,7 +15,6 @@ from .fields import (
     AnalyticField,
     SampledField,
     antipodal,
-    field_from_dict,
     load_field,
     sample_field,
     save_field,
@@ -73,7 +72,6 @@ __all__ = [
     "extract_edge_orientations",
     "extract_kink",
     "extract_wrapping_integral",
-    "field_from_dict",
     "invariants_equal",
     "load_field",
     "load_polyhedron",

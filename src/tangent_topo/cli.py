@@ -171,7 +171,7 @@ def cmd_synthesize(args) -> int:
     seed = _resolve_seed(args)
     field, phat, source, inv = _field_from_args(args)  # --inv only: never refused
     sampled = fields.sample_field(field, args.depth)
-    fields.save_field(sampled, args.out, depth=args.depth, poly_source=source)
+    fields.save_field(sampled, args.out, poly_source=source)
     report = invariants.extract_all(sampled, s=inv.s, seed=seed)
     report_path = args.report or (str(args.out) + ".report.json")
     _dump_json(invariants.report_to_dict(report, phat, poly_source=source),

@@ -6,9 +6,9 @@ sampled (structured per-face grids with geodesic interpolation, which
 keeps values on the sphere and keeps in-plane values in their plane).
 Fields are immutable.
 
-``save_field`` is the one field writer: its files hold each face grid as
-base64 of its float64 bytes (``tangentfield/2``); the ``tangentfield/1``
-files of JSON lists are read.
+``save_field`` writes a SampledField and ``load_field`` reads it back,
+in the one field format, ``tangentfield/2``: each face grid as base64 of
+its float64 bytes.
 
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -180,14 +180,13 @@ class SampledField:
     charts: Mapping[FaceKey, PolarChart]
     values: Mapping[FaceKey, np.ndarray]
     source: Optional[dict] = None
-    _checked: InitVar[bool] = False  # every grid keeps the step bound
 
-    def __post_init__(self, _checked):
+    def __post_init__(self):
         for key, grid in self.values.items():
             m = self.charts[key].n_segments
             if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[1] % m:
                 raise FieldError(f"bad grid shape {grid.shape} for face {key}")
-            if not _checked and not _grid_step_bound_ok(grid):
+            if not _grid_step_bound_ok(grid):
                 raise CoarseSampling(
                     f"grid on face {key} has neighbors a quarter turn or "
                     "more apart; sample at a higher depth"
@@ -243,7 +242,6 @@ def antipodal(field: TangentField) -> TangentField:
             charts=field.charts,
             values={k: -v for k, v in field.values.items()},
             source=field.source,
-            _checked=True,  # negation keeps every neighbor dot
         )
     inner = field.evaluator
     return AnalyticField(
@@ -552,7 +550,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     every round splits every interval, to the first that keeps the
     quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
     extraction routes, so a field they resolve is never refused here;
-    beyond that CoarseSampling is raised.  No grid is checked twice.
+    beyond that CoarseSampling is raised.
     Depth 0 starts at depth 1: one sample per side can keep the bound
     while the boundary turns between the corners.
     """
@@ -564,68 +562,18 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
         if found is None:
             raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")
         values[key] = grid.values(found)
-    return SampledField(host=field.host, charts=field.charts, values=values, _checked=True)
+    return SampledField(host=field.host, charts=field.charts, values=values)
 
 
-def field_from_dict(data: dict) -> Tuple[SampledField, TangencyReport]:
-    """Rebuild a sampled field from a ``tangentfield/2`` or
-    ``tangentfield/1`` document, whose node positions must match the
-    charts; returns it with its tangency diagnostics.
-
-    The field keeps the document's ``polyhedron`` entry as its
-    ``source``.  Vectors are renormalized on load.  Raises FieldError
-    for structural problems, including a missing or mistyped entry or a
-    malformed vector block; tangency violations are reported, not raised.
-    """
-    with reading_document(FieldError, "field"):
-        v1 = data.get("format") == "tangentfield/1"
-        if not v1 and data.get("format") != FIELD_FORMAT:
-            raise FieldError(f"unsupported field format {data.get('format')!r}")
-        phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
-        charts = phat.charts
-        values = {}
-        scale = float(np.linalg.norm(np.ptp(phat.parent.vertices, axis=0)))
-        for entry in data["faces"]:
-            key = (entry["kind"], integer_entry(FieldError, entry["index"], "face index"))
-            if key not in charts or key in values:
-                raise FieldError(f"unknown or repeated face {key} in field file")
-            R = integer_entry(FieldError, entry["rho_steps"], f"rho_steps of face {key}")
-            K = integer_entry(FieldError, entry["phi_steps"], f"phi_steps of face {key}")
-            if R < 1 or K < 1:
-                raise FieldError(f"face {key} needs at least one rho and one phi step")
-            if v1:
-                vecs = np.asarray(entry["vectors"], dtype=float)
-            else:  # base64 of the "<f8" bytes, counted before they are shaped
-                raw = base64.b64decode(entry["vectors"], validate=True)
-                if len(raw) != (R + 1) * K * 24:
-                    raise FieldError(f"vector block of face {key} has {len(raw)} bytes")
-                vecs = np.frombuffer(raw, "<f8").reshape(-1, 3)
-            if vecs.shape != ((R + 1) * K, 3):
-                raise FieldError(f"vector block shape mismatch on face {key}")
-            if v1:
-                pos = np.asarray(entry["positions"], dtype=float)
-                expected = charts[key].point(*grid_nodes(R, K))
-                if (pos.shape != expected.shape
-                        or not np.max(np.linalg.norm(pos - expected, axis=1)) <= 1e-6 * scale):
-                    raise FieldError(f"node positions disagree with the chart on face {key}")
-            values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
-    missing = set(phat.face_keys()) - set(values)
-    if missing:
-        raise FieldError(f"field file misses faces {sorted(missing)}")
-    sampled = SampledField(host=phat, charts=charts, values=values, source=source)
-    return sampled, validate_tangency(sampled)
-
-
-def save_field(field: TangentField, path, depth: int = 4,
-               poly_source: Optional[dict] = None) -> None:
-    """Write an analytic field sampled at ``depth``, or a SampledField at
-    its stored grids, as the bytes of ``json.dump(..., sort_keys=True)``
-    and a newline, one face block at a time through the C encoder of
-    ``json.dumps``.  A block's ``vectors`` entry is the standard base64 of
-    the little-endian float64 bytes of its (R + 1, K, 3) grid, row-major;
-    node positions are the chart's ``point(*grid_nodes(R, K))``."""
-    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
-    phat = field.host
+def save_field(field: SampledField, path, poly_source: Optional[dict] = None) -> None:
+    """Write a SampledField at its stored grids as a ``tangentfield/2``
+    file: the bytes of ``json.dump(..., sort_keys=True)`` and a newline,
+    one face block at a time through the C encoder of ``json.dumps``.  A
+    block's ``vectors`` entry is the standard base64 of the little-endian
+    float64 bytes of its (R + 1, K, 3) grid, row-major.  ``field.values``
+    is read before the file is opened, so an analytic field fails before
+    a byte is written; sample it first (``sample_field``)."""
+    values, phat = field.values, field.host
     head = {
         "format": FIELD_FORMAT,
         "polyhedron": poly_source or phat.parent.to_dict(),
@@ -635,7 +583,7 @@ def save_field(field: TangentField, path, depth: int = 4,
         # "faces" sorts before every other top-level key.
         fh.write('{"faces": [')
         for i, key in enumerate(phat.face_keys()):
-            grid = sampled.values[key]
+            grid = values[key]
             raw = grid.astype("<f8", copy=False).tobytes()
             block = {
                 "kind": key[0],
@@ -653,7 +601,40 @@ def save_field(field: TangentField, path, depth: int = 4,
 
 
 def load_field(path) -> Tuple[SampledField, TangencyReport]:
-    return field_from_dict(load_document(path, FieldError, "field"))
+    """Read the ``tangentfield/2`` file that ``save_field`` writes; returns
+    the sampled field with its tangency diagnostics.
+
+    The field keeps the document's ``polyhedron`` entry as its
+    ``source``.  Vectors are renormalized on load.  Raises FieldError
+    for structural problems, including a document in any other format, a
+    missing or mistyped entry or a malformed vector block; tangency
+    violations are reported, not raised.
+    """
+    data = load_document(path, FieldError, "field")
+    with reading_document(FieldError, "field"):
+        if data.get("format") != FIELD_FORMAT:
+            raise FieldError(f"unsupported field format {data.get('format')!r}")
+        phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
+        charts = phat.charts
+        values = {}
+        for entry in data["faces"]:
+            key = (entry["kind"], integer_entry(FieldError, entry["index"], "face index"))
+            if key not in charts or key in values:
+                raise FieldError(f"unknown or repeated face {key} in field file")
+            R = integer_entry(FieldError, entry["rho_steps"], f"rho_steps of face {key}")
+            K = integer_entry(FieldError, entry["phi_steps"], f"phi_steps of face {key}")
+            if R < 1 or K < 1:
+                raise FieldError(f"face {key} needs at least one rho and one phi step")
+            raw = base64.b64decode(entry["vectors"], validate=True)  # the "<f8" bytes
+            if len(raw) != (R + 1) * K * 24:
+                raise FieldError(f"vector block of face {key} has {len(raw)} bytes")
+            vecs = np.frombuffer(raw, "<f8").reshape(-1, 3)
+            values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
+    missing = set(phat.face_keys()) - set(values)
+    if missing:
+        raise FieldError(f"field file misses faces {sorted(missing)}")
+    sampled = SampledField(host=phat, charts=charts, values=values, source=source)
+    return sampled, validate_tangency(sampled)
 
 
 def save_mesh_obj(field: TangentField, path, depth: int = 4) -> None:

@@ -393,8 +393,12 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
     Raises SeparationViolation when a plane fails to isolate its vertex
     and DegenerateCut when a plane grazes a vertex or two cuts meet, in
     particular when a truncated edge would collapse to a point, and
-    GeometryError when a normal or point holds a non-finite number.
+    GeometryError when the normals or points are not shaped
+    (n_vertices, 3) or hold a non-finite number.
     """
+    shapes = np.shape(spec.normals), np.shape(spec.points)
+    if shapes != ((poly.n_vertices, 3),) * 2:
+        raise GeometryError(f"cut planes must be shaped ({poly.n_vertices}, 3), not {shapes}")
     if not (np.isfinite(spec.normals).all() and np.isfinite(spec.points).all()):
         raise GeometryError("cut-plane normals and points must be finite")
     verts = poly.vertices

@@ -8,8 +8,7 @@ import json
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh, TruncationSpec
-from tangent_topo.fields import (CLEAVED, TRUNCATED, SampledField, face_grid, grid_nodes,
-                                 sample_field)
+from tangent_topo.fields import CLEAVED, TRUNCATED, SampledField, face_grid, sample_field
 from tangent_topo.sphere import cross, geodesic_interpolate, normalized, normalized_rows
 
 
@@ -611,30 +610,18 @@ def decode_vectors(text: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3).copy()
 
 
-def reference_field_text(field, depth=4, poly_source=None, fmt="tangentfield/2"):
-    """The field document and file text as written element by element
-    through ``json.dump``, the reference for the streamed writer.
-
-    ``fmt="tangentfield/1"`` writes the old format, vectors and node
-    positions as lists of JSON floats.
-    """
-    sampled = field if isinstance(field, SampledField) else sample_field(field, depth)
-    phat = field.host
+def reference_field_text(sampled, poly_source=None):
+    """The ``tangentfield/2`` document and file text of a SampledField as
+    written element by element through ``json.dump``, the reference for
+    the streamed writer."""
+    phat = sampled.host
     faces = []
     for key in phat.face_keys():
         grid = sampled.values[key]
-        R, K = grid.shape[0] - 1, grid.shape[1]
-        face = {"kind": key[0], "index": int(key[1]), "rho_steps": int(R),
-                "phi_steps": int(K)}
-        if fmt == "tangentfield/1":
-            pos = sampled.charts[key].point(*grid_nodes(R, K))
-            face["positions"] = [[float(x) for x in row] for row in pos]
-            face["vectors"] = [[float(x) for x in row] for row in grid.reshape(-1, 3)]
-        else:
-            face["vectors"] = encode_vectors(grid)
-        faces.append(face)
+        faces.append({"kind": key[0], "index": int(key[1]), "rho_steps": int(grid.shape[0] - 1),
+                      "phi_steps": int(grid.shape[1]), "vectors": encode_vectors(grid)})
     doc = {
-        "format": fmt,
+        "format": "tangentfield/2",
         "polyhedron": poly_source or phat.parent.to_dict(),
         "truncation": {
             "normals": [[float(x) for x in row] for row in phat.spec.normals],

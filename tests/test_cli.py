@@ -19,11 +19,11 @@ from tangent_topo.cli import (
     _depth_arg,
     main,
 )
-from tangent_topo.fields import MAX_DEPTH, TRUNCATED, SampledField, _grid_axes
+from tangent_topo.fields import MAX_DEPTH, TRUNCATED, SampledField, _grid_axes, grid_nodes
 from tangent_topo.invariants import invariant_set_to_dict
 
-from helpers import (decode_vectors, encode_vectors, jumped_field, reference_field_text,
-                     seam_turned_field)
+from helpers import (PINNED_HULLS, decode_vectors, encode_vectors, jumped_field,
+                     normal_cone_spec, pinned_hull, seam_turned_field)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +126,26 @@ class TestPipeline:
         assert doc["invariants"]["wrapping_numbers"] == src["wrapping_numbers"]
         assert doc["invariants"]["kink_numbers"] == src["kink_numbers"]
 
+    @pytest.mark.parametrize("g, k", PINNED_HULLS)
+    def test_pinned_hull_round_trip(self, g, k, tmp_path):
+        # A random hull in its own polyhedron/1 document, cut by the
+        # normal-cone rule, through synthesize and invariants --field.
+        poly, lam = pinned_hull(g, k)
+        phat = tt.truncate(poly, normal_cone_spec(poly, lam))
+        inv = tt.random_admissible_invariants(phat, seed=1)
+        doc = {"format": "invariants/1", "polyhedron": poly.to_dict(),
+               "truncation": phat.spec.to_dict(), **invariant_set_to_dict(inv, phat)}
+        inv_path, field_path, out = (tmp_path / name for name in
+                                     ("inv.json", "field.json", "report.json"))
+        inv_path.write_text(json.dumps(doc))
+        assert main(["synthesize", "--inv", str(inv_path), "--out", str(field_path)]) == EXIT_OK
+        assert main(["invariants", "--field", str(field_path), "--seed", "1",
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())["invariants"]
+        for entry in ("edge_orientations", "kink_numbers", "wrapping_numbers"):
+            assert report[entry] == doc[entry], entry
+        assert report["polyhedron"] == json.loads(inv_path.read_text())["polyhedron"]
+
     def test_invariants_at_depth_one(self, cube_phat, tmp_path):
         # A depth-1 grid does not resolve this set; the preimage count
         # runs only on a resolved grid, one level above the integral
@@ -182,27 +202,23 @@ FIELD_EDITS = ["zero_rho_steps", "vectors_not_numbers", "huge_rho_steps",
                "infinite_rho_steps", "nan_vector", "zero_vector", "invalid_base64",
                "short_payload", "vectors_as_list", "index_as_text", "rho_steps_as_text",
                "fractional_index", "boolean_index", "repeated_block"]
-V2_ONLY_FIELD_EDITS = ("invalid_base64", "short_payload", "vectors_as_list")
 
 
 def _edit_field(doc: dict, edit: str) -> dict:
-    """``doc`` with its first face block edited in place; the values of a
-    ``tangentfield/2`` block are edited as decoded rows and re-encoded."""
+    """``doc`` with its first face block edited in place; the values of
+    the block are edited as decoded rows and re-encoded."""
     face = doc["faces"][0]
-    v2 = doc["format"] == "tangentfield/2"
-    vecs = decode_vectors(face["vectors"]) if v2 else face["vectors"]
+    vecs = decode_vectors(face["vectors"])
     if edit == "zero_rho_steps":  # a single ring, consistent in size
         face["rho_steps"] = 0
         vecs = vecs[:face["phi_steps"]]
-        if not v2:
-            face["positions"] = face["positions"][:face["phi_steps"]]
     elif edit == "huge_rho_steps":  # refused before any grid is built
         face["rho_steps"] = 10 ** 12
     elif edit == "infinite_rho_steps":
         face["rho_steps"] = float("inf")
     elif edit in ("nan_vector", "zero_vector"):
         vecs[3] = [float("nan") if edit == "nan_vector" else 0.0] * 3
-    face["vectors"] = encode_vectors(vecs) if v2 else vecs
+    face["vectors"] = encode_vectors(vecs)
     if edit == "vectors_not_numbers":
         face["vectors"] = "x"
     elif edit == "invalid_base64":
@@ -389,21 +405,34 @@ class TestErrorPaths:
     @pytest.mark.parametrize("edit", FIELD_EDITS)
     def test_bad_field_contents_are_validation_errors(self, synthesized_field, tmp_path,
                                                       capsys, edit):
-        # Each edit of a tangentfield/2 document, and of the tangentfield/1
-        # document of the same field where the edit applies to it, is a
-        # malformed document (not a tangency failure).
+        # Each edit of a field document is a malformed document (not a
+        # tangency failure).
         doc = json.loads(synthesized_field.read_text())
-        docs = [doc]
-        if edit not in V2_ONLY_FIELD_EDITS:
-            field, _ = tt.load_field(synthesized_field)
-            docs.append(reference_field_text(field, poly_source=field.source,
-                                             fmt="tangentfield/1")[0])
         bad = tmp_path / "bad.json"
-        for doc in docs:
-            bad.write_text(json.dumps(_edit_field(doc, edit)))
-            assert main(["invariants", "--field", str(bad),
-                         "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION, doc["format"]
-            assert capsys.readouterr().err.startswith("validation failure: ")
+        bad.write_text(json.dumps(_edit_field(doc, edit)))
+        assert main(["invariants", "--field", str(bad),
+                     "--out", str(tmp_path / "r.json")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation failure: ")
+
+    def test_tangentfield_1_file_is_refused(self, field_file, tmp_path, capsys):
+        # The field file in the earlier format of JSON lists: vectors and
+        # node positions.  Only tangentfield/2 is read.
+        field, _ = tt.load_field(field_file)
+        doc = json.loads(field_file.read_text())
+        doc["format"] = "tangentfield/1"
+        for face in doc["faces"]:
+            chart = field.charts[face["kind"], face["index"]]
+            face["positions"] = chart.point(*grid_nodes(face["rho_steps"],
+                                                        face["phi_steps"])).tolist()
+            face["vectors"] = decode_vectors(face["vectors"]).tolist()
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(doc))
+        for command, out in (("invariants", "r.json"), ("export-mesh", "m.obj")):
+            assert main([command, "--field", str(old),
+                         "--out", str(tmp_path / out)]) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err == "validation failure: unsupported field format 'tangentfield/1'\n"
+            assert not (tmp_path / out).exists()
 
     def test_missing_file(self, tmp_path):
         assert main(["invariants", "--field", str(tmp_path / "nope.json"),
@@ -638,6 +667,22 @@ class TestDocumentEntries:
                             codes[entry, a, j, value, argv[0]] = main(argv)
         assert len(codes) == 2 * 4 * 3 * 3 * 3
         assert {k: c for k, c in codes.items() if c != EXIT_VALIDATION} == {}
+
+    @pytest.mark.parametrize("planes", [5, 3])
+    def test_cut_planes_not_one_per_vertex(self, inv_file, tetra_phat, tmp_path, planes):
+        # An invariant document for the tetrahedron with a fifth cut plane,
+        # a copy of the first, which was once read past and written back
+        # into reports, or with its last plane left out.
+        doc = json.loads(inv_file.read_text())
+        spec = tetra_phat.spec.to_dict()
+        doc["truncation"] = {k: (rows + rows)[:planes] for k, rows in spec.items()}
+        bad, out = tmp_path / "bad.json", str(tmp_path / "out.json")
+        bad.write_text(json.dumps(doc))
+        for argv in (["check", "--inv", str(bad)],
+                     ["invariants", "--inv", str(bad), "--out", out],
+                     ["synthesize", "--inv", str(bad), "--depth", "0", "--out", out]):
+            assert main(argv) == EXIT_VALIDATION, argv[0]
+        assert not Path(out).exists()
 
     def test_field_document(self, field_file, tmp_path):
         doc = json.loads(field_file.read_text())

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 import tangent_topo as tt
 from tangent_topo import errors
 from tangent_topo import fields as fields_mod
-from tangent_topo.cli import EXIT_OK, main
 from tangent_topo.fields import (
     CLEAVED,
     MAX_DEPTH,
@@ -29,7 +28,6 @@ from tangent_topo.fields import (
     _seam_rows,
     antipodal,
     face_grid,
-    field_from_dict,
     grid_nodes,
     sample_field,
     save_field,
@@ -247,30 +245,30 @@ class TestSampledFields:
     def test_file_round_trip(self, cube_case, tmp_path):
         _, field = cube_case
         path = tmp_path / "field.json"
-        tt.save_field(field, path, depth=4)
+        sampled = sample_field(field, 4)
+        tt.save_field(sampled, path)
         loaded, diag = tt.load_field(path)
         assert diag.ok
-        sampled = sample_field(field, 4)
         for key in field.host.face_keys():
             assert np.allclose(loaded.values[key], sampled.values[key], atol=1e-15)
 
-    def test_loader_renormalizes(self, cube_case):
+    def test_analytic_field_is_refused_before_the_file_is_opened(self, cube_case, tmp_path):
+        # save_field writes a SampledField only, and reads its grids first.
+        path = tmp_path / "field.json"
+        with pytest.raises(AttributeError):
+            tt.save_field(cube_case[1], path)
+        assert not path.exists()
+
+    def test_loader_renormalizes(self, cube_case, tmp_path):
         _, field = cube_case
-        doc = reference_field_text(field, depth=4)[0]
+        doc = reference_field_text(sample_field(field, 4))[0]
         doc["faces"][0]["vectors"] = encode_vectors(2.0 * decode_vectors(doc["faces"][0]["vectors"]))
-        loaded, diag = field_from_dict(doc)
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(doc))
+        loaded, diag = tt.load_field(path)
         key = (doc["faces"][0]["kind"], doc["faces"][0]["index"])
         norms = np.linalg.norm(loaded.values[key].reshape(-1, 3), axis=1)
         assert np.allclose(norms, 1.0)
-
-    def test_loader_rejects_displaced_positions(self, cube_case):
-        # Only tangentfield/1 documents carry node positions.
-        _, field = cube_case
-        doc, _ = reference_field_text(field, depth=4, fmt="tangentfield/1")
-        field_from_dict(doc)
-        doc["faces"][0]["positions"][0][0] += 0.5
-        with pytest.raises(errors.FieldError):
-            field_from_dict(doc)
 
     def test_undersampled_grid_rejected(self, cube_phat):
         inv = tt.random_admissible_invariants(cube_phat, seed=9)
@@ -325,7 +323,8 @@ class TestSampledFields:
 
     def test_takes_each_levels_neighbor_dots_once(self, cube_phat, monkeypatch):
         # The step bound of every level sample_field builds is checked
-        # once, and the SampledField it returns does not check it again.
+        # once, and the SampledField it returns checks each of its grids
+        # once more, as every SampledField does when it is built.
         inv = tt.random_admissible_invariants(cube_phat, seed=9)
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
@@ -345,8 +344,8 @@ class TestSampledFields:
         sample_field(field, 3)
         built = [planes for grid in grids for planes in grid._planes.values()]
         assert len(grids) == len(cube_phat.face_keys())
-        assert len(passes) == len(built) > len(grids)
-        assert {id(p) for p in passes} == {id(p) for p in built}
+        assert len(passes) == len(built) + len(grids) and len(built) > len(grids)
+        assert {id(p) for p in passes[:len(built)]} == {id(p) for p in built}
 
     def test_mesh_export(self, cube_case, tmp_path):
         _, field = cube_case
@@ -870,7 +869,7 @@ class TestSampledGridPath:
         # extract_all builds passes through it, each once, in grid blocks.
         _, field = cube_case
         path = tmp_path / "field.json"
-        save_field(field, path, depth=3)
+        save_field(sample_field(field, 3), path)
         loaded = tt.load_field(path)[0]
         blocks, grids = [], []
         evaluate, init = SampledField.evaluate, FaceGrid.__init__
@@ -909,14 +908,14 @@ class TestSampledGridPath:
 
 
 class TestFieldWriter:
-    def _check(self, field, tmp_path, depth=4, poly_source=None):
-        text = reference_field_text(field, depth, poly_source)[1]
+    def _check(self, sampled, tmp_path, poly_source=None):
+        text = reference_field_text(sampled, poly_source)[1]
         path = tmp_path / "field.json"
-        save_field(field, path, depth=depth, poly_source=poly_source)
+        save_field(sampled, path, poly_source=poly_source)
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_analytic_cube_field(self, cube_case, tmp_path):
-        self._check(cube_case[1], tmp_path, depth=3)
+        self._check(sample_field(cube_case[1], 3), tmp_path)
 
     def test_loaded_field_with_uneven_rings(self, cube_case, tmp_path):
         # Half again as many rings and samples as sampling needs on each
@@ -940,28 +939,4 @@ class TestFieldWriter:
         inv = tt.random_admissible_invariants(phat, seed=3)
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
-        self._check(field, tmp_path, depth=3, poly_source=poly.to_dict())
-
-    def test_v1_file_reads_as_the_v2_file(self, tetra_phat, tmp_path):
-        # A tangentfield/1 file and the tangentfield/2 file of one field
-        # load the same float64 values and give byte-identical reports.
-        inv = tt.random_admissible_invariants(tetra_phat, seed=3, wrap_override=(0, 0, 0, 0))
-        adm = tt.AdmissibleInvariants.from_invariants(inv, tetra_phat)
-        field = sample_field(tt.representative_boundary(adm, tetra_phat), 1)
-        source = {"builtin": "tetrahedron"}
-        paths = {fmt: tmp_path / f"{fmt[-1]}.json" for fmt in ("tangentfield/1", "tangentfield/2")}
-        paths["tangentfield/1"].write_text(
-            reference_field_text(field, poly_source=source, fmt="tangentfield/1")[1])
-        save_field(field, paths["tangentfield/2"], poly_source=source)
-        assert json.loads(paths["tangentfield/2"].read_text())["format"] == "tangentfield/2"
-        v1, v2 = (tt.load_field(path)[0] for path in paths.values())
-        assert v1.source == v2.source == source
-        for key in tetra_phat.face_keys():
-            assert v1.values[key].tobytes() == v2.values[key].tobytes()
-        reports = []
-        for fmt, path in paths.items():
-            out = tmp_path / f"report{fmt[-1]}.json"
-            assert main(["invariants", "--field", str(path), "--depth", "3", "--seed", "0",
-                         "--out", str(out)]) == EXIT_OK
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        self._check(sample_field(field, 3), tmp_path, poly_source=poly.to_dict())

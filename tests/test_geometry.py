@@ -128,6 +128,19 @@ class TestTruncation:
         with pytest.raises(errors.DegenerateCut):
             truncate(cube, TruncationSpec(normals=spec.normals, points=points))
 
+    @pytest.mark.parametrize("entry", ["normals", "points", "both"])
+    def test_cut_planes_not_one_per_vertex_rejected(self, entry):
+        # One plane too few once escaped as a bare IndexError, and a plane
+        # too many was read past.
+        tetra = builtin_polyhedron("tetrahedron")
+        spec = TruncationSpec.from_fraction(tetra, 0.25)
+        for cut in (spec.normals[:-1], np.vstack([spec.normals, spec.normals[:1]]),
+                    np.hstack([spec.normals, spec.normals[:, :1]])):
+            planes = {"normals": spec.normals, "points": spec.points}
+            planes.update({k: cut for k in planes if entry in (k, "both")})
+            with pytest.raises(errors.GeometryError, match="shaped"):
+                truncate(tetra, TruncationSpec(**planes))
+
     @pytest.mark.parametrize("entry", ["normals", "points"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_cut_plane_rejected(self, entry, value):

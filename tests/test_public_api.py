@@ -11,7 +11,7 @@ PUBLIC = {
     "TruncatedPolyhedron", "TruncationSpec", "antipodal", "builtin_polyhedron",
     "check_sum_rules", "choose_reference_s", "errors", "extract_all",
     "extract_edge_orientations", "extract_kink", "extract_wrapping_integral",
-    "field_from_dict", "invariants_equal", "load_field",
+    "invariants_equal", "load_field",
     "load_polyhedron", "mesh_degree", "random_admissible_invariants",
     "representative_boundary", "sample_field", "save_field", "save_mesh_obj",
     "trapped_area_direct", "trapped_area_from_invariants", "truncate",
