@@ -13,7 +13,9 @@ its float64 bytes.
 Integral extraction routes require piecewise-differentiable evaluators;
 the winding and preimage routes only need continuity plus adequate
 sampling density.  Evaluators work point by point: a node's value does
-not depend on the other points of the call, which ``FaceGrid`` relies on.
+not depend on the other points of the call, which ``FaceGrid`` relies on,
+nor, for the representative's evaluator, which takes the corner faces
+of a level together, on the other faces in it (``_build_levels``).
 
 ``evaluate(key, rho, phi)`` is the one entry point of both field types,
 and it broadcasts: ``rho`` and ``phi`` broadcast against each other and
@@ -456,6 +458,8 @@ class FaceGrid:
     nodes of the whole grid on its radii and angles, as 2 pi (2 j) / 2M is
     exactly 2 pi j / M and fields work point by point.  ``values`` and
     ``boundary`` are C-contiguous row copies, for einsum and matmul.
+    ``_build_levels`` builds the levels, of this grid alone or of the
+    grids of all corner faces together.
     """
 
     _local = True  # split only the intervals that break the bound
@@ -473,33 +477,53 @@ class FaceGrid:
         return self._cols[depth] * (2.0 * np.pi / (self._sides * 2 ** depth))
 
     def planes(self, depth: int) -> np.ndarray:
-        evaluate, key = self.field.evaluate, self.key  # in grid blocks, rings rho[:, None]
+        if depth not in self._planes:
+            if depth < min(self._planes, default=depth):
+                raise ValueError(f"depth {depth} is below the first level {min(self._planes)}")
+            _build_levels([self], depth)
+        return self._planes[depth]
+
+    def nodes(self, depth: int) -> int:
+        # Nodes of the top level, or of the whole depth-``depth`` grid
+        # before the first level is built.
         if not self._planes:
-            R = 2 ** depth
-            self._cols[depth] = np.arange(self._sides * R)
-            self._planes[depth] = _grid_planes(
-                evaluate(key, np.linspace(0.0, 1.0, R + 1)[:, None], self._phi(depth)))
-        if depth < min(self._planes):
-            raise ValueError(f"depth {depth} is below the first level {min(self._planes)}")
-        for d in range(max(self._planes), depth):
+            return (2 ** depth + 1) * self._sides * 2 ** depth
+        return self._planes[max(self._planes)][0].size
+
+    def _next(self, depth: int):
+        """The grid blocks (rings ``rho[:, None]``, angles ``phi``) of the
+        next level, or of the whole depth-``depth`` grid as the first, and
+        the store that makes their values that level."""
+        coarse = None
+        if self._planes:
+            d = max(self._planes)
             coarse, cols = self._planes[d], self._cols[d]
             doubles, split = self._round(d)
-            step = 2 if doubles else 1
+            R = (coarse.shape[1] - 1) * (2 if doubles else 1)
             # A split interval's midpoint is the sum of its ends at the
             # doubled resolution; the last interval ends at M.
             mids = (cols + np.append(cols[1:], self._sides * 2 ** d))[split]
             self._cols[d + 1] = np.sort(np.concatenate([2 * cols, mids]))
             held, added = (np.searchsorted(self._cols[d + 1], j) for j in (2 * cols, mids))
-            rho = np.linspace(0.0, 1.0, step * (coarse.shape[1] - 1) + 1)[:, None]
-            phi = self._phi(d + 1)
-            fine = np.empty((3, rho.size, phi.size + 1))
-            fine[:, ::step, held] = coarse[:, :, :-1]
-            if step == 2:
-                fine[:, 1::2, :-1] = np.moveaxis(evaluate(key, rho[1::2], phi), -1, 0)
-            fine[:, ::step, added] = np.moveaxis(evaluate(key, rho[::step], phi[added]), -1, 0)
+            d += 1
+        else:
+            d, R, doubles = depth, 2 ** depth, False
+            self._cols[d] = np.arange(self._sides * R)
+            added = slice(0, self._sides * R)
+        step = 2 if doubles else 1
+        rho, phi = np.linspace(0.0, 1.0, R + 1)[:, None], self._phi(d)
+        blocks = [(rho[1::2], phi)] * doubles + [(rho[::step], phi[added])]
+
+        def store(values):
+            fine = np.empty((3, R + 1, phi.size + 1))
+            if coarse is not None:
+                fine[:, ::step, held] = coarse[:, :, :-1]
+            if doubles:
+                fine[:, 1::2, :-1] = np.moveaxis(values[0], -1, 0)
+            fine[:, ::step, added] = np.moveaxis(values[-1], -1, 0)
             fine[:, :, -1] = fine[:, :, 0]
-            self._planes[d + 1] = fine
-        return self._planes[depth]
+            self._planes[d] = fine
+        return blocks, store
 
     def _round(self, depth: int):
         # The round from level ``depth``: whether it doubles the rings, and
@@ -536,6 +560,59 @@ class FaceGrid:
             if self.area_sum(d) is not None:
                 return d
         raise ResolutionTooCoarse(f"grid of face {self.key} did not resolve by depth {MAX_DEPTH}")
+
+
+def _build_levels(grids, depth: int) -> None:
+    """Build the FaceGrids ``grids`` of one field up to level ``depth``, one
+    level of each at a time (``FaceGrid._next``), a block per ``evaluate``
+    call; but an evaluator marked ``_corner_batches`` (the
+    representative's) takes the blocks of the corner faces of a level in
+    batches of whole faces of at most BAND_ENTRIES nodes, a batch per call
+    (``_corner_batch``)."""
+    batched = getattr(getattr(grids[0].field, "evaluator", None), "_corner_batches", False)
+    while True:
+        nexts = [(grid, *grid._next(depth)) for grid in grids
+                 if max(grid._planes, default=-1) < depth]
+        if not nexts:
+            return
+        batches, room = [], 0
+        for item in nexts:
+            # A grid that takes no batch counts as more than a batch holds.
+            n = (sum(rho.size * phi.size for rho, phi in item[1])
+                 if batched and item[0].key[0] == CLEAVED else BAND_ENTRIES + 1)
+            if n > room:
+                batches.append([])
+                room = BAND_ENTRIES
+            batches[-1].append(item)
+            room -= n
+        for batch in batches:
+            if len(batch) == 1:
+                grid, blocks, store = batch[0]
+                store([grid.field.evaluate(grid.key, rho, phi) for rho, phi in blocks])
+            else:
+                for (_, _, store), values in zip(batch, _corner_batch(batch)):
+                    store(values)
+
+
+def _corner_batch(batch) -> list:
+    """The values, shape (n, k, 3), of the blocks of the corner faces of
+    ``batch``, ``[(grid, blocks, store)]``, by one ``evaluate`` call with
+    key ``(CLEAVED, a)``, ``a`` the face index of each node: the angles of
+    all blocks side by side against their rings if they share them, else
+    the nodes as equal-length 1-D arrays."""
+    blocks = [(np.array(grid.key[1]), rho, phi) for grid, face, _ in batch for rho, phi in face]
+    rings = blocks[0][1]
+    if all(np.array_equal(rho, rings) for _, rho, _ in blocks):
+        nodes = [np.broadcast_arrays(a, phi) for a, _, phi in blocks]
+    else:
+        nodes = [[x.ravel() for x in np.broadcast_arrays(a, phi, rho)] for a, rho, phi in blocks]
+        rings = np.concatenate([n[2] for n in nodes])
+    a, phi = (np.concatenate([n[k] for n in nodes]) for k in (0, 1))
+    values = batch[0][0].field.evaluate((CLEAVED, a), rings, phi)
+    ends = np.cumsum([n[1].size for n in nodes])[:-1]
+    pieces = iter(np.split(values, ends, axis=values.ndim - 2))
+    return [[next(pieces).reshape(rho.size, phi.size, 3) for rho, phi in face]
+            for _, face, _ in batch]
 
 
 class _UniformGrid(FaceGrid):

@@ -524,6 +524,16 @@ def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, 
     return truncate(poly, spec), source
 
 
+def segment_position(phi, m) -> Tuple[np.ndarray, np.ndarray]:
+    """Side ``k`` of a chart boundary of ``m`` sides (m broadcasts against
+    the array ``phi``) at each angle, taken mod 2 pi, and the fraction
+    ``u`` along that side; an angle that rounds up to a full turn stays
+    on side m - 1."""
+    pos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi / m)
+    k = np.minimum(pos.astype(int), m - 1)
+    return k, pos - k
+
+
 @dataclass(frozen=True)
 class PolarChart:
     """Polygonal-polar coordinates on a convex face.
@@ -545,13 +555,8 @@ class PolarChart:
         return self.corners.shape[0]
 
     def segment_position(self, phi) -> Tuple[np.ndarray, np.ndarray]:
-        """Side ``k`` of the boundary at each angle of the array ``phi``,
-        taken mod 2 pi, and the fraction ``u`` along that side; an angle
-        that rounds up to a full turn stays on side m - 1."""
-        m = self.n_segments
-        pos = np.mod(phi, 2.0 * np.pi) / (2.0 * np.pi / m)
-        k = np.minimum(pos.astype(int), m - 1)
-        return k, pos - k
+        """``segment_position`` on the sides of this chart."""
+        return segment_position(phi, self.n_segments)
 
     def boundary_point(self, phi) -> np.ndarray:
         k, u = self.segment_position(np.atleast_1d(np.asarray(phi, dtype=float)))

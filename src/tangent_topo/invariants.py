@@ -22,6 +22,7 @@ mutually consistent; all chart-based sums below are computed in chart
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -64,9 +65,14 @@ from .sphere import (
 MARGIN_S = 0.05
 KINK_RESIDUAL_TOL = 1e-6
 PREIMAGE_ATTEMPTS = 3
-# The preimage check turns off s by multiples of this angle; every turn
-# stays within MARGIN_S of s, so it crosses no boundary image of a face.
+# The preimage check turns off s by multiples of a quarter of its margin, at
+# most of MARGIN_S, so no turn crosses a boundary image of a face: this
+# angle for every s that the library picks, whose margin is MARGIN_S or more.
 PREIMAGE_TURN = MARGIN_S / (PREIMAGE_ATTEMPTS + 1)
+# The corner faces climb in lockstep while the top levels of their grids
+# hold at most this many nodes together, about 1.3 MB of planes and
+# neighbor dots; past it, the lowest face climbs alone.
+LOCKSTEP_NODES = 2 ** 15
 # Samples per boundary segment of the trimmed-face rings that kinks
 # unwrap, 2**7 + 1; edge orientations read every EDGE_STRIDE-th, 9.
 RING_SAMPLES = 129
@@ -306,7 +312,7 @@ def _integral_at(grid: FaceGrid, s: np.ndarray, d: int):
 def extract_wrapping_integral(field: TangentField, a: int, s, depth: int = 4) -> int:
     """Wrapping number of corner face ``a`` by the area/cap integral, by
     ``extract_all``'s checked climb without the preimage route."""
-    return _checked_climb(FaceGrid(field, (CLEAVED, a)), normalized(s), depth, False)[0]
+    return _checked_climb(field, [a], normalized(s), depth, None)[0][0]
 
 
 def _near_cells(node_dots: np.ndarray, radial: np.ndarray, around: np.ndarray):
@@ -567,17 +573,17 @@ def _rotated(s: np.ndarray, axis_hint: int, angle: float) -> np.ndarray:
     )
 
 
-def _checked_preimage(grid: FaceGrid, s_ref, used):
+def _checked_preimage(grid: FaceGrid, s_ref, used, turn: float = PREIMAGE_TURN):
     """The preimage count of a corner face on level ``used`` of its
     FaceGrid ``grid``, a level with a valid area sum, at the first of
     PREIMAGE_ATTEMPTS directions turned off ``s_ref`` by multiples of
-    PREIMAGE_TURN that is a regular value and that the integral route
+    ``turn`` that is a regular value and that the integral route
     resolves on that same level, checked against that route; None when
     none is.  ``s_ref`` itself is never tried: the covering patch of the
     representative maps the whole base ring of every corner face onto it."""
     a = grid.key[1]
     for k in range(1, PREIMAGE_ATTEMPTS + 1):
-        s_k = _rotated(s_ref, k, k * PREIMAGE_TURN)
+        s_k = _rotated(s_ref, k, k * turn)
         try:
             pre = extract_wrapping_preimage(grid.field, a, s_k, used, grid)
         except NotRegularValue:
@@ -592,28 +598,31 @@ def _checked_preimage(grid: FaceGrid, s_ref, used):
     return None
 
 
-def _checked_climb(grid: FaceGrid, s, depth: int, with_preimage: bool):
+def _climb(grid: FaceGrid, s, depth: int, turn: Optional[float]):
     """``(w, residual, level, preimage, checks)`` of a corner face by the
-    integral route at the unit ``s``: the one climb over the levels of
-    ``grid``, from ``depth`` on.  A resolved level u below MAX_DEPTH counts
-    once level u + 1 has a valid area sum and gives w: by
-    ``_checked_preimage`` there ``with_preimage``, else (or where that is
-    None) by ``_integral_at`` on u + 1.  ``checks`` counts the levels turned
-    down, a DualRouteMismatch included; None if the climb first resolved
-    at MAX_DEPTH, which counts unchecked."""
+    integral route at the unit ``s``, climbing the levels of ``grid`` from
+    ``depth`` on: a generator that yields where it next needs level u + 1.
+    A resolved level u below MAX_DEPTH counts once level u + 1 has a valid
+    area sum and gives w: by ``_checked_preimage`` there at the turn
+    ``turn``, else (``turn`` None, or no count) by ``_integral_at`` on
+    u + 1.  ``checks`` counts the levels turned down, a DualRouteMismatch
+    included; None if the climb first resolved at MAX_DEPTH, which counts
+    unchecked."""
     checks = None
     for u in range(depth, MAX_DEPTH + 1):
         at = _integral_at(grid, s, u)
+        if u < MAX_DEPTH:
+            yield
         if at is None:
             continue
         checks = 0 if checks is None else checks + 1
         if u == MAX_DEPTH:
-            pre = _checked_preimage(grid, s, u) if with_preimage else None
+            pre = _checked_preimage(grid, s, u, turn) if turn else None
             return (*at, u, pre, checks or None)
         if grid.area_sum(u + 1) is None:
             continue
         try:
-            pre = _checked_preimage(grid, s, u + 1) if with_preimage else None
+            pre = _checked_preimage(grid, s, u + 1, turn) if turn else None
         except DualRouteMismatch:
             continue
         up = _integral_at(grid, s, u + 1) if pre is None else (pre,)
@@ -621,6 +630,45 @@ def _checked_climb(grid: FaceGrid, s, depth: int, with_preimage: bool):
             return (*at, u, pre, checks)
     raise ResolutionTooCoarse(f"wrapping quadrature on face {grid.key[1]} did not "
                               f"resolve by depth {MAX_DEPTH}")
+
+
+def _checked_climb(field: TangentField, faces, s, depth: int, turn: Optional[float]) -> list:
+    """``(w, residual, level, preimage, checks, (R, K), direct)`` of each
+    corner face of ``faces``: the ``_climb`` of its FaceGrid, with the
+    (R, K) and the direct trapped area of its level.  The faces climb in
+    lockstep, each level of all of them built at once
+    (``fields._build_levels``), while their top levels hold at most
+    LOCKSTEP_NODES nodes; past that, the lowest face climbs alone.  A
+    face's grid is dropped once it finishes.  The exception raised is
+    that of a climb face by face: the lowest failing face's, once every
+    lower face has finished."""
+    grids = [FaceGrid(field, (CLEAVED, a)) for a in faces]
+    climbs = {i: _climb(grid, s, depth, turn) for i, grid in enumerate(grids)}
+    done, failed, level = {}, {}, depth
+    while climbs:
+        together = sum(grids[i].nodes(depth) for i in climbs) <= LOCKSTEP_NODES
+        if together and level <= MAX_DEPTH:
+            # A face whose level this fails builds it alone in its climb,
+            # where it meets its own exception.
+            with contextlib.suppress(Exception):
+                fields_mod._build_levels([grids[i] for i in climbs], level)
+        level += together
+        for i in list(climbs) if together else [min(climbs)]:
+            try:
+                next(climbs[i])
+                continue
+            except StopIteration as stop:
+                rings, samples = grids[i].planes(stop.value[2]).shape[1:]
+                done[i] = (*stop.value, (rings - 1, samples - 1),
+                           -grids[i].area_sum(stop.value[2]))
+            except Exception as exc:
+                failed[i] = exc
+            del climbs[i]
+            grids[i] = None
+        climbs = {i: climb for i, climb in climbs.items() if i < min(failed, default=i + 1)}
+    if failed:
+        raise failed[min(failed)]
+    return [done[i] for i in range(len(grids))]
 
 
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
@@ -660,10 +708,12 @@ def extract_all(
     ``FaceGrid`` levels to a resolved level, whose depth and (R, K) the
     report keeps, checked one level up (``_checked_climb``): any resolved
     grid is exact, so the check guards against a field that turns too
-    far between nodes.  The preimage route cross-checks w on the check
-    level by a signed count of the image triangles that contain one of
-    up to PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of
-    PREIMAGE_TURN, never ``s`` itself, the image of the base ring of a
+    far between nodes; the faces climb together, as each would alone.
+    The preimage route cross-checks w on the check level by a signed
+    count of the image triangles that contain one of up to
+    PREIMAGE_ATTEMPTS directions turned off ``s`` by multiples of a
+    quarter of its margin, at most of MARGIN_S (PREIMAGE_TURN), never
+    ``s`` itself, the image of the base ring of a
     representative's covering patches: the first turned direction that
     is a regular value, and resolved by the integral route on that level,
     gives the count, compared with that route.  A disagreement climbs on
@@ -689,13 +739,10 @@ def extract_all(
     kink_res = {ac: res for ac, (_, res) in details.items()}
 
     n_corners = len(phat.cleaved_faces)
-    results = []
-    for a in range(n_corners):
-        grid = FaceGrid(field, (CLEAVED, a))
-        climb = _checked_climb(grid, s_ref, depth, with_preimage)
-        rings, samples = grid.planes(climb[2]).shape[1:]
-        results.append((*climb, (rings - 1, samples - 1), -grid.area_sum(climb[2])))
-    omegas, residuals, depths, preimages, checks, grids, directs = zip(*results)
+    margin = s_margin(phat, s_ref)
+    turn = min(MARGIN_S, margin) / (PREIMAGE_ATTEMPTS + 1) if with_preimage else None
+    omegas, residuals, depths, preimages, checks, grids, directs = zip(
+        *_checked_climb(field, range(n_corners), s_ref, depth, turn))
 
     inv = InvariantSet(s=s_ref, edge_orientations=eps, kink_numbers=kinks,
                        wrapping_numbers=np.array(omegas, dtype=int))
@@ -715,7 +762,7 @@ def extract_all(
         seed=seed,
         s_was_given=s is not None,
         s_attempts=s_attempts,
-        s_margin=s_margin(phat, s_ref),
+        s_margin=margin,
         quadrature_depth=depth,
         tool_version=__version__,
     )

@@ -28,7 +28,7 @@ from .errors import (
     SumRuleViolation,
 )
 from .fields import CLEAVED, TRUNCATED, AnalyticField
-from .geometry import TruncatedPolyhedron
+from .geometry import TruncatedPolyhedron, segment_position
 from .invariants import (
     InvariantSet,
     check_sum_rules,
@@ -46,8 +46,9 @@ from .sphere import (TOL_ANTIPODAL, _as_rows, _weighted_planes, cross, geodesic_
 MARGIN_FLOOR = np.sqrt(2.0 * TOL_ANTIPODAL)
 
 
-def covering_patch(rho, phi, omega: int, xi, eta, s) -> np.ndarray:
-    """Sphere covering of multiplicity ``omega`` in polar face coordinates.
+def covering_patch(rho, phi, omega, xi, eta, s) -> np.ndarray:
+    """Sphere covering of multiplicity ``omega`` in polar face coordinates;
+    ``omega`` is an integer, or integers that broadcast against ``phi``.
 
     Returns ``sin(2 pi rho) cos(omega phi) xi + sin(2 pi rho) sin(omega
     phi) eta + cos(2 pi rho) s``; the value is ``s`` at rho = 0 and
@@ -154,11 +155,14 @@ def representative_boundary(
             )
         trunc_data[c] = (u1, u2, knots)
 
-    cleaved_data = {}
-    for a in range(len(phat.cleaved_faces)):
-        segs = charts[(CLEAVED, a)].segments
-        e0s, axcs, totals = (np.asarray(x) for x in zip(*(spirals[seg.key] for seg in segs)))
-        cleaved_data[a] = (e0s, axcs, totals, int(inv.wrapping_numbers[a]))
+    # The spirals of every corner face, stacked: side k of face a is row
+    # first[a] + k.
+    segs = [charts[(CLEAVED, a)].segments for a in range(len(phat.cleaved_faces))]
+    e0s, axcs, totals = (np.asarray(x) for x in zip(*(spirals[seg.key] for face in segs
+                                                        for seg in face)))
+    sides = np.array([len(face) for face in segs])
+    first = np.cumsum(sides) - sides
+    omegas = np.asarray(inv.wrapping_numbers, dtype=int)
 
     xi, eta = adm.xi, adm.eta
 
@@ -166,19 +170,20 @@ def representative_boundary(
         # Factors of rho alone are taken once per entry of rho, factors
         # of phi alone once per entry of phi (see ``AnalyticField``).
         kind, idx = key
-        chart = charts[key]
         if kind == TRUNCATED:
             u1, u2, knots = trunc_data[idx]
-            k, u = chart.segment_position(phi)
+            k, u = charts[key].segment_position(phi)
             theta = knots[k] + (knots[k + 1] - knots[k]) * u
             full = rho * theta + (1.0 - rho) * knots[0]
             return _as_rows(_weighted_planes((np.cos(full), u1), (np.sin(full), u2)))
-        e0s, axcs, totals, omega = cleaved_data[idx]
+        # One face, or several (see fields._build_levels): idx is then an
+        # array of face indices that broadcasts against phi.
         shape = np.broadcast_shapes(rho.shape, phi.shape)
-        rho, phi = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (rho, phi))
+        rho, phi, idx = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape)
+                         for x in (rho, phi, np.asarray(idx)))
         if any(n > 1 for n in rho.shape[1:]):
             # rho varies along more than the first axis: point by point.
-            rho, phi = (x.ravel() for x in np.broadcast_arrays(rho, phi))
+            rho, phi, idx = (x.ravel() for x in np.broadcast_arrays(rho, phi, idx))
         # The covering fills the rows (rings) with rho < 1/2, the geodesic
         # from -s to the boundary spiral the others.
         lead = np.broadcast_shapes(rho.shape, phi.shape)
@@ -191,19 +196,22 @@ def representative_boundary(
         # Both parts are x, y, z planes, copied into one set of planes.
         out = np.empty((3,) + lead)
         if inner.any():
-            out[:, inner] = np.moveaxis(
-                covering_patch(rows(rho, inner), rows(phi, inner), omega, xi, eta, s), -1, 0)
+            out[:, inner] = np.moveaxis(covering_patch(
+                rows(rho, inner), rows(phi, inner), omegas[rows(idx, inner)], xi, eta, s), -1, 0)
         outer = ~inner
         if outer.any():
             # The boundary spiral, needed only where rho >= 1/2.
-            k, u = chart.segment_position(rows(phi, outer))
-            ang = totals[k] * (1.0 - u)
-            bval = np.cos(ang)[..., None] * e0s[k] + np.sin(ang)[..., None] * axcs[k]
+            face = rows(idx, outer)
+            k, u = segment_position(rows(phi, outer), sides[face])
+            row = first[face] + k
+            ang = totals[row] * (1.0 - u)
+            bval = np.cos(ang)[..., None] * e0s[row] + np.sin(ang)[..., None] * axcs[row]
             # Left unnormalized: AnalyticField.evaluate normalizes every value.
             out[:, outer] = np.moveaxis(geodesic_interpolate(
                 minus_s, bval, 2.0 * rows(rho, outer) - 1.0, normalize=False), -1, 0)
         return _as_rows(out).reshape(shape + (3,))
 
+    evaluator._corner_batches = True
     return AnalyticField(host=phat, charts=charts, evaluator=evaluator)
 
 

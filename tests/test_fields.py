@@ -751,6 +751,41 @@ class TestGridBlocks:
                 assert face_grid(field, key, 2).tobytes() == scattered.tobytes()
 
 
+class TestCornerBatches:
+    """The blocks of several corner faces in one ``evaluate`` call, and
+    levels built in lockstep, are bit for bit each face's own."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_batched_blocks_equal_each_face_alone(self, block_fields, mixed):
+        # All blocks on the same rings (laid side by side against them), or
+        # on other rings as well (point by point).
+        for field in block_fields:
+            rho = np.linspace(0.0, 1.0, 17)[:, None]
+            faces = []
+            for a in range(len(field.host.cleaved_faces)):
+                M = 16 * field.charts[(CLEAVED, a)].n_segments
+                phi = np.arange(M) * (2.0 * np.pi / M)
+                blocks = [(rho, phi)] + [(rho[1::2], phi[a % 3::3])] * mixed
+                faces.append((FaceGrid(field, (CLEAVED, a)), blocks, None))
+            batch = fields_mod._corner_batch(faces)
+            for (grid, blocks, _), values in zip(faces, batch):
+                for (rr, pp), block in zip(blocks, values):
+                    assert np.array_equal(block, field.evaluate(grid.key, rr, pp))
+
+    def test_lockstep_levels_equal_one_grid_alone(self, block_fields):
+        for field in block_fields:
+            keys = [(CLEAVED, a) for a in range(len(field.host.cleaved_faces))]
+            grids = [FaceGrid(field, key) for key in keys]
+            for depth in range(2, 6):
+                fields_mod._build_levels(grids, depth)
+                assert all(max(grid._planes) == depth for grid in grids)
+            for grid in grids:
+                alone = FaceGrid(field, grid.key)
+                for depth in range(2, 6):
+                    assert np.array_equal(grid.planes(depth), alone.planes(depth))
+                    assert np.array_equal(grid._cols[depth], alone._cols[depth])
+
+
 def _pointwise_grid(field, key, depth, rings=None, columns=None):
     """``face_grid`` of a field through ``evaluate`` at every node, or the
     depth-``depth`` level of a FaceGrid with ``rings`` rings and the

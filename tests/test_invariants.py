@@ -695,13 +695,172 @@ class TestLevelCheck:
         assert report.wrapping_depths[0] == plain.wrapping_depths[0] + 1
         assert report.wrapping_depths[1:] == plain.wrapping_depths[1:]
         assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
-        # Disagreeing at every level, it is refused only at MAX_DEPTH.
+        # Disagreeing at every level, it is refused only at MAX_DEPTH.  The
+        # faces climb in lockstep, so their counts interleave: face 0's own
+        # run up the levels, then once more at MAX_DEPTH.
         calls.clear()
         monkeypatch.setattr(inv_mod, "extract_wrapping_preimage", off(10 ** 6))
         with pytest.raises(errors.DualRouteMismatch):
             tt.extract_all(field, s=inv.s)
-        assert [args[3] for args in calls] == list(range(plain.wrapping_depths[0] + 1,
-                                                         MAX_DEPTH + 1)) + [MAX_DEPTH]
+        assert [args[3] for args in calls if args[1] == 0] == list(
+            range(plain.wrapping_depths[0] + 1, MAX_DEPTH + 1)) + [MAX_DEPTH]
+
+
+def face_by_face(field, s, turn):
+    """The exception that climbing the corner faces of ``field`` one after
+    another raises, or None: the first face's that fails."""
+    for a in range(len(field.host.cleaved_faces)):
+        try:
+            inv_mod._checked_climb(field, [a], s, 4, turn)
+        except Exception as exc:
+            return exc
+    return None
+
+
+class TestLockstep:
+    """The corner faces climb together, and the exception raised is the one
+    that climbing them face by face raises."""
+
+    @pytest.mark.parametrize("slow, fast", [(1, 3), (3, 1)])
+    def test_the_lowest_failing_face_raises(self, cube_phat, monkeypatch, slow, fast):
+        # Face ``slow`` disagrees on every count and fails at MAX_DEPTH;
+        # face ``fast`` fails on its first level, whose boundary image
+        # is made to hold s.
+        inv, field = make_representative(cube_phat, seed=3)
+        count, integral = inv_mod.extract_wrapping_preimage, inv_mod._integral_at
+
+        def miscounted(field, a, *args):
+            return count(field, a, *args) + (a == slow)
+
+        def blocked(grid, s, d):
+            if grid.key[1] == fast:
+                raise errors.SOnBoundaryImage(f"scripted on face {fast}")
+            return integral(grid, s, d)
+
+        monkeypatch.setattr(inv_mod, "extract_wrapping_preimage", miscounted)
+        monkeypatch.setattr(inv_mod, "_integral_at", blocked)
+        expected = face_by_face(field, inv.s, inv_mod.PREIMAGE_TURN)
+        assert type(expected) is (errors.DualRouteMismatch if slow < fast
+                                  else errors.SOnBoundaryImage)
+        with pytest.raises(type(expected)) as raised:
+            tt.extract_all(field, s=inv.s)
+        assert str(raised.value) == str(expected)
+
+    @pytest.mark.parametrize("miscounted", [False, True])
+    def test_a_batch_that_raises_is_evaluated_face_by_face(self, cube_phat, monkeypatch,
+                                                           miscounted):
+        # The evaluator refuses any call that reaches face 5: the batches
+        # of all faces raise, and face 5's own evaluation gives its error,
+        # raised unless face 1, which miscounts, fails first face by face.
+        inv, field = make_representative(cube_phat, seed=3)
+        inner, calls, count = field.evaluator, [], inv_mod.extract_wrapping_preimage
+
+        def refusing(key, rho, phi):
+            calls.append(np.size(key[1]))
+            if key[0] == CLEAVED and np.any(np.asarray(key[1]) == 5):
+                raise errors.GeodesicAntipodal("scripted on face 5")
+            return inner(key, rho, phi)
+
+        refusing._corner_batches = True
+        refused = dataclasses.replace(field, evaluator=refusing)
+        monkeypatch.setattr(inv_mod, "extract_wrapping_preimage", lambda field, a, *args: (
+            count(field, a, *args) + (miscounted and a == 1)))
+        expected = face_by_face(refused, inv.s, inv_mod.PREIMAGE_TURN)
+        assert type(expected) is (errors.DualRouteMismatch if miscounted
+                                  else errors.GeodesicAntipodal)
+        calls.clear()
+        with pytest.raises(type(expected)) as raised:
+            tt.extract_all(refused, s=inv.s)
+        assert str(raised.value) == str(expected)
+        assert max(calls) > 1  # a batched call was made
+
+    def test_one_evaluate_call_per_level(self, cube_phat, monkeypatch):
+        # Every level of all eight corner faces, 17 x 48 nodes at depth 4,
+        # fits one batch; the report is the face-by-face report.
+        inv, field = make_representative(cube_phat, seed=3)
+        plain = tt.extract_all(field, s=inv.s, with_preimage=False)
+        evaluate, keys = AnalyticField.evaluate, []
+
+        def counted(self, key, rho, phi):
+            keys.append(key)
+            return evaluate(self, key, rho, phi)
+
+        monkeypatch.setattr(AnalyticField, "evaluate", counted)
+        report = tt.extract_all(field, s=inv.s, with_preimage=False)
+        corner = [key for key in keys if key[0] == CLEAVED]
+        assert len(corner) == max(report.wrapping_depths) - 4 + 2
+        assert set(np.unique(corner[0][1])) == set(range(8))
+        assert report_to_dict(report, cube_phat) == report_to_dict(plain, cube_phat)
+
+
+    @pytest.mark.parametrize("room", [0, 4 * 17 * 48])
+    def test_the_report_is_the_face_by_face_report(self, cube_phat, monkeypatch, room):
+        # With no room for a lockstep every face climbs alone; with room
+        # for four depth-4 grids the first faces climb alone, then the
+        # last four together.
+        inv, field = make_representative(cube_phat, seed=4)
+        together = tt.extract_all(field, s=inv.s)
+        evaluate, batched = AnalyticField.evaluate, []
+
+        def counted(self, key, rho, phi):
+            batched.append(np.ndim(key[1]) > 0)
+            return evaluate(self, key, rho, phi)
+
+        monkeypatch.setattr(AnalyticField, "evaluate", counted)
+        monkeypatch.setattr(inv_mod, "LOCKSTEP_NODES", room)
+        report = tt.extract_all(field, s=inv.s)
+        assert any(batched) == (room > 0) and not all(batched)
+        assert report_to_dict(report, cube_phat) == report_to_dict(together, cube_phat)
+        for name in ("trapped_direct", "trapped_closed", "wrapping_residuals"):
+            assert getattr(report, name).tobytes() == getattr(together, name).tobytes()
+
+
+def at_margin(phat, m):
+    """A unit ``s`` with margin ``m``: ``m`` along face normal 0, the rest
+    in its plane, toward the first spiral point that keeps every face
+    plane but that one at least 3 m away."""
+    normals = phat.parent.face_normals
+    others = normals[np.abs(normals @ normals[0]) < 1.0 - 1e-9]
+    for t in inv_mod._SPIRAL:
+        t = normalized(t - (t @ normals[0]) * normals[0])
+        s = np.sqrt(1.0 - m * m) * t + m * normals[0]
+        if np.min(np.abs(others @ s)) >= 3.0 * m:
+            return s
+    raise AssertionError("no direction found")
+
+
+class TestPreimageTurn:
+    """The preimage check turns within the margin of the given ``s``: each
+    count it reports equals the wrapping number."""
+
+    @pytest.mark.parametrize("solid, seed, s", [
+        ("tetrahedron", 554, [0.5558230222109181, 0.2130675370259996, -0.8035315753882952]),
+        ("octahedron", 104, [0.4390794321651592, -0.352632659883987, -0.8263531082005231])])
+    def test_reproducers(self, tetra_phat, octa_phat, solid, seed, s):
+        phat = {"tetrahedron": tetra_phat, "octahedron": octa_phat}[solid]
+        inv, field = make_representative(phat, seed, s=np.array(s))
+        assert s_margin(phat, inv.s) < MARGIN_S
+        report = tt.extract_all(field, s=inv.s)
+        w = report.invariants.wrapping_numbers.tolist()
+        assert report.wrapping_preimage == tuple(w)
+
+    @pytest.mark.parametrize("margin", [0.02, 0.01])
+    @pytest.mark.parametrize("solid", ["cube", "tetrahedron", "octahedron"])
+    def test_small_margins(self, cube_phat, tetra_phat, octa_phat, solid, margin):
+        phat = {"cube": cube_phat, "tetrahedron": tetra_phat, "octahedron": octa_phat}[solid]
+        s = at_margin(phat, margin)
+        assert s_margin(phat, s) == pytest.approx(margin, abs=1e-12)
+        inv, field = make_representative(phat, 5, s=s)
+        try:
+            report = tt.extract_all(field, s=inv.s)
+        except errors.ResolutionTooCoarse:
+            # Near a face plane, refinement bounded by levels rather than
+            # by nodes can run out (the octahedron here, at both margins).
+            return
+        assert tt.invariants_equal(report.invariants, inv)
+        w = report.invariants.wrapping_numbers.tolist()
+        assert [p for p in report.wrapping_preimage if p is not None] == [
+            x for x, p in zip(w, report.wrapping_preimage) if p is not None]
 
 
 class TestRandomHulls:
