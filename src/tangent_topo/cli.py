@@ -24,19 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, fields, geometry, invariants, synthesis
-from .errors import (
-    CoarseSampling,
-    DualRouteMismatch,
-    InvariantError,
-    MaxRefinement,
-    NotClosed,
-    ResidualTooLarge,
-    ResolutionTooCoarse,
-    SOnTriangleBoundary,
-    SumRuleViolation,
-    TangentTopoError,
-    load_document,
-)
+from .errors import ResolutionTooCoarse, SumRuleViolation, TangentTopoError, load_document
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,16 +34,6 @@ EXIT_RESOLUTION = 5
 EXIT_IO = 6
 
 MAX_WRAPPING = 8  # documented limit for synthesized fields
-
-_RESOLUTION_ERRORS = (
-    ResolutionTooCoarse,
-    MaxRefinement,
-    ResidualTooLarge,
-    CoarseSampling,
-    DualRouteMismatch,
-    SOnTriangleBoundary,
-    NotClosed,
-)
 
 
 def _lambda_arg(text: str) -> float:
@@ -144,7 +122,7 @@ def _field_from_args(args):
             sys.stderr.write("\n")
             return None
         return field, field.host, field.source, None
-    data = load_document(args.inv, InvariantError, "invariant")
+    data = load_document(args.inv, "invariant")
     phat, inv, source = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
         raise argparse.ArgumentTypeError(
@@ -183,7 +161,7 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    data = load_document(args.inv, InvariantError, "invariant")
+    data = load_document(args.inv, "invariant")
     phat, inv, source = invariants.parse_invariants_document(data)
     verdicts = invariants.check_sum_rules(inv, phat)
     out = {
@@ -277,7 +255,7 @@ def main(argv=None) -> int:
     except SumRuleViolation as exc:
         sys.stderr.write(f"sum-rule violation: {exc}\n")
         return EXIT_SUMRULE
-    except _RESOLUTION_ERRORS as exc:
+    except ResolutionTooCoarse as exc:
         sys.stderr.write(f"resolution failure: {exc}\n")
         return EXIT_RESOLUTION
     except TangentTopoError as exc:

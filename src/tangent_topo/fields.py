@@ -45,8 +45,8 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import geometry
-from .errors import (CoarseSampling, FieldError, ResolutionTooCoarse, integer_entry,
-                     load_document, reading_document)
+from .errors import (ResolutionTooCoarse, TangentTopoError, integer_entry, load_document,
+                     reading_document)
 from .geometry import (
     CLEAVED,
     TRUNCATED,
@@ -187,9 +187,9 @@ class SampledField:
         for key, grid in self.values.items():
             m = self.charts[key].n_segments
             if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[1] % m:
-                raise FieldError(f"bad grid shape {grid.shape} for face {key}")
+                raise TangentTopoError(f"bad grid shape {grid.shape} for face {key}")
             if not _grid_step_bound_ok(grid):
-                raise CoarseSampling(
+                raise ResolutionTooCoarse(
                     f"grid on face {key} has neighbors a quarter turn or "
                     "more apart; sample at a higher depth"
                 )
@@ -246,11 +246,13 @@ def antipodal(field: TangentField) -> TangentField:
             source=field.source,
         )
     inner = field.evaluator
-    return AnalyticField(
-        host=field.host,
-        charts=field.charts,
-        evaluator=lambda key, rho, phi: -inner(key, rho, phi),
-    )
+
+    def negated(key, rho, phi):
+        return -inner(key, rho, phi)
+
+    # The negation batches corner faces wherever ``inner`` does.
+    negated._corner_batches = getattr(inner, "_corner_batches", False)
+    return AnalyticField(host=field.host, charts=field.charts, evaluator=negated)
 
 
 def _curve_key(host: TruncatedPolyhedron, curve, side: int) -> FaceKey:
@@ -627,7 +629,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
     every round splits every interval, to the first that keeps the
     quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
     extraction routes, so a field they resolve is never refused here;
-    beyond that CoarseSampling is raised.
+    beyond that ResolutionTooCoarse is raised.
     Depth 0 starts at depth 1: one sample per side can keep the bound
     while the boundary turns between the corners.
     """
@@ -637,7 +639,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
         grid = _UniformGrid(field, key)
         found = next((d for d in range(max(depth, 1), deepest + 1) if grid.resolved(d)), None)
         if found is None:
-            raise CoarseSampling(f"face {key} still under-sampled at depth {deepest}")
+            raise ResolutionTooCoarse(f"face {key} still under-sampled at depth {deepest}")
         values[key] = grid.values(found)
     return SampledField(host=field.host, charts=field.charts, values=values)
 
@@ -682,34 +684,34 @@ def load_field(path) -> Tuple[SampledField, TangencyReport]:
     the sampled field with its tangency diagnostics.
 
     The field keeps the document's ``polyhedron`` entry as its
-    ``source``.  Vectors are renormalized on load.  Raises FieldError
+    ``source``.  Vectors are renormalized on load.  Raises TangentTopoError
     for structural problems, including a document in any other format, a
     missing or mistyped entry or a malformed vector block; tangency
     violations are reported, not raised.
     """
-    data = load_document(path, FieldError, "field")
-    with reading_document(FieldError, "field"):
+    data = load_document(path, "field")
+    with reading_document("field"):
         if data.get("format") != FIELD_FORMAT:
-            raise FieldError(f"unsupported field format {data.get('format')!r}")
+            raise TangentTopoError(f"unsupported field format {data.get('format')!r}")
         phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
         charts = phat.charts
         values = {}
         for entry in data["faces"]:
-            key = (entry["kind"], integer_entry(FieldError, entry["index"], "face index"))
+            key = (entry["kind"], integer_entry(entry["index"], "face index"))
             if key not in charts or key in values:
-                raise FieldError(f"unknown or repeated face {key} in field file")
-            R = integer_entry(FieldError, entry["rho_steps"], f"rho_steps of face {key}")
-            K = integer_entry(FieldError, entry["phi_steps"], f"phi_steps of face {key}")
+                raise TangentTopoError(f"unknown or repeated face {key} in field file")
+            R = integer_entry(entry["rho_steps"], f"rho_steps of face {key}")
+            K = integer_entry(entry["phi_steps"], f"phi_steps of face {key}")
             if R < 1 or K < 1:
-                raise FieldError(f"face {key} needs at least one rho and one phi step")
+                raise TangentTopoError(f"face {key} needs at least one rho and one phi step")
             raw = base64.b64decode(entry["vectors"], validate=True)  # the "<f8" bytes
             if len(raw) != (R + 1) * K * 24:
-                raise FieldError(f"vector block of face {key} has {len(raw)} bytes")
+                raise TangentTopoError(f"vector block of face {key} has {len(raw)} bytes")
             vecs = np.frombuffer(raw, "<f8").reshape(-1, 3)
             values[key] = normalized_rows(vecs).reshape(R + 1, K, 3)
     missing = set(phat.face_keys()) - set(values)
     if missing:
-        raise FieldError(f"field file misses faces {sorted(missing)}")
+        raise TangentTopoError(f"field file misses faces {sorted(missing)}")
     sampled = SampledField(host=phat, charts=charts, values=values, source=source)
     return sampled, validate_tangency(sampled)
 

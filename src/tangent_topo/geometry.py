@@ -19,14 +19,7 @@ from typing import Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateCut,
-    GeometryError,
-    SeparationViolation,
-    load_document,
-    numbers_entry,
-    reading_document,
-)
+from .errors import TangentTopoError, load_document, numbers_entry, reading_document
 from .sphere import cross, normalized
 
 TOL_GEOM_FACTOR = 1e-9
@@ -61,21 +54,21 @@ class ConvexPolyhedron:
         """Build and validate a polyhedron from raw vertex/face data.
 
         Face cycles may have either orientation on input; they are
-        reoriented outward with a centroid test.  Raises GeometryError
+        reoriented outward with a centroid test.  Raises TangentTopoError
         if the data fails planarity, convexity, manifoldness, or the
         Euler formula.
         """
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 3:
-            raise GeometryError("vertices must be an (n, 3) array")
+            raise TangentTopoError("vertices must be an (n, 3) array")
         if verts.shape[0] < 4:
-            raise GeometryError("a polyhedron needs at least 4 vertices")
+            raise TangentTopoError("a polyhedron needs at least 4 vertices")
         if not np.all(np.isfinite(verts)):
-            raise GeometryError("vertex coordinates must be finite")
+            raise TangentTopoError("vertex coordinates must be finite")
         bbox = verts.max(axis=0) - verts.min(axis=0)
         tol = TOL_GEOM_FACTOR * float(np.linalg.norm(bbox))
         if tol == 0.0:
-            raise GeometryError("degenerate vertex set")
+            raise TangentTopoError("degenerate vertex set")
         centroid = verts.mean(axis=0)
 
         oriented = []
@@ -85,12 +78,12 @@ class ConvexPolyhedron:
             cycle = [int(i) for i in raw]
             if (len(cycle) < 3 or len(set(cycle)) != len(cycle) or cycle != raw
                     or not 0 <= min(cycle) <= max(cycle) < verts.shape[0]):
-                raise GeometryError(f"bad face cycle {raw}")
+                raise TangentTopoError(f"bad face cycle {raw}")
             pts = verts[cycle]
             normal = _newell_normal(pts)
             nn = float(np.linalg.norm(normal))
             if nn < tol:
-                raise GeometryError(f"degenerate face {cycle}")
+                raise TangentTopoError(f"degenerate face {cycle}")
             normal = normal / nn
             if normal @ (pts.mean(axis=0) - centroid) < 0.0:
                 cycle = cycle[::-1]
@@ -98,7 +91,7 @@ class ConvexPolyhedron:
             pts = verts[cycle]
             spread = np.abs((pts - pts[0]) @ normal)
             if spread.max() > 10.0 * tol:
-                raise GeometryError(f"face {cycle} is not planar")
+                raise TangentTopoError(f"face {cycle} is not planar")
             oriented.append(tuple(cycle))
             normals.append(normal)
         normals = np.asarray(normals)
@@ -107,7 +100,7 @@ class ConvexPolyhedron:
         for cyc, normal in zip(oriented, normals):
             dist = (verts - verts[cyc[0]]) @ normal
             if dist.max() > 10.0 * tol:
-                raise GeometryError("polyhedron is not convex")
+                raise TangentTopoError("polyhedron is not convex")
 
         edge_map: dict[tuple[int, int], list[Optional[int]]] = {}
         for ci, cyc in enumerate(oriented):
@@ -117,11 +110,11 @@ class ConvexPolyhedron:
                 slot = 0 if i < j else 1
                 rec = edge_map.setdefault(key, [None, None])
                 if rec[slot] is not None:
-                    raise GeometryError(f"edge {key} traversed twice in one direction")
+                    raise TangentTopoError(f"edge {key} traversed twice in one direction")
                 rec[slot] = ci
         for key, rec in edge_map.items():
             if rec[0] is None or rec[1] is None:
-                raise GeometryError(f"edge {key} is not shared by two faces")
+                raise TangentTopoError(f"edge {key} is not shared by two faces")
 
         keys = sorted(edge_map)
         edges = np.asarray(keys, dtype=int)
@@ -129,7 +122,7 @@ class ConvexPolyhedron:
 
         v, e, f = verts.shape[0], edges.shape[0], len(oriented)
         if v - e + f != 2:
-            raise GeometryError(f"Euler check failed: {v} - {e} + {f} != 2")
+            raise TangentTopoError(f"Euler check failed: {v} - {e} + {f} != 2")
 
         return cls(
             vertices=verts,
@@ -157,7 +150,7 @@ class ConvexPolyhedron:
         key = (min(i, j), max(i, j))
         idx = np.flatnonzero((self.edges[:, 0] == key[0]) & (self.edges[:, 1] == key[1]))
         if idx.size != 1:
-            raise GeometryError(f"no edge {key}")
+            raise TangentTopoError(f"no edge {key}")
         return int(idx[0])
 
     @cached_property
@@ -205,22 +198,22 @@ def builtin_polyhedron(name: str) -> ConvexPolyhedron:
     try:
         verts, faces = _BUILTINS[name]
     except KeyError:
-        raise GeometryError(f"unknown builtin polyhedron {name!r}") from None
+        raise TangentTopoError(f"unknown builtin polyhedron {name!r}") from None
     return ConvexPolyhedron.from_data(verts, faces)
 
 
 def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
     """Read a ``polyhedron/1`` document; a missing, mistyped or out-of-range
-    entry raises GeometryError."""
-    with reading_document(GeometryError, "polyhedron"):
+    entry raises TangentTopoError."""
+    with reading_document("polyhedron"):
         if data.get("format", POLYHEDRON_FORMAT) != POLYHEDRON_FORMAT:
-            raise GeometryError(f"unsupported polyhedron format {data.get('format')!r}")
-        return ConvexPolyhedron.from_data(*(numbers_entry(GeometryError, data[k], k)
+            raise TangentTopoError(f"unsupported polyhedron format {data.get('format')!r}")
+        return ConvexPolyhedron.from_data(*(numbers_entry(data[k], k)
                                             for k in ("vertices", "faces")))
 
 
 def load_polyhedron(path) -> ConvexPolyhedron:
-    return polyhedron_from_dict(load_document(path, GeometryError, "polyhedron"))
+    return polyhedron_from_dict(load_document(path, "polyhedron"))
 
 
 @dataclass(frozen=True)
@@ -243,13 +236,13 @@ class TruncationSpec:
         centroid and sits ``lam`` times the distance from v to its
         nearest neighbor in from v.  This separates on the builtin solids
         and other symmetric ones, but not always on irregular solids,
-        where ``truncate`` then raises SeparationViolation: the normal
+        where ``truncate`` then raises TangentTopoError: the normal
         may leave the vertex's normal cone, which no fraction repairs,
         or the depth may exceed the height gap to a neighbor.  Overly
         deep cuts are rejected by the truncation's interaction checks.
         """
         if not (0.0 < lam):
-            raise GeometryError(f"truncation fraction must be positive, got {lam}")
+            raise TangentTopoError(f"truncation fraction must be positive, got {lam}")
         verts = poly.vertices
         normals = np.empty_like(verts)
         points = np.empty_like(verts)
@@ -368,7 +361,7 @@ class TruncatedPolyhedron:
             kinds = [seg.kind for seg in tf.segments]
             for k in range(len(kinds)):
                 if kinds[k] == kinds[(k + 1) % len(kinds)]:
-                    raise GeometryError("face boundary does not alternate edge kinds")
+                    raise TangentTopoError("face boundary does not alternate edge kinds")
         seen = set()
         for cf in self.cleaved_faces:
             poly = cf.polygon
@@ -376,31 +369,31 @@ class TruncatedPolyhedron:
                 key = (cf.vertex, c)
                 rev = (poly[(k + 1) % len(poly)], poly[k])
                 if fwd.get(key) != rev:
-                    raise GeometryError("cleaved edge orientations do not cancel")
+                    raise TangentTopoError("cleaved edge orientations do not cancel")
                 seen.add(key)
         if seen != set(self.cleaved_edges):
-            raise GeometryError("cleaved edge registry mismatch")
+            raise TangentTopoError("cleaved edge registry mismatch")
         v = self.n_points
         e = self.n_edges
         f = self.n_faces
         if v - e + f != 2:
-            raise GeometryError(f"Euler check failed on truncation: {v}-{e}+{f}")
+            raise TangentTopoError(f"Euler check failed on truncation: {v}-{e}+{f}")
 
 
 def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedron:
     """Cut every vertex of ``poly`` off with its plane from ``spec``.
 
-    Raises SeparationViolation when a plane fails to isolate its vertex
-    and DegenerateCut when a plane grazes a vertex or two cuts meet, in
-    particular when a truncated edge would collapse to a point, and
-    GeometryError when the normals or points are not shaped
-    (n_vertices, 3) or hold a non-finite number.
+    Raises TangentTopoError when a plane fails to isolate its vertex or
+    grazes one, when two cuts meet, in particular when a truncated edge
+    would collapse to a point, and when the normals or points are not
+    shaped (n_vertices, 3) or hold a non-finite number.
     """
     shapes = np.shape(spec.normals), np.shape(spec.points)
     if shapes != ((poly.n_vertices, 3),) * 2:
-        raise GeometryError(f"cut planes must be shaped ({poly.n_vertices}, 3), not {shapes}")
+        raise TangentTopoError(
+            f"cut planes must be shaped ({poly.n_vertices}, 3), not {shapes}")
     if not (np.isfinite(spec.normals).all() and np.isfinite(spec.points).all()):
-        raise GeometryError("cut-plane normals and points must be finite")
+        raise TangentTopoError("cut-plane normals and points must be finite")
     verts = poly.vertices
     tol = poly.tol
     v = poly.n_vertices
@@ -409,12 +402,12 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
     )[:, None]
     for a in range(v):
         if np.any(np.abs(sides[a]) <= tol):
-            raise DegenerateCut(f"cut plane {a} passes through a vertex")
+            raise TangentTopoError(f"cut plane {a} passes through a vertex")
         if sides[a, a] < 0.0:
-            raise SeparationViolation(f"cut plane {a} faces away from its vertex")
+            raise TangentTopoError(f"cut plane {a} faces away from its vertex")
         others = np.delete(sides[a], a)
         if np.any(others > 0.0):
-            raise SeparationViolation(f"cut plane {a} does not separate its vertex")
+            raise TangentTopoError(f"cut plane {a} does not separate its vertex")
 
     e = poly.n_edges
     points = np.empty((2 * e, 3), dtype=float)
@@ -438,9 +431,9 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
     for a in range(v):
         own = owners == a
         if np.any(np.abs(d[a, own]) > 10.0 * tol):
-            raise GeometryError("internal error: crossing point off its plane")
+            raise TangentTopoError("internal error: crossing point off its plane")
         if np.any(d[a, ~own] > -tol):
-            raise DegenerateCut("cut planes interact; shrink the truncation")
+            raise TangentTopoError("cut planes interact; shrink the truncation")
 
     cleaved_edges = {}
     trunc_faces = []
@@ -481,13 +474,13 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
                 break
             chain.append(nxt)
             if len(chain) > len(faces_at):
-                raise GeometryError("corner face chain did not close")
+                raise TangentTopoError("corner face chain did not close")
         if len(chain) != len(faces_at):
-            raise GeometryError("corner face chain missed a face")
+            raise TangentTopoError("corner face chain missed a face")
         polygon = tuple(cleaved_edges[(a, c)].end_point for c in chain)
         normal = _newell_normal(points[list(polygon)])
         if normal @ spec.normals[a] <= 0.0:
-            raise GeometryError("internal error: corner polygon orientation")
+            raise TangentTopoError("internal error: corner polygon orientation")
         cleaved_faces.append(CleavedFace(vertex=a, polygon=polygon,
                                          face_chain=tuple(chain)))
 
@@ -515,11 +508,11 @@ def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, 
         poly = polyhedron_from_dict(poly_entry)
         source = poly.to_dict()
     if "lambda" in truncation_entry:
-        lam = numbers_entry(GeometryError, truncation_entry["lambda"], "lambda")
+        lam = numbers_entry(truncation_entry["lambda"], "lambda")
         spec = TruncationSpec.from_fraction(poly, float(lam))
     else:
-        normals, points = (np.asarray(numbers_entry(GeometryError, truncation_entry[k], k),
-                                      dtype=float) for k in ("normals", "points"))
+        normals, points = (np.asarray(numbers_entry(truncation_entry[k], k), dtype=float)
+                           for k in ("normals", "points"))
         spec = TruncationSpec(normals=normals, points=points)
     return truncate(poly, spec), source
 
@@ -577,7 +570,7 @@ class PolarChart:
         for k, seg in enumerate(self.segments):
             if seg.kind == kind and seg.key == key:
                 return k
-        raise GeometryError(f"face has no boundary segment {kind} {key}")
+        raise TangentTopoError(f"face has no boundary segment {kind} {key}")
 
     def locate(self, points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Invert the chart at ``(N, 3)`` in-plane points: ``(rho, phi,

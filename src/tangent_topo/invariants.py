@@ -30,25 +30,8 @@ import numpy as np
 
 from . import fields as fields_mod
 from . import geometry
-from .errors import (
-    AntipodalFanPair,
-    DualRouteMismatch,
-    InvariantError,
-    MaxRefinement,
-    NoAdmissibleS,
-    NonConstantEdge,
-    NotInPlane,
-    NotRegularValue,
-    OnBoundary,
-    ParallelEndpoints,
-    ResidualTooLarge,
-    ResolutionTooCoarse,
-    SOnBoundaryImage,
-    SOnTriangleBoundary,
-    integer_entry,
-    numbers_entry,
-    reading_document,
-)
+from .errors import (DualRouteMismatch, NotRegularValue, ResolutionTooCoarse, SOnTriangleBoundary,
+                     TangentTopoError, integer_entry, numbers_entry, reading_document)
 from .fields import CLEAVED, MAX_DEPTH, TRUNCATED, FaceGrid, TangentField
 from .geometry import TruncatedPolyhedron
 from .sphere import (
@@ -176,7 +159,7 @@ def choose_reference_s(phat: TruncatedPolyhedron, seed: int = 0) -> np.ndarray:
         cand = _SPIRAL[(start + k) % n]
         if s_margin(phat, cand) >= MARGIN_S:
             return cand.copy()
-    raise NoAdmissibleS(
+    raise TangentTopoError(
         "face normals blanket the sphere beyond the margin"
     )
 
@@ -208,11 +191,11 @@ def extract_edge_orientations(field: TangentField, rings=None) -> np.ndarray:
                                   fields_mod._seam_rows(field, rings, ("edge", b))], axis=0)
         spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
         if spread > fields_mod.TOL_CONTINUITY:
-            raise NonConstantEdge(f"edge {b} value varies by {spread:.3g}")
+            raise TangentTopoError(f"edge {b} value varies by {spread:.3g}")
         mean = stacked.mean(axis=0)
         align = float(mean @ direction)
         if abs(align) < 1.0 - 1e-6:
-            raise NonConstantEdge(f"edge {b} value is not edge-parallel")
+            raise TangentTopoError(f"edge {b} value is not edge-parallel")
         eps[b] = direction if align > 0 else -direction
     return eps
 
@@ -232,8 +215,8 @@ def _kink_details(field, edges, rings=None) -> dict:
     The rows that break the quarter-turn bound are evaluated again on
     their own spans at twice the steps, t = i / 256, then i / 512 and so
     on, and unwrapped again, up to MAX_ROW_SAMPLES samples; a row still
-    past the bound raises MaxRefinement, and one that leaves the great
-    circle NotInPlane."""
+    past the bound raises ResolutionTooCoarse, and one that leaves the
+    great circle TangentTopoError."""
     phat = field.host
     rows = {}
     for c in dict.fromkeys(c for _, c in edges):
@@ -260,14 +243,15 @@ def _kink_details(field, edges, rings=None) -> dict:
         axis = phat.face_normal(c)
         n0, n1, xi1, bound, in_plane = rows[(a, c)]
         if not bound:
-            raise MaxRefinement(f"cleaved edge ({a},{c}) breaks the quarter-turn bound "
-                                f"at {MAX_ROW_SAMPLES} samples")
+            raise ResolutionTooCoarse(f"cleaved edge ({a},{c}) breaks the quarter-turn bound "
+                                      f"at {MAX_ROW_SAMPLES} samples")
         if not in_plane:
-            raise NotInPlane(f"field on cleaved edge ({a},{c}) leaves the plane of face {c}")
+            raise TangentTopoError(
+                f"field on cleaved edge ({a},{c}) leaves the plane of face {c}")
         sin_eta = float(cross(n0, n1) @ axis)
         cos_eta = float(n0 @ n1)
         if abs(sin_eta) < 1e-9:
-            raise ParallelEndpoints(
+            raise TangentTopoError(
                 f"endpoint values on cleaved edge ({a},{c}) are parallel"
             )
         eta = float(np.arctan2(sin_eta, cos_eta))
@@ -275,7 +259,7 @@ def _kink_details(field, edges, rings=None) -> dict:
         nearest = round(raw)
         residual = abs(raw - nearest)
         if residual >= KINK_RESIDUAL_TOL:
-            raise ResidualTooLarge(
+            raise ResolutionTooCoarse(
                 f"kink residual {residual:.3g} on cleaved edge ({a},{c})"
             )
         details[(a, c)] = (int(nearest), residual)
@@ -288,7 +272,7 @@ def _integral_at(grid: FaceGrid, s: np.ndarray, d: int):
     area sums serve every ``s``), or None where that level is unresolved."""
     boundary = grid.boundary(d)
     if np.max(boundary @ s) >= 1.0 - 1e-12:
-        raise SOnBoundaryImage(f"reference direction on the boundary image of "
+        raise TangentTopoError(f"reference direction on the boundary image of "
                                f"face {grid.key[1]}")
     area_sum = grid.area_sum(d)
     if area_sum is None:
@@ -427,14 +411,10 @@ def trapped_area_from_invariants(
         tri = (eps[0], eps[j], eps[j + 1])
         for u, v in ((0, 1), (1, 2), (2, 0)):
             if abs(float(tri[u] @ tri[v])) >= 1.0 - 1e-9:
-                raise AntipodalFanPair(
+                raise TangentTopoError(
                     f"fan triangle on face {a} has parallel edge orientations"
                 )
-        try:
-            sigma = triangle_sigma(*tri, s)
-        except OnBoundary as exc:
-            raise SOnTriangleBoundary(str(exc)) from exc
-        fan += spherical_triangle_area(*tri) - 4.0 * np.pi * sigma
+        fan += spherical_triangle_area(*tri) - 4.0 * np.pi * triangle_sigma(*tri, s)
     return _closed_form(inv, phat, a, fan)
 
 
@@ -510,13 +490,13 @@ def face_opposition_count(eps: np.ndarray, phat: TruncatedPolyhedron, c: int) ->
         d = phat.parent.edge_direction(b) * (1.0 if seg.forward else -1.0)
         dot = float(eps[b] @ d)
         if abs(dot) < 0.5:
-            raise InvariantError(f"edge orientation {b} not parallel to its edge")
+            raise TangentTopoError(f"edge orientation {b} not parallel to its edge")
         aligns.append(1 if dot > 0 else -1)
     q = sum(
         1 for k in range(len(aligns)) if aligns[k] != aligns[(k + 1) % len(aligns)]
     )
     if q % 2:
-        raise InvariantError(f"odd opposition count on face {c}")
+        raise TangentTopoError(f"odd opposition count on face {c}")
     return q
 
 
@@ -796,34 +776,33 @@ def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantS
                              (data["wrapping_numbers"], v, "corner face")):
         extra = set(entries) - {str(i) for i in range(n)}
         if extra:
-            raise InvariantError(f"entry {sorted(extra)[0]!r} names no {what} of the solid")
+            raise TangentTopoError(f"entry {sorted(extra)[0]!r} names no {what} of the solid")
     eps = np.empty((e, 3))
     for b in range(e):
-        sign = integer_entry(InvariantError, signs[str(b)], f"edge orientation sign {b}")
+        sign = integer_entry(signs[str(b)], f"edge orientation sign {b}")
         if sign not in (-1, 1):
-            raise InvariantError(f"edge orientation sign for edge {b} must be +-1")
+            raise TangentTopoError(f"edge orientation sign for edge {b} must be +-1")
         eps[b] = sign * phat.parent.edge_direction(b)
         if "edge_orientation_vectors" in data:
-            vec = np.asarray(numbers_entry(InvariantError, vectors[str(b)],
-                                           f"edge orientation vector {b}"), dtype=float)
+            vec = np.asarray(numbers_entry(vectors[str(b)], f"edge orientation vector {b}"),
+                             dtype=float)
             if vec.shape != (3,) or not np.linalg.norm(vec - eps[b]) <= 1e-9:
-                raise InvariantError(f"edge orientation vector {b} is not its sign "
-                                     "times the edge direction")
+                raise TangentTopoError(f"edge orientation vector {b} is not its sign "
+                                       "times the edge direction")
     kinks = {}
     for key, val in data["kink_numbers"].items():
         a_str, c_str = key.split(",")
         edge = int(a_str), int(c_str)
         if edge in kinks:
-            raise InvariantError(f"kink number {key!r} repeats cleaved edge {edge}")
-        kinks[edge] = integer_entry(InvariantError, val, f"kink number {key}")
+            raise TangentTopoError(f"kink number {key!r} repeats cleaved edge {edge}")
+        kinks[edge] = integer_entry(val, f"kink number {key}")
     if set(kinks) != set(phat.cleaved_edges):
-        raise InvariantError("kink numbers must name exactly the cleaved edges")
-    omegas = np.array([integer_entry(InvariantError, data["wrapping_numbers"][str(a)],
+        raise TangentTopoError("kink numbers must name exactly the cleaved edges")
+    omegas = np.array([integer_entry(data["wrapping_numbers"][str(a)],
                                      f"wrapping number {a}") for a in range(v)])
-    s = np.asarray(numbers_entry(InvariantError, data["reference_direction"],
-                                 "reference direction"), dtype=float)
+    s = np.asarray(numbers_entry(data["reference_direction"], "reference direction"), dtype=float)
     if s.shape != (3,):
-        raise InvariantError(f"reference direction needs 3 entries, not shape {s.shape}")
+        raise TangentTopoError(f"reference direction needs 3 entries, not shape {s.shape}")
     return InvariantSet(
         s=s,
         edge_orientations=eps,
@@ -877,13 +856,13 @@ def parse_invariants_document(data: dict):
 
     Returns ``(phat, InvariantSet, poly_source_dict)``; a document with
     no ``truncation`` entry is cut at fraction 0.2.  A missing or
-    mistyped entry raises InvariantError.
+    mistyped entry raises TangentTopoError.
     """
-    with reading_document(InvariantError, "invariant"):
+    with reading_document("invariant"):
         if data.get("format") == REPORT_FORMAT:
             data = data["invariants"]
         elif data.get("format", INVARIANTS_FORMAT) != INVARIANTS_FORMAT:
-            raise InvariantError(f"unsupported invariants format {data.get('format')!r}")
+            raise TangentTopoError(f"unsupported invariants format {data.get('format')!r}")
         phat, poly_source = geometry.truncated_solid(
             data["polyhedron"], data.get("truncation", {"lambda": 0.2}))
         inv = invariant_set_from_dict(phat, data)

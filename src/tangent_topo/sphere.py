@@ -14,13 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (
-    AntipodalEndpoints,
-    AntipodalPair,
-    NotClosed,
-    OnBoundary,
-    ResolutionTooCoarse,
-)
+from .errors import ResolutionTooCoarse, SOnTriangleBoundary, TangentTopoError
 
 TOL_ANTIPODAL = 1e-9
 NYQUIST_STEP = 0.5 * np.pi
@@ -176,7 +170,7 @@ def spherical_triangle_area(a, b, c) -> float:
     """
     areas, valid = triangle_areas(a, b, c)
     if not bool(valid[0]):
-        raise AntipodalPair("triangle has an antipodal or degenerate vertex pair")
+        raise TangentTopoError("triangle has an antipodal or degenerate vertex pair")
     return float(areas[0])
 
 
@@ -199,7 +193,7 @@ def triangle_sigma(a, b, c, s) -> int:
     if tiny.any():
         big = z[~tiny]
         if o != 0 and (big.size == 0 or np.all(np.sign(big) == o)):
-            raise OnBoundary("reference direction is on a triangle boundary")
+            raise SOnTriangleBoundary("reference direction is on a triangle boundary")
         return 0
     signs = np.sign(z)
     if o != 0 and np.all(signs == o):
@@ -229,7 +223,7 @@ def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     d = np.clip(_dot(u, v), -1.0, 1.0)
     if np.any(d <= -1.0 + TOL_ANTIPODAL):
-        raise AntipodalEndpoints("antipodal pair in geodesic interpolation")
+        raise TangentTopoError("antipodal pair in geodesic interpolation")
     ang = np.arccos(d)
     # Arc weights on whole arrays; rows closer than 1e-9 take the chord.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -283,13 +277,13 @@ class ImageMesh:
 def _check_closed_oriented(triangles: np.ndarray) -> None:
     following = np.roll(triangles, -1, axis=1)
     if np.any(triangles == following):
-        raise NotClosed("triangle with a repeated vertex")
+        raise ResolutionTooCoarse("triangle with a repeated vertex")
     # Each directed edge once, and its reverse: the reversed edges are
     # then the same set.
     directed = np.stack([triangles, following], axis=2).reshape(-1, 2)
     edges, counts = np.unique(directed, axis=0, return_counts=True)
     if np.any(counts != 1) or not np.array_equal(np.unique(directed[:, ::-1], axis=0), edges):
-        raise NotClosed("every edge must appear once per direction")
+        raise ResolutionTooCoarse("every edge must appear once per direction")
 
 
 def mesh_degree(mesh: ImageMesh) -> int:

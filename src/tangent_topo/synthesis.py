@@ -21,12 +21,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import (
-    GeodesicAntipodal,
-    NonzeroWinding,
-    ParallelEndpoints,
-    SumRuleViolation,
-)
+from .errors import SumRuleViolation, TangentTopoError
 from .fields import CLEAVED, TRUNCATED, AnalyticField
 from .geometry import TruncatedPolyhedron, segment_position
 from .invariants import (
@@ -92,7 +87,7 @@ class AdmissibleInvariants:
                 )
             raise SumRuleViolation("; ".join(parts))
         if s_margin(phat, inv.s) <= MARGIN_FLOOR:
-            raise GeodesicAntipodal(
+            raise TangentTopoError(
                 "reference direction lies too close to a face plane; "
                 "boundary values could hit -s"
             )
@@ -108,7 +103,7 @@ def _spiral_parts(phat, eps, kinks, a, c):
     sin_eta = float(cross(e0, e1) @ axis)
     cos_eta = float(e0 @ e1)
     if abs(sin_eta) < 1e-12:
-        raise ParallelEndpoints(
+        raise TangentTopoError(
             f"consecutive edge orientations parallel at corner {a}, face {c}"
         )
     eta = float(np.arctan2(sin_eta, cos_eta))
@@ -150,7 +145,7 @@ def representative_boundary(
                 knots.append(knots[-1] + spirals[seg.key][2])
         knots = np.asarray(knots)
         if abs(knots[-1] - knots[0]) > 1e-9:
-            raise NonzeroWinding(
+            raise TangentTopoError(
                 f"face {c} boundary loop winds; kink data inconsistent"
             )
         trunc_data[c] = (u1, u2, knots)

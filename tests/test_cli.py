@@ -344,7 +344,7 @@ class TestErrorPaths:
         # and tangency validation reads it at load, as every stored node.
         tilted, (a, c), path = self._lifted_copy(synthesized_field, tmp_path,
                                                  lambda R: (R, 1))
-        with pytest.raises(errors.NotInPlane):
+        with pytest.raises(errors.TangentTopoError, match="leaves the plane of face"):
             tt.extract_kink(tilted, a, c)
         report = tt.load_field(path)[1]
         assert not report.ok and report.face_normal_dots[c] > fields.TOL_TANGENCY
@@ -500,6 +500,21 @@ class TestErrorPaths:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["check", "--inv", str(bad)]) == EXIT_IO
+
+    @pytest.mark.parametrize("reader", [["check", "--inv"], ["invariants", "--field"],
+                                        ["truncate", "--poly"]], ids=lambda r: r[0])
+    @pytest.mark.parametrize("content", [b"\xff\xfebad", b"[" * 200_000],
+                             ids=["not_utf8", "too_deep"])
+    def test_undecodable_file_is_an_io_failure(self, tmp_path, capsys, reader, content):
+        # Bytes that are not UTF-8, or nesting past the decoder's recursion
+        # limit, once escaped as a traceback with exit 1.
+        bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+        bad.write_bytes(content)
+        extra = [] if reader[0] == "check" else ["--out", str(out)]
+        assert main(reader + [str(bad)] + extra) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o failure: cannot decode {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def _edit_polyhedron(doc: dict, edit: str) -> object:

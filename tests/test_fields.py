@@ -276,7 +276,7 @@ class TestSampledFields:
         adm = tt.AdmissibleInvariants.from_invariants(inv, cube_phat)
         field = tt.representative_boundary(adm, cube_phat)
         coarse = {key: face_grid(field, key, 3) for key in cube_phat.face_keys()}
-        with pytest.raises(errors.CoarseSampling):
+        with pytest.raises(errors.ResolutionTooCoarse, match="neighbors a quarter turn"):
             SampledField(host=cube_phat, charts=field.charts, values=coarse)
         # per-face refinement rescues the same request
         sampled = sample_field(field, 4)
@@ -784,6 +784,27 @@ class TestCornerBatches:
                 for depth in range(2, 6):
                     assert np.array_equal(grid.planes(depth), alone.planes(depth))
                     assert np.array_equal(grid._cols[depth], alone._cols[depth])
+
+    def test_antipodal_field_batches_as_its_representative(self, octa_phat, monkeypatch):
+        # The negation keeps the representative's lockstep batches: as many
+        # evaluate calls, and the invariants negated against -s.
+        inv = tt.random_admissible_invariants(octa_phat, seed=3)
+        field = tt.representative_boundary(
+            tt.AdmissibleInvariants.from_invariants(inv, octa_phat), octa_phat)
+        evaluate, calls = AnalyticField.evaluate, []
+
+        def counted(self, key, rho, phi):
+            calls.append(key)
+            return evaluate(self, key, rho, phi)
+
+        monkeypatch.setattr(AnalyticField, "evaluate", counted)
+        rep = tt.extract_all(field, s=inv.s, seed=0).invariants
+        n_rep = len(calls)
+        anti = tt.extract_all(antipodal(field), s=-inv.s, seed=0).invariants
+        assert len(calls) - n_rep == n_rep
+        assert np.array_equal(anti.edge_orientations, -rep.edge_orientations)
+        assert anti.kink_numbers == rep.kink_numbers
+        assert np.array_equal(anti.wrapping_numbers, -rep.wrapping_numbers)
 
 
 def _pointwise_grid(field, key, depth, rings=None, columns=None):

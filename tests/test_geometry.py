@@ -37,12 +37,12 @@ class TestPolyhedronLoading:
     def test_nonconvex_rejected(self):
         verts = builtin_polyhedron("cube").vertices.copy()
         verts[0] = [0.5, 0.5, 0.5]  # dent a corner inward
-        with pytest.raises(errors.GeometryError):
+        with pytest.raises(errors.TangentTopoError, match="is not planar"):
             ConvexPolyhedron.from_data(verts, [list(f) for f in builtin_polyhedron("cube").faces])
 
     def test_open_surface_rejected(self):
         cube = builtin_polyhedron("cube")
-        with pytest.raises(errors.GeometryError):
+        with pytest.raises(errors.TangentTopoError, match="is not shared by two faces"):
             ConvexPolyhedron.from_data(cube.vertices, [list(f) for f in cube.faces[:-1]])
 
     @pytest.mark.parametrize("solid", tt.BUILTIN_NAMES + PINNED_HULLS)
@@ -109,7 +109,7 @@ class TestTruncation:
 
     def test_oversized_cut_degenerates(self):
         cube = builtin_polyhedron("cube")
-        with pytest.raises(errors.DegenerateCut):
+        with pytest.raises(errors.TangentTopoError, match="cut planes interact"):
             truncate(cube, TruncationSpec.from_fraction(cube, 0.5))
 
     def test_separation_violation(self):
@@ -117,7 +117,7 @@ class TestTruncation:
         spec = TruncationSpec.from_fraction(cube, 0.25)
         normals = spec.normals.copy()
         normals[0] = -normals[0]
-        with pytest.raises(errors.SeparationViolation):
+        with pytest.raises(errors.TangentTopoError, match="faces away from its vertex"):
             truncate(cube, TruncationSpec(normals=normals, points=spec.points))
 
     def test_plane_through_vertex_degenerates(self):
@@ -125,7 +125,7 @@ class TestTruncation:
         spec = TruncationSpec.from_fraction(cube, 0.25)
         points = spec.points.copy()
         points[0] = cube.vertices[0]
-        with pytest.raises(errors.DegenerateCut):
+        with pytest.raises(errors.TangentTopoError, match="passes through a vertex"):
             truncate(cube, TruncationSpec(normals=spec.normals, points=points))
 
     @pytest.mark.parametrize("entry", ["normals", "points", "both"])
@@ -138,7 +138,7 @@ class TestTruncation:
                     np.hstack([spec.normals, spec.normals[:, :1]])):
             planes = {"normals": spec.normals, "points": spec.points}
             planes.update({k: cut for k in planes if entry in (k, "both")})
-            with pytest.raises(errors.GeometryError, match="shaped"):
+            with pytest.raises(errors.TangentTopoError, match="shaped"):
                 truncate(tetra, TruncationSpec(**planes))
 
     @pytest.mark.parametrize("entry", ["normals", "points"])
@@ -150,7 +150,7 @@ class TestTruncation:
             for j in range(3):
                 edited = {k: np.array(v) for k, v in planes.items()}
                 edited[entry][a, j] = value
-                with pytest.raises(errors.GeometryError, match="finite"):
+                with pytest.raises(errors.TangentTopoError, match="finite"):
                     truncate(cube, TruncationSpec(**edited))
 
     def test_rigid_motion_equivariance(self):

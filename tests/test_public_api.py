@@ -1,9 +1,13 @@
 """Guards on the public surface and on the names the benchmark traces."""
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
+import pytest
+
 import tangent_topo as tt
+from tangent_topo import cli
 
 PUBLIC = {
     "AdmissibleInvariants", "AnalyticField", "BUILTIN_NAMES", "ConvexPolyhedron",
@@ -18,7 +22,18 @@ PUBLIC = {
     "validate_tangency",
 }
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
+
+# Every error class and the exit code and stderr prefix ``cli.main`` gives it.
+EXITS = {
+    "TangentTopoError": (3, "validation failure"),
+    "NotRegularValue": (3, "validation failure"),
+    "SumRuleViolation": (4, "sum-rule violation"),
+    "ResolutionTooCoarse": (5, "resolution failure"),
+    "SOnTriangleBoundary": (5, "resolution failure"),
+    "DualRouteMismatch": (5, "resolution failure"),
+}
 
 
 def test_all_is_the_public_surface():
@@ -60,6 +75,35 @@ def test_bench_trace_targets_resolve():
         tracer.uninstall()
     assert unwrapped == []
     assert all(getattr(home, name) is fn for home, name, fn in homes)
+
+
+def test_bench_error_names_resolve():
+    # The bench evaluates an ``except`` clause's class only when a case
+    # fails, so a removed name would surface only on a failing case.
+    names = {name for path in BENCH.glob("*.py")
+             for name in re.findall(r"\berrors\.(\w+)", path.read_text())}
+    assert {"TangentTopoError", "DualRouteMismatch"} <= names
+    for name in names:
+        cls = getattr(tt.errors, name, None)
+        assert isinstance(cls, type) and issubclass(cls, Exception), name
+
+
+def test_error_classes_are_the_exit_table():
+    defined = {name for name, obj in vars(tt.errors).items()
+               if isinstance(obj, type) and obj.__module__ == tt.errors.__name__}
+    assert defined == set(EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(EXITS))
+def test_main_maps_each_error_class_to_its_exit(name, monkeypatch, capsys):
+    code, prefix = EXITS[name]
+
+    def refused(args):
+        raise getattr(tt.errors, name)("scripted")
+
+    monkeypatch.setattr(cli, "cmd_check", refused)
+    assert cli.main(["check", "--inv", "unread.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}: scripted\n"
 
 
 def test_integer_routes_return_int(tetra_phat):

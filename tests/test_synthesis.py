@@ -122,7 +122,7 @@ class TestTrimmedFaceContraction:
         )
         # Past the sum-rule check, the face loop itself must refuse.
         adm = AdmissibleInvariants(broken, *reference_frame(broken.s))
-        with pytest.raises(errors.NonzeroWinding):
+        with pytest.raises(errors.TangentTopoError, match="boundary loop winds"):
             tt.representative_boundary(adm, cube_phat)
 
 
@@ -164,7 +164,7 @@ class TestAdmissibility:
                 s=bad_s, edge_orientations=inv.edge_orientations,
                 kink_numbers=inv.kink_numbers, wrapping_numbers=inv.wrapping_numbers,
             )
-            with pytest.raises(errors.GeodesicAntipodal):
+            with pytest.raises(errors.TangentTopoError, match="boundary values could hit -s"):
                 AdmissibleInvariants.from_invariants(broken, cube_phat)
 
 
