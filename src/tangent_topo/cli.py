@@ -70,21 +70,15 @@ def _dump_json(data: dict, path) -> None:
         fh.write("\n")
 
 
-def _poly_from_arg(poly_arg: str):
-    if poly_arg in geometry.BUILTIN_NAMES:
-        return geometry.builtin_polyhedron(poly_arg), {"builtin": poly_arg}
-    poly = geometry.load_polyhedron(poly_arg)
-    return poly, poly.to_dict()
-
-
 def cmd_truncate(args) -> int:
-    poly, source = _poly_from_arg(args.poly)
+    poly = (geometry.builtin_polyhedron(args.poly) if args.poly in geometry.BUILTIN_NAMES
+            else geometry.load_polyhedron(args.poly))
     spec = geometry.TruncationSpec.from_fraction(poly, args.lam)
     phat = geometry.truncate(poly, spec)
     report = {
         "format": "truncation-report/1",
         "tool_version": __version__,
-        "polyhedron": source,
+        "polyhedron": poly.entry(),
         "truncation": {"lambda": args.lam},
         "counts": {
             "vertices": phat.n_points,
@@ -111,9 +105,8 @@ def cmd_truncate(args) -> int:
 
 
 def _field_from_args(args):
-    """Field plus serialization context from --field or --inv input, or
-    None for a --field file that fails tangency validation, whose
-    diagnostics are then written to stderr."""
+    """The field and invariant set (None for --field) of --field or --inv
+    input; None for a --field file that fails tangency validation."""
     if getattr(args, "field", None):
         field, diagnostics = fields.load_field(args.field)
         if not diagnostics.ok:
@@ -121,16 +114,16 @@ def _field_from_args(args):
             sys.stderr.write(json.dumps(diagnostics.to_dict(), indent=2, sort_keys=True))
             sys.stderr.write("\n")
             return None
-        return field, field.host, field.source, None
+        return field, None
     data = load_document(args.inv, "invariant")
-    phat, inv, source = invariants.parse_invariants_document(data)
+    phat, inv = invariants.parse_invariants_document(data)
     if np.max(np.abs(inv.wrapping_numbers)) > MAX_WRAPPING:
         raise argparse.ArgumentTypeError(
             f"|wrapping| is limited to {MAX_WRAPPING} per face"
         )
     adm = synthesis.AdmissibleInvariants.from_invariants(inv, phat)
     field = synthesis.representative_boundary(adm, phat)
-    return field, phat, source, inv
+    return field, inv
 
 
 def cmd_invariants(args) -> int:
@@ -138,22 +131,21 @@ def cmd_invariants(args) -> int:
     loaded = _field_from_args(args)
     if loaded is None:
         return EXIT_VALIDATION
-    field, phat, source, inv = loaded
+    field, inv = loaded
     s = inv.s if inv is not None else None
     report = invariants.extract_all(field, s=s, seed=seed, depth=args.depth)
-    _dump_json(invariants.report_to_dict(report, phat, poly_source=source), args.out)
+    _dump_json(invariants.report_to_dict(report, field.host), args.out)
     return EXIT_OK if report.verdicts.all_ok else EXIT_SUMRULE
 
 
 def cmd_synthesize(args) -> int:
     seed = _resolve_seed(args)
-    field, phat, source, inv = _field_from_args(args)  # --inv only: never refused
+    field, inv = _field_from_args(args)  # --inv only: never refused
     sampled = fields.sample_field(field, args.depth)
-    fields.save_field(sampled, args.out, poly_source=source)
+    fields.save_field(sampled, args.out)
     report = invariants.extract_all(sampled, s=inv.s, seed=seed)
     report_path = args.report or (str(args.out) + ".report.json")
-    _dump_json(invariants.report_to_dict(report, phat, poly_source=source),
-               report_path)
+    _dump_json(invariants.report_to_dict(report, field.host), report_path)
     if not invariants.invariants_equal(report.invariants, inv):
         sys.stderr.write("synthesized field does not reproduce the invariants\n")
         return EXIT_RESOLUTION
@@ -162,12 +154,12 @@ def cmd_synthesize(args) -> int:
 
 def cmd_check(args) -> int:
     data = load_document(args.inv, "invariant")
-    phat, inv, source = invariants.parse_invariants_document(data)
+    phat, inv = invariants.parse_invariants_document(data)
     verdicts = invariants.check_sum_rules(inv, phat)
     out = {
         "format": "sum-rule-check/1",
         "tool_version": __version__,
-        "polyhedron": source,
+        "polyhedron": phat.parent.entry(),
         "verdicts": verdicts.to_dict(),
     }
     if args.out:

@@ -174,14 +174,11 @@ class SampledField:
     phi at the two bracketing rings, then radially, in that fixed order.
     ``evaluate`` takes a grid block (see the module docstring) ring by
     ring and any other input point by point, bit for bit alike at a node.
-    ``source`` is the ``polyhedron`` entry of the document the field was
-    read from, ``{"builtin": name}`` or the solid's own document.
     """
 
     host: TruncatedPolyhedron
     charts: Mapping[FaceKey, PolarChart]
     values: Mapping[FaceKey, np.ndarray]
-    source: Optional[dict] = None
 
     def __post_init__(self):
         for key, grid in self.values.items():
@@ -243,7 +240,6 @@ def antipodal(field: TangentField) -> TangentField:
             host=field.host,
             charts=field.charts,
             values={k: -v for k, v in field.values.items()},
-            source=field.source,
         )
     inner = field.evaluator
 
@@ -464,8 +460,6 @@ class FaceGrid:
     grids of all corner faces together.
     """
 
-    _local = True  # split only the intervals that break the bound
-
     def __init__(self, field: TangentField, key: FaceKey):
         self.field, self.key = field, key
         self._sides = field.charts[key].n_segments
@@ -533,8 +527,7 @@ class FaceGrid:
         _, radial, around = self.neighbor_dots(depth)
         doubles = not radial.min() > 0.0 or (self.resolved(depth) and self.area_sum(depth) is None)
         split = ~(around.min(axis=0) > 0.0)
-        local = self._local and not doubles and split.any()
-        return doubles, split if local else np.ones_like(split)
+        return doubles, split if not doubles and split.any() else np.ones_like(split)
 
     def values(self, depth: int) -> np.ndarray:
         return np.ascontiguousarray(np.moveaxis(self.planes(depth)[:, :, :-1], 0, -1))
@@ -617,34 +610,37 @@ def _corner_batch(batch) -> list:
             for _, face, _ in batch]
 
 
-class _UniformGrid(FaceGrid):
-    # Every round splits every interval: field files and SampledField
-    # store rings of evenly spaced samples.
-    _local = False
-
-
 def sample_field(field: TangentField, depth: int) -> SampledField:
-    """Freeze a field onto per-face grids, from the whole depth-``depth``
-    grid of each face up the levels of its uniform ``FaceGrid``, whose
-    every round splits every interval, to the first that keeps the
-    quarter-turn bound, at most ``MAX_DEPTH``, the depth cap of the
-    extraction routes, so a field they resolve is never refused here;
-    beyond that ResolutionTooCoarse is raised.
+    """Freeze a field onto per-face grids of evenly spaced samples: the
+    whole (R + 1, m 2**d) grid of a face of m sides at each depth d from
+    ``depth`` on, to the first that keeps the quarter-turn bound, at most
+    ``MAX_DEPTH``, the depth cap of the extraction routes, so a field they
+    resolve is never refused here; beyond that ResolutionTooCoarse is
+    raised.  R starts at 2**depth and doubles after a depth with a radial
+    dot <= 0, as in a ``FaceGrid`` round, so the grids are bit for bit
+    the levels of a chain whose every round splits every interval.
     Depth 0 starts at depth 1: one sample per side can keep the bound
     while the boundary turns between the corners.
     """
-    deepest = max(depth, MAX_DEPTH)
+    start, deepest = max(depth, 1), max(depth, MAX_DEPTH)
     values = {}
     for key in field.host.face_keys():
-        grid = _UniformGrid(field, key)
-        found = next((d for d in range(max(depth, 1), deepest + 1) if grid.resolved(d)), None)
-        if found is None:
+        R, m = 2 ** start, field.charts[key].n_segments
+        for d in range(start, deepest + 1):
+            rho, phi = _grid_axes(R, m * 2 ** d)
+            grid = field.evaluate(key, rho[:, None], phi)
+            _, radial, around = _neighbor_dots(_grid_planes(grid))
+            if _within_quarter_turn(radial, around):
+                values[key] = np.ascontiguousarray(grid)
+                break
+            if not radial.min() > 0.0:
+                R *= 2
+        else:
             raise ResolutionTooCoarse(f"face {key} still under-sampled at depth {deepest}")
-        values[key] = grid.values(found)
     return SampledField(host=field.host, charts=field.charts, values=values)
 
 
-def save_field(field: SampledField, path, poly_source: Optional[dict] = None) -> None:
+def save_field(field: SampledField, path) -> None:
     """Write a SampledField at its stored grids as a ``tangentfield/2``
     file: the bytes of ``json.dump(..., sort_keys=True)`` and a newline,
     one face block at a time through the C encoder of ``json.dumps``.  A
@@ -655,7 +651,7 @@ def save_field(field: SampledField, path, poly_source: Optional[dict] = None) ->
     values, phat = field.values, field.host
     head = {
         "format": FIELD_FORMAT,
-        "polyhedron": poly_source or phat.parent.to_dict(),
+        "polyhedron": phat.parent.entry(),
         "truncation": phat.spec.to_dict(),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -683,8 +679,7 @@ def load_field(path) -> Tuple[SampledField, TangencyReport]:
     """Read the ``tangentfield/2`` file that ``save_field`` writes; returns
     the sampled field with its tangency diagnostics.
 
-    The field keeps the document's ``polyhedron`` entry as its
-    ``source``.  Vectors are renormalized on load.  Raises TangentTopoError
+    Vectors are renormalized on load.  Raises TangentTopoError
     for structural problems, including a document in any other format, a
     missing or mistyped entry or a malformed vector block; tangency
     violations are reported, not raised.
@@ -693,7 +688,7 @@ def load_field(path) -> Tuple[SampledField, TangencyReport]:
     with reading_document("field"):
         if data.get("format") != FIELD_FORMAT:
             raise TangentTopoError(f"unsupported field format {data.get('format')!r}")
-        phat, source = geometry.truncated_solid(data["polyhedron"], data["truncation"])
+        phat = geometry.truncated_solid(data["polyhedron"], data["truncation"])
         charts = phat.charts
         values = {}
         for entry in data["faces"]:
@@ -712,7 +707,7 @@ def load_field(path) -> Tuple[SampledField, TangencyReport]:
     missing = set(phat.face_keys()) - set(values)
     if missing:
         raise TangentTopoError(f"field file misses faces {sorted(missing)}")
-    sampled = SampledField(host=phat, charts=charts, values=values, source=source)
+    sampled = SampledField(host=phat, charts=charts, values=values)
     return sampled, validate_tangency(sampled)
 
 

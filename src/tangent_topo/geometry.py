@@ -12,7 +12,7 @@ pure function, so the module is safe to use from multiple threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
@@ -48,6 +48,7 @@ class ConvexPolyhedron:
     face_normals: np.ndarray
     centroid: np.ndarray
     tol: float
+    builtin: Optional[str] = None  # the name of a builtin solid
 
     @classmethod
     def from_data(cls, vertices, faces) -> "ConvexPolyhedron":
@@ -171,6 +172,11 @@ class ConvexPolyhedron:
             "faces": [list(map(int, f)) for f in self.faces],
         }
 
+    def entry(self) -> dict:
+        """The ``polyhedron`` entry of a document that names this solid:
+        ``{"builtin": name}`` for a builtin solid, else ``to_dict()``."""
+        return {"builtin": self.builtin} if self.builtin else self.to_dict()
+
 
 _BUILTINS = {
     "cube": (
@@ -199,7 +205,7 @@ def builtin_polyhedron(name: str) -> ConvexPolyhedron:
         verts, faces = _BUILTINS[name]
     except KeyError:
         raise TangentTopoError(f"unknown builtin polyhedron {name!r}") from None
-    return ConvexPolyhedron.from_data(verts, faces)
+    return replace(ConvexPolyhedron.from_data(verts, faces), builtin=name)
 
 
 def polyhedron_from_dict(data: dict) -> ConvexPolyhedron:
@@ -496,17 +502,12 @@ def truncate(poly: ConvexPolyhedron, spec: TruncationSpec) -> TruncatedPolyhedro
     return phat
 
 
-def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, dict]:
+def truncated_solid(poly_entry, truncation_entry) -> TruncatedPolyhedron:
     """The solid that a document's ``polyhedron`` and ``truncation``
     entries name (a fraction ``lambda`` or the cut planes of
-    ``TruncationSpec.to_dict``), and the polyhedron entry to write back,
-    ``{"builtin": name}`` or the solid's own document."""
-    if "builtin" in poly_entry:
-        poly = builtin_polyhedron(poly_entry["builtin"])
-        source = {"builtin": poly_entry["builtin"]}
-    else:
-        poly = polyhedron_from_dict(poly_entry)
-        source = poly.to_dict()
+    ``TruncationSpec.to_dict``)."""
+    poly = (builtin_polyhedron(poly_entry["builtin"]) if "builtin" in poly_entry
+            else polyhedron_from_dict(poly_entry))
     if "lambda" in truncation_entry:
         lam = numbers_entry(truncation_entry["lambda"], "lambda")
         spec = TruncationSpec.from_fraction(poly, float(lam))
@@ -514,7 +515,7 @@ def truncated_solid(poly_entry, truncation_entry) -> Tuple[TruncatedPolyhedron, 
         normals, points = (np.asarray(numbers_entry(truncation_entry[k], k), dtype=float)
                            for k in ("normals", "points"))
         spec = TruncationSpec(normals=normals, points=points)
-    return truncate(poly, spec), source
+    return truncate(poly, spec)
 
 
 def segment_position(phi, m) -> Tuple[np.ndarray, np.ndarray]:

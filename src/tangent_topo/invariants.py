@@ -811,10 +811,9 @@ def invariant_set_from_dict(phat: TruncatedPolyhedron, data: dict) -> InvariantS
     )
 
 
-def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
-                   poly_source: Optional[dict] = None) -> dict:
+def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron) -> dict:
     inv_dict = invariant_set_to_dict(report.invariants, phat)
-    inv_dict["polyhedron"] = poly_source or phat.parent.to_dict()
+    inv_dict["polyhedron"] = phat.parent.entry()
     inv_dict["truncation"] = phat.spec.to_dict()
     return {
         "format": REPORT_FORMAT,
@@ -854,7 +853,7 @@ def report_to_dict(report: InvariantReport, phat: TruncatedPolyhedron,
 def parse_invariants_document(data: dict):
     """Read an invariant-set file or a report file (re-ingestible).
 
-    Returns ``(phat, InvariantSet, poly_source_dict)``; a document with
+    Returns ``(phat, InvariantSet)``; a document with
     no ``truncation`` entry is cut at fraction 0.2.  A missing or
     mistyped entry raises TangentTopoError.
     """
@@ -863,8 +862,7 @@ def parse_invariants_document(data: dict):
             data = data["invariants"]
         elif data.get("format", INVARIANTS_FORMAT) != INVARIANTS_FORMAT:
             raise TangentTopoError(f"unsupported invariants format {data.get('format')!r}")
-        phat, poly_source = geometry.truncated_solid(
+        phat = geometry.truncated_solid(
             data["polyhedron"], data.get("truncation", {"lambda": 0.2}))
-        inv = invariant_set_from_dict(phat, data)
-    return phat, inv, poly_source
+        return phat, invariant_set_from_dict(phat, data)
 

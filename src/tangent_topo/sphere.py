@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ResolutionTooCoarse, SOnTriangleBoundary, TangentTopoError
 
 TOL_ANTIPODAL = 1e-9
-NYQUIST_STEP = 0.5 * np.pi
 DEGREE_RESIDUAL_TOL = 0.1
 
 
@@ -250,7 +249,7 @@ def unwrap_rotation_angle(rows: np.ndarray, axis: np.ndarray):
     finer samples (see ``invariants._kink_details``)."""
     u, v = rows[..., :-1, :], rows[..., 1:, :]
     cr, dt = cross(u, v), np.einsum("...ij,...ij->...i", u, v)
-    bound = ~np.any(np.arctan2(np.linalg.norm(cr, axis=-1), dt) >= NYQUIST_STEP, axis=-1)
+    bound = np.all(dt > 0.0, axis=-1)
     in_plane = np.max(np.abs(rows @ axis), axis=-1) <= 1e-8
     return np.arctan2(cr @ axis, dt).sum(axis=-1), bound, in_plane
 

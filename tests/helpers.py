@@ -610,7 +610,7 @@ def decode_vectors(text: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(-1, 3).copy()
 
 
-def reference_field_text(sampled, poly_source=None):
+def reference_field_text(sampled):
     """The ``tangentfield/2`` document and file text of a SampledField as
     written element by element through ``json.dump``, the reference for
     the streamed writer."""
@@ -622,7 +622,7 @@ def reference_field_text(sampled, poly_source=None):
                       "phi_steps": int(grid.shape[1]), "vectors": encode_vectors(grid)})
     doc = {
         "format": "tangentfield/2",
-        "polyhedron": poly_source or phat.parent.to_dict(),
+        "polyhedron": phat.parent.entry(),
         "truncation": {
             "normals": [[float(x) for x in row] for row in phat.spec.normals],
             "points": [[float(x) for x in row] for row in phat.spec.points],

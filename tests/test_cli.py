@@ -333,7 +333,7 @@ class TestErrorPaths:
         fine[ring, chart.segment_index("cleaved", (a, c)) * K // chart.n_segments + column] += (
             1e-6 * phat.face_normal(c))
         tilted = SampledField(host=phat, charts=field.charts,
-                              values={**field.values, key: fine}, source=field.source)
+                              values={**field.values, key: fine})
         path = tmp_path / "tilted.json"
         tt.save_field(tilted, path)
         return tilted, (a, c), path
@@ -389,13 +389,11 @@ class TestErrorPaths:
                                                            monkeypatch, capsys):
         # A field file holds no jump, as its grids keep neighbors within a
         # quarter turn, so the loader hands over an analytic field with
-        # one on a cleaved row, which passes tangency validation, and the
-        # ``source`` a loaded field carries.
+        # one on a cleaved row, which passes tangency validation.
         inv = tt.random_admissible_invariants(tetra_phat, seed=5, wrap_override=(1, -1, 0, 0))
         adm = tt.AdmissibleInvariants.from_invariants(inv, tetra_phat)
         jumped = jumped_field(tt.representative_boundary(adm, tetra_phat),
                               *sorted(tetra_phat.cleaved_edges)[0])
-        object.__setattr__(jumped, "source", {"builtin": "tetrahedron"})
         monkeypatch.setattr(fields, "load_field",
                             lambda path: (jumped, fields.validate_tangency(jumped)))
         assert main(["invariants", "--field", "jumped.json",

@@ -322,30 +322,29 @@ class TestSampledFields:
             assert validate_tangency(sampled).ok
 
     def test_takes_each_levels_neighbor_dots_once(self, cube_phat, monkeypatch):
-        # The step bound of every level sample_field builds is checked
+        # The step bound of every level sample_field evaluates is checked
         # once, and the SampledField it returns checks each of its grids
         # once more, as every SampledField does when it is built.
         inv = tt.random_admissible_invariants(cube_phat, seed=9)
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
-        grids, passes = [], []
-        init, kernel = FaceGrid.__init__, fields_mod._neighbor_dots
+        levels, passes = [], []
+        evaluate, kernel = AnalyticField.evaluate, fields_mod._neighbor_dots
 
-        def tracking(grid, *args):
-            init(grid, *args)
-            grids.append(grid)
+        def tracking(self, key, rho, phi):
+            levels.append((np.size(rho), np.size(phi) + 1))
+            return evaluate(self, key, rho, phi)
 
         def counting(planes):
-            passes.append(planes)
+            passes.append(planes.shape[1:])
             return kernel(planes)
 
-        monkeypatch.setattr(FaceGrid, "__init__", tracking)
+        monkeypatch.setattr(AnalyticField, "evaluate", tracking)
         monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
-        sample_field(field, 3)
-        built = [planes for grid in grids for planes in grid._planes.values()]
-        assert len(grids) == len(cube_phat.face_keys())
-        assert len(passes) == len(built) + len(grids) and len(built) > len(grids)
-        assert {id(p) for p in passes[:len(built)]} == {id(p) for p in built}
+        sampled = sample_field(field, 3)
+        assert len(levels) > len(cube_phat.face_keys()) == len(sampled.values)
+        assert passes == levels + [(g.shape[0], g.shape[1] + 1)
+                                   for g in sampled.values.values()]
 
     def test_mesh_export(self, cube_case, tmp_path):
         _, field = cube_case
@@ -964,10 +963,10 @@ class TestSampledGridPath:
 
 
 class TestFieldWriter:
-    def _check(self, sampled, tmp_path, poly_source=None):
-        text = reference_field_text(sampled, poly_source)[1]
+    def _check(self, sampled, tmp_path):
+        text = reference_field_text(sampled)[1]
         path = tmp_path / "field.json"
-        save_field(sampled, path, poly_source=poly_source)
+        save_field(sampled, path)
         assert path.read_bytes() == text.encode("utf-8")
 
     def test_analytic_cube_field(self, cube_case, tmp_path):
@@ -995,4 +994,28 @@ class TestFieldWriter:
         inv = tt.random_admissible_invariants(phat, seed=3)
         adm = tt.AdmissibleInvariants.from_invariants(inv, phat)
         field = tt.representative_boundary(adm, phat)
-        self._check(sample_field(field, 3), tmp_path, poly_source=poly.to_dict())
+        self._check(sample_field(field, 3), tmp_path)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_names_its_solid_as_its_input_does(self, tmp_path, from_file):
+        # A builtin solid is named {"builtin": name}, a solid read from a
+        # polyhedron file by its own document; a loaded field, and its
+        # antipode, name it as the file it was read from.
+        if from_file:
+            with open(tmp_path / "poly.json", "w") as fh:
+                json.dump(pentagonal_pyramid().to_dict(), fh)
+            poly = tt.load_polyhedron(tmp_path / "poly.json")
+            entry = poly.to_dict()
+        else:
+            poly, entry = tt.builtin_polyhedron("tetrahedron"), {"builtin": "tetrahedron"}
+        phat = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25))
+        field = tt.representative_boundary(tt.AdmissibleInvariants.from_invariants(
+            tt.random_admissible_invariants(phat, seed=3), phat), phat)
+        path = tmp_path / "field.json"
+        save_field(sample_field(field, 3), path)
+        assert json.loads(path.read_text())["polyhedron"] == entry
+        loaded = tt.load_field(path)[0]
+        assert loaded.host.parent.entry() == entry
+        save_field(antipodal(loaded), path)
+        assert json.loads(path.read_text())["polyhedron"] == entry
+        assert tt.load_field(path)[0].host.parent.entry() == entry

@@ -40,6 +40,15 @@ class TestPolyhedronLoading:
         with pytest.raises(errors.TangentTopoError, match="is not planar"):
             ConvexPolyhedron.from_data(verts, [list(f) for f in builtin_polyhedron("cube").faces])
 
+    def test_dented_octahedron_is_not_convex(self):
+        # Its top vertex pushed below the equator, every face is still a
+        # triangle, so planar, and only the convexity check refuses it.
+        octa = builtin_polyhedron("octahedron")
+        verts = octa.vertices.copy()
+        verts[4] = [0.0, 0.0, -0.3]
+        with pytest.raises(errors.TangentTopoError, match="polyhedron is not convex"):
+            ConvexPolyhedron.from_data(verts, [list(f) for f in octa.faces])
+
     def test_open_surface_rejected(self):
         cube = builtin_polyhedron("cube")
         with pytest.raises(errors.TangentTopoError, match="is not shared by two faces"):

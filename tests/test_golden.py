@@ -45,7 +45,7 @@ def test_report_bytes(name):
     phat, inv = _solid(name)
     field = tt.representative_boundary(tt.AdmissibleInvariants.from_invariants(inv, phat),
                                        phat)
-    doc = report_to_dict(tt.extract_all(field), phat, poly_source={"builtin": name})
+    doc = report_to_dict(tt.extract_all(field), phat)
     # As the CLI writes a report.
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert _sha256(text.encode()) == REPORTS[name]

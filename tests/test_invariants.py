@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -1307,14 +1308,22 @@ class TestSerialization:
         assert tt.invariants_equal(inv, again, eps_tol=0.0)
         assert np.array_equal(again.s, inv.s)
 
-    def test_report_is_reingestible(self, tetra_phat):
-        inv, field = make_representative(tetra_phat, seed=4)
-        report = tt.extract_all(field, s=inv.s, depth=5)
-        doc = report_to_dict(report, tetra_phat,
-                             poly_source={"builtin": "tetrahedron"})
-        phat2, inv2, source = parse_invariants_document(doc)
-        assert tt.invariants_equal(inv2, inv, eps_tol=0.0)
-        assert source == {"builtin": "tetrahedron"}
+    def test_report_is_reingestible(self, tetra_phat, tmp_path):
+        # A report names a builtin solid {"builtin": name}, and a solid
+        # read from a polyhedron file by its own document; either is read
+        # back to a solid of the same entry.
+        (tmp_path / "poly.json").write_text(json.dumps(pentagonal_pyramid().to_dict()))
+        poly = tt.load_polyhedron(tmp_path / "poly.json")
+        pyramid = tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25))
+        for phat, entry in ((tetra_phat, {"builtin": "tetrahedron"}),
+                            (pyramid, poly.to_dict())):
+            inv, field = make_representative(phat, seed=4)
+            report = tt.extract_all(field, s=inv.s, depth=5)
+            doc = report_to_dict(report, phat)
+            assert doc["invariants"]["polyhedron"] == entry
+            phat2, inv2 = parse_invariants_document(doc)
+            assert phat2.parent.entry() == entry
+            assert tt.invariants_equal(inv2, inv, eps_tol=0.0)
 
     def test_report_determinism(self, tetra_phat):
         inv, field = make_representative(tetra_phat, seed=4)
