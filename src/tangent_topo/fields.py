@@ -54,7 +54,8 @@ from .geometry import (
     PolarChart,
     TruncatedPolyhedron,
 )
-from .sphere import _dot, _signed_areas, cross, geodesic_interpolate, normalized_rows
+from .sphere import (_dot, _signed_areas, cross, geodesic_interpolate, normalized_rows,
+                     triangle_areas)
 
 TOL_TANGENCY = 1e-8
 TOL_CONTINUITY = 1e-6
@@ -114,17 +115,69 @@ def _grid_planes(grid: np.ndarray) -> np.ndarray:
     return planes
 
 
-def _neighbor_dots(planes: np.ndarray):
-    """``planes`` (see ``_grid_planes``) with the dot products of radial
-    neighbors over all K + 1 columns, shape (R, K + 1), and of neighbors
-    around the rings, shape (R + 1, K); the planes are read, not copied."""
-    R1, K = planes.shape[1], planes.shape[2] - 1
-    radial, around = np.empty((R1 - 1, K + 1)), np.empty((R1, K))
-    for i, j in _bands(R1 - 1, K):
+def _level_pass(planes: np.ndarray, widths, s=None, sums: bool = True) -> list:
+    """One pass in bands of BAND_ENTRIES over the planes (3, R + 1, C) of
+    faces side by side, face f's (``_grid_planes``) on the ``widths[f]``
+    columns after the faces before it.  Per face ``(radial, around, area,
+    top, cap)``: its neighbor dots along its columns and its rings; if
+    ``sums``, its image-area sum over ``_grid_triangles``, None where it
+    breaks the quarter-turn bound or a triangle is invalid; at a unit
+    ``s``, its largest boundary dot with ``s`` and its cap sum over the
+    triangles (u, v, -s) of its boundary steps, None where one is invalid.
+    Each sum is bit for bit the ``np.sum`` of ``triangle_areas`` over the
+    face's gathered triangles: the same operands in the same order, and
+    one ``np.sum`` over its steps or its contiguous (2, R, K) areas.
+    """
+    R1, C = planes.shape[1:]
+    widths = np.asarray(widths)
+    starts = np.cumsum(widths) - widths
+    radial, around = np.empty((R1 - 1, C)), np.empty((R1, C))
+    for i, j in _bands(R1 - 1, C):
         _dot(planes[:, i:j], planes[:, i + 1:j + 1], out=radial[i:j])
-    for i, j in _bands(R1, K):
-        _dot(planes[:, i:j, :-1], planes[:, i:j, 1:], out=around[i:j])
-    return planes, radial, around
+    for i, j in _bands(R1, C):
+        _dot(planes[:, i:j, :-1], planes[:, i:j, 1:], out=around[i:j, :-1])
+    around[:, starts + widths - 1] = np.inf  # no face's pairs
+    areas = [None] * len(widths)
+    if sums:
+        low = np.minimum(np.minimum.reduceat(radial.min(axis=0), starts),
+                         np.minimum.reduceat(around.min(axis=0), starts))
+        areas = [np.empty((2, R1 - 1, w - 1)) if m > 0.0 else None for w, m in zip(widths, low)]
+    for i, j in _bands(R1 - 1, C - 1) if any(a is not None for a in areas) else ():
+        rings = planes[:, i:j + 1]
+        c00, c10 = rings[:, :-1, :-1], rings[:, 1:, :-1]
+        c01, c11 = rings[:, :-1, 1:], rings[:, 1:, 1:]
+        # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11,
+        # c01); radial[:, 1:] is the radial dot of the next sample, and
+        # second starts as the diagonal dot.
+        re, im = np.empty((2, 2, j - i, C - 1))
+        first, second = re
+        _dot(c11, c00, out=second)
+        np.add(1.0, radial[i:j, :-1], out=first)
+        first += around[i + 1:j + 1, :-1]
+        first += second
+        second += 1.0
+        second += radial[i:j, 1:]
+        second += around[i:j, :-1]
+        _dot(cross(c00, c10, axis=0), c11, out=im[0])
+        _dot(cross(c00, c11, axis=0), c01, out=im[1])
+        band, valid = _signed_areas(re, im)
+        for f, (o, w) in enumerate(zip(starts, widths)):
+            cells = (slice(None), slice(None), slice(o, o + w - 1))
+            if areas[f] is not None and valid[cells].all():
+                areas[f][:, i:j] = band[cells]
+            else:
+                areas[f] = None
+    tops = caps = [None] * len(widths)
+    if s is not None:
+        ring = np.ascontiguousarray(planes[:, -1].T)
+        tops = np.maximum.reduceat(ring @ s, starts).tolist()
+        gamma, valid = triangle_areas(ring[:-1], ring[1:], np.broadcast_to(-s, (C - 1, 3)))
+        valid[starts[1:] - 1] = True
+        caps = [float(np.sum(gamma[o:o + w - 1])) if whole else None
+                for o, w, whole in zip(starts, widths, np.logical_and.reduceat(valid, starts))]
+    return [(radial[:, o:o + w], around[:, o:o + w - 1],
+             None if area is None else float(np.sum(area)), top, cap)
+            for o, w, area, top, cap in zip(starts, widths, areas, tops, caps)]
 
 
 def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
@@ -133,8 +186,9 @@ def _within_quarter_turn(radial: np.ndarray, around: np.ndarray) -> bool:
     return min(float(radial.min()), float(around.min())) > 0.0
 
 
-def _grid_step_bound_ok(grid: np.ndarray) -> bool:
-    return _within_quarter_turn(*_neighbor_dots(_grid_planes(grid))[1:])
+def _grid_dots(grid: np.ndarray) -> tuple:
+    # The radial and around dots of an (R + 1, K, 3) grid (``_level_pass``).
+    return _level_pass(_grid_planes(grid), [grid.shape[1] + 1], sums=False)[0][:2]
 
 
 @dataclass(frozen=True)
@@ -185,7 +239,7 @@ class SampledField:
             m = self.charts[key].n_segments
             if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[1] % m:
                 raise TangentTopoError(f"bad grid shape {grid.shape} for face {key}")
-            if not _grid_step_bound_ok(grid):
+            if not _within_quarter_turn(*_grid_dots(grid)):
                 raise ResolutionTooCoarse(
                     f"grid on face {key} has neighbors a quarter turn or "
                     "more apart; sample at a higher depth"
@@ -391,55 +445,11 @@ def _grid_triangles(R: int, K: int):
     return np.concatenate([t1, t2], axis=0)
 
 
-def _grid_area_sum(dots) -> Optional[float]:
-    """Signed image-area sum of the triangles of ``_grid_triangles`` of
-    an (R + 1, K, 3) grid, read through slices from its ``_neighbor_dots``
-    triple ``dots``; None when the grid breaks the quarter-turn bound or
-    a triangle is invalid.
-
-    Bit for bit the ``np.sum`` of ``triangle_areas`` over the gathered
-    triangles: each dot and triple product has the same operands in the
-    same order (a product of two floats does not depend on their order),
-    and the areas are summed in the same order, by one ``np.sum`` over
-    the contiguous (2, R, K) areas of every first triangle and then
-    every second one, cells row-major.  The areas are filled in band by
-    band of rows, and the first invalid band ends the pass.
-    """
-    planes, radial, around = dots
-    if not _within_quarter_turn(radial, around):
-        return None
-    R, K = radial.shape[0], around.shape[1]
-    areas = np.empty((2, R, K))
-    bands = _bands(R, K)
-    re, im = np.empty((2, 2, bands[0][1], K))  # the first band is the tallest
-    for i, j in bands:
-        rings = planes[:, i:j + 1]
-        c00, c10 = rings[:, :-1, :-1], rings[:, 1:, :-1]
-        c01, c11 = rings[:, :-1, 1:], rings[:, 1:, 1:]
-        diag = _dot(c11, c00)
-        # The triangles of cell (i, j) are (c00, c10, c11) and (c00, c11,
-        # c01); radial[:, 1:] is the radial dot of the next sample.
-        first, second = re[0, :j - i], re[1, :j - i]
-        np.add(1.0, radial[i:j, :-1], out=first)
-        first += around[i + 1:j + 1]
-        first += diag
-        np.add(1.0, diag, out=second)
-        second += radial[i:j, 1:]
-        second += around[i:j]
-        _dot(cross(c00, c10, axis=0), c11, out=im[0, :j - i])
-        _dot(cross(c00, c11, axis=0), c01, out=im[1, :j - i])
-        band, valid = _signed_areas(re[:, :j - i], im[:, :j - i])
-        if not valid.all():
-            return None
-        areas[:, i:j] = band
-    return float(np.sum(areas))
-
-
 class FaceGrid:
     """One chain of refinement levels of a face grid, each a tensor grid
     of ring radii and angles built once as x, y, z planes (see
-    ``_grid_planes``) with its ``_neighbor_dots`` triple, which the
-    quarter-turn check, the area sum and the count read.
+    ``_grid_planes``), whose ``_level_pass`` takes its neighbor dots and
+    area sum once, and its cap once per reference direction.
 
     The first depth asked for is ``face_grid(field, key, depth)``.  Level
     d keeps the integer positions j of its columns at resolution
@@ -454,8 +464,8 @@ class FaceGrid:
     columns and evaluates the nodes it adds, the odd rings whole (if R
     doubles), then the held rings at the new columns: bit for bit the
     nodes of the whole grid on its radii and angles, as 2 pi (2 j) / 2M is
-    exactly 2 pi j / M and fields work point by point.  ``values`` and
-    ``boundary`` are C-contiguous row copies, for einsum and matmul.
+    exactly 2 pi j / M and fields work point by point.  ``values`` is a
+    C-contiguous row copy, for einsum and matmul.
     ``_build_levels`` builds the levels, of this grid alone or of the
     grids of all corner faces together.
     """
@@ -465,8 +475,9 @@ class FaceGrid:
         self._sides = field.charts[key].n_segments
         self._planes: Dict[int, np.ndarray] = {}
         self._cols: Dict[int, np.ndarray] = {}  # column positions j of each level
-        self._dots: Dict[int, tuple] = {}
+        self._dots: Dict[int, tuple] = {}  # (planes, radial, around) of each level
         self._sums: Dict[int, Optional[float]] = {}
+        self._caps: Dict[tuple, tuple] = {}  # (top, cap) of each level and s
 
     def _phi(self, depth: int) -> np.ndarray:
         # The angles 2 pi j / M of the columns of level ``depth``.
@@ -488,8 +499,8 @@ class FaceGrid:
 
     def _next(self, depth: int):
         """The grid blocks (rings ``rho[:, None]``, angles ``phi``) of the
-        next level, or of the whole depth-``depth`` grid as the first, and
-        the store that makes their values that level."""
+        next level, or of the whole depth-``depth`` grid as the first, the
+        store of their values in planes of that level, and its shape."""
         coarse = None
         if self._planes:
             d = max(self._planes)
@@ -510,8 +521,7 @@ class FaceGrid:
         rho, phi = np.linspace(0.0, 1.0, R + 1)[:, None], self._phi(d)
         blocks = [(rho[1::2], phi)] * doubles + [(rho[::step], phi[added])]
 
-        def store(values):
-            fine = np.empty((3, R + 1, phi.size + 1))
+        def store(fine, values):
             if coarse is not None:
                 fine[:, ::step, held] = coarse[:, :, :-1]
             if doubles:
@@ -519,7 +529,7 @@ class FaceGrid:
             fine[:, ::step, added] = np.moveaxis(values[-1], -1, 0)
             fine[:, :, -1] = fine[:, :, 0]
             self._planes[d] = fine
-        return blocks, store
+        return blocks, store, (R + 1, phi.size + 1)
 
     def _round(self, depth: int):
         # The round from level ``depth``: whether it doubles the rings, and
@@ -532,21 +542,41 @@ class FaceGrid:
     def values(self, depth: int) -> np.ndarray:
         return np.ascontiguousarray(np.moveaxis(self.planes(depth)[:, :, :-1], 0, -1))
 
-    def boundary(self, depth: int) -> np.ndarray:
-        return np.ascontiguousarray(self.planes(depth)[:, -1, :-1].T)  # the ring rho = 1
-
     def neighbor_dots(self, depth: int) -> tuple:
-        if depth not in self._dots:
-            self._dots[depth] = _neighbor_dots(self.planes(depth))
+        self._take(depth)
         return self._dots[depth]
 
     def resolved(self, depth: int) -> bool:
         return _within_quarter_turn(*self.neighbor_dots(depth)[1:])
 
     def area_sum(self, depth: int) -> Optional[float]:
-        if depth not in self._sums:
-            self._sums[depth] = _grid_area_sum(self.neighbor_dots(depth))
+        self._take(depth)
         return self._sums[depth]
+
+    def cap(self, depth: int, s: np.ndarray) -> tuple:
+        self._take(depth, s)
+        return self._caps[(depth, s.tobytes())]
+
+    def drop_below(self, depth: int) -> None:
+        # Free the levels below ``depth``, which a climb no longer reads.
+        for levels in (self._planes, self._dots, self._sums):
+            for d in [d for d in levels if d < depth]:
+                del levels[d]
+
+    def _take(self, depth: int, s=None) -> None:
+        # The level pass of this grid alone, unless one took it; a cap on
+        # the boundary ring alone once the dots are taken.
+        taken = depth in self._sums
+        if not taken or s is not None and (depth, s.tobytes()) not in self._caps:
+            rows = self.planes(depth)[:, -1:] if taken else self.planes(depth)
+            self._keep(depth, _level_pass(rows, [rows.shape[2]], s, not taken)[0], s)
+
+    def _keep(self, depth: int, result: tuple, s) -> None:
+        radial, around, area, top, cap = result
+        if depth not in self._sums:
+            self._dots[depth], self._sums[depth] = (self._planes[depth], radial, around), area
+        if s is not None:
+            self._caps[(depth, s.tobytes())] = top, cap
 
     def first_valid(self, depth: int) -> int:
         """The first level from ``depth`` on, up to MAX_DEPTH, whose area
@@ -557,19 +587,28 @@ class FaceGrid:
         raise ResolutionTooCoarse(f"grid of face {self.key} did not resolve by depth {MAX_DEPTH}")
 
 
-def _build_levels(grids, depth: int) -> None:
+def _build_levels(grids, depth: int, s=None) -> None:
     """Build the FaceGrids ``grids`` of one field up to level ``depth``, one
     level of each at a time (``FaceGrid._next``), a block per ``evaluate``
     call; but an evaluator marked ``_corner_batches`` (the
     representative's) takes the blocks of the corner faces of a level in
     batches of whole faces of at most BAND_ENTRIES nodes, a batch per call
-    (``_corner_batch``)."""
+    (``_corner_batch``).  The new levels of the grids that share a ring
+    count sit side by side in one buffer, which takes its ``_level_pass``
+    at the unit ``s``, if given."""
     batched = getattr(getattr(grids[0].field, "evaluator", None), "_corner_batches", False)
     while True:
         nexts = [(grid, *grid._next(depth)) for grid in grids
                  if max(grid._planes, default=-1) < depth]
         if not nexts:
             return
+        levels, slots = {}, {}
+        for grid, _, _, (rings, width) in nexts:
+            levels.setdefault(rings, []).append((grid, width))
+        for rings, group in levels.items():
+            planes = np.empty((3, rings, sum(width for _, width in group)))
+            for (grid, width), end in zip(group, np.cumsum([width for _, width in group])):
+                slots[grid] = planes[:, :, end - width:end]
         batches, room = [], 0
         for item in nexts:
             # A grid that takes no batch counts as more than a batch holds.
@@ -582,20 +621,25 @@ def _build_levels(grids, depth: int) -> None:
             room -= n
         for batch in batches:
             if len(batch) == 1:
-                grid, blocks, store = batch[0]
-                store([grid.field.evaluate(grid.key, rho, phi) for rho, phi in blocks])
+                grid, blocks, store, _ = batch[0]
+                store(slots[grid], [grid.field.evaluate(grid.key, *block) for block in blocks])
             else:
-                for (_, _, store), values in zip(batch, _corner_batch(batch)):
-                    store(values)
+                for (grid, _, store, _), values in zip(batch, _corner_batch(batch)):
+                    store(slots[grid], values)
+                del values  # a view of the values of the whole batch
+        for members, widths in (zip(*group) for group in levels.values() if s is not None):
+            # The slots of one level are views of one buffer, their base.
+            for grid, result in zip(members, _level_pass(slots[members[0]].base, widths, s)):
+                grid._keep(max(grid._planes), result, s)
 
 
 def _corner_batch(batch) -> list:
     """The values, shape (n, k, 3), of the blocks of the corner faces of
-    ``batch``, ``[(grid, blocks, store)]``, by one ``evaluate`` call with
+    ``batch``, ``[(grid, blocks, ...)]``, by one ``evaluate`` call with
     key ``(CLEAVED, a)``, ``a`` the face index of each node: the angles of
     all blocks side by side against their rings if they share them, else
     the nodes as equal-length 1-D arrays."""
-    blocks = [(np.array(grid.key[1]), rho, phi) for grid, face, _ in batch for rho, phi in face]
+    blocks = [(np.array(grid.key[1]), rho, phi) for grid, face, *_ in batch for rho, phi in face]
     rings = blocks[0][1]
     if all(np.array_equal(rho, rings) for _, rho, _ in blocks):
         nodes = [np.broadcast_arrays(a, phi) for a, _, phi in blocks]
@@ -607,7 +651,7 @@ def _corner_batch(batch) -> list:
     ends = np.cumsum([n[1].size for n in nodes])[:-1]
     pieces = iter(np.split(values, ends, axis=values.ndim - 2))
     return [[next(pieces).reshape(rho.size, phi.size, 3) for rho, phi in face]
-            for _, face, _ in batch]
+            for _, face, *_ in batch]
 
 
 def sample_field(field: TangentField, depth: int) -> SampledField:
@@ -629,7 +673,7 @@ def sample_field(field: TangentField, depth: int) -> SampledField:
         for d in range(start, deepest + 1):
             rho, phi = _grid_axes(R, m * 2 ** d)
             grid = field.evaluate(key, rho[:, None], phi)
-            _, radial, around = _neighbor_dots(_grid_planes(grid))
+            radial, around = _grid_dots(grid)
             if _within_quarter_turn(radial, around):
                 values[key] = np.ascontiguousarray(grid)
                 break

@@ -36,12 +36,12 @@ from .fields import CLEAVED, MAX_DEPTH, TRUNCATED, FaceGrid, TangentField
 from .geometry import TruncatedPolyhedron
 from .sphere import (
     DEGREE_RESIDUAL_TOL,
+    _rowdots,
     cross,
     normalized,
     normalized_rows,
-    spherical_triangle_area,
     triangle_areas,
-    triangle_sigma,
+    triangle_sigmas,
     unwrap_rotation_angle,
 )
 
@@ -180,24 +180,23 @@ def extract_edge_orientations(field: TangentField, rings=None) -> np.ndarray:
     exactly edge-parallel unit vector with the observed sign.  Each side
     of an edge is read at 9 samples, every EDGE_STRIDE-th of its trimmed
     face's ring in ``rings`` (by default evaluated here, one ``evaluate``
-    call per face).
+    call per face), all edges stacked, checked at once edge by edge.
     """
     phat = field.host
     rings = _trimmed_rings(field) if rings is None else rings
-    eps = np.empty((phat.parent.n_edges, 3))
-    for b in range(phat.parent.n_edges):
-        direction = phat.parent.edge_direction(b)
-        stacked = np.concatenate([row[::EDGE_STRIDE] for row in
-                                  fields_mod._seam_rows(field, rings, ("edge", b))], axis=0)
-        spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
-        if spread > fields_mod.TOL_CONTINUITY:
-            raise TangentTopoError(f"edge {b} value varies by {spread:.3g}")
-        mean = stacked.mean(axis=0)
-        align = float(mean @ direction)
-        if abs(align) < 1.0 - 1e-6:
-            raise TangentTopoError(f"edge {b} value is not edge-parallel")
-        eps[b] = direction if align > 0 else -direction
-    return eps
+    directions = np.array([phat.parent.edge_direction(b) for b in range(phat.parent.n_edges)])
+    stacked = np.array([np.concatenate([row[::EDGE_STRIDE] for row in
+                                        fields_mod._seam_rows(field, rings, ("edge", b))])
+                        for b in range(phat.parent.n_edges)])
+    spreads = np.max(np.linalg.norm(stacked - stacked[:, :1], axis=2), axis=1)
+    aligns = _rowdots(stacked.mean(axis=1), directions)
+    varies = spreads > fields_mod.TOL_CONTINUITY
+    failing = np.flatnonzero(varies | (np.abs(aligns) < 1.0 - 1e-6))
+    if failing.size and varies[failing[0]]:
+        raise TangentTopoError(f"edge {failing[0]} value varies by {spreads[failing[0]]:.3g}")
+    if failing.size:
+        raise TangentTopoError(f"edge {failing[0]} value is not edge-parallel")
+    return np.where((aligns > 0)[:, None], directions, -directions)
 
 
 def extract_kink(field: TangentField, a: int, c: int) -> int:
@@ -270,24 +269,20 @@ def _integral_at(grid: FaceGrid, s: np.ndarray, d: int):
     """``(w, residual)`` of a corner face by the area/cap integral at the
     unit direction ``s`` on level ``d`` of its FaceGrid ``grid`` (whose
     area sums serve every ``s``), or None where that level is unresolved."""
-    boundary = grid.boundary(d)
-    if np.max(boundary @ s) >= 1.0 - 1e-12:
+    top, cap = grid.cap(d, s)
+    if top >= 1.0 - 1e-12:
         raise TangentTopoError(f"reference direction on the boundary image of "
                                f"face {grid.key[1]}")
     area_sum = grid.area_sum(d)
-    if area_sum is None:
-        return None
     # The cap term integrates the reference one-form along the
     # boundary image by exact geodesic steps: each step contributes
     # the signed area of the triangle (u, v, -s), which makes area
     # sum minus cap sum an exact multiple of 4*pi for any resolved
     # grid (the face sheet plus the cone over its boundary is a
     # closed surface cycle).  Both sums run in chart order.
-    minus_s = np.broadcast_to(-s, boundary.shape)
-    gamma, gvalid = triangle_areas(boundary, np.roll(boundary, -1, axis=0), minus_s)
-    if not gvalid.all():
+    if area_sum is None or cap is None:
         return None
-    raw = (float(np.sum(gamma)) - area_sum) / (4.0 * np.pi)
+    raw = (cap - area_sum) / (4.0 * np.pi)
     nearest = round(raw)
     residual = abs(raw - nearest)
     return (int(nearest), residual) if residual < DEGREE_RESIDUAL_TOL else None
@@ -322,8 +317,8 @@ def _near_cells(node_dots: np.ndarray, radial: np.ndarray, around: np.ndarray):
 def _grid_count(dots: tuple, s: np.ndarray) -> int:
     """Signed number of the image triangles of ``_grid_triangles`` that
     contain ``s``: the degree at ``s`` of the piecewise-geodesic map of
-    an (R + 1, K, 3) grid, read from its ``_neighbor_dots`` triple
-    ``dots``, closed off by the cap of the integral route.
+    an (R + 1, K, 3) grid, read from ``dots`` (``FaceGrid.neighbor_dots``),
+    closed off by the cap of the integral route.
 
     A proximity filter over the whole grid runs first: only cells whose
     image comes near ``s`` can contain it, and it discards antipodal
@@ -402,33 +397,47 @@ def trapped_area_from_invariants(
     signed triangle areas (with pole corrections) over the polygon of
     edge-orientation vectors, anchored at the lowest edge index.
     """
-    s = inv.s
-    cycle = phat.fan_edge_cycle(a)
-    eps = [inv.edge_orientations[b] for b in cycle]
-    m = len(eps)
-    fan = 0.0
-    for j in range(1, m - 1):
-        tri = (eps[0], eps[j], eps[j + 1])
-        for u, v in ((0, 1), (1, 2), (2, 0)):
-            if abs(float(tri[u] @ tri[v])) >= 1.0 - 1e-9:
-                raise TangentTopoError(
-                    f"fan triangle on face {a} has parallel edge orientations"
-                )
-        fan += spherical_triangle_area(*tri) - 4.0 * np.pi * triangle_sigma(*tri, s)
-    return _closed_form(inv, phat, a, fan)
+    return _closed_form(inv, phat, a, _fans(phat, inv.edge_orientations, inv.s, [a])[0])
+
+
+def _fans(phat: TruncatedPolyhedron, eps: np.ndarray, s: np.ndarray, faces) -> list:
+    """Each corner face's fan term at the unit ``s``: the sum in order of
+    the signed area minus 4 pi times the membership indicator of ``s``
+    over the triangles (e_0, e_j, e_j+1) of ``eps`` around its
+    ``fan_edge_cycle``, by one ``triangle_areas`` call and one
+    ``triangle_sigmas`` pass.  Raises as the terms one by one, after a
+    parallel pair check, face by face, each face then checking ``s`` off
+    its face planes."""
+    cycles = [phat.fan_edge_cycle(a) for a in faces]
+    abc = eps[np.array([(cycle[0], cycle[j], cycle[j + 1])
+                        for cycle in cycles for j in range(1, len(cycle) - 1)]).T]
+    parallel = np.abs(_rowdots(abc, abc[[1, 2, 0]])).max(axis=0) >= 1.0 - 1e-9
+    areas, valid = triangle_areas(*abc)
+    sigmas, on_boundary = triangle_sigmas(*abc, s)
+    first_bad = np.flatnonzero(parallel | ~valid | on_boundary).tolist() + [len(areas)]
+    terms, fans, end = areas - 4.0 * np.pi * sigmas, [], 0
+    for face, cycle in zip(faces, cycles):
+        start, end, k = end, end + len(cycle) - 2, first_bad[0]
+        if k < end and parallel[k]:
+            raise TangentTopoError(f"fan triangle on face {face} has parallel edge "
+                                   "orientations")
+        if k < end and not valid[k]:
+            raise TangentTopoError("triangle has an antipodal or degenerate vertex pair")
+        if k < end:
+            raise SOnTriangleBoundary("reference direction is on a triangle boundary")
+        for plane in phat.cleaved_faces[face].face_chain:
+            if abs(float(phat.face_normal(plane) @ s)) < 1e-12:
+                raise SOnTriangleBoundary(f"reference direction orthogonal to face normal {plane}")
+        fans.append(float(np.cumsum(terms[start:end])[-1]))
+    return fans
 
 
 def _closed_form(inv: InvariantSet, phat: TruncatedPolyhedron, a: int, fan: float) -> float:
-    """``trapped_area_from_invariants`` of face ``a`` from its fan term: adds
-    the wrapping and kink terms, after checking ``s`` off each face plane."""
+    """``trapped_area_from_invariants`` of face ``a`` from its fan term at
+    ``inv.s`` (``_fans``, which checks ``s``): adds the other terms."""
     kink_term = 0.0
     for c in phat.cleaved_faces[a].face_chain:
-        dot = float(phat.face_normal(c) @ inv.s)
-        if abs(dot) < 1e-12:
-            raise SOnTriangleBoundary(
-                f"reference direction orthogonal to face normal {c}"
-            )
-        kink_term += np.sign(dot) * inv.kink_numbers[(a, c)]
+        kink_term += np.sign(float(phat.face_normal(c) @ inv.s)) * inv.kink_numbers[(a, c)]
 
     w = float(inv.wrapping_numbers[a])
     return 4.0 * np.pi * w - 2.0 * np.pi * kink_term + fan
@@ -616,22 +625,26 @@ def _checked_climb(field: TangentField, faces, s, depth: int, turn: Optional[flo
     """``(w, residual, level, preimage, checks, (R, K), direct)`` of each
     corner face of ``faces``: the ``_climb`` of its FaceGrid, with the
     (R, K) and the direct trapped area of its level.  The faces climb in
-    lockstep, each level of all of them built at once
+    lockstep, each level of all of them built and passed at ``s`` at once
     (``fields._build_levels``), while their top levels hold at most
     LOCKSTEP_NODES nodes; past that, the lowest face climbs alone.  A
-    face's grid is dropped once it finishes.  The exception raised is
-    that of a climb face by face: the lowest failing face's, once every
-    lower face has finished."""
+    lockstep grid drops the levels below the one it checks, and is
+    dropped once its face finishes.  The exception raised is that of a
+    climb face by face: the lowest failing face's, once every lower face
+    has finished."""
     grids = [FaceGrid(field, (CLEAVED, a)) for a in faces]
     climbs = {i: _climb(grid, s, depth, turn) for i, grid in enumerate(grids)}
     done, failed, level = {}, {}, depth
     while climbs:
         together = sum(grids[i].nodes(depth) for i in climbs) <= LOCKSTEP_NODES
         if together and level <= MAX_DEPTH:
-            # A face whose level this fails builds it alone in its climb,
-            # where it meets its own exception.
-            with contextlib.suppress(Exception):
-                fields_mod._build_levels([grids[i] for i in climbs], level)
+            # No climb reads a level below the one it checks, whose buffer
+            # holds every face's.  A face whose level this fails builds it
+            # alone, and meets its own exception again; any other is a fault.
+            for i in climbs:
+                grids[i].drop_below(level - 1)
+            with contextlib.suppress(TangentTopoError, ValueError):
+                fields_mod._build_levels([grids[i] for i in climbs], level, s)
         level += together
         for i in list(climbs) if together else [min(climbs)]:
             try:
@@ -654,18 +667,14 @@ def _checked_climb(field: TangentField, faces, s, depth: int, turn: Optional[flo
 def _settle_s(phat: TruncatedPolyhedron, eps: np.ndarray, s, seed: int):
     """``(s, attempts, fans)``: ``s`` normalized, or the first of six seeded
     directions off every fan-triangle boundary, how many directions were
-    tried, and each face's fan term there: the closed form with zero kink and
-    wrapping numbers, whose checks then depend only on ``eps`` and ``s``."""
+    tried, and each face's fan term there (``_fans``), at the direction
+    normalized once more, as ``InvariantSet`` holds it."""
     candidates = [normalized(s)] if s is not None else (
         choose_reference_s(phat, seed + 1000 * attempt) for attempt in range(6))
     for attempts, s_try in enumerate(candidates, 1):
-        probe = InvariantSet(s=s_try, edge_orientations=eps,
-                             kink_numbers=dict.fromkeys(phat.cleaved_edges, 0),
-                             wrapping_numbers=np.zeros(len(phat.cleaved_faces)))
         try:
-            fans = [trapped_area_from_invariants(probe, phat, a)
-                    for a in range(len(phat.cleaved_faces))]
-            return s_try, attempts, fans
+            return s_try, attempts, _fans(phat, eps, normalized(s_try),
+                                          range(len(phat.cleaved_faces)))
         except SOnTriangleBoundary:
             if s is not None:
                 raise

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResolutionTooCoarse, SOnTriangleBoundary, TangentTopoError
+from .errors import ResolutionTooCoarse, TangentTopoError
 
 TOL_ANTIPODAL = 1e-9
 DEGREE_RESIDUAL_TOL = 0.1
@@ -65,6 +65,11 @@ def _dot(a, b, out=None):
     out += part
     out += np.multiply(a[1], b[1], out=part)
     return out
+
+
+def _rowdots(a, b) -> np.ndarray:
+    # The dot of each pair of rows of a and b (broadcast), as ``@`` takes one.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _as_rows(planes: np.ndarray) -> np.ndarray:
@@ -141,21 +146,22 @@ def triangle_areas(a, b, c):
 def _signed_areas(re, im):
     """Areas ``2 arg(re + i im)`` of triangles with ``re = 1 + a.b + b.c
     + c.a`` and ``im = (a x b).c``, and the validity mask of
-    ``triangle_areas``.
+    ``triangle_areas``; ``re`` and ``im`` end up as their absolute values.
 
     A rounded ``hypot(re, im)`` is never below ``max(|re|, |im|)``, so
     only the entries where that maximum is at most 1e-13, or NaN, need
-    the hypotenuse for the mask.
+    the hypotenuse (of the absolute values, the same) for the mask.
     """
     areas = np.arctan2(im, re)
     areas *= 2.0
-    abs_im = np.abs(im)
-    big = np.abs(re)
-    valid = np.maximum(big, abs_im, out=big) > 1e-13
+    flat = re < 0.0
+    abs_re, abs_im = np.abs(re, out=re), np.abs(im, out=im)
+    flat &= abs_im <= 1e-13
+    valid = np.maximum(abs_re, abs_im) > 1e-13
     rest = ~valid
     if rest.any():
-        valid[rest] = np.hypot(re[rest], im[rest]) > 1e-13
-    valid &= ~((abs_im <= 1e-13) & (re < 0.0))
+        valid[rest] = np.hypot(abs_re[rest], abs_im[rest]) > 1e-13
+    valid &= ~flat
     return areas, valid
 
 
@@ -173,31 +179,30 @@ def spherical_triangle_area(a, b, c) -> float:
     return float(areas[0])
 
 
-def triangle_sigma(a, b, c, s) -> int:
-    """Oriented membership indicator of ``s`` in the triangle (a, b, c).
+def triangle_sigmas(a, b, c, s):
+    """Oriented membership indicators of ``s`` in the triangles (a, b, c)
+    of stacked rows, and the mask of those with ``s`` on their boundary.
 
-    Returns 0 when ``s`` is outside the triangle interior (the region
-    bounded by the polygon with |area| < 2*pi), otherwise the sign of
-    ``(a x b).s``, which equals the orientation of the boundary about s.
-    Membership requires the three signs (a x b).s, (b x c).s, (c x a).s
-    to agree *and* to match the triangle's own orientation; agreement
-    alone would also fire for the antipodal region.
+    An indicator is 0 when ``s`` is outside the triangle interior (the
+    region bounded by the polygon with |area| < 2*pi), otherwise the sign
+    of ``(a x b).s``, which equals the orientation of the boundary about
+    s.  Membership requires the three signs (a x b).s, (b x c).s,
+    (c x a).s to agree *and* to match the triangle's own orientation;
+    agreement alone would also fire for the antipodal region.  Rows are
+    normalized and dotted bit for bit as ``normalized`` and ``@`` do one.
     """
-    a, b, c, s = (normalized(v) for v in (a, b, c, s))
-    ab = cross(a, b)
-    z = np.array([float(ab @ s), float(cross(b, c) @ s), float(cross(c, a) @ s)])
-    orient = float(ab @ c)
-    o = 0 if abs(orient) < 1e-13 else (1 if orient > 0 else -1)
+    abc = np.stack([np.asarray(v, dtype=float) for v in (a, b, c)])
+    norms = np.sqrt(_rowdots(abc, abc))
+    if not (norms.min() >= 1e-15 and norms.max() < np.inf):
+        raise ValueError("cannot normalize a near-zero or non-finite vector")
+    abc = abc / norms[..., None]
+    sides = cross(abc, abc[[1, 2, 0]])  # a x b, b x c, c x a
+    z, orient = _rowdots(sides, normalized(s)), _rowdots(sides[0], abc[2])
+    o = np.where(np.abs(orient) < 1e-13, 0, np.where(orient > 0, 1, -1))
     tiny = np.abs(z) < TOL_ANTIPODAL
-    if tiny.any():
-        big = z[~tiny]
-        if o != 0 and (big.size == 0 or np.all(np.sign(big) == o)):
-            raise SOnTriangleBoundary("reference direction is on a triangle boundary")
-        return 0
-    signs = np.sign(z)
-    if o != 0 and np.all(signs == o):
-        return o
-    return 0
+    agree = (tiny | (np.sign(z) == o)).all(axis=0) & (o != 0)
+    touching = tiny.any(axis=0)
+    return np.where(agree & ~touching, o, 0), agree & touching
 
 
 def geodesic_interpolate(u, v, tau, normalize: bool = True) -> np.ndarray:

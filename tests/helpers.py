@@ -8,8 +8,11 @@ import json
 import numpy as np
 
 from tangent_topo import AnalyticField, ConvexPolyhedron, ImageMesh, TruncationSpec
-from tangent_topo.fields import CLEAVED, TRUNCATED, SampledField, face_grid, sample_field
-from tangent_topo.sphere import cross, geodesic_interpolate, normalized, normalized_rows
+from tangent_topo.fields import (CLEAVED, TRUNCATED, SampledField, _grid_planes, _level_pass,
+                                 face_grid, sample_field)
+from tangent_topo.errors import SOnTriangleBoundary, TangentTopoError
+from tangent_topo.sphere import (cross, geodesic_interpolate, normalized, normalized_rows,
+                                 spherical_triangle_area, triangle_sigmas)
 
 
 # --- independent spherical-area oracle ---------------------------------------
@@ -433,7 +436,8 @@ def reference_kink_detail(field, a, c):
 
 def reference_edge_orientations(field) -> np.ndarray:
     """Edge orientations from 9-sample traces of each truncated edge on
-    both of its faces, edge by edge."""
+    both of its faces, edge by edge, each checked for continuity and then
+    alignment before the next."""
     phat = field.host
     t = np.linspace(0.0, 1.0, 9)
     eps = np.empty((phat.parent.n_edges, 3))
@@ -441,8 +445,12 @@ def reference_edge_orientations(field) -> np.ndarray:
         direction = phat.parent.edge_direction(b)
         stacked = np.concatenate([reference_trace(field, ("edge", b), side, t)
                                   for side in (0, 1)], axis=0)
-        assert np.max(np.linalg.norm(stacked - stacked[0], axis=1)) <= 1e-6
+        spread = float(np.max(np.linalg.norm(stacked - stacked[0], axis=1)))
+        if spread > 1e-6:
+            raise TangentTopoError(f"edge {b} value varies by {spread:.3g}")
         align = float(stacked.mean(axis=0) @ direction)
+        if abs(align) < 1.0 - 1e-6:
+            raise TangentTopoError(f"edge {b} value is not edge-parallel")
         eps[b] = direction if align > 0 else -direction
     return eps
 
@@ -535,7 +543,7 @@ def uniform_chain_wrapping(field, a, s, depth=4):
     with faces whose ``wrapping_checks`` entry is 0.
     """
     from tangent_topo import invariants as inv_mod
-    from tangent_topo.fields import MAX_DEPTH, _grid_area_sum, _grid_planes, _neighbor_dots
+    from tangent_topo.fields import MAX_DEPTH
     from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, triangle_areas
 
     def count(grid):
@@ -553,8 +561,7 @@ def uniform_chain_wrapping(field, a, s, depth=4):
             key, np.linspace(0.0, 1.0, R + 1)[:, None], np.arange(K) * (2.0 * np.pi / K)))
         if found is not None:
             return (*found, count(grid))
-        _, radial, around = dots = _neighbor_dots(_grid_planes(grid))
-        area = _grid_area_sum(dots)
+        radial, around, area = grid_pass(grid)[:3]
         if area is not None:
             boundary = grid[-1]
             gamma, valid = triangle_areas(boundary, np.roll(boundary, -1, axis=0),
@@ -571,11 +578,64 @@ def uniform_chain_wrapping(field, a, s, depth=4):
     raise AssertionError(f"face {a} unresolved on the uniform chain")
 
 
+def triangle_sigma(a, b, c, s) -> int:
+    """``sphere.triangle_sigmas`` of one triangle; SOnTriangleBoundary
+    where ``s`` is on its boundary, as the fan terms raise it."""
+    sigma, on_boundary = triangle_sigmas(*(np.reshape(v, (1, 3)) for v in (a, b, c)), s)
+    if on_boundary[0]:
+        raise SOnTriangleBoundary("reference direction is on a triangle boundary")
+    return int(sigma[0])
+
+
+def reference_triangle_sigma(a, b, c, s) -> int:
+    """The oriented membership indicator of ``s`` in the one triangle
+    (a, b, c), taken alone as the closed form took each before its fan
+    pass: 0 outside, the orientation inside, SOnTriangleBoundary on the
+    boundary of a triangle with an orientation."""
+    a, b, c, s = (normalized(v) for v in (a, b, c, s))
+    ab = cross(a, b)
+    z = np.array([float(ab @ s), float(cross(b, c) @ s), float(cross(c, a) @ s)])
+    orient = float(ab @ c)
+    o = 0 if abs(orient) < 1e-13 else (1 if orient > 0 else -1)
+    tiny = np.abs(z) < 1e-9
+    if tiny.any():
+        big = z[~tiny]
+        if o != 0 and (big.size == 0 or np.all(np.sign(big) == o)):
+            raise SOnTriangleBoundary("reference direction is on a triangle boundary")
+        return 0
+    return o if o != 0 and np.all(np.sign(z) == o) else 0
+
+
+def reference_fan(inv, phat, a) -> float:
+    """The fan term of corner face ``a`` triangle by triangle, in order,
+    each after its parallel-pair check, then ``s`` checked off the face
+    planes: the closed form's fan before its fan pass."""
+    eps = [inv.edge_orientations[b] for b in phat.fan_edge_cycle(a)]
+    fan = 0.0
+    for j in range(1, len(eps) - 1):
+        tri = (eps[0], eps[j], eps[j + 1])
+        for u, v in ((0, 1), (1, 2), (2, 0)):
+            if abs(float(tri[u] @ tri[v])) >= 1.0 - 1e-9:
+                raise TangentTopoError(f"fan triangle on face {a} has parallel edge orientations")
+        fan += spherical_triangle_area(*tri) - 4.0 * np.pi * reference_triangle_sigma(*tri, inv.s)
+    for c in phat.cleaved_faces[a].face_chain:
+        if abs(float(phat.face_normal(c) @ inv.s)) < 1e-12:
+            raise SOnTriangleBoundary(f"reference direction orthogonal to face normal {c}")
+    return fan
+
+
+def grid_pass(grid, s=None):
+    """``fields._level_pass`` of a bare (R + 1, K, 3) grid alone: its
+    ``(radial, around, area, top, cap)``."""
+    planes = _grid_planes(grid)
+    return _level_pass(planes, [planes.shape[2]], s)[0]
+
+
 def reference_near_cells(node_dots, radial, around):
     """The proximity filter of ``invariants._near_cells`` in one stage:
     ``arccos`` and ``cos`` over every cell, with no cheaper bound first.
     ``node_dots`` are the nodes' dots with ``s``, ``radial`` and
-    ``around`` the neighbor dots of ``fields._neighbor_dots``."""
+    ``around`` the neighbor dots of ``fields._level_pass``."""
     corner_best = np.maximum.reduce([node_dots[:-1, :-1], node_dots[1:, :-1],
                                      node_dots[:-1, 1:], node_dots[1:, 1:]])
     h = np.arccos(np.clip(np.minimum.reduce(

@@ -19,12 +19,9 @@ from tangent_topo.fields import (
     SampledField,
     _boundary_ring,
     _curve_key,
-    _grid_area_sum,
     _grid_axes,
-    _grid_planes,
-    _grid_step_bound_ok,
+    _grid_dots,
     _grid_triangles,
-    _neighbor_dots,
     _seam_rows,
     antipodal,
     face_grid,
@@ -40,11 +37,17 @@ from helpers import (
     constant_field,
     decode_vectors,
     encode_vectors,
+    grid_pass,
     pentagonal_pyramid,
     reference_field_text,
     reference_trace,
     seam_turned_field,
 )
+
+
+def _grid_step_bound_ok(grid):
+    # The quarter-turn check of a bare (R + 1, K, 3) grid.
+    return fields_mod._within_quarter_turn(*_grid_dots(grid))
 
 
 @pytest.fixture(scope="module")
@@ -329,18 +332,20 @@ class TestSampledFields:
         field = tt.representative_boundary(
             tt.AdmissibleInvariants.from_invariants(inv, cube_phat), cube_phat)
         levels, passes = [], []
-        evaluate, kernel = AnalyticField.evaluate, fields_mod._neighbor_dots
+        evaluate, kernel = AnalyticField.evaluate, fields_mod._level_pass
 
         def tracking(self, key, rho, phi):
             levels.append((np.size(rho), np.size(phi) + 1))
             return evaluate(self, key, rho, phi)
 
-        def counting(planes):
+        def counting(planes, widths, s=None, sums=True):
+            # The dots alone, of one grid: no area sum and no cap.
+            assert s is None and not sums and len(widths) == 1
             passes.append(planes.shape[1:])
-            return kernel(planes)
+            return kernel(planes, widths, s, sums)
 
         monkeypatch.setattr(AnalyticField, "evaluate", tracking)
-        monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
+        monkeypatch.setattr(fields_mod, "_level_pass", counting)
         sampled = sample_field(field, 3)
         assert len(levels) > len(cube_phat.face_keys()) == len(sampled.values)
         assert passes == levels + [(g.shape[0], g.shape[1] + 1)
@@ -419,7 +424,7 @@ class TestGridAreaSum:
         for band_entries in (fields_mod.BAND_ENTRIES, 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fields_mod, "BAND_ENTRIES", band_entries)
-                got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
+                got = grid_pass(grid)[2]
             if expected is None:
                 assert got is None
             else:
@@ -442,13 +447,13 @@ class TestGridAreaSum:
                         axis=-1)
         expected = _reference_area_sum(grid)
         assert expected is not None
-        got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
+        got = grid_pass(grid)[2]
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_refuses_an_antipodal_triangle_of_a_resolved_grid(self):
         for grid in (ANTIPODAL_TRIANGLE, LATE_ANTIPODAL):
             assert _grid_step_bound_ok(grid)
-            assert _grid_area_sum(_neighbor_dots(_grid_planes(grid))) is None
+            assert grid_pass(grid)[2] is None
 
     def test_equals_the_gathered_sum_on_representative_grids(self, cube_case):
         # Larger than the drawn grids, so np.sum splits the areas into
@@ -457,7 +462,7 @@ class TestGridAreaSum:
         for a in range(8):
             for depth in (2, 5):
                 grid = face_grid(field, (CLEAVED, a), depth)
-                got = _grid_area_sum(_neighbor_dots(_grid_planes(grid)))
+                got = grid_pass(grid)[2]
                 assert got == _reference_area_sum(grid)
 
 
@@ -512,7 +517,6 @@ class TestFaceGrid:
         assert phi.tobytes() == _grid_axes(R, M)[1][grid._cols[depth]].tobytes()
         whole = field.evaluate(key, np.linspace(0.0, 1.0, R + 1)[:, None], phi)
         assert grid.values(depth).tobytes() == whole.tobytes()
-        assert grid.boundary(depth).tobytes() == whole[-1].tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(which=st.integers(0, 5), face=st.integers(0, 13), start=st.integers(0, 4),
@@ -624,7 +628,9 @@ class TestFaceGrid:
         assert [grid.planes(d).shape[2] - 1 for d in range(6)] == [3 * 2 ** d for d in range(6)]
         # A level that passes the quarter-turn bound with an invalid area
         # sum doubles the rings too.
-        monkeypatch.setattr(fields_mod, "_grid_area_sum", lambda dots: None)
+        kernel = fields_mod._level_pass
+        monkeypatch.setattr(fields_mod, "_level_pass", lambda *args: [
+            (radial, around, None, top, cap) for radial, around, _, top, cap in kernel(*args)])
         grid = FaceGrid(field, key)
         grid.planes(3)
         assert grid.resolved(3) and grid.area_sum(3) is None
@@ -653,11 +659,10 @@ class TestFaceGrid:
         assert nodes == [9 * 24, 9 * 1, 9 * 25]
         assert not grid.resolved(3) and grid.resolved(4)
         whole = field.evaluate((CLEAVED, 0), np.linspace(0.0, 1.0, 9)[:, None], grid._phi(5))
-        assert grid.area_sum(5) == _grid_area_sum(_neighbor_dots(_grid_planes(whole)))
+        assert grid.area_sum(5) == grid_pass(whole)[2]
         # One neighbor-dot triple per depth, which the step-bound check reads too.
         assert grid.neighbor_dots(5) is grid.neighbor_dots(5)
         assert grid.resolved(5) == _grid_step_bound_ok(grid.values(5))
-        assert grid.boundary(5).tobytes() == grid.values(5)[-1].tobytes()
 
     @pytest.mark.parametrize("key", [(CLEAVED, 0), ("truncated", 0)])
     def test_each_grid_block_is_one_evaluate_call(self, cube_case, monkeypatch, key):
@@ -821,15 +826,23 @@ def _pointwise_grid(field, key, depth, rings=None, columns=None):
 
 class TestRowLayout:
     """Rows that reach einsum or matmul, whose sums follow the layout, are
-    C-contiguous, and bit for bit the scattered evaluation: grids and
-    boundary rings of FaceGrid at whole and refined depths, face_grid,
-    and the face boundary rings that kinks, edges and tangency checks
-    read."""
+    C-contiguous, and bit for bit the scattered evaluation: grids of
+    FaceGrid at whole and refined depths, face_grid, and the face
+    boundary rings that kinks, edges and tangency checks read; and the
+    cap of a FaceGrid level is that of the scattered boundary ring."""
 
     @staticmethod
     def _check(rows, expected):
         assert rows.flags.c_contiguous
         assert rows.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _check_cap(grid, depth, ring):
+        # The sum over the boundary steps (u, v, -s), gathered as rows.
+        s, ring = normalized(np.array([0.3, 0.2, -1.0])), np.ascontiguousarray(ring)
+        gamma, valid = triangle_areas(ring, np.roll(ring, -1, axis=0),
+                                      np.broadcast_to(-s, ring.shape))
+        assert valid.all() and grid.cap(depth, s)[1] == float(np.sum(gamma))
 
     @pytest.mark.parametrize("which", range(6))
     def test_grids_and_boundaries(self, solid_fields, which):
@@ -842,7 +855,7 @@ class TestRowLayout:
             for depth in (1, 3, 2):
                 expected = _pointwise_grid(field, key, depth)
                 self._check(grid.values(depth), expected)
-                self._check(grid.boundary(depth), expected[-1])
+                self._check_cap(grid, depth, expected[-1])
                 self._check(face_grid(field, key, depth), expected)
 
     def test_refined_golden_cube_grids(self, cube_phat):
@@ -861,7 +874,7 @@ class TestRowLayout:
         assert set(16 * np.arange(48)) < set(columns.tolist())
         expected = _pointwise_grid(field, (CLEAVED, 2), 8, rings=16, columns=columns)
         self._check(grid.values(8), expected)
-        self._check(grid.boundary(8), expected[-1])
+        self._check_cap(grid, 8, expected[-1])
 
     @pytest.mark.parametrize("which", range(6))
     def test_curve_traces(self, solid_fields, which):

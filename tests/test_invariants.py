@@ -24,13 +24,13 @@ from tangent_topo.invariants import (
     report_to_dict,
     s_margin,
 )
-from tangent_topo.sphere import (DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas,
-                                 triangle_sigma)
+from tangent_topo.sphere import DEGREE_RESIDUAL_TOL, cross, normalized, triangle_areas
 
-from helpers import (PINNED_HULLS, constant_field, jumped_field, normal_cone_spec,
+from helpers import (PINNED_HULLS, constant_field, grid_pass, jumped_field, normal_cone_spec,
                      pentagonal_pyramid, pinned_hull, reference_choose_reference_s,
                      reference_edge_orientations, reference_grid_count, reference_kink_detail,
-                     reference_near_cells, reference_tangency, tangent_perturbation,
+                     reference_fan, reference_near_cells, reference_tangency,
+                     reference_triangle_sigma, tangent_perturbation, triangle_sigma,
                      uniform_chain_wrapping)
 
 DIAG = np.ones(3) / np.sqrt(3.0)
@@ -80,8 +80,9 @@ def first_resolved(grid, s, depth):
 
 
 def grid_dots(grid):
-    """``fields._neighbor_dots`` of a bare (R + 1, K, 3) grid."""
-    return fields_mod._neighbor_dots(fields_mod._grid_planes(grid))
+    """A bare (R + 1, K, 3) grid's planes with their radial and around
+    dots, as ``FaceGrid.neighbor_dots`` holds them (``fields._level_pass``)."""
+    return (fields_mod._grid_planes(grid), *grid_pass(grid)[:2])
 
 
 def counted(grid, s):
@@ -191,6 +192,20 @@ class TestEdgeOrientations:
         field = constant_field(cube_phat, [0.0, 0.0, 1.0])
         with pytest.raises(errors.TangentTopoError, match="is not edge-parallel"):
             tt.extract_edge_orientations(field)
+
+    @pytest.mark.parametrize("flipped", range(6))
+    def test_first_failing_edge_raises_its_own_message(self, cube_phat, flipped):
+        # z everywhere but on one trimmed face, where it is -z: the edges of
+        # that face vary, the other edges not along z are not parallel, and
+        # the lowest failing edge of either kind raises, edge by edge.
+        def evaluator(key, rho, phi):
+            z = -1.0 if key == (TRUNCATED, flipped) else 1.0
+            return np.broadcast_to([0.0, 0.0, z], np.broadcast(rho, phi).shape + (3,))
+
+        field = AnalyticField(host=cube_phat, charts=cube_phat.charts, evaluator=evaluator)
+        expected = outcome(reference_edge_orientations, field)
+        assert expected[0] is errors.TangentTopoError
+        assert outcome(tt.extract_edge_orientations, field) == expected
 
 
 def wound_invariants(phat, s, target):
@@ -472,32 +487,48 @@ class TestWrapping:
 
     def test_one_neighbor_dot_pass_per_grid(self, cube_phat, monkeypatch):
         # The integral route, the direct area, the preimage count and the
-        # integral route again at the turned direction read one neighbor
-        # dot triple per (face, depth) built, each taken once.
+        # integral route again at the turned direction read the neighbor
+        # dots of every (face, depth) built, from one dot pass per level
+        # and ring count, which holds those faces side by side: each
+        # (face, depth) is read by one pass.  The passes at the turned
+        # directions read boundary rings alone and take no dots.
         inv, field = make_representative(cube_phat, seed=3)
-        faces, passes = [], []
-        init, kernel = FaceGrid.__init__, fields_mod._neighbor_dots
+        faces, built, passes = [], [], []
+        init, next_level, kernel = FaceGrid.__init__, FaceGrid._next, fields_mod._level_pass
 
         def tracking(grid, *args):
             init(grid, *args)
             faces.append(grid)
 
-        def counting(planes):
-            passes.append(planes)
-            return kernel(planes)
+        def building(grid, depth):
+            blocks, store, shape = next_level(grid, depth)
+
+            def stored(fine, values):
+                store(fine, values)
+                built.append((grid.key, max(grid._planes), shape[0]))
+            return blocks, stored, shape
+
+        def counting(planes, widths, s=None, sums=True):
+            if sums:
+                passes.append([(grid.key, d) for grid in faces for d, held in grid._planes.items()
+                               if np.shares_memory(held, planes)])
+            else:
+                assert planes.shape[1] == 1
+            return kernel(planes, widths, s, sums)
 
         monkeypatch.setattr(FaceGrid, "__init__", tracking)
-        monkeypatch.setattr(fields_mod, "_neighbor_dots", counting)
+        monkeypatch.setattr(FaceGrid, "_next", building)
+        monkeypatch.setattr(fields_mod, "_level_pass", counting)
         report = tt.extract_all(field, s=inv.s, depth=5, with_preimage=True)
         assert list(report.wrapping_preimage) == inv.wrapping_numbers.tolist()
-        built = [(grid.key, d) for grid in faces for d in grid._planes]
-        read = [(grid.key, d) for planes in passes for grid in faces
-                for d, held in grid._planes.items() if held is planes]
-        assert len(read) == len(passes) == len(set(read))
-        assert sorted(read) == sorted(built)
+        read = sum(passes, [])
+        assert all(passes) and len(read) == len(set(read))
+        assert sorted(read) == sorted((key, d) for key, d, _ in built)
+        assert len(passes) == len({(d, rings) for _, d, rings in built})
+        assert max(map(len, passes)) == 8
         # Each face built, and read, every level from depth 5 up to the
         # check one above its resolved level, and some face refined.
-        assert sorted(built) == sorted(
+        assert sorted(read) == sorted(
             ((CLEAVED, a), d) for a, used in enumerate(report.wrapping_depths)
             for d in range(5, min(used + 1, MAX_DEPTH) + 1))
         assert max(report.wrapping_depths) > 5
@@ -815,6 +846,31 @@ class TestLockstep:
         for name in ("trapped_direct", "trapped_closed", "wrapping_residuals"):
             assert getattr(report, name).tobytes() == getattr(together, name).tobytes()
 
+    @pytest.mark.parametrize("name", ["_corner_batch", "_level_pass"])
+    def test_a_batched_build_raises_what_no_climb_raises(self, cube_phat, monkeypatch, name):
+        # Only the errors that a face's own climb raises again are left to
+        # it; any other error of a build or level pass of several faces at
+        # once is the caller's, though each face alone would succeed.
+        inv, field = make_representative(cube_phat, seed=3)
+        inner = getattr(fields_mod, name)
+
+        def broken(*args):
+            if name == "_corner_batch" or len(args[1]) > 1:
+                raise RuntimeError("scripted batch")
+            return inner(*args)
+
+        monkeypatch.setattr(fields_mod, name, broken)
+        with pytest.raises(RuntimeError, match="scripted batch"):
+            tt.extract_all(field, s=inv.s)
+        assert tt.invariants_equal(face_by_face_report(field, inv.s), inv)
+
+
+def face_by_face_report(field, s):
+    """The invariants of ``field`` with every corner face climbing alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inv_mod, "LOCKSTEP_NODES", 0)
+        return tt.extract_all(field, s=s).invariants
+
 
 def at_margin(phat, m):
     """A unit ``s`` with margin ``m``: ``m`` along face normal 0, the rest
@@ -828,6 +884,80 @@ def at_margin(phat, m):
         if np.min(np.abs(others @ s)) >= 3.0 * m:
             return s
     raise AssertionError("no direction found")
+
+
+def level_pass_solids():
+    """The builtin solids and the pinned hulls, truncated."""
+    solids = []
+    for name in ("tetrahedron", "cube", "octahedron"):
+        poly = tt.builtin_polyhedron(name)
+        solids.append(tt.truncate(poly, tt.TruncationSpec.from_fraction(poly, 0.25)))
+    for g, k in PINNED_HULLS:
+        poly, lam = pinned_hull(g, k)
+        solids.append(tt.truncate(poly, normal_cone_spec(poly, lam)))
+    return solids
+
+
+def outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and message it raises."""
+    try:
+        return call(*args)
+    except errors.TangentTopoError as exc:
+        return type(exc), str(exc)
+
+
+class TestLevelPass:
+    """``fields._level_pass`` over the levels of several faces at once is,
+    face by face, bit for bit the pass of each face built alone."""
+
+    def _check(self, field, s, depths):
+        grids = [FaceGrid(field, (CLEAVED, a)) for a in range(len(field.host.cleaved_faces))]
+        rings = []
+        for d in depths:
+            fields_mod._build_levels(grids, d, s)
+            rings.append({grid.planes(d).shape[1] for grid in grids})
+        for grid in grids:
+            alone = FaceGrid(field, grid.key)
+            for d in depths:
+                assert (d, s.tobytes()) in grid._caps  # taken by the pass of the level
+                assert grid.planes(d).tobytes() == alone.planes(d).tobytes()
+                for ours, its in zip(grid.neighbor_dots(d)[1:], alone.neighbor_dots(d)[1:]):
+                    assert ours.tobytes() == its.tobytes()
+                assert grid.area_sum(d) == alone.area_sum(d)
+                assert outcome(inv_mod._integral_at, grid, s, d) == outcome(
+                    inv_mod._integral_at, alone, s, d)
+                # At a turned direction, the boundary ring alone takes the cap.
+                fresh, s_1 = FaceGrid(field, grid.key), turned(s, 1)
+                fresh.planes(depths[0]), fresh.planes(d)
+                assert outcome(inv_mod._integral_at, grid, s_1, d) == outcome(
+                    inv_mod._integral_at, fresh, s_1, d)
+        return rings
+
+    @pytest.mark.parametrize("margin", [None, 0.02])
+    def test_equals_each_face_alone(self, margin):
+        for phat in level_pass_solids():
+            s = None if margin is None else at_margin(phat, margin)
+            inv, field = make_representative(phat, 5, s=s)
+            self._check(field, inv.s, range(4, 7))
+
+    @pytest.mark.parametrize("band_entries", [None, 64])
+    def test_mixed_ring_counts(self, cube_phat, monkeypatch, band_entries):
+        # The even faces turn 2.7 pi from the center out, so their radial
+        # dots fail and their rings double up to 8; the odd faces turn
+        # 0.4 pi and keep one ring.  Every level from depth 1 on then holds
+        # two ring counts, each passed on its own buffer, in one band of
+        # rows or, at 64 entries a band, in bands of a row or two.
+        if band_entries is not None:
+            monkeypatch.setattr(fields_mod, "BAND_ENTRIES", band_entries)
+
+        def evaluator(key, rho, phi):
+            turn = np.where(np.asarray(key[1]) % 2, 0.4, 2.7) * np.pi * rho + 0.0 * phi
+            return np.stack([np.cos(turn), np.sin(turn), 0.1 + 0.0 * turn], axis=-1)
+
+        evaluator._corner_batches = True
+        field = AnalyticField(host=cube_phat, charts=cube_phat.charts, evaluator=evaluator)
+        rings = self._check(field, normalized(np.array([0.3, 0.2, -1.0])), range(0, 5))
+        assert rings[-1] == {2, 9} and all(len(r) == 2 for r in rings[1:])
 
 
 class TestPreimageTurn:
@@ -927,7 +1057,7 @@ class TestCandidateCells:
         grid[1:] += noise * rng.normal(size=(R, K, 3))
         grid /= np.linalg.norm(grid, axis=-1, keepdims=True)
         s = normalized(rng.uniform(-1.0, 3.0) * pole + rng.normal(size=3))
-        area_sum = fields_mod._grid_area_sum(grid_dots(grid))
+        area_sum = grid_pass(grid)[2]
         assume(area_sum is not None)  # the quarter-turn bound: a resolved grid
         expected = reference_grid_count(grid, s)
         assert grid_count(grid, s) == expected
@@ -1079,26 +1209,27 @@ class TestTrappedAreas:
         inv, field = make_representative(
             cube_phat, seed=3, wrap_override=(2, -2, 0, 0, 0, 0, 0, 0))
         area_sum = fields_mod.FaceGrid.area_sum
-        kernel = fields_mod._grid_area_sum
-        sums, owners = [], {}
+        kernel = fields_mod._level_pass
+        taken, owners = [], {}
 
         def reading(grid, depth):
             owners.setdefault(grid.key, set()).add(id(grid))
             return area_sum(grid, depth)
 
-        def counting(dots):
-            planes, radial, _ = dots
-            digest = hashlib.sha1(np.ascontiguousarray(planes).tobytes()).hexdigest()
-            sums.append((digest, radial.shape[0]))
-            return kernel(dots)
+        def counting(planes, widths, s=None, sums=True):
+            # One entry per (face, level) whose area sum the pass takes.
+            for end, width in zip(np.cumsum(widths), widths) if sums else ():
+                face = np.ascontiguousarray(planes[:, :, end - width:end])
+                taken.append((hashlib.sha1(face.tobytes()).hexdigest(), planes.shape[1] - 1))
+            return kernel(planes, widths, s, sums)
 
         monkeypatch.setattr(fields_mod.FaceGrid, "area_sum", reading)
-        monkeypatch.setattr(fields_mod, "_grid_area_sum", counting)
+        monkeypatch.setattr(fields_mod, "_level_pass", counting)
         # Every direct area is a reuse of the integral route's sum.
         report = tt.extract_all(field, s=inv.s, depth=5)
-        assert len({digest for digest, _ in sums}) == len(sums)
+        assert len({digest for digest, _ in taken}) == len(taken)
         # Every face summed its depth-5 grid, or a finer one, through the patch.
-        assert sum(1 for _, rings in sums if rings >= 2 ** 5) >= 8
+        assert sum(1 for _, rings in taken if rings >= 2 ** 5) >= 8
         # ... and all routes of a face read one FaceGrid.
         assert len(owners) == 8 and all(len(ids) == 1 for ids in owners.values())
         monkeypatch.undo()
@@ -1155,25 +1286,72 @@ class TestTrappedAreas:
         assert np.max(values.max(axis=0) - values.min(axis=0)) < 1e-6
 
     def test_closed_form_reuses_the_settled_fan(self, octa_phat, monkeypatch):
-        # Seed 430 settles at its second direction.  Each face's fan term
-        # is taken once, by the closed form with zero kink and wrapping
-        # numbers at the settled s, and read again for trapped_closed.
+        # Seed 430 settles at its second direction.  Each attempt takes the
+        # fan terms of all six faces in one fan pass, and trapped_closed
+        # reads the settled pass's terms again: extract_all takes no closed
+        # form through trapped_area_from_invariants.
         _, field = make_representative(octa_phat, seed=1)
-        closed_form, calls = inv_mod.trapped_area_from_invariants, []
+        fans, closed_form, calls = inv_mod._fans, inv_mod.trapped_area_from_invariants, []
 
-        def counting(inv, phat, a):
-            calls.append(a)
-            return closed_form(inv, phat, a)
+        def counting(phat, eps, s, faces):
+            calls.append(list(faces))
+            return fans(phat, eps, s, faces)
 
-        monkeypatch.setattr(inv_mod, "trapped_area_from_invariants", counting)
+        def refusing(inv, phat, a):
+            raise AssertionError("extract_all took a closed form alone")
+
+        monkeypatch.setattr(inv_mod, "_fans", counting)
         for s, attempts in ((None, 2), (tt.choose_reference_s(octa_phat, 1430), 1)):
             calls.clear()
+            monkeypatch.setattr(inv_mod, "trapped_area_from_invariants", refusing)
             report = tt.extract_all(field, s=s, seed=430, depth=5, with_preimage=False)
+            monkeypatch.setattr(inv_mod, "trapped_area_from_invariants", closed_form)
             assert report.s_attempts == attempts
-            assert calls[-6:] == list(range(6)) and len(calls) <= 6 * attempts
+            assert calls == [list(range(6))] * attempts
             for a in range(6):
                 assert report.trapped_closed[a] == tt.trapped_area_from_invariants(
                     report.invariants, octa_phat, a)
+
+    def test_fan_pass_equals_the_scalar_terms(self, cube_phat, tetra_phat, octa_phat):
+        # Over 200 random admissible sets, each face's fan term is the sum
+        # of its scalar terms in order, bit for bit, and so the closed form.
+        pyramid = pentagonal_pyramid()
+        solids = (tetra_phat, cube_phat, octa_phat,
+                  tt.truncate(pyramid, tt.TruncationSpec.from_fraction(pyramid, 0.25)))
+        inside = 0
+        for seed in range(200):
+            phat = solids[seed % len(solids)]
+            inv = tt.random_admissible_invariants(phat, seed=seed)
+            faces = range(len(phat.cleaved_faces))
+            expected = [reference_fan(inv, phat, a) for a in faces]
+            assert inv_mod._fans(phat, inv.edge_orientations, inv.s, faces) == expected
+            for a in faces:
+                assert tt.trapped_area_from_invariants(inv, phat, a) == inv_mod._closed_form(
+                    inv, phat, a, expected[a])
+                eps = inv.edge_orientations[list(phat.fan_edge_cycle(a))]
+                inside += sum(reference_triangle_sigma(eps[0], eps[j], eps[j + 1], inv.s) != 0
+                              for j in range(1, len(eps) - 1))
+        assert inside > 50  # s inside a fan triangle: its sigma term counts
+
+    def test_fan_pass_raises_as_the_scalar_terms(self, cube_phat, octa_phat):
+        # A parallel pair on face 0 of the cube, and the octahedron's
+        # seed-430 direction on a fan boundary of its seed-1 set.
+        s = tt.choose_reference_s(cube_phat, seed=3)
+        inv = crafted_invariants(cube_phat, s)
+        eps = inv.edge_orientations.copy()
+        cycle = cube_phat.fan_edge_cycle(0)
+        eps[cycle[1]] = eps[cycle[0]]
+        parallel = dataclasses.replace(inv, edge_orientations=eps)
+        octa_inv, _ = make_representative(octa_phat, seed=1)
+        on_fan = dataclasses.replace(octa_inv, s=tt.choose_reference_s(octa_phat, 430))
+        for phat, bad, kind in ((cube_phat, parallel, errors.TangentTopoError),
+                                (octa_phat, on_fan, errors.SOnTriangleBoundary)):
+            faces = range(len(phat.cleaved_faces))
+            expected = outcome(lambda: [reference_fan(bad, phat, a) for a in faces])
+            assert expected[0] is kind
+            assert outcome(inv_mod._fans, phat, bad.edge_orientations, bad.s, faces) == expected
+            first = next(a for a in faces if isinstance(outcome(reference_fan, bad, phat, a), tuple))
+            assert outcome(tt.trapped_area_from_invariants, bad, phat, first) == expected
 
     def test_reference_on_fan_boundary_rejected(self, cube_phat):
         s = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)

@@ -18,7 +18,6 @@ from tangent_topo.sphere import (
     normalized_rows,
     reference_frame,
     spherical_triangle_area,
-    triangle_sigma,
     unwrap_rotation_angle,
 )
 
@@ -30,6 +29,7 @@ from helpers import (
     random_rotation,
     reference_unwrap,
     subdivide_mesh,
+    triangle_sigma,
 )
 
 EX = np.array([1.0, 0.0, 0.0])
